@@ -60,8 +60,8 @@ def measure_null_rpc(
     if monitor:
         from repro.rpc.monitor import PacketMonitor
 
-        PacketMonitor(cluster.ring, cluster.rpc("client"))
-        PacketMonitor(cluster.ring, cluster.rpc("server"))
+        PacketMonitor(cluster.net, cluster.rpc("client"))
+        PacketMonitor(cluster.net, cluster.rpc("server"))
     out = {}
 
     def caller(node):

@@ -22,9 +22,9 @@ def run_trial(drop: str, seed: int = 0) -> dict:
     cluster = Cluster(names=["client", "server", "debugger"], seed=seed)
     cluster.rpc("server").export_native("svc", {"op": lambda ctx: 42})
     if drop == "call":
-        cluster.ring.drop_filters.append(lambda p: p.kind == "rpc_call")
+        cluster.net.drop_filters.append(lambda p: p.kind == "rpc_call")
     elif drop == "reply":
-        cluster.ring.drop_filters.append(lambda p: p.kind == "rpc_reply")
+        cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
     out = {}
 
     def caller(node):
@@ -53,7 +53,7 @@ def buffer_experiment() -> dict:
     def drop_filter(packet):
         return packet.kind == "rpc_call" and drop_next["armed"]
 
-    cluster.ring.drop_filters.append(drop_filter)
+    cluster.net.drop_filters.append(drop_filter)
     outcomes = []
 
     def caller(node):

@@ -11,7 +11,7 @@ measured latencies sit just above that floor.
 """
 
 from repro import Cluster, Pilgrim
-from repro.ring import RingTracer
+from repro.net import PacketTracer
 from benchmarks.common import print_table
 
 PROGRAM = """record point
@@ -42,7 +42,7 @@ def run_experiment() -> list[list]:
     image = cluster.load_program(PROGRAM, "app")
     cluster.spawn_vm("app", image, "main")
     dbg = Pilgrim(cluster, home="debugger")
-    tracer = RingTracer(cluster.ring)
+    tracer = PacketTracer(cluster.net)
     dbg.connect("app")
     bp = dbg.set_breakpoint("app", "app", line=11)  # inside work
     hit = dbg.wait_for_breakpoint()

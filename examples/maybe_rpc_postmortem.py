@@ -24,10 +24,10 @@ def main() -> None:
     # Fault injection: drop the call packet of request 2 and the reply
     # packet of request 4.
     state = {"i": 0}
-    cluster.ring.drop_filters.append(
+    cluster.net.drop_filters.append(
         lambda p: p.kind == "rpc_call" and state["i"] == 2
     )
-    cluster.ring.drop_filters.append(
+    cluster.net.drop_filters.append(
         lambda p: p.kind == "rpc_reply" and state["i"] == 4
     )
 

@@ -18,7 +18,7 @@ Quick start::
     dbg.disconnect()
 
 Layers (bottom up): :mod:`repro.sim` (event kernel), :mod:`repro.mayflower`
-(supervisor), :mod:`repro.ring` (network), :mod:`repro.cvm` +
+(supervisor), :mod:`repro.net` (network), :mod:`repro.cvm` +
 :mod:`repro.cclu` (language and VM), :mod:`repro.rpc`, :mod:`repro.agent`,
 :mod:`repro.debugger`, :mod:`repro.servers` (debug-aware shared services),
 :mod:`repro.replay` (deterministic record/replay and time travel),

@@ -212,7 +212,8 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     # Probe contracts check the finished cluster; event contracts fold
     # offline over the replayed stream — same verdict the online monitor
     # would have produced during the recording.
-    violations = scenario.check(world.cluster, probes, trace=world.run())
+    violations = scenario.report(world.cluster, probes,
+                                 trace=world.run()).messages()
     recorded = meta.get("violations", [])
     print(f"trace:       {args.trace}")
     print(f"scenario:    {campaign['scenario']} seed={campaign['seed']} "

@@ -235,8 +235,8 @@ class Corpus:
             verify = world.verify()
             # Event-backed contracts fold over the replayed stream (the
             # offline backend); probe-only scenarios ignore the trace.
-            violations = scenario.check(world.cluster, probes,
-                                        trace=world.run())
+            violations = scenario.report(world.cluster, probes,
+                                         trace=world.run()).messages()
         except FileNotFoundError:
             return False, f"trace file {entry.trace} is missing"
         except Exception as exc:  # corrupt trace, divergence, ...

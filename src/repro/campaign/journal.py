@@ -91,7 +91,7 @@ def scenario_fingerprint(name: str) -> str:
     digest = hashlib.sha256()
     digest.update(repr((scenario.name, tuple(scenario.names),
                         scenario.run_until)).encode("utf-8"))
-    for function in (scenario.build, scenario.check):
+    for function in (scenario.build, scenario.report):
         try:
             digest.update(inspect.getsource(function).encode("utf-8"))
         except (OSError, TypeError):

@@ -80,17 +80,6 @@ class Scenario:
     build: Callable = field(repr=False)
     contracts: ContractSet = field(repr=False)
 
-    def check(self, cluster, probes, trace=None) -> list:
-        """Violation messages for a finished run (legacy list shape).
-
-        Probe contracts evaluate against the cluster/probes; event
-        contracts fold over ``trace`` when one is supplied.  Callers
-        holding a live run attach a
-        :class:`~repro.contracts.online.ContractMonitor` instead and use
-        :meth:`report`.
-        """
-        return self.report(cluster, probes, trace=trace).messages()
-
     def report(self, cluster, probes, trace=None, monitor=None):
         """Full :class:`~repro.contracts.report.ContractReport`.
 

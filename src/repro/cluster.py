@@ -31,8 +31,7 @@ class Cluster:
 
     ``topology`` selects the fabric from the :mod:`repro.net` registry —
     ``"ring"`` (the paper's Cambridge Ring, the default) or ``"mesh"``
-    (switched point-to-point).  The transport is reachable as both
-    ``cluster.net`` and the historical alias ``cluster.ring``.
+    (switched point-to-point).  The transport is ``cluster.net``.
     """
 
     def __init__(
@@ -57,9 +56,6 @@ class Cluster:
         self.topology = topology
         self.world = World(seed=seed)
         self.net = make_transport(topology, self.world, self.params)
-        #: Legacy alias for :attr:`net` (the transport was the ring for
-        #: the project's whole pre-``repro.net`` history).
-        self.ring = self.net
         self.registry = ServiceRegistry()
         self.nodes: list[Node] = []
         #: Master compiled programs by module (the debugger's source-to-

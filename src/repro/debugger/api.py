@@ -1,51 +1,54 @@
-"""The unified debugger session API: typed records + the session protocol.
+"""The unified debugger session API: records, op registry, protocol, base.
 
-Two debugger frontends grew side by side — the simulated
-:class:`~repro.debugger.pilgrim.Pilgrim` and the out-of-process
-:class:`~repro.live.debugger.LiveDebugger` — and a third joined them:
-the :class:`~repro.service.client.RemoteSession` proxy that speaks the
-session daemon's wire protocol.  :class:`DebuggerSession` is the one
-protocol all three implement; scripts written against it run against
-any backend, local or remote.
+One debugger, one command set.  This module is where that command set
+is written down, once:
 
-The request/response payloads are small **frozen dataclasses**
-(:class:`ProcessInfo`, :class:`Breakpoint`, :class:`Frame`,
-:class:`SessionStatus`) that double as the wire schema: one definition
-serves the in-process backends, the REPL formatter, and the service's
-JSON serialization (``to_dict`` / ``from_dict``).  For compatibility
-with the dict-shaped payloads of earlier releases, every record also
-supports read-only mapping access (``frame["line"]``), including the
-live backend's historical key spellings (``frame["func"]``).
+* the **typed records** (:class:`ProcessInfo`, :class:`Breakpoint`,
+  :class:`Frame`, :class:`SessionStatus`, :class:`TraceSummary`) —
+  small frozen dataclasses that double as the wire schema
+  (``to_dict`` / ``from_dict``) and support read-only mapping access
+  (``frame["line"]``, including the live backend's historical key
+  spellings such as ``frame["func"]``);
+* the **plain-text renderers** of those records (``format_*``), shared
+  by the REPL and the session daemon so both print the same bytes;
+* :data:`OPS`, the **session-operation registry** — one :class:`Op` row
+  per operation: name, one-line summary, capability group and renderer.
+  The REPL's commands, the daemon's wire method table and text
+  rendering, the :class:`~repro.service.client.RemoteSession` forwards
+  and the typed refusals below are all derived from it;
+* :class:`DebuggerSession`, the structural protocol every backend
+  satisfies, and :class:`SessionBase`, the base class of the in-process
+  backends (:class:`~repro.debugger.pilgrim.Pilgrim`,
+  :class:`~repro.replay.session.TraceSession`,
+  :class:`~repro.live.debugger.LiveDebugger`): a backend implements the
+  groups it has and inherits, for every other registered op, a refusal
+  with the stable ``unsupported`` error code — so a local caller and a
+  remote one see the same typed error, never an ``AttributeError``.
 
-Canonical operation names:
-
-==================  ============================================
-``connect``         open a session with the target(s)
-``disconnect``      end the session, program continues
-``processes``       list debuggable processes/threads
-``set_breakpoint``  plant a breakpoint (source coordinates)
-``clear_breakpoint``  remove a breakpoint
-``wait_for_breakpoint``  block until one is hit
-``halt`` / ``resume``    stop / continue the whole program
-``step``            single-step a trapped process
-``backtrace``       stack frames of one process
-``read_var``        read a variable in some frame
-``status``          session/debuggee status summary
-``fork``            fork a loaded trace into a what-if branch
-``branches``        list the branches forked off a trace
-``diff_branches``   event-graph diff between two branches
-==================  ============================================
-
-The last three are the branching-time-travel surface
-(:mod:`repro.replay.branch`): backends without a recorded trace to fork
-(the live debugger) answer them with the stable ``unsupported`` error
-code rather than omitting them.
+Capability groups: ``control`` (session lifecycle, breakpoints,
+execution, writes), ``inspect`` (processes, stacks, variables, clocks),
+``rpc`` (call tables and diagnosis), ``record`` (start/stop a
+recording), and the three that need a sealed trace — ``cursor`` (time
+travel), ``contracts`` (the offline ``check``) and ``branches`` (what-if
+forks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Iterator, Optional, Protocol, Union, runtime_checkable
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Iterator,
+    Optional,
+    Protocol,
+    Union,
+    runtime_checkable,
+)
+
+from repro.debugger.errors import UnsupportedOperationError
 
 #: How backends address a node: by id or by name (``None`` on backends
 #: with a single implicit target, like the live debugger).
@@ -212,6 +215,276 @@ class TraceSummary(Record):
     n_checkpoints: int
 
 
+# ----------------------------------------------------------------------
+# Plain-text renderers: one rendering per record, used by the REPL and
+# (through the registry below) by the session daemon.
+# ----------------------------------------------------------------------
+
+
+def format_process(info: ProcessInfo) -> str:
+    """One ``ps`` table row."""
+    waiting = f"  waiting on {info.waiting_on}" if info.waiting_on else ""
+    exempt = "  [halt-exempt]" if info.halt_exempt else ""
+    return (
+        f"  pid {info.pid:<4} {info.name:<20} "
+        f"{info.state:<8}{waiting}{exempt}"
+    )
+
+
+def format_processes(infos: list[ProcessInfo]) -> str:
+    """The ``ps`` table of one node."""
+    return "\n".join(format_process(info) for info in infos)
+
+
+def format_all_processes(survey: dict) -> str:
+    """Every connected node's ``ps`` table, then the unreachable nodes."""
+    lines = []
+    for node, infos in sorted(survey["nodes"].items()):
+        lines.append(f"node {node}:")
+        lines.extend(format_process(info) for info in infos)
+    for row in survey["unreachable"]:
+        lines.append(f"node {row['address']}: unreachable ({row['error']})")
+    return "\n".join(lines)
+
+
+def format_frames(frames: list[Frame], show_node: bool = False) -> str:
+    """Backtrace lines (synthetic RPC-runtime frames included)."""
+    lines = []
+    for i, frame in enumerate(frames):
+        where = f"[node {frame.node}] " if show_node else ""
+        info = frame.info_block
+        if frame.synthetic and info:
+            lines.append(
+                f"  #{i} {where}<rpc runtime> call #{info.get('call_id')} "
+                f"{info.get('remote_proc')} [{info.get('state', 'serving')}]"
+            )
+            continue
+        if frame.unreachable:
+            lines.append(
+                f"  #{i} {where}<unreachable node {frame.node}>: {frame.error}"
+            )
+            continue
+        local_names = ", ".join(sorted(frame.locals)) or "-"
+        lines.append(
+            f"  #{i} {where}{frame.module}.{frame.proc} "
+            f"line {frame.line}  locals: {local_names}"
+        )
+    return "\n".join(lines)
+
+
+def format_status(status: SessionStatus) -> str:
+    """``status`` listing: one ``key: value`` row per field."""
+    return "\n".join(f"  {key}: {value}" for key, value in status.items())
+
+
+def format_trace_summary(trace) -> str:
+    """What ``record stop`` reports (a sealed trace or its summary)."""
+    return (f"recorded {trace.n_events} events, "
+            f"{trace.n_checkpoints} checkpoints; trace loaded")
+
+
+def format_moment(moment) -> str:
+    """Time-travel cursor summary."""
+    view = moment.view
+    lines = []
+    if moment.event is not None:
+        lines.append(f"  @#{moment.index - 1} {moment.event.line}")
+    else:
+        lines.append(f"  @#{moment.index} (before first event)")
+    lines.append(f"  t={view.time}us")
+    for node in sorted(view.halted):
+        if view.halted[node]:
+            lines.append(f"  node {node} halted (pids {view.halted[node]})")
+    for node in sorted(view.in_flight):
+        if view.in_flight[node]:
+            lines.append(f"  node {node} rpc in flight: {view.in_flight[node]}")
+    counts = ", ".join(f"{k}={v}" for k, v in sorted(view.counts.items()) if v)
+    lines.append(f"  counts: {counts or '-'}")
+    return "\n".join(lines)
+
+
+def format_contract_report(report) -> str:
+    """``check`` rendering: per-contract verdicts, then each violation."""
+    lines = []
+    for name, verdict in report.verdicts.items():
+        lines.append(f"  {name:<28} {verdict}")
+    for violation in report.violations:
+        where = "" if violation.index is None else (
+            f" at event #{violation.index} (t={violation.time}us)")
+        lines.append(f"  FAIL {violation.contract}{where}: {violation.message}")
+        for evidence in violation.evidence:
+            lines.append(f"    | {evidence}")
+    lines.append(
+        f"  {'OK' if report.ok else 'VIOLATED'} "
+        f"({len(report.verdicts)} contracts over {report.events} events)"
+    )
+    return "\n".join(lines)
+
+
+def format_contract_catalog(rows) -> str:
+    """``contracts`` listing: one row per shipped contract."""
+    lines = []
+    for row in rows:
+        events = ", ".join(row["events"]) if row["events"] else "probe-only"
+        lines.append(f"  {row['name']:<28} {row['description']}")
+        lines.append(f"  {'':<28} folds: {events}")
+    return "\n".join(lines)
+
+
+def format_branch(info) -> str:
+    """One ``branches`` table row (root and fork branches alike)."""
+    parent = info.parent[:12] if info.parent else "-"
+    note = f"  {info.note}" if info.note else ""
+    return (
+        f"  {info.id[:12]}  <- {parent:<12} @cp{info.checkpoint} "
+        f"t={info.fork_time}us  {info.kind:<10} "
+        f"events={info.events} final={info.final_time}us{note}"
+    )
+
+
+def format_branches(infos) -> str:
+    """The full ``branches`` listing."""
+    if not infos:
+        return "  no branches (fork one first)"
+    return "\n".join(format_branch(info) for info in infos)
+
+
+def format_branch_diff(diff) -> str:
+    """``diff`` rendering: first divergence, per-node times, end-state deltas."""
+    if diff.identical:
+        return f"  branches identical ({diff.events_a} events)"
+    lines = []
+    first = diff.first_divergence
+    lines.append(f"  first divergence at event #{first['index']}:")
+    lines.append(f"    a: {first['a'] if first['a'] is not None else '(ended)'}")
+    lines.append(f"    b: {first['b'] if first['b'] is not None else '(ended)'}")
+    for node, times in sorted(diff.per_node.items()):
+        where = "bus" if node == -1 else f"node {node}"
+        t_a = f"{times['time_a']}us" if times["time_a"] is not None else "-"
+        t_b = f"{times['time_b']}us" if times["time_b"] is not None else "-"
+        lines.append(f"  {where} diverges at a:{t_a} b:{t_b}")
+    if diff.halted_a or diff.halted_b:
+        lines.append(f"  halted at end: a={diff.halted_a or '-'} "
+                     f"b={diff.halted_b or '-'}")
+    for key, (count_a, count_b) in sorted(diff.count_delta.items()):
+        lines.append(f"  counts.{key}: a={count_a} b={count_b}")
+    divergence = getattr(diff, "first_contract_divergence", None)
+    if divergence is not None:
+        lines.append(
+            f"  contract {divergence['contract']}: "
+            f"a={divergence['a']} b={divergence['b']}"
+        )
+    lines.append(
+        f"  events: a={diff.events_a} b={diff.events_b}  "
+        f"final: a={diff.final_time_a}us b={diff.final_time_b}us"
+    )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The session-operation registry
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Op:
+    """One session operation: the row everything else is derived from.
+
+    ``name`` is the method name on every session class and the wire
+    method name; ``summary`` is what ``help`` and the daemon's
+    ``methods`` listing print and the docstring of generated methods;
+    ``group`` is the capability the op belongs to; ``render`` turns the
+    op's result into the plain text the REPL and the daemon print
+    (``None``: no typed rendering — the daemon prints ``ok`` or JSON and
+    the REPL command formats the result itself).
+    """
+
+    name: str
+    group: str
+    summary: str
+    render: Optional[Callable[[Any], str]] = None
+
+
+#: Every session operation, in the order the daemon's ``methods`` table
+#: lists them: the ops with a REPL command first, in ``help`` order, then
+#: the scripting-only ones.
+OPS: dict[str, Op] = {op.name: op for op in (
+    Op("connect", "control", "attach to nodes (force with 'connect! ...')"),
+    Op("disconnect", "control", "end the session"),
+    Op("processes", "inspect", "list processes on a node", format_processes),
+    Op("set_breakpoint", "control", "set a breakpoint (node module line)"),
+    Op("clear_breakpoint", "control", "clear breakpoint #1"),
+    Op("run_for", "control", "let the program run for a while"),
+    Op("wait_for_event", "control", "wait for the next breakpoint/failure event"),
+    Op("backtrace", "inspect", "backtrace of pid 3 on node app", format_frames),
+    Op("distributed_backtrace", "inspect", "distributed backtrace (follows RPCs)",
+       partial(format_frames, show_node=True)),
+    Op("display", "inspect", "show a variable via its print operation"),
+    Op("write_var", "control", "write a variable (ints/strings)"),
+    Op("step", "control", "single-step a trapped process"),
+    Op("resume", "control", "resume from the breakpoint"),
+    Op("halt", "control", "halt the whole program"),
+    Op("rpc_info", "rpc", "show RPC call tables / recent outcomes"),
+    Op("clocks", "inspect", "logical/real clocks and interruption total"),
+    Op("start_recording", "record",
+       "start recording; 'record stop' seals the trace for time travel"),
+    Op("at", "cursor", "jump the time-travel cursor to a moment", format_moment),
+    Op("reverse_step", "cursor", "step the cursor one event backwards", format_moment),
+    Op("forward_step", "cursor", "step the cursor one event forwards", format_moment),
+    Op("why_halted", "cursor", "explain why the program is halted here"),
+    Op("check", "contracts",
+       "fold contracts over the loaded trace (default: the trace's set)",
+       format_contract_report),
+    Op("contracts", "inspect", "list the shipped contract catalogue",
+       format_contract_catalog),
+    Op("causal_predecessors", "cursor", "causal predecessors of trace event #42"),
+    Op("fork", "branches", "fork the trace at checkpoint #1 into a what-if branch",
+       format_branch),
+    Op("branches", "branches", "list the branches forked off the loaded trace",
+       format_branches),
+    Op("diff_branches", "branches",
+       "event-graph diff between two branches (ids or prefixes)", format_branch_diff),
+    Op("status", "inspect", "session summary", format_status),
+    Op("reattach", "control", "re-adopt a node that became reachable again"),
+    Op("wait_for_breakpoint", "control", "block until some breakpoint is hit"),
+    Op("wait_for_failure", "control", "block until a process failure is reported"),
+    Op("halt_all", "control", "halt every connected node at once"),
+    Op("all_processes", "inspect", "process tables of every connected node",
+       format_all_processes),
+    Op("process_state", "inspect", "registers/state of one process"),
+    Op("read_var", "inspect", "read a frame variable (raw value)"),
+    Op("read_global", "inspect", "read a module global"),
+    Op("write_global", "control", "write a module global"),
+    Op("invoke", "control", "call a procedure inside the debuggee"),
+    Op("wake_process", "control", "force a waiting process runnable"),
+    Op("rpc_server_record", "rpc", "server-side record of one RPC call"),
+    Op("diagnose_maybe_failure", "rpc", "classify a maybe-failed RPC call"),
+    Op("stop_recording", "record", "seal the trace and load it for time travel",
+       format_trace_summary),
+    Op("total_interruption", "inspect", "debugger-caused interruption total (us)"),
+)}
+
+
+def install_ops(cls: type, make: Callable[[Op], Callable],
+                groups: Optional[tuple] = None) -> None:
+    """Generate the registered ops ``cls`` does not define itself.
+
+    ``make(op)`` builds the method body for one row; the method takes
+    its ``__name__`` and docstring from the row and is set as a real
+    class attribute, so ``isinstance(obj, DebuggerSession)`` holds and
+    ``help()`` shows it.  ``groups`` restricts generation to those
+    capability groups.
+    """
+    for op in OPS.values():
+        if op.name in vars(cls) or (groups and op.group not in groups):
+            continue
+        method = make(op)
+        method.__name__ = op.name
+        method.__qualname__ = f"{cls.__name__}.{op.name}"
+        method.__doc__ = op.summary
+        setattr(cls, op.name, method)
+
+
 @runtime_checkable
 class DebuggerSession(Protocol):
     """What every Pilgrim debugger frontend exposes.
@@ -292,3 +565,36 @@ class DebuggerSession(Protocol):
     def diff_branches(self, a: str, b: str):
         """Event-graph diff between two branches (first divergent event,
         per-node divergence times, halt-state deltas)."""
+
+
+class SessionBase:
+    """Base class of the in-process backends: unimplemented ops refuse.
+
+    A backend defines the operations it offers; every other row of
+    :data:`OPS` (bar the static ``contracts`` listing) resolves here and
+    raises :class:`~repro.debugger.errors.UnsupportedOperationError`
+    (wire code ``unsupported``) with the backend's :attr:`refusal` reason.
+    """
+
+    #: Completes "<op> is not available on ..." — why this backend
+    #: refuses the ops it does not implement.
+    refusal = "this session"
+
+    def contracts(self) -> list:
+        """The shipped contract catalogue (listing rows).
+
+        The one op answered here: the catalogue belongs to the tool, not
+        to a target, so every backend lists it — trace loaded or not.
+        """
+        from repro.contracts.dsl import catalog
+        return catalog()
+
+
+def _refused(op: Op) -> Callable:
+    def method(self, *args, **kwargs):
+        raise UnsupportedOperationError(
+            f"{op.name} is not available on {self.refusal}")
+    return method
+
+
+install_ops(SessionBase, _refused)

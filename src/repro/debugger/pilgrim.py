@@ -21,7 +21,16 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.agent import requests as rq
 from repro.cvm.image import Program
-from repro.debugger.api import Breakpoint, Frame, ProcessInfo, SessionStatus
+from repro.debugger.api import (
+    Breakpoint,
+    Frame,
+    NodeRef,
+    Op,
+    ProcessInfo,
+    SessionBase,
+    SessionStatus,
+    install_ops,
+)
 from repro.debugger.errors import (
     AgentError,
     DebuggerError,
@@ -57,8 +66,15 @@ def _decode(value: Any) -> Any:
         return value
 
 
-class Pilgrim:
-    """A debugging session driver."""
+class Pilgrim(SessionBase):
+    """A debugging session driver.
+
+    The live groups (``control``, ``inspect``, ``rpc``, ``record``) are
+    implemented here, one agent round trip per request; the trace groups
+    (``cursor``, ``contracts``, ``branches``) belong to the
+    :class:`~repro.replay.session.TraceSession` that ``load_trace`` /
+    ``stop_recording`` attach, and are forwarded to it.
+    """
 
     def __init__(self, cluster: "Cluster", home: Union[int, str] = "debugger"):
         self.cluster = cluster
@@ -89,12 +105,11 @@ class Pilgrim:
         self._responses: dict[int, dict] = {}
         self._seq = itertools.count(1)
         #: Record/replay state (see repro.replay): the writer while a
-        #: recording is live, the sealed trace and its time-travel index
-        #: once one is loaded.
+        #: recording is live, the sealed trace and the post-mortem
+        #: session over it once one is loaded.
         self._trace_writer = None
         self.trace = None
-        self._timetravel = None
-        self._branch_tree = None
+        self.trace_session = None
         #: True while an API call is driving the simulation; arrival of a
         #: response/event then stops the run immediately so virtual time
         #: does not overshoot.
@@ -103,7 +118,7 @@ class Pilgrim:
         # convert_debuggee_time, callable by servers over RPC (paper §6.1).
         self.home.rpc.export_native(
             PILGRIM_TIME_SERVICE,
-            {"convert_debuggee_time": self._rpc_convert_time},
+            {"convert_debuggee_time": lambda ctx, date: self.convert_debuggee_time(date)},
             register=False,
         )
 
@@ -136,6 +151,9 @@ class Pilgrim:
         attempt history.  An :class:`AgentError` proves the node is up
         and is never retried.
         """
+        if node is None:  # only single-target backends have an implicit node
+            raise DebuggerError(
+                f"{op} needs a node (one of {', '.join(self.cluster.names)})")
         target = self.cluster.node(node)
         address = target.node_id
         params = self.home.params
@@ -222,25 +240,26 @@ class Pilgrim:
         if not nodes:
             raise DebuggerError("connect() needs at least one node")
         self.session_id = next(self._session_counter)
-        infos = {}
         addresses = [self.cluster.node(n).node_id for n in nodes]
-        for node in nodes:
-            address = self.cluster.node(node).node_id
-            info = self._request(
-                node,
-                rq.CONNECT,
-                {
-                    "session": self.session_id,
-                    "debugger": self.home.node_id,
-                    "force": force,
-                },
-            )
-            infos[address] = info
-            self.node_epochs[address] = info.get("epoch", 0)
+        infos = {address: self._adopt(address, force) for address in addresses}
         self.connected_nodes = addresses
         for address in addresses:
             self._request(address, rq.SET_PEERS, {"nodes": addresses})
         return infos
+
+    def _adopt(self, address: int, force: bool) -> dict:
+        """CONNECT one node under the current session id; note its boot epoch."""
+        info = self._request(
+            address,
+            rq.CONNECT,
+            {
+                "session": self.session_id,
+                "debugger": self.home.node_id,
+                "force": force,
+            },
+        )
+        self.node_epochs[address] = info.get("epoch", 0)
+        return info
 
     def reattach(self, node: Union[int, str]) -> dict:
         """Re-adopt a node into the running session after a reboot.
@@ -252,20 +271,10 @@ class Pilgrim:
         survived), records the new boot epoch, and re-sends the peer set
         so halt broadcasts reach it again.
         """
-        target = self.cluster.node(node)
-        address = target.node_id
-        info = self._request(
-            node,
-            rq.CONNECT,
-            {
-                "session": self.session_id,
-                "debugger": self.home.node_id,
-                "force": True,
-            },
-        )
+        address = self.cluster.node(node).node_id
+        info = self._adopt(address, force=True)
         if address not in self.connected_nodes:
             self.connected_nodes.append(address)
-        self.node_epochs[address] = info.get("epoch", 0)
         for peer in self.connected_nodes:
             if self.reachability.get(peer) != "down":
                 self._request(
@@ -287,17 +296,11 @@ class Pilgrim:
     # Events
     # ------------------------------------------------------------------
 
-    def pop_event(self) -> Optional[dict]:
-        """Dequeue the oldest pending agent event, if any."""
-        if self.events:
-            return self.events.pop(0)
-        return None
-
     def wait_for_event(
-        self, event: Optional[str] = None, timeout: int = 10 * SEC
+        self, event: Optional[str] = None, timeout: Optional[int] = None
     ) -> dict:
-        """Drive the simulation until an agent event arrives."""
-        deadline = self.world.now + timeout
+        """Drive the simulation until an agent event arrives (default 10 s)."""
+        deadline = self.world.now + (10 * SEC if timeout is None else timeout)
         self._awaiting = True
         try:
             while True:
@@ -363,7 +366,6 @@ class Pilgrim:
         self.breakpoints[bp.key()] = bp
         return bp
 
-
     def clear_breakpoint(self, bp: Breakpoint) -> None:
         """Remove a breakpoint previously set on its node."""
         self._request(
@@ -373,28 +375,27 @@ class Pilgrim:
         )
         self.breakpoints.pop(bp.key(), None)
 
-
-    def wait_for_breakpoint(self, timeout: int = 10 * SEC) -> dict:
+    def wait_for_breakpoint(self, timeout: Optional[int] = None) -> dict:
         """Drive the simulation until some breakpoint is hit."""
         event = self.wait_for_event(rq.EVENT_BREAKPOINT, timeout)
         return {"node": event["node"], **event["data"]}
 
-    def wait_for_failure(self, timeout: int = 10 * SEC) -> dict:
+    def wait_for_failure(self, timeout: Optional[int] = None) -> dict:
         """Drive the simulation until a process failure is reported."""
         event = self.wait_for_event(rq.EVENT_FAILURE, timeout)
         return {"node": event["node"], **event["data"]}
 
-    def step(self, node: Union[int, str], pid: int) -> dict:
+    def step(self, node: NodeRef = None, pid: Optional[int] = None) -> dict:
         """Step a trapped process one instruction (trace mode)."""
         return self._request(node, rq.STEP, {"pid": pid})
 
-    def resume(self, node: Union[int, str]) -> dict:
+    def resume(self, node: NodeRef = None) -> dict:
         """Continue from a breakpoint: the given node's agent steps its
         trapped processes over their traps and resumes the program,
         broadcasting resume to its peers."""
         return self._request(node, rq.CONTINUE, {})
 
-    def halt(self, node: Union[int, str]) -> dict:
+    def halt(self, node: NodeRef = None) -> dict:
         """Halt the whole program, starting at ``node``."""
         return self._request(node, rq.HALT, {})
 
@@ -439,10 +440,7 @@ class Pilgrim:
         unreachable: list[dict] = []
         for address in list(self.connected_nodes):
             try:
-                tables[address] = [
-                    ProcessInfo.from_dict(info)
-                    for info in self._request(address, rq.LIST_PROCESSES)
-                ]
+                tables[address] = self.processes(address)
             except UnreachableNodeError as exc:
                 unreachable.append({
                     "node": exc.node,
@@ -530,9 +528,7 @@ class Pilgrim:
             if server_addr is None or server_addr not in self.connected_nodes:
                 break
             try:
-                record = self._request(
-                    server_addr, rq.RPC_SERVER_RECORD, {"call_id": info["call_id"]}
-                )
+                record = self.rpc_server_record(server_addr, info["call_id"])
             except UnreachableNodeError as exc:
                 result.append(Frame(
                     synthetic=True, node=server_addr, pid=None,
@@ -619,20 +615,13 @@ class Pilgrim:
         which is the case.")
         """
         info = self.rpc_info(client_node)
-        entry = None
         for record in info["in_progress"]:
             if record["call_id"] == call_id:
                 return "call still in progress"
-        history = self._request(client_node, rq.RPC_INFO)
-        service = None
-        # Search the recent-call buffer for the outcome.
-        outcome = None
-        for cid, ok in history["recent"]:
-            if cid == call_id:
-                outcome = ok
-        if outcome is True:
+        if any(cid == call_id and ok for cid, ok in info["recent"]):
             return "call succeeded"
         # Locate the server via the client-side call history.
+        service = None
         client_history = self._request(
             client_node, "rpc_client_history", {}
         )
@@ -665,7 +654,7 @@ class Pilgrim:
             breakpoints=len(self.breakpoints),
             time=self.world.now,
             recording=self._trace_writer is not None,
-            trace_loaded=self._timetravel is not None,
+            trace_loaded=self.trace_session is not None,
             extra={
                 "reachability": dict(self.reachability),
                 "epochs": dict(self.node_epochs),
@@ -723,116 +712,14 @@ class Pilgrim:
         return trace
 
     def load_trace(self, trace) -> None:
-        """Attach a trace (object or path) for time-travel queries."""
-        from repro.replay.timetravel import TimeTravel
-        from repro.replay.trace import Trace
-        if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
-            trace = Trace.load(trace)
-        self.trace = trace
-        self._timetravel = TimeTravel(trace)
-        self._branch_tree = None
+        """Attach a trace (object or path) for the trace-side operations.
 
-    def _travel(self):
-        if self._timetravel is None:
-            raise DebuggerError(
-                "no trace loaded (record with start_recording/stop_recording "
-                "or attach one with load_trace)"
-            )
-        return self._timetravel
-
-    def at(self, t: int):
-        """Time-travel: the recorded state at virtual time ``t``."""
-        return self._travel().at(t)
-
-    def reverse_step(self):
-        """Time-travel: step the cursor one event backwards."""
-        return self._travel().reverse_step()
-
-    def forward_step(self):
-        """Time-travel: step the cursor one event forwards."""
-        return self._travel().step()
-
-    def why_halted(self, node: Union[int, str, None] = None) -> dict:
-        """Time-travel: explain the halt state at the cursor.
-
-        ``node`` may be an address or a node name (resolved locally).
+        Time travel, contract checks and branching then run on a
+        :class:`~repro.replay.session.TraceSession` over it.
         """
-        if isinstance(node, str):
-            node = self.cluster.node(node).node_id
-        return self._travel().why_halted(node)
-
-    def causal_predecessors(self, index: int):
-        """Time-travel: the causal history of trace event ``index``."""
-        return self._travel().causal_predecessors(index)
-
-    # ------------------------------------------------------------------
-    # Contracts over the loaded trace (see repro.contracts)
-    # ------------------------------------------------------------------
-
-    def check(self, contracts=None):
-        """Fold a contract set over the loaded trace.
-
-        ``contracts`` is ``None`` (the trace's default set — its
-        campaign scenario's when the header names one, else the
-        universal safety catalogue), a
-        :class:`~repro.contracts.dsl.ContractSet`, or contract names
-        from the shipped catalogue.  Returns the frozen
-        :class:`~repro.contracts.report.ContractReport`.
-        """
-        from repro.contracts.dsl import contracts_for_trace, resolve_contracts
-        from repro.contracts.offline import check_trace
-        self._travel()  # a trace must be loaded
-        resolved = (contracts_for_trace(self.trace) if contracts is None
-                    else resolve_contracts(contracts))
-        return check_trace(self.trace, resolved)
-
-    def contracts(self) -> list:
-        """The shipped contract catalogue (listing rows)."""
-        from repro.contracts.dsl import catalog
-        return catalog()
-
-    # ------------------------------------------------------------------
-    # Branching time travel (see repro.replay.branch)
-    # ------------------------------------------------------------------
-
-    def _branches(self):
-        from repro.contracts.dsl import contracts_for_trace
-        from repro.replay.branch import BranchTree
-        self._travel()  # a trace must be loaded
-        if self._branch_tree is None:
-            builder = (self.trace.header.get("meta") or {}).get("builder")
-            self._branch_tree = BranchTree(
-                self.trace, builder, contracts=contracts_for_trace(self.trace))
-        return self._branch_tree
-
-    def fork(self, perturbation, checkpoint: int = 0,
-             parent: Optional[str] = None, builder=None,
-             mode: str = "process", run_until: Optional[int] = None):
-        """Fork the loaded trace at a checkpoint into a what-if branch.
-
-        The perturbed future re-executes in a separate process — the
-        session's own world and trace are never touched (the dormant
-        principle applied to whole executions).  ``builder`` names the
-        scenario recipe (callable, ``"scenario:NAME"``, or
-        ``"module:function"``); it may also ride in the trace header's
-        ``meta["builder"]``.  Interactive recordings cannot be forked
-        without ``run_until`` — the debugger's own request timing is
-        not in the trace.  Returns the branch's
-        :class:`~repro.replay.branch.BranchInfo`.
-        """
-        tree = self._branches()
-        if builder is not None:
-            tree.build = builder
-        return tree.fork(perturbation, checkpoint=checkpoint, parent=parent,
-                         mode=mode, run_until=run_until).info()
-
-    def branches(self):
-        """List every branch forked off the loaded trace (root first)."""
-        return self._branches().branches()
-
-    def diff_branches(self, a: str, b: str):
-        """Event-graph diff between two branches (id, prefix, or "root")."""
-        return self._branches().diff(a, b)
+        from repro.replay.session import TraceSession
+        self.trace_session = TraceSession(trace)
+        self.trace = self.trace_session.trace
 
     # ------------------------------------------------------------------
     # Time conversion for shared servers (paper §6.1)
@@ -840,9 +727,6 @@ class Pilgrim:
 
     def convert_debuggee_time(self, date: int) -> int:
         """Map a real timestamp to the debuggee's logical clock (paper §6.1)."""
-        return self.log.convert(date, self.world.now)
-
-    def _rpc_convert_time(self, ctx, date: int) -> int:
         return self.log.convert(date, self.world.now)
 
     def total_interruption(self) -> int:
@@ -854,3 +738,17 @@ class Pilgrim:
             f"<Pilgrim session={self.session_id} nodes={self.connected_nodes} "
             f"breakpoints={len(self.breakpoints)}>"
         )
+
+
+def _trace_forward(op: Op):
+    def method(self, *args, **kwargs):
+        if self.trace_session is None:
+            raise DebuggerError(
+                "no trace loaded (record with start_recording/stop_recording "
+                "or attach one with load_trace)"
+            )
+        return getattr(self.trace_session, op.name)(*args, **kwargs)
+    return method
+
+
+install_ops(Pilgrim, _trace_forward, groups=("cursor", "contracts", "branches"))

@@ -6,10 +6,13 @@ Pilgrim's distributed operations: breakpoints, distributed backtraces
 that follow RPCs, record/replay, and time-travel queries.
 
 Every command is declared once, via the :func:`_command` decorator on
-its handler; the registry (:data:`COMMANDS`) is the single source of
-truth from which both dispatch and the ``help`` text are derived, so the
-help can never drift from what the REPL actually accepts.  Run ``help``
-in a session (or call :func:`help_text`) for the full list.
+its handler; the registry (:data:`COMMANDS`) is what both dispatch and
+the ``help`` text are derived from.  A command that fronts a session
+operation names its row of :data:`~repro.debugger.api.OPS` and takes
+its summary and its result rendering from there, so ``help``, the
+daemon's ``methods`` table and both renderings of a result are one
+definition.  Run ``help`` in a session (or call :func:`help_text`) for
+the full list.
 
 The REPL is synchronous over virtual time: every command drives the
 simulation just far enough to complete.
@@ -21,9 +24,8 @@ import shlex
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.debugger.api import Breakpoint, Frame, ProcessInfo, SessionStatus
+from repro.debugger.api import OPS, Breakpoint, DebuggerSession
 from repro.debugger.errors import AgentError, DebuggerError
-from repro.debugger.pilgrim import Pilgrim
 from repro.sim.units import MS, SEC
 
 
@@ -55,42 +57,40 @@ def parse_value(text: str):
 class Command:
     """One REPL command: its name, example usage, and one-line summary.
 
-    ``op`` names the :class:`~repro.debugger.api.DebuggerSession`
-    operation the command fronts — it is the command's *wire method
-    name* in the session daemon's protocol (:mod:`repro.service`), so
-    the REPL's ``help`` and the daemon's method list are two renderings
-    of this one registry and can never drift apart.  Client-side-only
-    commands (``help``, ``quit``) have ``op=None``.
+    ``op`` names the :data:`~repro.debugger.api.OPS` row the command
+    fronts — the session daemon accepts the command name as an alias of
+    that wire method.  Client-side-only commands (``help``, ``quit``)
+    have ``op=None``.
     """
 
     name: str
     usage: str
     summary: str
-    handler_name: str
     op: Optional[str] = None
 
 
-#: Registry of every REPL command, in declaration order — the single
-#: source of truth for REPL dispatch, the generated ``help`` text, and
-#: the service wire protocol's per-session method names.
+#: Registry of every REPL command, in declaration order: REPL dispatch,
+#: the generated ``help`` text, and the daemon's method aliases.
 COMMANDS: dict[str, Command] = {}
 
 
 def _command(usage: str, op: Optional[str] = None) -> Callable:
     """Register a ``cmd_*`` method as a REPL command.
 
-    ``usage`` is the example invocation shown by ``help``; the summary
-    is the first line of the handler's docstring, so documenting the
-    handler *is* documenting the command.  ``op`` is the session-API
-    operation the command fronts (the wire method name).
+    ``usage`` is the example invocation shown by ``help``.  ``op`` is
+    the session operation the command fronts; it must be a row of
+    :data:`~repro.debugger.api.OPS` (checked here, at import time), and
+    the row's summary is the command's.  A client-side command has no
+    op and is summarized by the first line of its handler's docstring.
     """
+    if op is not None and op not in OPS:
+        raise LookupError(f"REPL command fronts unregistered op {op!r}")
+
     def register(method: Callable) -> Callable:
         name = method.__name__.removeprefix("cmd_")
-        summary = (method.__doc__ or "").strip().splitlines()[0]
-        COMMANDS[name] = Command(
-            name=name, usage=usage, summary=summary,
-            handler_name=method.__name__, op=op,
-        )
+        summary = (OPS[op].summary if op is not None
+                   else (method.__doc__ or "").strip().splitlines()[0])
+        COMMANDS[name] = Command(name=name, usage=usage, summary=summary, op=op)
         return method
     return register
 
@@ -104,160 +104,17 @@ def help_text() -> str:
     )
 
 
-# ----------------------------------------------------------------------
-# Plain-text renderers, shared by the REPL and the service daemon so the
-# two always produce byte-identical renderings of the typed records.
-# ----------------------------------------------------------------------
-
-
-def format_process(info: ProcessInfo) -> str:
-    """One ``ps`` table row."""
-    waiting = f"  waiting on {info.waiting_on}" if info.waiting_on else ""
-    exempt = "  [halt-exempt]" if info.halt_exempt else ""
-    return (
-        f"  pid {info.pid:<4} {info.name:<20} "
-        f"{info.state:<8}{waiting}{exempt}"
-    )
-
-
-def format_frames(frames: list[Frame], show_node: bool = False) -> list[str]:
-    """Backtrace lines (synthetic RPC-runtime frames included)."""
-    lines = []
-    for i, frame in enumerate(frames):
-        where = f"[node {frame.node}] " if show_node else ""
-        info = frame.info_block
-        if frame.synthetic and info:
-            lines.append(
-                f"  #{i} {where}<rpc runtime> call #{info.get('call_id')} "
-                f"{info.get('remote_proc')} [{info.get('state', 'serving')}]"
-            )
-            continue
-        if frame.unreachable:
-            lines.append(
-                f"  #{i} {where}<unreachable node {frame.node}>: {frame.error}"
-            )
-            continue
-        local_names = ", ".join(sorted(frame.locals)) or "-"
-        lines.append(
-            f"  #{i} {where}{frame.module}.{frame.proc} "
-            f"line {frame.line}  locals: {local_names}"
-        )
-    return lines
-
-
-def format_status(status: SessionStatus) -> list[str]:
-    """``status`` listing: one ``key: value`` row per field."""
-    return [f"  {key}: {value}" for key, value in status.items()]
-
-
-def format_branch(info) -> str:
-    """One ``branches`` table row (root and fork branches alike)."""
-    parent = info.parent[:12] if info.parent else "-"
-    note = f"  {info.note}" if info.note else ""
-    return (
-        f"  {info.id[:12]}  <- {parent:<12} @cp{info.checkpoint} "
-        f"t={info.fork_time}us  {info.kind:<10} "
-        f"events={info.events} final={info.final_time}us{note}"
-    )
-
-
-def format_branches(infos) -> list[str]:
-    """The full ``branches`` listing (shared with the daemon)."""
-    if not infos:
-        return ["  no branches (fork one first)"]
-    return [format_branch(info) for info in infos]
-
-
-def format_branch_diff(diff) -> list[str]:
-    """``diff`` rendering: first divergence, per-node times, end-state deltas."""
-    if diff.identical:
-        return [f"  branches identical ({diff.events_a} events)"]
-    lines = []
-    first = diff.first_divergence
-    lines.append(f"  first divergence at event #{first['index']}:")
-    lines.append(f"    a: {first['a'] if first['a'] is not None else '(ended)'}")
-    lines.append(f"    b: {first['b'] if first['b'] is not None else '(ended)'}")
-    for node, times in sorted(diff.per_node.items()):
-        where = "bus" if node == -1 else f"node {node}"
-        t_a = f"{times['time_a']}us" if times["time_a"] is not None else "-"
-        t_b = f"{times['time_b']}us" if times["time_b"] is not None else "-"
-        lines.append(f"  {where} diverges at a:{t_a} b:{t_b}")
-    if diff.halted_a or diff.halted_b:
-        lines.append(f"  halted at end: a={diff.halted_a or '-'} "
-                     f"b={diff.halted_b or '-'}")
-    for key, (count_a, count_b) in sorted(diff.count_delta.items()):
-        lines.append(f"  counts.{key}: a={count_a} b={count_b}")
-    divergence = getattr(diff, "first_contract_divergence", None)
-    if divergence is not None:
-        lines.append(
-            f"  contract {divergence['contract']}: "
-            f"a={divergence['a']} b={divergence['b']}"
-        )
-    lines.append(
-        f"  events: a={diff.events_a} b={diff.events_b}  "
-        f"final: a={diff.final_time_a}us b={diff.final_time_b}us"
-    )
-    return lines
-
-
-def format_contract_report(report) -> list[str]:
-    """``check`` rendering: per-contract verdicts, then each violation."""
-    lines = []
-    for name, verdict in report.verdicts.items():
-        lines.append(f"  {name:<28} {verdict}")
-    for violation in report.violations:
-        where = "" if violation.index is None else (
-            f" at event #{violation.index} (t={violation.time}us)")
-        lines.append(f"  FAIL {violation.contract}{where}: {violation.message}")
-        for evidence in violation.evidence:
-            lines.append(f"    | {evidence}")
-    lines.append(
-        f"  {'OK' if report.ok else 'VIOLATED'} "
-        f"({len(report.verdicts)} contracts over {report.events} events)"
-    )
-    return lines
-
-
-def format_contract_catalog(rows) -> list[str]:
-    """``contracts`` listing: one row per shipped contract."""
-    lines = []
-    for row in rows:
-        events = ", ".join(row["events"]) if row["events"] else "probe-only"
-        lines.append(f"  {row['name']:<28} {row['description']}")
-        lines.append(f"  {'':<28} folds: {events}")
-    return lines
-
-
-def format_moment(moment) -> list[str]:
-    """Time-travel cursor summary (shared with the daemon)."""
-    view = moment.view
-    lines = []
-    if moment.event is not None:
-        lines.append(f"  @#{moment.index - 1} {moment.event.line}")
-    else:
-        lines.append(f"  @#{moment.index} (before first event)")
-    lines.append(f"  t={view.time}us")
-    for node in sorted(view.halted):
-        if view.halted[node]:
-            lines.append(f"  node {node} halted (pids {view.halted[node]})")
-    for node in sorted(view.in_flight):
-        if view.in_flight[node]:
-            lines.append(f"  node {node} rpc in flight: {view.in_flight[node]}")
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(view.counts.items()) if v)
-    lines.append(f"  counts: {counts or '-'}")
-    return lines
-
-
 class PilgrimRepl:
     """Command dispatcher; ``output`` collects printed lines.
 
-    ``pilgrim`` is any sim-flavored :class:`DebuggerSession` backend —
-    an in-process :class:`~repro.debugger.pilgrim.Pilgrim` or a
+    ``pilgrim`` is any :class:`~repro.debugger.api.DebuggerSession`
+    backend — an in-process :class:`~repro.debugger.pilgrim.Pilgrim` or
+    :class:`~repro.replay.session.TraceSession`, or a
     :class:`~repro.service.client.RemoteSession` speaking to the
     daemon; the REPL renders byte-identical output against either.
     """
 
-    def __init__(self, pilgrim: Pilgrim, output: Optional[Callable[[str], None]] = None):
+    def __init__(self, pilgrim: DebuggerSession, output: Optional[Callable[[str], None]] = None):
         self.dbg = pilgrim
         self.lines: list[str] = []
         self._output = output
@@ -272,6 +129,12 @@ class PilgrimRepl:
             if self._output is not None:
                 self._output(line)
 
+    def _show(self, op: str, *args):
+        """Run one session op and print its registered rendering."""
+        text = OPS[op].render(getattr(self.dbg, op)(*args))
+        if text:
+            self.emit(text)
+
     # ------------------------------------------------------------------
 
     def execute(self, command_line: str) -> None:
@@ -284,7 +147,7 @@ class PilgrimRepl:
         if entry is None:
             self.emit(f"?unknown command {command!r} (try 'help')")
             return
-        handler = getattr(self, entry.handler_name)
+        handler = getattr(self, f"cmd_{entry.name}")
         try:
             handler(args, force=command.endswith("!"))
         except (AgentError, DebuggerError) as exc:
@@ -327,8 +190,7 @@ class PilgrimRepl:
     @_command("ps app", op="processes")
     def cmd_ps(self, args, force=False):
         """list processes on a node"""
-        for info in self.dbg.processes(args[0]):
-            self.emit(format_process(info))
+        self._show("processes", args[0])
 
     @_command("break app app 17", op="set_breakpoint")
     def cmd_break(self, args, force=False):
@@ -379,19 +241,12 @@ class PilgrimRepl:
     @_command("bt app 3", op="backtrace")
     def cmd_bt(self, args, force=False):
         """backtrace of pid 3 on node app"""
-        node, pid = args[0], int(args[1])
-        self._print_frames(self.dbg.backtrace(node, pid))
+        self._show("backtrace", args[0], int(args[1]))
 
     @_command("dbt app 3", op="distributed_backtrace")
     def cmd_dbt(self, args, force=False):
         """distributed backtrace (follows RPCs)"""
-        node, pid = args[0], int(args[1])
-        frames = self.dbg.distributed_backtrace(node, pid)
-        self._print_frames(frames, show_node=True)
-
-    def _print_frames(self, frames, show_node=False):
-        for line in format_frames(frames, show_node=show_node):
-            self.emit(line)
+        self._show("distributed_backtrace", args[0], int(args[1]))
 
     @_command("print app 3 x", op="display")
     def cmd_print(self, args, force=False):
@@ -470,19 +325,11 @@ class PilgrimRepl:
     # Record / replay and time travel (see repro.replay)
     # ------------------------------------------------------------------
 
-    def _print_moment(self, moment) -> None:
-        for line in format_moment(moment):
-            self.emit(line)
-
     @_command("record [stop]", op="start_recording")
     def cmd_record(self, args, force=False):
         """start recording; 'record stop' seals the trace for time travel"""
         if args and args[0] == "stop":
-            trace = self.dbg.stop_recording()
-            self.emit(
-                f"recorded {trace.n_events} events, "
-                f"{trace.n_checkpoints} checkpoints; trace loaded"
-            )
+            self._show("stop_recording")
         else:
             self.dbg.start_recording()
             self.emit("recording (finish with 'record stop')")
@@ -490,34 +337,31 @@ class PilgrimRepl:
     @_command("at 100ms", op="at")
     def cmd_at(self, args, force=False):
         """jump the time-travel cursor to a moment"""
-        self._print_moment(self.dbg.at(parse_duration(args[0])))
+        self._show("at", parse_duration(args[0]))
 
     @_command("rstep", op="reverse_step")
     def cmd_rstep(self, args, force=False):
         """step the cursor one event backwards"""
-        self._print_moment(self.dbg.reverse_step())
+        self._show("reverse_step")
 
     @_command("fstep", op="forward_step")
     def cmd_fstep(self, args, force=False):
         """step the cursor one event forwards"""
-        self._print_moment(self.dbg.forward_step())
+        self._show("forward_step")
 
     @_command("why", op="why_halted")
     def cmd_why(self, args, force=False):
         """explain why the program is halted here"""
         verdict = self.dbg.why_halted(args[0] if args else None)
-        if not verdict["halted"]:
+        if verdict["halted"]:
+            self.emit(f"  halted on nodes {verdict['nodes']} "
+                      f"since t={verdict['since']}us")
+            if verdict.get("halt_event") is not None:
+                self.emit(f"  first halt: {verdict['halt_event'].line}")
+            if verdict.get("cause") is not None:
+                self.emit(f"  cause:      {verdict['cause'].line}")
+        else:
             self.emit("  not halted here")
-            violation = verdict.get("contract")
-            if violation is not None:
-                self.emit(f"  contract:   {violation.contract} violated at "
-                          f"event #{violation.index}: {violation.message}")
-            return
-        self.emit(f"  halted on nodes {verdict['nodes']} since t={verdict['since']}us")
-        if verdict.get("halt_event") is not None:
-            self.emit(f"  first halt: {verdict['halt_event'].line}")
-        if verdict.get("cause") is not None:
-            self.emit(f"  cause:      {verdict['cause'].line}")
         violation = verdict.get("contract")
         if violation is not None:
             self.emit(f"  contract:   {violation.contract} violated at event "
@@ -526,15 +370,12 @@ class PilgrimRepl:
     @_command("check [single_leader ...]", op="check")
     def cmd_check(self, args, force=False):
         """fold contracts over the loaded trace (default: the trace's set)"""
-        report = self.dbg.check(list(args) if args else None)
-        for line in format_contract_report(report):
-            self.emit(line)
+        self._show("check", list(args) if args else None)
 
     @_command("contracts", op="contracts")
     def cmd_contracts(self, args, force=False):
         """list the shipped contract catalogue"""
-        for line in format_contract_catalog(self.dbg.contracts()):
-            self.emit(line)
+        self._show("contracts")
 
     @_command("causes 42", op="causal_predecessors")
     def cmd_causes(self, args, force=False):
@@ -564,26 +405,22 @@ class PilgrimRepl:
                              **fork_kwargs)
         self.emit(f"forked branch {info.id[:12]} at checkpoint "
                   f"{info.checkpoint} (t={info.fork_time}us)")
-        self.emit(format_branch(info))
+        self.emit(OPS["fork"].render(info))
 
     @_command("branches", op="branches")
     def cmd_branches(self, args, force=False):
         """list the branches forked off the loaded trace"""
-        for line in format_branches(self.dbg.branches()):
-            self.emit(line)
+        self._show("branches")
 
     @_command("diff root 3dcb", op="diff_branches")
     def cmd_diff(self, args, force=False):
         """event-graph diff between two branches (ids or prefixes)"""
-        diff = self.dbg.diff_branches(args[0], args[1])
-        for line in format_branch_diff(diff):
-            self.emit(line)
+        self._show("diff_branches", args[0], args[1])
 
     @_command("status", op="status")
     def cmd_status(self, args, force=False):
         """session summary"""
-        for line in format_status(self.dbg.status()):
-            self.emit(line)
+        self._show("status")
 
     @_command("help")
     def cmd_help(self, args, force=False):

@@ -82,8 +82,6 @@ class LinkShaper:
 
     def __init__(self, transport: "Transport"):
         self.transport = transport
-        #: Legacy alias (the shaper predates the pluggable transport).
-        self.ring = transport
         self.world = transport.world
         self.rng = transport.world.rng
         #: Active partition: a list of node-id groups.  Nodes absent from

@@ -17,7 +17,7 @@ import socket
 import time
 from typing import Any, Optional
 
-from repro.debugger.api import Frame, ProcessInfo, SessionStatus
+from repro.debugger.api import Frame, ProcessInfo, SessionBase, SessionStatus
 from repro.debugger.errors import DebuggerError, register_error
 
 _sessions = itertools.count(1)
@@ -39,8 +39,16 @@ def _thread_info(entry: dict) -> ProcessInfo:
     )
 
 
-class LiveDebugger:
-    """A synchronous client for a live agent."""
+class LiveDebugger(SessionBase):
+    """A synchronous client for a live agent.
+
+    Offers the core control/inspect operations; everything that needs a
+    simulated world or a recorded trace is the inherited typed refusal.
+    """
+
+    refusal = ("a live target (real threads, no simulated world or "
+               "recorded trace); record a sim run and open it as a trace "
+               "session instead")
 
     def __init__(self, address: tuple[str, int], timeout: float = 10.0):
         self.address = tuple(address)
@@ -103,13 +111,13 @@ class LiveDebugger:
         """Remove a breakpoint previously set at ``(file suffix, line)``."""
         self._request("clear_breakpoint", {"file": file_suffix, "line": line})
 
-    def wait_for_breakpoint(self, timeout: float = 10.0) -> dict:
-        """Poll the agent until a breakpoint event arrives.
+    def wait_for_breakpoint(self, timeout: Optional[float] = None) -> dict:
+        """Poll the agent until a breakpoint event arrives (default 10 s).
 
         Monotonic deadline: a wall-clock step mustn't stretch or cut the
         timeout; the short sleep keeps the poll from spinning the CPU.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + (10.0 if timeout is None else timeout)
         while time.monotonic() < deadline:
             for event in self._request("poll_events"):
                 if event.get("event") == "breakpoint":
@@ -163,29 +171,3 @@ class LiveDebugger:
                 "delta": data["delta"],
             },
         )
-
-    # ------------------------------------------------------------------
-    # Branching time travel: typed refusals (no recorded trace to fork)
-    # ------------------------------------------------------------------
-
-    def _no_trace(self, op: str):
-        from repro.debugger.errors import UnsupportedOperationError
-        raise UnsupportedOperationError(
-            f"{op} is not available on a live target: there is no "
-            f"recorded trace to fork (record a sim run and open it as a "
-            f"trace session instead)"
-        )
-
-    def fork(self, perturbation=None, checkpoint: int = 0,
-             parent: Optional[str] = None, builder=None,
-             mode: str = "process", run_until: Optional[int] = None):
-        """Unsupported on a live target (typed ``unsupported`` error)."""
-        self._no_trace("fork")
-
-    def branches(self) -> list:
-        """Unsupported on a live target (typed ``unsupported`` error)."""
-        self._no_trace("branches")
-
-    def diff_branches(self, a: str, b: str):
-        """Unsupported on a live target (typed ``unsupported`` error)."""
-        self._no_trace("diff_branches")

@@ -18,9 +18,6 @@ methodology can be measured against others:
 :func:`make_transport` builds a backend by topology name; the registry
 is what :class:`repro.cluster.Cluster`, the replay trace header, and
 the campaign grid thread their ``topology=`` axis through.
-
-``repro.ring`` remains as a thin compatibility façade re-exporting the
-ring backend under its historical names (``Ring``, ``RingTracer``).
 """
 
 from __future__ import annotations

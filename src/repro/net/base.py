@@ -63,9 +63,6 @@ class Station:
 
     def __init__(self, transport: "Transport", node: "Node"):
         self.transport = transport
-        #: Legacy name for :attr:`transport`, kept because a decade of
-        #: call sites (and the paper's vocabulary) say "ring".
-        self.ring = transport
         self.node = node
         self.address = node.node_id
         self._ports: dict[str, PortHandler] = {}
@@ -361,8 +358,6 @@ class PacketTracer:
 
     def __init__(self, transport: Transport):
         self.transport = transport
-        #: Legacy alias, as on :class:`Station`.
-        self.ring = transport
         self.records: list[TraceRecord] = []
         bus = transport.bus
         bus.subscribe(ev.PacketSent, self._on_sent)

@@ -1,41 +1,46 @@
 """A post-mortem :class:`DebuggerSession` over a recorded trace.
 
 :class:`TraceSession` makes a sealed trace debuggable through the same
-typed session API as a live world: the time-travel operations (``at``,
-``forward_step`` / ``reverse_step``, ``why_halted``,
-``causal_predecessors``) work exactly as on :class:`Pilgrim` with a
-loaded trace, ``processes`` reads the process table out of the folded
-:class:`~repro.replay.checkpoint.StateView` at the cursor, and the
-live-only operations (breakpoints, variable access) raise
-:class:`~repro.debugger.errors.UnsupportedOperationError` with the
-stable ``unsupported`` code — a remote client gets a typed refusal,
-never a stringified traceback.
+typed session API as a live world.  It is the one implementation of
+the trace-side capability groups — ``cursor`` (``at``, ``forward_step``
+/ ``reverse_step``, ``why_halted``, ``causal_predecessors``),
+``contracts`` and ``branches``; ``processes`` reads the process table
+out of the folded :class:`~repro.replay.checkpoint.StateView` at the
+cursor, and every live-only operation (breakpoints, variable access) is
+the typed ``unsupported`` refusal inherited from
+:class:`~repro.debugger.api.SessionBase`.
 
 This is what the session daemon instantiates for ``kind="trace"``
 sessions and for corpus reproducers opened by name
-(:meth:`repro.campaign.corpus.Corpus.open_session`).
+(:meth:`repro.campaign.corpus.Corpus.open_session`), and what
+:class:`~repro.debugger.pilgrim.Pilgrim` attaches when a trace is
+loaded into a live session.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.debugger.api import ProcessInfo, SessionStatus
-from repro.debugger.errors import DebuggerError, UnsupportedOperationError
+from repro.debugger.api import ProcessInfo, SessionBase, SessionStatus
+from repro.debugger.errors import DebuggerError
 from repro.replay.branch import BranchDiff, BranchInfo, BranchTree
 from repro.replay.timetravel import Moment, TimeTravel
 from repro.replay.trace import Trace
 
 
-class TraceSession:
+class TraceSession(SessionBase):
     """Read-only debugger session over one sealed trace.
 
     ``builder`` (a callable, ``"scenario:NAME"``, or
     ``"module:function"``) names the scenario recipe; with it attached
     the session can also *fork* the recording into perturbed what-if
     branches (see :mod:`repro.replay.branch`) — still without ever
-    touching the trace itself.
+    touching the trace itself.  It defaults to the reference the
+    recording carries in its header (``meta["builder"]``), if any.
     """
+
+    refusal = ("a trace session (post-mortem, read-only); fork the recipe "
+               "into a live world to intervene")
 
     def __init__(self, trace: Union[Trace, str, bytes], name: str = "",
                  builder=None):
@@ -43,6 +48,8 @@ class TraceSession:
             trace = Trace.load(trace)
         self.trace = trace
         self.name = name or f"trace(seed={trace.header.get('seed')})"
+        if builder is None:
+            builder = (trace.header.get("meta") or {}).get("builder")
         self.builder = builder
         self._travel = TimeTravel(trace)
         self._branch_tree: Optional[BranchTree] = None
@@ -82,13 +89,10 @@ class TraceSession:
     # Inspection at the cursor
     # ------------------------------------------------------------------
 
-    def _moment(self) -> Moment:
-        return self._travel.current()
-
     def processes(self, node: Union[int, str, None] = None) -> list[ProcessInfo]:
         """The process table recorded in the view at the cursor."""
         address = self._resolve(node)
-        view = self._moment().view
+        view = self._travel.current().view
         rows: list[ProcessInfo] = []
         for node_key in sorted(view.processes):
             if address is not None and str(address) != str(node_key):
@@ -106,7 +110,7 @@ class TraceSession:
 
     def status(self) -> SessionStatus:
         """Cursor position and trace dimensions."""
-        moment = self._moment()
+        moment = self._travel.current()
         return SessionStatus(
             mode="replay",
             session=self.session_id,
@@ -177,12 +181,6 @@ class TraceSession:
                     else resolve_contracts(contracts))
         return check_trace(self.trace, resolved)
 
-    def contracts(self) -> list:
-        """The shipped contract catalogue (listing rows)."""
-        from repro.contracts.dsl import catalog
-
-        return catalog()
-
     # ------------------------------------------------------------------
     # Branching time travel (repro.replay.branch)
     # ------------------------------------------------------------------
@@ -227,56 +225,6 @@ class TraceSession:
         return TraceSession(branch.trace,
                             name=f"{self.name}/branch:{branch.id[:12]}",
                             builder=self.builder)
-
-    # ------------------------------------------------------------------
-    # Live-only operations: typed refusals
-    # ------------------------------------------------------------------
-
-    def _unsupported(self, op: str):
-        raise UnsupportedOperationError(
-            f"{op} is not available on a trace session (post-mortem, "
-            f"read-only); fork the recipe into a live world to intervene"
-        )
-
-    def set_breakpoint(self, *args, **kwargs):
-        """Unsupported on a sealed trace (typed ``unsupported`` error)."""
-        self._unsupported("set_breakpoint")
-
-    def clear_breakpoint(self, *args, **kwargs):
-        """Unsupported on a sealed trace."""
-        self._unsupported("clear_breakpoint")
-
-    def wait_for_breakpoint(self, timeout=None):
-        """Unsupported on a sealed trace."""
-        self._unsupported("wait_for_breakpoint")
-
-    def wait_for_event(self, event=None, timeout=None):
-        """Unsupported on a sealed trace."""
-        self._unsupported("wait_for_event")
-
-    def halt(self, node=None):
-        """Unsupported on a sealed trace."""
-        self._unsupported("halt")
-
-    def resume(self, node=None):
-        """Unsupported on a sealed trace."""
-        self._unsupported("resume")
-
-    def step(self, node=None, pid=None):
-        """Unsupported on a sealed trace (use ``forward_step``)."""
-        self._unsupported("step")
-
-    def backtrace(self, node=None, pid=None):
-        """Unsupported on a sealed trace (stacks are not recorded)."""
-        self._unsupported("backtrace")
-
-    def read_var(self, node=None, pid=None, name="", frame=0):
-        """Unsupported on a sealed trace."""
-        self._unsupported("read_var")
-
-    def run_for(self, duration):
-        """Unsupported on a sealed trace (time is already spent)."""
-        self._unsupported("run_for")
 
     def __repr__(self) -> str:
         return f"<TraceSession {self.name} events={self.trace.n_events}>"

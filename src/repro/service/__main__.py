@@ -93,7 +93,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub.add_parser("stop", help="ask the daemon to exit")
     sub.add_parser("ping", help="liveness / protocol check")
     sub.add_parser("sessions", help="list sessions and their holders")
-    sub.add_parser("methods", help="list wire methods (from the REPL registry)")
+    sub.add_parser("methods", help="list wire methods (the session-op registry)")
     sub.add_parser("metrics", help="daemon metrics snapshot")
 
     open_cmd = sub.add_parser("open", help="register a named session")

@@ -10,11 +10,10 @@ the host-time budget raises :class:`RequestTimeoutError` (code
 ``timeout``).
 
 :class:`RemoteSession` is the thin proxy that makes a daemon session
-look like an in-process backend: it implements the full typed
-:class:`~repro.debugger.api.DebuggerSession` surface (plus the sim
-extras — time travel, RPC introspection, recording), returning genuine
-:class:`Frame` / :class:`ProcessInfo` / :class:`Moment` objects, so the
-REPL and existing scripts run against it unmodified and render
+look like an in-process backend: one forward per row of the
+session-operation registry (:data:`~repro.debugger.api.OPS`), returning
+genuine :class:`Frame` / :class:`ProcessInfo` / :class:`Moment`
+objects, so the REPL and scripts run against it unmodified and render
 byte-identical plain text.
 """
 
@@ -28,6 +27,7 @@ import threading
 import time
 from typing import Any, Optional, Union
 
+from repro.debugger.api import Op, install_ops
 from repro.debugger.errors import (
     RequestTimeoutError,
     ServiceError,
@@ -166,7 +166,7 @@ class ServiceClient:
         return self.request("sessions")
 
     def methods(self) -> list:
-        """The wire method table (derived from the REPL registry)."""
+        """The wire method table (one row per registered session op)."""
         return self.request("methods")
 
     def metrics(self) -> dict:
@@ -185,12 +185,15 @@ class ServiceClient:
 class RemoteSession:
     """A daemon session through the typed ``DebuggerSession`` surface.
 
-    Mirrors the sim-flavored API of
-    :class:`~repro.debugger.pilgrim.Pilgrim` one-to-one; each method is
-    one wire round trip.  Holder semantics live on the daemon: the first
-    ``connect`` (or first operation) adopts the session, a competing
-    ``connect`` needs ``force=True`` and evicts this proxy, whose next
-    call raises :class:`~repro.debugger.errors.SessionTakenError`.
+    Every row of :data:`~repro.debugger.api.OPS` is a method here, and
+    each call is one wire round trip.  Only ``connect``, ``disconnect``
+    and ``fork`` are written out (they keep local state or translate an
+    argument); the rest are generated below as plain forwards, so the
+    daemon applies the backend's own defaults and refusals.  Holder
+    semantics live on the daemon: the first ``connect`` (or first
+    operation) adopts the session, a competing ``connect`` needs
+    ``force=True`` and evicts this proxy, whose next call raises
+    :class:`~repro.debugger.errors.SessionTakenError`.
     """
 
     def __init__(self, client: ServiceClient, name: str):
@@ -203,8 +206,6 @@ class RemoteSession:
         return self._client.request(op, session=self.name,
                                     args=args, kwargs=kwargs)
 
-    # -- lifecycle -------------------------------------------------------
-
     def connect(self, *targets: Union[int, str], force: bool = False) -> dict:
         """Open (or forcibly take over) the session and its backend."""
         result = self._call("connect", *targets, force=force)
@@ -216,200 +217,6 @@ class RemoteSession:
         """Detach; the session parks and the debuggee continues."""
         self._call("disconnect")
         self.session_id = None
-
-    def reattach(self, node: Union[int, str]) -> dict:
-        """Re-adopt a node that became reachable again."""
-        return self._call("reattach", node)
-
-    # -- inspection ------------------------------------------------------
-
-    def processes(self, node: Union[int, str, None] = None) -> list:
-        """Typed process listing of one node."""
-        return self._call("processes", node)
-
-    def all_processes(self) -> dict:
-        """Process tables of every connected node."""
-        return self._call("all_processes")
-
-    def process_state(self, node: Union[int, str, None] = None,
-                      pid: Optional[int] = None):
-        """Registers/state of one process."""
-        return self._call("process_state", node, pid)
-
-    def status(self):
-        """Backend status summary (typed ``SessionStatus``)."""
-        return self._call("status")
-
-    def clocks(self) -> list:
-        """Logical/real clock rows per connected node."""
-        return self._call("clocks")
-
-    def total_interruption(self) -> int:
-        """Debugger-caused interruption total in microseconds."""
-        return self._call("total_interruption")
-
-    # -- execution control ----------------------------------------------
-
-    def run_for(self, duration: int) -> None:
-        """Let the debuggee run for a stretch of virtual time."""
-        return self._call("run_for", duration)
-
-    def set_breakpoint(self, node=None, module: str = "",
-                       line: Optional[int] = None,
-                       func: Optional[str] = None,
-                       pc: Optional[int] = None):
-        """Plant a breakpoint; returns the typed ``Breakpoint``."""
-        return self._call("set_breakpoint", node, module,
-                          line=line, func=func, pc=pc)
-
-    def clear_breakpoint(self, bp) -> None:
-        """Remove a previously planted breakpoint."""
-        return self._call("clear_breakpoint", bp)
-
-    def wait_for_event(self, event: Optional[str] = None,
-                       timeout: Optional[int] = None) -> dict:
-        """Drive the debuggee until the next agent event."""
-        kwargs = {} if timeout is None else {"timeout": timeout}
-        if event is not None:
-            return self._call("wait_for_event", event, **kwargs)
-        return self._call("wait_for_event", **kwargs)
-
-    def wait_for_breakpoint(self, timeout: Optional[int] = None) -> dict:
-        """Drive the debuggee until some breakpoint is hit."""
-        if timeout is None:
-            return self._call("wait_for_breakpoint")
-        return self._call("wait_for_breakpoint", timeout)
-
-    def wait_for_failure(self, timeout: Optional[int] = None) -> dict:
-        """Drive the debuggee until a process failure is reported."""
-        if timeout is None:
-            return self._call("wait_for_failure")
-        return self._call("wait_for_failure", timeout)
-
-    def halt(self, node=None):
-        """Halt one node's program (or the sole target)."""
-        return self._call("halt", node) if node is not None \
-            else self._call("halt")
-
-    def halt_all(self) -> dict:
-        """Halt every connected node at once."""
-        return self._call("halt_all")
-
-    def resume(self, node=None):
-        """Resume a halted program."""
-        return self._call("resume", node) if node is not None \
-            else self._call("resume")
-
-    def step(self, node=None, pid: Optional[int] = None) -> dict:
-        """Single-step one trapped process."""
-        return self._call("step", node, pid)
-
-    # -- stacks and data ------------------------------------------------
-
-    def backtrace(self, node=None, pid: Optional[int] = None) -> list:
-        """Stack frames of one process (typed ``Frame`` list)."""
-        return self._call("backtrace", node, pid)
-
-    def distributed_backtrace(self, node=None,
-                              pid: Optional[int] = None) -> list:
-        """Cross-node backtrace following RPCs."""
-        return self._call("distributed_backtrace", node, pid)
-
-    def read_var(self, node=None, pid: Optional[int] = None,
-                 name: str = "", frame: int = 0) -> Any:
-        """Read a frame variable (raw decoded value)."""
-        return self._call("read_var", node, pid, name, frame)
-
-    def write_var(self, node, pid: int, name: str, value: Any,
-                  frame: int = 0) -> None:
-        """Write a frame variable."""
-        return self._call("write_var", node, pid, name, value, frame)
-
-    def read_global(self, node, module: str, name: str) -> Any:
-        """Read a module global."""
-        return self._call("read_global", node, module, name)
-
-    def write_global(self, node, module: str, name: str, value: Any) -> None:
-        """Write a module global."""
-        return self._call("write_global", node, module, name, value)
-
-    def display(self, node, pid: int, name: str, frame: int = 0) -> str:
-        """Render a variable via its type's print operation."""
-        return self._call("display", node, pid, name, frame)
-
-    def invoke(self, node, module: str, func: str,
-               args: Optional[list] = None):
-        """Call a procedure inside the debuggee."""
-        return self._call("invoke", node, module, func, args)
-
-    def wake_process(self, node, pid: int, value: Any = False) -> bool:
-        """Force a waiting process runnable."""
-        return self._call("wake_process", node, pid, value)
-
-    # -- RPC debugging ---------------------------------------------------
-
-    def rpc_info(self, node) -> dict:
-        """Client/server RPC call tables of one node."""
-        return self._call("rpc_info", node)
-
-    def rpc_server_record(self, node, call_id: int) -> Optional[dict]:
-        """Server-side record of one RPC call."""
-        return self._call("rpc_server_record", node, call_id)
-
-    def diagnose_maybe_failure(self, client_node, call_id: int) -> str:
-        """Classify a maybe-failed RPC call."""
-        return self._call("diagnose_maybe_failure", client_node, call_id)
-
-    # -- record / replay and time travel --------------------------------
-
-    def start_recording(self, plan=None,
-                        checkpoint_every: Optional[int] = None,
-                        meta: Optional[dict] = None):
-        """Attach a trace writer to the debuggee's bus."""
-        return self._call("start_recording", plan,
-                          checkpoint_every=checkpoint_every, meta=meta)
-
-    def stop_recording(self):
-        """Seal the trace; returns its :class:`TraceSummary` (the trace
-        itself stays loaded on the daemon for time travel)."""
-        return self._call("stop_recording")
-
-    def at(self, t: int):
-        """Jump the time-travel cursor to virtual time ``t``."""
-        return self._call("at", t)
-
-    def forward_step(self):
-        """Step the cursor one event forwards."""
-        return self._call("forward_step")
-
-    def reverse_step(self):
-        """Step the cursor one event backwards."""
-        return self._call("reverse_step")
-
-    def why_halted(self, node=None) -> dict:
-        """Explain the halt state at the cursor."""
-        return self._call("why_halted", node)
-
-    def causal_predecessors(self, index: int) -> list:
-        """Causal history of trace event ``index``."""
-        return self._call("causal_predecessors", index)
-
-    # -- contracts (repro.contracts) -------------------------------------
-
-    def check(self, contracts=None):
-        """Fold a contract set over the session's trace (daemon-side).
-
-        ``contracts`` must be wire-safe: ``None`` (the trace's default
-        set) or contract names from the shipped catalogue.  Returns the
-        typed :class:`~repro.contracts.report.ContractReport`.
-        """
-        return self._call("check", contracts)
-
-    def contracts(self) -> list:
-        """The shipped contract catalogue (listing rows)."""
-        return self._call("contracts")
-
-    # -- branching time travel (repro.replay.branch) --------------------
 
     def fork(self, perturbation, checkpoint: int = 0,
              parent: Optional[str] = None, builder=None,
@@ -430,14 +237,15 @@ class RemoteSession:
             kwargs["builder"] = builder
         return self._call("fork", perturbation, **kwargs)
 
-    def branches(self) -> list:
-        """List the branches forked off the session's trace."""
-        return self._call("branches")
-
-    def diff_branches(self, a: str, b: str):
-        """Event-graph diff between two branches (ids or prefixes)."""
-        return self._call("diff_branches", a, b)
-
     def __repr__(self) -> str:
         return (f"<RemoteSession {self.name!r} via {self._client.path} "
                 f"session={self.session_id}>")
+
+
+def _forward(op: Op):
+    def method(self, *args, **kwargs):
+        return self._call(op.name, *args, **kwargs)
+    return method
+
+
+install_ops(RemoteSession, _forward)

@@ -211,7 +211,8 @@ def test_shrinker_converges_on_storm(tmp_path):
     world = ReplayWorld(trace, build)
     verify = world.verify()
     assert verify.fingerprint == result.trace_fingerprint
-    assert scenario.check(world.cluster, probes) == result.violations
+    assert scenario.report(world.cluster, probes).messages() \
+        == result.violations
     assert result.repro_command.endswith(str(trace_path := result.trace_path)) \
         and trace_path
 

@@ -115,7 +115,7 @@ def test_soak_partition_and_heal():
     # Both cuts healed inside the retransmission budget: nothing is lost.
     assert total == 2**30 - 1
     assert len(executed) == 30
-    assert cluster.ring.total_nacked > 0
+    assert cluster.net.total_nacked > 0
 
 
 def test_soak_delay_and_duplicate():

@@ -65,7 +65,7 @@ def test_spawn_vm_runs_named_function():
 def test_shared_params_threaded_to_all_layers():
     params = Params(basic_block_latency=1000)
     cluster = Cluster(names=["a", "b"], params=params)
-    assert cluster.ring.params.basic_block_latency == 1000
+    assert cluster.net.params.basic_block_latency == 1000
     assert cluster.node("a").params is params
     assert cluster.node("a").rpc.params is params
 

@@ -64,10 +64,10 @@ def test_halt_broadcast_retransmits_through_interface_nacks():
     # drives the agent's retransmissions (paper §5.2) until it recovers.
     b_id = cluster.node("b").node_id
     nack_b = lambda packet: packet.dst == b_id
-    cluster.ring.nack_filters.append(nack_b)
+    cluster.net.nack_filters.append(nack_b)
     dbg.halt("a")
     assert not cluster.node("b").agent.halted  # peer unreachable so far
-    cluster.ring.nack_filters.remove(nack_b)
+    cluster.net.nack_filters.remove(nack_b)
     cluster.run_for(100 * MS)
     assert cluster.node("b").agent.halted
     assert cluster.node("a").agent.halt_messages_sent > 1

@@ -204,7 +204,7 @@ def test_partition_nacks_then_heal_completes_exactly_once():
     assert client_image.console == ["7"]
     assert executed == [7]
     # The cut was hardware-visible: transmissions into it were NACKed.
-    assert cluster.ring.total_nacked > 0
+    assert cluster.net.total_nacked > 0
     assert cluster.world.metrics.counter("faults.injected").value == 1
     assert cluster.world.metrics.counter("faults.healed").value == 1
 

@@ -232,7 +232,7 @@ def _run_monitored_workload(record: Optional[list] = None) -> PacketMonitor:
     """A workload with a clean call, a retransmission, and a failure."""
     cluster = Cluster(names=["client", "server"])
     cluster.rpc("server").export_native("svc", {"ping": lambda ctx: None})
-    monitor = PacketMonitor(cluster.ring, cluster.rpc("client"))
+    monitor = PacketMonitor(cluster.net, cluster.rpc("client"))
     if record is not None:
         node_id = monitor.node_id
 
@@ -255,7 +255,7 @@ def _run_monitored_workload(record: Optional[list] = None) -> PacketMonitor:
             return True
         return False
 
-    cluster.ring.drop_filters.append(drop_first_call)
+    cluster.net.drop_filters.append(drop_first_call)
 
     def caller(node):
         yield from remote_call(node.rpc, "svc", "ping")  # retransmitted

@@ -1,22 +1,22 @@
 """Unit tests for the Cambridge Ring model."""
 
 from repro.mayflower import Node
-from repro.params import Params
-from repro.ring import (
+from repro.net import (
     TRACE_DELIVERED,
     TRACE_DROPPED,
     TRACE_NACKED,
     TRACE_NO_HANDLER,
-    Ring,
-    RingTracer,
+    PacketTracer,
+    RingTransport,
 )
+from repro.params import Params
 from repro.sim import MS, World
 
 
 def make_ring(n_nodes=3, seed=0, **params):
     world = World(seed=seed)
     p = Params(**params)
-    ring = Ring(world, p)
+    ring = RingTransport(world, p)
     nodes = [Node(i, f"n{i}", world, p) for i in range(n_nodes)]
     for node in nodes:
         ring.attach(node)
@@ -131,7 +131,7 @@ def test_probabilistic_silent_loss():
 
 def test_no_handler_is_silent_drop():
     world, ring, nodes = make_ring()
-    tracer = RingTracer(ring)
+    tracer = PacketTracer(ring)
     nodes[0].station.send(1, "nobody-home", None)
     world.run()
     assert [r.event for r in tracer.records][-1] == TRACE_NO_HANDLER
@@ -139,7 +139,7 @@ def test_no_handler_is_silent_drop():
 
 def test_tracer_records_lifecycle():
     world, ring, nodes = make_ring()
-    tracer = RingTracer(ring)
+    tracer = PacketTracer(ring)
     nodes[1].station.register_port("p", lambda pkt: None)
     pkt = nodes[0].station.send(1, "p", None, kind="rpc_call")
     world.run()
@@ -149,7 +149,7 @@ def test_tracer_records_lifecycle():
 
 def test_tracer_records_nack():
     world, ring, nodes = make_ring()
-    tracer = RingTracer(ring)
+    tracer = PacketTracer(ring)
     nodes[2].crash()
     pkt = nodes[0].station.send(2, "p", None)
     world.run()
@@ -158,7 +158,7 @@ def test_tracer_records_nack():
 
 def test_crash_in_flight_drops_silently():
     world, ring, nodes = make_ring()
-    tracer = RingTracer(ring)
+    tracer = PacketTracer(ring)
     pkt = nodes[0].station.send(1, "p", None)
     world.run(until=1 * MS)
     nodes[1].crash()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cvm import CluArray, CluRecord, RpcFailure
+from repro.debugger.pilgrim import Pilgrim
 from repro.mayflower.syscalls import Sleep
 from repro.params import Params
 from repro.rpc import (
@@ -15,7 +16,7 @@ from repro.rpc import (
     remote_call,
     unmarshal,
 )
-from repro.sim import MS
+from repro.sim import MS, SEC
 
 ADDER = """
 proc add(a: int, b: int) returns int
@@ -225,7 +226,7 @@ def test_signature_rejects_bad_args_client_side():
     assert isinstance(out["r"], RpcFailure)
     assert "marshal error" in out["r"].reason
     # The bad call never touched the network.
-    assert cluster.ring.total_sent == 0
+    assert cluster.net.total_sent == 0
 
 
 def test_exactly_once_survives_lost_call_packet():
@@ -238,7 +239,7 @@ def test_exactly_once_survives_lost_call_packet():
             return True
         return False
 
-    cluster.ring.drop_filters.append(drop_first_call)
+    cluster.net.drop_filters.append(drop_first_call)
     client_image = cluster.load_program(
         """
 proc main()
@@ -264,7 +265,7 @@ def test_exactly_once_survives_lost_reply_packet():
             return True
         return False
 
-    cluster.ring.drop_filters.append(drop_first_reply)
+    cluster.net.drop_filters.append(drop_first_reply)
     client_image = cluster.load_program(
         """
 proc main()
@@ -320,7 +321,7 @@ end
 
 def test_maybe_call_fails_on_lost_call_packet():
     cluster = make_pair()
-    cluster.ring.drop_filters.append(lambda p: p.kind == "rpc_call")
+    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_call")
     client_image = cluster.load_program(
         """
 proc main()
@@ -339,7 +340,7 @@ end
 
 def test_maybe_call_fails_on_lost_reply_packet():
     cluster = make_pair()
-    cluster.ring.drop_filters.append(lambda p: p.kind == "rpc_reply")
+    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
     client_image = cluster.load_program(
         """
 proc main()
@@ -355,6 +356,53 @@ end
     # The server *did* execute it: reply loss, not call loss (E8).
     records = list(cluster.rpc("server").server_table.values())
     assert len(records) == 1 and records[0].completed
+
+
+@pytest.mark.parametrize("trial, diagnosis", [
+    ({}, "call succeeded"),
+    ({"drop": "rpc_call"},
+     "call packet lost (the server never received the call)"),
+    ({"drop": "rpc_reply"},
+     "reply packet lost (the server executed the call and replied)"),
+    ({"serve_for": 500 * MS, "maybe_timeout": 1 * SEC},
+     "call still in progress"),
+    ({"serve_for": 500 * MS}, "server still executing the call"),
+    ({"call_id": 9999}, "call unknown at the client"),
+    ({"drop": "rpc_call", "unregister": True},
+     "service 'svc' is not registered (bad binding)"),
+])
+def test_diagnose_maybe_failure(trial, diagnosis):
+    """Paper §4.1: tell call loss from reply loss, post mortem."""
+    assert _diagnose_maybe_call(**trial) == diagnosis
+
+
+def _diagnose_maybe_call(drop=None, serve_for=0, unregister=False,
+                         call_id=None, **params):
+    """One maybe call to ``svc.op``, diagnosed 100 ms after it was made."""
+    cluster = Cluster(names=["client", "server", "debugger"],
+                      params=Params(**params))
+
+    def op(ctx):
+        yield Sleep(serve_for)
+        return 42
+
+    cluster.rpc("server").export_native("svc", {"op": op})
+    if drop is not None:
+        cluster.net.drop_filters.append(lambda p: p.kind == drop)
+    node = cluster.node("client")
+    node.spawn(remote_call(node.rpc, "svc", "op", protocol="maybe"),
+               name="caller")
+    cluster.run_for(100 * MS)
+    if unregister:
+        cluster.registry.unregister("svc")
+    dbg = Pilgrim(cluster, home="debugger")
+    dbg.connect("client", "server")
+    if call_id is None:
+        rpc = cluster.rpc("client")
+        in_flight = rpc.inprogress_calls()
+        call_id = (in_flight[0]["call_id"] if in_flight
+                   else rpc.client_history[-1].call_id)
+    return dbg.diagnose_maybe_failure("client", call_id)
 
 
 def test_recent_call_buffer_records_outcomes():
@@ -494,8 +542,8 @@ def test_packet_monitor_reconstructs_state_and_doubles_latency():
 
     monitored = Cluster(names=["client", "server"])
     monitored.rpc("server").export_native("svc", {"ping": lambda ctx: None})
-    client_mon = PacketMonitor(monitored.ring, monitored.rpc("client"))
-    PacketMonitor(monitored.ring, monitored.rpc("server"))
+    client_mon = PacketMonitor(monitored.net, monitored.rpc("client"))
+    PacketMonitor(monitored.net, monitored.rpc("server"))
     t1 = {}
 
     def caller1(node):
@@ -526,7 +574,7 @@ end
 """,
         "client",
     )
-    cluster.ring.drop_filters.append(lambda p: p.kind == "rpc_reply")
+    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
     cluster.spawn_vm("client", client_image, "main")
     cluster.run(until=10 * MS)
     cluster.rpc("client").freeze()

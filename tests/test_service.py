@@ -41,6 +41,7 @@ from repro.service import ServiceClient, serve, wire_decode, wire_encode
 from repro.service.daemon import COUNTER_PROGRAM
 from repro.service.dispatch import wire_methods
 from repro.sim.units import MS
+from tests.golden_scenario import GOLDEN_BINARY_PATH
 
 # ----------------------------------------------------------------------
 # Fixtures
@@ -160,6 +161,70 @@ def test_wire_methods_derive_from_repl_registry():
     assert "stop_recording" in table
 
 
+#: The ``methods`` table as the daemon has always printed it: op, REPL
+#: aliases, summary — in this order.  The wire surface may only change
+#: by editing this literal.
+WIRE_METHODS = [
+    ("connect", ["connect"], "attach to nodes (force with 'connect! ...')"),
+    ("disconnect", ["disconnect"], "end the session"),
+    ("processes", ["ps"], "list processes on a node"),
+    ("set_breakpoint", ["break"], "set a breakpoint (node module line)"),
+    ("clear_breakpoint", ["clear"], "clear breakpoint #1"),
+    ("run_for", ["run"], "let the program run for a while"),
+    ("wait_for_event", ["wait"], "wait for the next breakpoint/failure event"),
+    ("backtrace", ["bt"], "backtrace of pid 3 on node app"),
+    ("distributed_backtrace", ["dbt"], "distributed backtrace (follows RPCs)"),
+    ("display", ["print"], "show a variable via its print operation"),
+    ("write_var", ["set"], "write a variable (ints/strings)"),
+    ("step", ["step"], "single-step a trapped process"),
+    ("resume", ["continue"], "resume from the breakpoint"),
+    ("halt", ["halt"], "halt the whole program"),
+    ("rpc_info", ["rpc"], "show RPC call tables / recent outcomes"),
+    ("clocks", ["time"], "logical/real clocks and interruption total"),
+    ("start_recording", ["record"],
+     "start recording; 'record stop' seals the trace for time travel"),
+    ("at", ["at"], "jump the time-travel cursor to a moment"),
+    ("reverse_step", ["rstep"], "step the cursor one event backwards"),
+    ("forward_step", ["fstep"], "step the cursor one event forwards"),
+    ("why_halted", ["why"], "explain why the program is halted here"),
+    ("check", ["check"],
+     "fold contracts over the loaded trace (default: the trace's set)"),
+    ("contracts", ["contracts"], "list the shipped contract catalogue"),
+    ("causal_predecessors", ["causes"],
+     "causal predecessors of trace event #42"),
+    ("fork", ["fork"], "fork the trace at checkpoint #1 into a what-if branch"),
+    ("branches", ["branches"], "list the branches forked off the loaded trace"),
+    ("diff_branches", ["diff"],
+     "event-graph diff between two branches (ids or prefixes)"),
+    ("status", ["status"], "session summary"),
+    ("reattach", [], "re-adopt a node that became reachable again"),
+    ("wait_for_breakpoint", [], "block until some breakpoint is hit"),
+    ("wait_for_failure", [], "block until a process failure is reported"),
+    ("halt_all", [], "halt every connected node at once"),
+    ("all_processes", [], "process tables of every connected node"),
+    ("process_state", [], "registers/state of one process"),
+    ("read_var", [], "read a frame variable (raw value)"),
+    ("read_global", [], "read a module global"),
+    ("write_global", [], "write a module global"),
+    ("invoke", [], "call a procedure inside the debuggee"),
+    ("wake_process", [], "force a waiting process runnable"),
+    ("rpc_server_record", [], "server-side record of one RPC call"),
+    ("diagnose_maybe_failure", [], "classify a maybe-failed RPC call"),
+    ("stop_recording", [], "seal the trace and load it for time travel"),
+    ("total_interruption", [], "debugger-caused interruption total (us)"),
+]
+
+
+def test_wire_methods_table_is_pinned():
+    assert wire_methods() == [
+        {"op": op, "commands": commands, "summary": summary}
+        for op, commands, summary in WIRE_METHODS
+    ]
+    # Key order is part of the JSON the daemon sends.
+    assert all(list(row) == ["op", "commands", "summary"]
+               for row in wire_methods())
+
+
 def test_daemon_accepts_repl_aliases(daemon):
     with ServiceClient(daemon) as client:
         client.open("w1", "world", scenario="counter")
@@ -196,6 +261,9 @@ def test_world_session_full_flow(daemon):
         assert session.session_id == 1
         listing = session.processes("app")
         assert all(isinstance(info, ProcessInfo) for info in listing)
+        # The all-nodes survey renders as per-node ps tables.
+        assert client.text("all_processes", session="w1").startswith(
+            "node 0:\n  pid ")
         bp = session.set_breakpoint("app", "app", line=4)
         assert isinstance(bp, Breakpoint) and bp.line == 4
         hit = session.wait_for_breakpoint()
@@ -435,12 +503,32 @@ REPL_SCRIPT = [
 ]
 
 
+#: Post-mortem commands, ending on one a trace session must refuse.
+TRACE_REPL_SCRIPT = [
+    "connect",
+    "status",
+    "at 20ms",
+    "rstep",
+    "why",
+    "check",
+    "branches",
+    "print app 3 x",
+]
+
+
 def test_repl_renders_byte_identical_locally_and_remotely(daemon):
     local = PilgrimRepl(counter_world(seed=3)).run_script(REPL_SCRIPT)
+    local_trace = PilgrimRepl(
+        TraceSession(GOLDEN_BINARY_PATH)).run_script(TRACE_REPL_SCRIPT)
     with ServiceClient(daemon) as client:
         client.open("w1", "world", scenario="counter", seed=3)
         remote = PilgrimRepl(client.session("w1")).run_script(REPL_SCRIPT)
+        client.open("t1", "trace", path=str(GOLDEN_BINARY_PATH))
+        remote_trace = PilgrimRepl(
+            client.session("t1")).run_script(TRACE_REPL_SCRIPT)
     assert local == remote
+    assert local_trace == remote_trace
+    assert local_trace[-1].startswith("!display is not available")
 
 
 # ----------------------------------------------------------------------
