@@ -117,11 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     repro = sub.add_parser(
         "repro", help="re-execute and verify a shrunk golden trace"
     )
-    repro.add_argument(
-        "trace",
-        help="path to a shrunk trace (.trace.bin or .trace.jsonl; "
-             "the format is sniffed from content)",
-    )
+    repro.add_argument("trace", help="path to a shrunk trace (.trace.bin)")
 
     sub.add_parser(
         "scenarios", help="list shipped scenarios and fault-plan presets"

@@ -57,7 +57,7 @@ from repro.campaign.shrink import shrink_cell
 from repro.cluster import Cluster
 from repro.faults.plan import FaultPlan, Nemesis
 from repro.obs.metrics import fleet_metrics
-from repro.obs.recorder import EventStreamRecorder, stream_fingerprint
+from repro.replay.trace import TraceWriter
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def run_cell(cell: CellSpec) -> dict:
     scenario = get_scenario(cell.scenario)
     cluster = Cluster(names=list(scenario.names), seed=cell.seed,
                       topology=cell.topology)
-    recorder = EventStreamRecorder(cluster.world.bus)
+    writer = TraceWriter(cluster)
     monitor = None
     if scenario.contracts.event_contracts():
         # Event-backed contracts check online, exactly as an offline
@@ -173,7 +173,7 @@ def run_cell(cell: CellSpec) -> dict:
         "contracts": dict(report.verdicts),
         "final_time": cluster.world.now,
         "events": cluster.world.events_processed,
-        "fingerprint": stream_fingerprint(recorder.lines()),
+        "fingerprint": writer.finish().footer["fingerprint"],
         "metrics": cluster.world.metrics.snapshot(),
     }
     cluster.close()

@@ -306,8 +306,6 @@ def shrink_cell(
         stem = f"{cell.scenario}_s{cell.seed}_{cell.plan_name}"
         if cell.topology != "ring":
             stem += f"_{cell.topology}"
-        # Reproducers ship in the primary binary container; `repro`
-        # sniffs the format, so hand-converted JSONL twins work too.
         path = directory / f"{stem}.min.trace.bin"
         trace.save(path)
         result.trace_path = str(path)

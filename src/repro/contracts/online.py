@@ -63,7 +63,8 @@ class ContractMonitor:
         self._report: Optional[ContractReport] = None
         # One closure per event type: the subscription already fixes the
         # type, so the type name and the packet-rebase test are decided
-        # once here instead of per delivered event (the E19 hot path).
+        # once here instead of per delivered event (the hot path the
+        # ledger prices as ``contracts.online_us_per_event``).
         self._handlers = {
             event_type: self._make_handler(event_type.__name__)
             for event_type in _all_event_types()

@@ -17,8 +17,8 @@ Three pieces, layered on the existing simulation machinery:
   ``FaultInjected``/``FaultHealed``/``NodeRebooted`` on the obs bus.
 
 Determinism: all randomness flows through ``world.rng``; the same seed
-and plan produce the identical event stream (see
-:class:`repro.obs.EventStreamRecorder`).
+and plan produce the identical event stream (compare two
+:class:`repro.replay.trace.TraceWriter` recordings by fingerprint).
 """
 
 from repro.faults.plan import FaultAction, FaultPlan, Nemesis

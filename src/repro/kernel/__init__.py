@@ -2,40 +2,34 @@
 
 Everything above this package — supervisor slices, transports, RPC,
 agents, the debugger, record/replay — is expressed as events pushed
-through one of these engines.  The package holds no simulation policy:
+through the one engine here.  The package holds no simulation policy:
 no clock, no RNG, no bus.  That lives in :class:`repro.sim.world.World`,
-which is a thin facade over a core picked from the registry here.
+which is a thin facade over an :class:`EventCore`.
 
 * :mod:`repro.kernel.wheel` — the bucketed timing wheel (calendar
   queue): O(1) amortized push/pop with no Python-level comparisons;
 * :mod:`repro.kernel.core` — :class:`EventCore` (wheel engine with
   per-node/global window indexes, version-counter memoization, lazy
-  cancellation and tombstone compaction) and :class:`HeapEventCore`
-  (the pre-refactor single-``heapq`` engine, kept as the E16 baseline
-  and behavioral cross-check);
+  cancellation and tombstone compaction);
 * :mod:`repro.kernel.profile` — the ``REPRO_PROFILE=1`` cProfile hook.
 
-Both engines implement the same contract and produce the exact same
-event order: the total order on ``(time, seq)``.  Experiment E16
-measures the difference in throughput; the golden-trace CI job pins the
-equivalence in behavior.
+The engine's contract is the total order on ``(time, seq)``.  The tests
+check it against a single-``heapq`` reference engine
+(``tests/heap_core.py``); the ledger's ``world_churn`` workload owns its
+cost (``kernel.core_us_per_event``, ``kernel.stored_entries``).
 """
 
 from repro.kernel.core import (
-    CORES,
     EventCore,
     EventHandle,
-    HeapEventCore,
     SimulationError,
     make_core,
 )
 from repro.kernel.wheel import TimingWheel
 
 __all__ = [
-    "CORES",
     "EventCore",
     "EventHandle",
-    "HeapEventCore",
     "SimulationError",
     "TimingWheel",
     "make_core",

@@ -1,10 +1,9 @@
 """The pure event engine: handles, scheduling indexes, and the core.
 
-Carved out of ``repro.sim.world`` so the hot path of the whole
-reproduction — every packet delivery, timer, scheduler tick, and halt
-broadcast is one of these events — lives in a small, profilable unit
-with no knowledge of clusters, buses, or virtual clocks.
-:class:`~repro.sim.world.World` is now a thin facade that owns the
+The hot path of the whole reproduction — every packet delivery, timer,
+scheduler tick, and halt broadcast is one of these events — lives in a
+small, profilable unit with no knowledge of clusters, buses, or virtual
+clocks.  :class:`~repro.sim.world.World` is a thin facade that owns the
 clock, RNG, and instrumentation and delegates all queue work here.
 
 :class:`EventCore` keeps events in a :class:`~repro.kernel.wheel.TimingWheel`
@@ -16,11 +15,9 @@ is one flag flip — with tombstone accounting that compacts any
 structure before dead entries can outnumber live ones (see
 :meth:`EventCore.cancel_node_events`).
 
-:class:`HeapEventCore` preserves the pre-refactor single-``heapq``
-engine behind the same interface.  It exists as the measured baseline
-for experiment E16 and as a cross-check implementation for the
-kernel's behavioral-identity tests; both cores produce the exact same
-event order (the total order on ``(time, seq)`` is the contract).
+The contract is the total order on ``(time, seq)``; the tests hold
+:class:`EventCore` to it against a single-``heapq`` reference engine
+(``tests/heap_core.py``) under mirrored random churn.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from repro.sim.units import FOREVER
 __all__ = [
     "EventCore",
     "EventHandle",
-    "HeapEventCore",
     "SimulationError",
     "make_core",
 ]
@@ -161,7 +157,7 @@ class EventCore:
         self._global_index: list = []
         self._seq = 0
         #: Bumped whenever a live minimum can move; the window/peek
-        #: caches key on it (see :class:`HeapEventCore` for lineage).
+        #: caches key on it.
         self._version = 0
         #: Live (pending, non-cancelled) events in the main queue.
         self.live = 0
@@ -435,187 +431,12 @@ class EventCore:
         )
 
 
-class HeapEventCore:
-    """The pre-refactor engine: one global ``heapq`` of handles.
-
-    A verbatim port of the queue half of the old ``World`` (PR 5
-    vintage): handle-based binary heaps with ``EventHandle.__lt__``
-    comparisons, per-node/global index heaps, version-counter caches,
-    and compaction only on the bulk-crash path.  Kept as the measured
-    baseline for E16 and as the reference implementation for the
-    behavioral-identity tests — it must order events exactly like
-    :class:`EventCore`.
-    """
-
-    __slots__ = (
-        "_queue", "_node_index", "_global_index", "_seq", "_version",
-        "_window_cache", "_peek_cache",
-    )
-
-    def __init__(self):
-        self._queue: list[EventHandle] = []
-        self._node_index: dict[int, list[EventHandle]] = {}
-        self._global_index: list[EventHandle] = []
-        self._seq = 0
-        self._version = 0
-        self._window_cache: dict[int, tuple] = {}
-        self._peek_cache: Optional[tuple] = None
-
-    @property
-    def live(self) -> int:
-        """Live events (recounted; the old engine kept no tally)."""
-        return sum(1 for handle in self._queue if not handle.cancelled)
-
-    def schedule_at(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        node: Optional[int] = None,
-        survives_crash: bool = False,
-    ) -> EventHandle:
-        """Insert ``fn(*args)`` at absolute time ``time`` (heap path)."""
-        self._seq += 1
-        self._version += 1
-        handle = EventHandle(
-            time, self._seq, fn, args, node=node,
-            survives_crash=survives_crash, owner=self,
-        )
-        heapq.heappush(self._queue, handle)
-        if node is None:
-            heapq.heappush(self._global_index, handle)
-        else:
-            heapq.heappush(self._node_index.setdefault(node, []), handle)
-        return handle
-
-    def pop_next(self) -> Optional[EventHandle]:
-        """Remove and return the next live handle (heap path)."""
-        queue = self._queue
-        while queue:
-            handle = heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            handle.consumed = True
-            # Same cache-invalidation contract as EventCore.pop_next.
-            self._version += 1
-            return handle
-        return None
-
-    def _note_cancel(self, handle: EventHandle) -> None:
-        """Account one cancellation: the old engine only bumped the
-        version counter (no tombstone bookkeeping)."""
-        self._version += 1
-
-    def cancel_node_events(self, node: int) -> int:
-        """Cancel every pending event tagged with ``node`` (old rule:
-        compaction is considered on the bulk path only)."""
-        heap = self._node_index.get(node)
-        if not heap:
-            return 0
-        cancelled = 0
-        live = 0
-        for handle in heap:
-            if handle.cancelled or handle.consumed:
-                continue
-            if handle.survives_crash:
-                live += 1
-            else:
-                handle.cancel()
-                cancelled += 1
-        if live == 0:
-            self._node_index.pop(node, None)
-        elif live * 2 < len(heap):
-            kept = [handle for handle in heap
-                    if not (handle.cancelled or handle.consumed)]
-            heapq.heapify(kept)
-            self._node_index[node] = kept
-        return cancelled
-
-    @staticmethod
-    def _peek_heap(queue: list[EventHandle]) -> int:
-        while queue and (queue[0].cancelled or queue[0].consumed):
-            heapq.heappop(queue)
-        return queue[0].time if queue else FOREVER
-
-    def peek_next_time(self, boundary: Optional[int] = None) -> int:
-        """Time of the next live event, capped at ``boundary``."""
-        cache = self._peek_cache
-        if (cache is not None and cache[0] == self._version
-                and cache[1] == boundary):
-            return cache[2]
-        top = self._peek_heap(self._queue)
-        if boundary is not None:
-            top = min(top, boundary)
-        self._peek_cache = (self._version, boundary, top)
-        return top
-
-    def window_for(
-        self, node: int, lookahead: int, boundary: Optional[int] = None
-    ) -> int:
-        """Execution window for ``node`` (heap path, memoized)."""
-        key = (self._version, lookahead, boundary)
-        cached = self._window_cache.get(node)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        own = self._peek_heap(self._node_index.get(node, []))
-        global_next = self._peek_heap(self._global_index)
-        any_next = self._peek_heap(self._queue)
-        window = min(own, global_next)
-        if any_next < FOREVER:
-            window = min(window, any_next + lookahead)
-        if boundary is not None:
-            window = min(window, boundary)
-        self._window_cache[node] = (key, window)
-        return window
-
-    def iter_handles(self) -> Iterator[EventHandle]:
-        """Every handle still stored in the main queue."""
-        return iter(self._queue)
-
-    def node_handles(self, node: int) -> list:
-        """Handles in one node's index heap."""
-        return list(self._node_index.get(node, []))
-
-    def has_node_index(self, node: int) -> bool:
-        """Whether an index heap exists for ``node``."""
-        return node in self._node_index
-
-    def stored_count(self) -> int:
-        """Entries held by the main queue, tombstones included."""
-        return len(self._queue)
-
-    def clear(self) -> None:
-        """Cancel and drop every event."""
-        for handle in self._queue:
-            if not handle.cancelled:
-                handle.cancelled = True
-                handle.owner = None
-                handle.fn = _nothing
-                handle.args = ()
-        self._queue.clear()
-        self._node_index.clear()
-        self._global_index.clear()
-        self._window_cache.clear()
-        self._peek_cache = None
-        self._version += 1
-
-    def __repr__(self) -> str:
-        return f"<HeapEventCore stored={len(self._queue)} seq={self._seq}>"
-
-
-#: Registered engine implementations for :func:`make_core`.
-CORES = {
-    "wheel": EventCore,
-    "heap": HeapEventCore,
-}
-
-
-def make_core(name: str):
-    """Build an event core by registry name (``"wheel"`` or ``"heap"``)."""
-    try:
-        factory = CORES[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown event core {name!r} (have: {sorted(CORES)})"
-        ) from None
-    return factory()
+def make_core(name: str) -> EventCore:
+    """Build the event engine.  There is one, :class:`EventCore`; the
+    ``"wheel"`` name survives only because
+    ``benchmarks/ledger/workloads/world_churn.py`` (frozen outside
+    benchmark PRs) calls ``make_core("wheel")`` and
+    ``World(kernel="wheel")``."""
+    if name != "wheel":
+        raise SimulationError(f"unknown event core {name!r} (have: 'wheel')")
+    return EventCore()

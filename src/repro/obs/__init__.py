@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     install_default_metrics,
     merge_snapshots,
 )
-from repro.obs.recorder import EventStreamRecorder
 from repro.obs.report import render_report, summary_rows
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "fleet_metrics",
     "install_default_metrics",
     "merge_snapshots",
-    "EventStreamRecorder",
     "render_report",
     "summary_rows",
 ]

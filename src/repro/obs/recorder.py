@@ -1,4 +1,4 @@
-"""Normalized obs event recording for determinism assertions.
+"""Normalized obs event rendering for determinism assertions.
 
 A seeded world driven by the same code must produce the same event
 stream.  The raw events are not directly comparable across runs inside
@@ -9,13 +9,12 @@ live objects whose ``repr`` embeds those ids (or memory addresses).
 coordinates (a packet becomes ``src->dst:port/kind/size``, a process
 becomes its pid/name), rebasing ids from process-global counters to the
 first id seen by this normalizer; :func:`normalize_line` renders one
-event to a stable text line.  :class:`EventStreamRecorder` subscribes to
-every event type and keeps the normalized log; the trace writer in
-:mod:`repro.replay.trace` shares the same normalizer so trace lines and
-recorder lines are byte-identical.
-
-Two identically seeded runs then compare with ``==`` on
-:meth:`EventStreamRecorder.lines`, or by :meth:`fingerprint`.
+event to a stable text line and :func:`stream_fingerprint` digests a
+stream of them.  The one recorder is
+:class:`repro.replay.trace.TraceWriter`, which subscribes to every
+event type and renders through these functions; two identically seeded
+runs then compare with ``==`` on :meth:`Trace.lines
+<repro.replay.trace.Trace.lines>`, or by the footer fingerprint.
 
 Note that *recording is itself observable*: subscribing materializes
 event types that would otherwise ride the dormant path, which advances
@@ -25,10 +24,9 @@ the bus ``seq``.  Compare recorded runs against recorded runs.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Optional, Tuple, Type
+from typing import Iterable, Iterator, Tuple, Type
 
 from repro.obs import events as ev
-from repro.obs.bus import Bus
 
 #: Header fields shared by every event (not part of the payload).
 HEADER_FIELDS = ("time", "node", "seq")
@@ -128,44 +126,3 @@ def stream_fingerprint(lines: Iterable[str]) -> str:
         digest.update(line.encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-class EventStreamRecorder:
-    """Subscribe to (all) obs event types and keep a normalized log."""
-
-    def __init__(
-        self,
-        bus: Bus,
-        event_types: Optional[Iterable[Type[ev.Event]]] = None,
-    ):
-        self.bus = bus
-        self._types = list(event_types) if event_types is not None else _all_event_types()
-        self._lines: list[str] = []
-        self._normalizer = PayloadNormalizer()
-        for event_type in self._types:
-            bus.subscribe(event_type, self._on_event)
-
-    def detach(self) -> None:
-        for event_type in self._types:
-            self.bus.unsubscribe(event_type, self._on_event)
-
-    # ------------------------------------------------------------------
-
-    def _on_event(self, event: ev.Event) -> None:
-        self._lines.append(normalize_line(event, self._normalizer))
-
-    # ------------------------------------------------------------------
-
-    def lines(self) -> list[str]:
-        """The normalized stream, one line per materialized event."""
-        return list(self._lines)
-
-    def fingerprint(self) -> str:
-        """SHA-256 over the normalized stream (byte-identity check)."""
-        return stream_fingerprint(self._lines)
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __repr__(self) -> str:
-        return f"<EventStreamRecorder events={len(self._lines)}>"

@@ -5,10 +5,11 @@ stream; this package turns that stream into a first-class artifact:
 
 * :mod:`repro.replay.trace` — :class:`TraceWriter` subscribes to the bus
   and persists a run (seed, params, fault plan, normalized events) as a
-  versioned trace; :class:`Trace` loads one back, sniffing the encoding;
-* :mod:`repro.replay.format` — the primary length-prefixed binary
-  container (struct-packed events, optional zlib framing); JSONL stays
-  as the export/interchange view (``python -m repro.replay convert``);
+  versioned trace; :class:`Trace` loads one back;
+* :mod:`repro.replay.format` — the one on-disk format, a length-prefixed
+  binary container (struct-packed events, optional zlib framing) whose
+  reader fails only with :class:`TraceFormatError`, plus the one-way
+  JSONL export (``python -m repro.replay convert --to jsonl``);
 * :mod:`repro.replay.checkpoint` — periodic :class:`Checkpoint`
   snapshots (state digests + folded :class:`StateView`) so seeking does
   not re-fold from t=0;
@@ -41,7 +42,7 @@ from repro.replay.branch import (
     resolve_builder,
 )
 from repro.replay.checkpoint import Checkpoint, StateView, capture_view, fold_view
-from repro.replay.format import TraceFormatError, sniff_format
+from repro.replay.format import TraceFormatError
 from repro.replay.races import detect_races
 from repro.replay.replay import (
     ReplayDivergence,
@@ -63,7 +64,6 @@ __all__ = [
     "TraceEvent",
     "TraceFormatError",
     "TraceWriter",
-    "sniff_format",
     "Checkpoint",
     "StateView",
     "capture_view",

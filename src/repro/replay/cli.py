@@ -1,15 +1,14 @@
-"""``python -m repro.replay`` — trace format tooling.
+"""``python -m repro.replay`` — trace file tooling.
 
 Subcommands:
 
-* ``convert <trace> --to {binary,jsonl} [-o OUT]`` — re-encode a trace.
-  Input format is sniffed from content; output defaults to the input
-  path with its extension swapped (``.trace.jsonl`` ↔ ``.trace.bin``).
-  Conversion is lossless — both encodings store the canonical
-  normalized lines verbatim, and the command verifies the round-trip
-  fingerprint before reporting success;
-* ``info <trace>`` — one-paragraph summary (format, seed, topology,
-  events, checkpoints, fingerprint) for quick triage.
+* ``convert <trace> --to jsonl [-o OUT]`` — export a trace as JSONL, one
+  record per line, for ``grep``/``jq`` and diffs.  Output defaults to
+  the input path with ``.trace.bin`` swapped for ``.trace.jsonl``.  The
+  export is one-way: nothing loads JSONL back;
+* ``info <trace>`` — one-paragraph summary (seed, topology, events,
+  checkpoints, fingerprint) for quick triage; exits 1 when the
+  recomputed stream fingerprint differs from the footer's.
 """
 
 from __future__ import annotations
@@ -18,42 +17,36 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.replay.format import TraceFormatError, sniff_format
+from repro.replay.format import TraceFormatError, export_jsonl
 from repro.replay.trace import Trace
 
-#: Extension swaps tried (in order) when ``-o`` is omitted.
-_SUFFIXES = {"binary": ".trace.bin", "jsonl": ".trace.jsonl"}
 
-
-def _default_output(path: Path, to: str) -> Path:
-    """Swap the trace extension for the target format's."""
-    name = path.name
-    for suffix in _SUFFIXES.values():
-        if name.endswith(suffix):
-            return path.with_name(name[: -len(suffix)] + _SUFFIXES[to])
-    return path.with_name(name + _SUFFIXES[to])
+def _load(source: Path):
+    """Load ``source`` or print the one-line reason and return None."""
+    try:
+        return Trace.load(source)
+    except (TraceFormatError, OSError) as exc:
+        print(f"error: cannot load {source}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    """Execute ``convert``: load, re-encode, verify the fingerprint."""
+    """Execute ``convert``: load, export as JSONL."""
     source = Path(args.trace)
-    try:
-        trace = Trace.load(source)
-    except (TraceFormatError, ValueError, OSError) as exc:
-        print(f"error: cannot load {source}: {exc}", file=sys.stderr)
+    trace = _load(source)
+    if trace is None:
         return 1
-    out = Path(args.output) if args.output else _default_output(source, args.to)
+    if args.output:
+        out = Path(args.output)
+    else:
+        out = source.with_name(
+            source.name.removesuffix(".trace.bin") + ".trace.jsonl")
     if out.resolve() == source.resolve():
         print(f"error: refusing to overwrite the input ({source}); "
               f"pass -o to pick an output path", file=sys.stderr)
         return 1
-    trace.save(out, format=args.to)
-    reread = Trace.load(out)
-    if reread.fingerprint() != trace.fingerprint():
-        print(f"error: round-trip fingerprint mismatch writing {out}",
-              file=sys.stderr)
-        return 1
-    print(f"{source} ({sniff_format(source)}) -> {out} ({args.to}): "
+    export_jsonl(trace, out)
+    print(f"{source} -> {out} (jsonl): "
           f"{len(trace.events)} events, fingerprint {trace.fingerprint()}")
     return 0
 
@@ -61,20 +54,24 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     """Execute ``info``: print a summary of one trace."""
     source = Path(args.trace)
-    try:
-        trace = Trace.load(source)
-    except (TraceFormatError, ValueError, OSError) as exc:
-        print(f"error: cannot load {source}: {exc}", file=sys.stderr)
+    trace = _load(source)
+    if trace is None:
         return 1
     drive = trace.footer.get("drive") or {}
-    print(f"trace:        {source} ({sniff_format(source)})")
+    fingerprint = trace.fingerprint()
+    print(f"trace:        {source}")
     print(f"seed:         {trace.seed}  topology: {trace.topology}")
     print(f"nodes:        {', '.join(trace.header.get('names', []))}")
     print(f"events:       {len(trace.events)}")
     print(f"checkpoints:  {len(trace.checkpoints)}")
     print(f"final time:   {trace.final_time} us  "
           f"(drive: {drive.get('mode', 'manual')})")
-    print(f"fingerprint:  {trace.fingerprint()}")
+    print(f"fingerprint:  {fingerprint}")
+    if fingerprint != trace.footer.get("fingerprint"):
+        print(f"error: {source}: stream fingerprint {fingerprint} does not "
+              f"match the footer's {trace.footer.get('fingerprint')}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -82,23 +79,23 @@ def main(argv=None) -> int:
     """Entry point for ``python -m repro.replay``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.replay",
-        description="Trace format tooling (convert between encodings).",
+        description="Trace file tooling (summarize, export as JSONL).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     convert = sub.add_parser(
-        "convert", help="re-encode a trace (binary <-> jsonl)")
-    convert.add_argument("trace", help="path to a trace in either format")
+        "convert", help="export a trace as JSONL (one-way)")
+    convert.add_argument("trace", help="path to a trace file")
     convert.add_argument(
-        "--to", choices=sorted(_SUFFIXES), required=True,
-        help="target encoding")
+        "--to", choices=["jsonl"], required=True,
+        help="target encoding (JSONL is the only export)")
     convert.add_argument(
         "-o", "--output", default=None,
         help="output path (default: input with the extension swapped)")
     convert.set_defaults(func=_cmd_convert)
 
     info = sub.add_parser("info", help="summarize a trace file")
-    info.add_argument("trace", help="path to a trace in either format")
+    info.add_argument("trace", help="path to a trace file")
     info.set_defaults(func=_cmd_info)
 
     args = parser.parse_args(argv)

@@ -1,11 +1,6 @@
-"""The binary trace encoding (and the format registry).
+"""The trace container (PILTRACE) and the one-way JSONL export.
 
-JSONL was the reproduction's first trace format and remains a supported
-export/interchange view, but at 512 nodes a few seconds of virtual time
-is hundreds of thousands of events, and ``json.dumps`` per line is a
-measurable slice of record overhead (experiment E13) while the files
-themselves are dominated by repeated key strings.  The primary encoding
-is now a length-prefixed binary container:
+A trace is stored in one format, a length-prefixed binary container:
 
 * an 12-byte preamble: magic ``b"PILTRACE"``, format version (u16),
   flags (u16, bit 0 = zlib-framed body);
@@ -21,14 +16,14 @@ is now a length-prefixed binary container:
   (u32 raw length, u32 compressed length, deflate bytes), so a reader
   can still bound-check every frame before touching it.
 
-Every malformed input raises :class:`TraceFormatError` carrying the
-byte offset of the fault — file-relative for the preamble and frames,
-record-stream-relative once inside a compressed body.
+Every malformed input raises :class:`TraceFormatError` — and nothing
+else — carrying the byte offset of the faulty record: file-relative for
+the preamble and frames, record-stream-relative once inside a
+compressed body.
 
-Checkpoints, fingerprints, and byte-identity are defined over the
-canonical normalized lines, which both encodings store verbatim — so a
-trace converted between formats verifies against the same golden
-fingerprint.
+:func:`export_jsonl` renders the same records as one JSON object per
+line for ``grep``/``jq`` and diffs (``python -m repro.replay convert
+--to jsonl``).  It is export-only: nothing loads it back.
 """
 
 from __future__ import annotations
@@ -45,9 +40,8 @@ __all__ = [
     "BINARY_VERSION",
     "MAGIC",
     "TraceFormatError",
-    "is_binary",
+    "export_jsonl",
     "read_binary",
-    "sniff_format",
     "write_binary",
 ]
 
@@ -96,6 +90,21 @@ class TraceFormatError(ValueError):
 # ----------------------------------------------------------------------
 
 
+def _body_records(trace: "Trace"):
+    """Yield ``(kind, record)`` for every checkpoint and event in causal
+    order: a checkpoint precedes the first event at or past its index."""
+    cp_iter = iter(trace.checkpoints)
+    next_cp = next(cp_iter, None)
+    for event in trace.events:
+        while next_cp is not None and next_cp.index <= event.index:
+            yield KIND_CHECKPOINT, next_cp
+            next_cp = next(cp_iter, None)
+        yield KIND_EVENT, event
+    while next_cp is not None:
+        yield KIND_CHECKPOINT, next_cp
+        next_cp = next(cp_iter, None)
+
+
 def _encode_records(trace: "Trace") -> bytes:
     """Render a trace as the flat record stream (preamble excluded)."""
     parts: list[bytes] = []
@@ -108,25 +117,18 @@ def _encode_records(trace: "Trace") -> bytes:
         return json.dumps(obj, sort_keys=True).encode("utf-8")
 
     record(KIND_HEADER, json_payload(trace.header))
-    cp_iter = iter(trace.checkpoints)
-    next_cp = next(cp_iter, None)
-    for event in trace.events:
-        # Same causal interleaving as the JSONL writer: a checkpoint
-        # precedes the first event at or past its index.
-        while next_cp is not None and next_cp.index <= event.index:
-            record(KIND_CHECKPOINT, json_payload(next_cp.to_dict()))
-            next_cp = next(cp_iter, None)
-        type_bytes = event.type.encode("utf-8")
-        fields_bytes = json.dumps(event.fields, sort_keys=True).encode("utf-8")
-        line_bytes = event.line.encode("utf-8")
-        record(KIND_EVENT, _EVENT.pack(
-            event.index, event.time, event.seq,
-            -1 if event.node is None else event.node,
+    for kind, item in _body_records(trace):
+        if kind == KIND_CHECKPOINT:
+            record(kind, json_payload(item.to_dict()))
+            continue
+        type_bytes = item.type.encode("utf-8")
+        fields_bytes = json.dumps(item.fields, sort_keys=True).encode("utf-8")
+        line_bytes = item.line.encode("utf-8")
+        record(kind, _EVENT.pack(
+            item.index, item.time, item.seq,
+            -1 if item.node is None else item.node,
             len(type_bytes), len(fields_bytes), len(line_bytes),
         ) + type_bytes + fields_bytes + line_bytes)
-    while next_cp is not None:
-        record(KIND_CHECKPOINT, json_payload(next_cp.to_dict()))
-        next_cp = next(cp_iter, None)
     record(KIND_FOOTER, json_payload(trace.footer))
     return b"".join(parts)
 
@@ -155,6 +157,23 @@ def write_binary(trace: "Trace", path, compress: bool = True) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
+def export_jsonl(trace: "Trace", path) -> None:
+    """Write ``trace`` to ``path`` as JSONL, one record per line, in the
+    container's record order and canonical sorted-keys JSON, so the
+    export of a given trace is byte-stable."""
+    from repro.ioutil import atomic_write_text
+
+    def line(kind: str, body: dict) -> str:
+        return json.dumps({"kind": kind, **body}, sort_keys=True)
+
+    names = {KIND_CHECKPOINT: "checkpoint", KIND_EVENT: "event"}
+    lines = [line("header", trace.header)]
+    lines += [line(names[kind], item.to_dict())
+              for kind, item in _body_records(trace)]
+    lines.append(line("footer", trace.footer))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
@@ -163,7 +182,9 @@ def write_binary(trace: "Trace", path, compress: bool = True) -> None:
 def _read_preamble(blob: bytes, path) -> int:
     """Validate magic and version; return the flags word."""
     if len(blob) < _PREAMBLE.size or not blob.startswith(MAGIC):
-        raise TraceFormatError(f"bad magic in {path}: not a binary trace", 0)
+        what = ("it looks like a JSONL export, and JSONL is export-only"
+                if blob.lstrip()[:1] == b"{" else "not a binary trace")
+        raise TraceFormatError(f"bad magic in {path}: {what}", 0)
     _, version, flags = _PREAMBLE.unpack_from(blob, 0)
     if version != BINARY_VERSION:
         raise TraceFormatError(
@@ -244,11 +265,16 @@ def _decode_event(payload: bytes, offset: int, path, in_frames: bool):
             offset, in_frames,
         )
     at = _EVENT.size
-    type_name = payload[at:at + type_len].decode("utf-8")
-    at += type_len
-    fields = json.loads(payload[at:at + fields_len])
-    at += fields_len
-    line = payload[at:at + line_len].decode("utf-8")
+    try:
+        type_name = payload[at:at + type_len].decode("utf-8")
+        at += type_len
+        fields = json.loads(payload[at:at + fields_len])
+        at += fields_len
+        line = payload[at:at + line_len].decode("utf-8")
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
+        raise TraceFormatError(
+            f"corrupt event record in {path}: {exc}", offset, in_frames
+        ) from None
     return TraceEvent(
         index=index, type=type_name, time=time,
         node=None if node < 0 else node,
@@ -268,6 +294,7 @@ def read_binary(path) -> "Trace":
     body = _deframe(blob, path) if in_frames else blob[_PREAMBLE.size:]
 
     header = footer = None
+    footer_at = 0
     events = []
     checkpoints = []
     pos0 = 0 if in_frames else _PREAMBLE.size
@@ -275,12 +302,18 @@ def read_binary(path) -> "Trace":
         if kind == KIND_EVENT:
             events.append(_decode_event(payload, offset, path, in_frames))
         elif kind == KIND_CHECKPOINT:
-            checkpoints.append(Checkpoint.from_dict(_json_record(
-                payload, offset, path, in_frames)))
+            data = _json_record(payload, offset, path, in_frames)
+            try:
+                checkpoints.append(Checkpoint.from_dict(data))
+            except (KeyError, TypeError) as exc:
+                raise TraceFormatError(
+                    f"malformed checkpoint record in {path}: {exc!r}",
+                    offset, in_frames) from None
         elif kind == KIND_HEADER:
             header = _json_record(payload, offset, path, in_frames)
         elif kind == KIND_FOOTER:
             footer = _json_record(payload, offset, path, in_frames)
+            footer_at = offset
         else:
             raise TraceFormatError(
                 f"unknown record kind {kind} in {path}", offset, in_frames)
@@ -294,43 +327,28 @@ def read_binary(path) -> "Trace":
             f"(this build reads version {TRACE_VERSION})",
             0, in_frames,
         )
+    # The footer's count is checked here (O(1)); its fingerprint is not
+    # recomputed on load — ``python -m repro.replay info`` does that.
+    if footer.get("events") != len(events):
+        raise TraceFormatError(
+            f"footer of {path} counts {footer.get('events')} events, "
+            f"{len(events)} present", footer_at, in_frames)
+    if not checkpoints or checkpoints[0].index != 0:
+        raise TraceFormatError(
+            f"{path} has no checkpoint #0 (the state at recording start)",
+            footer_at, in_frames)
     return Trace(header, events, checkpoints, footer)
 
 
 def _json_record(payload: bytes, offset: int, path, in_frames: bool) -> dict:
     try:
         data = json.loads(payload)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(
             f"corrupt JSON record in {path}: {exc}", offset, in_frames
         ) from None
+    if not isinstance(data, dict):
+        raise TraceFormatError(
+            f"JSON record in {path} is not an object", offset, in_frames)
     data.pop("kind", None)
     return data
-
-
-# ----------------------------------------------------------------------
-# Sniffing
-# ----------------------------------------------------------------------
-
-
-def is_binary(path) -> bool:
-    """Whether ``path`` starts with the binary trace magic."""
-    with open(path, "rb") as fh:
-        return fh.read(len(MAGIC)) == MAGIC
-
-
-def sniff_format(path) -> str:
-    """``"binary"`` or ``"jsonl"``, decided by content, not extension.
-
-    A file that is neither (wrong magic and not a JSON line) raises
-    :class:`TraceFormatError` at offset 0 rather than letting the JSONL
-    parser choke on binary garbage.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(max(len(MAGIC), 16))
-    if head.startswith(MAGIC):
-        return "binary"
-    if head.lstrip()[:1] == b"{":
-        return "jsonl"
-    raise TraceFormatError(
-        f"bad magic in {path}: neither a binary trace nor JSONL", 0)

@@ -1,21 +1,17 @@
 """Versioned traces of a recorded run.
 
-A trace carries four kinds of records — on disk either in the primary
-binary container (:mod:`repro.replay.format`) or as the JSONL export
-view, one JSON object per line (:meth:`Trace.load` sniffs the content;
-:meth:`Trace.save` picks by extension, ``.jsonl`` staying JSONL):
+A trace carries four kinds of records, stored on disk in the binary
+container of :mod:`repro.replay.format` (:meth:`Trace.save` /
+:meth:`Trace.load`):
 
 * a **header** — trace version, the cluster recipe (seed, node names,
   topology, clock skews, full ``Params``), the serialized ``FaultPlan``,
-  the
-  checkpoint cadence, and caller metadata.  Everything a replayer needs
+  the checkpoint cadence, and caller metadata.  Everything a replayer needs
   to rebuild an identical cluster;
 * one **event** line per materialized obs event, carrying both the
   structured payload (packet ids rebased to first-seen order, processes
-  reduced to pid/name) and the normalized text line — byte-identical to
-  what :class:`~repro.obs.recorder.EventStreamRecorder` produces for the
-  same run, because both render through one shared
-  :class:`~repro.obs.recorder.PayloadNormalizer`;
+  reduced to pid/name) and the normalized text line, both rendered
+  through one :class:`~repro.obs.recorder.PayloadNormalizer`;
 * interleaved **checkpoint** lines (see :mod:`repro.replay.checkpoint`);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
@@ -32,7 +28,6 @@ emits its process events while the node is half-rebuilt).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -84,7 +79,7 @@ class TraceEvent:
     line: str
 
     def to_dict(self) -> dict:
-        """Serialize as one JSONL trace line payload."""
+        """Serialize as one JSON record (wire protocol, JSONL export)."""
         return {
             "kind": "event",
             "i": self.index,
@@ -98,7 +93,7 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        """Rebuild from a JSONL trace line payload."""
+        """Rebuild from :meth:`to_dict` output."""
         return cls(
             index=data["i"],
             type=data["type"],
@@ -168,8 +163,7 @@ class Trace:
         return self.checkpoints[0].view
 
     def lines(self) -> list[str]:
-        """The normalized stream, comparable to
-        :meth:`~repro.obs.recorder.EventStreamRecorder.lines`."""
+        """The normalized stream, one line per recorded event."""
         return [event.line for event in self.events]
 
     def fingerprint(self) -> str:
@@ -191,106 +185,21 @@ class Trace:
 
     # -- persistence ----------------------------------------------------
 
-    def save(self, path, format: Optional[str] = None) -> None:
-        """Write the trace to ``path``.
-
-        ``format`` is ``"binary"`` (the primary container, optionally
-        zlib-framed), ``"jsonl"`` (the export view), or ``None`` to
-        infer from the extension: ``.jsonl`` paths stay JSONL, anything
-        else gets the binary container.  Both encodings store the same
-        canonical normalized lines, so fingerprints and byte-identity
-        checks agree across a round-trip.
-        """
-        if format is None:
-            format = "jsonl" if str(path).endswith(".jsonl") else "binary"
-        if format == "binary":
-            from repro.replay.format import write_binary
-            write_binary(self, path)
-        elif format == "jsonl":
-            self._save_jsonl(path)
-        else:
-            raise ValueError(f"unknown trace format {format!r}")
+    def save(self, path) -> None:
+        """Write the trace to ``path`` in the binary container
+        (:func:`repro.replay.format.write_binary`)."""
+        from repro.replay.format import write_binary
+        write_binary(self, path)
         if self.profile is not None:
             self.profile.dump_next_to(path)
 
-    def _save_jsonl(self, path) -> None:
-        """Write the trace as versioned JSONL to ``path``.
-
-        Every line is dumped with sorted keys — the same canonical form
-        the binary container uses for its JSON blobs — so converting a
-        trace binary → jsonl → binary is byte-faithful in both
-        directions.  The document is assembled in memory and published
-        with :func:`repro.ioutil.atomic_write_text`: a crash mid-save
-        leaves any previous trace at ``path`` intact, never a torn one.
-        """
-        from repro.ioutil import atomic_write_text
-
-        lines = [json.dumps({"kind": "header", **self.header},
-                            sort_keys=True)]
-        cp_iter = iter(self.checkpoints)
-        next_cp = next(cp_iter, None)
-        # Checkpoint lines are interleaved at their indices, so a
-        # streaming reader sees them in causal order.
-        for event in self.events:
-            while next_cp is not None and next_cp.index <= event.index:
-                lines.append(json.dumps({"kind": "checkpoint",
-                                         **next_cp.to_dict()},
-                                        sort_keys=True))
-                next_cp = next(cp_iter, None)
-            lines.append(json.dumps(event.to_dict(), sort_keys=True))
-        while next_cp is not None:
-            lines.append(json.dumps({"kind": "checkpoint",
-                                     **next_cp.to_dict()},
-                                    sort_keys=True))
-            next_cp = next(cp_iter, None)
-        lines.append(json.dumps({"kind": "footer", **self.footer},
-                                sort_keys=True))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-
     @classmethod
     def load(cls, path) -> "Trace":
-        """Load and validate a trace previously written by :meth:`save`.
-
-        The format is sniffed from the content (binary magic vs JSONL),
-        so callers never care how a trace happens to be stored.
-        """
-        from repro.replay.format import read_binary, sniff_format
-        if sniff_format(path) == "binary":
-            return read_binary(path)
-        return cls._load_jsonl(path)
-
-    @classmethod
-    def _load_jsonl(cls, path) -> "Trace":
-        """Parse the JSONL encoding."""
-        header: Optional[dict] = None
-        footer: Optional[dict] = None
-        events: list[TraceEvent] = []
-        checkpoints: list[Checkpoint] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                kind = data.pop("kind", None)
-                if kind == "header":
-                    header = data
-                elif kind == "event":
-                    events.append(TraceEvent.from_dict(data))
-                elif kind == "checkpoint":
-                    checkpoints.append(Checkpoint.from_dict(data))
-                elif kind == "footer":
-                    footer = data
-                else:
-                    raise ValueError(f"unknown trace line kind {kind!r}")
-        if header is None or footer is None:
-            raise ValueError(f"truncated trace file {path}: missing header/footer")
-        if header.get("version") != TRACE_VERSION:
-            raise ValueError(
-                f"trace version {header.get('version')} unsupported "
-                f"(this build reads version {TRACE_VERSION})"
-            )
-        return cls(header, events, checkpoints, footer)
+        """Load and validate a trace previously written by :meth:`save`
+        (:func:`repro.replay.format.read_binary`); anything else raises
+        :class:`~repro.replay.format.TraceFormatError`."""
+        from repro.replay.format import read_binary
+        return read_binary(path)
 
     def __repr__(self) -> str:
         return (
@@ -332,9 +241,10 @@ class TraceWriter:
         #: TraceEvent (normalizing payloads, rendering the line, JSON
         #: round-trips) is deferred to :meth:`finish` — the recording
         #: hot path is one list append, which is most of why record
-        #: overhead stays low (experiment E13).  Deferral is sound
-        #: because everything the normalizer reads (packet src/dst/
-        #: port/kind/size and first-seen order, process pid/name) is
+        #: overhead stays low (the ledger's
+        #: ``replay.record_us_per_event``).  Deferral is sound because
+        #: everything the normalizer reads (packet src/dst/port/kind/
+        #: size and first-seen order, process pid/name) is
         #: immutable for the lifetime of the run.
         self._raw: list[ev.Event] = []
         self.checkpoints: list[Checkpoint] = []

@@ -13,8 +13,7 @@ Determinism rules
 -----------------
 * Events with equal timestamps run in the order they were scheduled (a
   monotonically increasing sequence number breaks ties) — the total
-  order on ``(time, seq)`` is the kernel contract, identical across
-  every registered engine.
+  order on ``(time, seq)`` is the kernel contract.
 * All randomness flows through ``world.rng``, a seeded ``random.Random``.
 * Handlers may advance the clock cooperatively with :meth:`World.advance`,
   but never past the next queued event; this is how node CPU slices
@@ -23,7 +22,6 @@ Determinism rules
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Optional, Union
 
 import random
@@ -55,14 +53,12 @@ class World:
         with the same seed and driven by the same code produce identical
         event traces.
     kernel:
-        The event engine: a registry name (``"wheel"``, the default, or
-        ``"heap"``, the pre-refactor baseline), or an already-built core
-        object.  Overridable with the ``REPRO_KERNEL`` environment
-        variable; every engine produces the identical event order, so
-        this is a performance knob, never a semantics knob.
+        The event engine: ``"wheel"`` (a fresh
+        :class:`~repro.kernel.core.EventCore`) or an already-built core
+        object — how the tests inject their reference engine.
     """
 
-    def __init__(self, seed: int = 0, kernel: Union[str, Any, None] = None):
+    def __init__(self, seed: int = 0, kernel: Union[str, Any] = "wheel"):
         self.now: int = 0
         self.rng = random.Random(seed)
         #: The instrumentation bus: every layer emits typed events here
@@ -73,8 +69,6 @@ class World:
         #: the bus at birth and back the layers' public counter properties.
         self.metrics = Metrics()
         install_default_metrics(self.bus, self.metrics)
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL", "wheel")
         #: The event engine (see :mod:`repro.kernel`).
         self.kernel = make_core(kernel) if isinstance(kernel, str) else kernel
         self._running = False

@@ -1,7 +1,8 @@
 """The committed golden-trace scenario.
 
 One fixed recipe — chaos echo workload, seed 7 — whose recorded trace is
-committed at ``tests/golden/echo_chaos_seed7.trace.jsonl``.  CI replays
+committed at ``tests/golden/echo_chaos_seed7.trace.bin`` (with its
+JSONL export next to it, for reading diffs).  CI replays
 the committed file against this builder on every push: any change that
 shifts event timing, ordering, normalization, or RNG consumption shows
 up as a ``ReplayDivergence`` with the first drifted event, instead of as
@@ -17,9 +18,10 @@ from pathlib import Path
 
 from repro import MS, SEC, FaultPlan, record_run
 
+#: The JSONL export of the golden recording (human-readable, not loadable).
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "echo_chaos_seed7.trace.jsonl"
-#: The same recording in the primary binary container; committed next to
-#: the JSONL twin and verified against the same fingerprint by CI.
+#: The golden recording itself, in the trace container; CI byte-checks
+#: its export against :data:`GOLDEN_PATH`.
 GOLDEN_BINARY_PATH = GOLDEN_PATH.with_name("echo_chaos_seed7.trace.bin")
 GOLDEN_SEED = 7
 GOLDEN_NAMES = ["client", "server", "debugger"]
@@ -74,9 +76,11 @@ def record():
 
 
 if __name__ == "__main__":
+    from repro.replay.format import export_jsonl
+
     trace = record()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    trace.save(GOLDEN_PATH, format="jsonl")
-    trace.save(GOLDEN_BINARY_PATH, format="binary")
+    trace.save(GOLDEN_BINARY_PATH)
+    export_jsonl(trace, GOLDEN_PATH)
     print(f"wrote {GOLDEN_PATH} and {GOLDEN_BINARY_PATH} "
           f"({len(trace.events)} events, fingerprint {trace.fingerprint()})")

@@ -158,6 +158,19 @@ def test_run_cell_verdicts():
     assert f"{ECHO_FULL_MASK:#x}" in crash["violations"][0]
 
 
+def test_run_cell_fingerprints_are_pinned():
+    """Literal stream fingerprints for echo x seeds {0, 7} x {calm,
+    crash}, computed when cells still recorded through the standalone
+    line recorder: the cell's recorder can change, its report cannot.
+    (The echo workload draws nothing from the RNG, so the two seeds
+    agree.)"""
+    calm = "86a109d65d5b773b2b0660be951b2d27085ebf36fa83404a62c4cbdf096f63d9"
+    crash = "428862e503cea4141540d164b6881b9e6398b10ab02a5de14d9a7cde3fdabd84"
+    cells = build_grid(["echo"], [0, 7], GRID_ARGS[2])
+    assert [run_cell(cell)["fingerprint"] for cell in cells] == [
+        calm, crash, calm, crash]
+
+
 def test_report_byte_identical_across_worker_counts():
     cells = build_grid(*GRID_ARGS)
     inline = run_campaign(cells, workers=1, shrink=False)
@@ -290,7 +303,7 @@ def test_cli_repro_rejects_foreign_trace(tmp_path, capsys):
 
     trace = record_run(_echo_build, ["client", "server"], seed=0,
                        run_until=1 * SEC)
-    path = tmp_path / "plain.trace.jsonl"
+    path = tmp_path / "plain.trace.bin"
     trace.save(path)
     assert campaign_main(["repro", str(path)]) == 2
     assert "not a campaign golden trace" in capsys.readouterr().out

@@ -31,7 +31,7 @@ from repro.contracts import (
 )
 from repro.contracts.dsl import ProbeContract, SINGLE_LEADER
 from repro.contracts.online import ContractMonitor
-from tests.golden_scenario import GOLDEN_NAMES, GOLDEN_PATH, build, plan
+from tests.golden_scenario import GOLDEN_BINARY_PATH, GOLDEN_NAMES, build, plan
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ECHO_REPORT_GOLDEN = GOLDEN_DIR / "contracts_echo_chaos_seed7.report.json"
@@ -87,7 +87,7 @@ def test_equivalence_survives_a_save_load_round_trip(tmp_path):
 
     trace = record_echo(7, "chaos", "ring")
     path = tmp_path / "echo.trace.bin"
-    trace.save(path, format="binary")
+    trace.save(path)
     reread = Trace.load(path)
     assert (check_trace(reread, UNIVERSAL_SET).canonical()
             == trace.contract_report.canonical())
@@ -101,7 +101,7 @@ def test_equivalence_survives_a_save_load_round_trip(tmp_path):
 def test_echo_golden_report_matches_the_committed_file():
     from repro.replay import Trace
 
-    trace = Trace.load(GOLDEN_PATH)
+    trace = Trace.load(GOLDEN_BINARY_PATH)
     report = check_trace(trace, UNIVERSAL_SET)
     committed = json.loads(ECHO_REPORT_GOLDEN.read_text())
     assert json.loads(report.canonical()) == committed, (

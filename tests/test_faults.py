@@ -12,7 +12,7 @@ from repro import (
     Pilgrim,
     UnreachableNodeError,
 )
-from repro.obs import EventStreamRecorder
+from repro.replay import TraceWriter
 
 SPIN = "proc main()\n  while true do\n    sleep(5000)\n  end\nend"
 
@@ -216,7 +216,7 @@ def test_partition_nacks_then_heal_completes_exactly_once():
 
 def _chaos_run(seed: int):
     cluster = Cluster(names=["client", "server", "debugger"], seed=seed)
-    recorder = EventStreamRecorder(cluster.world.bus)
+    writer = TraceWriter(cluster)
     server_image = cluster.load_program(ECHO_SERVER, "server")
     cluster.rpc("server").export_vm("svc", server_image, {"echo": "echo"})
     client_image = cluster.load_program(
@@ -248,7 +248,7 @@ end
             .duplicate(at=360 * MS, duration=400 * MS, probability=0.5))
     Nemesis(cluster, plan)
     cluster.run(until=4 * SEC)
-    return recorder.lines(), list(client_image.console)
+    return writer.finish().lines(), list(client_image.console)
 
 
 def test_seeded_nemesis_runs_are_byte_identical():

@@ -9,9 +9,8 @@ regenerate with ``python -m tests.golden_scenario`` and say so in the
 commit.
 """
 
-import pytest
-
 from repro import Trace, replay_trace
+from repro.replay.cli import main as replay_cli
 from tests.golden_scenario import (
     GOLDEN_BINARY_PATH,
     GOLDEN_PATH,
@@ -24,11 +23,8 @@ GOLDEN_FINGERPRINT = (
 )
 
 
-@pytest.mark.parametrize(
-    "path", [GOLDEN_PATH, GOLDEN_BINARY_PATH], ids=["jsonl", "binary"]
-)
-def test_golden_trace_replays_byte_identically(path):
-    trace = Trace.load(path)
+def test_golden_trace_replays_byte_identically():
+    trace = Trace.load(GOLDEN_BINARY_PATH)
     assert trace.seed == GOLDEN_SEED
     assert trace.fingerprint() == GOLDEN_FINGERPRINT
     assert trace.footer["fingerprint"] == GOLDEN_FINGERPRINT
@@ -38,25 +34,14 @@ def test_golden_trace_replays_byte_identically(path):
     assert report.checkpoints_verified == len(trace.checkpoints)
 
 
-def test_golden_twins_are_the_same_recording():
-    """The committed binary twin is a re-encoding of the JSONL golden,
-    not a second recording: same lines, checkpoints, header, footer."""
-    jsonl = Trace.load(GOLDEN_PATH)
-    binary = Trace.load(GOLDEN_BINARY_PATH)
-    assert binary.lines() == jsonl.lines()
-    assert binary.header == jsonl.header
-    assert binary.footer == jsonl.footer
-    assert [c.to_dict() for c in binary.checkpoints] == \
-        [c.to_dict() for c in jsonl.checkpoints]
-
-
-def test_golden_twins_convert_byte_faithfully(tmp_path):
-    """Conversion is the exact inverse in both directions: re-encoding
-    either committed twin reproduces the other byte for byte (both
-    sides dump JSON in the same canonical sorted-keys form)."""
+def test_golden_jsonl_is_the_export_of_the_golden_trace(tmp_path):
+    """The committed JSONL is the byte-exact ``convert --to jsonl`` of
+    the committed trace (both dump JSON in canonical sorted-keys form),
+    and re-saving the loaded trace reproduces the committed container."""
     out_jsonl = tmp_path / "golden.trace.jsonl"
-    Trace.load(GOLDEN_BINARY_PATH).save(out_jsonl, format="jsonl")
+    assert replay_cli(["convert", str(GOLDEN_BINARY_PATH), "--to", "jsonl",
+                       "-o", str(out_jsonl)]) == 0
     assert out_jsonl.read_bytes() == GOLDEN_PATH.read_bytes()
     out_binary = tmp_path / "golden.trace.bin"
-    Trace.load(GOLDEN_PATH).save(out_binary, format="binary")
+    Trace.load(GOLDEN_BINARY_PATH).save(out_binary)
     assert out_binary.read_bytes() == GOLDEN_BINARY_PATH.read_bytes()

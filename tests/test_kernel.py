@@ -1,14 +1,16 @@
-"""Unit tests for ``repro.kernel``: the timing wheel, the two event
-cores' behavioral identity, and the tombstone-compaction bounds."""
+"""Unit tests for ``repro.kernel``: the timing wheel, the event core's
+behavioral identity with the reference heap engine
+(``tests/heap_core.py``), and the tombstone-compaction bounds."""
 
 import random
 
 import pytest
 
-from repro.kernel import EventCore, HeapEventCore, TimingWheel, make_core
+from repro.kernel import EventCore, TimingWheel, make_core
 from repro.kernel.core import COMPACT_SLACK, SimulationError
 from repro.sim.units import FOREVER
 from repro.sim.world import World
+from tests.heap_core import HeapEventCore
 
 
 def _noop():
@@ -91,7 +93,7 @@ def test_cores_pop_identically_under_random_churn():
     and windows.  Times never go backwards past a popped event — the
     World facade guarantees that invariant (schedule validation)."""
     rng = random.Random(20260808)
-    cores = (make_core("wheel"), make_core("heap"))
+    cores = (EventCore(), HeapEventCore())
     mirrored = [[], []]  # live handles, same index on both sides
     floor = 0  # last popped time: no schedules before this
     for _ in range(6000):
@@ -137,7 +139,7 @@ def test_cores_pop_identically_under_random_churn():
 
 
 def test_cores_agree_on_mass_cancel_and_survivors():
-    cores = (make_core("wheel"), make_core("heap"))
+    cores = (EventCore(), HeapEventCore())
     for core in cores:
         for k in range(40):
             core.schedule_at(100 + k, _noop, (), node=k % 3)
@@ -217,19 +219,15 @@ def test_interleaved_schedule_cancel_churn_stays_bounded():
 
 def test_make_core_registry():
     assert isinstance(make_core("wheel"), EventCore)
-    assert isinstance(make_core("heap"), HeapEventCore)
     with pytest.raises(SimulationError):
-        make_core("btree")
+        make_core("heap")
 
 
-def test_world_kernel_selection(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+def test_world_kernel_selection():
     assert isinstance(World(seed=0).kernel, EventCore)
-    assert isinstance(World(seed=0, kernel="heap").kernel, HeapEventCore)
-    monkeypatch.setenv("REPRO_KERNEL", "heap")
-    assert isinstance(World(seed=0).kernel, HeapEventCore)
-    monkeypatch.setenv("REPRO_KERNEL", "wheel")
-    assert isinstance(World(seed=0).kernel, EventCore)
+    assert isinstance(World(seed=0, kernel="wheel").kernel, EventCore)
+    oracle = HeapEventCore()
+    assert World(seed=0, kernel=oracle).kernel is oracle
 
 
 def test_world_runs_identically_on_both_kernels():
@@ -248,4 +246,4 @@ def test_world_runs_identically_on_both_kernels():
         world.close()
         return seen
 
-    assert drive("wheel") == drive("heap")
+    assert drive(EventCore()) == drive(HeapEventCore())

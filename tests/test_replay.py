@@ -3,8 +3,14 @@
 import pytest
 
 from repro import MS, SEC, Cluster, FaultPlan, Pilgrim, Trace, record_run, replay_trace
-from repro.obs import EventStreamRecorder
-from repro.replay import ReplayDivergence, ReplayUnsupported, ReplayWorld, TimeTravel, detect_races
+from repro.replay import (
+    ReplayDivergence,
+    ReplayUnsupported,
+    ReplayWorld,
+    TimeTravel,
+    TraceFormatError,
+    detect_races,
+)
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
 
@@ -76,20 +82,6 @@ def test_replay_is_byte_identical_under_chaos(seed):
     assert report.fingerprint == trace.fingerprint()
 
 
-def test_trace_lines_match_event_stream_recorder():
-    """The trace's normalized stream is byte-identical to what a plain
-    EventStreamRecorder sees of the same run (shared normalizer)."""
-    recorders = []
-
-    def build(cluster):
-        recorders.append(EventStreamRecorder(cluster.world.bus))
-        build_chaos(cluster)
-
-    trace = record_run(build, CHAOS_NAMES, seed=7, plan=chaos_plan(),
-                       run_until=4 * SEC)
-    assert trace.lines() == recorders[0].lines()
-
-
 def test_divergence_reports_first_mismatching_event():
     trace = record_run(build_chaos, CHAOS_NAMES, seed=1, run_until=2 * SEC)
     assert len(trace.events) > 11
@@ -124,7 +116,7 @@ def test_manual_trace_refuses_re_execution():
 def test_trace_save_load_round_trip(tmp_path):
     trace = record_run(build_chaos, CHAOS_NAMES, seed=2, plan=chaos_plan(),
                        checkpoint_every=100 * MS, run_until=4 * SEC)
-    path = tmp_path / "run.trace.jsonl"
+    path = tmp_path / "run.trace.bin"
     trace.save(path)
     loaded = Trace.load(path)
     assert loaded.header == trace.header
@@ -142,9 +134,9 @@ def test_trace_save_load_round_trip(tmp_path):
 def test_trace_load_rejects_wrong_version(tmp_path):
     trace = record_run(build_chaos, CHAOS_NAMES, seed=1, run_until=1 * SEC)
     trace.header["version"] = 999
-    path = tmp_path / "bad.trace.jsonl"
+    path = tmp_path / "bad.trace.bin"
     trace.save(path)
-    with pytest.raises(ValueError, match="version 999 unsupported"):
+    with pytest.raises(TraceFormatError, match="version 999 unsupported"):
         Trace.load(path)
 
 

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Regenerate every committed golden trace, in both encodings.
+"""Regenerate the committed golden trace and its JSONL export.
 
 Run from the repo root when a change *intentionally* alters the event
 stream (and say so in the commit message)::
 
     PYTHONPATH=src python tools/regen_goldens.py
 
-Records the golden scenario once and writes the JSONL and binary twins
-side by side under ``tests/golden/``, verifying that both files load
-back to the same fingerprint before reporting it.  The fingerprint it
+Records the golden scenario once and writes the trace and its JSONL
+export side by side under ``tests/golden/``, verifying that the trace
+loads back to the same fingerprint before reporting it.  The fingerprint it
 prints is what ``tests/test_golden_trace.py::GOLDEN_FINGERPRINT`` must
 be updated to.
 """
@@ -34,9 +34,9 @@ def _write_report_goldens() -> None:
     from repro.replay import Trace
     from repro.replay.replay import record_run
     from tests.test_contracts import ECHO_REPORT_GOLDEN, KV_REPORT_GOLDEN
-    from tests.golden_scenario import GOLDEN_PATH
+    from tests.golden_scenario import GOLDEN_BINARY_PATH
 
-    echo = check_trace(Trace.load(GOLDEN_PATH), UNIVERSAL_SET)
+    echo = check_trace(Trace.load(GOLDEN_BINARY_PATH), UNIVERSAL_SET)
     scenario = get_scenario("kv")
     trace = record_run(scenario.build, list(scenario.names), seed=0,
                        run_until=scenario.run_until,
@@ -50,22 +50,23 @@ def _write_report_goldens() -> None:
 
 
 def main() -> int:
-    """Record the golden scenario and write both format twins."""
+    """Record the golden scenario; write the trace and its JSONL export."""
     from repro.replay import Trace
+    from repro.replay.format import export_jsonl
     from tests.golden_scenario import GOLDEN_BINARY_PATH, GOLDEN_PATH, record
 
     trace = record()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    trace.save(GOLDEN_PATH, format="jsonl")
-    trace.save(GOLDEN_BINARY_PATH, format="binary")
+    trace.save(GOLDEN_BINARY_PATH)
+    export_jsonl(trace, GOLDEN_PATH)
     fingerprint = trace.fingerprint()
-    for path in (GOLDEN_PATH, GOLDEN_BINARY_PATH):
-        reread = Trace.load(path)
-        if reread.fingerprint() != fingerprint:
-            print(f"error: {path} re-reads with fingerprint "
-                  f"{reread.fingerprint()}, expected {fingerprint}",
-                  file=sys.stderr)
-            return 1
+    reread = Trace.load(GOLDEN_BINARY_PATH)
+    if reread.fingerprint() != fingerprint:
+        print(f"error: {GOLDEN_BINARY_PATH} re-reads with fingerprint "
+              f"{reread.fingerprint()}, expected {fingerprint}",
+              file=sys.stderr)
+        return 1
+    for path in (GOLDEN_BINARY_PATH, GOLDEN_PATH):
         print(f"wrote {path} ({len(reread.events)} events, "
               f"{path.stat().st_size} bytes)")
     _write_report_goldens()
