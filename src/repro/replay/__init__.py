@@ -7,9 +7,10 @@ stream; this package turns that stream into a first-class artifact:
   and persists a run (seed, params, fault plan, normalized events) as a
   versioned trace; :class:`Trace` loads one back;
 * :mod:`repro.replay.format` — the one on-disk format, a length-prefixed
-  binary container (struct-packed events, optional zlib framing) whose
-  reader fails only with :class:`TraceFormatError`, plus the one-way
-  JSONL export (``python -m repro.replay convert --to jsonl``);
+  binary container (events in columnar JSON blocks, optional zlib
+  framing) whose reader fails only with :class:`TraceFormatError`,
+  plus the one-way JSONL export (``python -m repro.replay convert --to
+  jsonl``);
 * :mod:`repro.replay.checkpoint` — periodic :class:`Checkpoint`
   snapshots (state digests + folded :class:`StateView`) so seeking does
   not re-fold from t=0;

@@ -178,6 +178,65 @@ def empty_view(node_ids, time: int = 0) -> StateView:
     return view
 
 
+def _process_created(view: StateView, node: str, fields: dict) -> None:
+    view.processes.setdefault(node, {})[str(fields["pid"])] = {
+        "name": fields["name"], "priority": fields["priority"],
+    }
+
+
+def _process_deleted(view: StateView, node: str, fields: dict) -> None:
+    view.processes.get(node, {}).pop(str(fields["pid"]), None)
+    _unhalt(view, node, fields)
+
+
+def _process_halted(view: StateView, node: str, fields: dict) -> None:
+    halted = view.halted.setdefault(node, [])
+    if fields["pid"] not in halted:
+        halted.append(fields["pid"])
+        halted.sort()
+
+
+def _unhalt(view: StateView, node: str, fields: dict) -> None:
+    halted = view.halted.get(node)
+    if halted and fields["pid"] in halted:
+        halted.remove(fields["pid"])
+
+
+def _call_started(view: StateView, node: str, fields: dict) -> None:
+    calls = view.in_flight.setdefault(node, [])
+    if fields["call_id"] not in calls:
+        calls.append(fields["call_id"])
+        calls.sort()
+
+
+def _call_ended(view: StateView, node: str, fields: dict) -> None:
+    calls = view.in_flight.get(node)
+    if calls and fields["call_id"] in calls:
+        calls.remove(fields["call_id"])
+
+
+def _node_rebooted(view: StateView, node: str, fields: dict) -> None:
+    view.epochs[node] = fields["epoch"]
+    # The fresh boot starts with an empty client table; the crashed
+    # boot's un-completed calls die with it here, not at the crash
+    # (the dead table keeps them until the runtime is swapped).
+    view.in_flight[node] = []
+
+
+#: Event type -> how it changes the tables (types absent here, packets
+#: above all, only move the clock and a count).
+_TABLE_FOLDS = {
+    "ProcessCreated": _process_created,
+    "ProcessDeleted": _process_deleted,
+    "ProcessHalted": _process_halted,
+    "ProcessResumed": _unhalt,
+    "RpcCallStarted": _call_started,
+    "RpcCallCompleted": _call_ended,
+    "RpcCallFailed": _call_ended,
+    "NodeRebooted": _node_rebooted,
+}
+
+
 def apply_event(view: StateView, event) -> None:
     """Fold one trace event into ``view`` (the derive side).
 
@@ -185,45 +244,14 @@ def apply_event(view: StateView, event) -> None:
     ``fields`` attributes (a :class:`~repro.replay.trace.TraceEvent`).
     """
     kind = event.type
-    fields = event.fields
-    node = str(event.node)
-    view.time = max(view.time, event.time)
+    if event.time > view.time:
+        view.time = event.time
     count_key = COUNT_KEYS.get(kind)
     if count_key is not None:
         view.counts[count_key] = view.counts.get(count_key, 0) + 1
-    if kind == "ProcessCreated":
-        view.processes.setdefault(node, {})[str(fields["pid"])] = {
-            "name": fields["name"], "priority": fields["priority"],
-        }
-    elif kind == "ProcessDeleted":
-        view.processes.get(node, {}).pop(str(fields["pid"]), None)
-        halted = view.halted.get(node)
-        if halted and fields["pid"] in halted:
-            halted.remove(fields["pid"])
-    elif kind == "ProcessHalted":
-        halted = view.halted.setdefault(node, [])
-        if fields["pid"] not in halted:
-            halted.append(fields["pid"])
-            halted.sort()
-    elif kind == "ProcessResumed":
-        halted = view.halted.get(node)
-        if halted and fields["pid"] in halted:
-            halted.remove(fields["pid"])
-    elif kind == "RpcCallStarted":
-        calls = view.in_flight.setdefault(node, [])
-        if fields["call_id"] not in calls:
-            calls.append(fields["call_id"])
-            calls.sort()
-    elif kind in ("RpcCallCompleted", "RpcCallFailed"):
-        calls = view.in_flight.get(node)
-        if calls and fields["call_id"] in calls:
-            calls.remove(fields["call_id"])
-    elif kind == "NodeRebooted":
-        view.epochs[node] = fields["epoch"]
-        # The fresh boot starts with an empty client table; the crashed
-        # boot's un-completed calls die with it here, not at the crash
-        # (the dead table keeps them until the runtime is swapped).
-        view.in_flight[node] = []
+    fold = _TABLE_FOLDS.get(kind)
+    if fold is not None:
+        fold(view, str(event.node), event.fields)
 
 
 def fold_view(events, upto_index: int, start: StateView) -> StateView:

@@ -2,39 +2,46 @@
 
 A trace is stored in one format, a length-prefixed binary container:
 
-* an 12-byte preamble: magic ``b"PILTRACE"``, format version (u16),
-  flags (u16, bit 0 = zlib-framed body);
-* a record stream: ``kind`` byte + u32 payload length + payload.
-  Header, checkpoint, and footer records carry their JSON object as
-  UTF-8 (they are rare and irregular); event records carry a
-  struct-packed fixed part (index, time, seq, node) followed by the
-  type name, the JSON-encoded structured fields, and the **normalized
-  line verbatim** — stored, not re-derived, because byte-identity of
-  the normalized stream is the replay contract and must not depend on
-  how a decoder re-renders tuples;
+* a 12-byte preamble: magic ``b"PILTRACE"``, format version (u16),
+  flags (u16, bit 0 = zlib-framed body; any other bit is refused);
+* a record stream: ``kind`` byte + u32 payload length + payload, each
+  payload one UTF-8 JSON object.  Header, checkpoint, and footer
+  records carry their object as is; a checkpoint sits after exactly
+  ``index`` events.  Events are stored **columnar**: every run of
+  events between two checkpoints (capped at ``_BLOCK_EVENTS``) is one
+  ``KIND_EVENTS`` block of parallel lists — ``first`` (index of its
+  first event; the rest are implied), ``types`` (its type-name table)
+  and equal-length ``type`` (ids into that table) / ``t`` / ``node`` /
+  ``seq`` / ``fields`` / ``line`` — so the reader pays one
+  ``json.loads`` and a few C-level passes per block, not a parse per
+  event.  The **normalized line is stored verbatim**, not re-derived:
+  byte-identity of the normalized stream is the replay contract and
+  must not depend on how a decoder re-renders tuples;
 * with flags bit 0 set, the record stream is carried in zlib frames
   (u32 raw length, u32 compressed length, deflate bytes), so a reader
-  can still bound-check every frame before touching it.
+  can bound every frame, and what it inflates to, before touching it.
 
 Every malformed input raises :class:`TraceFormatError` — and nothing
-else — carrying the byte offset of the faulty record: file-relative for
-the preamble and frames, record-stream-relative once inside a
-compressed body.
+else — from :func:`read_binary` itself (nothing is deferred to first
+access), carrying the byte offset of the faulty record: file-relative
+for the preamble and frames, record-stream-relative once inside a
+compressed body.  The writer refuses (``ValueError``) a trace whose
+event or checkpoint indices it could not lay out that way.
 
 :func:`export_jsonl` renders the same records as one JSON object per
-line for ``grep``/``jq`` and diffs (``python -m repro.replay convert
---to jsonl``).  It is export-only: nothing loads it back.
+line (one line per event) for ``grep``/``jq`` and diffs (``python -m
+repro.replay convert --to jsonl``).  Export-only: nothing loads it back.
 """
 
-from __future__ import annotations
-
+import gc
 import json
 import struct
+import sys
 import zlib
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from repro.replay.trace import Trace
+from repro.ioutil import atomic_write_bytes, atomic_write_text
+from repro.replay.checkpoint import Checkpoint
+from repro.replay.trace import TRACE_VERSION, Trace, TraceEvent
 
 __all__ = [
     "BINARY_VERSION",
@@ -46,7 +53,7 @@ __all__ = [
 ]
 
 MAGIC = b"PILTRACE"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 
 #: Preamble: magic + version (u16) + flags (u16).
 _PREAMBLE = struct.Struct("<8sHH")
@@ -54,24 +61,31 @@ FLAG_ZLIB = 1
 
 #: Record prefix: kind (u8) + payload length (u32).
 _RECORD = struct.Struct("<BI")
-#: Event payload fixed part: index u32, time i64, seq i64, node i32
-#: (-1 encodes None), type length u16, fields length u32, line length u32.
-_EVENT = struct.Struct("<IqqihII")
 #: Zlib frame prefix: raw length (u32) + compressed length (u32).
 _FRAME = struct.Struct("<II")
 
 KIND_HEADER = 1
-KIND_EVENT = 2
+KIND_EVENTS = 2
 KIND_CHECKPOINT = 3
 KIND_FOOTER = 4
 
-#: Writer chunking for the zlib-framed body.
+#: Writer chunking for the zlib-framed body; the reader refuses a frame
+#: that declares, or inflates to, more.
 _FRAME_RAW_SIZE = 1 << 18
+#: Most events one block carries (a checkpoint ends a block sooner).
+_BLOCK_EVENTS = 4096
+
+#: A block's lists (the name table, then the per-event columns in
+#: ``TraceEvent`` field order after ``index``) and the exact cell types
+#: each admits: ``bool`` is not ``int``, so ``true`` in ``seq`` is a fault.
+_COLUMNS = {"types": {str}, "type": {int}, "t": {int},
+            "node": {int, type(None)}, "seq": {int}, "fields": {dict},
+            "line": {str}}
 
 
 class TraceFormatError(ValueError):
     """A malformed trace file: bad magic, unknown version, truncation,
-    or a length prefix running past the end of the stream.
+    a length prefix past the end of the stream, or a faulty record.
 
     ``offset`` is the byte position of the fault — file-relative for
     the preamble and zlib frames, record-stream-relative inside a
@@ -85,55 +99,49 @@ class TraceFormatError(ValueError):
         self.in_frames = in_frames
 
 
-# ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
+# -- Encoding --------------------------------------------------------
 
 
-def _body_records(trace: "Trace"):
-    """Yield ``(kind, record)`` for every checkpoint and event in causal
-    order: a checkpoint precedes the first event at or past its index."""
-    cp_iter = iter(trace.checkpoints)
-    next_cp = next(cp_iter, None)
-    for event in trace.events:
-        while next_cp is not None and next_cp.index <= event.index:
-            yield KIND_CHECKPOINT, next_cp
-            next_cp = next(cp_iter, None)
-        yield KIND_EVENT, event
-    while next_cp is not None:
-        yield KIND_CHECKPOINT, next_cp
-        next_cp = next(cp_iter, None)
+def _body_records(trace: Trace):
+    """Yield ``(kind, item)`` in file order: every checkpoint after
+    exactly ``checkpoint.index`` events, the events between as
+    ``KIND_EVENTS`` runs (list slices) of at most ``_BLOCK_EVENTS``."""
+    events = trace.events
+    done = 0
+    for checkpoint in [*trace.checkpoints, None]:
+        stop = len(events) if checkpoint is None else checkpoint.index
+        if not done <= stop <= len(events):
+            raise ValueError(f"checkpoint index {stop} is out of order or "
+                             f"past the trace's {len(events)} events")
+        for first in range(done, stop, _BLOCK_EVENTS):
+            yield KIND_EVENTS, events[first:min(first + _BLOCK_EVENTS, stop)]
+        if checkpoint is not None:
+            yield KIND_CHECKPOINT, checkpoint
+        done = stop
 
 
-def _encode_records(trace: "Trace") -> bytes:
-    """Render a trace as the flat record stream (preamble excluded)."""
-    parts: list[bytes] = []
-
-    def record(kind: int, payload: bytes) -> None:
-        parts.append(_RECORD.pack(kind, len(payload)))
-        parts.append(payload)
-
-    def json_payload(obj: dict) -> bytes:
-        return json.dumps(obj, sort_keys=True).encode("utf-8")
-
-    record(KIND_HEADER, json_payload(trace.header))
-    for kind, item in _body_records(trace):
-        if kind == KIND_CHECKPOINT:
-            record(kind, json_payload(item.to_dict()))
-            continue
-        type_bytes = item.type.encode("utf-8")
-        fields_bytes = json.dumps(item.fields, sort_keys=True).encode("utf-8")
-        line_bytes = item.line.encode("utf-8")
-        record(kind, _EVENT.pack(
-            item.index, item.time, item.seq,
-            -1 if item.node is None else item.node,
-            len(type_bytes), len(fields_bytes), len(line_bytes),
-        ) + type_bytes + fields_bytes + line_bytes)
-    record(KIND_FOOTER, json_payload(trace.footer))
-    return b"".join(parts)
+def _block(first: int, run: list[TraceEvent]) -> dict:
+    """The columnar form of ``run``, whose first event sits at position
+    ``first`` of the trace (indices are implied by position, so an
+    event that claims another one cannot be stored)."""
+    if [event.index for event in run] != list(range(first, first + len(run))):
+        raise ValueError(f"event indices in [{first}, {first + len(run)}) "
+                         "are not their positions in the trace")
+    names = sorted({event.type for event in run})
+    ids = {name: i for i, name in enumerate(names)}
+    return {
+        "first": first,
+        "types": names,
+        "type": [ids[event.type] for event in run],
+        "t": [event.time for event in run],
+        "node": [event.node for event in run],
+        "seq": [event.seq for event in run],
+        "fields": [event.fields for event in run],
+        "line": [event.line for event in run],
+    }
 
 
-def write_binary(trace: "Trace", path, compress: bool = True) -> None:
+def write_binary(trace: Trace, path, compress: bool = True) -> None:
     """Write ``trace`` to ``path`` in the binary container format.
 
     The container is assembled in memory and published with
@@ -141,214 +149,206 @@ def write_binary(trace: "Trace", path, compress: bool = True) -> None:
     a crash mid-save leaves any previous trace at ``path`` intact
     rather than a torn file that fails :func:`read_binary`.
     """
-    from repro.ioutil import atomic_write_bytes
+    records: list[bytes] = []
 
-    body = _encode_records(trace)
-    flags = FLAG_ZLIB if compress else 0
-    parts = [_PREAMBLE.pack(MAGIC, BINARY_VERSION, flags)]
+    def record(kind: int, obj: dict) -> None:
+        payload = json.dumps(obj, sort_keys=True).encode("utf-8")
+        records.append(_RECORD.pack(kind, len(payload)) + payload)
+
+    record(KIND_HEADER, trace.header)
+    written = 0
+    for kind, item in _body_records(trace):
+        if kind == KIND_CHECKPOINT:
+            record(kind, item.to_dict())
+        else:
+            record(kind, _block(written, item))
+            written += len(item)
+    record(KIND_FOOTER, trace.footer)
+    body = b"".join(records)
+    parts = [_PREAMBLE.pack(MAGIC, BINARY_VERSION, FLAG_ZLIB if compress else 0)]
     if compress:
         for start in range(0, len(body), _FRAME_RAW_SIZE):
             chunk = body[start:start + _FRAME_RAW_SIZE]
             packed = zlib.compress(chunk, 6)
-            parts.append(_FRAME.pack(len(chunk), len(packed)))
-            parts.append(packed)
+            parts.append(_FRAME.pack(len(chunk), len(packed)) + packed)
     else:
         parts.append(body)
     atomic_write_bytes(path, b"".join(parts))
 
 
-def export_jsonl(trace: "Trace", path) -> None:
+def export_jsonl(trace: Trace, path) -> None:
     """Write ``trace`` to ``path`` as JSONL, one record per line, in the
     container's record order and canonical sorted-keys JSON, so the
     export of a given trace is byte-stable."""
-    from repro.ioutil import atomic_write_text
-
     def line(kind: str, body: dict) -> str:
         return json.dumps({"kind": kind, **body}, sort_keys=True)
 
-    names = {KIND_CHECKPOINT: "checkpoint", KIND_EVENT: "event"}
     lines = [line("header", trace.header)]
-    lines += [line(names[kind], item.to_dict())
-              for kind, item in _body_records(trace)]
+    for kind, item in _body_records(trace):
+        if kind == KIND_CHECKPOINT:
+            lines.append(line("checkpoint", item.to_dict()))
+        else:
+            lines += [line("event", event.to_dict()) for event in item]
     lines.append(line("footer", trace.footer))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# ----------------------------------------------------------------------
-# Decoding
-# ----------------------------------------------------------------------
+# -- Decoding --------------------------------------------------------
 
 
-def _read_preamble(blob: bytes, path) -> int:
-    """Validate magic and version; return the flags word."""
+def _faults(path, base: int = 0, in_frames: bool = False):
+    """One file's error builder: names it, rebases offsets by ``base``."""
+    def fault(message: str, offset: int) -> TraceFormatError:
+        return TraceFormatError(f"{message} in {path}", base + offset, in_frames)
+    return fault
+
+
+def _read_preamble(blob: bytes, fault) -> int:
+    """Validate magic, version and flags; return the flags word."""
     if len(blob) < _PREAMBLE.size or not blob.startswith(MAGIC):
         what = ("it looks like a JSONL export, and JSONL is export-only"
                 if blob.lstrip()[:1] == b"{" else "not a binary trace")
-        raise TraceFormatError(f"bad magic in {path}: {what}", 0)
+        raise fault(f"bad magic ({what})", 0)
     _, version, flags = _PREAMBLE.unpack_from(blob, 0)
     if version != BINARY_VERSION:
-        raise TraceFormatError(
-            f"unsupported binary trace version {version} "
-            f"(this build reads version {BINARY_VERSION})",
-            len(MAGIC),
-        )
+        raise fault(f"unsupported binary trace version {version} (this "
+                    f"build reads version {BINARY_VERSION})", len(MAGIC))
+    if flags & ~FLAG_ZLIB:
+        raise fault(f"unknown flag bits {flags & ~FLAG_ZLIB:#x}", len(MAGIC) + 2)
     return flags
 
 
-def _deframe(blob: bytes, path) -> bytes:
-    """Reassemble the record stream from zlib frames."""
+def _deframe(blob: bytes, fault) -> bytes:
+    """Reassemble the record stream from zlib frames (bounded inflate)."""
     chunks: list[bytes] = []
     offset = _PREAMBLE.size
-    end = len(blob)
-    while offset < end:
-        if end - offset < _FRAME.size:
-            raise TraceFormatError(
-                f"truncated zlib frame header in {path}", offset)
+    while offset < len(blob):
+        data_at = offset + _FRAME.size
+        if data_at > len(blob):
+            raise fault("truncated zlib frame header", offset)
         raw_len, comp_len = _FRAME.unpack_from(blob, offset)
-        offset += _FRAME.size
-        if offset + comp_len > end:
-            raise TraceFormatError(
-                f"zlib frame length {comp_len} overruns {path}",
-                offset - _FRAME.size,
-            )
+        if data_at + comp_len > len(blob):
+            raise fault(f"zlib frame length {comp_len} overruns", offset)
+        if raw_len > _FRAME_RAW_SIZE:
+            raise fault(f"oversized zlib frame ({raw_len} raw bytes)", offset)
+        inflater = zlib.decompressobj()
         try:
-            chunk = zlib.decompress(blob[offset:offset + comp_len])
+            # One byte of slack shows a frame that lies about its size
+            # without materialising what it really inflates to.
+            chunk = inflater.decompress(blob[data_at:data_at + comp_len], raw_len + 1)
         except zlib.error as exc:
-            raise TraceFormatError(
-                f"corrupt zlib frame in {path}: {exc}", offset) from None
-        if len(chunk) != raw_len:
-            raise TraceFormatError(
-                f"zlib frame decompressed to {len(chunk)} bytes, "
-                f"expected {raw_len}, in {path}",
-                offset - _FRAME.size,
-            )
+            raise fault(f"corrupt zlib frame ({exc})", data_at) from None
+        if len(chunk) != raw_len or not inflater.eof:
+            raise fault(f"zlib frame is not the {raw_len} raw bytes it declares", offset)
         chunks.append(chunk)
-        offset += comp_len
+        offset = data_at + comp_len
     return b"".join(chunks)
 
 
-def _iter_records(body: bytes, path, in_frames: bool, pos0: int = 0):
+def _iter_records(body: bytes, fault):
     """Yield ``(kind, payload, offset)`` triples, bound-checking every
-    length prefix before slicing.  ``pos0`` offsets the reported
-    positions (the preamble size when reading an uncompressed file, so
-    offsets are file-relative)."""
+    length prefix before slicing."""
     pos = 0
-    limit = len(body)
-    while pos < limit:
-        if limit - pos < _RECORD.size:
-            raise TraceFormatError(
-                f"truncated record header in {path}", pos0 + pos, in_frames)
-        kind, length = _RECORD.unpack_from(body, pos)
+    while pos < len(body):
         payload_at = pos + _RECORD.size
-        if payload_at + length > limit:
-            raise TraceFormatError(
-                f"record length {length} overruns {path}",
-                pos0 + pos, in_frames)
-        yield kind, body[payload_at:payload_at + length], pos0 + pos
+        if payload_at > len(body):
+            raise fault("truncated record header", pos)
+        kind, length = _RECORD.unpack_from(body, pos)
+        if payload_at + length > len(body):
+            raise fault(f"record length {length} overruns", pos)
+        yield kind, body[payload_at:payload_at + length], pos
         pos = payload_at + length
 
 
-def _decode_event(payload: bytes, offset: int, path, in_frames: bool):
-    """Unpack one event record into a :class:`TraceEvent`."""
-    from repro.replay.trace import TraceEvent
-
-    if len(payload) < _EVENT.size:
-        raise TraceFormatError(
-            f"truncated event record in {path}", offset, in_frames)
-    index, time, seq, node, type_len, fields_len, line_len = (
-        _EVENT.unpack_from(payload, 0))
-    expected = _EVENT.size + type_len + fields_len + line_len
-    if expected != len(payload):
-        raise TraceFormatError(
-            f"event record payload is {len(payload)} bytes, "
-            f"expected {expected}, in {path}",
-            offset, in_frames,
-        )
-    at = _EVENT.size
-    try:
-        type_name = payload[at:at + type_len].decode("utf-8")
-        at += type_len
-        fields = json.loads(payload[at:at + fields_len])
-        at += fields_len
-        line = payload[at:at + line_len].decode("utf-8")
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or bad JSON
-        raise TraceFormatError(
-            f"corrupt event record in {path}: {exc}", offset, in_frames
-        ) from None
-    return TraceEvent(
-        index=index, type=type_name, time=time,
-        node=None if node < 0 else node,
-        seq=seq, fields=fields, line=line,
-    )
+def _append_block(events: list[TraceEvent], block: dict) -> None:
+    """Validate one ``KIND_EVENTS`` object (``ValueError`` names the
+    fault) and append its events.  Every check is a C-level pass over a
+    whole column; nothing runs Python per event."""
+    if block.keys() != {"first", *_COLUMNS}:
+        raise ValueError(f"keys {sorted(block)} are not the block's columns")
+    for name, admitted in _COLUMNS.items():
+        column = block[name]
+        if type(column) is not list or not set(map(type, column)) <= admitted:
+            kinds = "/".join(sorted(cell.__name__ for cell in admitted))
+            raise ValueError(f"{name!r} is not a list of {kinds}")
+    names, ids, *columns = map(block.get, _COLUMNS)
+    if not ids or {len(column) for column in columns} != {len(ids)}:
+        raise ValueError("columns are empty or of unequal lengths")
+    if not 0 <= min(ids) <= max(ids) < len(names):
+        raise ValueError("type id outside the block's 'types' table")
+    first = block["first"]
+    if type(first) is not int or first != len(events):
+        raise ValueError(f"'first' is {first!r} after {len(events)} events")
+    types = map([sys.intern(name) for name in names].__getitem__, ids)
+    events.extend(map(TraceEvent, range(first, first + len(ids)), types, *columns))
 
 
-def read_binary(path) -> "Trace":
-    """Load a binary trace written by :func:`write_binary`."""
-    from repro.replay.checkpoint import Checkpoint
-    from repro.replay.trace import TRACE_VERSION, Trace
-
+def read_binary(path) -> Trace:
+    """Load and fully validate a trace written by :func:`write_binary`."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    flags = _read_preamble(blob, path)
-    in_frames = bool(flags & FLAG_ZLIB)
-    body = _deframe(blob, path) if in_frames else blob[_PREAMBLE.size:]
+    in_frames = bool(_read_preamble(blob, _faults(path)) & FLAG_ZLIB)
+    body = _deframe(blob, _faults(path)) if in_frames else blob[_PREAMBLE.size:]
+    fault = _faults(path, 0 if in_frames else _PREAMBLE.size, in_frames)
+    # Decoding allocates a few containers per event and no cycles, yet
+    # the cyclic collector's passes over that growing tree cost as much
+    # as the parse itself: pause it for the loop, then age the new
+    # objects in one pass here rather than leave three to the caller.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _decode_records(body, fault)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(1)
 
+
+def _decode_records(body: bytes, fault) -> Trace:
+    """Rebuild the trace from its record stream, checking every record."""
     header = footer = None
     footer_at = 0
-    events = []
-    checkpoints = []
-    pos0 = 0 if in_frames else _PREAMBLE.size
-    for kind, payload, offset in _iter_records(body, path, in_frames, pos0):
-        if kind == KIND_EVENT:
-            events.append(_decode_event(payload, offset, path, in_frames))
-        elif kind == KIND_CHECKPOINT:
-            data = _json_record(payload, offset, path, in_frames)
+    events: list[TraceEvent] = []
+    checkpoints: list[Checkpoint] = []
+    for kind, payload, at in _iter_records(body, fault):
+        if not KIND_HEADER <= kind <= KIND_FOOTER:
+            raise fault(f"unknown record kind {kind}", at)
+        try:
+            data = json.loads(payload)
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8
+            raise fault(f"corrupt JSON record ({exc})", at) from None
+        if not isinstance(data, dict):
+            raise fault("JSON record that is not an object", at)
+        if kind == KIND_EVENTS:
             try:
-                checkpoints.append(Checkpoint.from_dict(data))
+                _append_block(events, data)
+            except ValueError as exc:
+                raise fault(f"malformed event block ({exc})", at) from None
+        elif kind == KIND_CHECKPOINT:
+            try:
+                checkpoint = Checkpoint.from_dict(data)
             except (KeyError, TypeError) as exc:
-                raise TraceFormatError(
-                    f"malformed checkpoint record in {path}: {exc!r}",
-                    offset, in_frames) from None
+                raise fault(f"malformed checkpoint ({exc!r})", at) from None
+            # The writer places a checkpoint after exactly ``index``
+            # events; seeks (a bisect over the indices) rely on it.
+            if type(checkpoint.index) is not int or checkpoint.index != len(events):
+                raise fault(f"checkpoint with index {checkpoint.index!r} "
+                            f"after {len(events)} events", at)
+            checkpoints.append(checkpoint)
         elif kind == KIND_HEADER:
-            header = _json_record(payload, offset, path, in_frames)
-        elif kind == KIND_FOOTER:
-            footer = _json_record(payload, offset, path, in_frames)
-            footer_at = offset
+            header = data
+            if header.get("version") != TRACE_VERSION:
+                raise fault(f"trace version {header.get('version')} unsupported "
+                            f"(this build reads version {TRACE_VERSION})", at)
         else:
-            raise TraceFormatError(
-                f"unknown record kind {kind} in {path}", offset, in_frames)
+            footer, footer_at = data, at
     if header is None or footer is None:
-        raise TraceFormatError(
-            f"truncated trace {path}: missing header/footer",
-            len(body) if in_frames else len(blob), in_frames)
-    if header.get("version") != TRACE_VERSION:
-        raise TraceFormatError(
-            f"trace version {header.get('version')} unsupported "
-            f"(this build reads version {TRACE_VERSION})",
-            0, in_frames,
-        )
+        raise fault("truncated trace: missing header/footer", len(body))
     # The footer's count is checked here (O(1)); its fingerprint is not
     # recomputed on load — ``python -m repro.replay info`` does that.
     if footer.get("events") != len(events):
-        raise TraceFormatError(
-            f"footer of {path} counts {footer.get('events')} events, "
-            f"{len(events)} present", footer_at, in_frames)
+        raise fault(f"footer counts {footer.get('events')} events, "
+                    f"{len(events)} present", footer_at)
     if not checkpoints or checkpoints[0].index != 0:
-        raise TraceFormatError(
-            f"{path} has no checkpoint #0 (the state at recording start)",
-            footer_at, in_frames)
+        raise fault("no checkpoint #0 (the recording's start state)", footer_at)
     return Trace(header, events, checkpoints, footer)
-
-
-def _json_record(payload: bytes, offset: int, path, in_frames: bool) -> dict:
-    try:
-        data = json.loads(payload)
-    except (ValueError, RecursionError) as exc:
-        raise TraceFormatError(
-            f"corrupt JSON record in {path}: {exc}", offset, in_frames
-        ) from None
-    if not isinstance(data, dict):
-        raise TraceFormatError(
-            f"JSON record in {path} is not an object", offset, in_frames)
-    data.pop("kind", None)
-    return data

@@ -24,11 +24,14 @@ information crosses nodes in this system.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.replay.checkpoint import StateView, apply_event, empty_view
 from repro.replay.trace import Trace, TraceEvent
+
+_INDEX_OF = operator.attrgetter("index")
 
 #: Events the halt-cause scan recognizes as "why" candidates.
 _CAUSE_TYPES = ("BreakpointHit", "ProcessFailed")
@@ -69,6 +72,8 @@ class TimeTravel:
             high = max(high, event.time)
             self._max_times.append(high)
         self.cursor = len(self.events)
+        #: The view at the cursor once folded.  Every ``Moment`` handed
+        #: out shares it, so it is replaced, never mutated.
         self._view: Optional[StateView] = None
 
     # ------------------------------------------------------------------
@@ -78,16 +83,15 @@ class TimeTravel:
     def _view_at(self, index: int) -> StateView:
         """Fold the view at cursor ``index``, seeded from the latest
         checkpoint at or before it."""
-        start_index = 0
-        start_view = self._base
-        for checkpoint in self.trace.checkpoints:
-            if checkpoint.index <= index:
-                start_index = checkpoint.index
-                start_view = checkpoint.view
-            else:
-                break
-        view = start_view.copy()
-        for event in self.events[start_index:index]:
+        start, view = 0, self._base
+        # Checkpoint indices ascend (``TraceWriter`` produces them so, a
+        # loaded trace is checked for it), so the seed is a bisect away.
+        checkpoints = self.trace.checkpoints
+        nearest = bisect.bisect_right(checkpoints, index, key=_INDEX_OF) - 1
+        if nearest >= 0:
+            start, view = checkpoints[nearest].index, checkpoints[nearest].view
+        view = view.copy()
+        for event in self.events[start:index]:
             apply_event(view, event)
         return view
 
@@ -96,9 +100,7 @@ class TimeTravel:
             self._view = self._view_at(self.cursor)
         event = self.events[self.cursor - 1] if self.cursor > 0 else None
         time = self._max_times[self.cursor - 1] if self.cursor > 0 else self._base.time
-        # Hand out a copy: the cursor keeps mutating its working view on
-        # step(), and a Moment must stay frozen at its instant.
-        return Moment(index=self.cursor, time=time, view=self._view.copy(),
+        return Moment(index=self.cursor, time=time, view=self._view,
                       event=event)
 
     def at(self, t: int) -> Moment:
@@ -118,6 +120,9 @@ class TimeTravel:
         """Apply the next event (no-op at the end of the trace)."""
         if self.cursor < len(self.events):
             if self._view is not None:
+                # Fold onto a copy: a Moment must stay frozen at its
+                # instant, and one already holds the current view.
+                self._view = self._view.copy()
                 apply_event(self._view, self.events[self.cursor])
             self.cursor += 1
         return self._moment()

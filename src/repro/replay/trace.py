@@ -66,7 +66,7 @@ SAFE_CHECKPOINT_EVENTS = frozenset({
 })
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One recorded obs event: structured payload plus normalized line."""
 

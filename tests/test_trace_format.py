@@ -6,8 +6,10 @@ fault — a debugger's traces are its evidence, so a corrupt file has to
 say *where* it broke, not die in ``struct.unpack``.
 """
 
+import copy
 import json
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -16,20 +18,26 @@ from hypothesis import strategies as st
 
 from repro import MS, record_run
 from repro.replay import Trace, TraceFormatError
+from repro.replay import format as trace_format
+from repro.replay.checkpoint import Checkpoint, empty_view
 from repro.replay.cli import main as replay_cli
 from repro.replay.format import (
+    BINARY_VERSION,
+    FLAG_ZLIB,
     KIND_CHECKPOINT,
-    KIND_EVENT,
+    KIND_EVENTS,
     KIND_HEADER,
     MAGIC,
-    _EVENT,
     _FRAME,
+    _FRAME_RAW_SIZE,
     _PREAMBLE,
     _RECORD,
+    _faults,
     _iter_records,
     export_jsonl,
     write_binary,
 )
+from repro.replay.trace import TraceEvent
 from tests.golden_scenario import GOLDEN_BINARY_PATH
 
 PING = """
@@ -72,6 +80,74 @@ def test_binary_round_trip_is_lossless(trace, tmp_path, compress):
     assert loaded.fingerprint() == trace.fingerprint()
     assert [c.to_dict() for c in loaded.checkpoints] == \
         [c.to_dict() for c in trace.checkpoints]
+
+
+def test_long_event_runs_split_into_capped_blocks(trace, tmp_path, monkeypatch):
+    monkeypatch.setattr(trace_format, "_BLOCK_EVENTS", 4)
+    path = tmp_path / "t.trace.bin"
+    write_binary(trace, path, compress=False)
+    sizes = [len(json.loads(payload)["t"]) for kind, payload, _ in
+             _iter_records(path.read_bytes()[_PREAMBLE.size:], _faults(path))
+             if kind == KIND_EVENTS]
+    assert max(sizes) == 4 and sum(sizes) == len(trace.events)
+    assert len(sizes) > len(trace.checkpoints)
+    assert Trace.load(path).events == trace.events
+
+
+#: Text that has broken line- or byte-oriented decoders before: line
+#: breaks, NUL, quotes, non-ASCII, non-BMP, the Unicode line separator.
+_NASTY = st.text(alphabet=st.sampled_from('a \n\r\0"\\\u00e9\u2028\U0001f600'))
+_TEXT = st.one_of(st.text(), _NASTY)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+_EVENT_PARTS = st.tuples(
+    st.sampled_from(["PacketSent", "ProcessCreated", "\u00e9v\u00e9nement"]),
+    st.integers(), st.one_of(st.none(), st.integers(0, 9)), st.integers(),
+    st.dictionaries(_TEXT, _JSON, max_size=3), _TEXT)
+
+
+@given(parts=st.lists(_EVENT_PARTS, max_size=12), data=st.data(),
+       compress=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_hand_built_events_round_trip_verbatim(tmp_path_factory, parts, data,
+                                               compress):
+    """Save -> load is the identity on every attribute of every event,
+    whatever the line and the nested field strings contain (the line is
+    stored verbatim, not re-rendered) and wherever the checkpoints cut
+    the stream into blocks."""
+    events = [TraceEvent(i, *part) for i, part in enumerate(parts)]
+    cuts = data.draw(st.sets(st.integers(0, len(events)), max_size=4))
+    checkpoints = [Checkpoint(index=i, time=0, state={}, view=empty_view([0]))
+                   for i in sorted(cuts | {0})]
+    built = Trace({"version": 1}, events, checkpoints,
+                  {"events": len(events)})
+    path = tmp_path_factory.mktemp("rt") / "t.trace.bin"
+    write_binary(built, path, compress=compress)
+    loaded = Trace.load(path)
+    assert loaded.events == events
+    assert [type(e.type) for e in loaded.events] == [str] * len(events)
+    assert [c.to_dict() for c in loaded.checkpoints] == \
+        [c.to_dict() for c in checkpoints]
+
+
+def test_writer_refuses_what_the_reader_would(trace, tmp_path):
+    """Event indices are implied by position and checkpoints by their
+    place in the stream, so a trace that says otherwise cannot be
+    stored — and the refusal leaves no file behind."""
+    path = tmp_path / "t.trace.bin"
+    renumbered = copy.deepcopy(trace)
+    renumbered.events[2].index = 99
+    with pytest.raises(ValueError, match="not their positions"):
+        renumbered.save(path)
+    misplaced = copy.deepcopy(trace)
+    misplaced.checkpoints[0].index = len(trace.events) + 1
+    with pytest.raises(ValueError, match="out of order or past"):
+        misplaced.save(path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jsonl_export_is_one_record_per_line_and_does_not_load(trace, tmp_path):
@@ -153,14 +229,26 @@ def test_bad_magic_raises_at_offset_zero(trace, tmp_path):
     assert "magic" in str(err.value)
 
 
-def test_unknown_format_version_raises(trace, tmp_path):
+@pytest.mark.parametrize("version", [1, 999], ids=["v1", "v999"])
+def test_unknown_format_version_raises(trace, tmp_path, version):
+    # Version 1 (per-event records) has no read path: same refusal.
     path, blob = binary_bytes(trace, tmp_path)
-    bad = MAGIC + struct.pack("<HH", 999, 0) + blob[_PREAMBLE.size:]
+    bad = MAGIC + struct.pack("<HH", version, 0) + blob[_PREAMBLE.size:]
     path.write_bytes(bad)
     with pytest.raises(TraceFormatError) as err:
         Trace.load(path)
     assert err.value.offset == len(MAGIC)
-    assert "version 999" in str(err.value)
+    assert f"unsupported binary trace version {version}" in str(err.value)
+
+
+def test_unknown_flag_bits_raise_at_the_flags_offset(tmp_path):
+    blob = GOLDEN_BINARY_PATH.read_bytes()
+    path = tmp_path / "flags.trace.bin"
+    path.write_bytes(_PREAMBLE.pack(MAGIC, BINARY_VERSION, 0x80 | FLAG_ZLIB)
+                     + blob[_PREAMBLE.size:])
+    with pytest.raises(TraceFormatError, match="unknown flag bits 0x80") as err:
+        Trace.load(path)
+    assert err.value.offset == len(MAGIC) + 2
 
 
 def test_length_prefix_overrun_raises_with_offset(trace, tmp_path):
@@ -189,6 +277,28 @@ def test_corrupt_zlib_frame_raises_with_offset(trace, tmp_path):
         Trace.load(path)
 
 
+@pytest.mark.parametrize("declared", [64 << 20, _FRAME_RAW_SIZE],
+                         ids=["declares-64MiB", "declares-one-frame"])
+def test_zlib_bomb_is_refused_without_being_inflated(tmp_path, declared):
+    # One frame of 64 MiB of zeros (64 KiB deflated), declared honestly
+    # (over the frame limit) or as a full-size frame (a lie).
+    packer = zlib.compressobj(1)
+    packed = b"".join([packer.compress(bytes(1 << 20)) for _ in range(64)]
+                      + [packer.flush()])
+    path = tmp_path / "bomb.trace.bin"
+    path.write_bytes(_PREAMBLE.pack(MAGIC, BINARY_VERSION, FLAG_ZLIB)
+                     + _FRAME.pack(declared, len(packed)) + packed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError) as err:
+            Trace.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == _PREAMBLE.size and not err.value.in_frames
+    assert peak < 4 << 20
+
+
 # -- record-level mutations of the committed golden trace --------------
 
 
@@ -198,7 +308,7 @@ def golden_records(tmp_path):
     write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
     body = path.read_bytes()[_PREAMBLE.size:]
     return [[kind, payload] for kind, payload, _ in
-            _iter_records(body, path, in_frames=False)]
+            _iter_records(body, _faults(path))]
 
 
 def write_records(records, path, compress):
@@ -209,61 +319,136 @@ def write_records(records, path, compress):
     if compress:
         packed = zlib.compress(body)
         body = _FRAME.pack(len(body), len(packed)) + packed
-    path.write_bytes(_PREAMBLE.pack(MAGIC, 1, int(compress)) + body)
+    path.write_bytes(_PREAMBLE.pack(MAGIC, BINARY_VERSION, int(compress))
+                     + body)
 
 
-def first_of(records, kind):
-    return next(i for i, record in enumerate(records) if record[0] == kind)
+def nth_of(records, kind, n=0):
+    return [i for i, record in enumerate(records) if record[0] == kind][n]
 
 
-def repack_event(payload, fields=None, line=None):
-    """Re-encode an event payload with replaced fields/line bytes."""
-    head = _EVENT.unpack_from(payload, 0)
-    type_len, fields_len, line_len = head[4:]
-    at = _EVENT.size
-    type_bytes = payload[at:at + type_len]
-    old_fields = payload[at + type_len:at + type_len + fields_len]
-    old_line = payload[at + type_len + fields_len:]
-    fields = old_fields if fields is None else fields
-    line = old_line if line is None else line
-    return (_EVENT.pack(*head[:4], type_len, len(fields), len(line))
-            + type_bytes + fields + line)
+def edit_json(records, at, edit):
+    """Apply ``edit`` to the decoded JSON object of record ``at``."""
+    data = json.loads(records[at][1])
+    edit(data)
+    records[at][1] = json.dumps(data, sort_keys=True).encode("utf-8")
+    return at
+
+
+def block_edit(edit):
+    """A mutation applying ``edit`` to the golden's second event block
+    (one with events before it)."""
+    def mutate(records):
+        return edit_json(records, nth_of(records, KIND_EVENTS, 1), edit)
+    mutate.__name__ = edit.__name__
+    return mutate
+
+
+def set_cell(column, value):
+    def edit(block):
+        block[column][1] = value
+    edit.__name__ = f"{type(value).__name__}_in_{column}"
+    return block_edit(edit)
+
+
+@block_edit
+def missing_column(block):
+    del block["seq"]
+
+
+@block_edit
+def unknown_column(block):
+    block["extra"] = []
+
+
+@block_edit
+def ragged_columns(block):
+    block["line"].pop()
+
+
+@block_edit
+def column_is_an_object(block):
+    block["node"] = dict(enumerate(block["node"]))
+
+
+@block_edit
+def empty_block(block):
+    for column in ("type", "t", "node", "seq", "fields", "line"):
+        block[column] = []
+
+
+@block_edit
+def type_id_out_of_range(block):
+    block["type"][0] = len(block["types"])
+
+
+@block_edit
+def type_id_negative(block):
+    block["type"][0] = -1
+
+
+@block_edit
+def type_name_is_a_number(block):
+    block["types"][0] = 7
+
+
+@block_edit
+def first_is_not_the_events_so_far(block):
+    block["first"] -= 1
+
+
+@block_edit
+def first_is_a_float(block):
+    block["first"] = float(block["first"])
+
+
+def bad_utf8_in_block(records):
+    at = nth_of(records, KIND_EVENTS, 1)
+    records[at][1] = records[at][1].replace(b'"line": ["', b'"line": ["\xff', 1)
+    return at
+
+
+def block_nested_past_the_recursion_limit(records):
+    at = nth_of(records, KIND_EVENTS, 1)
+    records[at][1] = records[at][1].replace(
+        b'"fields": [', b'"fields": [' + b"[" * 100_000, 1)
+    return at
 
 
 def empty_checkpoint(records):
-    at = first_of(records, KIND_CHECKPOINT)
+    at = nth_of(records, KIND_CHECKPOINT)
     records[at][1] = b"{}"
     return at
 
 
-def non_json_event_fields(records):
-    at = first_of(records, KIND_EVENT)
-    records[at][1] = repack_event(records[at][1], fields=b"{nope")
-    return at
+def misplaced_checkpoint(records):
+    # The golden's third checkpoint sits after 49 events; claiming 34
+    # used to load and seed seeks into [34, 49) from the wrong state.
+    def edit(checkpoint):
+        assert checkpoint["index"] == 49
+        checkpoint["index"] = 34
+    return edit_json(records, nth_of(records, KIND_CHECKPOINT, 2), edit)
 
 
-def bad_utf8_in_event_line(records):
-    at = first_of(records, KIND_EVENT)
-    records[at][1] = repack_event(records[at][1], line=b"0001 \xff")
-    return at
+def checkpoint_index_is_a_float(records):
+    def edit(checkpoint):
+        checkpoint["index"] = float(checkpoint["index"])
+    return edit_json(records, nth_of(records, KIND_CHECKPOINT, 2), edit)
 
 
 def header_is_a_list(records):
-    at = first_of(records, KIND_HEADER)
+    at = nth_of(records, KIND_HEADER)
     records[at][1] = b"[1]"
     return at
 
 
-def header_nested_past_the_recursion_limit(records):
-    at = first_of(records, KIND_HEADER)
-    records[at][1] = b"[" * 100_000
-    return at
-
-
 def last_five_events_dropped(records):
-    events = [i for i, record in enumerate(records) if record[0] == KIND_EVENT]
-    for i in reversed(events[-5:]):
-        del records[i]
+    def edit(block):
+        for column in ("type", "t", "node", "seq", "fields", "line"):
+            assert len(block[column]) > 5
+            del block[column][-5:]
+    assert records[-2][0] == KIND_EVENTS  # no checkpoint after it
+    edit_json(records, len(records) - 2, edit)
     return len(records) - 1  # the footer, whose count no longer holds
 
 
@@ -274,8 +459,14 @@ def every_checkpoint_dropped(records):
 
 @pytest.mark.parametrize("compress", [False, True], ids=["raw", "zlib"])
 @pytest.mark.parametrize("mutate", [
-    empty_checkpoint, non_json_event_fields, bad_utf8_in_event_line,
-    header_is_a_list, header_nested_past_the_recursion_limit,
+    missing_column, unknown_column, ragged_columns, column_is_an_object,
+    empty_block, set_cell("t", "7"), set_cell("t", 7.0),
+    set_cell("seq", True), set_cell("node", "1"), set_cell("fields", []),
+    set_cell("line", 7), set_cell("type", True), type_id_out_of_range,
+    type_id_negative, type_name_is_a_number, first_is_not_the_events_so_far,
+    first_is_a_float, bad_utf8_in_block,
+    block_nested_past_the_recursion_limit, empty_checkpoint,
+    misplaced_checkpoint, checkpoint_index_is_a_float, header_is_a_list,
     last_five_events_dropped, every_checkpoint_dropped,
 ], ids=lambda fn: fn.__name__)
 def test_mutated_record_raises_typed_error_at_its_offset(
@@ -291,6 +482,14 @@ def test_mutated_record_raises_typed_error_at_its_offset(
     assert err.value.in_frames is compress
     assert err.value.offset == stream_offset + (
         0 if compress else _PREAMBLE.size)
+
+
+def test_unmutated_records_load(tmp_path):
+    # The harness above writes a loadable file when nothing is mutated.
+    records = golden_records(tmp_path)
+    write_records(records, tmp_path / "m.trace.bin", compress=True)
+    assert Trace.load(tmp_path / "m.trace.bin").lines() == \
+        Trace.load(GOLDEN_BINARY_PATH).lines()
 
 
 # -- fuzz: loads, or raises TraceFormatError — nothing else ------------
