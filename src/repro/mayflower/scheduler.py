@@ -45,7 +45,14 @@ class Supervisor:
         self.world = world
         self.params = params
         self.bus = world.bus
+        #: Every process ever spawned here, done and failed ones
+        #: included (what the agent's process listing shows).
         self.processes: dict[int, Process] = {}
+        #: The live subset, in pid order: entered in :meth:`spawn`, left
+        #: in :meth:`_finish`, the only two places liveness changes.
+        #: Halting and checkpoint capture walk this, so they cost what
+        #: is running, not what has ever run.
+        self._live: dict[int, Process] = {}
         self._next_pid = 1
         self._ready: dict[int, list[Process]] = {}
         self.current: Optional[Process] = None
@@ -85,6 +92,7 @@ class Supervisor:
         if bind is not None:
             bind(process)
         self.processes[pid] = process
+        self._live[pid] = process
         self.bus.emit(
             ev.ProcessCreated,
             time=self.current_time(),
@@ -103,6 +111,7 @@ class Supervisor:
         else:
             process.state = ProcessState.FAILED
             process.failure = failure
+        self._live.pop(process.pid, None)
         process.waiting_on = None
         self._cancel_timeout(process)
         self.bus.emit(
@@ -236,7 +245,7 @@ class Supervisor:
         """
         self.halt_active = True
         halted = 0
-        for process in list(self.processes.values()):
+        for process in self.live_processes():
             if self.halt_process(process):
                 halted += 1
         return halted
@@ -287,7 +296,7 @@ class Supervisor:
         """Undo :meth:`halt_all`: restore states, re-arm frozen timeouts."""
         self.halt_active = False
         resumed = 0
-        for process in list(self.processes.values()):
+        for process in self.live_processes():
             process.halt_deferred = False
             if process.state != ProcessState.HALTED:
                 continue
@@ -341,7 +350,7 @@ class Supervisor:
     def halted_processes(self) -> list[Process]:
         return [
             process
-            for process in self.processes.values()
+            for process in self._live.values()
             if process.state == ProcessState.HALTED
         ]
 
@@ -506,7 +515,9 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def live_processes(self) -> list[Process]:
-        return [p for p in self.processes.values() if p.is_live()]
+        """The processes that are neither done nor failed, in pid order
+        (a fresh list: callers may finish processes while walking it)."""
+        return list(self._live.values())
 
     def __repr__(self) -> str:
         return (

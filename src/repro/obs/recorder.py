@@ -8,9 +8,12 @@ live objects whose ``repr`` embeds those ids (or memory addresses).
 :class:`PayloadNormalizer` reduces payload objects to their stable
 coordinates (a packet becomes ``src->dst:port/kind/size``, a process
 becomes its pid/name), rebasing ids from process-global counters to the
-first id seen by this normalizer; :func:`normalize_line` renders one
-event to a stable text line and :func:`stream_fingerprint` digests a
-stream of them.  The one recorder is
+first id seen by this normalizer.  :func:`encode_event` is the one
+renderer: a single pass over an event's payload (field names from
+:func:`payload_field_names`, derived once per event type) yields both
+the structured ``fields`` dict a trace stores and the stable text line
+(:func:`normalize_line` is that line alone); :func:`stream_fingerprint`
+digests a stream of lines.  The one recorder is
 :class:`repro.replay.trace.TraceWriter`, which subscribes to every
 event type and renders through these functions; two identically seeded
 runs then compare with ``==`` on :meth:`Trace.lines
@@ -23,8 +26,10 @@ the bus ``seq``.  Compare recorded runs against recorded runs.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
-from typing import Iterable, Iterator, Tuple, Type
+from typing import Iterable, Type
 
 from repro.obs import events as ev
 
@@ -40,14 +45,15 @@ def _all_event_types() -> list[Type[ev.Event]]:
     ]
 
 
-def iter_payload_fields(event: ev.Event) -> Iterator[Tuple[str, object]]:
-    """Yield ``(name, value)`` for an event's payload fields, in the
-    stable declaration order (base class first), header excluded."""
-    for slot_owner in type(event).__mro__:
-        for name in getattr(slot_owner, "__slots__", ()):
-            if name in HEADER_FIELDS:
-                continue
-            yield name, getattr(event, name)
+@functools.cache
+def payload_field_names(event_type: Type[ev.Event]) -> tuple[str, ...]:
+    """An event type's payload field names in declaration order (base
+    class first, as :func:`dataclasses.fields` lists them), header
+    excluded.  Derived once per type."""
+    return tuple(
+        f.name for f in dataclasses.fields(event_type)
+        if f.name not in HEADER_FIELDS
+    )
 
 
 class PayloadNormalizer:
@@ -72,51 +78,59 @@ class PayloadNormalizer:
             self._packet_ids[packet_id] = rebased
         return rebased
 
-    def render(self, name: str, value) -> str:
-        """The stable text form of one payload field."""
-        if name == "packet" and value is not None:
-            return (
-                f"pkt#{self.rebase(value.packet_id)}"
-                f"[{value.src}->{value.dst}:{value.port}/{value.kind}"
-                f"/{value.size_bytes}B]"
-            )
-        if name == "process" and value is not None:
-            return f"proc[{value.pid}:{value.name}]"
-        if name == "error" and value is not None:
-            return f"{type(value).__name__}:{value}"
-        return repr(value)
+    def encode(self, name: str, value) -> tuple[object, str]:
+        """One payload field as ``(structured, rendered)``: the
+        JSON-serializable form a trace stores and the stable text form
+        a line shows, from one rebase, so both cite the same id."""
+        if value is not None:
+            if name == "packet":
+                pkt = self.rebase(value.packet_id)
+                return (
+                    {
+                        "pkt": pkt,
+                        "src": value.src,
+                        "dst": value.dst,
+                        "port": value.port,
+                        "kind": value.kind,
+                        "size": value.size_bytes,
+                    },
+                    f"pkt#{pkt}[{value.src}->{value.dst}:{value.port}"
+                    f"/{value.kind}/{value.size_bytes}B]",
+                )
+            if name == "process":
+                return (
+                    {"pid": value.pid, "name": value.name},
+                    f"proc[{value.pid}:{value.name}]",
+                )
+            if name == "error":
+                text = f"{type(value).__name__}:{value}"
+                return text, text
+        return value, repr(value)
 
-    def structured(self, name: str, value):
-        """A JSON-serializable form of one payload field (used by the
-        trace writer).  Shares the rebasing state with :meth:`render`,
-        so a field rendered in a line and stored structured refer to the
-        same rebased id."""
-        if name == "packet" and value is not None:
-            return {
-                "pkt": self.rebase(value.packet_id),
-                "src": value.src,
-                "dst": value.dst,
-                "port": value.port,
-                "kind": value.kind,
-                "size": value.size_bytes,
-            }
-        if name == "process" and value is not None:
-            return {"pid": value.pid, "name": value.name}
-        if name == "error" and value is not None:
-            return f"{type(value).__name__}:{value}"
-        return value
+
+def encode_event(event: ev.Event,
+                 normalizer: PayloadNormalizer) -> tuple[dict, str]:
+    """Render one event, in one pass over its payload, to ``(fields,
+    line)``: the structured payload dict and the stable one-line text
+    form.  The one renderer — a trace's ``fields`` and ``line`` columns
+    and a contract's evidence lines all come from here."""
+    event_type = type(event)
+    encode = normalizer.encode
+    fields = {}
+    rendered = []
+    for name in payload_field_names(event_type):
+        fields[name], text = encode(name, getattr(event, name))
+        rendered.append(f"{name}={text}")
+    line = (
+        f"{event.seq:06d} t={event.time} node={event.node} "
+        f"{event_type.__name__} " + " ".join(rendered)
+    )
+    return fields, line
 
 
 def normalize_line(event: ev.Event, normalizer: PayloadNormalizer) -> str:
     """Render one event to its stable one-line text form."""
-    fields = [
-        f"{name}={normalizer.render(name, value)}"
-        for name, value in iter_payload_fields(event)
-    ]
-    return (
-        f"{event.seq:06d} t={event.time} node={event.node} "
-        f"{type(event).__name__} " + " ".join(fields)
-    )
+    return encode_event(event, normalizer)[1]
 
 
 def stream_fingerprint(lines: Iterable[str]) -> str:

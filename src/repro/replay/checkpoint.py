@@ -9,10 +9,17 @@ live cluster and resume it.  Instead a checkpoint stores two things:
   *also* be derived by folding the trace's events, which is how
   ``at(t)`` seeks: nearest checkpoint at or before the target, then fold
   the few events in between (:func:`fold_view`);
-* a raw state digest (world clock, RNG state, per-node clock deltas and
-  CPU consumption) used by replay verification: a replayed run must
-  reproduce every checkpoint bit-for-bit, which catches divergence in
-  state the event stream does not spell out.
+* a raw state digest (world clock, a SHA-256 of the RNG state,
+  per-node clock deltas and CPU consumption) used by replay
+  verification: a replayed run must reproduce every checkpoint
+  bit-for-bit, which catches divergence in state the event stream does
+  not spell out.  Nothing is ever restored from it, so the RNG is
+  pinned by digest (:func:`rng_digest`), not stored.
+
+Capturing one costs what is live at that instant, not what the run has
+done so far: :func:`capture_view` walks each supervisor's live
+processes and each runtime's open client calls, never the tables of
+finished ones.
 
 The fold and the live capture agree *at checkpoint events* by
 construction: every layer mutates its tables before emitting the
@@ -27,6 +34,8 @@ crash.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -138,18 +147,19 @@ class StateView:
 
 def capture_view(cluster: "Cluster", base_counts: dict[str, int],
                  time: int) -> StateView:
-    """Digest the live cluster (the capture side of the equivalence)."""
+    """Digest the live cluster (the capture side of the equivalence),
+    visiting live processes only."""
     view = StateView(time=time)
     for node in cluster.nodes:
         key = str(node.node_id)
         table = {}
         halted = []
-        for pid, process in node.supervisor.processes.items():
-            if not process.is_live():
-                continue
-            table[str(pid)] = {"name": process.name, "priority": process.priority}
+        for process in node.supervisor.live_processes():
+            table[str(process.pid)] = {
+                "name": process.name, "priority": process.priority,
+            }
             if process.state.name == "HALTED":
-                halted.append(pid)
+                halted.append(process.pid)
         view.processes[key] = table
         view.halted[key] = sorted(halted)
         runtime = getattr(node, "rpc", None)
@@ -266,10 +276,21 @@ def fold_view(events, upto_index: int, start: StateView) -> StateView:
     return view
 
 
+def rng_digest(rng) -> str:
+    """SHA-256 (hex) of a ``random.Random``'s full state: generator
+    version, the packed Mersenne words (position included) and the
+    cached gauss tail.  Nothing restores an RNG from a checkpoint —
+    replay re-derives it from the seed — so pinning the position takes
+    64 characters, not 625 words."""
+    version, words, gauss = rng.getstate()
+    digest = hashlib.sha256(struct.pack(f"<{len(words)}I", *words))
+    digest.update(f"{version}:{gauss!r}".encode())
+    return digest.hexdigest()
+
+
 def capture_state(cluster: "Cluster") -> dict:
     """The raw replay-verification digest: deterministic state that the
     event stream does not spell out (RNG position, clock deltas, CPU)."""
-    rng_state = cluster.world.rng.getstate()
     nodes = {}
     for node in cluster.nodes:
         nodes[str(node.node_id)] = {
@@ -283,7 +304,7 @@ def capture_state(cluster: "Cluster") -> dict:
     return {
         "world_now": cluster.world.now,
         "events_processed": cluster.world.events_processed,
-        "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
+        "rng": rng_digest(cluster.world.rng),
         "nodes": nodes,
     }
 

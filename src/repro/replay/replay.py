@@ -217,7 +217,7 @@ class ReplayWorld:
             if rec_cp.state != rep_cp.state:
                 raise ReplayDivergence(
                     "checkpoint", rec_cp.index,
-                    "recorded state digest", "replayed state digest differs",
+                    *_state_difference(rec_cp.state, rep_cp.state),
                 )
             verified += 1
         if len(recorded.checkpoints) != len(replayed.checkpoints):
@@ -232,6 +232,37 @@ class ReplayWorld:
             final_time=replayed.final_time,
             fingerprint=replayed.fingerprint(),
         )
+
+
+#: Shown for a state key one side of a checkpoint comparison lacks (a
+#: loaded trace's ``state`` is whatever its file held).
+_ABSENT = "<absent>"
+
+
+def _flatten(state: dict, prefix: str = "") -> dict:
+    """A checkpoint state with dotted keys (``nodes.0.cpu_consumed``)."""
+    flat = {}
+    for key, value in state.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
+    return flat
+
+
+def _state_difference(recorded: dict, replayed: dict) -> tuple[str, str]:
+    """Render the keys at which two checkpoint states differ, once with
+    the recorded values and once with the replayed ones."""
+    recorded, replayed = _flatten(recorded), _flatten(replayed)
+    keys = sorted(
+        key for key in recorded.keys() | replayed.keys()
+        if recorded.get(key, _ABSENT) != replayed.get(key, _ABSENT)
+    )
+
+    def render(side: dict) -> str:
+        return ", ".join(f"{key}={side.get(key, _ABSENT)!r}" for key in keys)
+
+    return render(recorded), render(replayed)
 
 
 def replay_trace(trace: Trace, build: Callable,

@@ -35,8 +35,7 @@ from repro.obs import events as ev
 from repro.obs.recorder import (
     PayloadNormalizer,
     _all_event_types,
-    iter_payload_fields,
-    normalize_line,
+    encode_event,
     stream_fingerprint,
 )
 from repro.replay.checkpoint import (
@@ -51,7 +50,8 @@ if TYPE_CHECKING:
     from repro.cluster import Cluster
     from repro.faults.plan import FaultPlan
 
-TRACE_VERSION = 1
+#: Version 2: a checkpoint's ``state.rng`` is a digest, not the state.
+TRACE_VERSION = 2
 
 #: Event types a checkpoint may be captured on (see module docstring).
 SAFE_CHECKPOINT_EVENTS = frozenset({
@@ -238,13 +238,14 @@ class TraceWriter:
         }
         self.events: list[TraceEvent] = []
         #: Raw obs events captured during the run.  Materializing a
-        #: TraceEvent (normalizing payloads, rendering the line, JSON
-        #: round-trips) is deferred to :meth:`finish` — the recording
-        #: hot path is one list append, which is most of why record
-        #: overhead stays low (the ledger's
-        #: ``replay.record_us_per_event``).  Deferral is sound because
-        #: everything the normalizer reads (packet src/dst/port/kind/
-        #: size and first-seen order, process pid/name) is
+        #: TraceEvent is deferred to :meth:`finish`, where each event
+        #: passes once through :func:`~repro.obs.recorder.encode_event`
+        #: (the ledger's ``replay.finish_us_per_event``), so in the run
+        #: window an event costs one list append and a checkpoint costs
+        #: what is live at that instant — never the run's history (the
+        #: ledger's ``replay.record_us_per_event``).  Deferral is sound
+        #: because everything the normalizer reads (packet src/dst/
+        #: port/kind/size and first-seen order, process pid/name) is
         #: immutable for the lifetime of the run.
         self._raw: list[ev.Event] = []
         self.checkpoints: list[Checkpoint] = []
@@ -320,14 +321,12 @@ class TraceWriter:
 
     def _materialize(self) -> None:
         """Build the TraceEvents from the raw capture, in stream order
+        and one :func:`~repro.obs.recorder.encode_event` pass per event
         (the normalizer rebases packet ids by first-seen order, so the
         deferred pass renders exactly what an inline pass would have)."""
         normalizer = self._normalizer
         for index, event in enumerate(self._raw):
-            fields = {
-                name: normalizer.structured(name, value)
-                for name, value in iter_payload_fields(event)
-            }
+            fields, line = encode_event(event, normalizer)
             self.events.append(TraceEvent(
                 index=index,
                 type=type(event).__name__,
@@ -335,7 +334,7 @@ class TraceWriter:
                 node=event.node,
                 seq=event.seq,
                 fields=fields,
-                line=normalize_line(event, normalizer),
+                line=line,
             ))
         self._raw.clear()
 

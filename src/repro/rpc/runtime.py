@@ -28,6 +28,7 @@ instrumentation is the paper's 2.5 %.
 from __future__ import annotations
 
 import inspect
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.cvm.values import RpcFailure
@@ -55,6 +56,11 @@ if TYPE_CHECKING:
     from repro.mayflower.process import Process
 
 RPC_PORT = "rpc"
+
+#: Server call records kept per runtime for exactly-once dedup; beyond
+#: this the oldest *completed* records are evicted (in-progress ones
+#: never are).
+SERVER_TABLE_LIMIT = 256
 
 
 class ServerCallContext:
@@ -699,12 +705,19 @@ class RpcRuntime:
         )
 
     def _evict_server_records(self) -> None:
-        if len(self.server_table) <= 256:
+        excess = len(self.server_table) - SERVER_TABLE_LIMIT
+        if excess <= 0:
             return
-        completed = [r for r in self.server_table.values() if r.completed]
-        completed.sort(key=lambda r: r.received_at)
-        for record in completed[: len(self.server_table) - 256]:
-            self.server_table.pop(record.call_id, None)
+        # Records enter the table on packet delivery, stamped with the
+        # world clock, so dict order is ``received_at`` order: the
+        # oldest completed records are the first completed ones met.
+        completed = (
+            call_id
+            for call_id, record in self.server_table.items()
+            if record.completed
+        )
+        for call_id in list(islice(completed, excess)):
+            del self.server_table[call_id]
 
     # ------------------------------------------------------------------
     # Agent-facing debug API (paper §4.3)

@@ -69,6 +69,22 @@ def test_list_processes():
     assert "pilgrim.agent" in names
 
 
+def test_list_processes_still_shows_finished_processes():
+    """The supervisor's live index serves halting and checkpoints; the
+    agent's listing reads the complete table (paper §5.4)."""
+    cluster, image, proc, dbg = make_session(
+        "proc main()\n  print 1\nend\n"
+        "proc bad()\n  print 1 / 0\nend")
+    cluster.spawn_vm("app", image, "bad")
+    dbg.connect("app")
+    cluster.run_for(50 * MS)
+    states = {p["name"]: p["state"] for p in dbg.processes("app")}
+    assert states["main"] == "done" and states["bad"] == "failed"
+    supervisor = cluster.node("app").supervisor
+    assert {p.name for p in supervisor.live_processes()}.isdisjoint(
+        {"main", "bad"})
+
+
 def test_breakpoint_by_source_line_hits_and_resumes():
     cluster, image, proc, dbg = make_session()
     dbg.connect("app")

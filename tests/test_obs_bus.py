@@ -1,6 +1,9 @@
 """Tests for the repro.obs instrumentation bus, metrics, and its wiring."""
 
+import dataclasses
+import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, ClassVar, Optional
 
 import pytest
@@ -8,6 +11,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.debugger import Pilgrim
 from repro.obs import Bus, Metrics, events as ev, install_default_metrics
+from repro.obs.recorder import (
+    PayloadNormalizer,
+    encode_event,
+    normalize_line,
+    payload_field_names,
+)
 from repro.rpc import PacketMonitor, remote_call
 from repro.rpc.monitor import MonitoredCall
 from repro.sim import World
@@ -296,3 +305,112 @@ def test_packet_monitor_detach_stops_observation():
     bus = monitor.ring.world.bus
     bus.emit(ev.PacketSent, time=0, node=0, packet=None)
     assert monitor.calls == observed
+
+
+# ----------------------------------------------------------------------
+# The one renderer (obs/recorder.py): encode_event against the three
+# walks it replaced, kept here as its oracle
+# ----------------------------------------------------------------------
+
+
+def _old_payload_fields(event):
+    for slot_owner in type(event).__mro__:
+        for name in getattr(slot_owner, "__slots__", ()):
+            if name not in ("time", "node", "seq"):
+                yield name, getattr(event, name)
+
+
+def _old_render(rebase, name, value):
+    if name == "packet" and value is not None:
+        return (f"pkt#{rebase(value.packet_id)}"
+                f"[{value.src}->{value.dst}:{value.port}/{value.kind}"
+                f"/{value.size_bytes}B]")
+    if name == "process" and value is not None:
+        return f"proc[{value.pid}:{value.name}]"
+    if name == "error" and value is not None:
+        return f"{type(value).__name__}:{value}"
+    return repr(value)
+
+
+def _old_structured(rebase, name, value):
+    if name == "packet" and value is not None:
+        return {"pkt": rebase(value.packet_id), "src": value.src,
+                "dst": value.dst, "port": value.port, "kind": value.kind,
+                "size": value.size_bytes}
+    if name == "process" and value is not None:
+        return {"pid": value.pid, "name": value.name}
+    if name == "error" and value is not None:
+        return f"{type(value).__name__}:{value}"
+    return value
+
+
+def _old_encode(event, rebase):
+    fields = {name: _old_structured(rebase, name, value)
+              for name, value in _old_payload_fields(event)}
+    rendered = [f"{name}={_old_render(rebase, name, value)}"
+                for name, value in _old_payload_fields(event)]
+    return fields, (f"{event.seq:06d} t={event.time} node={event.node} "
+                    f"{type(event).__name__} " + " ".join(rendered))
+
+
+def _packet(packet_id):
+    return SimpleNamespace(packet_id=packet_id, src=0, dst=1, port="rpc",
+                           kind="rpc_call", size_bytes=64 + packet_id)
+
+
+_OBJECT_PAYLOADS = {
+    "packet": _packet(907),
+    "process": SimpleNamespace(pid=12, name="worker 'w'"),
+    "error": ZeroDivisionError("division by zero"),
+}
+
+
+def _sample_events():
+    """Every recordable type twice — object payloads present, then
+    ``None`` — with non-default scalars, plus a drop with a reason."""
+    seq = 0
+    for name in ev.__all__:
+        event_type = getattr(ev, name)
+        if event_type is ev.Event:
+            continue
+        scalars = {
+            field.name: (f"{field.name}'\"x" if field.type == "str"
+                         else True if field.type == "bool" else 41)
+            for field in dataclasses.fields(event_type)
+            if field.name not in ("time", "node", "seq", *_OBJECT_PAYLOADS)
+        }
+        for objects in (_OBJECT_PAYLOADS, dict.fromkeys(_OBJECT_PAYLOADS)):
+            present = {key: value for key, value in objects.items()
+                       if key in event_type.__dataclass_fields__}
+            seq += 1
+            yield event_type(time=seq * 10, node=seq % 3 or None, seq=seq,
+                             **scalars, **present)
+    yield ev.PacketDropped(time=5, node=1, seq=seq + 1,
+                           packet=_packet(3), reason="no_handler")
+
+
+def test_encode_event_reproduces_the_three_walks_for_every_type():
+    events = list(_sample_events())
+    assert {type(e).__name__ for e in events} == set(ev.__all__) - {"Event"}
+    new, old = PayloadNormalizer(), PayloadNormalizer()
+    for event in events:
+        fields, line = encode_event(event, new)
+        assert (fields, line) == _old_encode(event, old.rebase)
+        assert list(fields) == list(payload_field_names(type(event)))
+        assert normalize_line(event, new) == line
+        json.dumps(fields)  # what a trace stores must stay serializable
+
+
+def test_packet_ids_rebase_in_first_seen_order_line_or_field_first():
+    first, second = (ev.PacketSent(time=1, node=0, seq=1, packet=_packet(900)),
+                     ev.PacketDelivered(time=2, node=1, seq=2,
+                                        packet=_packet(17)))
+    line_first, field_first = PayloadNormalizer(), PayloadNormalizer()
+    assert "pkt#1[" in normalize_line(first, line_first)
+    assert encode_event(second, line_first)[0]["packet"]["pkt"] == 2
+    assert encode_event(first, field_first)[0]["packet"]["pkt"] == 1
+    assert "pkt#2[" in normalize_line(second, field_first)
+    # One call's field and line cite the same id, and a packet seen
+    # again keeps the id it was first given.
+    fields, line = encode_event(first, line_first)
+    assert fields["packet"]["pkt"] == 1 and " packet=pkt#1[0->1:" in line

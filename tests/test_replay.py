@@ -3,7 +3,10 @@
 import pytest
 
 from repro import MS, SEC, Cluster, FaultPlan, Pilgrim, Trace, record_run, replay_trace
+from repro.mayflower.process import Process
+from repro.mayflower.syscalls import Sleep
 from repro.replay import (
+    TRACE_VERSION,
     ReplayDivergence,
     ReplayUnsupported,
     ReplayWorld,
@@ -11,6 +14,8 @@ from repro.replay import (
     TraceFormatError,
     detect_races,
 )
+from repro.replay.checkpoint import capture_view
+from repro.rpc.runtime import remote_call
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
 
@@ -131,13 +136,26 @@ def test_trace_save_load_round_trip(tmp_path):
     assert report.identical
 
 
-def test_trace_load_rejects_wrong_version(tmp_path):
+def _load_with_header_version(tmp_path, version):
     trace = record_run(build_chaos, CHAOS_NAMES, seed=1, run_until=1 * SEC)
-    trace.header["version"] = 999
+    trace.header["version"] = version
     path = tmp_path / "bad.trace.bin"
     trace.save(path)
+    return Trace.load(path)
+
+
+def test_trace_load_rejects_wrong_version(tmp_path):
     with pytest.raises(TraceFormatError, match="version 999 unsupported"):
-        Trace.load(path)
+        _load_with_header_version(tmp_path, 999)
+
+
+def test_trace_load_rejects_the_previous_trace_version(tmp_path):
+    """A version-1 trace (full RNG state in every checkpoint) is refused
+    at load: replaying it could only end in a misleading checkpoint
+    divergence."""
+    assert TRACE_VERSION == 2
+    with pytest.raises(TraceFormatError, match="version 1 unsupported"):
+        _load_with_header_version(tmp_path, 1)
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +184,108 @@ def test_checkpoint_seek_equals_full_fold():
         a, b = fast.at(t), slow.at(t)
         assert a.index == b.index
         assert a.view.to_dict() == b.view.to_dict()
+
+
+def test_capture_view_visits_live_processes_only(monkeypatch):
+    """A checkpoint costs what is live: with 2 000 finished processes in
+    the table, capture asks none of them whether it is live, and still
+    returns what filtering the whole table would."""
+    cluster = Cluster(names=["app", "other"], seed=0)
+    node = cluster.node("app")
+
+    def short():
+        yield Sleep(1)
+
+    def sleeper():
+        yield Sleep(1000 * SEC)
+
+    for _ in range(2000):
+        node.spawn(short(), name="short")
+    for priority in (0, 1, 2):
+        node.spawn(sleeper(), name="sleeper", priority=priority)
+    cluster.run_for(100 * SEC)
+    table = node.supervisor.processes
+    dead = {id(p) for p in table.values() if not p.is_live()}
+    assert len(dead) == 2000
+    expected = {
+        str(n.node_id): {
+            str(pid): {"name": p.name, "priority": p.priority}
+            for pid, p in n.supervisor.processes.items() if p.is_live()
+        }
+        for n in cluster.nodes
+    }
+    assert len(expected["0"]) == len(table) - 2000 >= 3
+
+    asked = []
+    is_live = Process.is_live
+    monkeypatch.setattr(
+        Process, "is_live",
+        lambda self: asked.append(id(self)) or is_live(self))
+    view = capture_view(cluster, {}, cluster.world.now)
+    assert not dead.intersection(asked)
+    assert view.processes == expected
+    assert list(view.processes["0"]) == sorted(view.processes["0"], key=int)
+
+
+def _null_rpc_build(calls, extra_draws=0):
+    """A faultless client making ``calls`` null RPCs; ``extra_draws``
+    advances the world RNG in ``build`` without touching the event
+    stream (nothing in a faultless ring run consumes it)."""
+    def build(cluster):
+        for _ in range(extra_draws):
+            cluster.world.rng.random()
+        cluster.rpc("server").export_native("svc", {"op": lambda ctx: None})
+
+        def caller(node):
+            for _ in range(calls):
+                yield from remote_call(node.rpc, "svc", "op")
+
+        node = cluster.node("client")
+        node.spawn(caller(node), name="caller")
+    return build
+
+
+def test_silent_rng_drift_is_caught_at_the_first_checkpoint():
+    """The state pins the RNG position by digest: a replay that drew
+    once more than the recording, with an identical event stream, still
+    diverges — at the first checkpoint after ``build``."""
+    names = ["client", "server"]
+    trace = record_run(_null_rpc_build(20), names, seed=5,
+                       checkpoint_every=50 * MS)
+    assert len(trace.checkpoints) > 3
+    assert all(isinstance(c.state["rng"], str) and len(c.state["rng"]) == 64
+               for c in trace.checkpoints)
+    report = replay_trace(trace, _null_rpc_build(20))
+    assert report.checkpoints_verified == len(trace.checkpoints)
+
+    world = ReplayWorld(trace, _null_rpc_build(20, extra_draws=1))
+    assert world.run().lines() == trace.lines()  # the stream cannot tell
+    with pytest.raises(ReplayDivergence) as excinfo:
+        world.verify()
+    exc = excinfo.value
+    # Checkpoint #0 is captured at attach, before ``build`` runs.
+    assert (exc.kind, exc.index) == ("checkpoint", trace.checkpoints[1].index)
+    assert exc.expected == f"rng={trace.checkpoints[1].state['rng']!r}"
+    assert exc.actual.startswith("rng='") and exc.actual != exc.expected
+    assert "rng=" in str(exc) and exc.code == "divergence"
+
+
+def test_checkpoint_divergence_names_the_differing_state_keys():
+    names = ["client", "server"]
+    trace = record_run(_null_rpc_build(8), names, seed=5,
+                       checkpoint_every=50 * MS)
+    state = trace.checkpoints[2].state
+    state["world_now"] += 1
+    state["nodes"]["1"]["cpu_consumed"] += 7
+    with pytest.raises(ReplayDivergence) as excinfo:
+        replay_trace(trace, _null_rpc_build(8))
+    exc = excinfo.value
+    assert (exc.kind, exc.index) == ("checkpoint", trace.checkpoints[2].index)
+    cpu = state["nodes"]["1"]["cpu_consumed"]
+    assert exc.expected == (f"nodes.1.cpu_consumed={cpu}, "
+                            f"world_now={state['world_now']}")
+    assert exc.actual == (f"nodes.1.cpu_consumed={cpu - 7}, "
+                          f"world_now={state['world_now'] - 1}")
 
 
 def test_at_uses_prefix_semantics():

@@ -1,6 +1,10 @@
 """Unit and integration tests for the RPC runtime."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cvm import CluArray, CluRecord, RpcFailure
@@ -16,6 +20,8 @@ from repro.rpc import (
     remote_call,
     unmarshal,
 )
+from repro.rpc import runtime as rpc_runtime
+from repro.rpc.debug import ServerCallRecord
 from repro.sim import MS, SEC
 
 ADDER = """
@@ -469,6 +475,71 @@ end
     assert len(serving) == 1
     assert serving[0]["worker_pid"] is not None
     assert serving[0]["proc"] == "slow"
+
+
+def _evict_by_sorting(table, limit):
+    """The rule the front-of-table eviction replaced, kept as its
+    oracle: collect completed, stable-sort by arrival, drop the oldest
+    ``excess``."""
+    if len(table) <= limit:
+        return
+    completed = [r for r in table.values() if r.completed]
+    completed.sort(key=lambda r: r.received_at)
+    for record in completed[: len(table) - limit]:
+        table.pop(record.call_id, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.one_of(st.tuples(st.just("arrive"), st.integers(0, 2)),
+              st.tuples(st.just("complete"), st.integers(0, 30))),
+    max_size=150))
+def test_server_table_eviction_matches_the_sort_based_rule(ops):
+    """Records arrive at the world clock (monotonic, ties allowed) and
+    complete in any order, so an in-progress record may be older than
+    every completed one and the table may hold nothing completed at
+    all; after every arrival the table is what sorting would leave."""
+    runtime = Cluster(names=["client", "server"]).rpc("server")
+    limit = 5
+    reference = {}
+    now = 0
+    arrived = 0
+    with mock.patch.object(rpc_runtime, "SERVER_TABLE_LIMIT", limit):
+        for op, arg in ops:
+            if op == "arrive":
+                now += arg
+                arrived += 1
+                record = ServerCallRecord(
+                    arrived, 0, 1, "svc", "op", "once", received_at=now)
+                runtime.server_table[arrived] = reference[arrived] = record
+                runtime._evict_server_records()
+                _evict_by_sorting(reference, limit)
+            else:
+                serving = [r for r in reference.values() if not r.completed]
+                if serving:
+                    serving[arg % len(serving)].completed = True
+            assert list(runtime.server_table) == list(reference)
+
+
+def test_server_table_keeps_the_newest_completed_calls():
+    """End to end: past the limit, a server keeps exactly the newest
+    ``SERVER_TABLE_LIMIT`` records of a sequential caller."""
+    cluster = Cluster(names=["client", "server"])
+    cluster.rpc("server").export_native("svc", {"op": lambda ctx: None})
+    calls = rpc_runtime.SERVER_TABLE_LIMIT + 40
+
+    def caller(node):
+        for _ in range(calls):
+            yield from remote_call(node.rpc, "svc", "op")
+
+    node = cluster.node("client")
+    node.spawn(caller(node), name="caller")
+    cluster.run()
+    table = cluster.rpc("server").server_table
+    assert len(table) == rpc_runtime.SERVER_TABLE_LIMIT
+    arrivals = [record.received_at for record in table.values()]
+    assert arrivals == sorted(arrivals)
+    assert cluster.rpc("client").calls_completed == calls
 
 
 def test_concurrent_calls_from_two_processes():

@@ -1,8 +1,12 @@
 """Deeper scheduler tests: quanta, priorities, parallel node timing, and
 the supervisor's debugging primitives."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.mayflower import Node, ProcessState
 from repro.mayflower.syscalls import Cpu, Now, Sleep, Wait
+from repro.obs import events as ev
 from repro.params import Params
 from repro.sim import MS, SEC, World
 
@@ -220,3 +224,86 @@ def test_quantum_overrun_for_indivisible_action():
     node.spawn(body())
     world.run()
     assert done == [1]
+
+
+# ----------------------------------------------------------------------
+# The live-process index (what halting and checkpoint capture walk)
+# ----------------------------------------------------------------------
+
+
+def _lifecycle_body(kind, steps):
+    for _ in range(steps):
+        yield Cpu(200)
+    if kind == "fail":
+        raise RuntimeError("generated failure")
+    if kind == "sleep":
+        yield Sleep(10 * SEC)
+
+
+_LIFECYCLE_OPS = st.one_of(
+    st.tuples(st.just("spawn"), st.sampled_from(["exit", "fail", "sleep"]),
+              st.integers(0, 4), st.booleans()),
+    st.tuples(st.just("run"), st.integers(0, 3 * MS)),
+    st.tuples(st.just("terminate"), st.integers(0, 40)),
+    st.tuples(st.sampled_from(["halt_all", "resume_all", "crash", "reboot"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_LIFECYCLE_OPS, max_size=40))
+def test_live_index_is_the_is_live_filter_of_the_process_table(ops):
+    """``live_processes()`` / ``halted_processes()`` answer from the
+    live index; after every step of a generated lifecycle they must be
+    what filtering the complete table gives, in pid order — and
+    ``halt_all`` / ``resume_all`` must still emit in that order."""
+    world = World()
+    node = Node(0, "n", world, Params(quantum=1 * MS))
+    emitted = []
+    for event_type in (ev.ProcessHalted, ev.ProcessResumed):
+        world.bus.subscribe(
+            event_type, lambda e: emitted.append((type(e).__name__, e.pid)))
+
+    def check():
+        supervisor = node.supervisor
+        table = list(supervisor.processes.values())
+        assert [p.pid for p in table] == sorted(p.pid for p in table)
+        assert supervisor.live_processes() == [p for p in table if p.is_live()]
+        assert supervisor.halted_processes() == [
+            p for p in table if p.state == ProcessState.HALTED]
+
+    for op, *args in ops:
+        supervisor = node.supervisor
+        table = list(supervisor.processes.values())
+        if op == "spawn":
+            kind, steps, exempt = args
+            if not node.crashed:
+                node.spawn(_lifecycle_body(kind, steps), name=kind,
+                           halt_exempt=exempt)
+        elif op == "run":
+            world.run(until=world.now + args[0])
+        elif op == "terminate":
+            if table:
+                supervisor.terminate(table[args[0] % len(table)])
+        elif op == "halt_all":
+            # The parent's walk: the whole table in pid order, halting
+            # what is live, non-exempt and parked (READY or WAITING).
+            expected = [("ProcessHalted", p.pid) for p in table
+                        if p.is_live() and not p.halt_exempt
+                        and p.state in (ProcessState.READY,
+                                        ProcessState.WAITING)]
+            del emitted[:]
+            assert supervisor.halt_all() == len(expected)
+            assert emitted == expected
+        elif op == "resume_all":
+            expected = [("ProcessResumed", p.pid) for p in table
+                        if p.state == ProcessState.HALTED]
+            del emitted[:]
+            assert supervisor.resume_all() == len(expected)
+            assert emitted == expected
+        elif op == "crash":
+            node.crash()
+            assert node.supervisor.live_processes() == []
+        elif op == "reboot":
+            node.reboot()
+            assert node.supervisor.processes == {}
+        check()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MS, record_run
-from repro.replay import Trace, TraceFormatError
+from repro.replay import TRACE_VERSION, Trace, TraceFormatError
 from repro.replay import format as trace_format
 from repro.replay.checkpoint import Checkpoint, empty_view
 from repro.replay.cli import main as replay_cli
@@ -123,7 +123,7 @@ def test_hand_built_events_round_trip_verbatim(tmp_path_factory, parts, data,
     cuts = data.draw(st.sets(st.integers(0, len(events)), max_size=4))
     checkpoints = [Checkpoint(index=i, time=0, state={}, view=empty_view([0]))
                    for i in sorted(cuts | {0})]
-    built = Trace({"version": 1}, events, checkpoints,
+    built = Trace({"version": TRACE_VERSION}, events, checkpoints,
                   {"events": len(events)})
     path = tmp_path_factory.mktemp("rt") / "t.trace.bin"
     write_binary(built, path, compress=compress)
