@@ -6,11 +6,10 @@ through the one engine here.  The package holds no simulation policy:
 no clock, no RNG, no bus.  That lives in :class:`repro.sim.world.World`,
 which is a thin facade over an :class:`EventCore`.
 
-* :mod:`repro.kernel.wheel` — the bucketed timing wheel (calendar
-  queue): O(1) amortized push/pop with no Python-level comparisons;
-* :mod:`repro.kernel.core` — :class:`EventCore` (wheel engine with
-  per-node/global window indexes, version-counter memoization, lazy
-  cancellation and tombstone compaction);
+* :mod:`repro.kernel.core` — :class:`EventCore`, one class: a timing
+  wheel (dict buckets ahead of the cursor, a sorted cursor heap, an
+  overflow heap beyond the horizon) whose cancel removes the entry,
+  plus the per-node/global window indexes and their memo;
 * :mod:`repro.kernel.profile` — the ``REPRO_PROFILE=1`` cProfile hook.
 
 The engine's contract is the total order on ``(time, seq)``.  The tests
@@ -25,12 +24,10 @@ from repro.kernel.core import (
     SimulationError,
     make_core,
 )
-from repro.kernel.wheel import TimingWheel
 
 __all__ = [
     "EventCore",
     "EventHandle",
     "SimulationError",
-    "TimingWheel",
     "make_core",
 ]

@@ -4,7 +4,7 @@ A :class:`World` owns the virtual clock and an event engine from
 :mod:`repro.kernel`.  Everything in the reproduction — supervisor
 scheduling, packet delivery, semaphore timeouts, agent halt broadcasts —
 is expressed as events scheduled here.  The world itself is a thin
-facade: all queue mechanics (the timing wheel, window indexes, lazy
+facade: all queue mechanics (the timing wheel, window indexes,
 cancellation, tombstone compaction) live in the kernel package, and the
 world adds the clock, the seeded RNG, the instrumentation bus, and the
 run loop.
@@ -26,12 +26,29 @@ from typing import Any, Callable, Optional, Union
 
 import random
 
-from repro.kernel.core import EventHandle, SimulationError, make_core
+from repro.kernel.core import (
+    EventCore,
+    EventHandle,
+    SimulationError,
+    _nothing,
+    make_core,
+)
 from repro.obs.bus import Bus
 from repro.obs.metrics import Metrics, install_default_metrics
 from repro.sim.units import FOREVER
 
 __all__ = ["EventHandle", "SimulationError", "World"]
+
+
+class _ClosedCore(EventCore):
+    """The engine of a closed world: empty, and it stays so.  Swapped in
+    by :meth:`World.close`, so a stale callback that schedules into a
+    torn-down world is refused without a test on the open-world path."""
+
+    __slots__ = ()
+
+    def schedule_at(self, *_args: Any, **_kwargs: Any) -> EventHandle:
+        raise SimulationError("world is closed")
 
 
 class World:
@@ -96,7 +113,7 @@ class World:
         """Schedule ``fn(*args)`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, fn, *args, node=node)
+        return self.kernel.schedule_at(self.now + delay, fn, args, node)
 
     def schedule_at(
         self,
@@ -111,9 +128,7 @@ class World:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        return self.kernel.schedule_at(
-            time, fn, args, node=node, survives_crash=survives_crash
-        )
+        return self.kernel.schedule_at(time, fn, args, node, survives_crash)
 
     def cancel_node_events(self, node: int) -> int:
         """Cancel every pending event tagged with ``node``.
@@ -124,8 +139,7 @@ class World:
         which live on the wire) are kept — they still bound execution
         windows and resolve at delivery time.  Returns the number of
         live events cancelled; see
-        :meth:`repro.kernel.core.EventCore.cancel_node_events` for the
-        lazy-compaction contract.
+        :meth:`repro.kernel.core.EventCore.cancel_node_events`.
         """
         return self.kernel.cancel_node_events(node)
 
@@ -190,7 +204,11 @@ class World:
             return False
         self.now = handle.time
         fn, args = handle.fn, handle.args
-        handle.cancel()  # release references; the event is consumed
+        # Release references; pop_next already unqueued and accounted
+        # the handle, so the flag and two stores are all cancel() adds.
+        handle.cancelled = True
+        handle.fn = _nothing
+        handle.args = ()
         self.events_processed += 1
         fn(*args)
         return True
@@ -216,12 +234,14 @@ class World:
         self._running = True
         self._stopped = False
         self._boundary = until
+        peek_next_time = self.kernel.peek_next_time
+        pop_next = self.kernel.pop_next
         processed = 0
         try:
             while not self._stopped:
                 if max_events is not None and processed >= max_events:
                     break
-                next_time = self.peek_next_time()
+                next_time = peek_next_time(until)
                 if next_time == FOREVER:
                     self.now = max(self.now, min(self._progress, until)
                                    if until is not None else self._progress)
@@ -229,8 +249,16 @@ class World:
                 if until is not None and next_time >= until:
                     self.now = max(self.now, until)
                     break
-                if not self.step():
-                    break
+                # step(), inline (the peek found a live event, so the
+                # pop returns it): one frame per event instead of three.
+                handle = pop_next()
+                self.now = handle.time
+                fn, args = handle.fn, handle.args
+                handle.cancelled = True
+                handle.fn = _nothing
+                handle.args = ()
+                self.events_processed += 1
+                fn(*args)
                 processed += 1
         finally:
             self._boundary = None
@@ -251,13 +279,15 @@ class World:
         Cancels every queued event (dropping the closures and their
         captured node/runtime objects), empties the scheduling indexes,
         and clears the bus subscriptions.  The world is unusable
-        afterwards; campaign workers call this between grid cells so
-        each finished world is freed by refcounting alone instead of
-        lingering until a full cycle collection.
+        afterwards — ``run`` and the two schedule calls raise — and
+        campaign workers call this between grid cells so each finished
+        world is freed by refcounting alone instead of lingering until
+        a full cycle collection.
         """
         if self._running:
             raise SimulationError("cannot close a running world")
         self.kernel.clear()
+        self.kernel = _ClosedCore(0, 0)
         self.bus.clear()
         self._stopped = True
         self._closed = True

@@ -3,11 +3,12 @@
 :class:`HeapEventCore` is the differential oracle for
 :class:`repro.kernel.core.EventCore` — handle-based binary heaps ordered
 by ``EventHandle.__lt__``, per-node/global index heaps, version-counter
-caches, compaction only on the bulk-crash path.  It lives under
-``tests/`` because nothing in ``src/`` runs it: ``tests/test_kernel.py``
-drives both engines through mirrored random churn and requires the same
-pops, peeks and windows (the total order on ``(time, seq)`` is the
-kernel contract), and injects it into a world as ``World(kernel=obj)``.
+caches, lazy cancellation (a flag flip), compaction only on the
+bulk-crash path.  It lives under ``tests/`` because nothing in ``src/``
+runs it: ``tests/test_kernel.py`` drives both engines through mirrored
+generated churn and requires the same pops, peeks and windows (the
+total order on ``(time, seq)`` is the kernel contract), and injects it
+into a world as ``World(kernel=obj)``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,24 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro.kernel.core import EventHandle, _nothing
 from repro.sim.units import FOREVER
+
+
+class HeapHandle(EventHandle):
+    """The oracle's handle.  :meth:`EventHandle.cancel` removes the entry
+    from :class:`EventCore`'s own containers; here a cancel stays what
+    it was in every engine before that one: a flag flip and a version
+    bump, the entry skipped when a heap reaches it."""
+
+    __slots__ = ("consumed",)
+
+    def cancel(self) -> None:
+        if not self.cancelled:
+            self.cancelled = True
+            if self.owner is not None:
+                self.owner._version += 1
+                self.owner = None
+        self.fn = _nothing
+        self.args = ()
 
 
 class HeapEventCore:
@@ -53,10 +72,12 @@ class HeapEventCore:
         """Insert ``fn(*args)`` at absolute time ``time`` (heap path)."""
         self._seq += 1
         self._version += 1
-        handle = EventHandle(
+        handle = HeapHandle(
             time, self._seq, fn, args, node=node,
             survives_crash=survives_crash, owner=self,
         )
+        #: True once the main queue popped this handle for execution.
+        handle.consumed = False
         heapq.heappush(self._queue, handle)
         if node is None:
             heapq.heappush(self._global_index, handle)
@@ -76,11 +97,6 @@ class HeapEventCore:
             self._version += 1
             return handle
         return None
-
-    def _note_cancel(self, handle: EventHandle) -> None:
-        """Account one cancellation: a version bump, no tombstone
-        bookkeeping."""
-        self._version += 1
 
     def cancel_node_events(self, node: int) -> int:
         """Cancel every pending event tagged with ``node`` (compaction

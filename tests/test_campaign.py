@@ -102,6 +102,29 @@ def test_world_close_cancels_pending():
         world.run(until=2 * SEC)
 
 
+def test_closed_world_refuses_new_events():
+    """A stale callback must not queue into a torn-down world: both
+    schedule calls raise, nothing becomes pending, close() is still
+    idempotent, and the past-time checks keep their own messages."""
+    world = World(seed=0)
+    world.schedule(1 * MS, lambda: None)
+    world.run(until=2 * MS)
+    world.close()
+    with pytest.raises(SimulationError, match="world is closed"):
+        world.schedule(1 * MS, lambda: None)
+    with pytest.raises(SimulationError, match="world is closed"):
+        world.schedule_at(world.now + 1 * SEC, lambda: None, node=3)
+    assert world.pending_count() == 0
+    world.close()
+    assert world.pending_count() == 0
+    with pytest.raises(SimulationError, match="world is closed"):
+        world.schedule(0, lambda: None)
+    with pytest.raises(SimulationError, match="into the past"):
+        world.schedule(-1, lambda: None)
+    with pytest.raises(SimulationError, match="before now"):
+        world.schedule_at(world.now - 1, lambda: None)
+
+
 def test_world_close_rejects_running_world():
     world = World(seed=0)
 
