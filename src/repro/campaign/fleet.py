@@ -7,11 +7,10 @@ result the pool had not yet returned, and a Ctrl-C lost the campaign.
 This module replaces that with production fuzzing-fleet semantics:
 
 * **Work stealing** — there is no static sharding.  A coordinator holds
-  one pending deque; each worker asks for a cell when idle (a ``ready``
-  message) and receives the next one, so a slow cell never delays the
-  cells that would have shared its shard.  Dispatch order is demand
-  -driven, but results are keyed by cell index, so the canonical report
-  stays byte-identical at any worker count.
+  one pending deque and keeps every worker's pipe primed from it, so a
+  slow cell never delays the cells that would have shared its shard.
+  Dispatch order is demand-driven, but results are keyed by cell index,
+  so the canonical report stays byte-identical at any worker count.
 * **Containment** — every cell attempt runs under a wall-clock deadline.
   A worker that blows the deadline is SIGKILLed; a worker that dies
   (crash, OOM, unserializable result) is detected through its closed
@@ -29,31 +28,44 @@ This module replaces that with production fuzzing-fleet semantics:
 
 The coordinator/worker protocol is pure message passing over per-worker
 pipes — no shared locks, so a SIGKILLed worker can never deadlock its
-siblings: worker sends ``("ready", pid)``, coordinator replies
-``("run", cell)`` or ``("exit",)``, worker sends ``("done", index,
-result)`` and another ``ready``.  Worker death closes the pipe, which
-the coordinator observes as EOF.
+siblings — and pipelined, so a worker never waits for the coordinator
+between two cells.  The coordinator keeps :data:`WINDOW` ``("run",
+cell)`` messages in each pipe (the cell executing plus one queued behind
+it); the worker answers each with ``("done", index, result,
+waited_us)``, which doubles as the request for more, and leaves on
+``("exit",)``.  A worker runs its pipe in order, so the head of its
+coordinator-side queue *is* the executing cell: deadline, attempt count
+and chaos hook start when a cell reaches the head, a death or timeout is
+charged to the head alone, and what was queued behind it returns to the
+front of ``pending`` as if never sent.  Either side's death is an EOF on
+the other's end of the pipe.  docs/campaign-fleet.md has the rest (why
+results are not batched, why the pool lives for one campaign).
 
 Fleet-health counters (:data:`repro.obs.metrics.FLEET_COUNTERS`) record
-retries, timeouts, worker deaths, steals, and quarantines; they describe
-the *schedule*, so they ride next to ``workers``/``wall_seconds`` in the
-report and never enter the canonical document.
+retries, timeouts, worker deaths, steals, quarantines, pipe messages and
+the time workers spent waiting for one; they describe the *schedule*,
+so they ride next to ``workers``/``wall_seconds`` in the report and
+never enter the canonical document.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-import signal
+import selectors
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_connections
 from typing import Callable, Optional, Sequence
 
+from repro.debugger.errors import fork_context
 from repro.obs.metrics import Metrics, fleet_metrics
+
+#: Cells kept in each worker's pipe: the one executing plus one queued
+#: behind it.  A constant, not a tunable: one queued cell is a whole
+#: cell of slack for the coordinator's round trip, so a second would buy
+#: nothing and only grow what a death hands back and the tail imbalance.
+WINDOW = 2
 
 #: Default wall-clock budget per cell attempt, in seconds.  Campaign
 #: cells are milliseconds of host time; a minute means only a genuinely
@@ -80,9 +92,9 @@ class FleetOptions:
     """Tuning knobs for one fleet run.
 
     ``chaos_kill_cells`` is the fault-injection hook the fleet's own
-    tests use: the coordinator SIGKILLs the worker to which one of these
-    cells is first dispatched, exercising the death/retry path with the
-    same determinism guarantees as a real OOM kill.
+    tests use: the coordinator SIGKILLs the worker on which one of these
+    cells first starts executing, exercising the death/retry path with
+    the same determinism guarantees as a real OOM kill.
     """
 
     workers: int = 2
@@ -151,39 +163,48 @@ def execute_cell(cell) -> dict:
     return result
 
 
-def _fleet_worker(conn) -> None:
-    """Worker-process main loop: ask, run, answer, repeat.
+def _fleet_worker(conn, inherited) -> None:
+    """Worker-process main loop: run what arrives, answer, repeat.
+
+    ``inherited`` are the coordinator-side pipe ends this fork copied
+    (its own and every live sibling's), closed first: while a worker
+    holds one, no worker can ever see the EOF of a dead coordinator.
 
     Every send is a synchronous pipe write (no feeder thread), so a
     message that ``send`` returned for is readable by the coordinator
-    even if this process is SIGKILLed immediately afterwards.
+    even if this process is SIGKILLed immediately afterwards.  Each
+    ``done`` carries the microseconds spent in ``recv`` before its cell.
     """
+    for coordinator_end in inherited:
+        coordinator_end.close()
     try:
-        conn.send(("ready", os.getpid()))
         while True:
+            asked = time.perf_counter_ns()
             message = conn.recv()
+            waited_us = (time.perf_counter_ns() - asked) // 1000
             if message[0] == "exit":
                 return
             cell = message[1]
-            conn.send(("done", cell.index, execute_cell(cell)))
-            conn.send(("ready", os.getpid()))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+            conn.send(("done", cell.index, execute_cell(cell), waited_us))
+    except (EOFError, OSError, KeyboardInterrupt):
         return
     finally:
         conn.close()
 
 
 class _Worker:
-    """Coordinator-side handle: process, pipe, slot, and assignment."""
+    """Coordinator-side handle: process, pipe, slot, and the cells in
+    the pipe, oldest first — ``queue[0]`` is executing, ``deadline`` is
+    its."""
 
-    __slots__ = ("process", "conn", "slot", "cell", "deadline")
+    __slots__ = ("process", "conn", "slot", "queue", "deadline")
 
     def __init__(self, process, conn, slot: int):
         self.process = process
         self.conn = conn
         self.slot = slot
-        self.cell = None
-        self.deadline: Optional[float] = None
+        self.queue: deque = deque()
+        self.deadline = 0.0
 
 
 class Fleet:
@@ -202,69 +223,57 @@ class Fleet:
         metrics: Optional[Metrics] = None,
         on_result: Optional[Callable] = None,
     ):
+        self._ctx = fork_context()  # workers inherit scenarios + memo
         self.cells = sorted(cells, key=lambda cell: cell.index)
         self.options = options
         self.metrics = metrics if metrics is not None else fleet_metrics()
         self.on_result = on_result
         self.results: dict[int, dict] = {}
-        self._by_index = {cell.index: cell for cell in self.cells}
         self._pending = deque(self.cells)
         self._backlog: list[tuple[float, object]] = []  # (ready_at, cell)
         self._attempts: dict[int, int] = {}
         self._deaths: dict[int, int] = {}
         self._workers: dict[int, _Worker] = {}
+        self._selector = selectors.DefaultSelector()
         self._next_worker_id = 0
         self._chaos_pending = set(options.chaos_kill_cells)
-        # Workers inherit the parent's loaded modules (and any
-        # test-registered scenarios) via fork; spawn is the portability
-        # fallback where fork does not exist.
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
 
     # -- lifecycle ------------------------------------------------------
 
     def run(self) -> dict[int, dict]:
         """Drive the fleet until every cell has a result."""
-        if not self.cells:
-            return self.results
         try:
-            for _ in range(min(self.options.workers, len(self.cells))):
-                self._spawn_worker()
             while len(self.results) < len(self.cells):
+                self._maintain_size()
                 self._promote_backlog()
-                self._dispatch_idle()
+                self._dispatch()
                 self._poll()
                 self._reap_timeouts()
-                self._maintain_size()
         finally:
             self._shutdown()
         return self.results
 
-    def _spawn_worker(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_fleet_worker, args=(child_conn,), daemon=True
-        )
-        process.start()
-        child_conn.close()  # the worker holds the only child end now
-        worker = _Worker(process, parent_conn, self._next_worker_id)
-        self._workers[self._next_worker_id] = worker
-        self._next_worker_id += 1
-
     def _maintain_size(self) -> None:
-        """Respawn up to the configured width while work remains."""
+        """(Re)spawn up to the configured width while work remains."""
         unresolved = len(self.cells) - len(self.results)
-        want = min(self.options.workers, unresolved)
-        while len(self._workers) < want:
-            self._spawn_worker()
+        while len(self._workers) < min(self.options.workers, unresolved):
+            parent_conn, child_conn = self._ctx.Pipe()
+            ends = [w.conn for w in self._workers.values()] + [parent_conn]
+            process = self._ctx.Process(
+                target=_fleet_worker, args=(child_conn, ends), daemon=True)
+            process.start()
+            child_conn.close()  # the worker holds the only child end now
+            worker = _Worker(process, parent_conn, self._next_worker_id)
+            self._workers[worker.slot] = worker
+            self._selector.register(parent_conn, selectors.EVENT_READ, worker)
+            self._next_worker_id += 1
 
     def _shutdown(self) -> None:
-        for worker in list(self._workers.values()):
+        for worker in self._workers.values():
             try:
                 worker.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
+                self.metrics.counter("fleet.messages").inc()
+            except OSError:
                 pass
         deadline = time.monotonic() + 2.0
         for worker in self._workers.values():
@@ -274,6 +283,7 @@ class Fleet:
                 worker.process.join()
             worker.conn.close()
         self._workers.clear()
+        self._selector.close()
 
     # -- dispatch -------------------------------------------------------
 
@@ -289,39 +299,39 @@ class Fleet:
             for cell in sorted(ready, key=lambda cell: cell.index):
                 self._pending.append(cell)
 
-    def _dispatch_idle(self) -> None:
-        """Offer pending work to idle workers.
+    def _dispatch(self) -> None:
+        """Prime the pipes: a cell to each idle worker first (a short
+        grid still spreads over a wide fleet), then one queued behind it
+        while ``pending`` is at least as long as the fleet is wide — the
+        last cells go out on demand, so the tail imbalance is one cell.
+        Runs every turn, so a promoted retry reaches an idle fleet."""
+        for depth in range(WINDOW):
+            for worker in list(self._workers.values()):
+                if len(self._pending) < (len(self._workers) if depth else 1):
+                    return
+                if len(worker.queue) == depth:
+                    self._send(worker)
 
-        Needed for retries: a worker that said ``ready`` while the only
-        remaining cells sat in the backoff backlog went idle, so when a
-        backed-off cell is promoted nobody would ask for it again.
-        Sending ``run`` ahead of the worker's next ``recv`` is safe —
-        the pipe buffers it — and :meth:`_dispatch` guards against
-        double-assignment via ``worker.cell``.
-        """
-        if not self._pending:
-            return
-        for worker in list(self._workers.values()):
-            if not self._pending:
-                return
-            if worker.cell is None:
-                self._dispatch(worker)
-
-    def _dispatch(self, worker: _Worker) -> None:
-        """Hand the next pending cell to a worker that asked for one."""
-        if worker.cell is not None or not self._pending:
-            return
+    def _send(self, worker: _Worker) -> None:
+        """Write the next pending cell into one worker's pipe."""
         cell = self._pending.popleft()
-        if cell.index in self.results:  # late duplicate, already resolved
-            return
         try:
             worker.conn.send(("run", cell))
-        except (BrokenPipeError, OSError):
-            # The worker died between `ready` and now; put the cell back
-            # and let the reaper attribute the death.
+        except OSError:
+            # The worker died since its last message; put the cell back
+            # and let the EOF on its pipe attribute the death.
             self._pending.appendleft(cell)
             return
-        worker.cell = cell
+        self.metrics.counter("fleet.messages").inc()
+        worker.queue.append(cell)
+        if len(worker.queue) == 1:
+            self._begin(worker)
+
+    def _begin(self, worker: _Worker) -> None:
+        """A cell reached the head of a queue, i.e. is executing: start
+        its clock, count its attempt, fire its chaos kill.  A cell still
+        queued behind a head has been charged nothing."""
+        cell = worker.queue[0]
         worker.deadline = time.monotonic() + self.options.cell_timeout
         self._attempts[cell.index] = self._attempts.get(cell.index, 0) + 1
         self.metrics.counter("fleet.cells_executed").inc()
@@ -332,108 +342,91 @@ class Fleet:
         if cell.index % self.options.workers != worker.slot % self.options.workers:
             self.metrics.counter("fleet.steals").inc()
         if cell.index in self._chaos_pending:
+            # Handled here, not at the next select: a `done` the victim
+            # already wrote must not turn its death into a later cell's.
             self._chaos_pending.discard(cell.index)
-            self._kill_worker_process(worker)
-
-    def _kill_worker_process(self, worker: _Worker) -> None:
-        if worker.process.pid is not None:
-            try:
-                os.kill(worker.process.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
+            worker.process.kill()
+            self._handle_death(worker)
 
     # -- event handling -------------------------------------------------
 
     def _poll(self) -> None:
-        """Wait briefly for worker messages and process all of them."""
-        conns = {worker.conn: worker for worker in self._workers.values()}
-        if not conns:
+        """Wait briefly for messages; one ``recv`` per readable pipe."""
+        for key, _ in self._selector.select(self.options.poll_interval):
+            self._receive(key.data)
+
+    def _receive(self, worker: _Worker) -> None:
+        """Take one ``done`` off a readable pipe (EOF means death): the
+        head is resolved, the cell behind it becomes the head, and the
+        next :meth:`_dispatch` tops the window up."""
+        try:
+            _, _, result, waited_us = worker.conn.recv()
+        except (EOFError, OSError):
+            self._handle_death(worker)
             return
-        for conn in _wait_connections(
-            list(conns), timeout=self.options.poll_interval
-        ):
-            worker = conns[conn]
-            self._drain(worker)
+        self.metrics.counter("fleet.messages").inc()
+        self.metrics.counter("fleet.worker_wait_us").inc(waited_us)
+        self._resolve(worker.queue.popleft(), result)
+        if worker.queue:
+            self._begin(worker)
 
-    def _drain(self, worker: _Worker) -> None:
-        """Read every queued message from one worker; EOF means death."""
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError):
-                self._handle_death(worker)
-                return
-            kind = message[0]
-            if kind == "ready":
-                self._dispatch(worker)
-            elif kind == "done":
-                _, index, result = message
-                if worker.cell is not None and worker.cell.index == index:
-                    worker.cell = None
-                    worker.deadline = None
-                self._resolve(index, result)
-
-    def _resolve(self, index: int, result: dict) -> None:
+    def _resolve(self, cell, result: dict) -> None:
         """Record a cell's final result exactly once."""
-        if index in self.results:
+        if cell.index in self.results:
             return
-        self.results[index] = result
+        self.results[cell.index] = result
         if self.on_result is not None:
-            self.on_result(self._by_index[index], result)
+            self.on_result(cell, result)
 
     def _reap_timeouts(self) -> None:
-        """SIGKILL workers whose cell blew its wall-clock budget."""
+        """SIGKILL workers whose head cell blew its wall-clock budget."""
         now = time.monotonic()
         for worker in list(self._workers.values()):
-            if worker.cell is None or worker.deadline is None:
-                continue
-            if now < worker.deadline:
+            if not worker.queue or now < worker.deadline:
                 continue
             # The deadline races with completion: salvage any result
             # already sitting in the pipe before reaching for SIGKILL.
-            self._drain(worker)
-            if (worker.slot not in self._workers or worker.cell is None
-                    or worker.deadline is None
+            while worker.slot in self._workers and worker.conn.poll():
+                self._receive(worker)
+            if (worker.slot not in self._workers or not worker.queue
                     or time.monotonic() < worker.deadline):
-                continue  # finished (or moved on to a fresh cell)
+                continue  # finished (or moved on to a fresh head)
             self.metrics.counter("fleet.timeouts").inc()
-            cell = worker.cell
-            worker.cell = None
-            self._kill_worker_process(worker)
+            worker.process.kill()
             worker.process.join()
-            self._discard_worker(worker)
             self._environmental_failure(
-                cell, "timeout",
+                self._discard(worker), "timeout",
                 f"cell exceeded its wall-clock budget and was killed "
                 f"(timeout {self.options.cell_timeout:g}s)",
                 count_death=False,
             )
 
     def _handle_death(self, worker: _Worker) -> None:
-        """A worker's pipe hit EOF: attribute and contain the death."""
+        """A worker died (pipe EOF, or the chaos hook's kill): attribute
+        and contain the death."""
         worker.process.join()
-        exitcode = worker.process.exitcode
-        cell = worker.cell
-        worker.cell = None
-        self._discard_worker(worker)
-        if cell is None or cell.index in self.results:
-            return  # died idle (or after finishing); nothing to attribute
+        cell = self._discard(worker)
+        if cell is None:
+            return  # died idle; nothing to attribute
         self.metrics.counter("fleet.worker_deaths").inc()
         self._deaths[cell.index] = self._deaths.get(cell.index, 0) + 1
         self._environmental_failure(
             cell, "worker-death",
-            f"worker died while executing the cell (exit code {exitcode})",
+            f"worker died while executing the cell "
+            f"(exit code {worker.process.exitcode})",
             count_death=True,
         )
 
-    def _discard_worker(self, worker: _Worker) -> None:
-        self._workers.pop(worker.slot, None)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+    def _discard(self, worker: _Worker):
+        """Forget a dead worker; return the cell it was executing (the
+        only one charged).  Cells queued behind it never started and go
+        back to the *front* of ``pending``."""
+        self._workers.pop(worker.slot)
+        self._selector.unregister(worker.conn)
+        worker.conn.close()
+        cell = worker.queue.popleft() if worker.queue else None
+        self._pending.extendleft(reversed(worker.queue))
+        return cell
 
     def _environmental_failure(self, cell, kind: str, detail: str,
                                count_death: bool) -> None:
@@ -441,7 +434,7 @@ class Fleet:
         index = cell.index
         if count_death and self._deaths.get(index, 0) >= self.options.quarantine_after:
             self.metrics.counter("fleet.quarantined").inc()
-            self._resolve(index, error_result(
+            self._resolve(cell, error_result(
                 cell, "quarantined",
                 f"cell killed {self.options.quarantine_after} workers "
                 f"and was quarantined",
@@ -449,7 +442,7 @@ class Fleet:
             return
         attempts = self._attempts.get(index, 0)
         if attempts > self.options.retries:
-            self._resolve(index, error_result(cell, kind, detail))
+            self._resolve(cell, error_result(cell, kind, detail))
             return
         self.metrics.counter("fleet.retries").inc()
         delay = min(MAX_BACKOFF,

@@ -55,6 +55,7 @@ from repro.campaign.report import CampaignReport
 from repro.campaign.scenarios import get_scenario
 from repro.campaign.shrink import shrink_cell
 from repro.cluster import Cluster
+from repro.debugger.errors import fork_context
 from repro.faults.plan import FaultPlan, Nemesis
 from repro.obs.metrics import fleet_metrics
 from repro.replay.trace import TraceWriter
@@ -208,10 +209,13 @@ def run_campaign(
     so its trials are reproducible too.  ``out_dir`` receives one golden
     trace per failing cell when given; ``corpus_dir`` additionally banks
     every shrunken reproducer in a persistent corpus.
-    ``chaos_kill_cells`` is the fleet's test hook (SIGKILL the worker a
-    listed cell is first dispatched to).
+    ``chaos_kill_cells`` is the fleet's test hook (SIGKILL the worker on
+    which a listed cell first starts executing).  Without ``fork(2)``,
+    ``workers>1`` raises ``ForkUnavailableError`` before anything runs.
     """
     cells = list(cells)
+    if workers > 1:
+        fork_context()  # refuse before a stale journal is truncated
     started = time.perf_counter()
     metrics = fleet_metrics()
 

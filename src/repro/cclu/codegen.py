@@ -8,6 +8,7 @@ produced by the compiler and linker").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.cclu import ast
@@ -407,6 +408,18 @@ class ModuleCompiler:
         return program
 
 
+#: Compiled programs kept per process.  A campaign compiles the same few
+#: scenario modules for every cell; the bound only stops a process that
+#: compiles generated sources from growing without limit.
+COMPILE_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def compile_program(source: str, module_name: str = "main") -> Program:
-    """Compile CCLU source text into a linkable :class:`Program`."""
+    """Compile CCLU source text into a linkable :class:`Program`.
+
+    Memoised on ``(source, module_name)``: a :class:`Program` is a
+    read-only master that ``link`` copies from, so callers may share it
+    (forked workers inherit the memo); a compile error is never cached.
+    """
     return ModuleCompiler(source, module_name).compile()

@@ -24,7 +24,11 @@ if TYPE_CHECKING:
 
 
 class Program:
-    """A compiled Concurrent CLU module (master copy)."""
+    """A compiled Concurrent CLU module (master copy).
+
+    Read-only once compiled (``compile_program`` shares one object per
+    source); :class:`NodeImage` copies what a node may patch or mutate.
+    """
 
     def __init__(self, module: str = "main"):
         self.module = module

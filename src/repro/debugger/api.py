@@ -550,7 +550,7 @@ class DebuggerSession(Protocol):
 
     def fork(self, perturbation, checkpoint: int = 0,
              parent: Optional[str] = None, builder=None,
-             mode: str = "process", run_until: Optional[int] = None):
+             run_until: Optional[int] = None):
         """Fork a loaded trace at a checkpoint into a perturbed branch.
 
         Out-of-place: the what-if future re-executes in a separate

@@ -118,6 +118,24 @@ class UnsupportedOperationError(DebuggerError):
     code = "unsupported"
 
 
+class ForkUnavailableError(UnsupportedOperationError):
+    """No ``fork(2)`` here.  Worker processes must inherit registered
+    scenarios, builder callables and the compile memo; a re-importing
+    start method would silently lose them, so there is none."""
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or the one typed refusal
+    (raised before any process or work starts)."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ForkUnavailableError(
+            "this platform has no fork(2); run in-process instead: workers=1 "
+            "for a campaign, repro.replay.branch.execute_fork for a branch")
+    return multiprocessing.get_context("fork")
+
+
 class RequestTimeoutError(DebuggerError):
     """A remote call got no reply within the host-time budget."""
 

@@ -393,7 +393,7 @@ class PilgrimRepl:
         pert_args = []
         for pair in args[2:]:
             key, sep, value = pair.partition("=")
-            if sep and key in ("parent", "mode", "builder"):
+            if sep and key in ("parent", "builder"):
                 fork_kwargs[key] = value
             elif sep and key == "until":
                 fork_kwargs["run_until"] = parse_duration(value)

@@ -277,7 +277,8 @@ def install_default_metrics(bus: Bus, metrics: Metrics) -> None:
 #: Coordinator-side campaign-fleet counters (see
 #: :mod:`repro.campaign.fleet`).  These describe how a particular run
 #: was *executed* — retries, wall-clock timeouts, worker deaths, work
-#: steals — and are therefore reported next to ``workers`` and
+#: steals, pipe messages in both directions, microseconds workers sat
+#: waiting for one — and are therefore reported next to ``workers`` and
 #: ``wall_seconds``, never inside the canonical (schedule-independent)
 #: campaign report.
 FLEET_COUNTERS = (
@@ -288,6 +289,8 @@ FLEET_COUNTERS = (
     "fleet.worker_deaths",
     "fleet.steals",
     "fleet.quarantined",
+    "fleet.messages",
+    "fleet.worker_wait_us",
 )
 
 

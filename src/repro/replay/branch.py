@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.debugger.api import Record
-from repro.debugger.errors import DebuggerError, register_error
+from repro.debugger.errors import DebuggerError, fork_context, register_error
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.replay.races import MessageRace
 from repro.replay.trace import Trace, TraceWriter
@@ -419,39 +419,28 @@ def fork_trace(
     build: Callable,
     checkpoint_index: int,
     perturbation: Union[Perturbation, dict],
-    mode: str = "process",
     run_until: Optional[int] = None,
     verify_prefix: bool = True,
 ) -> Trace:
     """Fork ``parent`` at a checkpoint and return the divergent child.
 
-    ``mode="process"`` (the default) runs the re-execution in a
-    separate forked process — out-of-place in the strictest sense: the
-    parent session's interpreter state, cluster, and trace objects are
-    untouched no matter what the perturbed future does.  ``mode="inline"``
-    runs in-process (same result by determinism; handy under debuggers
-    and on platforms without ``fork(2)``, to which process mode falls
-    back automatically).
+    The re-execution runs in a separate forked process — out-of-place in
+    the strictest sense: the parent session's interpreter state,
+    cluster, and trace objects are untouched no matter what the
+    perturbed future does.  Where ``fork(2)`` is missing this raises
+    :class:`~repro.debugger.errors.ForkUnavailableError`;
+    :func:`execute_fork` is the in-process equivalent (same result by
+    determinism; handy under debuggers).
 
     The spec is validated eagerly — bad checkpoints, pre-fork actions,
     and non-re-executable parents raise here, before any process is
     spawned.
     """
+    ctx = fork_context()
     perturbation = as_perturbation(perturbation)
     checkpoint = _resolve_checkpoint(parent, checkpoint_index)
     perturbation.validate(checkpoint.time)
     _child_drive(parent, run_until)
-    if mode == "inline":
-        return execute_fork(parent, build, checkpoint_index, perturbation,
-                            run_until=run_until, verify_prefix=verify_prefix)
-    if mode != "process":
-        raise BranchError(f"unknown fork mode {mode!r} "
-                          f"(known: process, inline)")
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return execute_fork(parent, build, checkpoint_index, perturbation,
-                            run_until=run_until, verify_prefix=verify_prefix)
-    ctx = multiprocessing.get_context("fork")
     recv_conn, send_conn = ctx.Pipe(duplex=False)
     worker = ctx.Process(
         target=_fork_worker,
@@ -765,7 +754,6 @@ class BranchTree:
         perturbation: Union[Perturbation, dict],
         checkpoint: int = 0,
         parent: Optional[str] = None,
-        mode: str = "process",
         run_until: Optional[int] = None,
         verify_prefix: bool = True,
     ) -> Branch:
@@ -785,7 +773,7 @@ class BranchTree:
         checkpoint_obj = _resolve_checkpoint(parent_branch.trace, checkpoint)
         child_trace = fork_trace(
             parent_branch.trace, self._builder(), checkpoint, pert,
-            mode=mode, run_until=run_until, verify_prefix=verify_prefix,
+            run_until=run_until, verify_prefix=verify_prefix,
         )
         branch = Branch(
             id=bid,
@@ -824,7 +812,7 @@ class BranchTree:
 
 
 def classify_races(tree: BranchTree, races: list,
-                   checkpoint: int = 0, mode: str = "process") -> list:
+                   checkpoint: int = 0) -> list:
     """The races → contracts bridge: which order inversions *matter*.
 
     For each detected :class:`~repro.replay.races.MessageRace`, forks
@@ -848,7 +836,7 @@ def classify_races(tree: BranchTree, races: list,
     for race in races:
         try:
             perturbation = Perturbation.flip_race(tree.root.trace, race)
-            branch = tree.fork(perturbation, checkpoint=checkpoint, mode=mode)
+            branch = tree.fork(perturbation, checkpoint=checkpoint)
         except BranchError:
             classified.append(race)
             continue

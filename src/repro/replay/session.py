@@ -193,7 +193,6 @@ class TraceSession(SessionBase):
 
     def fork(self, perturbation, checkpoint: int = 0,
              parent: Optional[str] = None, builder=None,
-             mode: str = "process",
              run_until: Optional[int] = None) -> BranchInfo:
         """Fork the recording at a checkpoint into a perturbed branch.
 
@@ -208,7 +207,7 @@ class TraceSession(SessionBase):
             self._tree().build = builder
         return self._tree().fork(
             perturbation, checkpoint=checkpoint, parent=parent,
-            mode=mode, run_until=run_until,
+            run_until=run_until,
         ).info()
 
     def branches(self) -> list[BranchInfo]:

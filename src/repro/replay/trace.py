@@ -28,7 +28,7 @@ emits its process events while the node is half-rebuilt).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs import events as ev
@@ -225,13 +225,17 @@ class TraceWriter:
     ):
         self.cluster = cluster
         self.bus = cluster.world.bus
+        # Not ``asdict`` (a deep-copy walk): ``extras`` is the one dict.
+        params = {f.name: getattr(cluster.params, f.name)
+                  for f in fields(cluster.params)}
+        params["extras"] = dict(params["extras"])
         self.header = {
             "version": TRACE_VERSION,
             "seed": cluster.seed,
             "names": list(cluster.names),
             "topology": cluster.topology,
             "clock_skews": list(cluster.clock_skews),
-            "params": asdict(cluster.params),
+            "params": params,
             "fault_plan": plan.to_dict() if plan is not None else None,
             "checkpoint_every": checkpoint_every,
             "meta": meta or {},

@@ -220,7 +220,7 @@ class RemoteSession:
 
     def fork(self, perturbation, checkpoint: int = 0,
              parent: Optional[str] = None, builder=None,
-             mode: str = "process", run_until: Optional[int] = None):
+             run_until: Optional[int] = None):
         """Fork the session's trace into a what-if branch (daemon-side).
 
         ``perturbation`` may be a
@@ -232,7 +232,7 @@ class RemoteSession:
         if hasattr(perturbation, "to_dict"):
             perturbation = perturbation.to_dict()
         kwargs: dict = {"checkpoint": checkpoint, "parent": parent,
-                        "mode": mode, "run_until": run_until}
+                        "run_until": run_until}
         if builder is not None:
             kwargs["builder"] = builder
         return self._call("fork", perturbation, **kwargs)

@@ -127,7 +127,6 @@ def build_backend(kind: str, spec: dict) -> Any:
         branch = tree.fork(
             as_perturbation(perturbation),
             checkpoint=int(spec.get("checkpoint", 0)),
-            mode=spec.get("mode", "process"),
             run_until=(int(spec["run_until"])
                        if spec.get("run_until") is not None else None),
         )

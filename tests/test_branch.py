@@ -15,7 +15,12 @@ from repro.replay import (
     diff_branches,
     fork_trace,
 )
-from repro.replay.branch import branch_key, parse_perturbation, resolve_builder
+from repro.replay.branch import (
+    branch_key,
+    execute_fork,
+    parse_perturbation,
+    resolve_builder,
+)
 from repro.replay.races import _delivery_orders
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
@@ -115,10 +120,40 @@ def test_fork_dedupes_identical_specs(parent):
 
 def test_fork_inline_matches_process_mode(parent):
     pert = crash_pert()
-    via_process = fork_trace(parent, build_two_clients, 0, pert,
-                             mode="process")
-    via_inline = fork_trace(parent, build_two_clients, 0, pert, mode="inline")
+    via_process = fork_trace(parent, build_two_clients, 0, pert)
+    via_inline = execute_fork(parent, build_two_clients, 0, pert)
     assert via_process.fingerprint() == via_inline.fingerprint()
+
+
+def test_without_fork_both_pools_refuse_before_doing_anything(
+        parent, monkeypatch, tmp_path):
+    import multiprocessing
+
+    from repro.campaign import build_grid, get_plan, run_campaign
+    from repro.debugger.errors import ForkUnavailableError
+
+    def no_process(self):
+        raise AssertionError("a process was started on a forkless platform")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        no_process)
+    journal = tmp_path / "campaign.journal"
+    journal.write_text("an earlier campaign's progress")
+    cells = build_grid(["echo"], [0, 1], [("calm", get_plan("calm"))])
+    with pytest.raises(ForkUnavailableError, match="workers=1"):
+        run_campaign(cells, workers=2, shrink=False, journal_path=journal)
+    assert journal.read_text() == "an earlier campaign's progress"
+    with pytest.raises(ForkUnavailableError, match="execute_fork"):
+        fork_trace(parent, build_two_clients, 0, crash_pert())
+    tree = BranchTree(parent, build_two_clients)
+    with pytest.raises(ForkUnavailableError):
+        tree.fork(crash_pert())
+    assert len(tree) == 1  # the root alone
+    # The alternatives the message names still work.
+    assert run_campaign(cells, workers=1, shrink=False).passed
+    assert execute_fork(parent, build_two_clients, 0, crash_pert()).events
 
 
 def test_fork_from_branch_builds_a_lineage(parent):
@@ -347,7 +382,7 @@ def test_classify_races_tags_benign_inversions(parent):
     races = detect_races(parent, other)
     assert races and races[0].harmful is None
     tree = BranchTree(parent, build_two_clients)
-    classified = classify_races(tree, races[:1], mode="inline")
+    classified = classify_races(tree, races[:1])
     assert len(classified) == 1
     # Flipping the echo race reorders deliveries without breaking any
     # universal contract: the bridge judges it benign, not unclassified.
@@ -363,7 +398,7 @@ def test_classify_races_leaves_unexecutable_flips_unclassified(parent):
     ghost = MessageRace(dst=0, first=(9, 9, "ghost", 0),
                         second=(9, 9, "ghost", 1), pos_a=(0, 1), pos_b=(1, 0))
     tree = BranchTree(parent, build_two_clients)
-    classified = classify_races(tree, [ghost], mode="inline")
+    classified = classify_races(tree, [ghost])
     assert classified[0].harmful is None
     assert "harmful" not in repr(classified[0])
     assert "benign" not in repr(classified[0])

@@ -206,3 +206,67 @@ def test_duplicate_procedure_rejected():
 def test_parse_error_reports_line():
     with pytest.raises(CluCompileError, match="line 3"):
         compile_program("proc main()\n  var x: int := 1\n  var y int\nend")
+
+
+# ----------------------------------------------------------------------
+# The compile memo is invisible: one shared read-only Program, private
+# NodeImages
+# ----------------------------------------------------------------------
+
+LOOP = """var hits: int := 0
+proc main()
+  var i: int := 0
+  while i < 1000 do
+    i := i + 1
+    hits := hits + 1
+    sleep(1000)
+  end
+  print i
+end
+"""
+
+
+def test_compile_memo_returns_one_program_per_source_and_module():
+    assert compile_program(LOOP, "app") is compile_program(LOOP, "app")
+    assert compile_program(LOOP, "app") is not compile_program(LOOP, "other")
+    assert compile_program(LOOP, "other").module == "other"
+    assert compile_program(LOOP + "\n", "app") is not compile_program(LOOP, "app")
+
+
+def test_compile_error_is_raised_again_not_cached():
+    bad = "proc main()\n  var y int\nend"
+    for _ in range(2):
+        with pytest.raises(CluCompileError, match="line 2"):
+            compile_program(bad, "app")
+
+
+def test_images_linked_from_a_memoised_program_are_independent():
+    from repro import Cluster, Pilgrim
+
+    def session():
+        cluster = Cluster(names=["app", "debugger"], seed=0)
+        image = cluster.load_program(LOOP, "app")
+        cluster.spawn_vm("app", image, "main")
+        return cluster, image
+
+    (patched_cluster, patched), (_, untouched) = session(), session()
+    program = compile_program(LOOP, "app")
+    assert patched.program is program and untouched.program is program
+
+    dbg = Pilgrim(patched_cluster, home="debugger")
+    dbg.connect("app")
+    bp = dbg.set_breakpoint("app", "app", line=5)
+    assert dbg.wait_for_breakpoint()["line"] == 5
+    # The TRAP went into one node's private code array and nowhere else.
+    assert patched.functions[bp.func].code[bp.pc].op == "TRAP"
+    assert untouched.functions[bp.func].code[bp.pc].op != "TRAP"
+    assert program.functions[bp.func].code[bp.pc].op != "TRAP"
+
+    # Node-private state does not leak through the shared master either.
+    patched.globals["hits"] = 99
+    patched.console.append("only here")
+    assert untouched.globals == {"hits": 0} and untouched.console == []
+    assert program.globals_init == {"hits": 0}
+    fresh = Cluster(names=["app"], seed=1).load_program(LOOP, "app")
+    assert fresh.globals == {"hits": 0} and fresh.console == []
+    assert all(i.op != "TRAP" for i in fresh.functions[bp.func].code)

@@ -3,10 +3,13 @@
 The scenarios registered here are deliberately hostile: ``boom`` raises
 inside the cell, ``die`` SIGKILLs its own worker, ``die_once`` kills the
 first worker that runs it and passes on retry, ``hang`` sleeps past any
-reasonable deadline.  Worker processes inherit them via fork, so the
-fleet tests exercise the real multiprocess containment paths.
+reasonable deadline, ``nap`` sleeps a fixed fraction of one.  Worker
+processes inherit them via fork, so the fleet tests exercise the real
+multiprocess containment paths.
 """
 
+import dataclasses
+import functools
 import json
 import os
 import signal
@@ -16,10 +19,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.campaign import (
     CampaignJournal,
+    CampaignReport,
+    Fleet,
+    FleetOptions,
     build_grid,
     cell_key,
     execute_cell,
@@ -51,12 +59,24 @@ def _die_once_build(cluster):
     if not os.path.exists(marker):
         with open(marker, "w") as fh:
             fh.write("died")
+        time.sleep(0.05)  # long enough for a second cell to be queued
         os.kill(os.getpid(), signal.SIGKILL)
     return {}
 
 
 def _hang_build(cluster):
     time.sleep(300)
+
+
+#: ``nap`` sleeps this long: more than half of, and less than, the
+#: ``cell_timeout`` its test sets (see ``_NAP_TIMEOUT``).
+_NAP_SECONDS = 0.3
+_NAP_TIMEOUT = 0.5
+
+
+def _nap_build(cluster):
+    time.sleep(_NAP_SECONDS)
+    return {}
 
 
 def _unpicklable_check(facts):
@@ -89,6 +109,9 @@ _HOSTILE = {
     "hang": Scenario(name="hang", description="sleeps forever",
                      names=("a", "b"), run_until=1000,
                      build=_hang_build, contracts=_NO_CONTRACTS),
+    "nap": Scenario(name="nap", description="sleeps most of a timeout",
+                    names=("a", "b"), run_until=1000,
+                    build=_nap_build, contracts=_NO_CONTRACTS),
     "unjson": Scenario(name="unjson", description="unserializable verdict",
                        names=("a", "b"), run_until=1000,
                        build=_empty_build, contracts=_UNJSON_SET),
@@ -199,6 +222,185 @@ def test_error_verdicts_are_schedule_independent():
     wide = run_campaign(cells, workers=4, retries=3, **_FAST)
     assert inline.canonical_json() == narrow.canonical_json()
     assert inline.canonical_json() == wide.canonical_json()
+
+
+# ----------------------------------------------------------------------
+# The dispatch window: containment stays per cell with cells queued
+# ----------------------------------------------------------------------
+
+class _WatchedFleet(Fleet):
+    """A Fleet that records what the window looked like at each send and
+    at each worker loss (the hooks are the two places a cell enters or
+    leaves a pipe unanswered)."""
+
+    def __init__(self, cells, **options):
+        options.setdefault("backoff", 0.005)
+        super().__init__(cells, FleetOptions(**options))
+        self.sends = []   # (cells the target held, cells each live worker held)
+        self.losses = []  # indices in a lost worker's queue, head first
+
+    def _send(self, worker):
+        self.sends.append((len(worker.queue),
+                           [len(w.queue) for w in self._workers.values()]))
+        super()._send(worker)
+
+    def _discard(self, worker):
+        self.losses.append([cell.index for cell in worker.queue])
+        return super()._discard(worker)
+
+    def report(self):
+        cells = [self.results[cell.index] for cell in self.cells]
+        return CampaignReport(cells=cells, fleet=self.metrics.snapshot())
+
+
+def _run_watched(cells, **options):
+    fleet = _WatchedFleet(cells, **options)
+    fleet.run()
+    return fleet
+
+
+def _inline_json(cells):
+    return run_campaign(cells, workers=1, shrink=False).canonical_json()
+
+
+def _renumber(cells):
+    """Concatenated grids as one grid: indices 0..n-1 in list order."""
+    return [dataclasses.replace(cell, index=i) for i, cell in enumerate(cells)]
+
+
+def test_death_charges_the_head_and_hands_back_the_queued_cell(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv(_DIE_ONCE_MARKER, str(tmp_path / "died"))
+    cells = _renumber(_grid("die_once") + _grid("echo", seeds=(0, 1, 2)))
+    fleet = _run_watched(cells, workers=1)
+    # The worker died executing cell 0 with cell 1 queued behind it.
+    assert fleet.losses == [[0, 1]]
+    assert fleet._deaths == {0: 1}
+    assert fleet._attempts == {0: 2, 1: 1, 2: 1, 3: 1}
+    snapshot = fleet.metrics.snapshot()
+    assert snapshot["fleet.cells_executed"] == 5  # four cells + one retry
+    assert snapshot["fleet.worker_deaths"] == 1
+    assert snapshot["fleet.retries"] == 1
+    # The marker exists now, so the inline reference passes die_once too.
+    assert fleet.report().canonical_json() == _inline_json(cells)
+
+
+def test_a_queued_cells_clock_starts_when_it_reaches_the_head():
+    # Two naps share one pipe.  Timed from its send, the second would
+    # finish 2 x 0.3 s after it was written: past the 0.5 s budget.
+    fleet = _run_watched(_grid("nap", seeds=(0, 1)), workers=1,
+                         cell_timeout=_NAP_TIMEOUT)
+    assert fleet.sends[:2] == [(0, [0]), (1, [1])]  # both in the pipe
+    assert fleet.metrics.snapshot()["fleet.timeouts"] == 0
+    assert [r["verdict"] for r in fleet.results.values()] == ["pass", "pass"]
+
+
+def test_timeout_charges_the_head_and_hands_back_the_queued_cell():
+    cells = _renumber(_grid("hang") + _grid("echo", seeds=(0, 1)))
+    fleet = _run_watched(cells, workers=1, cell_timeout=0.3, retries=0)
+    assert fleet.losses == [[0, 1]]
+    assert fleet.results[0]["error"]["kind"] == "timeout"
+    assert [fleet.results[i]["verdict"] for i in (1, 2)] == ["pass", "pass"]
+    assert fleet._attempts == {0: 1, 1: 1, 2: 1}
+    snapshot = fleet.metrics.snapshot()
+    assert snapshot["fleet.timeouts"] == 1
+    assert snapshot["fleet.cells_executed"] == 3
+    assert snapshot["fleet.worker_deaths"] == 0
+
+
+@pytest.mark.parametrize("victim", [0, 1, 5])
+def test_chaos_kill_is_attributed_to_its_cell_wherever_it_was_queued(victim):
+    # One worker, eight cells: cell 0 is a head from the start, cell 1 is
+    # queued behind it, cell 5 arrives later as a top-up.
+    cells = _grid("echo", seeds=(0, 1, 2, 3), plans=("calm", "crash"))
+    fleet = _run_watched(cells, workers=1, chaos_kill_cells=frozenset({victim}))
+    assert fleet._deaths == {victim: 1}
+    assert fleet._attempts == {
+        cell.index: 2 if cell.index == victim else 1 for cell in cells}
+    assert fleet.losses[0][0] == victim
+    assert fleet.report().canonical_json() == _inline_json(cells)
+
+
+def test_poison_cells_are_quarantined_after_exactly_the_budget():
+    cells = _grid("die", "echo", seeds=(0, 1))  # die, die, echo, echo
+    fleet = _run_watched(cells, workers=2, quarantine_after=2)
+    assert fleet._deaths == {0: 2, 1: 2}
+    assert all(loss[0] in (0, 1) for loss in fleet.losses)
+    snapshot = fleet.metrics.snapshot()
+    assert snapshot["fleet.worker_deaths"] == 4
+    assert snapshot["fleet.quarantined"] == 2
+    assert [fleet.results[i]["error"]["kind"] for i in (0, 1)] == [
+        "quarantined", "quarantined"]
+    assert [fleet._attempts[i] for i in (2, 3)] == [1, 1]
+
+
+@pytest.mark.parametrize("workers, n_cells", [(64, 48), (3, 7)])
+def test_no_worker_is_topped_up_while_another_holds_nothing(workers, n_cells):
+    plans = ("calm", "crash", "partition", "jitter")
+    cells = _grid("echo", seeds=range(12), plans=plans)[:n_cells]
+    fleet = _run_watched(cells, workers=workers)
+    for held, everyone in fleet.sends:
+        assert held == 0 or min(everyone) >= 1, fleet.sends
+    if workers > len(cells):  # a wide fleet: one cell each, no queueing
+        assert all(held == 0 for held, _ in fleet.sends)
+        assert len(fleet.sends) == len(cells)
+    assert fleet.report().canonical_json() == _inline_json(cells)
+
+
+def test_retry_promoted_after_the_fleet_went_idle_is_dispatched(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv(_DIE_ONCE_MARKER, str(tmp_path / "died"))
+    # One cell: after the death the respawned worker has nothing to do
+    # until the backed-off retry is promoted, 0.2 s (ten polls) later.
+    fleet = _run_watched(_grid("die_once"), workers=2, backoff=0.2)
+    assert fleet.results[0]["verdict"] == "pass"
+    assert fleet._attempts == {0: 2}
+    assert fleet.metrics.snapshot()["fleet.retries"] == 1
+
+
+_CHAOS_GRID = build_grid(["echo"], [0, 1, 2],
+                         [(n, get_plan(n)) for n in
+                          ("calm", "crash", "partition", "jitter")])
+
+
+@functools.lru_cache(maxsize=None)
+def _chaos_reference():
+    return _inline_json(_CHAOS_GRID)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(workers=st.integers(1, 5),
+       kills=st.frozensets(st.integers(0, len(_CHAOS_GRID) - 1)))
+def test_generated_kill_schedules_never_move_the_report(workers, kills):
+    fleet = _run_watched(_CHAOS_GRID, workers=workers, backoff=0.002,
+                         chaos_kill_cells=kills)
+    snapshot = fleet.metrics.snapshot()
+    assert fleet.report().canonical_json() == _chaos_reference()
+    assert snapshot["fleet.worker_deaths"] == len(kills)
+    assert snapshot["fleet.worker_deaths"] == (
+        snapshot["fleet.retries"] + snapshot["fleet.quarantined"])
+    assert not fleet.report().errored
+
+
+# ----------------------------------------------------------------------
+# Fleet observability: messages and worker wait, outside the canon
+# ----------------------------------------------------------------------
+
+def test_messages_and_worker_wait_ride_beside_the_canonical_report():
+    cells = _grid("echo", seeds=(0, 1, 2), plans=("calm", "crash"))
+    pooled = run_campaign(cells, workers=2, **_FAST)
+    inline = run_campaign(cells, workers=1, **_FAST)
+    # One `run` and one `done` per cell, one `exit` per worker.
+    assert pooled.fleet["fleet.messages"] == 2 * len(cells) + 2
+    assert pooled.fleet["fleet.worker_wait_us"] > 0
+    assert inline.fleet["fleet.messages"] == 0
+    assert inline.fleet["fleet.worker_wait_us"] == 0
+    assert pooled.canonical_json() == inline.canonical_json()
+    stripped = CampaignReport(cells=pooled.cells, fleet={})
+    assert stripped.canonical_json() == pooled.canonical_json()
+    assert "messages 14" in pooled.summary()
+    assert "worker wait us" in pooled.summary()
 
 
 # ----------------------------------------------------------------------
@@ -334,18 +536,60 @@ run_campaign(cells, workers=2, shrink=False, journal_path=sys.argv[1])
 """
 
 
+def _start_crash_script(tmp_path, journal):
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c", _CRASH_SCRIPT, str(journal)],
+        env=dict(os.environ, PYTHONPATH=src_root), cwd=tmp_path,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+def _children(pid: int) -> list[int]:
+    """Pids forked by process ``pid``'s main thread."""
+    listing = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    return [int(child) for child in listing.split()]
+
+
+def _gone(pid: int) -> bool:
+    """No such process — or a zombie only its new parent can reap."""
+    try:
+        os.kill(pid, 0)
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+def test_workers_do_not_outlive_a_sigkilled_coordinator(tmp_path):
+    # Regression: a forked worker kept its inherited copy of the
+    # coordinator's end of its own pipe open, so the EOF its recv() was
+    # waiting for could never arrive and the fleet lived forever.
+    proc = _start_crash_script(tmp_path, tmp_path / "campaign.journal")
+    try:
+        deadline = time.monotonic() + 60.0
+        workers: list[int] = []
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None, "campaign ended before the kill"
+            workers = _children(proc.pid)
+            time.sleep(0.002)
+        assert len(workers) == 2
+        proc.kill()
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 5.0
+    while not all(map(_gone, workers)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(map(_gone, workers)), "fleet workers outlived their coordinator"
+
+
 def test_sigkill_coordinator_then_resume_is_byte_identical(tmp_path):
     """The ISSUE acceptance scenario: kill the coordinator mid-campaign,
     resume, and get the byte-identical report without re-executing the
     journaled cells."""
     journal = tmp_path / "campaign.journal"
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src_root)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _CRASH_SCRIPT, str(journal)],
-        env=env, cwd=tmp_path,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    proc = _start_crash_script(tmp_path, journal)
     try:
         # Wait until at least 3 cells are journaled, then SIGKILL the
         # coordinator mid-flight.  Every snapshot is atomically
