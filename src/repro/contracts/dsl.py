@@ -277,7 +277,7 @@ class CheckerBank:
 
     def report(self, name: str = "contracts",
                events: Optional[int] = None) -> ContractReport:
-        """Finalize: run the liveness phase and assemble the report."""
+        """Run the liveness phase and assemble the report (read-only)."""
         verdicts: dict = {}
         violations: list = []
         for contract, state in self._checkers:
@@ -296,7 +296,11 @@ class CheckerBank:
 
 
 class BaseChecker:
-    """Common checker plumbing: a violation list and a no-op finish."""
+    """Common checker plumbing: a violation list and a no-op finish.
+
+    The rule incremental folds stand on: only :meth:`on_event` mutates
+    a checker, so a bank that was reported can be fed further and
+    reported again, and answers as a fresh one would."""
 
     NAME = "contract"
 
@@ -326,7 +330,7 @@ class BaseChecker:
         """Fold one event (override)."""
 
     def finish(self) -> list:
-        """End-of-run (liveness) violations; default none."""
+        """End-of-run (liveness) violations; default none.  Read-only."""
         return []
 
 

@@ -39,20 +39,27 @@ def check_trace(trace: Trace, contracts) -> ContractReport:
     return bank.report(name=name)
 
 
+def fold_prefix(bank: CheckerBank, events, upto_index=None):
+    """Feed ``bank`` the events of ``events[:upto_index]`` it has not
+    seen (``bank.count`` onwards) and return the earliest violation by
+    anchor index (or ``None``).
+
+    The incremental fold: a bank kept between calls pays only for the
+    events since the last one — sound because reporting never mutates a
+    checker (the :class:`~repro.contracts.dsl.BaseChecker` rule).  It
+    cannot move back: a shorter prefix needs a fresh bank.
+    """
+    if upto_index is not None and upto_index < bank.count:
+        raise ValueError(f"bank has folded {bank.count} events, past {upto_index}")
+    for trace_event in events[bank.count:upto_index]:
+        bank.feed(TraceFact(trace_event))
+    last = len(events)
+    return min(bank.report().violations, default=None,
+               key=lambda v: last if v.index is None else v.index)
+
+
 def first_violation(events, contracts, upto_index=None):
     """Fold event contracts over ``events[:upto_index]`` and return the
-    earliest violation by anchor index (or ``None``).
-
-    The time-travel hook: ``why_halted`` uses it to name the first
-    invariant that broke at or before the cursor.
-    """
-    bank = CheckerBank(tuple(contracts))
-    for trace_event in (events if upto_index is None else events[:upto_index]):
-        bank.feed(TraceFact(trace_event))
-    report = bank.report()
-    if not report.violations:
-        return None
-    return min(
-        report.violations,
-        key=lambda v: (v.index if v.index is not None else len(events)),
-    )
+    earliest violation by anchor index (or ``None``): :func:`fold_prefix`
+    on a fresh bank, the reference a kept one is tested against."""
+    return fold_prefix(CheckerBank(tuple(contracts)), events, upto_index)

@@ -110,11 +110,12 @@ class StateView:
     counts: dict = field(default_factory=dict)
 
     def copy(self) -> "StateView":
-        """Deep-enough copy so folds never alias a cached view."""
+        """Deep-enough copy so folds never alias a cached view.  The
+        per-process ``{name, priority}`` dicts are shared: a fold writes
+        one when the process is created and only ever drops it whole."""
         return StateView(
             time=self.time,
-            processes={n: {p: dict(d) for p, d in t.items()}
-                       for n, t in self.processes.items()},
+            processes={n: dict(t) for n, t in self.processes.items()},
             halted={n: list(pids) for n, pids in self.halted.items()},
             in_flight={n: list(ids) for n, ids in self.in_flight.items()},
             epochs=dict(self.epochs),

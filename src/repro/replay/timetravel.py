@@ -6,7 +6,8 @@ query answers with a :class:`Moment` — the folded
 :class:`~repro.replay.checkpoint.StateView` at the cursor plus the last
 applied event.  Seeking uses the trace's checkpoints: ``at(t)`` folds
 from the nearest checkpoint at or before the target instead of from the
-beginning.
+beginning, and only the events that change a table: counts and time
+come off columns built once (``docs/time-travel.md`` prices each query).
 
 ``at(t)`` uses prefix semantics: the cursor lands after the longest
 event prefix whose times are all <= t.  Event times are stamped by the
@@ -24,17 +25,30 @@ information crosses nodes in this system.
 from __future__ import annotations
 
 import bisect
-import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
-from repro.replay.checkpoint import StateView, apply_event, empty_view
+from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView,
+                                     apply_event, empty_view)
 from repro.replay.trace import Trace, TraceEvent
-
-_INDEX_OF = operator.attrgetter("index")
 
 #: Events the halt-cause scan recognizes as "why" candidates.
 _CAUSE_TYPES = ("BreakpointHit", "ProcessFailed")
+
+#: The byte ``TimeTravel._kinds`` holds per event: a code for each type
+#: a query counts or searches for, 0 for the rest.
+_CODES = {kind: code for code, kind in enumerate(
+    sorted({*COUNT_KEYS, *_TABLE_FOLDS, *_CAUSE_TYPES}), start=1)}
+_COUNTED = tuple((_CODES[kind], key) for kind, key in COUNT_KEYS.items())
+#: ``bytes.translate`` table: 1 for the kind codes of table events.
+_TABLE_MASK = bytes(code in {_CODES[kind] for kind in _TABLE_FOLDS}
+                    for code in range(256))
+
+#: Table events between two reverse-step snapshots.  A step back folds
+#: half a stride on average: at 16 about the cost of the one view copy it
+#: makes anyway, with ~4 views kept per 100 ms checkpoint interval.
+_STRIDE = 16
 
 
 @dataclass
@@ -64,49 +78,107 @@ class TimeTravel:
             # A checkpoint-free trace (hand-built in tests): fold from
             # nothing, using the node set the header names imply.
             self._base = empty_view(range(len(trace.header.get("names", []))))
-        #: Running maximum of event times — monotone, so prefix cutoffs
-        #: are a binary search.
-        self._max_times: list[int] = []
+        # Checkpoint indices ascend (``TraceWriter`` produces them so, a
+        # loaded trace is checked for it), so a seek's seed is a bisect away.
+        self._starts = [checkpoint.index for checkpoint in trace.checkpoints]
+        #: What queries read instead of walking events.  Per cursor: the
+        #: running maximum of event times (monotone, so a prefix cutoff is
+        #: a bisect).  Per event: time, kind code, "is a table event".
         high = self._base.time
+        max_times, times, kinds = [high], [], bytearray()
         for event in self.events:
-            high = max(high, event.time)
-            self._max_times.append(high)
+            if event.time > high:
+                high = event.time
+            max_times.append(high)
+            times.append(event.time)
+            kinds.append(_CODES.get(event.type, 0))
+        self._max_times, self._times, self._kinds = max_times, times, bytes(kinds)
+        self._tabled = self._kinds.translate(_TABLE_MASK)
         self.cursor = len(self.events)
         #: The view at the cursor once folded.  Every ``Moment`` handed
         #: out shares it, so it is replaced, never mutated.
         self._view: Optional[StateView] = None
+        #: Reverse-step snapshots of the one checkpoint interval last
+        #: stepped back in: (its start, cursors, views copied before use).
+        self._snapshots: tuple = (None, [], [])
+        #: The bank ``first_contract_violation`` last fed, kept to go on.
+        self._prefix = None
+        #: (previous event on the node, matching PacketSent) per event.
+        self._preds: Optional[tuple] = None
+        self._stats = dict.fromkeys(
+            ("folds", "table_events_folded", "snapshot_hits",
+             "prefix_events_fed", "prefix_restarts", "edge_builds"), 0)
+
+    def stats(self) -> dict:
+        """Exact work counters: views folded, table events run for them,
+        reverse steps seeded by a snapshot, the contract fold's events
+        and restarts, predecessor-graph builds."""
+        return dict(self._stats)
 
     # ------------------------------------------------------------------
     # Seeking
     # ------------------------------------------------------------------
 
-    def _view_at(self, index: int) -> StateView:
-        """Fold the view at cursor ``index``, seeded from the latest
-        checkpoint at or before it."""
-        start, view = 0, self._base
-        # Checkpoint indices ascend (``TraceWriter`` produces them so, a
-        # loaded trace is checked for it), so the seed is a bisect away.
-        checkpoints = self.trace.checkpoints
-        nearest = bisect.bisect_right(checkpoints, index, key=_INDEX_OF) - 1
+    def _fold_tables(self, view: StateView, start: int, index: int) -> None:
+        """Run the table events in ``[start, index)`` over ``view``."""
+        tabled = self._tabled[start:index]
+        for position in compress(range(start, index), tabled):
+            event = self.events[position]
+            _TABLE_FOLDS[event.type](view, str(event.node), event.fields)
+        self._stats["table_events_folded"] += tabled.count(1)
+
+    def _snapshot(self, start: int, seed: StateView, index: int) -> tuple:
+        """The latest snapshot at or before cursor ``index``, as (cursor,
+        view): one per ``_STRIDE`` table events of the interval at ``start``."""
+        if self._snapshots[0] != start:
+            self._snapshots = (start, [start], [seed])
+        _, cursors, views = self._snapshots
+        last = cursors[-1]
+        ahead = list(compress(range(last, index), self._tabled[last:index]))
+        for position in ahead[_STRIDE::_STRIDE]:
+            view = views[-1].copy()
+            self._fold_tables(view, cursors[-1], position)
+            cursors.append(position)
+            views.append(view)
+        nearest = bisect.bisect_right(cursors, index) - 1
+        self._stats["snapshot_hits"] += nearest > 0
+        return cursors[nearest], views[nearest]
+
+    def _view_at(self, index: int, backwards: bool = False) -> StateView:
+        """Fold the view at cursor ``index`` from the latest checkpoint at
+        or before it (stepping ``backwards``: from the latest snapshot past
+        it).  Table events are folded; counts and time come off the columns."""
+        start, seed = 0, self._base
+        nearest = bisect.bisect_right(self._starts, index) - 1
         if nearest >= 0:
-            start, view = checkpoints[nearest].index, checkpoints[nearest].view
-        view = view.copy()
-        for event in self.events[start:index]:
-            apply_event(view, event)
+            start, seed = self._starts[nearest], self.trace.checkpoints[nearest].view
+        begin = start
+        if backwards:
+            begin, seed = self._snapshot(start, seed, index)
+        view = seed.copy()
+        self._fold_tables(view, begin, index)
+        # Counts and time are still the checkpoint's, whose time is its
+        # capture event's: it can lie below ``_max_times``.
+        kinds = self._kinds[start:index]
+        for code, key in _COUNTED:
+            seen = kinds.count(code)
+            if seen:
+                view.counts[key] = view.counts.get(key, 0) + seen
+        view.time = max(view.time, max(self._times[start:index], default=0))
+        self._stats["folds"] += 1
         return view
 
     def _moment(self) -> Moment:
         if self._view is None:
             self._view = self._view_at(self.cursor)
         event = self.events[self.cursor - 1] if self.cursor > 0 else None
-        time = self._max_times[self.cursor - 1] if self.cursor > 0 else self._base.time
-        return Moment(index=self.cursor, time=time, view=self._view,
-                      event=event)
+        return Moment(index=self.cursor, time=self._max_times[self.cursor],
+                      view=self._view, event=event)
 
     def at(self, t: int) -> Moment:
         """Seek to virtual time ``t``: the longest prefix of events whose
         times are all <= t."""
-        self.cursor = bisect.bisect_right(self._max_times, t)
+        self.cursor = max(0, bisect.bisect_right(self._max_times, t) - 1)
         self._view = None
         return self._moment()
 
@@ -130,12 +202,12 @@ class TimeTravel:
     def reverse_step(self) -> Moment:
         """Un-apply the last event (no-op at the start of the trace).
 
-        Events are not invertible, so the view is re-folded from the
-        nearest earlier checkpoint.
+        Events are not invertible, so the view is re-folded — from the
+        nearest snapshot kept while stepping back through an interval.
         """
         if self.cursor > 0:
             self.cursor -= 1
-            self._view = None
+            self._view = self._view_at(self.cursor, backwards=True)
         return self._moment()
 
     def current(self) -> Moment:
@@ -153,17 +225,24 @@ class TimeTravel:
         over the event prefix ``[0, cursor)`` through the offline
         backend and returns the minimum-index
         :class:`~repro.contracts.report.ContractViolation`, or ``None``
-        when every contract holds this far.
+        when every contract holds this far.  The fold is kept: a later
+        cursor feeds only the events in between, an earlier one (or
+        other contracts) starts it over.
         """
-        from repro.contracts.dsl import universal_contracts
-        from repro.contracts.offline import first_violation
+        from repro.contracts.dsl import CheckerBank, universal_contracts
+        from repro.contracts.offline import fold_prefix
 
         if contracts is None:
             contracts = universal_contracts()
         elif hasattr(contracts, "event_contracts"):
             contracts = contracts.event_contracts()
-        return first_violation(self.events, contracts,
-                               upto_index=self.cursor)
+        bank = self._prefix
+        if (bank is None or bank.count > self.cursor
+                or bank.contracts != tuple(contracts)):
+            self._stats["prefix_restarts"] += bank is not None
+            bank = self._prefix = CheckerBank(contracts)
+        self._stats["prefix_events_fed"] += self.cursor - bank.count
+        return fold_prefix(bank, self.events, self.cursor)
 
     def why_halted(self, node: Optional[int] = None) -> dict:
         """Explain the halt state at the cursor.
@@ -185,20 +264,16 @@ class TimeTravel:
         }
         if not halted:
             return {"halted": False, "contract": contract}
-        first_halt = None
-        for index in range(self.cursor - 1, -1, -1):
-            event = self.events[index]
-            if event.type == "ProcessResumed":
-                break
-            if event.type == "ProcessHalted":
-                first_halt = event
-        cause = None
-        if first_halt is not None:
-            for index in range(first_halt.index, -1, -1):
-                event = self.events[index]
-                if event.type in _CAUSE_TYPES:
-                    cause = event
-                    break
+        # The episode opens at the first halt after the last resume.
+        kinds = self._kinds
+        resumed = kinds.rfind(_CODES["ProcessResumed"], 0, self.cursor)
+        opened = kinds.find(_CODES["ProcessHalted"], resumed + 1, self.cursor)
+        first_halt = cause = None
+        if opened >= 0:
+            first_halt = self.events[opened]
+            caused = max(kinds.rfind(_CODES[kind], 0, opened)
+                         for kind in _CAUSE_TYPES)
+            cause = self.events[caused] if caused >= 0 else None
         return {
             "halted": True,
             "nodes": halted,
@@ -212,50 +287,50 @@ class TimeTravel:
     # Causality (Lamport ordering over the trace)
     # ------------------------------------------------------------------
 
-    def _edges_into(self) -> list[list[int]]:
-        """Predecessor edge lists: program order + packet delivery."""
-        preds: list[list[int]] = [[] for _ in self.events]
-        last_on_node: dict = {}
-        sent_at: dict[int, int] = {}
-        for index, event in enumerate(self.events):
-            prev = last_on_node.get(event.node)
-            if prev is not None:
-                preds[index].append(prev)
-            last_on_node[event.node] = index
-            packet = event.fields.get("packet")
-            if isinstance(packet, dict):
-                pkt = packet.get("pkt")
-                if event.type == "PacketSent":
-                    sent_at[pkt] = index
-                elif event.type == "PacketDelivered":
-                    origin = sent_at.get(pkt)
-                    if origin is not None:
-                        preds[index].append(origin)
-        return preds
+    def _predecessors(self) -> tuple:
+        """The happens-before graph as two columns, built on first use:
+        per event, the previous event on its node and (for a delivery)
+        the matching ``PacketSent``; -1 where there is none."""
+        if self._preds is None:
+            self._stats["edge_builds"] += 1
+            previous, origin = [], []
+            last_on_node: dict = {}
+            sent_at: dict[int, int] = {}
+            for index, event in enumerate(self.events):
+                previous.append(last_on_node.get(event.node, -1))
+                last_on_node[event.node] = index
+                origin.append(-1)
+                packet = event.fields.get("packet")
+                if isinstance(packet, dict):
+                    if event.type == "PacketSent":
+                        sent_at[packet.get("pkt")] = index
+                    elif event.type == "PacketDelivered":
+                        origin[-1] = sent_at.get(packet.get("pkt"), -1)
+            self._preds = (previous, origin)
+        return self._preds
 
     def lamport_clocks(self) -> list[int]:
         """One Lamport timestamp per event (trace order is a
         linearization of happens-before, so a single forward pass works)."""
-        preds = self._edges_into()
-        clocks = [0] * len(self.events)
-        for index in range(len(self.events)):
-            clocks[index] = 1 + max(
-                (clocks[p] for p in preds[index]), default=0
-            )
-        return clocks
+        # One spare slot at the end: a missing predecessor (-1) reads 0.
+        clocks = [0] * (len(self.events) + 1)
+        for index, (previous, origin) in enumerate(zip(*self._predecessors())):
+            clocks[index] = 1 + max(clocks[previous], clocks[origin])
+        return clocks[:-1]
 
     def causal_predecessors(self, index: int) -> list[TraceEvent]:
         """Every event that happens-before ``events[index]``, in trace
         order — the causal history of a packet/RPC/halt."""
-        preds = self._edges_into()
+        columns = self._predecessors()
         seen = set()
-        stack = list(preds[index])
+        stack = [index]
         while stack:
             current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(preds[current])
+            for column in columns:
+                pred = column[current]
+                if pred >= 0 and pred not in seen:
+                    seen.add(pred)
+                    stack.append(pred)
         return [self.events[i] for i in sorted(seen)]
 
     # ------------------------------------------------------------------
@@ -280,5 +355,5 @@ class TimeTravel:
     def __repr__(self) -> str:
         return (
             f"<TimeTravel cursor={self.cursor}/{len(self.events)} "
-            f"t={self._moment().time}>"
+            f"t={self._max_times[self.cursor]}>"
         )

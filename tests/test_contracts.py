@@ -242,3 +242,94 @@ def test_monitor_emits_typed_violation_events():
     assert seen, "split brain must surface as a live ContractViolated"
     assert seen[0].contract == "single_leader"
     assert monitor.report().verdicts["single_leader"] == "fail"
+
+
+# ----------------------------------------------------------------------
+# The rule incremental folds stand on: reporting never mutates a fold
+# ----------------------------------------------------------------------
+
+
+def events_from_rows(rows):
+    """Hand-built trace events from (type, time, node, fields) rows."""
+    from repro.replay.trace import TraceEvent
+
+    return [TraceEvent(index=index, type=kind, time=time, node=node,
+                       seq=index, fields=fields,
+                       line=f"{index} {kind} t={time} n={node}")
+            for index, (kind, time, node, fields) in enumerate(rows)]
+
+
+def _violating_events():
+    """A hand-built stream that breaks every universal contract."""
+    return events_from_rows([
+        ("RpcCallStarted", 10, 0, {"call_id": 1, "service": "s", "proc": "p"}),
+        ("RpcCallCompleted", 20, 0, {"call_id": 1}),
+        ("RpcCallCompleted", 21, 0, {"call_id": 1}),
+        ("RpcStaleRejected", 30, 1, {"call_id": 2}),
+        ("RpcCallCompleted", 31, 0, {"call_id": 2}),
+        ("PacketSent", 25, 0, {}),
+        ("TimerFrozen", 40, 1, {}),
+        ("RpcCallRetried", 41, 1, {"call_id": 3}),
+        ("RpcCallStarted", 42, 1, {"call_id": 3, "service": "s", "proc": "q"}),
+        ("Observation", 50, 0, {"kind": "leader", "key": 1}),
+        ("Observation", 51, 1, {"kind": "leader", "key": 1}),
+        ("Observation", 52, 0, {"kind": "invoke", "pid": 1, "op": "get", "key": "k"}),
+        ("Observation", 53, 0, {"kind": "return", "pid": 1, "value": 9}),
+    ])
+
+
+def _fold_rule_streams():
+    from repro.campaign.scenarios import get_plan, get_scenario
+
+    kv = get_scenario("kv")
+    return {
+        "calm": record_echo(1, "calm", "ring").events,
+        "chaos": record_echo(7, "chaos", "ring").events,
+        "kv-split-brain": record_run(
+            kv.build, list(kv.names), seed=0, run_until=kv.run_until,
+            plan=get_plan("leader_partition")).events,
+        "hand-built": _violating_events(),
+    }
+
+
+def test_reporting_never_mutates_a_fold():
+    """``report()`` twice answers the same, and a bank that was reported
+    part-way answers at the end as one that never was."""
+    from repro.contracts.dsl import (
+        NO_LOST_CALLS, CheckerBank, TraceFact, universal_contracts)
+
+    failed = set()
+    for label, events in _fold_rule_streams().items():
+        facts = [TraceFact(event) for event in events]
+        for contract in (*universal_contracts(), NO_LOST_CALLS):
+            fresh = CheckerBank((contract,))
+            for fact in facts:
+                fresh.feed(fact)
+            whole = fresh.report()
+            assert fresh.report() == whole, (label, contract.name)
+            if not whole.ok:
+                failed.add(contract.name)
+            for k in range(0, len(facts) + 1, 10):
+                bank = CheckerBank((contract,))
+                for fact in facts[:k]:
+                    bank.feed(fact)
+                assert bank.report() == bank.report(), (label, contract.name, k)
+                for fact in facts[k:]:
+                    bank.feed(fact)
+                assert bank.report() == whole, (label, contract.name, k)
+    # The streams do exercise every contract's violating side.
+    assert failed == {c.name for c in (*universal_contracts(), NO_LOST_CALLS)}
+
+
+def test_fold_prefix_goes_on_where_the_bank_stopped():
+    from repro.contracts.dsl import CheckerBank, universal_contracts
+    from repro.contracts.offline import first_violation, fold_prefix
+
+    events = _violating_events()
+    bank = CheckerBank(universal_contracts())
+    for upto in (0, 2, 3, 3, 8, len(events), None):
+        assert fold_prefix(bank, events, upto) == first_violation(
+            events, universal_contracts(), upto_index=upto)
+        assert bank.count == (len(events) if upto is None else upto)
+    with pytest.raises(ValueError, match="past 4"):
+        fold_prefix(bank, events, 4)

@@ -1,0 +1,347 @@
+"""Time-travel queries: the same answers as the naive folds, for work
+that is bounded by what a query looks at.
+
+Two kinds of test.  *Equivalence by generation*: ``hypothesis`` drives
+op sequences over three traces and after every op the session must
+agree with oracles that share nothing with it — ``fold_view`` from
+index 0, a one-shot ``first_violation``, a backwards walk for the halt
+episode — while every ``Moment`` handed out earlier keeps the view it
+was returned with.  *Complexity fences*: ``TimeTravel.stats()`` counts
+work exactly, so the bounds below are asserted on counts, never on wall
+time.
+"""
+
+import bisect
+import copy
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from benchmarks.ledger.workloads.trace_postmortem import record as record_postmortem
+from repro import Cluster, Pilgrim
+from repro.contracts.dsl import universal_contracts
+from repro.contracts.offline import first_violation
+from repro.replay import TimeTravel, Trace, fold_view
+from repro.replay.checkpoint import _TABLE_FOLDS, empty_view
+from repro.replay.timetravel import _CAUSE_TYPES, _STRIDE
+from tests.test_contracts import events_from_rows
+from tests.test_replay import _chaos_trace
+
+# ----------------------------------------------------------------------
+# The traces
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def chaos_trace():
+    return _chaos_trace()
+
+
+@functools.lru_cache(maxsize=None)
+def breakpoint_trace():
+    """The ``test_why_halted_points_at_breakpoint`` recipe: a recording
+    that ends inside a real breakpoint halt."""
+    cluster = Cluster(names=["app", "debugger"], seed=0)
+    image = cluster.load_program(
+        "proc main()\n  var i: int := 0\n  while true do\n"
+        "    i := i + 1\n    sleep(1000)\n  end\nend",
+        "app",
+    )
+    cluster.spawn_vm("app", image, "main")
+    dbg = Pilgrim(cluster, home="debugger")
+    dbg.connect("app")
+    dbg.start_recording()
+    dbg.set_breakpoint("app", "app", line=4)
+    dbg.wait_for_breakpoint()
+    return dbg.stop_recording()
+
+
+@functools.lru_cache(maxsize=None)
+def handbuilt_trace():
+    """No checkpoints, every table event type, two halt episodes (one by
+    failure, one by breakpoint), a reboot, and clocks that disagree
+    across nodes."""
+    events = events_from_rows([
+        ("ProcessCreated", 10, 0, {"pid": 1, "name": "a", "priority": 2}),
+        ("ProcessCreated", 12, 1, {"pid": 1, "name": "b", "priority": 1}),
+        ("RpcCallStarted", 20, 0, {"call_id": 7}),
+        ("PacketSent", 21, 0, {"packet": {"pkt": 1}}),
+        ("PacketDelivered", 19, 1, {"packet": {"pkt": 1}}),
+        ("ProcessFailed", 30, 1, {"pid": 1}),
+        ("ProcessHalted", 31, 1, {"pid": 1}),
+        ("ProcessHalted", 33, 0, {"pid": 1}),
+        ("PacketDropped", 32, 0, {"packet": {"pkt": 2}}),
+        ("ProcessResumed", 40, 0, {"pid": 1}),
+        ("ProcessResumed", 41, 1, {"pid": 1}),
+        ("RpcCallRetried", 45, 0, {"call_id": 7}),
+        ("RpcCallCompleted", 50, 0, {"call_id": 7}),
+        ("RpcCallStarted", 55, 0, {"call_id": 8}),
+        ("NodeRebooted", 60, 0, {"epoch": 1}),
+        ("ProcessCreated", 61, 0, {"pid": 2, "name": "c", "priority": 3}),
+        ("BreakpointHit", 70, 0, {"pid": 2}),
+        ("ProcessHalted", 71, 0, {"pid": 2}),
+        ("RpcCallFailed", 72, 1, {"call_id": 9}),
+        ("ProcessDeleted", 80, 1, {"pid": 1}),
+        ("PacketSent", 75, 1, {"packet": {"pkt": 3}}),
+    ])
+    return Trace({"names": ["x", "y"]}, events, [], {"final_time": 80})
+
+
+@functools.lru_cache(maxsize=None)
+def postmortem_trace(seed):
+    """The ledger's ``trace_postmortem`` recording (~36 k events)."""
+    return record_postmortem(seed)
+
+
+# ----------------------------------------------------------------------
+# Oracles (nothing below shares code with ``TimeTravel``)
+# ----------------------------------------------------------------------
+
+
+def base_view(trace):
+    if trace.checkpoints:
+        return trace.base_view()
+    return empty_view(range(len(trace.header["names"])))
+
+
+def naive_why(events, cursor, view, node):
+    """The halt episode by walking the prefix backwards."""
+    contract = first_violation(events, universal_contracts(), upto_index=cursor)
+    halted = {key: pids for key, pids in view.halted.items()
+              if pids and (node is None or key == str(node))}
+    if not halted:
+        return {"halted": False, "contract": contract}
+    first_halt = cause = None
+    for index in range(cursor - 1, -1, -1):
+        if events[index].type == "ProcessResumed":
+            break
+        if events[index].type == "ProcessHalted":
+            first_halt = events[index]
+    if first_halt is not None:
+        cause = next((events[index]
+                      for index in range(first_halt.index, -1, -1)
+                      if events[index].type in _CAUSE_TYPES), None)
+    return {"halted": True, "nodes": halted,
+            "since": None if first_halt is None else first_halt.time,
+            "halt_event": first_halt, "cause": cause, "contract": contract}
+
+
+def naive_predecessors(events):
+    """Predecessor lists: program order + packet delivery."""
+    preds = [[] for _ in events]
+    last_on_node, sent_at = {}, {}
+    for index, event in enumerate(events):
+        if event.node in last_on_node:
+            preds[index].append(last_on_node[event.node])
+        last_on_node[event.node] = index
+        packet = event.fields.get("packet")
+        if isinstance(packet, dict):
+            if event.type == "PacketSent":
+                sent_at[packet.get("pkt")] = index
+            elif event.type == "PacketDelivered" and packet.get("pkt") in sent_at:
+                preds[index].append(sent_at[packet.get("pkt")])
+    return preds
+
+
+# ----------------------------------------------------------------------
+# Equivalence by generation
+# ----------------------------------------------------------------------
+
+OPS = st.one_of(
+    st.tuples(st.just("at"), st.floats(-0.05, 1.05)),
+    st.tuples(st.just("seek"), st.floats(-0.05, 1.05)),
+    st.tuples(st.just("step"), st.integers(1, 6)),
+    st.tuples(st.just("reverse_step"), st.integers(1, 40)),
+    st.tuples(st.just("current"), st.none()),
+    st.tuples(st.just("why_halted"), st.sampled_from([None, 0, 1])),
+)
+
+
+def check_sequence(trace, ops):
+    events = trace.events
+    base = base_view(trace)
+    travel = TimeTravel(trace)
+    handed_out = []
+
+    def check(moment):
+        assert moment.index == travel.cursor
+        oracle = fold_view(events, moment.index, base)
+        assert moment.view.to_dict() == oracle.to_dict()
+        assert moment.time == oracle.time
+        assert moment.event is (events[moment.index - 1] if moment.index else None)
+        handed_out.append((moment, copy.deepcopy(moment.view.to_dict())))
+
+    for name, arg in ops:
+        if name == "at":
+            moment = travel.at(int(arg * trace.final_time))
+            assert all(e.time <= int(arg * trace.final_time)
+                       for e in events[:moment.index])
+            check(moment)
+        elif name == "seek":
+            check(travel.seek(int(arg * len(events))))
+        elif name in ("step", "reverse_step"):
+            for _ in range(arg):
+                check(getattr(travel, name)())
+        elif name == "current":
+            check(travel.current())
+        else:
+            view = fold_view(events, travel.cursor, base)
+            assert travel.why_halted(arg) == naive_why(
+                events, travel.cursor, view, arg)
+    # The aliasing fence: shared leaves and snapshots never reach a
+    # Moment that was already returned.
+    for moment, frozen in handed_out:
+        assert moment.view.to_dict() == frozen
+
+
+@pytest.mark.parametrize("make_trace",
+                         [chaos_trace, breakpoint_trace, handbuilt_trace])
+def test_generated_query_sequences_equal_the_naive_folds(make_trace):
+    trace = make_trace()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(ops=st.lists(OPS, min_size=1, max_size=16))
+    def run(ops):
+        check_sequence(trace, ops)
+
+    run()
+
+
+def test_the_generated_sequences_can_meet_a_halted_cursor():
+    trace = breakpoint_trace()
+    verdict = TimeTravel(trace).why_halted()
+    assert verdict["halted"] and verdict["cause"].type == "BreakpointHit"
+    built = TimeTravel(handbuilt_trace())
+    assert built.seek(9).view.halted == {"0": [1], "1": [1]}
+    assert built.why_halted()["cause"].type == "ProcessFailed"
+    assert built.why_halted()["halt_event"].index == 6
+
+
+# ----------------------------------------------------------------------
+# Causality: two columns built once
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_trace, seed", [
+    (chaos_trace, None), (postmortem_trace, 14),
+    (postmortem_trace, 15), (postmortem_trace, 16),
+])
+def test_causality_equals_the_naive_graph(make_trace, seed):
+    trace = make_trace() if seed is None else make_trace(seed)
+    events = trace.events
+    preds = naive_predecessors(events)
+    clocks = [0] * len(events)
+    for index in range(len(events)):
+        clocks[index] = 1 + max((clocks[p] for p in preds[index]), default=0)
+    travel = TimeTravel(trace)
+    assert travel.lamport_clocks() == clocks
+    rng = random.Random(seed)
+    for index in [0, len(events) - 1,
+                  *(rng.randrange(len(events)) for _ in range(6))]:
+        seen, stack = set(), list(preds[index])
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                stack.extend(preds[current])
+        assert travel.causal_predecessors(index) == [events[i] for i in sorted(seen)]
+    # One graph build per session, however many queries.
+    assert travel.lamport_clocks() == clocks
+    assert travel.stats()["edge_builds"] == 1
+
+
+# ----------------------------------------------------------------------
+# Complexity fences, on counts
+# ----------------------------------------------------------------------
+
+
+def test_repr_folds_nothing():
+    trace = chaos_trace()
+    travel = TimeTravel(trace)
+    idle = travel.stats()
+    size, latest = len(trace.events), max(e.time for e in trace.events)
+    assert repr(travel) == f"<TimeTravel cursor={size}/{size} t={latest}>"
+    assert travel.stats() == idle == dict.fromkeys(idle, 0)
+    assert travel._view is None
+
+
+def test_reverse_steps_cost_a_stride_not_an_interval():
+    trace = postmortem_trace(14)
+    starts = [checkpoint.index for checkpoint in trace.checkpoints]
+    interval = max(
+        sum(event.type in _TABLE_FOLDS for event in trace.events[low:high])
+        for low, high in zip(starts, starts[1:]))
+    travel, reference = TimeTravel(trace), TimeTravel(trace)
+    travel.at(trace.final_time // 2)
+    before = travel.stats()
+    for _ in range(750):
+        moment = travel.reverse_step()
+        assert moment.view == reference.seek(moment.index).view
+    after = travel.stats()
+    assert after["folds"] - before["folds"] == 750
+    folded = after["table_events_folded"] - before["table_events_folded"]
+    assert folded <= 750 * _STRIDE + interval
+    # Every checkpoint interval is longer than a stride here, so most
+    # steps start from a snapshot, not from the checkpoint.
+    assert after["snapshot_hits"] > 375
+    # Stepping forth and back again reuses the same snapshots.
+    for _ in range(100):
+        travel.step()
+        travel.reverse_step()
+    assert (travel.stats()["table_events_folded"]
+            - after["table_events_folded"]) <= 100 * _STRIDE
+
+
+def test_ascending_whys_feed_each_event_once():
+    trace = postmortem_trace(14)
+    rng = random.Random(14)
+    times = sorted(rng.randrange(trace.final_time) for _ in range(4))
+    travel = TimeTravel(trace)
+    for t in times:
+        travel.at(t)
+        travel.why_halted()
+    stats = travel.stats()
+    assert stats["prefix_events_fed"] == travel.cursor
+    assert stats["prefix_restarts"] == 0
+    # The same cursor again feeds nothing; other contracts start over.
+    travel.why_halted()
+    assert travel.stats()["prefix_events_fed"] == travel.cursor
+    travel.first_contract_violation(universal_contracts()[:2])
+    assert travel.stats()["prefix_restarts"] == 1
+
+
+def test_a_descending_why_restarts_the_fold_once():
+    trace = postmortem_trace(14)
+    travel = TimeTravel(trace)
+    high = travel.at(trace.final_time // 2).index
+    travel.why_halted()
+    low = travel.at(trace.final_time // 4).index
+    answer = travel.why_halted()
+    stats = travel.stats()
+    assert stats["prefix_restarts"] == 1
+    assert stats["prefix_events_fed"] == high + low
+    assert answer["contract"] == first_violation(
+        trace.events, universal_contracts(), upto_index=low)
+
+
+def test_seeks_fold_no_count_only_event():
+    trace = postmortem_trace(14)
+    table_before = [0]
+    for event in trace.events:
+        table_before.append(table_before[-1] + (event.type in _TABLE_FOLDS))
+    starts = [checkpoint.index for checkpoint in trace.checkpoints]
+    rng = random.Random(14)
+    travel = TimeTravel(trace)
+    looked_at = table_events = 0
+    for _ in range(1500):
+        index = travel.at(rng.randrange(trace.final_time)).index
+        start = starts[bisect.bisect_right(starts, index) - 1]
+        looked_at += index - start
+        table_events += table_before[index] - table_before[start]
+    stats = travel.stats()
+    assert stats["folds"] == 1500
+    assert stats["table_events_folded"] == table_events < looked_at
+    assert stats["snapshot_hits"] == 0
