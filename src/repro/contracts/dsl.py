@@ -85,24 +85,26 @@ class EventFact(Fact):
 
 
 class TraceFact(Fact):
-    """Offline fact: wraps a loaded :class:`~repro.replay.trace.TraceEvent`."""
+    """Offline fact: event ``index`` of a loaded trace's
+    :class:`~repro.replay.trace.EventColumns`, read off the columns."""
 
-    __slots__ = ("_trace_event",)
+    __slots__ = ("_events",)
 
-    def __init__(self, trace_event):
-        self.index = trace_event.index
-        self.type = trace_event.type
-        self.time = trace_event.time
-        self.node = trace_event.node
-        self._trace_event = trace_event
+    def __init__(self, events, index: int):
+        self.index = index
+        self.type = events.types[index]
+        self.time = events.times[index]
+        self.node = events.nodes[index]
+        self._events = events
 
     def get(self, name: str):
-        """Field-dict access on the recorded event."""
-        return self._trace_event.fields.get(name)
+        """The recorded event's cell of that name."""
+        at = self._events.positions[self.type].get(name)
+        return None if at is None else self._events.rows[self.index][at]
 
     def line(self) -> str:
-        """The recorded line, verbatim."""
-        return self._trace_event.line
+        """The recorded event's line."""
+        return self._events[self.index].line
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 :func:`check_trace` replays the recorded event stream through the same
 :class:`~repro.contracts.dsl.CheckerBank` the online monitor drives,
-wrapping each :class:`~repro.replay.trace.TraceEvent` in a
-:class:`~repro.contracts.dsl.TraceFact` (field-dict access, recorded
-lines verbatim).  A trace records exactly what a co-attached monitor
-saw — same indices, same ``seq``, same rebased packet ids — so the two
-backends return byte-identical :class:`ContractReport`\\ s
+reading each event off the trace's columns through a
+:class:`~repro.contracts.dsl.TraceFact` (cells by name, the line
+rendered only when cited).  A trace records exactly what a co-attached
+monitor saw — same indices, same ``seq``, same rebased packet ids — so
+the two backends return byte-identical :class:`ContractReport`\\ s
 (``report.canonical()``), which the equivalence suite and the
 ``contracts-equivalence`` CI job assert on every golden trace.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.contracts.dsl import CheckerBank, ContractSet, TraceFact
 from repro.contracts.report import ContractReport
-from repro.replay.trace import Trace
+from repro.replay.trace import EventColumns, Trace
 
 
 def check_trace(trace: Trace, contracts) -> ContractReport:
@@ -34,15 +34,17 @@ def check_trace(trace: Trace, contracts) -> ContractReport:
         name = "contracts"
         event_contracts = tuple(contracts)
     bank = CheckerBank(event_contracts)
-    for trace_event in trace.events:
-        bank.feed(TraceFact(trace_event))
+    events, feed = trace.events, bank.feed
+    for index in range(len(events)):
+        feed(TraceFact(events, index))
     return bank.report(name=name)
 
 
 def fold_prefix(bank: CheckerBank, events, upto_index=None):
     """Feed ``bank`` the events of ``events[:upto_index]`` it has not
     seen (``bank.count`` onwards) and return the earliest violation by
-    anchor index (or ``None``).
+    anchor index (or ``None``); a list of ``TraceEvent``\\ s is laid out
+    as the :class:`~repro.replay.trace.EventColumns` a trace holds.
 
     The incremental fold: a bank kept between calls pays only for the
     events since the last one — sound because reporting never mutates a
@@ -51,9 +53,11 @@ def fold_prefix(bank: CheckerBank, events, upto_index=None):
     """
     if upto_index is not None and upto_index < bank.count:
         raise ValueError(f"bank has folded {bank.count} events, past {upto_index}")
-    for trace_event in events[bank.count:upto_index]:
-        bank.feed(TraceFact(trace_event))
-    last = len(events)
+    if not isinstance(events, EventColumns):
+        events = EventColumns(events)
+    last, feed = len(events), bank.feed
+    for index in range(*slice(bank.count, upto_index).indices(last)):
+        feed(TraceFact(events, index))
     return min(bank.report().violations, default=None,
                key=lambda v: last if v.index is None else v.index)
 

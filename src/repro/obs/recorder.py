@@ -5,18 +5,21 @@ stream.  The raw events are not directly comparable across runs inside
 one process: ``BasicBlock.packet_id`` comes from a process-global
 counter, and the ``packet``/``process``/``error`` payload fields hold
 live objects whose ``repr`` embeds those ids (or memory addresses).
-:class:`PayloadNormalizer` reduces payload objects to their stable
-coordinates (a packet becomes ``src->dst:port/kind/size``, a process
-becomes its pid/name), rebasing ids from process-global counters to the
-first id seen by this normalizer.  :func:`encode_event` is the one
-renderer: a single pass over an event's payload (field names from
-:func:`payload_field_names`, derived once per event type) yields both
-the structured ``fields`` dict a trace stores and the stable text line
-(:func:`normalize_line` is that line alone); :func:`stream_fingerprint`
+
+A recorded payload therefore has **one** representation, a flat *row*
+of scalars (``int | str | bool | None``) in the event type's declared
+field order (:func:`payload_field_names`): a packet becomes its six
+stable coordinates, its id rebased by a :class:`PayloadNormalizer` to
+first-seen order; a process its pid/name; an exception its text.
+:func:`encode_row` is the one way in and there are two ways out:
+:func:`render_line`, the stable text line (:func:`normalize_line`
+composes the two for a live event), and :func:`row_fields`, the
+structured dict.  Both are pure functions of header + field names + row
+and every cell survives a JSON round trip unchanged, which is why a
+trace stores rows and neither derivation.  :func:`stream_fingerprint`
 digests a stream of lines.  The one recorder is
-:class:`repro.replay.trace.TraceWriter`, which subscribes to every
-event type and renders through these functions; two identically seeded
-runs then compare with ``==`` on :meth:`Trace.lines
+:class:`repro.replay.trace.TraceWriter`; two identically seeded runs
+compare with ``==`` on :meth:`Trace.lines
 <repro.replay.trace.Trace.lines>`, or by the footer fingerprint.
 
 Note that *recording is itself observable*: subscribing materializes
@@ -56,13 +59,20 @@ def payload_field_names(event_type: Type[ev.Event]) -> tuple[str, ...]:
     )
 
 
-class PayloadNormalizer:
-    """Rebases process-global ids and renders payload objects stably.
+#: The payload objects a row flattens: the stable coordinates kept of
+#: each, one cell apiece in this order; and how a line shows them (a
+#: field not listed: by ``repr``).
+PARTS = {"packet": ("pkt", "src", "dst", "port", "kind", "size"), "process": ("pid", "name")}
+_SHOWN = {"packet": "pkt#%s[%s->%s:%s/%s/%sB]", "process": "proc[%s:%s]", "error": "%s"}
 
-    One normalizer per recorded stream: the packet-id rebasing is
-    first-seen order *within that stream*, so two streams of the same
-    seeded run normalize identically even though the process-global
-    ``packet_id`` counter kept climbing between them.
+
+class PayloadNormalizer:
+    """Rebases process-global packet ids to first-seen order.
+
+    One normalizer per recorded stream: the rebasing is first-seen order
+    *within that stream*, so two streams of the same seeded run
+    normalize identically even though the process-global ``packet_id``
+    counter kept climbing between them.
     """
 
     __slots__ = ("_packet_ids",)
@@ -78,59 +88,91 @@ class PayloadNormalizer:
             self._packet_ids[packet_id] = rebased
         return rebased
 
-    def encode(self, name: str, value) -> tuple[object, str]:
-        """One payload field as ``(structured, rendered)``: the
-        JSON-serializable form a trace stores and the stable text form
-        a line shows, from one rebase, so both cite the same id."""
-        if value is not None:
-            if name == "packet":
-                pkt = self.rebase(value.packet_id)
-                return (
-                    {
-                        "pkt": pkt,
-                        "src": value.src,
-                        "dst": value.dst,
-                        "port": value.port,
-                        "kind": value.kind,
-                        "size": value.size_bytes,
-                    },
-                    f"pkt#{pkt}[{value.src}->{value.dst}:{value.port}"
-                    f"/{value.kind}/{value.size_bytes}B]",
-                )
-            if name == "process":
-                return (
-                    {"pid": value.pid, "name": value.name},
-                    f"proc[{value.pid}:{value.name}]",
-                )
-            if name == "error":
-                text = f"{type(value).__name__}:{value}"
-                return text, text
-        return value, repr(value)
+
+def encode_row(event: ev.Event, normalizer: PayloadNormalizer) -> tuple:
+    """One event's payload as its row: a cell per scalar field, the
+    :data:`PARTS` cells of a packet or process (all ``None`` when it is
+    absent), in :func:`payload_field_names` order.  The one encoder — a
+    trace's rows and a contract's evidence lines both come from here."""
+    row: list = []
+    for name in payload_field_names(type(event)):
+        value = getattr(event, name)
+        if name == "packet":
+            row += (None,) * 6 if value is None else (
+                normalizer.rebase(value.packet_id), value.src, value.dst,
+                value.port, value.kind, value.size_bytes)
+        elif name == "process":
+            row += (None, None) if value is None else (value.pid, value.name)
+        elif name == "error" and value is not None:
+            row.append(f"{type(value).__name__}:{value}")
+        else:
+            row.append(value)
+    return tuple(row)
 
 
-def encode_event(event: ev.Event,
-                 normalizer: PayloadNormalizer) -> tuple[dict, str]:
-    """Render one event, in one pass over its payload, to ``(fields,
-    line)``: the structured payload dict and the stable one-line text
-    form.  The one renderer — a trace's ``fields`` and ``line`` columns
-    and a contract's evidence lines all come from here."""
-    event_type = type(event)
-    encode = normalizer.encode
-    fields = {}
-    rendered = []
-    for name in payload_field_names(event_type):
-        fields[name], text = encode(name, getattr(event, name))
-        rendered.append(f"{name}={text}")
-    line = (
-        f"{event.seq:06d} t={event.time} node={event.node} "
-        f"{event_type.__name__} " + " ".join(rendered)
-    )
-    return fields, line
+@functools.lru_cache(maxsize=512)
+def row_layout(names: tuple) -> tuple:
+    """Where the payload fields ``names`` sit in a row: ``{name: its first
+    cell}`` (a flattened object takes one per part), and the row's width."""
+    positions, at = {}, 0
+    for name in names:
+        positions[name] = at
+        at += len(PARTS[name]) if name in PARTS else 1
+    return positions, at
+
+
+def _absent(names: tuple, row: tuple) -> tuple:
+    """The flattened objects of ``row`` whose cells are all ``None``."""
+    if None not in row:
+        return ()
+    return tuple(name for name, at in row_layout(names)[0].items() if name in PARTS
+                 and row[at:at + len(PARTS[name])].count(None) == len(PARTS[name]))
+
+
+@functools.lru_cache(maxsize=512)
+def _line_format(type_name: str, names: tuple, absent: tuple) -> str:
+    """The ``%``-format of a line: header, then ``name=value`` per payload
+    field (an ``absent`` object as ``None``, its cells consumed unshown)."""
+    shown = " ".join(
+        name.replace("%", "%%") + "=" + ("None" + "%.0s" * len(PARTS[name])
+                                         if name in absent else _SHOWN.get(name, "%r"))
+        for name in names)
+    return f"%06d t=%s node=%s {type_name.replace('%', '%%')} {shown}"
+
+
+def render_line(type_name: str, time: int, node, seq: int, names: tuple, row: tuple) -> str:
+    """An event's stable one-line text form, from its header, names and row."""
+    return _line_format(type_name, names, _absent(names, row)) % (seq, time, node, *row)
+
+
+def row_fields(names: tuple, row: tuple) -> dict:
+    """An event's structured payload, from its names and row: scalars as
+    they are, a flattened object as a dict of its parts (``None`` when all are)."""
+    absent = _absent(names, row)
+    return {name: row[at] if name not in PARTS else None if name in absent
+            else dict(zip(PARTS[name], row[at:]))
+            for name, at in row_layout(names)[0].items()}
+
+
+def flatten_fields(fields: dict) -> tuple[tuple, tuple]:
+    """``(names, row)`` of a hand-built or wire-decoded payload dict, the inverse
+    of :func:`row_fields`; a part a packet or process dict lacks is ``None``."""
+    row: list = []
+    for name, value in fields.items():
+        if name in PARTS:
+            value = value or {}
+            if not value.keys() <= set(PARTS[name]):
+                raise ValueError(f"{name!r} has no part {sorted(value.keys() - set(PARTS[name]))}")
+            row += map(value.get, PARTS[name])
+        else:
+            row.append(value)
+    return tuple(fields), tuple(row)
 
 
 def normalize_line(event: ev.Event, normalizer: PayloadNormalizer) -> str:
-    """Render one event to its stable one-line text form."""
-    return encode_event(event, normalizer)[1]
+    """Render one live event to its stable one-line text form."""
+    return render_line(type(event).__name__, event.time, event.node, event.seq,
+                       payload_field_names(type(event)), encode_row(event, normalizer))
 
 
 def stream_fingerprint(lines: Iterable[str]) -> str:

@@ -38,15 +38,18 @@ kind (a branch is just another dormant session spec).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate, zip_longest
 from typing import Callable, Optional, Union
 
 from repro.debugger.api import Record
 from repro.debugger.errors import DebuggerError, fork_context, register_error
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.replay.races import MessageRace
+from repro.obs.recorder import render_line
+from repro.replay.races import MessageRace, deliveries
 from repro.replay.trace import Trace, TraceWriter
 
 #: Perturbation kinds the REPL's ``fork`` command accepts — exactly the
@@ -376,27 +379,14 @@ def _verify_prefix(parent: Trace, child: Trace,
     before the perturbation's first action is byte-identical across
     parent and child.
     """
-    from repro.replay.replay import ReplayDivergence
+    from repro.replay.replay import require_same_events
 
     cut = perturbation.first_at()
     if cut is None:
         cut = fork_time
-    high = None
-    boundary = 0
-    for event in parent.events:
-        high = event.time if high is None else max(high, event.time)
-        if high >= cut:
-            break
-        boundary += 1
-    expected = parent.lines()[:boundary]
-    actual = child.lines()[:boundary]
-    for index, (want, got) in enumerate(zip(expected, actual)):
-        if want != got:
-            raise ReplayDivergence("event", index, want, got)
-    if len(actual) < len(expected):
-        raise ReplayDivergence(
-            "event", len(actual), expected[len(actual)], None
-        )
+    boundary = bisect.bisect_left(
+        list(accumulate(parent.events.times, max)), cut)
+    require_same_events(parent, child, boundary)
 
 
 def _fork_worker(conn, parent: Trace, build: Callable, checkpoint_index: int,
@@ -466,30 +456,16 @@ def fork_trace(
 
 def _find_delivery(trace: Trace, dst: int, key: tuple):
     """The ``PacketDelivered`` event a race key names (see races.py)."""
-    base, occurrence = tuple(key[:3]), key[3]
-    counts: dict = {}
-    for event in trace.events:
-        if event.type != "PacketDelivered":
-            continue
-        packet = event.fields.get("packet")
-        if not isinstance(packet, dict) or packet.get("dst") != dst:
-            continue
-        found = (packet.get("src"), packet.get("port"), packet.get("kind"))
-        if found != base:
-            continue
-        if counts.get(found, 0) == occurrence:
+    for event, to, found in deliveries(trace):
+        if to == dst and found == tuple(key):
             return event
-        counts[found] = counts.get(found, 0) + 1
     raise BranchError(f"no delivery {key} to node {dst} in this trace")
 
 
 def _find_send(trace: Trace, pkt: int):
     """The ``PacketSent`` event with rebased packet id ``pkt``."""
-    for event in trace.events:
-        if event.type != "PacketSent":
-            continue
-        packet = event.fields.get("packet")
-        if isinstance(packet, dict) and packet.get("pkt") == pkt:
+    for event in trace.events.where("packet", pkt):
+        if event.type == "PacketSent":
             return event
     raise BranchError(f"no send of packet {pkt} in this trace")
 
@@ -619,44 +595,30 @@ def diff_branches(trace_a: Trace, trace_b: Trace,
                               "b": verdict_b}
             break
 
-    lines_a, lines_b = trace_a.lines(), trace_b.lines()
+    # Compare columns; render only the lines a difference is cited with.
+    events_a, events_b = trace_a.events, trace_b.events
     first: Optional[dict] = None
-    shared = min(len(lines_a), len(lines_b))
-    for index in range(shared):
-        if lines_a[index] != lines_b[index]:
-            first = {
-                "index": index,
-                "a": lines_a[index],
-                "b": lines_b[index],
-                "time_a": trace_a.events[index].time,
-                "time_b": trace_b.events[index].time,
-            }
-            break
-    if first is None and len(lines_a) != len(lines_b):
+    index = events_a.first_difference(events_b)
+    if index is not None:
+        end_a, end_b = (events[index] if index < len(events) else None
+                        for events in (events_a, events_b))
         first = {
-            "index": shared,
-            "a": lines_a[shared] if shared < len(lines_a) else None,
-            "b": lines_b[shared] if shared < len(lines_b) else None,
-            "time_a": (trace_a.events[shared].time
-                       if shared < len(lines_a) else None),
-            "time_b": (trace_b.events[shared].time
-                       if shared < len(lines_b) else None),
+            "index": index,
+            "a": end_a and end_a.line,
+            "b": end_b and end_b.line,
+            "time_a": end_a and end_a.time,
+            "time_b": end_b and end_b.time,
         }
 
     per_node: dict = {}
     by_node_a = _events_by_node(trace_a)
     by_node_b = _events_by_node(trace_b)
     for node in sorted(set(by_node_a) | set(by_node_b)):
-        seq_a = by_node_a.get(node, [])
-        seq_b = by_node_b.get(node, [])
-        for k in range(max(len(seq_a), len(seq_b))):
-            line_a = seq_a[k][1] if k < len(seq_a) else None
-            line_b = seq_b[k][1] if k < len(seq_b) else None
-            if line_a != line_b:
-                per_node[node] = {
-                    "time_a": seq_a[k][0] if k < len(seq_a) else None,
-                    "time_b": seq_b[k][0] if k < len(seq_b) else None,
-                }
+        for cells_a, cells_b in zip_longest(by_node_a.get(node, ()),
+                                            by_node_b.get(node, ())):
+            if cells_a != cells_b and _line(cells_a) != _line(cells_b):
+                per_node[node] = {"time_a": cells_a and cells_a[1],
+                                  "time_b": cells_b and cells_b[1]}
                 break
 
     view_a = TimeTravel(trace_a).at(trace_a.final_time).view
@@ -675,8 +637,8 @@ def diff_branches(trace_a: Trace, trace_b: Trace,
         halted_a=halted_a,
         halted_b=halted_b,
         count_delta=count_delta,
-        events_a=len(lines_a),
-        events_b=len(lines_b),
+        events_a=len(events_a),
+        events_b=len(events_b),
         final_time_a=trace_a.final_time,
         final_time_b=trace_b.final_time,
         contracts_a=dict(report_a.verdicts),
@@ -686,12 +648,17 @@ def diff_branches(trace_a: Trace, trace_b: Trace,
 
 
 def _events_by_node(trace: Trace) -> dict:
-    """Per-node ``(time, line)`` subsequences (bus-global events under -1)."""
+    """Per-node subsequences of the events, each as the cells its line
+    renders from (bus-global events under -1)."""
     by_node: dict = {}
-    for event in trace.events:
-        node = event.node if event.node is not None else -1
-        by_node.setdefault(node, []).append((event.time, event.line))
+    for cells in zip(*trace.events.columns()):
+        node = cells[2] if cells[2] is not None else -1
+        by_node.setdefault(node, []).append(cells)
     return by_node
+
+
+def _line(cells: Optional[tuple]) -> Optional[str]:
+    return None if cells is None else render_line(*cells)
 
 
 class BranchTree:

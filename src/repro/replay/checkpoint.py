@@ -39,6 +39,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.obs.recorder import row_layout
+
 if TYPE_CHECKING:
     from repro.cluster import Cluster
 
@@ -189,53 +191,54 @@ def empty_view(node_ids, time: int = 0) -> StateView:
     return view
 
 
-def _process_created(view: StateView, node: str, fields: dict) -> None:
-    view.processes.setdefault(node, {})[str(fields["pid"])] = {
-        "name": fields["name"], "priority": fields["priority"],
+def _process_created(view: StateView, node: str, row, at: dict) -> None:
+    view.processes.setdefault(node, {})[str(row[at["pid"]])] = {
+        "name": row[at["name"]], "priority": row[at["priority"]],
     }
 
 
-def _process_deleted(view: StateView, node: str, fields: dict) -> None:
-    view.processes.get(node, {}).pop(str(fields["pid"]), None)
-    _unhalt(view, node, fields)
+def _process_deleted(view: StateView, node: str, row, at: dict) -> None:
+    view.processes.get(node, {}).pop(str(row[at["pid"]]), None)
+    _unhalt(view, node, row, at)
 
 
-def _process_halted(view: StateView, node: str, fields: dict) -> None:
+def _process_halted(view: StateView, node: str, row, at: dict) -> None:
     halted = view.halted.setdefault(node, [])
-    if fields["pid"] not in halted:
-        halted.append(fields["pid"])
+    if row[at["pid"]] not in halted:
+        halted.append(row[at["pid"]])
         halted.sort()
 
 
-def _unhalt(view: StateView, node: str, fields: dict) -> None:
+def _unhalt(view: StateView, node: str, row, at: dict) -> None:
     halted = view.halted.get(node)
-    if halted and fields["pid"] in halted:
-        halted.remove(fields["pid"])
+    if halted and row[at["pid"]] in halted:
+        halted.remove(row[at["pid"]])
 
 
-def _call_started(view: StateView, node: str, fields: dict) -> None:
+def _call_started(view: StateView, node: str, row, at: dict) -> None:
     calls = view.in_flight.setdefault(node, [])
-    if fields["call_id"] not in calls:
-        calls.append(fields["call_id"])
+    if row[at["call_id"]] not in calls:
+        calls.append(row[at["call_id"]])
         calls.sort()
 
 
-def _call_ended(view: StateView, node: str, fields: dict) -> None:
+def _call_ended(view: StateView, node: str, row, at: dict) -> None:
     calls = view.in_flight.get(node)
-    if calls and fields["call_id"] in calls:
-        calls.remove(fields["call_id"])
+    if calls and row[at["call_id"]] in calls:
+        calls.remove(row[at["call_id"]])
 
 
-def _node_rebooted(view: StateView, node: str, fields: dict) -> None:
-    view.epochs[node] = fields["epoch"]
+def _node_rebooted(view: StateView, node: str, row, at: dict) -> None:
+    view.epochs[node] = row[at["epoch"]]
     # The fresh boot starts with an empty client table; the crashed
     # boot's un-completed calls die with it here, not at the crash
     # (the dead table keeps them until the runtime is swapped).
     view.in_flight[node] = []
 
 
-#: Event type -> how it changes the tables (types absent here, packets
-#: above all, only move the clock and a count).
+#: Event type -> how it changes the tables, given the event's row and
+#: ``at``, where each payload field sits in it (types absent here,
+#: packets above all, only move the clock and a count).
 _TABLE_FOLDS = {
     "ProcessCreated": _process_created,
     "ProcessDeleted": _process_deleted,
@@ -251,8 +254,8 @@ _TABLE_FOLDS = {
 def apply_event(view: StateView, event) -> None:
     """Fold one trace event into ``view`` (the derive side).
 
-    ``event`` is anything with ``type`` / ``node`` / ``time`` /
-    ``fields`` attributes (a :class:`~repro.replay.trace.TraceEvent`).
+    ``event`` is anything with ``type`` / ``node`` / ``time`` / ``names``
+    / ``row`` attributes (a :class:`~repro.replay.trace.TraceEvent`).
     """
     kind = event.type
     if event.time > view.time:
@@ -262,7 +265,7 @@ def apply_event(view: StateView, event) -> None:
         view.counts[count_key] = view.counts.get(count_key, 0) + 1
     fold = _TABLE_FOLDS.get(kind)
     if fold is not None:
-        fold(view, str(event.node), event.fields)
+        fold(view, str(event.node), event.row, row_layout(event.names)[0])
 
 
 def fold_view(events, upto_index: int, start: StateView) -> StateView:

@@ -6,15 +6,17 @@ Subcommands:
   record per line, for ``grep``/``jq`` and diffs.  Output defaults to
   the input path with ``.trace.bin`` swapped for ``.trace.jsonl``.  The
   export is one-way: nothing loads JSONL back;
-* ``info <trace>`` — one-paragraph summary (seed, topology, events,
-  checkpoints, fingerprint) for quick triage; exits 1 when the
-  recomputed stream fingerprint differs from the footer's.
+* ``info <trace>`` — one-paragraph summary (seed, topology, events per
+  type, container bytes per event, checkpoints and their mean interval,
+  fingerprint) for quick triage; exits 1 when the recomputed stream
+  fingerprint differs from the footer's.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.replay.format import TraceFormatError, export_jsonl
@@ -62,8 +64,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"trace:        {source}")
     print(f"seed:         {trace.seed}  topology: {trace.topology}")
     print(f"nodes:        {', '.join(trace.header.get('names', []))}")
-    print(f"events:       {len(trace.events)}")
-    print(f"checkpoints:  {len(trace.checkpoints)}")
+    events, size = len(trace.events), source.stat().st_size
+    print(f"events:       {events}")
+    for kind, seen in sorted(Counter(trace.events.types).items()):
+        print(f"  {kind:<18}{seen}")
+    print(f"container:    {size} bytes  ({size / max(events, 1):.1f} per event)")
+    print(f"checkpoints:  {len(trace.checkpoints)}  "
+          f"(one per {events / len(trace.checkpoints):.1f} events)")
     print(f"final time:   {trace.final_time} us  "
           f"(drive: {drive.get('mode', 'manual')})")
     print(f"fingerprint:  {fingerprint}")

@@ -7,16 +7,21 @@ A trace is stored in one format, a length-prefixed binary container:
 * a record stream: ``kind`` byte + u32 payload length + payload, each
   payload one UTF-8 JSON object.  Header, checkpoint, and footer
   records carry their object as is; a checkpoint sits after exactly
-  ``index`` events.  Events are stored **columnar**: every run of
-  events between two checkpoints (capped at ``_BLOCK_EVENTS``) is one
-  ``KIND_EVENTS`` block of parallel lists — ``first`` (index of its
-  first event; the rest are implied), ``types`` (its type-name table)
-  and equal-length ``type`` (ids into that table) / ``t`` / ``node`` /
-  ``seq`` / ``fields`` / ``line`` — so the reader pays one
-  ``json.loads`` and a few C-level passes per block, not a parse per
-  event.  The **normalized line is stored verbatim**, not re-derived:
-  byte-identity of the normalized stream is the replay contract and
-  must not depend on how a decoder re-renders tuples;
+  ``index`` events.  Events are stored **columnar**, as memory holds
+  them (:class:`~repro.replay.trace.EventColumns`): every run of events
+  between two checkpoints (capped at ``_BLOCK_EVENTS``) is one
+  ``KIND_EVENTS`` block — ``first`` (index of its first event; the
+  rest are implied), ``types`` (its table of ``[type name, [payload
+  field names]]``), the equal-length header columns ``type`` (ids into
+  that table) / ``t`` / ``node`` / ``seq`` in event order, and
+  ``cells``: per table entry, one column per row cell over that type's
+  events — so the reader pays one ``json.loads`` and a few C-level
+  passes per block, not a parse per event.  Neither the normalized line
+  nor the ``fields`` dict is stored, and the law that licenses it is: a
+  row survives a JSON round trip unchanged (every cell is ``int | str |
+  bool | None``), and the line, whose byte-identity is the replay
+  contract, is a pure function of header, field names and row
+  (:func:`repro.obs.recorder.render_line`);
 * with flags bit 0 set, the record stream is carried in zlib frames
   (u32 raw length, u32 compressed length, deflate bytes), so a reader
   can bound every frame, and what it inflates to, before touching it.
@@ -26,7 +31,8 @@ else — from :func:`read_binary` itself (nothing is deferred to first
 access), carrying the byte offset of the faulty record: file-relative
 for the preamble and frames, record-stream-relative once inside a
 compressed body.  The writer refuses (``ValueError``) a trace whose
-event or checkpoint indices it could not lay out that way.
+checkpoint indices it could not lay out that way, or whose rows hold
+anything but those scalars.
 
 :func:`export_jsonl` renders the same records as one JSON object per
 line (one line per event) for ``grep``/``jq`` and diffs (``python -m
@@ -38,10 +44,12 @@ import json
 import struct
 import sys
 import zlib
+from itertools import repeat
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
+from repro.obs.recorder import row_layout
 from repro.replay.checkpoint import Checkpoint
-from repro.replay.trace import TRACE_VERSION, Trace, TraceEvent
+from repro.replay.trace import TRACE_VERSION, EventColumns, Trace
 
 __all__ = [
     "BINARY_VERSION",
@@ -53,7 +61,7 @@ __all__ = [
 ]
 
 MAGIC = b"PILTRACE"
-BINARY_VERSION = 2
+BINARY_VERSION = 3
 
 #: Preamble: magic + version (u16) + flags (u16).
 _PREAMBLE = struct.Struct("<8sHH")
@@ -75,12 +83,12 @@ _FRAME_RAW_SIZE = 1 << 18
 #: Most events one block carries (a checkpoint ends a block sooner).
 _BLOCK_EVENTS = 4096
 
-#: A block's lists (the name table, then the per-event columns in
-#: ``TraceEvent`` field order after ``index``) and the exact cell types
-#: each admits: ``bool`` is not ``int``, so ``true`` in ``seq`` is a fault.
-_COLUMNS = {"types": {str}, "type": {int}, "t": {int},
-            "node": {int, type(None)}, "seq": {int}, "fields": {dict},
-            "line": {str}}
+#: A block's header columns and the exact cell types each admits:
+#: ``bool`` is not ``int``, so ``true`` in ``seq`` is a fault.
+_COLUMNS = {"type": {int}, "t": {int}, "node": {int, type(None)},
+            "seq": {int}}
+#: What a row cell may be.
+_SCALARS = {int, str, bool, type(None)}
 
 
 class TraceFormatError(ValueError):
@@ -105,39 +113,51 @@ class TraceFormatError(ValueError):
 def _body_records(trace: Trace):
     """Yield ``(kind, item)`` in file order: every checkpoint after
     exactly ``checkpoint.index`` events, the events between as
-    ``KIND_EVENTS`` runs (list slices) of at most ``_BLOCK_EVENTS``."""
-    events = trace.events
+    ``KIND_EVENTS`` runs (index ranges) of at most ``_BLOCK_EVENTS``."""
+    total = len(trace.events)
     done = 0
     for checkpoint in [*trace.checkpoints, None]:
-        stop = len(events) if checkpoint is None else checkpoint.index
-        if not done <= stop <= len(events):
+        stop = total if checkpoint is None else checkpoint.index
+        if not done <= stop <= total:
             raise ValueError(f"checkpoint index {stop} is out of order or "
-                             f"past the trace's {len(events)} events")
+                             f"past the trace's {total} events")
         for first in range(done, stop, _BLOCK_EVENTS):
-            yield KIND_EVENTS, events[first:min(first + _BLOCK_EVENTS, stop)]
+            yield KIND_EVENTS, range(first, min(first + _BLOCK_EVENTS, stop))
         if checkpoint is not None:
             yield KIND_CHECKPOINT, checkpoint
         done = stop
 
 
-def _block(first: int, run: list[TraceEvent]) -> dict:
-    """The columnar form of ``run``, whose first event sits at position
-    ``first`` of the trace (indices are implied by position, so an
-    event that claims another one cannot be stored)."""
-    if [event.index for event in run] != list(range(first, first + len(run))):
-        raise ValueError(f"event indices in [{first}, {first + len(run)}) "
-                         "are not their positions in the trace")
-    names = sorted({event.type for event in run})
-    ids = {name: i for i, name in enumerate(names)}
+def _is_column(column, admitted: set) -> bool:
+    """Whether ``column`` is a list of cells of the ``admitted`` types."""
+    return type(column) is list and set(map(type, column)) <= admitted
+
+
+def _block(events: EventColumns, run: range) -> dict:
+    """The block storing events ``run``: the header columns sliced, the
+    rows dealt by type and transposed into one column per cell."""
+    span = slice(run.start, run.stop)
+    types = events.types[span]
+    names = sorted(set(types))
+    by_type: dict[str, list] = {name: [] for name in names}
+    for kind, row in zip(types, events.rows[span]):
+        by_type[kind].append(row)
+    cells = []
+    for name, rows in by_type.items():
+        columns = list(zip(*rows))
+        if (set(map(len, rows)) != {row_layout(events.schema[name])[1]}
+                or not all(set(map(type, column)) <= _SCALARS for column in columns)):
+            raise ValueError(f"a {name} row in events [{run.start}, {run.stop}) is not "
+                             f"one int, str, bool or None per cell of its fields")
+        cells.append(columns)
     return {
-        "first": first,
-        "types": names,
-        "type": [ids[event.type] for event in run],
-        "t": [event.time for event in run],
-        "node": [event.node for event in run],
-        "seq": [event.seq for event in run],
-        "fields": [event.fields for event in run],
-        "line": [event.line for event in run],
+        "first": run.start,
+        "types": [[name, list(events.schema[name])] for name in names],
+        "type": list(map(names.index, types)),
+        "t": events.times[span],
+        "node": events.nodes[span],
+        "seq": events.seqs[span],
+        "cells": cells,
     }
 
 
@@ -156,13 +176,9 @@ def write_binary(trace: Trace, path, compress: bool = True) -> None:
         records.append(_RECORD.pack(kind, len(payload)) + payload)
 
     record(KIND_HEADER, trace.header)
-    written = 0
     for kind, item in _body_records(trace):
-        if kind == KIND_CHECKPOINT:
-            record(kind, item.to_dict())
-        else:
-            record(kind, _block(written, item))
-            written += len(item)
+        record(kind, item.to_dict() if kind == KIND_CHECKPOINT
+               else _block(trace.events, item))
     record(KIND_FOOTER, trace.footer)
     body = b"".join(records)
     parts = [_PREAMBLE.pack(MAGIC, BINARY_VERSION, FLAG_ZLIB if compress else 0)]
@@ -188,7 +204,7 @@ def export_jsonl(trace: Trace, path) -> None:
         if kind == KIND_CHECKPOINT:
             lines.append(line("checkpoint", item.to_dict()))
         else:
-            lines += [line("event", event.to_dict()) for event in item]
+            lines += [line("event", trace.events[i].to_dict()) for i in item]
     lines.append(line("footer", trace.footer))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -260,27 +276,50 @@ def _iter_records(body: bytes, fault):
         pos = payload_at + length
 
 
-def _append_block(events: list[TraceEvent], block: dict) -> None:
+def _append_block(events: EventColumns, block: dict) -> None:
     """Validate one ``KIND_EVENTS`` object (``ValueError`` names the
     fault) and append its events.  Every check is a C-level pass over a
     whole column; nothing runs Python per event."""
-    if block.keys() != {"first", *_COLUMNS}:
+    if block.keys() != {"first", "types", "cells", *_COLUMNS}:
         raise ValueError(f"keys {sorted(block)} are not the block's columns")
     for name, admitted in _COLUMNS.items():
-        column = block[name]
-        if type(column) is not list or not set(map(type, column)) <= admitted:
+        if not _is_column(block[name], admitted):
             kinds = "/".join(sorted(cell.__name__ for cell in admitted))
             raise ValueError(f"{name!r} is not a list of {kinds}")
-    names, ids, *columns = map(block.get, _COLUMNS)
+    ids, *columns = map(block.get, _COLUMNS)
     if not ids or {len(column) for column in columns} != {len(ids)}:
         raise ValueError("columns are empty or of unequal lengths")
-    if not 0 <= min(ids) <= max(ids) < len(names):
+    table, cells = block["types"], block["cells"]
+    if not (_is_column(table, {list}) and _is_column(cells, {list})
+            and len(table) == len(cells)):
+        raise ValueError("'types' and 'cells' are not lists of lists, one entry per type")
+    if not 0 <= min(ids) <= max(ids) < len(table):
         raise ValueError("type id outside the block's 'types' table")
     first = block["first"]
     if type(first) is not int or first != len(events):
         raise ValueError(f"'first' is {first!r} after {len(events)} events")
-    types = map([sys.intern(name) for name in names].__getitem__, ids)
-    events.extend(map(TraceEvent, range(first, first + len(ids)), types, *columns))
+    kinds, feeds = [], []
+    for k, (entry, own) in enumerate(zip(table, cells)):
+        if not (len(entry) == 2 and type(entry[0]) is str and _is_column(entry[1], {str})):
+            raise ValueError(f"'types' entry {k} is not [name, [field names]]")
+        kind = sys.intern(entry[0])
+        names = events.declare(kind, tuple(map(sys.intern, entry[1])))
+        if not _is_column(own, {list}) or len(own) != row_layout(names)[1]:
+            raise ValueError(f"{kind} rows are not stored as {row_layout(names)[1]} columns")
+        count = ids.count(k)
+        for at, column in enumerate(own):
+            cell_types = set(map(type, column))
+            if not cell_types <= _SCALARS or len(column) != count:
+                raise ValueError(f"{kind} column {at} is not one scalar per {kind} event")
+            if cell_types == {str}:
+                own[at] = map(sys.intern, column)
+        kinds.append(kind)
+        feeds.append(zip(*own) if own else repeat(()))
+    events.types += map(kinds.__getitem__, ids)
+    events.times += block["t"]
+    events.nodes += block["node"]
+    events.seqs += block["seq"]
+    events.rows += map(next, map(feeds.__getitem__, ids))
 
 
 def read_binary(path) -> Trace:
@@ -308,7 +347,7 @@ def _decode_records(body: bytes, fault) -> Trace:
     """Rebuild the trace from its record stream, checking every record."""
     header = footer = None
     footer_at = 0
-    events: list[TraceEvent] = []
+    events = EventColumns()
     checkpoints: list[Checkpoint] = []
     for kind, payload, at in _iter_records(body, fault):
         if not KIND_HEADER <= kind <= KIND_FOOTER:

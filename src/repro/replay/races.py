@@ -48,26 +48,29 @@ class MessageRace:
         )
 
 
-def _delivery_orders(trace: Trace) -> dict:
-    """Per-destination delivery order of identified messages.
-
-    Returns ``{dst: [key, ...]}`` where ``key`` is
-    ``(src, port, kind, occurrence)`` and occurrence disambiguates
-    repeats of the same coordinates (retransmits, duplicates).
-    """
-    orders: dict = {}
+def deliveries(trace: Trace):
+    """Yield ``(event, dst, key)`` per ``PacketDelivered`` that names its
+    packet, in trace order: ``key`` is ``(src, port, kind, occurrence)``,
+    where occurrence disambiguates repeats of the same coordinates to
+    the same ``dst`` (retransmits, duplicates)."""
     counts: dict = {}
     for event in trace.events:
-        if event.type != "PacketDelivered":
-            continue
-        packet = event.fields.get("packet")
+        packet = event.type == "PacketDelivered" and event.fields.get("packet")
         if not isinstance(packet, dict):
             continue
         dst = packet.get("dst")
         base = (packet.get("src"), packet.get("port"), packet.get("kind"))
         occurrence = counts.get((dst, base), 0)
         counts[(dst, base)] = occurrence + 1
-        orders.setdefault(dst, []).append(base + (occurrence,))
+        yield event, dst, base + (occurrence,)
+
+
+def _delivery_orders(trace: Trace) -> dict:
+    """Per-destination delivery order of identified messages:
+    ``{dst: [key, ...]}``."""
+    orders: dict = {}
+    for _, dst, key in deliveries(trace):
+        orders.setdefault(dst, []).append(key)
     return orders
 
 

@@ -184,21 +184,10 @@ class ReplayWorld:
         """Run (if needed) and assert byte-identity with the recording."""
         recorded = self.trace
         replayed = self.run()
-        expected_lines = recorded.lines()
-        actual_lines = replayed.lines()
-        for index, (expected, actual) in enumerate(
-            zip(expected_lines, actual_lines)
-        ):
-            if expected != actual:
-                raise ReplayDivergence("event", index, expected, actual)
-        if len(expected_lines) != len(actual_lines):
-            index = min(len(expected_lines), len(actual_lines))
-            expected = expected_lines[index] if index < len(expected_lines) else None
-            actual = actual_lines[index] if index < len(actual_lines) else None
-            raise ReplayDivergence("event", index, expected, actual)
+        require_same_events(recorded, replayed)
         if recorded.final_time != replayed.final_time:
             raise ReplayDivergence(
-                "final_time", len(expected_lines),
+                "final_time", len(recorded.events),
                 str(recorded.final_time), str(replayed.final_time),
             )
         verified = 0
@@ -227,11 +216,24 @@ class ReplayWorld:
                 f"{len(replayed.checkpoints)} checkpoints",
             )
         return ReplayReport(
-            events=len(actual_lines),
+            events=len(replayed.events),
             checkpoints_verified=verified,
             final_time=replayed.final_time,
             fingerprint=replayed.fingerprint(),
         )
+
+
+def require_same_events(expected: Trace, actual: Trace,
+                        upto: Optional[int] = None) -> None:
+    """Raise the ``"event"`` :class:`ReplayDivergence` at the first event
+    below ``upto`` (default: all) on which the two streams differ, citing
+    both lines (``None`` for a stream that has run out).  The columns are
+    compared; only the diverging pair is rendered."""
+    index = expected.events.first_difference(actual.events, upto)
+    if index is not None:
+        raise ReplayDivergence("event", index, *(
+            events[index].line if index < len(events) else None
+            for events in (expected.events, actual.events)))
 
 
 #: Shown for a state key one side of a checkpoint comparison lacks (a
@@ -281,28 +283,17 @@ def extract_verdict(trace: Trace) -> dict:
     and the earliest failure's time and index (where a shrinker or a
     human should start reading).
     """
-    counts = {"rpc_failed": 0, "proc_failed": 0,
-              "rpc_stale_rejected": 0, "faults_injected": 0}
-    failed_calls: list[int] = []
-    first_failure: Optional[dict] = None
-    for event in trace.events:
-        key = {
-            "RpcCallFailed": "rpc_failed",
-            "ProcessFailed": "proc_failed",
-            "RpcStaleRejected": "rpc_stale_rejected",
-            "FaultInjected": "faults_injected",
-        }.get(event.type)
-        if key is None:
-            continue
-        counts[key] += 1
-        if event.type == "RpcCallFailed":
-            call_id = event.fields.get("call_id")
-            if call_id is not None and call_id not in failed_calls:
-                failed_calls.append(call_id)
-        if (event.type in ("RpcCallFailed", "ProcessFailed")
-                and first_failure is None):
-            first_failure = {"index": event.index, "time": event.time,
-                             "type": event.type}
+    events = trace.events
+    counts = {key: events.types.count(kind) for kind, key in (
+        ("RpcCallFailed", "rpc_failed"), ("ProcessFailed", "proc_failed"),
+        ("RpcStaleRejected", "rpc_stale_rejected"), ("FaultInjected", "faults_injected"))}
+    failures = [events[index] for index, kind in enumerate(events.types)
+                if kind in ("RpcCallFailed", "ProcessFailed")]
+    call_ids = (event.fields.get("call_id") for event in failures
+                if event.type == "RpcCallFailed")
+    failed_calls = list(dict.fromkeys(c for c in call_ids if c is not None))
+    first = failures[0] if failures else None
+    first_failure = first and {"index": first.index, "time": first.time, "type": first.type}
     return {
         "final_time": trace.final_time,
         "events": len(trace.events),
@@ -327,15 +318,7 @@ def replay_prefix(trace: Trace, build: Callable,
     checkpoint = trace.checkpoints[checkpoint_index]
     world = ReplayWorld(trace, build, run_until=checkpoint.time + 1)
     replayed = world.run()
-    expected = trace.lines()[:checkpoint.index]
-    actual = replayed.lines()[:checkpoint.index]
-    for index, (want, got) in enumerate(zip(expected, actual)):
-        if want != got:
-            raise ReplayDivergence("event", index, want, got)
-    if len(actual) < len(expected):
-        raise ReplayDivergence(
-            "event", len(actual), expected[len(actual)], None
-        )
+    require_same_events(trace, replayed, checkpoint.index)
     return ReplayReport(
         events=checkpoint.index,
         checkpoints_verified=checkpoint_index + 1,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from typing import Optional
 
 from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView,
@@ -81,18 +81,12 @@ class TimeTravel:
         # Checkpoint indices ascend (``TraceWriter`` produces them so, a
         # loaded trace is checked for it), so a seek's seed is a bisect away.
         self._starts = [checkpoint.index for checkpoint in trace.checkpoints]
-        #: What queries read instead of walking events.  Per cursor: the
-        #: running maximum of event times (monotone, so a prefix cutoff is
-        #: a bisect).  Per event: time, kind code, "is a table event".
-        high = self._base.time
-        max_times, times, kinds = [high], [], bytearray()
-        for event in self.events:
-            if event.time > high:
-                high = event.time
-            max_times.append(high)
-            times.append(event.time)
-            kinds.append(_CODES.get(event.type, 0))
-        self._max_times, self._times, self._kinds = max_times, times, bytes(kinds)
+        #: What queries read instead of walking events, built off the
+        #: trace's own columns.  Per cursor: the running maximum of event
+        #: times (monotone, so a prefix cutoff is a bisect).  Per event:
+        #: kind code, "is a table event".
+        self._max_times = list(accumulate(self.events.times, max, initial=self._base.time))
+        self._kinds = bytes(map(_CODES.get, self.events.types, repeat(0)))
         self._tabled = self._kinds.translate(_TABLE_MASK)
         self.cursor = len(self.events)
         #: The view at the cursor once folded.  Every ``Moment`` handed
@@ -120,11 +114,13 @@ class TimeTravel:
     # ------------------------------------------------------------------
 
     def _fold_tables(self, view: StateView, start: int, index: int) -> None:
-        """Run the table events in ``[start, index)`` over ``view``."""
+        """Run the table events in ``[start, index)`` over ``view``, off the columns."""
+        events = self.events
+        types, nodes, rows, places = events.types, events.nodes, events.rows, events.positions
         tabled = self._tabled[start:index]
         for position in compress(range(start, index), tabled):
-            event = self.events[position]
-            _TABLE_FOLDS[event.type](view, str(event.node), event.fields)
+            kind = types[position]
+            _TABLE_FOLDS[kind](view, str(nodes[position]), rows[position], places[kind])
         self._stats["table_events_folded"] += tabled.count(1)
 
     def _snapshot(self, start: int, seed: StateView, index: int) -> tuple:
@@ -157,14 +153,13 @@ class TimeTravel:
             begin, seed = self._snapshot(start, seed, index)
         view = seed.copy()
         self._fold_tables(view, begin, index)
-        # Counts and time are still the checkpoint's, whose time is its
-        # capture event's: it can lie below ``_max_times``.
+        # Counts are still the checkpoint's.
         kinds = self._kinds[start:index]
         for code, key in _COUNTED:
             seen = kinds.count(code)
             if seen:
                 view.counts[key] = view.counts.get(key, 0) + seen
-        view.time = max(view.time, max(self._times[start:index], default=0))
+        view.time = self._max_times[index]
         self._stats["folds"] += 1
         return view
 
@@ -296,16 +291,20 @@ class TimeTravel:
             previous, origin = [], []
             last_on_node: dict = {}
             sent_at: dict[int, int] = {}
-            for index, event in enumerate(self.events):
-                previous.append(last_on_node.get(event.node, -1))
-                last_on_node[event.node] = index
+            events = self.events
+            pkt_at = {kind: events.positions.get(kind, {}).get("packet")
+                      for kind in ("PacketSent", "PacketDelivered")}
+            for index, (kind, node, row) in enumerate(zip(
+                    events.types, events.nodes, events.rows)):
+                previous.append(last_on_node.get(node, -1))
+                last_on_node[node] = index
                 origin.append(-1)
-                packet = event.fields.get("packet")
-                if isinstance(packet, dict):
-                    if event.type == "PacketSent":
-                        sent_at[packet.get("pkt")] = index
-                    elif event.type == "PacketDelivered":
-                        origin[-1] = sent_at.get(packet.get("pkt"), -1)
+                at = pkt_at.get(kind)
+                if at is not None and row[at] is not None:
+                    if kind == "PacketSent":
+                        sent_at[row[at]] = index
+                    else:
+                        origin[-1] = sent_at.get(row[at], -1)
             self._preds = (previous, origin)
         return self._preds
 
@@ -339,18 +338,11 @@ class TimeTravel:
 
     def find_packet(self, pkt: int) -> list[TraceEvent]:
         """Events carrying rebased packet id ``pkt``, in trace order."""
-        return [
-            event for event in self.events
-            if isinstance(event.fields.get("packet"), dict)
-            and event.fields["packet"].get("pkt") == pkt
-        ]
+        return self.events.where("packet", pkt)
 
     def find_rpc(self, call_id: int) -> list[TraceEvent]:
         """Events of RPC call ``call_id``, in trace order."""
-        return [
-            event for event in self.events
-            if event.fields.get("call_id") == call_id
-        ]
+        return self.events.where("call_id", call_id)
 
     def __repr__(self) -> str:
         return (

@@ -8,10 +8,11 @@ container of :mod:`repro.replay.format` (:meth:`Trace.save` /
   topology, clock skews, full ``Params``), the serialized ``FaultPlan``,
   the checkpoint cadence, and caller metadata.  Everything a replayer needs
   to rebuild an identical cluster;
-* one **event** line per materialized obs event, carrying both the
-  structured payload (packet ids rebased to first-seen order, processes
-  reduced to pid/name) and the normalized text line, both rendered
-  through one :class:`~repro.obs.recorder.PayloadNormalizer`;
+* the **events**, one per materialized obs event, held in memory as on
+  disk: a column store (:class:`EventColumns`) of header columns plus
+  one row of scalars per event (:func:`~repro.obs.recorder.encode_row`:
+  packet ids rebased to first-seen order, processes reduced to pid/name);
+  the ``fields`` dict and the text ``line`` are derived on access;
 * interleaved **checkpoint** lines (see :mod:`repro.replay.checkpoint`);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
@@ -28,14 +29,21 @@ emits its process events while the node is half-rebuilt).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import accumulate, count, islice
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs import events as ev
 from repro.obs.recorder import (
     PayloadNormalizer,
     _all_event_types,
-    encode_event,
+    encode_row,
+    flatten_fields,
+    payload_field_names,
+    render_line,
+    row_fields,
+    row_layout,
     stream_fingerprint,
 )
 from repro.replay.checkpoint import (
@@ -50,8 +58,9 @@ if TYPE_CHECKING:
     from repro.cluster import Cluster
     from repro.faults.plan import FaultPlan
 
-#: Version 2: a checkpoint's ``state.rng`` is a digest, not the state.
-TRACE_VERSION = 2
+#: Version 3: a checkpoint's ``view.time`` is the running maximum of the
+#: event times before it (what a fold reads there), not its own ``time``.
+TRACE_VERSION = 3
 
 #: Event types a checkpoint may be captured on (see module docstring).
 SAFE_CHECKPOINT_EVENTS = frozenset({
@@ -68,15 +77,33 @@ SAFE_CHECKPOINT_EVENTS = frozenset({
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One recorded obs event: structured payload plus normalized line."""
+    """One recorded obs event, as a view: header cells, payload field
+    ``names`` and row.  An :class:`EventColumns` builds one on access,
+    :meth:`of` by hand."""
 
     index: int
     type: str
     time: int
     node: Optional[int]
     seq: int
-    fields: dict
-    line: str
+    names: tuple
+    row: tuple
+
+    @classmethod
+    def of(cls, index, type, time, node, seq, fields: dict) -> "TraceEvent":
+        """An event from its structured payload dict."""
+        return cls(index, type, time, node, seq, *flatten_fields(fields))
+
+    @property
+    def fields(self) -> dict:
+        """The structured payload (built per access)."""
+        return row_fields(self.names, self.row)
+
+    @property
+    def line(self) -> str:
+        """The normalized text line (rendered per access)."""
+        return render_line(self.type, self.time, self.node, self.seq,
+                           self.names, self.row)
 
     def to_dict(self) -> dict:
         """Serialize as one JSON record (wire protocol, JSONL export)."""
@@ -93,19 +120,94 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceEvent":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(
-            index=data["i"],
-            type=data["type"],
-            time=data["t"],
-            node=data["node"],
-            seq=data["seq"],
-            fields=data["fields"],
-            line=data["line"],
-        )
+        """Rebuild from :meth:`to_dict` output (its ``line`` is not read)."""
+        return cls.of(data["i"], data["type"], data["t"], data["node"],
+                      data["seq"], data["fields"])
 
     def __repr__(self) -> str:
         return f"<TraceEvent #{self.index} {self.type} t={self.time}>"
+
+
+class EventColumns(Sequence):
+    """A trace's events as parallel columns: ``types`` / ``times`` /
+    ``nodes`` / ``seqs``, one ``rows`` tuple of scalars per event, and per
+    type (fixed for the whole trace) the payload field names its rows
+    encode (``schema``) and each name's first cell (``positions``).
+
+    Indexing, slicing and iterating hand out :class:`TraceEvent` views
+    built on the spot; code that walks a whole trace reads the columns.
+    """
+
+    __slots__ = ("types", "times", "nodes", "seqs", "rows", "schema", "positions")
+
+    def __init__(self, events=()):
+        events = list(events)
+        self.schema: dict[str, tuple] = {}
+        self.positions: dict[str, dict[str, int]] = {}
+        for position, event in enumerate(events):
+            if event.index != position:
+                raise ValueError(f"event index {event.index} at position "
+                                 f"{position}: not its position in the trace")
+            self.declare(event.type, event.names)
+        self.types, self.times, self.nodes, self.seqs, self.rows = (
+            [getattr(event, cell) for event in events]
+            for cell in ("type", "time", "node", "seq", "row"))
+
+    def declare(self, kind: str, names: tuple) -> tuple:
+        """Record (or re-check) the payload field names of ``kind`` rows."""
+        known = self.schema.setdefault(kind, names)
+        if known != names:
+            raise ValueError(f"{kind} rows are {list(known)} in this trace, not {list(names)}")
+        self.positions[kind] = row_layout(names)[0]
+        return known
+
+    def columns(self) -> tuple:
+        """What ``render_line`` takes per event, as parallel iterables."""
+        return (self.types, self.times, self.nodes, self.seqs,
+                map(self.schema.__getitem__, self.types), self.rows)
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[at] for at in range(*index.indices(len(self.types)))]
+        kind = self.types[index]
+        at = index if index >= 0 else index + len(self.types)
+        return TraceEvent(at, kind, self.times[at], self.nodes[at],
+                          self.seqs[at], self.schema[kind], self.rows[at])
+
+    def __iter__(self):
+        return map(TraceEvent, count(), *self.columns())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EventColumns, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def where(self, name: str, value) -> list[TraceEvent]:
+        """The events whose field ``name`` (a flattened object's first
+        cell: a packet's id) is ``value``, in trace order."""
+        at = {kind: places[name] for kind, places in self.positions.items() if name in places}
+        return [self[index] for index, kind in enumerate(self.types)
+                if kind in at and self.rows[index][at[kind]] == value]
+
+    def lines(self):
+        """Every event's normalized line, rendered as iterated."""
+        return map(render_line, *self.columns())
+
+    def first_difference(self, other: "EventColumns", upto: Optional[int] = None):
+        """The first index below ``upto`` (default: the longer length) at
+        which the two streams' lines differ or one has run out, if any.
+        Cells are compared (``==``: ``1`` passes for ``True``) and only a
+        pair whose cells differ is rendered, to tell if its lines do."""
+        stop = max(len(self), len(other)) if upto is None else upto
+        shared = min(len(self), len(other), stop)
+        pairs = zip(zip(*self.columns()), zip(*other.columns()))
+        for index, (mine, theirs) in enumerate(islice(pairs, shared)):
+            if mine != theirs and render_line(*mine) != render_line(*theirs):
+                return index
+        return shared if shared < stop else None
 
 
 class Trace:
@@ -114,12 +216,13 @@ class Trace:
     def __init__(
         self,
         header: dict,
-        events: list[TraceEvent],
+        events,
         checkpoints: list[Checkpoint],
         footer: dict,
     ):
         self.header = header
-        self.events = events
+        #: An :class:`EventColumns`; a list of ``TraceEvent`` is laid out as one.
+        self.events = events if isinstance(events, EventColumns) else EventColumns(events)
         self.checkpoints = checkpoints
         self.footer = footer
         #: A :class:`repro.kernel.profile.ProfileHook` when the run was
@@ -164,11 +267,11 @@ class Trace:
 
     def lines(self) -> list[str]:
         """The normalized stream, one line per recorded event."""
-        return [event.line for event in self.events]
+        return list(self.events.lines())
 
     def fingerprint(self) -> str:
         """Digest of the normalized stream (recomputed, not the footer's)."""
-        return stream_fingerprint(event.line for event in self.events)
+        return stream_fingerprint(self.events.lines())
 
     def __len__(self) -> int:
         return len(self.events)
@@ -240,10 +343,10 @@ class TraceWriter:
             "checkpoint_every": checkpoint_every,
             "meta": meta or {},
         }
-        self.events: list[TraceEvent] = []
-        #: Raw obs events captured during the run.  Materializing a
-        #: TraceEvent is deferred to :meth:`finish`, where each event
-        #: passes once through :func:`~repro.obs.recorder.encode_event`
+        self.events = EventColumns()
+        #: Raw obs events captured during the run.  Encoding a row is
+        #: deferred to :meth:`finish`, where each event passes once
+        #: through :func:`~repro.obs.recorder.encode_row`
         #: (the ledger's ``replay.finish_us_per_event``), so in the run
         #: window an event costs one list append and a checkpoint costs
         #: what is live at that instant — never the run's history (the
@@ -315,31 +418,33 @@ class TraceWriter:
         self._finished = True
         self.detach()
         self._materialize()
+        # A checkpoint's view is what a fold reads at its index: its clock
+        # is the running maximum of the event times before it, not its own.
+        highs = list(accumulate(self.events.times, max, initial=self.checkpoints[0].view.time))
+        for checkpoint in self.checkpoints:
+            checkpoint.view.time = highs[checkpoint.index]
         footer = {
             "final_time": self.cluster.world.now,
             "events": len(self.events),
-            "fingerprint": stream_fingerprint(e.line for e in self.events),
+            "fingerprint": stream_fingerprint(self.events.lines()),
             "drive": drive or {"mode": "manual"},
         }
         return Trace(self.header, self.events, self.checkpoints, footer)
 
     def _materialize(self) -> None:
-        """Build the TraceEvents from the raw capture, in stream order
-        and one :func:`~repro.obs.recorder.encode_event` pass per event
-        (the normalizer rebases packet ids by first-seen order, so the
-        deferred pass renders exactly what an inline pass would have)."""
+        """Fill the columns from the raw capture, in stream order and one
+        :func:`~repro.obs.recorder.encode_row` pass per event (the
+        normalizer rebases packet ids by first-seen order, so the
+        deferred pass encodes exactly what an inline pass would have)."""
         normalizer = self._normalizer
-        for index, event in enumerate(self._raw):
-            fields, line = encode_event(event, normalizer)
-            self.events.append(TraceEvent(
-                index=index,
-                type=type(event).__name__,
-                time=event.time,
-                node=event.node,
-                seq=event.seq,
-                fields=fields,
-                line=line,
-            ))
+        events = self.events
+        for event_type in self._types:
+            events.declare(event_type.__name__, payload_field_names(event_type))
+        events.types += [type(event).__name__ for event in self._raw]
+        events.times += [event.time for event in self._raw]
+        events.nodes += [event.node for event in self._raw]
+        events.seqs += [event.seq for event in self._raw]
+        events.rows += [encode_row(event, normalizer) for event in self._raw]
         self._raw.clear()
 
     def __repr__(self) -> str:

@@ -31,6 +31,7 @@ from repro.contracts import (
 )
 from repro.contracts.dsl import ProbeContract, SINGLE_LEADER
 from repro.contracts.online import ContractMonitor
+from repro.replay.trace import EventColumns
 from tests.golden_scenario import GOLDEN_BINARY_PATH, GOLDEN_NAMES, build, plan
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -250,12 +251,17 @@ def test_monitor_emits_typed_violation_events():
 
 
 def events_from_rows(rows):
-    """Hand-built trace events from (type, time, node, fields) rows."""
+    """Hand-built trace events from (type, time, node, fields) rows.  A
+    type's field names are fixed for a whole trace, so every event gets
+    all the fields its type is given anywhere in ``rows``, absent ones
+    as ``None``."""
     from repro.replay.trace import TraceEvent
 
-    return [TraceEvent(index=index, type=kind, time=time, node=node,
-                       seq=index, fields=fields,
-                       line=f"{index} {kind} t={time} n={node}")
+    names = {}
+    for kind, _, _, fields in rows:
+        names.setdefault(kind, {}).update(dict.fromkeys(fields))
+    return [TraceEvent.of(index, kind, time, node, index,
+                          {name: fields.get(name) for name in names[kind]})
             for index, (kind, time, node, fields) in enumerate(rows)]
 
 
@@ -288,7 +294,7 @@ def _fold_rule_streams():
         "kv-split-brain": record_run(
             kv.build, list(kv.names), seed=0, run_until=kv.run_until,
             plan=get_plan("leader_partition")).events,
-        "hand-built": _violating_events(),
+        "hand-built": EventColumns(_violating_events()),
     }
 
 
@@ -300,7 +306,7 @@ def test_reporting_never_mutates_a_fold():
 
     failed = set()
     for label, events in _fold_rule_streams().items():
-        facts = [TraceFact(event) for event in events]
+        facts = [TraceFact(events, index) for index in range(len(events))]
         for contract in (*universal_contracts(), NO_LOST_CALLS):
             fresh = CheckerBank((contract,))
             for fact in facts:

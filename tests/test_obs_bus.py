@@ -7,15 +7,19 @@ from types import SimpleNamespace
 from typing import Any, ClassVar, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.debugger import Pilgrim
 from repro.obs import Bus, Metrics, events as ev, install_default_metrics
 from repro.obs.recorder import (
     PayloadNormalizer,
-    encode_event,
+    encode_row,
     normalize_line,
     payload_field_names,
+    render_line,
+    row_fields,
 )
 from repro.rpc import PacketMonitor, remote_call
 from repro.rpc.monitor import MonitoredCall
@@ -308,8 +312,10 @@ def test_packet_monitor_detach_stops_observation():
 
 
 # ----------------------------------------------------------------------
-# The one renderer (obs/recorder.py): encode_event against the three
-# walks it replaced, kept here as its oracle
+# The one-renderer law (obs/recorder.py) that licenses a trace to store
+# rows and neither fields nor lines: what render_line / row_fields derive
+# from a row *after a JSON round trip* is what the old renderer (three
+# walks over the live event, kept here as the oracle) produced
 # ----------------------------------------------------------------------
 
 
@@ -389,28 +395,95 @@ def _sample_events():
                            packet=_packet(3), reason="no_handler")
 
 
-def test_encode_event_reproduces_the_three_walks_for_every_type():
+def check_the_law(events):
+    new, old, lines = PayloadNormalizer(), PayloadNormalizer(), PayloadNormalizer()
+    for event in events:
+        fields, line = _old_encode(event, old.rebase)
+        names = payload_field_names(type(event))
+        row = encode_row(event, new)
+        stored = tuple(json.loads(json.dumps(row)))
+        assert list(map(type, stored)) == list(map(type, row))
+        assert stored == row
+        assert render_line(type(event).__name__, event.time, event.node,
+                           event.seq, names, stored) == line
+        assert row_fields(names, stored) == fields
+        assert list(fields) == list(names)
+        assert normalize_line(event, lines) == line
+
+
+def test_the_law_holds_for_every_type_with_objects_present_and_absent():
     events = list(_sample_events())
     assert {type(e).__name__ for e in events} == set(ev.__all__) - {"Event"}
-    new, old = PayloadNormalizer(), PayloadNormalizer()
-    for event in events:
-        fields, line = encode_event(event, new)
-        assert (fields, line) == _old_encode(event, old.rebase)
-        assert list(fields) == list(payload_field_names(type(event)))
-        assert normalize_line(event, new) == line
-        json.dumps(fields)  # what a trace stores must stay serializable
+    check_the_law(events)
 
 
-def test_packet_ids_rebase_in_first_seen_order_line_or_field_first():
+#: Ints past 2**53 (where a float-backed decoder would round), and text
+#: with what has broken renderers: quotes, backslashes, line breaks,
+#: ``%``, non-ASCII, non-BMP.
+_INTS = st.integers(-2 ** 70, 2 ** 70)
+_WORDS = st.one_of(st.text(max_size=6), st.text(
+    alphabet=st.sampled_from('a \'"\\\n\r%\u00e9\u2028\U0001f600'), max_size=6))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _WORDS)
+_OBJECTS = {
+    # Few distinct ids, so a stream meets the same packet again.
+    "packet": st.builds(SimpleNamespace, packet_id=st.integers(900, 905),
+                        src=_INTS, dst=_INTS, port=_WORDS, kind=_WORDS,
+                        size_bytes=_INTS),
+    "process": st.builds(SimpleNamespace, pid=_INTS, name=_WORDS),
+    "error": st.builds(lambda kind, text: kind(text),
+                       st.sampled_from([ValueError, KeyError, RuntimeError]),
+                       _WORDS),
+}
+
+
+def _events_of(event_type):
+    payload = {name: st.none() | _OBJECTS[name] if name in _OBJECTS
+               else _SCALARS for name in payload_field_names(event_type)}
+    return st.builds(event_type, time=_INTS, seq=st.integers(0, 2 ** 70),
+                     node=st.none() | st.integers(0, 9), **payload)
+
+
+_RECORDABLE = [name for name in ev.__all__ if name != "Event"]
+
+
+@pytest.mark.parametrize("name", _RECORDABLE)
+def test_the_law_holds_for_generated_payloads(name):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_events_of(getattr(ev, name)), min_size=1, max_size=6))
+    def run(events):
+        check_the_law(events)
+
+    run()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(*(_events_of(getattr(ev, name))
+                            for name in _RECORDABLE if name.startswith("Packet"))),
+                min_size=1, max_size=10))
+def test_two_first_seen_orders_still_cite_one_id_per_packet(events):
+    """Rebased ids depend on the order a normalizer meets packets in, but
+    under either order a packet has one id, ids are 1..n in first-seen
+    order, and an event's row and line cite the same one."""
+    for stream in (events, events[::-1]):
+        normalizer, cited = PayloadNormalizer(), {}
+        for event in stream:
+            if event.packet is None:
+                continue
+            pkt = encode_row(event, normalizer)[0]
+            assert cited.setdefault(event.packet.packet_id, pkt) == pkt
+            assert f" packet=pkt#{pkt}[" in normalize_line(event, normalizer)
+        assert list(cited.values()) == list(range(1, len(cited) + 1))
+
+
+def test_packet_ids_rebase_in_first_seen_order_line_or_row_first():
     first, second = (ev.PacketSent(time=1, node=0, seq=1, packet=_packet(900)),
                      ev.PacketDelivered(time=2, node=1, seq=2,
                                         packet=_packet(17)))
-    line_first, field_first = PayloadNormalizer(), PayloadNormalizer()
+    line_first, row_first = PayloadNormalizer(), PayloadNormalizer()
     assert "pkt#1[" in normalize_line(first, line_first)
-    assert encode_event(second, line_first)[0]["packet"]["pkt"] == 2
-    assert encode_event(first, field_first)[0]["packet"]["pkt"] == 1
-    assert "pkt#2[" in normalize_line(second, field_first)
-    # One call's field and line cite the same id, and a packet seen
-    # again keeps the id it was first given.
-    fields, line = encode_event(first, line_first)
-    assert fields["packet"]["pkt"] == 1 and " packet=pkt#1[0->1:" in line
+    assert encode_row(second, line_first)[0] == 2
+    assert encode_row(first, row_first)[0] == 1
+    assert "pkt#2[" in normalize_line(second, row_first)
+    # A packet seen again keeps the id it was first given.
+    assert encode_row(first, line_first)[0] == 1
+    assert " packet=pkt#1[0->1:" in normalize_line(first, line_first)

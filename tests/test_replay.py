@@ -90,15 +90,18 @@ def test_replay_is_byte_identical_under_chaos(seed):
 def test_divergence_reports_first_mismatching_event():
     trace = record_run(build_chaos, CHAOS_NAMES, seed=1, run_until=2 * SEC)
     assert len(trace.events) > 11
-    tampered = trace.events[10].line
-    trace.events[10].line = tampered + " TAMPERED"
+    recorded = trace.events[10].line
+    # Lines are derived, so tamper with what they derive from: a row.
+    *cells, last = trace.events.rows[10]
+    trace.events.rows[10] = (*cells, f"{last} TAMPERED")
     with pytest.raises(ReplayDivergence) as excinfo:
         replay_trace(trace, build_chaos)
     exc = excinfo.value
     assert exc.kind == "event"
     assert exc.index == 10
-    assert exc.expected.endswith("TAMPERED")
-    assert exc.actual == tampered
+    assert exc.expected == trace.events[10].line != recorded
+    assert "TAMPERED" in exc.expected
+    assert exc.actual == recorded
 
 
 def test_manual_trace_refuses_re_execution():
@@ -150,12 +153,13 @@ def test_trace_load_rejects_wrong_version(tmp_path):
 
 
 def test_trace_load_rejects_the_previous_trace_version(tmp_path):
-    """A version-1 trace (full RNG state in every checkpoint) is refused
-    at load: replaying it could only end in a misleading checkpoint
+    """A version-2 trace (a checkpoint's ``view.time`` is its capturing
+    event's, not the running maximum a fold reads there) is refused at
+    load: replaying it could only end in a misleading checkpoint
     divergence."""
-    assert TRACE_VERSION == 2
-    with pytest.raises(TraceFormatError, match="version 1 unsupported"):
-        _load_with_header_version(tmp_path, 1)
+    assert TRACE_VERSION == 3
+    with pytest.raises(TraceFormatError, match="version 2 unsupported"):
+        _load_with_header_version(tmp_path, 2)
 
 
 # ----------------------------------------------------------------------

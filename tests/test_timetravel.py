@@ -25,7 +25,7 @@ from repro import Cluster, Pilgrim
 from repro.contracts.dsl import universal_contracts
 from repro.contracts.offline import first_violation
 from repro.replay import TimeTravel, Trace, fold_view
-from repro.replay.checkpoint import _TABLE_FOLDS, empty_view
+from repro.replay.checkpoint import _TABLE_FOLDS, apply_event, empty_view
 from repro.replay.timetravel import _CAUSE_TYPES, _STRIDE
 from tests.test_contracts import events_from_rows
 from tests.test_replay import _chaos_trace
@@ -171,7 +171,7 @@ def check_sequence(trace, ops):
         oracle = fold_view(events, moment.index, base)
         assert moment.view.to_dict() == oracle.to_dict()
         assert moment.time == oracle.time
-        assert moment.event is (events[moment.index - 1] if moment.index else None)
+        assert moment.event == (events[moment.index - 1] if moment.index else None)
         handed_out.append((moment, copy.deepcopy(moment.view.to_dict())))
 
     for name, arg in ops:
@@ -218,6 +218,29 @@ def test_the_generated_sequences_can_meet_a_halted_cursor():
     assert built.seek(9).view.halted == {"0": [1], "1": [1]}
     assert built.why_halted()["cause"].type == "ProcessFailed"
     assert built.why_halted()["halt_event"].index == 6
+
+
+@pytest.mark.parametrize("make_trace, seed", [
+    (chaos_trace, None), (postmortem_trace, 14), (postmortem_trace, 15),
+])
+def test_a_checkpoint_seeded_seek_equals_the_from_zero_fold_clock_included(
+        make_trace, seed):
+    """A checkpoint's view is what the fold reads at its index — its
+    ``time`` the running maximum of the event times before it, which the
+    capturing event's own time (``Checkpoint.time``) can lie below."""
+    trace = make_trace() if seed is None else make_trace(seed)
+    travel = TimeTravel(trace)
+    folded, done, below = trace.base_view().copy(), 0, 0
+    for checkpoint in trace.checkpoints:
+        for event in trace.events[done:checkpoint.index]:
+            apply_event(folded, event)
+        done = checkpoint.index
+        assert checkpoint.view.to_dict() == folded.to_dict()
+        assert travel.seek(done).view.to_dict() == folded.to_dict()
+        assert checkpoint.time <= checkpoint.view.time
+        below += checkpoint.time < checkpoint.view.time
+    # The recipe does stamp checkpoints below the running maximum.
+    assert seed is None or below > 20
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ fault — a debugger's traces are its evidence, so a corrupt file has to
 say *where* it broke, not die in ``struct.unpack``.
 """
 
+import collections
 import copy
+import gc
 import json
 import struct
 import tracemalloc
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MS, record_run
+from repro.obs.recorder import PARTS
 from repro.replay import TRACE_VERSION, Trace, TraceFormatError
 from repro.replay import format as trace_format
 from repro.replay.checkpoint import Checkpoint, empty_view
@@ -95,31 +98,47 @@ def test_long_event_runs_split_into_capped_blocks(trace, tmp_path, monkeypatch):
 
 
 #: Text that has broken line- or byte-oriented decoders before: line
-#: breaks, NUL, quotes, non-ASCII, non-BMP, the Unicode line separator.
-_NASTY = st.text(alphabet=st.sampled_from('a \n\r\0"\\\u00e9\u2028\U0001f600'))
+#: breaks, NUL, quotes, non-ASCII, non-BMP, the Unicode line separator;
+#: ``%`` because lines are rendered through a format string.
+_NASTY = st.text(alphabet=st.sampled_from('a %\n\r\0"\\\u00e9\u2028\U0001f600'))
 _TEXT = st.one_of(st.text(), _NASTY)
-_JSON = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(),
-              st.floats(allow_nan=False), _TEXT),
-    lambda inner: st.one_of(st.lists(inner, max_size=3),
-                            st.dictionaries(_TEXT, inner, max_size=3)),
-    max_leaves=8)
-_EVENT_PARTS = st.tuples(
-    st.sampled_from(["PacketSent", "ProcessCreated", "\u00e9v\u00e9nement"]),
-    st.integers(), st.one_of(st.none(), st.integers(0, 9)), st.integers(),
-    st.dictionaries(_TEXT, _JSON, max_size=3), _TEXT)
+_CELL = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT)
+_TYPES = ["PacketSent", "ProcessCreated", "\u00e9v\u00e9nement"]
 
 
-@given(parts=st.lists(_EVENT_PARTS, max_size=12), data=st.data(),
-       compress=st.booleans())
+def _partial(field):
+    """A flattened object as a hand-built dict: any subset of its parts."""
+    return st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(PARTS[field]), _CELL))
+
+
+@st.composite
+def _hand_built_events(draw):
+    """Events of three types, each type with one drawn field list (a
+    type's field names are fixed for a whole trace)."""
+    fields = {kind: draw(st.lists(
+        st.one_of(_TEXT, st.sampled_from(["packet", "process", "error"])),
+        unique=True, max_size=4)) for kind in _TYPES}
+    events = []
+    for index in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(_TYPES))
+        events.append(TraceEvent.of(
+            index, kind, draw(st.integers()),
+            draw(st.one_of(st.none(), st.integers(0, 9))), draw(st.integers()),
+            {name: draw(_partial(name) if name in PARTS else _CELL)
+             for name in fields[kind]}))
+    return events
+
+
+@given(events=_hand_built_events(), data=st.data(), compress=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_hand_built_events_round_trip_verbatim(tmp_path_factory, parts, data,
-                                               compress):
-    """Save -> load is the identity on every attribute of every event,
-    whatever the line and the nested field strings contain (the line is
-    stored verbatim, not re-rendered) and wherever the checkpoints cut
-    the stream into blocks."""
-    events = [TraceEvent(i, *part) for i, part in enumerate(parts)]
+def test_hand_built_events_round_trip_equal(tmp_path_factory, events, data,
+                                            compress):
+    """Save -> load is the identity on every cell of every event (its
+    exact type included: ``True`` does not come back as ``1``), whatever
+    the names and the strings contain and wherever the checkpoints cut
+    the stream into blocks — so the derived fields and lines are equal
+    too.  A part a hand-built packet dict lacks is ``None``."""
     cuts = data.draw(st.sets(st.integers(0, len(events)), max_size=4))
     checkpoints = [Checkpoint(index=i, time=0, state={}, view=empty_view([0]))
                    for i in sorted(cuts | {0})]
@@ -129,24 +148,62 @@ def test_hand_built_events_round_trip_verbatim(tmp_path_factory, parts, data,
     write_binary(built, path, compress=compress)
     loaded = Trace.load(path)
     assert loaded.events == events
-    assert [type(e.type) for e in loaded.events] == [str] * len(events)
+    assert [[type(cell) for cell in (e.type, e.time, e.node, e.seq, *e.row)]
+            for e in loaded.events] == \
+        [[type(cell) for cell in (e.type, e.time, e.node, e.seq, *e.row)]
+         for e in events]
+    assert loaded.lines() == [e.line for e in events]
+    assert [e.fields for e in loaded.events] == [e.fields for e in events]
     assert [c.to_dict() for c in loaded.checkpoints] == \
         [c.to_dict() for c in checkpoints]
 
 
+def test_a_partial_packet_reads_back_with_its_absent_parts_as_none():
+    event = TraceEvent.of(0, "PacketSent", 5, 1, 9,
+                          {"packet": {"pkt": 3, "kind": "ack"}, "n": None})
+    assert event.names == ("packet", "n")
+    assert event.row == (3, None, None, None, "ack", None, None)
+    assert event.fields == {"n": None, "packet": {
+        "pkt": 3, "src": None, "dst": None, "port": None, "kind": "ack",
+        "size": None}}
+    assert event.line == ("000009 t=5 node=1 PacketSent "
+                          "packet=pkt#3[None->None:None/ack/NoneB] n=None")
+    absent = TraceEvent.of(0, "PacketSent", 5, 1, 9, {"packet": {}, "n": 1})
+    assert absent.fields == {"packet": None, "n": 1}
+    assert absent.line == "000009 t=5 node=1 PacketSent packet=None n=1"
+    with pytest.raises(ValueError, match="no part"):
+        TraceEvent.of(0, "PacketSent", 5, 1, 9, {"packet": {"ttl": 1}})
+
+
 def test_writer_refuses_what_the_reader_would(trace, tmp_path):
-    """Event indices are implied by position and checkpoints by their
-    place in the stream, so a trace that says otherwise cannot be
-    stored — and the refusal leaves no file behind."""
+    """Event indices are implied by position, checkpoints by their place
+    in the stream and a type's field names hold for the whole trace, so a
+    trace that says otherwise cannot be built or stored, nor can a row
+    that would not survive the JSON round trip — and a refusal leaves no
+    file behind."""
     path = tmp_path / "t.trace.bin"
-    renumbered = copy.deepcopy(trace)
-    renumbered.events[2].index = 99
-    with pytest.raises(ValueError, match="not their positions"):
-        renumbered.save(path)
+    renumbered = list(trace.events)
+    renumbered[2].index = 99
+    with pytest.raises(ValueError, match="not its position"):
+        Trace(trace.header, renumbered, trace.checkpoints, trace.footer)
+    renamed = list(trace.events)
+    renamed[-1] = TraceEvent.of(len(renamed) - 1, renamed[0].type, 0, 0, 0,
+                                {"other": 1})
+    with pytest.raises(ValueError, match="in this trace"):
+        Trace(trace.header, renamed, trace.checkpoints, trace.footer)
     misplaced = copy.deepcopy(trace)
     misplaced.checkpoints[0].index = len(trace.events) + 1
     with pytest.raises(ValueError, match="out of order or past"):
         misplaced.save(path)
+    for bad in (1.5, [1], {"a": 1}):
+        unstorable = copy.deepcopy(trace)
+        unstorable.events.rows[3] = (bad, *unstorable.events.rows[3][1:])
+        with pytest.raises(ValueError, match="not one int, str, bool or None"):
+            unstorable.save(path)
+    ragged = copy.deepcopy(trace)
+    ragged.events.rows[3] += (0,)
+    with pytest.raises(ValueError, match="per cell of its fields"):
+        ragged.save(path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -190,9 +247,21 @@ def test_info_cli_checks_the_footer_fingerprint(trace, tmp_path, capsys):
     path = tmp_path / "t.trace.bin"
     trace.save(path)
     assert replay_cli(["info", str(path)]) == 0
-    assert trace.fingerprint() in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert trace.fingerprint() in out
+    # What a trace costs, off the columns: events per type, container
+    # bytes per event, checkpoints and their mean interval.
+    size = path.stat().st_size
+    assert f"events:       {len(trace.events)}\n" in out
+    for kind, seen in collections.Counter(trace.events.types).items():
+        assert f"  {kind:<18}{seen}\n" in out
+    assert (f"container:    {size} bytes  "
+            f"({size / len(trace.events):.1f} per event)\n") in out
+    assert (f"checkpoints:  {len(trace.checkpoints)}  (one per "
+            f"{len(trace.events) / len(trace.checkpoints):.1f} events)\n") in out
     tampered = Trace.load(path)
-    tampered.events[3].line += " TAMPERED"
+    *cells, last = tampered.events.rows[3]
+    tampered.events.rows[3] = (*cells, f"{last} TAMPERED")
     tampered.save(path)
     assert replay_cli(["info", str(path)]) == 1
     err = capsys.readouterr().err
@@ -229,9 +298,10 @@ def test_bad_magic_raises_at_offset_zero(trace, tmp_path):
     assert "magic" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [1, 999], ids=["v1", "v999"])
+@pytest.mark.parametrize("version", [1, 2, 999], ids=["v1", "v2", "v999"])
 def test_unknown_format_version_raises(trace, tmp_path, version):
-    # Version 1 (per-event records) has no read path: same refusal.
+    # Versions 1 (per-event records) and 2 (fields and lines stored per
+    # event) have no read path: same refusal, and nothing else.
     path, blob = binary_bytes(trace, tmp_path)
     bad = MAGIC + struct.pack("<HH", version, 0) + blob[_PREAMBLE.size:]
     path.write_bytes(bad)
@@ -344,10 +414,21 @@ def block_edit(edit):
     return mutate
 
 
+#: A block's header columns: one cell per event, in event order.
+HEADER_COLUMNS = ("type", "t", "node", "seq")
+
+
 def set_cell(column, value):
     def edit(block):
         block[column][1] = value
     edit.__name__ = f"{type(value).__name__}_in_{column}"
+    return block_edit(edit)
+
+
+def set_payload_cell(value):
+    def edit(block):
+        block["cells"][0][0][0] = value
+    edit.__name__ = f"{type(value).__name__}_in_a_payload_column"
     return block_edit(edit)
 
 
@@ -362,8 +443,18 @@ def unknown_column(block):
 
 
 @block_edit
-def ragged_columns(block):
-    block["line"].pop()
+def a_stored_line_column(block):
+    block["line"] = [""] * len(block["t"])
+
+
+@block_edit
+def ragged_header_columns(block):
+    block["node"].pop()
+
+
+@block_edit
+def ragged_payload_column(block):
+    block["cells"][0][0].pop()
 
 
 @block_edit
@@ -372,9 +463,30 @@ def column_is_an_object(block):
 
 
 @block_edit
+def payload_column_is_an_object(block):
+    block["cells"][0][0] = dict(enumerate(block["cells"][0][0]))
+
+
+@block_edit
 def empty_block(block):
-    for column in ("type", "t", "node", "seq", "fields", "line"):
+    for column in HEADER_COLUMNS:
         block[column] = []
+    block["cells"] = [[[] for _ in own] for own in block["cells"]]
+
+
+@block_edit
+def fewer_columns_than_the_fields_have_cells(block):
+    block["cells"][0].pop()
+
+
+@block_edit
+def more_columns_than_the_fields_have_cells(block):
+    block["cells"][0].append(list(block["cells"][0][0]))
+
+
+@block_edit
+def cells_not_one_entry_per_type(block):
+    block["cells"].pop()
 
 
 @block_edit
@@ -389,7 +501,28 @@ def type_id_negative(block):
 
 @block_edit
 def type_name_is_a_number(block):
-    block["types"][0] = 7
+    block["types"][0][0] = 7
+
+
+@block_edit
+def field_name_is_a_number(block):
+    block["types"][0][1][0] = 7
+
+
+@block_edit
+def type_entry_is_a_bare_name(block):
+    block["types"][0] = block["types"][0][0]
+
+
+def field_names_change_between_blocks(records):
+    """The second block renames a field of a type the first one declared."""
+    declared = dict(json.loads(records[nth_of(records, KIND_EVENTS)][1])["types"])
+
+    def edit(block):
+        entry = next(e for e in block["types"] if e[0] in declared)
+        assert entry[1] == declared[entry[0]]
+        entry[1][0] += "_renamed"
+    return edit_json(records, nth_of(records, KIND_EVENTS, 1), edit)
 
 
 @block_edit
@@ -404,14 +537,16 @@ def first_is_a_float(block):
 
 def bad_utf8_in_block(records):
     at = nth_of(records, KIND_EVENTS, 1)
-    records[at][1] = records[at][1].replace(b'"line": ["', b'"line": ["\xff', 1)
+    assert b'"types": [["' in records[at][1]
+    records[at][1] = records[at][1].replace(b'"types": [["', b'"types": [["\xff', 1)
     return at
 
 
 def block_nested_past_the_recursion_limit(records):
     at = nth_of(records, KIND_EVENTS, 1)
+    assert b'"cells": [' in records[at][1]
     records[at][1] = records[at][1].replace(
-        b'"fields": [', b'"fields": [' + b"[" * 100_000, 1)
+        b'"cells": [', b'"cells": [' + b"[" * 100_000, 1)
     return at
 
 
@@ -444,8 +579,11 @@ def header_is_a_list(records):
 
 def last_five_events_dropped(records):
     def edit(block):
-        for column in ("type", "t", "node", "seq", "fields", "line"):
-            assert len(block[column]) > 5
+        assert len(block["t"]) > 5
+        for type_id in block["type"][-5:]:
+            for column in block["cells"][type_id]:
+                column.pop()
+        for column in HEADER_COLUMNS:
             del block[column][-5:]
     assert records[-2][0] == KIND_EVENTS  # no checkpoint after it
     edit_json(records, len(records) - 2, edit)
@@ -459,11 +597,16 @@ def every_checkpoint_dropped(records):
 
 @pytest.mark.parametrize("compress", [False, True], ids=["raw", "zlib"])
 @pytest.mark.parametrize("mutate", [
-    missing_column, unknown_column, ragged_columns, column_is_an_object,
-    empty_block, set_cell("t", "7"), set_cell("t", 7.0),
-    set_cell("seq", True), set_cell("node", "1"), set_cell("fields", []),
-    set_cell("line", 7), set_cell("type", True), type_id_out_of_range,
-    type_id_negative, type_name_is_a_number, first_is_not_the_events_so_far,
+    missing_column, unknown_column, a_stored_line_column,
+    ragged_header_columns, ragged_payload_column, column_is_an_object,
+    payload_column_is_an_object, empty_block, set_cell("t", "7"),
+    set_cell("t", 7.0), set_cell("seq", True), set_cell("node", "1"),
+    set_cell("type", True), set_payload_cell([]), set_payload_cell({}),
+    set_payload_cell(1.5), fewer_columns_than_the_fields_have_cells,
+    more_columns_than_the_fields_have_cells, cells_not_one_entry_per_type,
+    type_id_out_of_range, type_id_negative, type_name_is_a_number,
+    field_name_is_a_number, type_entry_is_a_bare_name,
+    field_names_change_between_blocks, first_is_not_the_events_so_far,
     first_is_a_float, bad_utf8_in_block,
     block_nested_past_the_recursion_limit, empty_checkpoint,
     misplaced_checkpoint, checkpoint_index_is_a_float, header_is_a_list,
@@ -574,3 +717,68 @@ def test_save_replaces_existing_trace_in_one_step(trace, tmp_path):
     assert list(tmp_path.glob("*.tmp*")) == []
     loaded = Trace.load(path)
     assert loaded.fingerprint() == trace.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# Resident size, as a count: bytes per event, not a timing
+# ----------------------------------------------------------------------
+
+LOOP = """
+proc main()
+  var total: int := 0
+  for i := 1 to 125 do
+    total := total + remote svc.echo(i)
+  end
+  print total
+end
+"""
+
+
+def echo_recording():
+    """Three clients x 125 echo calls, a checkpoint every 100 ms: ~3 000
+    events, deterministic for one interpreter."""
+    def build(cluster):
+        image = cluster.load_program(ECHO, "server")
+        cluster.rpc("server").export_vm("svc", image, {"echo": "echo"})
+        for name in ("c0", "c1", "c2"):
+            cluster.spawn_vm(name, cluster.load_program(LOOP, name), "main")
+    return record_run(build, ["c0", "c1", "c2", "server"], seed=5,
+                      checkpoint_every=100 * MS)
+
+
+def traced(call):
+    """``(result, net bytes still held, peak bytes)`` of ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
+    """The fence that keeps a "convenience" dict (or a stored line) per
+    event from coming back: a loaded trace, checkpoints included, is
+    under 400 bytes an event (a payload dict plus its line was ~940),
+    and loading it peaks at no more than 1.5x what it leaves behind."""
+    path = tmp_path / "echo.trace.bin"
+    recorded = echo_recording()
+    recorded.save(path)
+    events = len(recorded.events)
+    assert 2500 < events < 4500 and len(recorded.checkpoints) > 10
+    del recorded
+    loaded, held, peak = traced(lambda: Trace.load(path))
+    assert len(loaded.events) == events
+    assert held / events <= 400
+    assert peak <= 1.5 * held
+
+
+def test_finish_returns_a_trace_under_400_bytes_an_event():
+    # Traced around the whole recording: what is still held afterwards is
+    # the trace (the cluster it came from is garbage by then).
+    trace, held, _ = traced(echo_recording)
+    assert held / len(trace.events) <= 400
