@@ -187,7 +187,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_repro(args: argparse.Namespace) -> int:
     """Execute the ``repro`` subcommand against a golden trace."""
-    from repro.replay.replay import ReplayWorld
     from repro.replay.trace import Trace
 
     trace = Trace.load(args.trace)
@@ -197,19 +196,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
         print(f"{args.trace}: not a campaign golden trace "
               "(missing campaign metadata)")
         return 2
-    scenario = get_scenario(campaign["scenario"])
-    probes: dict = {}
-
-    def build(cluster):
-        probes.update(scenario.build(cluster))
-
-    world = ReplayWorld(trace, build)
-    verify = world.verify()
-    # Probe contracts check the finished cluster; event contracts fold
-    # offline over the replayed stream — same verdict the online monitor
-    # would have produced during the recording.
-    violations = scenario.report(world.cluster, probes,
-                                 trace=world.run()).messages()
+    verify, violations = get_scenario(campaign["scenario"]).reproduce(trace)
     recorded = meta.get("violations", [])
     print(f"trace:       {args.trace}")
     print(f"scenario:    {campaign['scenario']} seed={campaign['seed']} "

@@ -217,7 +217,7 @@ class Corpus:
         to report, not a crash.
         """
         from repro.campaign.scenarios import get_scenario
-        from repro.replay import ReplayWorld, Trace
+        from repro.replay import Trace
 
         path = self.root / entry.trace
         try:
@@ -225,18 +225,7 @@ class Corpus:
         except KeyError:
             return False, f"scenario {entry.scenario!r} no longer exists"
         try:
-            trace = Trace.load(path)
-            probes: dict = {}
-
-            def build(cluster):
-                probes.update(scenario.build(cluster))
-
-            world = ReplayWorld(trace, build)
-            verify = world.verify()
-            # Event-backed contracts fold over the replayed stream (the
-            # offline backend); probe-only scenarios ignore the trace.
-            violations = scenario.report(world.cluster, probes,
-                                         trace=world.run()).messages()
+            verify, violations = scenario.reproduce(Trace.load(path))
         except FileNotFoundError:
             return False, f"trace file {entry.trace} is missing"
         except Exception as exc:  # corrupt trace, divergence, ...

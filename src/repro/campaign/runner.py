@@ -54,11 +54,10 @@ from repro.campaign.journal import CampaignJournal, cell_key
 from repro.campaign.report import CampaignReport
 from repro.campaign.scenarios import get_scenario
 from repro.campaign.shrink import shrink_cell
-from repro.cluster import Cluster
 from repro.debugger.errors import fork_context
-from repro.faults.plan import FaultPlan, Nemesis
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import fleet_metrics
-from repro.replay.trace import TraceWriter
+from repro.replay.replay import Recipe, execute
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,13 @@ class CellSpec:
         if self.topology != "ring":
             base += f"@{self.topology}"
         return base
+
+    def recipe(self) -> Recipe:
+        """The cell as a run: its scenario's nodes and horizon, its seed,
+        plan and fabric."""
+        scenario = get_scenario(self.scenario)
+        return Recipe(names=scenario.names, seed=self.seed, topology=self.topology,
+                      plan=self.plan).running_until(scenario.run_until)
 
 
 def build_grid(
@@ -144,22 +150,10 @@ def run_cell(cell: CellSpec) -> dict:
     across worker counts.
     """
     scenario = get_scenario(cell.scenario)
-    cluster = Cluster(names=list(scenario.names), seed=cell.seed,
-                      topology=cell.topology)
-    writer = TraceWriter(cluster)
-    monitor = None
-    if scenario.contracts.event_contracts():
-        # Event-backed contracts check online, exactly as an offline
-        # fold over a co-recorded trace would (repro.contracts).  Probe-
-        # only scenarios skip the monitor, so their streams — and hence
-        # their fingerprints — are untouched by the contract migration.
-        from repro.contracts.online import ContractMonitor
-
-        monitor = ContractMonitor(cluster.world.bus, scenario.contracts)
-    probes = scenario.build(cluster)
-    if cell.plan.actions:
-        Nemesis(cluster, cell.plan)
-    cluster.run(until=scenario.run_until)
+    # Event-backed contracts check online, exactly as an offline fold
+    # over the co-recorded trace would (repro.contracts).
+    cluster, probes, monitor, trace = execute(cell.recipe(), scenario.build,
+                                              contracts=scenario.contracts)
     report = scenario.report(cluster, probes, monitor=monitor)
     violations = report.messages()
     result = {
@@ -174,7 +168,7 @@ def run_cell(cell: CellSpec) -> dict:
         "contracts": dict(report.verdicts),
         "final_time": cluster.world.now,
         "events": cluster.world.events_processed,
-        "fingerprint": writer.finish().footer["fingerprint"],
+        "fingerprint": trace.footer["fingerprint"],
         "metrics": cluster.world.metrics.snapshot(),
     }
     cluster.close()

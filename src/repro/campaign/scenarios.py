@@ -102,6 +102,21 @@ class Scenario:
                                    order=self.contracts.names())
         return report
 
+    def reproduce(self, trace):
+        """Re-execute a golden trace of this scenario: verify byte-identity
+        with the recording, then judge the replayed run.
+
+        Returns the :class:`~repro.replay.replay.ReplayReport` and the
+        violation list; event contracts fold offline over the replayed
+        stream — the verdict the online monitor gave the recording.
+        """
+        from repro.replay.replay import ReplayWorld
+
+        world = ReplayWorld(trace, self.build)
+        verified = world.verify()
+        return verified, self.report(world.cluster, world.probes,
+                                     trace=world.run()).messages()
+
 
 # ----------------------------------------------------------------------
 # Echo: exactly-once powers-of-two workload (probe contracts)

@@ -26,14 +26,13 @@ command that re-executes and re-verifies it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.campaign.scenarios import get_scenario
-from repro.cluster import Cluster
-from repro.faults.plan import FaultPlan, Nemesis
-from repro.replay.replay import extract_verdict, record_run
+from repro.faults.plan import FaultPlan
+from repro.replay.replay import Recipe, execute, extract_verdict
 from repro.sim.units import MS
 
 if TYPE_CHECKING:
@@ -113,22 +112,19 @@ class _CellOracle:
         #: Name of the contract minimization targets (set from baseline).
         self.contract: Optional[str] = None
 
-    def report(self, plan: FaultPlan, run_until: Optional[int] = None):
-        """Execute the cell under ``plan``; full contract report."""
-        self.trials += 1
-        cluster = Cluster(names=list(self.scenario.names), seed=self.cell.seed,
-                          topology=self.cell.topology)
-        monitor = None
-        if self.scenario.contracts.event_contracts():
-            from repro.contracts.online import ContractMonitor
+    def recipe(self, plan: FaultPlan, run_until: Optional[int] = None,
+               checkpoint_every: Optional[int] = None) -> Recipe:
+        """The cell under ``plan``, to ``run_until`` (default: the
+        scenario's horizon)."""
+        return replace(self.cell.recipe(), plan=plan,
+                       checkpoint_every=checkpoint_every).running_until(run_until)
 
-            monitor = ContractMonitor(cluster.world.bus,
-                                      self.scenario.contracts)
-        probes = self.scenario.build(cluster)
-        if plan.actions:
-            Nemesis(cluster, plan)
-        cluster.run(until=run_until if run_until is not None
-                    else self.scenario.run_until)
+    def report(self, plan: FaultPlan, run_until: Optional[int] = None):
+        """Execute the cell under ``plan``, unrecorded; full contract report."""
+        self.trials += 1
+        cluster, probes, monitor, _ = execute(
+            self.recipe(plan, run_until), self.scenario.build,
+            contracts=self.scenario.contracts, record=False)
         found = self.scenario.report(cluster, probes, monitor=monitor)
         cluster.close()
         return found
@@ -201,15 +197,8 @@ def _bisect_horizon(oracle: _CellOracle, plan: FaultPlan,
     "client never finished", which does not count as a reproduction).
     """
     scenario = oracle.scenario
-    trace = record_run(
-        scenario.build,
-        list(scenario.names),
-        seed=oracle.cell.seed,
-        plan=plan,
-        checkpoint_every=checkpoint_every,
-        run_until=scenario.run_until,
-        topology=oracle.cell.topology,
-    )
+    *_, trace = execute(oracle.recipe(plan, checkpoint_every=checkpoint_every),
+                        scenario.build)
     times = {cp.time for cp in trace.checkpoints if cp.time > 0}
     if trace.events:
         # The instant just after the last recorded event: checkpoints
@@ -263,14 +252,9 @@ def shrink_cell(
         oracle, minimal, target, checkpoint_every
     )
     # The golden artifact: the minimal plan over the minimal horizon.
-    trace = record_run(
+    *_, trace = execute(
+        oracle.recipe(minimal, horizon, checkpoint_every),
         oracle.scenario.build,
-        list(oracle.scenario.names),
-        seed=cell.seed,
-        plan=minimal,
-        checkpoint_every=checkpoint_every,
-        run_until=horizon,
-        topology=cell.topology,
         meta={
             "campaign": {
                 "scenario": cell.scenario,

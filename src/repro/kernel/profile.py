@@ -1,9 +1,11 @@
 """The ``REPRO_PROFILE=1`` profiling hook.
 
-Setting ``REPRO_PROFILE=1`` in the environment makes a recorded world
-run (``record_run`` / the campaign drivers) wrap the drive in
-:mod:`cProfile` and dump the raw stats next to the trace file as
-``<trace>.pstats``.  Inspect with::
+Setting ``REPRO_PROFILE=1`` in the environment wraps every drive that
+:func:`repro.replay.replay.execute` runs — recordings, replays, forks,
+campaign cells, shrink trials — in :mod:`cProfile`; a recorded run's
+trace carries the profile and :meth:`~repro.replay.trace.Trace.save`
+dumps the raw stats next to the trace file as ``<trace>.pstats``.
+Inspect with::
 
     python -c "import pstats; \\
         pstats.Stats('t.trace.bin.pstats') \\

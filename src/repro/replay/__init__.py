@@ -14,9 +14,11 @@ stream; this package turns that stream into a first-class artifact:
 * :mod:`repro.replay.checkpoint` — periodic :class:`Checkpoint`
   snapshots (state digests + folded :class:`StateView`) so seeking does
   not re-fold from t=0;
-* :mod:`repro.replay.replay` — :func:`record_run` / :class:`ReplayWorld`
-  re-execute a trace deterministically and assert byte-identical event
-  streams, reporting the first mismatching event on divergence;
+* :mod:`repro.replay.replay` — a :class:`Recipe` and the one
+  :func:`execute` that runs it; :func:`record_run` / :class:`ReplayWorld`
+  record and re-execute a trace deterministically and assert
+  byte-identical event streams, reporting the first mismatching event
+  on divergence;
 * :mod:`repro.replay.timetravel` — :class:`TimeTravel` answers ``at(t)``,
   ``step`` / ``reverse_step``, ``why_halted`` and causal-predecessor
   queries (Lamport ordering over the trace);
@@ -46,10 +48,12 @@ from repro.replay.checkpoint import Checkpoint, StateView, capture_view, fold_vi
 from repro.replay.format import TraceFormatError
 from repro.replay.races import detect_races
 from repro.replay.replay import (
+    Recipe,
     ReplayDivergence,
     ReplayReport,
     ReplayUnsupported,
     ReplayWorld,
+    execute,
     extract_verdict,
     record_run,
     replay_prefix,
@@ -69,10 +73,12 @@ __all__ = [
     "StateView",
     "capture_view",
     "fold_view",
+    "Recipe",
     "ReplayDivergence",
     "ReplayReport",
     "ReplayUnsupported",
     "ReplayWorld",
+    "execute",
     "record_run",
     "replay_trace",
     "replay_prefix",

@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, zip_longest
 from typing import Callable, Optional, Union
 
@@ -50,7 +50,8 @@ from repro.debugger.errors import DebuggerError, fork_context, register_error
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.obs.recorder import render_line
 from repro.replay.races import MessageRace, deliveries
-from repro.replay.trace import Trace, TraceWriter
+from repro.replay.replay import Recipe, execute, require_same_events
+from repro.replay.trace import Trace
 
 #: Perturbation kinds the REPL's ``fork`` command accepts — exactly the
 #: :class:`~repro.faults.plan.FaultPlan` builder methods.
@@ -275,34 +276,44 @@ def resolve_builder(ref: Union[str, Callable]) -> Callable:
 def _resolve_checkpoint(parent: Trace, checkpoint_index: int):
     """Index into the parent's checkpoints, with a typed error."""
     try:
-        return parent.checkpoints[checkpoint_index]
-    except IndexError:
-        raise BranchError(
-            f"checkpoint {checkpoint_index} out of range "
-            f"(trace has {parent.n_checkpoints} checkpoints)"
-        ) from None
+        return parent.checkpoint(checkpoint_index)
+    except IndexError as exc:
+        raise BranchError(str(exc)) from None
 
 
-def _child_drive(parent: Trace, run_until: Optional[int]) -> dict:
-    """How the fork should be driven: the parent's mode, or an override.
-
-    Only re-executable recordings (``record_run`` traces, drive mode
-    ``until`` or ``drain``) can be forked: an interactively driven
-    session starts recording mid-run and its debugger interference is
-    not part of the fault plan, so no fresh execution can reproduce its
-    prefix.  ``run_until`` overrides *how far* the child runs, never
-    *whether* the parent is forkable.
+def _child(parent: Trace, checkpoint_index: int, perturbation: Perturbation,
+           run_until: Optional[int]) -> tuple:
+    """Validate a fork spec against its parent and return what running
+    it takes: the child's :class:`Recipe` (the
+    parent's, plan merged with the delta, drive optionally overridden),
+    its header meta, and the time before which it must equal the parent.
     """
-    from repro.replay.replay import ReplayUnsupported
-    drive = dict(parent.footer.get("drive") or {"mode": "manual"})
-    if drive.get("mode") not in ("until", "drain"):
-        raise ReplayUnsupported(
-            "trace was recorded from a manually driven session and cannot "
-            "be re-executed; record with record_run to make it forkable"
-        )
-    if run_until is not None:
-        return {"mode": "until", "until": run_until}
-    return drive
+    checkpoint = _resolve_checkpoint(parent, checkpoint_index)
+    perturbation.validate(checkpoint.time)
+    recipe = Recipe.of(parent).running_until(run_until)
+    delta = FaultPlan(actions=list(perturbation.actions))
+    merged = FaultPlan.merge([plan for plan in (recipe.plan, delta) if plan is not None])
+    meta = {
+        "branch_of": parent.fingerprint(),
+        "checkpoint": checkpoint_index,
+        "fork_time": checkpoint.time,
+        "perturbation": perturbation.to_dict(),
+    }
+    cut = perturbation.first_at()
+    return (replace(recipe, plan=merged if merged.actions else None), meta,
+            checkpoint.time if cut is None else cut)
+
+
+def _run_child(parent: Trace, build: Callable, recipe: Recipe, meta: dict,
+               cut: int) -> Trace:
+    """Execute a validated fork and check the guarantee forking rests
+    on: every event that (by running-max prefix semantics, the same rule
+    ``at(t)`` uses) happened strictly before ``cut`` is byte-identical
+    across parent and child."""
+    *_, child = execute(recipe, build, meta=meta)
+    boundary = bisect.bisect_left(list(accumulate(parent.events.times, max)), cut)
+    require_same_events(parent, child, boundary)
+    return child
 
 
 def execute_fork(
@@ -311,91 +322,28 @@ def execute_fork(
     checkpoint_index: int,
     perturbation: Perturbation,
     run_until: Optional[int] = None,
-    verify_prefix: bool = True,
 ) -> Trace:
     """Re-execute the parent's recipe with the perturbation merged in.
 
     This is the in-process fork core (:func:`fork_trace` wraps it in a
-    separate process).  It rebuilds the cluster exactly as
-    :class:`~repro.replay.replay.ReplayWorld` would — same seed, names,
-    params, skews, topology, same build/plan/drive order — with one
-    difference: the fault plan is the recorded plan **merged** with the
+    separate process): :func:`~repro.replay.replay.execute` over the
+    parent's :class:`Recipe` with one difference —
+    the fault plan is the recorded plan **merged** with the
     perturbation's delta actions, all constrained to fire at or after
     the fork checkpoint.  Determinism makes the child byte-identical to
-    the parent before the delta first fires (checked when
-    ``verify_prefix`` is set), so the sealed child trace *is* the
-    divergent future of that branch point.
+    the parent before the delta first fires (checked, raising
+    :class:`~repro.replay.replay.ReplayDivergence` otherwise), so the
+    sealed child trace *is* the divergent future of that branch point.
     """
-    from repro.cluster import Cluster
-    from repro.faults.plan import Nemesis
-
-    checkpoint = _resolve_checkpoint(parent, checkpoint_index)
-    perturbation.validate(checkpoint.time)
-    drive = _child_drive(parent, run_until)
-
-    base = parent.fault_plan()
-    delta = FaultPlan(actions=list(perturbation.actions))
-    plans = [base, delta] if base is not None else [delta]
-    merged = FaultPlan.merge(plans)
-
-    header = parent.header
-    cluster = Cluster(
-        names=list(header["names"]),
-        seed=header["seed"],
-        params=parent.params(),
-        clock_skews=list(header["clock_skews"]),
-        topology=parent.topology,
-    )
-    writer = TraceWriter(
-        cluster,
-        plan=merged if merged.actions else None,
-        checkpoint_every=header.get("checkpoint_every"),
-        meta={
-            "branch_of": parent.fingerprint(),
-            "checkpoint": checkpoint_index,
-            "fork_time": checkpoint.time,
-            "perturbation": perturbation.to_dict(),
-        },
-    )
-    build(cluster)
-    if merged.actions:
-        Nemesis(cluster, merged)
-    if drive["mode"] == "until":
-        cluster.run(until=drive["until"])
-    else:
-        cluster.run()
-    child = writer.finish(drive=drive)
-    if verify_prefix:
-        _verify_prefix(parent, child, perturbation, checkpoint.time)
-    return child
+    return _run_child(parent, build,
+                      *_child(parent, checkpoint_index, perturbation, run_until))
 
 
-def _verify_prefix(parent: Trace, child: Trace,
-                   perturbation: Perturbation, fork_time: int) -> None:
-    """Assert the child matches the parent before the delta fires.
-
-    The guarantee forking rests on: every event that (by running-max
-    prefix semantics, the same rule ``at(t)`` uses) happened strictly
-    before the perturbation's first action is byte-identical across
-    parent and child.
-    """
-    from repro.replay.replay import require_same_events
-
-    cut = perturbation.first_at()
-    if cut is None:
-        cut = fork_time
-    boundary = bisect.bisect_left(
-        list(accumulate(parent.events.times, max)), cut)
-    require_same_events(parent, child, boundary)
-
-
-def _fork_worker(conn, parent: Trace, build: Callable, checkpoint_index: int,
-                 perturbation: Perturbation, run_until: Optional[int],
-                 verify_prefix: bool) -> None:
+def _fork_worker(conn, parent: Trace, build: Callable, recipe: Recipe, meta: dict,
+                 cut: int) -> None:
     """Child-process entry point: run the fork, ship the trace back."""
     try:
-        child = execute_fork(parent, build, checkpoint_index, perturbation,
-                             run_until=run_until, verify_prefix=verify_prefix)
+        child = _run_child(parent, build, recipe, meta, cut)
         child.profile = None
         conn.send(("ok", child))
     except BaseException as exc:  # relay, never hang the parent
@@ -410,7 +358,6 @@ def fork_trace(
     checkpoint_index: int,
     perturbation: Union[Perturbation, dict],
     run_until: Optional[int] = None,
-    verify_prefix: bool = True,
 ) -> Trace:
     """Fork ``parent`` at a checkpoint and return the divergent child.
 
@@ -422,21 +369,16 @@ def fork_trace(
     :func:`execute_fork` is the in-process equivalent (same result by
     determinism; handy under debuggers).
 
-    The spec is validated eagerly — bad checkpoints, pre-fork actions,
-    and non-re-executable parents raise here, before any process is
-    spawned.
+    The spec is validated here, once — bad checkpoints, pre-fork
+    actions, and non-re-executable parents raise before any process is
+    spawned — and the worker is handed the child's recipe.
     """
     ctx = fork_context()
-    perturbation = as_perturbation(perturbation)
-    checkpoint = _resolve_checkpoint(parent, checkpoint_index)
-    perturbation.validate(checkpoint.time)
-    _child_drive(parent, run_until)
+    child = _child(parent, checkpoint_index, as_perturbation(perturbation),
+                   run_until)
     recv_conn, send_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(
-        target=_fork_worker,
-        args=(send_conn, parent, build, checkpoint_index, perturbation,
-              run_until, verify_prefix),
-    )
+    worker = ctx.Process(target=_fork_worker,
+                         args=(send_conn, parent, build, *child))
     worker.start()
     send_conn.close()
     try:
@@ -722,26 +664,24 @@ class BranchTree:
         checkpoint: int = 0,
         parent: Optional[str] = None,
         run_until: Optional[int] = None,
-        verify_prefix: bool = True,
     ) -> Branch:
         """Fork a branch (default: the root) at one of its checkpoints.
 
         Content-addressed: an identical (parent, checkpoint,
         perturbation, drive) spec returns the already-recorded branch
-        without re-executing anything.
+        without re-executing anything.  ``checkpoint`` counts from the
+        first (``0 .. n - 1``); anything else is a :class:`BranchError`.
         """
         parent_branch = self.get(parent)
         pert = as_perturbation(perturbation)
+        checkpoint_obj = _resolve_checkpoint(parent_branch.trace, checkpoint)
         bid = branch_key(parent_branch.trace.fingerprint(), checkpoint,
                          pert, run_until)
         existing = self._branches.get(bid)
         if existing is not None:
             return existing
-        checkpoint_obj = _resolve_checkpoint(parent_branch.trace, checkpoint)
-        child_trace = fork_trace(
-            parent_branch.trace, self._builder(), checkpoint, pert,
-            run_until=run_until, verify_prefix=verify_prefix,
-        )
+        child_trace = fork_trace(parent_branch.trace, self._builder(),
+                                 checkpoint, pert, run_until=run_until)
         branch = Branch(
             id=bid,
             parent=parent_branch.id,
@@ -792,8 +732,6 @@ def classify_races(tree: BranchTree, races: list,
     delay would fire before the fork checkpoint) are left unclassified
     (``harmful=None``).  Returns new race records in input order.
     """
-    import dataclasses
-
     from repro.contracts.dsl import UNIVERSAL_SET
     from repro.contracts.offline import check_trace
 
@@ -812,5 +750,5 @@ def classify_races(tree: BranchTree, races: list,
             baseline.get(name) != "fail" and verdict == "fail"
             for name, verdict in flipped.items()
         )
-        classified.append(dataclasses.replace(race, harmful=harmful))
+        classified.append(replace(race, harmful=harmful))
     return classified

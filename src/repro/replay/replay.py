@@ -1,8 +1,14 @@
 """Deterministic re-execution of a recorded trace.
 
-:func:`record_run` drives a scenario under a :class:`TraceWriter`;
-:class:`ReplayWorld` rebuilds an identical cluster from the trace header
-(seed, names, skews, params, fault plan), re-runs the same scenario, and
+A :class:`Recipe` is everything that determines a run except the
+scenario: seed, node names, skews, params, topology, fault plan,
+checkpoint cadence and how far to drive.  :func:`execute` is the one
+function that runs a recipe — recording (:func:`record_run`), replay
+(:class:`ReplayWorld`, :func:`replay_prefix`), a fork
+(:func:`repro.replay.branch.execute_fork`), a campaign cell and a
+shrink trial all go through it, so "the same recipe gives the same
+stream" is a property of one sequence, not of five copies.
+
 :meth:`ReplayWorld.verify` asserts the replayed event stream is
 byte-identical to the recording — divergence is reported with the first
 mismatching event.  Checkpoints are cross-checked too: the replay must
@@ -14,15 +20,22 @@ both sides take the same ``build(cluster)`` callable; the trace pins
 everything else.  Interactive recordings (``drive.mode == "manual"``,
 e.g. from a live :class:`~repro.debugger.pilgrim.Pilgrim` session)
 support time travel but not re-execution — the debugger's request
-timing is not part of the trace.
+timing is not part of the trace — so :meth:`Recipe.of` refuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
-from repro.debugger.errors import DebuggerError, register_error
+from repro.debugger.errors import (
+    DebuggerError,
+    UnsupportedOperationError,
+    register_error,
+)
+from repro.cluster import Cluster
+from repro.faults.plan import FaultPlan, Nemesis
+from repro.params import Params
 from repro.replay.trace import Trace, TraceWriter
 
 
@@ -54,8 +67,9 @@ class ReplayDivergence(DebuggerError, AssertionError):
         )
 
 
-class ReplayUnsupported(RuntimeError):
-    """The trace cannot be re-executed (manually driven recording)."""
+class ReplayUnsupported(UnsupportedOperationError):
+    """The trace cannot be re-executed (manually driven recording);
+    wire code ``unsupported``."""
 
 
 @dataclass
@@ -68,6 +82,100 @@ class ReplayReport:
     fingerprint: str
     identical: bool = True
     notes: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """Everything that determines a run except the scenario builder.
+
+    ``drive`` is the footer record of how far the run goes:
+    ``{"mode": "until", "until": T}`` or ``{"mode": "drain"}``.
+    """
+
+    names: Sequence[str]
+    seed: int = 0
+    params: Optional[Params] = None
+    clock_skews: Optional[Sequence[int]] = None
+    topology: str = "ring"
+    plan: Optional[FaultPlan] = None
+    checkpoint_every: Optional[int] = None
+    drive: dict = field(default_factory=lambda: {"mode": "drain"})
+
+    @classmethod
+    def of(cls, trace: Trace) -> "Recipe":
+        """The recipe a trace was recorded from.
+
+        Raises :class:`ReplayUnsupported` for a manually driven
+        recording: an interactive session starts recording mid-run and
+        its debugger interference is not in the trace, so no fresh
+        execution reproduces it — however far it is asked to run.
+        """
+        drive = trace.footer.get("drive") or {"mode": "manual"}
+        if drive.get("mode") not in ("until", "drain"):
+            raise ReplayUnsupported(
+                "trace was recorded from a manually driven session and cannot "
+                "be re-executed; record with record_run to replay or fork it"
+            )
+        header = trace.header
+        plan = header.get("fault_plan")
+        return cls(
+            names=tuple(header["names"]),
+            seed=header["seed"],
+            params=Params(**header["params"]),
+            clock_skews=tuple(header["clock_skews"]),
+            topology=trace.topology,
+            plan=FaultPlan.from_dict(plan) if plan is not None else None,
+            checkpoint_every=header.get("checkpoint_every"),
+            drive=dict(drive),
+        )
+
+    def running_until(self, until: Optional[int]) -> "Recipe":
+        """This recipe driven to virtual time ``until`` (``None``: as is)."""
+        if until is None:
+            return self
+        return replace(self, drive={"mode": "until", "until": until})
+
+
+def execute(recipe: Recipe, build: Callable, *, contracts=None,
+            meta: Optional[dict] = None, record: bool = True) -> tuple:
+    """Run ``build`` on the cluster ``recipe`` describes, the one way.
+
+    The order is fixed: build the cluster, attach a
+    :class:`~repro.replay.trace.TraceWriter` (``record``; its header
+    carries ``meta``), attach a
+    :class:`~repro.contracts.online.ContractMonitor` when the
+    :class:`~repro.contracts.dsl.ContractSet` ``contracts`` has event
+    contracts, ``probes = build(cluster)``, apply the plan when it has
+    actions, drive under :class:`~repro.kernel.profile.ProfileHook`,
+    seal the trace.  Returns ``(cluster, probes, monitor, trace)``;
+    ``monitor`` and ``trace`` are ``None`` when not attached.
+    """
+    # Deferred: it loads cProfile, which a process that never runs a
+    # cluster (the churn benchmark, a trace viewer) should not pay for.
+    from repro.kernel.profile import ProfileHook
+
+    cluster = Cluster(names=list(recipe.names), seed=recipe.seed,
+                      params=recipe.params, clock_skews=recipe.clock_skews,
+                      topology=recipe.topology)
+    writer = monitor = trace = None
+    if record:
+        writer = TraceWriter(cluster, plan=recipe.plan,
+                             checkpoint_every=recipe.checkpoint_every, meta=meta)
+    if contracts is not None and contracts.event_contracts():
+        from repro.contracts.online import ContractMonitor
+
+        monitor = ContractMonitor(cluster.world.bus, contracts)
+    probes = build(cluster)
+    if recipe.plan is not None and recipe.plan.actions:
+        Nemesis(cluster, recipe.plan)
+    # REPRO_PROFILE=1 wraps the drive in cProfile; the stats land next
+    # to the trace file when it is saved (see EXPERIMENTS.md).
+    with ProfileHook() as hook:
+        cluster.run(until=recipe.drive.get("until"))
+    if writer is not None:
+        trace = writer.finish(drive=dict(recipe.drive))
+        trace.profile = hook
+    return cluster, probes, monitor, trace
 
 
 def record_run(
@@ -87,97 +195,47 @@ def record_run(
 
     ``build(cluster)`` installs programs/services/workload; the rest of
     the recipe (seed, names, skews, params, plan) lands in the trace
-    header so :class:`ReplayWorld` can repeat it exactly.  The replayer
-    performs the same steps in the same order: build cluster, attach
-    writer, run ``build``, apply the plan, drive.
+    header so :class:`ReplayWorld` can repeat it exactly through the
+    same :func:`execute`.  ``run_until=None`` drains the run.
 
-    ``contracts`` (a :class:`~repro.contracts.dsl.ContractSet` or
-    contract iterable) additionally attaches an online
+    ``contracts`` (a :class:`~repro.contracts.dsl.ContractSet`) with
+    event contracts additionally attaches an online
     :class:`~repro.contracts.online.ContractMonitor` beside the writer;
     its finished report lands on the returned trace as
     ``trace.contract_report`` — byte-identical, by construction, to
     ``check_trace(trace, contracts)`` over the same recording.
     """
-    from repro.cluster import Cluster
-    from repro.faults.plan import Nemesis
-    from repro.kernel.profile import ProfileHook
-
-    cluster = Cluster(names=names, seed=seed, params=params,
-                      clock_skews=clock_skews, topology=topology)
-    writer = TraceWriter(cluster, plan=plan, checkpoint_every=checkpoint_every,
-                         meta=meta)
-    monitor = None
-    if contracts is not None:
-        from repro.contracts.online import ContractMonitor
-
-        monitor = ContractMonitor(cluster.world.bus, contracts)
-    build(cluster)
-    if plan is not None:
-        Nemesis(cluster, plan)
-    # REPRO_PROFILE=1 wraps the drive in cProfile; the stats land next
-    # to the trace file when it is saved (see EXPERIMENTS.md).
-    hook = ProfileHook()
-    with hook:
-        if run_until is not None:
-            cluster.run(until=run_until)
-            drive = {"mode": "until", "until": run_until}
-        else:
-            cluster.run()
-            drive = {"mode": "drain"}
-    trace = writer.finish(drive=drive)
-    trace.profile = hook
+    recipe = Recipe(names=tuple(names), seed=seed, params=params,
+                    clock_skews=clock_skews, topology=topology, plan=plan,
+                    checkpoint_every=checkpoint_every).running_until(run_until)
+    _, _, monitor, trace = execute(recipe, build, contracts=contracts, meta=meta)
     if monitor is not None:
         trace.contract_report = monitor.report()
     return trace
 
 
 class ReplayWorld:
-    """Re-execute a recorded trace against the same scenario builder."""
+    """Re-execute a recorded trace against the same scenario builder.
+
+    Nothing is built until :meth:`run`; then :attr:`cluster` and
+    :attr:`probes` are the replay's.  ``run_until`` overrides how far
+    the replay runs, never whether the trace can be re-executed.
+    """
 
     def __init__(self, trace: Trace, build: Callable,
                  run_until: Optional[int] = None):
-        from repro.cluster import Cluster
-        from repro.faults.plan import Nemesis
-
         self.trace = trace
-        header = trace.header
-        self.cluster = Cluster(
-            names=list(header["names"]),
-            seed=header["seed"],
-            params=trace.params(),
-            clock_skews=list(header["clock_skews"]),
-            topology=trace.topology,
-        )
-        self.writer = TraceWriter(
-            self.cluster,
-            plan=trace.fault_plan(),
-            checkpoint_every=header.get("checkpoint_every"),
-        )
-        build(self.cluster)
-        plan = trace.fault_plan()
-        if plan is not None:
-            Nemesis(self.cluster, plan)
-        self._run_until = run_until
+        self.build = build
+        self.run_until = run_until
+        self.cluster = None
+        self.probes = None
         self._replayed: Optional[Trace] = None
 
     def run(self) -> Trace:
         """Drive the replay exactly as the recording was driven."""
-        if self._replayed is not None:
-            return self._replayed
-        drive = dict(self.trace.footer.get("drive") or {"mode": "manual"})
-        if self._run_until is not None:
-            drive = {"mode": "until", "until": self._run_until}
-        mode = drive.get("mode")
-        if mode == "until":
-            self.cluster.run(until=drive["until"])
-        elif mode == "drain":
-            self.cluster.run()
-        else:
-            raise ReplayUnsupported(
-                "trace was recorded from a manually driven session; "
-                "re-execution needs a run boundary (pass run_until=...)"
-            )
-        self._replayed = self.writer.finish(drive=drive)
+        if self._replayed is None:
+            recipe = Recipe.of(self.trace).running_until(self.run_until)
+            self.cluster, self.probes, _, self._replayed = execute(recipe, self.build)
         return self._replayed
 
     def verify(self) -> ReplayReport:
@@ -311,13 +369,12 @@ def replay_prefix(trace: Trace, build: Callable,
     Re-executes the recording only up to checkpoint ``checkpoint_index``
     and verifies the event prefix byte-for-byte — the cheap way to ask
     "does the run still follow the recording this far?" without paying
-    for the full horizon.  The shrinker's horizon bisection and the
-    campaign ``repro`` command use this to localize the first event a
-    minimized plan actually needs.
+    for the full horizon.  An index outside the trace's checkpoints
+    raises :class:`IndexError` naming the range; a manually driven
+    recording raises :class:`ReplayUnsupported`.
     """
-    checkpoint = trace.checkpoints[checkpoint_index]
-    world = ReplayWorld(trace, build, run_until=checkpoint.time + 1)
-    replayed = world.run()
+    checkpoint = trace.checkpoint(checkpoint_index)
+    replayed = ReplayWorld(trace, build, run_until=checkpoint.time + 1).run()
     require_same_events(trace, replayed, checkpoint.index)
     return ReplayReport(
         events=checkpoint.index,

@@ -248,16 +248,14 @@ class Trace:
         """Virtual time when the recording was sealed."""
         return self.footer["final_time"]
 
-    def fault_plan(self) -> Optional["FaultPlan"]:
-        """The recorded fault plan, rebuilt (``None`` when faultless)."""
-        from repro.faults.plan import FaultPlan
-        data = self.header.get("fault_plan")
-        return FaultPlan.from_dict(data) if data is not None else None
-
-    def params(self):
-        """The recorded simulation :class:`~repro.params.Params`."""
-        from repro.params import Params
-        return Params(**self.header["params"])
+    def checkpoint(self, index: int) -> Checkpoint:
+        """Checkpoint ``index``, counted from the first; any other index
+        (negative included) raises :class:`IndexError` naming the range."""
+        if not 0 <= index < len(self.checkpoints):
+            raise IndexError(
+                f"checkpoint {index} out of range (trace has "
+                f"{len(self.checkpoints)} checkpoints: 0..{len(self.checkpoints) - 1})")
+        return self.checkpoints[index]
 
     def base_view(self) -> StateView:
         """The state at recording start (checkpoint #0, always present:

@@ -195,6 +195,23 @@ def test_fork_checkpoint_out_of_range(parent):
         tree.fork(crash_pert(), checkpoint=99)
 
 
+@pytest.mark.parametrize("where", ["minus_one", "minus_all", "one_past"])
+def test_fork_checkpoint_counts_from_the_first(parent, where):
+    """A checkpoint has one index: negative ones and the one past the end
+    are refused before a branch is addressed, not aliased to another."""
+    last = parent.n_checkpoints - 1
+    index = {"minus_one": -1, "minus_all": -parent.n_checkpoints,
+             "one_past": last + 1}[where]
+    tree = BranchTree(parent, build_two_clients)
+    with pytest.raises(BranchError, match=f"0..{last}"):
+        tree.fork(Perturbation(kind="none"), checkpoint=index)
+    assert len(tree) == 1
+    with pytest.raises(BranchError, match="out of range"):
+        fork_trace(parent, build_two_clients, index, Perturbation(kind="none"))
+    with pytest.raises(BranchError, match="out of range"):
+        execute_fork(parent, build_two_clients, index, Perturbation(kind="none"))
+
+
 def test_parse_perturbation_builds_fault_actions():
     pert = parse_perturbation("crash", ["node=server", "at=300"])
     assert pert.kind == "crash"
@@ -294,7 +311,8 @@ def test_branch_ref_prefix_resolution(parent):
 # ----------------------------------------------------------------------
 
 
-def test_manual_traces_are_not_forkable():
+def record_manual_trace():
+    """A Pilgrim-driven recording: it starts mid-run, so nothing re-executes it."""
     cluster = Cluster(names=["client", "server", "debugger"], seed=5)
     image = cluster.load_program(ECHO_SERVER, "server")
     cluster.rpc("server").export_vm("svc", image, {"echo": "echo"})
@@ -304,13 +322,32 @@ def test_manual_traces_are_not_forkable():
     dbg.connect("client", "server")
     dbg.start_recording()
     dbg.run_for(300 * MS)
-    trace = dbg.stop_recording()
-    tree = BranchTree(trace, build_two_clients)
+    return dbg.stop_recording()
+
+
+def test_manual_traces_are_not_forkable():
+    tree = BranchTree(record_manual_trace(), build_two_clients)
     with pytest.raises(ReplayUnsupported):
         tree.fork(crash_pert(at=100 * MS))
     # run_until overrides how far the child runs, never forkability.
     with pytest.raises(ReplayUnsupported):
         tree.fork(crash_pert(at=100 * MS), run_until=SEC)
+
+
+def test_manual_traces_refuse_every_re_execution():
+    """One rule for every path that re-executes: a prefix replay and a
+    bounded replay refuse exactly as a fork does, with the typed error
+    the wire carries as ``unsupported``."""
+    from repro.debugger.errors import UnsupportedOperationError
+    from repro.replay import ReplayWorld, replay_prefix
+
+    trace = record_manual_trace()
+    assert issubclass(ReplayUnsupported, UnsupportedOperationError)
+    assert ReplayUnsupported.code == "unsupported"
+    with pytest.raises(ReplayUnsupported, match="manually driven"):
+        replay_prefix(trace, build_two_clients, 0)
+    with pytest.raises(ReplayUnsupported, match="manually driven"):
+        ReplayWorld(trace, build_two_clients, run_until=SEC).verify()
 
 
 def test_fork_without_builder_is_a_typed_error(parent):

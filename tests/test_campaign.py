@@ -360,3 +360,17 @@ def test_replay_prefix_verifies_partial_run():
     report = replay_prefix(trace, _echo_build, 1)
     assert report.events == trace.checkpoints[1].index
     assert report.final_time == trace.checkpoints[1].time
+
+
+def test_replay_prefix_counts_checkpoints_from_the_first():
+    """Nothing wraps from the end: a negative index or one past the last
+    checkpoint is an IndexError naming the range, not another prefix."""
+    from repro.campaign.scenarios import _echo_build
+    from repro.replay import record_run, replay_prefix
+
+    trace = record_run(_echo_build, ["client", "server"], seed=0,
+                       checkpoint_every=100 * MS, run_until=300 * MS)
+    last = trace.n_checkpoints - 1
+    for index in (-1, -trace.n_checkpoints, last + 1):
+        with pytest.raises(IndexError, match=f"checkpoint {index} out of range .*0..{last}"):
+            replay_prefix(trace, _echo_build, index)

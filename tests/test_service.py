@@ -402,6 +402,22 @@ def test_branch_session_refuses_interactive_traces(daemon, tmp_path):
             client.session("whatif").status()
 
 
+def test_fork_of_an_interactive_trace_is_unsupported_over_the_wire(
+        daemon, tmp_path):
+    trace_path = record_echo_trace(tmp_path)  # Pilgrim-driven: mid-run start
+    pert = Perturbation.from_plan(
+        FaultPlan().crash(at=100 * MS, node="server"), kind="crash")
+    with ServiceClient(daemon) as client:
+        client.open("t1", "trace", path=str(trace_path),
+                    builder="scenario:echo_soak")
+        session = client.session("t1")
+        session.connect()
+        with pytest.raises(UnsupportedOperationError,
+                           match="manually driven") as excinfo:
+            session.fork(pert)
+        assert excinfo.value.code == "unsupported"
+
+
 def test_corpus_reproducer_debuggable_by_name(daemon, tmp_path):
     cells = build_grid(["echo"], [0], [("crash", get_plan("crash"))])
     corpus_dir = tmp_path / "corpus"
