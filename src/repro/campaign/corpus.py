@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_tables
 
 CORPUS_VERSION = 1
 
@@ -60,6 +60,13 @@ def corpus_key(scenario: str, seed: int, plan_dict: dict,
         "horizon": horizon,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: The cells of an ``index.json`` record and the JSON types each admits
+#: (``fingerprint`` may be absent).
+_RECORD = {"scenario": str, "seed": int, "plan_name": str, "topology": str,
+           "minimal_plan": dict, "violations": list, "horizon": (int, type(None)),
+           "trace": str, "fingerprint": (str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -93,19 +100,16 @@ class CorpusEntry:
 
     @classmethod
     def from_dict(cls, key: str, data: dict) -> "CorpusEntry":
-        """Rebuild an entry from its ``index.json`` record."""
-        return cls(
-            key=key,
-            scenario=data["scenario"],
-            seed=data["seed"],
-            plan_name=data["plan_name"],
-            topology=data["topology"],
-            minimal_plan=data["minimal_plan"],
-            violations=data["violations"],
-            horizon=data["horizon"],
-            trace=data["trace"],
-            fingerprint=data.get("fingerprint"),
-        )
+        """Rebuild an entry from its ``index.json`` record; ``TypeError``
+        or ``KeyError`` when it is not one."""
+        if not isinstance(data, dict):
+            raise TypeError(f"corpus entry {key!r} is not an object")
+        cells = {name: data[name] for name in _RECORD if name != "fingerprint"}
+        cells["fingerprint"] = data.get("fingerprint")
+        for name, kinds in _RECORD.items():
+            if not isinstance(cells[name], kinds):
+                raise TypeError(f"corpus entry {key!r} has a malformed {name!r}")
+        return cls(key=key, **cells)
 
     def label(self) -> str:
         """Human identifier, mirroring ``CellSpec.label``."""
@@ -136,21 +140,9 @@ class Corpus:
         crashing the campaign that wanted to record into it.
         """
         corpus = cls(root)
-        index = corpus.root / INDEX_NAME
-        try:
-            data = json.loads(index.read_text(encoding="utf-8"))
-            if data.get("version") != CORPUS_VERSION:
-                raise ValueError(f"corpus version {data.get('version')!r}")
-            entries = {
-                key: CorpusEntry.from_dict(key, record)
-                for key, record in data["entries"].items()
-            }
-        except FileNotFoundError:
-            return corpus
-        except (ValueError, KeyError, TypeError, OSError):
-            corpus.recovered = True
-            return corpus
-        corpus._entries = entries
+        tables, corpus.recovered = read_tables(
+            corpus.root / INDEX_NAME, CORPUS_VERSION, entries=CorpusEntry.from_dict)
+        corpus._entries = tables["entries"]
         return corpus
 
     def flush(self) -> None:

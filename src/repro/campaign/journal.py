@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_tables
 
 JOURNAL_VERSION = 1
 
@@ -120,6 +120,19 @@ def cell_key(cell) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _cell_entry(key: str, entry) -> dict:
+    if not (isinstance(entry, dict) and isinstance(entry.get("result"), dict)
+            and isinstance(entry.get("index"), int)):
+        raise ValueError(f"malformed cell entry {key!r}")
+    return entry
+
+
+def _shrink_entry(key: str, outcome) -> dict:
+    if not isinstance(outcome, dict):
+        raise ValueError(f"malformed shrink entry {key!r}")
+    return outcome
+
+
 class CampaignJournal:
     """Durable, atomically-rewritten record of campaign progress.
 
@@ -150,26 +163,9 @@ class CampaignJournal:
         a resume or smuggle bad results into the report.
         """
         journal = cls(path)
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if data.get("version") != JOURNAL_VERSION:
-                raise ValueError(f"journal version {data.get('version')!r}")
-            cells = data["cells"]
-            shrinks = data["shrinks"]
-            for key, entry in cells.items():
-                if not (isinstance(key, str) and isinstance(entry, dict)
-                        and isinstance(entry.get("result"), dict)
-                        and isinstance(entry.get("index"), int)):
-                    raise ValueError(f"malformed cell entry {key!r}")
-            if not isinstance(shrinks, dict):
-                raise ValueError("malformed shrinks table")
-        except FileNotFoundError:
-            return journal
-        except (ValueError, KeyError, TypeError, OSError):
-            journal.recovered = True
-            return journal
-        journal.cells = cells
-        journal.shrinks = shrinks
+        tables, journal.recovered = read_tables(
+            path, JOURNAL_VERSION, cells=_cell_entry, shrinks=_shrink_entry)
+        journal.cells, journal.shrinks = tables["cells"], tables["shrinks"]
         return journal
 
     def flush(self) -> None:

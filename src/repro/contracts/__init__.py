@@ -1,10 +1,9 @@
 """``repro.contracts`` — the declarative invariant layer.
 
-One DSL (:mod:`~repro.contracts.dsl`), two provably equivalent
-backends: online obs-bus checking
-(:class:`~repro.contracts.online.ContractMonitor`) and offline trace
-folds (:func:`~repro.contracts.offline.check_trace`), both returning
-the frozen :class:`~repro.contracts.report.ContractReport` wire record.
+One DSL (:mod:`~repro.contracts.dsl`), one fold over one stream, two
+entry points: online (:class:`~repro.contracts.online.ContractMonitor`)
+and offline (:func:`~repro.contracts.offline.check_trace`), both
+returning the frozen :class:`~repro.contracts.report.ContractReport`.
 Campaign scenarios, the shrinker, time travel, branch diffs, the REPL's
 ``check``/``contracts`` commands, and the service protocol all judge
 runs through this package — see ``docs/contracts.md``.
@@ -25,10 +24,8 @@ from repro.contracts.dsl import (
     Contract,
     ContractSet,
     EventContract,
-    EventFact,
     Fact,
     ProbeContract,
-    TraceFact,
     catalog,
     contracts_for_trace,
     get_contract,
@@ -61,10 +58,8 @@ __all__ = [
     "ContractSet",
     "ContractViolation",
     "EventContract",
-    "EventFact",
     "Fact",
     "ProbeContract",
-    "TraceFact",
     "catalog",
     "check_trace",
     "contracts_for_trace",

@@ -3,11 +3,11 @@
 A :class:`Contract` names one distributed invariant.  Two flavours:
 
 * :class:`EventContract` — compiled from a pure fold over the obs event
-  stream.  The *same* checker class runs behind both backends: online
-  (:class:`~repro.contracts.online.ContractMonitor`, an obs-bus
-  subscriber) and offline (:func:`~repro.contracts.offline.check_trace`,
-  a fold over a loaded trace), each feeding it backend-neutral
-  :class:`Fact` views, so the two backends agree by construction.
+  stream.  The *same* checker class runs behind both entry points:
+  online (:class:`~repro.contracts.online.ContractMonitor`, as a run's
+  stream fills) and offline (:func:`~repro.contracts.offline.check_trace`,
+  over a loaded trace), each folding :class:`Fact` views of the same
+  columns, so the two agree by construction.
 * :class:`ProbeContract` — an end-of-run predicate over the *probes*
   dict a scenario's builder returned (server-side logs, VM consoles).
   Probe state never enters the event stream, so these only run where a
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
-from repro.obs.recorder import PayloadNormalizer, normalize_line
 
 #: Sentinel event-name tuple meaning "every event type" (clock checks).
 ALL_EVENTS: tuple = ("*",)
@@ -42,53 +41,13 @@ ALL_EVENTS: tuple = ("*",)
 
 
 class Fact:
-    """Backend-neutral view of one event.
+    """Event ``index`` of an :class:`~repro.replay.trace.EventColumns`,
+    as a checker sees it: a run's stream as it fills (online) or a
+    loaded trace (offline).  The header is read directly
+    (``index``/``type``/``time``/``node``), payload cells via :meth:`get`,
+    evidence via :meth:`line`."""
 
-    Checkers read the header directly (``index``/``type``/``time``/
-    ``node``), payload scalars via :meth:`get`, and cite evidence via
-    :meth:`line` — which both backends render to the *same bytes* (the
-    trace line format of :func:`repro.obs.recorder.normalize_line`).
-    """
-
-    __slots__ = ("index", "type", "time", "node")
-
-    def get(self, name: str):
-        """Read one payload field (JSON scalars only)."""
-        raise NotImplementedError
-
-    def line(self) -> str:
-        """The normalized one-line rendering (lazy; cite sparingly)."""
-        raise NotImplementedError
-
-
-class EventFact(Fact):
-    """Online fact: wraps a live obs event + the monitor's normalizer."""
-
-    __slots__ = ("_event", "_normalizer")
-
-    def __init__(self, index: int, event, normalizer: PayloadNormalizer,
-                 type_name: Optional[str] = None):
-        self.index = index
-        self.type = type_name if type_name is not None else type(event).__name__
-        self.time = event.time
-        self.node = event.node
-        self._event = event
-        self._normalizer = normalizer
-
-    def get(self, name: str):
-        """Attribute access on the live event."""
-        return getattr(self._event, name, None)
-
-    def line(self) -> str:
-        """Render with the monitor's normalizer (ids already rebased)."""
-        return normalize_line(self._event, self._normalizer)
-
-
-class TraceFact(Fact):
-    """Offline fact: event ``index`` of a loaded trace's
-    :class:`~repro.replay.trace.EventColumns`, read off the columns."""
-
-    __slots__ = ("_events",)
+    __slots__ = ("index", "type", "time", "node", "_events")
 
     def __init__(self, events, index: int):
         self.index = index
@@ -103,7 +62,7 @@ class TraceFact(Fact):
         return None if at is None else self._events.rows[self.index][at]
 
     def line(self) -> str:
-        """The recorded event's line."""
+        """The recorded event's line (rendered per call; cite sparingly)."""
         return self._events[self.index].line
 
 
@@ -224,15 +183,10 @@ class ContractSet:
 
 
 class CheckerBank:
-    """The shared fold core both backends drive.
-
-    One bank per checked stream: fresh checker folds, an event-name
-    dispatch table honouring each contract's declared ``events`` filter,
-    and the report assembly.  The online monitor drives the bank's fused
-    per-type fold lists (:meth:`states_for`) from its subscriptions;
-    :func:`~repro.contracts.offline.check_trace` feeds a loaded trace
-    through :meth:`feed` — the same folds behind the same dispatch
-    decision on both sides is what makes the backends provably agree.
+    """The one fold core: fresh checker folds, an event-name dispatch
+    table honouring each contract's declared ``events`` filter, and the
+    report assembly.  One bank per checked stream, fed through
+    :meth:`feed` by the online monitor and the offline fold alike.
 
     ``sink``, when set, receives each violation the moment a fold
     records it (the monitor's hook for emitting ``ContractViolated``
@@ -259,26 +213,20 @@ class CheckerBank:
                 for event_name in contract.events:
                     self._dispatch.setdefault(event_name, []).append(state)
 
-    def states_for(self, type_name: str) -> list:
-        """The fused fold list for one event type (broad + specific,
-        declaration order) — the single dispatch decision both backends
-        share.  The online monitor captures it per subscription; the
-        offline fold hits it through :meth:`feed`."""
-        states = self._by_type.get(type_name)
-        if states is None:
-            states = self._by_type[type_name] = (
-                self._broad + self._dispatch.get(type_name, [])
-            )
-        return states
-
-    def feed(self, fact: Fact) -> None:
-        """Fold one fact into every interested checker."""
+    def feed(self, events, index: int) -> None:
+        """Fold event ``index`` of the columns ``events`` into every
+        checker that reads its type; a type none reads builds no fact."""
         self.count += 1
-        for state in self.states_for(fact.type):
-            state.on_event(fact)
+        kind = events.types[index]
+        states = self._by_type.get(kind)
+        if states is None:
+            states = self._by_type[kind] = self._broad + self._dispatch.get(kind, [])
+        if states:
+            fact = Fact(events, index)
+            for state in states:
+                state.on_event(fact)
 
-    def report(self, name: str = "contracts",
-               events: Optional[int] = None) -> ContractReport:
+    def report(self, name: str = "contracts") -> ContractReport:
         """Run the liveness phase and assemble the report (read-only)."""
         verdicts: dict = {}
         violations: list = []
@@ -288,7 +236,7 @@ class CheckerBank:
             violations.extend(found)
         return ContractReport(
             name=name, verdicts=verdicts, violations=tuple(violations),
-            events=self.count if events is None else events,
+            events=self.count,
         )
 
 

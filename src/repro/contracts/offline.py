@@ -1,19 +1,15 @@
-"""The offline backend: contracts as a fold over a loaded trace.
+"""The offline entry point: contracts as a fold over a loaded trace.
 
-:func:`check_trace` replays the recorded event stream through the same
-:class:`~repro.contracts.dsl.CheckerBank` the online monitor drives,
-reading each event off the trace's columns through a
-:class:`~repro.contracts.dsl.TraceFact` (cells by name, the line
-rendered only when cited).  A trace records exactly what a co-attached
-monitor saw — same indices, same ``seq``, same rebased packet ids — so
-the two backends return byte-identical :class:`ContractReport`\\ s
-(``report.canonical()``), which the equivalence suite and the
-``contracts-equivalence`` CI job assert on every golden trace.
+:func:`check_trace` feeds a trace's columns through the same
+:class:`~repro.contracts.dsl.CheckerBank` an online monitor feeds the
+columns of a run's stream as they fill, so the two return byte-identical
+:class:`ContractReport`\\ s (``report.canonical()``), which the
+equivalence suite and the ``contracts-equivalence`` CI job assert.
 """
 
 from __future__ import annotations
 
-from repro.contracts.dsl import CheckerBank, ContractSet, TraceFact
+from repro.contracts.dsl import CheckerBank, ContractSet
 from repro.contracts.report import ContractReport
 from repro.replay.trace import EventColumns, Trace
 
@@ -36,7 +32,7 @@ def check_trace(trace: Trace, contracts) -> ContractReport:
     bank = CheckerBank(event_contracts)
     events, feed = trace.events, bank.feed
     for index in range(len(events)):
-        feed(TraceFact(events, index))
+        feed(events, index)
     return bank.report(name=name)
 
 
@@ -57,7 +53,7 @@ def fold_prefix(bank: CheckerBank, events, upto_index=None):
         events = EventColumns(events)
     last, feed = len(events), bank.feed
     for index in range(*slice(bank.count, upto_index).indices(last)):
-        feed(TraceFact(events, index))
+        feed(events, index)
     return min(bank.report().violations, default=None,
                key=lambda v: last if v.index is None else v.index)
 

@@ -12,15 +12,14 @@ field order (:func:`payload_field_names`): a packet becomes its six
 stable coordinates, its id rebased by a :class:`PayloadNormalizer` to
 first-seen order; a process its pid/name; an exception its text.
 :func:`encode_row` is the one way in and there are two ways out:
-:func:`render_line`, the stable text line (:func:`normalize_line`
-composes the two for a live event), and :func:`row_fields`, the
+:func:`render_line`, the stable text line, and :func:`row_fields`, the
 structured dict.  Both are pure functions of header + field names + row
 and every cell survives a JSON round trip unchanged, which is why a
 trace stores rows and neither derivation.  :func:`stream_fingerprint`
-digests a stream of lines.  The one recorder is
-:class:`repro.replay.trace.TraceWriter`; two identically seeded runs
-compare with ``==`` on :meth:`Trace.lines
-<repro.replay.trace.Trace.lines>`, or by the footer fingerprint.
+digests a stream of lines.  A run's one
+:class:`~repro.replay.trace.EventStream` encodes each event as emitted;
+identically seeded runs compare by :meth:`Trace.lines
+<repro.replay.trace.Trace.lines>` or the footer fingerprint.
 
 Note that *recording is itself observable*: subscribing materializes
 event types that would otherwise ride the dormant path, which advances
@@ -167,12 +166,6 @@ def flatten_fields(fields: dict) -> tuple[tuple, tuple]:
         else:
             row.append(value)
     return tuple(fields), tuple(row)
-
-
-def normalize_line(event: ev.Event, normalizer: PayloadNormalizer) -> str:
-    """Render one live event to its stable one-line text form."""
-    return render_line(type(event).__name__, event.time, event.node, event.seq,
-                       payload_field_names(type(event)), encode_row(event, normalizer))
 
 
 def stream_fingerprint(lines: Iterable[str]) -> str:

@@ -145,7 +145,8 @@ def execute(recipe: Recipe, build: Callable, *, contracts=None,
     carries ``meta``), attach a
     :class:`~repro.contracts.online.ContractMonitor` when the
     :class:`~repro.contracts.dsl.ContractSet` ``contracts`` has event
-    contracts, ``probes = build(cluster)``, apply the plan when it has
+    contracts (riding the writer's stream, or the bus's own without
+    one), ``probes = build(cluster)``, apply the plan when it has
     actions, drive under :class:`~repro.kernel.profile.ProfileHook`,
     seal the trace.  Returns ``(cluster, probes, monitor, trace)``;
     ``monitor`` and ``trace`` are ``None`` when not attached.
@@ -164,7 +165,7 @@ def execute(recipe: Recipe, build: Callable, *, contracts=None,
     if contracts is not None and contracts.event_contracts():
         from repro.contracts.online import ContractMonitor
 
-        monitor = ContractMonitor(cluster.world.bus, contracts)
+        monitor = ContractMonitor(cluster.world.bus if writer is None else writer, contracts)
     probes = build(cluster)
     if recipe.plan is not None and recipe.plan.actions:
         Nemesis(cluster, recipe.plan)

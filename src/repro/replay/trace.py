@@ -309,12 +309,55 @@ class Trace:
         )
 
 
-class TraceWriter:
+class EventStream:
+    """A bus's recorded event types, each written into :attr:`events` as
+    it is emitted: four header cells and one
+    :func:`~repro.obs.recorder.encode_row` through the stream's one
+    :class:`~repro.obs.recorder.PayloadNormalizer` (packet ids rebased in
+    first-seen order), then ``listener(events, index)`` for each of
+    :attr:`listeners` in the order they were added.  No live event
+    outlives its delivery.
+
+    One stream per run: a :class:`TraceWriter` is one, and a
+    :class:`~repro.contracts.online.ContractMonitor` folds the writer's
+    or, over a bare bus, a stream of its own.
+    """
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.events = EventColumns()
+        self.listeners: list = []
+        self._normalizer = PayloadNormalizer()
+        self._types = _all_event_types()
+        for event_type in self._types:
+            self.events.declare(event_type.__name__, payload_field_names(event_type))
+            bus.subscribe(event_type, self._on_event)
+
+    def _on_event(self, event: ev.Event) -> None:
+        events = self.events
+        events.types.append(type(event).__name__)
+        events.times.append(event.time)
+        events.nodes.append(event.node)
+        events.seqs.append(event.seq)
+        events.rows.append(encode_row(event, self._normalizer))
+        index = len(events.rows) - 1
+        for listener in self.listeners:
+            listener(events, index)
+
+    def detach(self) -> None:
+        """Stop observing the bus."""
+        for event_type in self._types:
+            self.bus.unsubscribe(event_type, self._on_event)
+
+
+class TraceWriter(EventStream):
     """Record a cluster's obs stream (plus checkpoints) into a trace.
 
     Attach *before* driving the run; recording is itself observable
     (subscribing materializes otherwise-dormant event types), so a
-    replayer attaches its own writer to reproduce the same stream.
+    replayer attaches its own writer to reproduce the same stream.  The
+    checkpoint listener is the stream's first, so a state is captured
+    before any monitor riding the writer folds the event it follows.
     """
 
     def __init__(
@@ -324,8 +367,8 @@ class TraceWriter:
         checkpoint_every: Optional[int] = None,
         meta: Optional[dict] = None,
     ):
+        super().__init__(cluster.world.bus)
         self.cluster = cluster
-        self.bus = cluster.world.bus
         # Not ``asdict`` (a deep-copy walk): ``extras`` is the one dict.
         params = {f.name: getattr(cluster.params, f.name)
                   for f in fields(cluster.params)}
@@ -341,34 +384,17 @@ class TraceWriter:
             "checkpoint_every": checkpoint_every,
             "meta": meta or {},
         }
-        self.events = EventColumns()
-        #: Raw obs events captured during the run.  Encoding a row is
-        #: deferred to :meth:`finish`, where each event passes once
-        #: through :func:`~repro.obs.recorder.encode_row`
-        #: (the ledger's ``replay.finish_us_per_event``), so in the run
-        #: window an event costs one list append and a checkpoint costs
-        #: what is live at that instant — never the run's history (the
-        #: ledger's ``replay.record_us_per_event``).  Deferral is sound
-        #: because everything the normalizer reads (packet src/dst/
-        #: port/kind/size and first-seen order, process pid/name) is
-        #: immutable for the lifetime of the run.
-        self._raw: list[ev.Event] = []
         self.checkpoints: list[Checkpoint] = []
-        self._normalizer = PayloadNormalizer()
-        self._types = _all_event_types()
         self._finished = False
         #: Metric values at attach; view counts are deltas against this,
         #: so fold-derived counts (which only see post-attach events)
         #: line up with live captures.
         self._base_counts = metric_counts(cluster.world.metrics)
-        self._checkpoint_every = checkpoint_every
-        self._next_checkpoint_at = (
-            cluster.world.now + checkpoint_every
-            if checkpoint_every is not None else None
-        )
-        self._checkpoint_pending = False
-        for event_type in self._types:
-            self.bus.subscribe(event_type, self._on_event)
+        if checkpoint_every is not None:
+            self._checkpoint_every = checkpoint_every
+            self._next_checkpoint_at = cluster.world.now + checkpoint_every
+            self._checkpoint_pending = False
+            self.listeners.append(self._checkpoint_on)
         # Checkpoint #0: the state at attach.  Pre-attach history (the
         # agents' ProcessCreated, boot-time setup) rode the dormant path
         # and is not in the stream; every fold starts from this base.
@@ -378,30 +404,23 @@ class TraceWriter:
 
     def _capture_checkpoint(self, time: int) -> None:
         self.checkpoints.append(Checkpoint(
-            index=len(self._raw),
+            index=len(self.events),
             time=time,
             state=capture_state(self.cluster),
             view=capture_view(self.cluster, self._base_counts, time),
         ))
 
-    def _on_event(self, event: ev.Event) -> None:
-        self._raw.append(event)
-        if self._next_checkpoint_at is None:
-            return
-        if event.time >= self._next_checkpoint_at:
+    def _checkpoint_on(self, events: EventColumns, index: int) -> None:
+        time = events.times[index]
+        if time >= self._next_checkpoint_at:
             self._checkpoint_pending = True
-        if self._checkpoint_pending and type(event).__name__ in SAFE_CHECKPOINT_EVENTS:
+        if self._checkpoint_pending and events.types[index] in SAFE_CHECKPOINT_EVENTS:
             self._checkpoint_pending = False
-            while self._next_checkpoint_at <= event.time:
+            while self._next_checkpoint_at <= time:
                 self._next_checkpoint_at += self._checkpoint_every
-            self._capture_checkpoint(event.time)
+            self._capture_checkpoint(time)
 
     # ------------------------------------------------------------------
-
-    def detach(self) -> None:
-        """Stop observing the bus (idempotent via finish)."""
-        for event_type in self._types:
-            self.bus.unsubscribe(event_type, self._on_event)
 
     def finish(self, drive: Optional[dict] = None) -> Trace:
         """Stop recording and seal the trace.
@@ -415,7 +434,6 @@ class TraceWriter:
             raise RuntimeError("TraceWriter.finish() called twice")
         self._finished = True
         self.detach()
-        self._materialize()
         # A checkpoint's view is what a fold reads at its index: its clock
         # is the running maximum of the event times before it, not its own.
         highs = list(accumulate(self.events.times, max, initial=self.checkpoints[0].view.time))
@@ -429,24 +447,8 @@ class TraceWriter:
         }
         return Trace(self.header, self.events, self.checkpoints, footer)
 
-    def _materialize(self) -> None:
-        """Fill the columns from the raw capture, in stream order and one
-        :func:`~repro.obs.recorder.encode_row` pass per event (the
-        normalizer rebases packet ids by first-seen order, so the
-        deferred pass encodes exactly what an inline pass would have)."""
-        normalizer = self._normalizer
-        events = self.events
-        for event_type in self._types:
-            events.declare(event_type.__name__, payload_field_names(event_type))
-        events.types += [type(event).__name__ for event in self._raw]
-        events.times += [event.time for event in self._raw]
-        events.nodes += [event.node for event in self._raw]
-        events.seqs += [event.seq for event in self._raw]
-        events.rows += [encode_row(event, normalizer) for event in self._raw]
-        self._raw.clear()
-
     def __repr__(self) -> str:
         return (
-            f"<TraceWriter events={len(self._raw) or len(self.events)} "
+            f"<TraceWriter events={len(self.events)} "
             f"checkpoints={len(self.checkpoints)}>"
         )

@@ -1,8 +1,8 @@
 """repro.contracts: DSL resolution, online/offline equivalence, goldens.
 
 The acceptance bar for the contract layer is *backend agreement*: the
-online :class:`~repro.contracts.online.ContractMonitor` (an obs-bus
-subscriber riding beside the trace writer) and the offline
+online :class:`~repro.contracts.online.ContractMonitor` (riding the
+trace writer's stream, or over a bare bus its own) and the offline
 :func:`~repro.contracts.offline.check_trace` fold (over the sealed
 trace) must produce **byte-identical** canonical
 :class:`~repro.contracts.report.ContractReport` documents for every
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import MS, SEC, FaultPlan, record_run
+from repro import MS, SEC, record_run
 from repro.contracts import (
     CONTRACTS,
     UNIVERSAL_SET,
@@ -61,10 +61,16 @@ def record_echo(seed, plan_name, topology, contracts=UNIVERSAL_SET):
 @pytest.mark.parametrize("plan_name", GRID_PLANS)
 @pytest.mark.parametrize("topology", GRID_TOPOLOGIES)
 def test_online_offline_reports_are_byte_identical(seed, plan_name, topology):
+    """A monitor riding the writer, a monitor over the bare bus (its own
+    stream, no recording) and the offline fold give one report."""
+    from repro.replay import Recipe, execute
+
     trace = record_echo(seed, plan_name, topology)
-    online = trace.contract_report
+    riding = trace.contract_report
+    _, _, bare, _ = execute(Recipe.of(trace), build, contracts=UNIVERSAL_SET,
+                            record=False)
     offline = check_trace(trace, UNIVERSAL_SET)
-    assert online.canonical() == offline.canonical()
+    assert riding.canonical() == bare.report().canonical() == offline.canonical()
 
 
 def test_equivalence_holds_for_the_kv_split_brain():
@@ -301,27 +307,26 @@ def _fold_rule_streams():
 def test_reporting_never_mutates_a_fold():
     """``report()`` twice answers the same, and a bank that was reported
     part-way answers at the end as one that never was."""
-    from repro.contracts.dsl import (
-        NO_LOST_CALLS, CheckerBank, TraceFact, universal_contracts)
+    from repro.contracts.dsl import NO_LOST_CALLS, CheckerBank, universal_contracts
 
     failed = set()
     for label, events in _fold_rule_streams().items():
-        facts = [TraceFact(events, index) for index in range(len(events))]
+        indices = range(len(events))
         for contract in (*universal_contracts(), NO_LOST_CALLS):
             fresh = CheckerBank((contract,))
-            for fact in facts:
-                fresh.feed(fact)
+            for index in indices:
+                fresh.feed(events, index)
             whole = fresh.report()
             assert fresh.report() == whole, (label, contract.name)
             if not whole.ok:
                 failed.add(contract.name)
-            for k in range(0, len(facts) + 1, 10):
+            for k in range(0, len(events) + 1, 10):
                 bank = CheckerBank((contract,))
-                for fact in facts[:k]:
-                    bank.feed(fact)
+                for index in indices[:k]:
+                    bank.feed(events, index)
                 assert bank.report() == bank.report(), (label, contract.name, k)
-                for fact in facts[k:]:
-                    bank.feed(fact)
+                for index in indices[k:]:
+                    bank.feed(events, index)
                 assert bank.report() == whole, (label, contract.name, k)
     # The streams do exercise every contract's violating side.
     assert failed == {c.name for c in (*universal_contracts(), NO_LOST_CALLS)}

@@ -4,10 +4,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import Corpus, build_grid, get_plan, run_campaign
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.corpus import INDEX_NAME
+from tests.fuzz import corrupt
+
+#: The in-repo corpus (rebuilt via tools/build_corpus.py).
+COMMITTED = Path(__file__).parent / "corpus"
 
 
 @pytest.fixture()
@@ -77,6 +83,43 @@ def test_partially_written_index_is_skipped(banked):
     assert list(corpus_dir.glob("*.trace.bin"))
 
 
+def _committed_with(**cells):
+    """The committed index with ``cells`` overwritten in its first entry."""
+    data = json.loads((COMMITTED / INDEX_NAME).read_text())
+    next(iter(data["entries"].values())).update(cells)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("document", [
+    "[]", '"x"', '{"version": 1, "entries": []}', _committed_with(seed="0"),
+    _committed_with(minimal_plan=[]), "[" * 100_000,
+], ids=["list", "string", "entries-list", "seed-string", "plan-list", "deep"])
+def test_index_that_is_json_but_not_an_index_is_skipped(tmp_path, document):
+    (tmp_path / INDEX_NAME).write_text(document)
+    corpus = Corpus.open(tmp_path)
+    assert corpus.recovered and len(corpus) == 0
+
+
+@pytest.fixture(scope="module")
+def index_blob(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    blob = (COMMITTED / INDEX_NAME).read_bytes()
+    return root, blob
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_index_loads_or_is_skipped(index_blob, data):
+    root, blob = index_blob
+    (root / INDEX_NAME).write_bytes(corrupt(data, blob))
+    corpus = Corpus.open(root)
+    if corpus.recovered:
+        assert len(corpus) == 0
+    for entry in corpus.entries():
+        assert isinstance(entry.seed, int) and isinstance(entry.minimal_plan, dict)
+        entry.label()
+
+
 def test_corpus_seeds_future_grids(banked):
     corpus_dir, _ = banked
     corpus = Corpus.open(corpus_dir)
@@ -127,11 +170,10 @@ def test_cli_resume_requires_checkpoint(capsys):
 
 
 def test_committed_corpus_replays():
-    # The in-repo corpus (tests/corpus, rebuilt via tools/build_corpus.py)
-    # is a live regression suite: every banked reproducer must still
-    # replay byte-identically and yield its recorded violations.
-    committed = Path(__file__).parent / "corpus"
-    corpus = Corpus.open(committed)
+    # The in-repo corpus is a live regression suite: every banked
+    # reproducer must still replay byte-identically and yield its
+    # recorded violations.
+    corpus = Corpus.open(COMMITTED)
     assert not corpus.recovered
     assert len(corpus) >= 4
     for entry, ok, detail in corpus.replay_all():

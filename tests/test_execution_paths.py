@@ -5,8 +5,12 @@ unperturbed fork are five callers of one recipe (scenario, seed, fault
 plan, topology).  Generated over the scenario and fault-plan catalogues,
 they must agree: the cell's fingerprint is the recording's, the cell's
 verdict is the shrink trial's, the recording replays byte-identically,
-and a fork that adds nothing is the recording again.
+and a fork that adds nothing is the recording again.  Whatever the
+path, a run has one stream: the writer encodes each event as it is
+emitted and a monitor folds the writer's columns.
 """
+
+import gc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +18,15 @@ from hypothesis import strategies as st
 from repro.campaign.runner import CellSpec, run_cell
 from repro.campaign.scenarios import PLANS, SCENARIOS, get_plan
 from repro.campaign.shrink import _CellOracle
-from repro.replay import Perturbation, record_run, replay_trace
+from repro.cluster import Cluster
+from repro.contracts import UNIVERSAL_SET
+from repro.obs import events as ev
+from repro.replay import Perturbation, Recipe, TraceWriter, execute, record_run, replay_trace
 from repro.replay.branch import execute_fork
+from repro.rpc.runtime import remote_call
 from repro.sim.units import MS
+
+_RECORDED = [getattr(ev, name) for name in ev.__all__ if name != "Event"]
 
 
 def _compatible(names: tuple, plan) -> bool:
@@ -64,3 +74,46 @@ def test_every_execution_path_runs_the_same_cluster(pair, seed, topology):
 
     child = execute_fork(trace, scenario.build, 0, Perturbation(kind="none"))
     assert child.lines() == trace.lines()
+
+
+# ----------------------------------------------------------------------
+# One stream per run
+# ----------------------------------------------------------------------
+
+
+def test_a_recorded_and_checked_run_subscribes_once_per_event_type():
+    """The monitor rides the writer: recording and checking together add
+    one bus subscriber per recorded event type, not one each."""
+    counts = []
+
+    def build(cluster):
+        bus = cluster.world.bus
+        counts.append({t.__name__: bus.subscriber_count(t) for t in _RECORDED})
+
+    recipe = Recipe(names=("a", "b")).running_until(MS)
+    execute(recipe, build, contracts=UNIVERSAL_SET)
+    execute(recipe, build, record=False)
+    checked, bare = counts
+    assert {name: checked[name] - bare[name] for name in checked} == dict.fromkeys(checked, 1)
+
+
+def test_a_recording_keeps_no_live_event_before_finish():
+    """Each event is encoded into the writer's columns when emitted, so
+    none of the obs event objects outlives its delivery."""
+    before = {id(o) for o in gc.get_objects() if isinstance(o, ev.Event)}
+    cluster = Cluster(names=["client", "server"], seed=0)
+    writer = TraceWriter(cluster)
+    cluster.rpc("server").export_native("svc", {"op": lambda ctx: None})
+
+    def caller(node):
+        for _ in range(200):
+            yield from remote_call(node.rpc, "svc", "op")
+
+    client = cluster.node("client")
+    client.spawn(caller(client), name="caller")
+    cluster.run()
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, ev.Event) and id(o) not in before]
+    assert alive == []
+    assert len(writer.finish().events) == 1603
+    cluster.close()

@@ -36,6 +36,7 @@ from repro.campaign import (
 )
 from repro.campaign.scenarios import SCENARIOS, Scenario
 from repro.contracts.dsl import ContractSet, ProbeContract
+from tests.fuzz import corrupt
 
 # ----------------------------------------------------------------------
 # Hostile test scenarios
@@ -468,6 +469,37 @@ def test_journal_version_mismatch_is_skipped(tmp_path):
         {"version": 999, "cells": {}, "shrinks": {}}))
     loaded = CampaignJournal.load(journal)
     assert loaded.recovered and len(loaded) == 0
+
+
+@pytest.mark.parametrize("document", [
+    "[]", '"x"', '{"version": 1, "cells": [], "shrinks": {}}',
+    '{"version": 1, "cells": {}, "shrinks": {"k": 3}}',
+    '{"version": true, "cells": {}, "shrinks": {}}', "[" * 100_000,
+], ids=["list", "string", "cells-list", "shrink-int", "version-bool", "deep"])
+def test_journal_that_is_json_but_not_a_journal_is_skipped(tmp_path, document):
+    journal = tmp_path / "campaign.journal"
+    journal.write_text(document)
+    loaded = CampaignJournal.load(journal)
+    assert loaded.recovered and len(loaded) == 0 and loaded.shrinks == {}
+
+
+@pytest.fixture(scope="module")
+def journal_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("journal") / "campaign.journal"
+    run_campaign(_journal_grid(), workers=1, journal_path=path, **_FAST)
+    return path, path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_journal_loads_or_is_skipped(journal_blob, data):
+    path, blob = journal_blob
+    path.write_bytes(corrupt(data, blob))
+    loaded = CampaignJournal.load(path)
+    if loaded.recovered:
+        assert len(loaded) == 0 and loaded.shrinks == {}
+    for entry in loaded.cells.values():
+        assert isinstance(entry["index"], int) and isinstance(entry["result"], dict)
 
 
 def test_invalidated_key_reexecutes_exactly_that_cell(tmp_path):

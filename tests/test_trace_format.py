@@ -41,6 +41,7 @@ from repro.replay.format import (
     write_binary,
 )
 from repro.replay.trace import TraceEvent
+from tests.fuzz import corrupt
 from tests.golden_scenario import GOLDEN_BINARY_PATH
 
 PING = """
@@ -646,36 +647,11 @@ def golden_blob(request, tmp_path_factory):
     return path, path.read_bytes()
 
 
-def _position(data, blob):
-    return data.draw(st.integers(0, len(blob) - 1))
-
-
-def _flip(data, blob):
-    at = _position(data, blob)
-    return blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) \
-        + blob[at + 1:]
-
-
-def _truncate(data, blob):
-    return blob[:_position(data, blob)]
-
-
-def _splice(data, blob):
-    src, dst = _position(data, blob), _position(data, blob)
-    chunk = blob[src:src + data.draw(st.integers(1, 64))]
-    if data.draw(st.booleans()):
-        return blob[:dst] + chunk + blob[dst:]  # insert
-    return blob[:dst] + chunk + blob[dst + len(chunk):]  # overwrite
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_container_loads_or_raises_trace_format_error(golden_blob, data):
     path, blob = golden_blob
-    for _ in range(data.draw(st.integers(1, 3))):
-        blob = data.draw(st.sampled_from([_flip, _truncate, _splice]))(
-            data, blob) or b"\0"
-    path.write_bytes(blob)
+    path.write_bytes(corrupt(data, blob))
     try:
         Trace.load(path)
     except TraceFormatError as exc:
