@@ -10,7 +10,8 @@ error next to the host cost of simulating a single null RPC.
 Measured here, per operation:
 
 * dormant emit — no subscribers for the type;
-* one-subscriber emit — event materialized, one no-op callback;
+* one-subscriber emit — event materialized (a header-first tuple built
+  from the positional cells), one no-op callback;
 * metrics emit — ``RpcCallCompleted`` on a world bus with the default
   metrics attached (labeled counter + in-flight gauge + histogram);
 * a null in-sim RPC — the denominator, host seconds per simulated call.
@@ -32,12 +33,12 @@ EMIT_ITERS = 50_000
 RPC_CALLS = 200
 
 
-def time_emit(bus: Bus, event_type, iters: int = EMIT_ITERS, **fields) -> float:
-    """Host seconds per ``bus.emit`` call."""
+def time_emit(bus: Bus, event_type, *cells, iters: int = EMIT_ITERS) -> float:
+    """Host seconds per positional ``bus.emit(event_type, *cells)`` call."""
     emit = bus.emit
     start = time.perf_counter()
     for _ in range(iters):
-        emit(event_type, **fields)
+        emit(event_type, *cells)
     return (time.perf_counter() - start) / iters
 
 
@@ -59,17 +60,17 @@ def host_cost_null_rpc(calls: int = RPC_CALLS) -> float:
 
 def run_experiment() -> dict:
     # Dormant: a world bus has no subscribers for debug-session events.
+    # Every emit passes the type's full payload, as the emit sites do.
     world = World(seed=0)
-    dormant = time_emit(world.bus, ev.BreakpointHit, time=0, node=0)
+    hit = (0, 0, 3, "app", "main", 2, 4)
+    dormant = time_emit(world.bus, ev.BreakpointHit, *hit)
 
     plain_bus = Bus()
     plain_bus.subscribe(ev.BreakpointHit, lambda e: None)
-    one_sub = time_emit(plain_bus, ev.BreakpointHit, time=0, node=0)
+    one_sub = time_emit(plain_bus, ev.BreakpointHit, *hit)
 
     # Default metrics: counter + gauge + histogram all fire.
-    metrics = time_emit(
-        world.bus, ev.RpcCallCompleted, time=0, node=0, call_id=1, latency=100
-    )
+    metrics = time_emit(world.bus, ev.RpcCallCompleted, 0, 0, 1, "svc", "op", "once", 100)
 
     null_rpc = host_cost_null_rpc()
     return {
@@ -85,18 +86,18 @@ def test_e11_obs_overhead(benchmark):
     null_rpc = result["null_rpc"]
 
     def row(label: str, cost: float) -> list:
-        return [label, f"{cost * 1e9:.0f}", f"{100.0 * cost / null_rpc:.3f}%"]
+        return [label, f"{cost * 1e6:.3f}", f"{100.0 * cost / null_rpc:.3f}%"]
 
     rows = [
         row("dormant emit (no subscribers)", result["dormant"]),
         row("emit, one no-op subscriber", result["one_sub"]),
         row("emit, default metrics attached", result["metrics"]),
-        ["null in-sim RPC (host cost)", f"{null_rpc * 1e9:.0f}", "100%"],
+        ["null in-sim RPC (host cost)", f"{null_rpc * 1e6:.1f}", "100%"],
         ["paper budget: shipped RPC instrumentation", "(400us virtual)", "2.5%"],
     ]
     print_table(
         "E11: bus emit cost vs one simulated null RPC",
-        ["operation", "ns/op", "% of null RPC"],
+        ["operation", "us/op", "% of null RPC"],
         rows,
     )
     # Acceptance: dormant instrumentation must be a rounding error.

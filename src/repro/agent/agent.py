@@ -313,16 +313,9 @@ class PilgrimAgent:
             return
         self.trapped[process.pid] = location
         line = frame.func.line_for_pc(frame.pc)
-        self.world.bus.emit(
-            obs_ev.BreakpointHit,
-            time=self.node.supervisor.current_time(),
-            node=self.node.node_id,
-            pid=process.pid,
-            module=location[0],
-            proc=location[1],
-            pc=location[2],
-            line=line,
-        )
+        self.world.bus.emit(obs_ev.BreakpointHit, self.node.supervisor.current_time(),
+                            self.node.node_id, process.pid, location[0], location[1],
+                            location[2], line)
         self._do_halt(broadcast=True)
         self._notify(
             rq.EVENT_BREAKPOINT,

@@ -52,15 +52,9 @@ class ContractMonitor:
         stream.listeners.append(self._bank.feed)
 
     def _emit_violation(self, violation: ContractViolation) -> None:
-        self.bus.emit(
-            ev.ContractViolated,
-            time=violation.time or 0,
-            node=violation.node,
-            contract=violation.contract,
-            message=violation.message,
-            index=violation.index or 0,
-            evidence=violation.evidence,
-        )
+        self.bus.emit(ev.ContractViolated, violation.time or 0, violation.node,
+                      violation.contract, violation.message, violation.index or 0,
+                      violation.evidence)
 
     def report(self) -> ContractReport:
         """Finalize (liveness phase included) and cache the report."""

@@ -178,8 +178,12 @@ def error_from_wire(payload: dict) -> DebuggerError:
     """Rebuild the typed exception a wire error payload describes.
 
     Unknown codes degrade to :class:`DebuggerError` (never to a plain
-    string), keeping old clients functional against newer daemons.
+    string), keeping old clients functional against newer daemons; a
+    payload that is not an object with a text code is a
+    :class:`ServiceError`.
     """
+    if not isinstance(payload, dict) or not isinstance(payload.get("code", ""), str):
+        return ServiceError(f"malformed error payload: {payload!r}")
     cls = ERROR_CODES.get(payload.get("code", ""), DebuggerError)
     try:
         exc = cls(

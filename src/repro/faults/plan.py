@@ -306,24 +306,11 @@ class Nemesis:
                        detail: str) -> int:
         self._next_fault_id += 1
         fault_id = self._next_fault_id
-        self.bus.emit(
-            ev.FaultInjected,
-            time=self.world.now,
-            node=node,
-            fault=action.kind,
-            fault_id=fault_id,
-            detail=detail,
-        )
+        self.bus.emit(ev.FaultInjected, self.world.now, node, action.kind, fault_id, detail)
         return fault_id
 
     def _emit_healed(self, kind: str, fault_id: int) -> None:
-        self.bus.emit(
-            ev.FaultHealed,
-            time=self.world.now,
-            node=None,
-            fault=kind,
-            fault_id=fault_id,
-        )
+        self.bus.emit(ev.FaultHealed, self.world.now, None, kind, fault_id)
 
     def _fire(self, action: FaultAction) -> None:
         self.faults_fired += 1

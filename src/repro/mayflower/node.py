@@ -134,12 +134,7 @@ class Node:
         self.agent = None
         for hook in self.reboot_hooks:
             hook(self, old_rpc, old_agent)
-        self.world.bus.emit(
-            obs_ev.NodeRebooted,
-            time=self.world.now,
-            node=self.node_id,
-            epoch=self.epoch,
-        )
+        self.world.bus.emit(obs_ev.NodeRebooted, self.world.now, self.node_id, self.epoch)
         return self.epoch
 
     def __repr__(self) -> str:

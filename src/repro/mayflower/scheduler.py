@@ -93,15 +93,8 @@ class Supervisor:
             bind(process)
         self.processes[pid] = process
         self._live[pid] = process
-        self.bus.emit(
-            ev.ProcessCreated,
-            time=self.current_time(),
-            node=self.node.node_id,
-            pid=pid,
-            name=name,
-            priority=priority,
-            process=process,
-        )
+        self.bus.emit(ev.ProcessCreated, self.current_time(), self.node.node_id,
+                      pid, name, priority, process)
         self.make_ready(process)
         return process
 
@@ -114,15 +107,8 @@ class Supervisor:
         self._live.pop(process.pid, None)
         process.waiting_on = None
         self._cancel_timeout(process)
-        self.bus.emit(
-            ev.ProcessDeleted,
-            time=self.current_time(),
-            node=self.node.node_id,
-            pid=process.pid,
-            name=process.name,
-            process=process,
-            failed=failure is not None,
-        )
+        self.bus.emit(ev.ProcessDeleted, self.current_time(), self.node.node_id,
+                      process.pid, process.name, process, failure is not None)
         for callback in process.on_exit:
             callback(process)
 
@@ -284,13 +270,8 @@ class Supervisor:
         return False
 
     def _emit_halted(self, process: Process) -> None:
-        self.bus.emit(
-            ev.ProcessHalted,
-            time=self.current_time(),
-            node=self.node.node_id,
-            pid=process.pid,
-            name=process.name,
-        )
+        self.bus.emit(ev.ProcessHalted, self.current_time(), self.node.node_id,
+                      process.pid, process.name)
 
     def resume_all(self) -> int:
         """Undo :meth:`halt_all`: restore states, re-arm frozen timeouts."""
@@ -315,13 +296,8 @@ class Supervisor:
             else:
                 self.make_ready(process)
             process.halted_from = None
-            self.bus.emit(
-                ev.ProcessResumed,
-                time=self.current_time(),
-                node=self.node.node_id,
-                pid=process.pid,
-                name=process.name,
-            )
+            self.bus.emit(ev.ProcessResumed, self.current_time(), self.node.node_id,
+                          process.pid, process.name)
         return resumed
 
     def unhalt_process(self, process: Process) -> bool:
@@ -502,15 +478,8 @@ class Supervisor:
         self._finish(process, failure=exc)
         # Emitted after _finish so deletion subscribers and on_exit
         # callbacks observe the legacy ordering (hook ran last).
-        self.bus.emit(
-            ev.ProcessFailed,
-            time=self.current_time(),
-            node=self.node.node_id,
-            pid=process.pid,
-            name=process.name,
-            process=process,
-            error=exc,
-        )
+        self.bus.emit(ev.ProcessFailed, self.current_time(), self.node.node_id,
+                      process.pid, process.name, process, exc)
 
     # ------------------------------------------------------------------
 

@@ -257,7 +257,7 @@ class Transport:
         tx_time = self._tx_serialization(packet)
         tx_done = tx_start + tx_time
         self._note_transmission(station, packet, tx_done)
-        self.bus.emit(ev.PacketSent, time=now, node=packet.src, packet=packet)
+        self.bus.emit(ev.PacketSent, now, packet.src, packet)
 
         dst_station = self.stations.get(packet.dst)
         dst_down = dst_station is None or dst_station.node.crashed
@@ -272,7 +272,7 @@ class Transport:
         if hardware_nack:
             # The transmitting hardware learns of non-receipt when the
             # minipacket returns — i.e. by the end of transmission.
-            self.bus.emit(ev.PacketNacked, time=now, node=packet.src, packet=packet)
+            self.bus.emit(ev.PacketNacked, now, packet.src, packet)
             if on_nack is not None:
                 self.world.schedule_at(
                     tx_done, on_nack, packet, node=packet.src
@@ -310,25 +310,16 @@ class Transport:
         station = self.stations.get(packet.dst)
         if station is None or station.node.crashed:
             # Went down in flight: silent from the sender's viewpoint.
-            self.bus.emit(
-                ev.PacketDropped, time=now, node=packet.dst, packet=packet,
-                reason="down",
-            )
+            self.bus.emit(ev.PacketDropped, now, packet.dst, packet, "down")
             return
         if self._should_drop(packet):
-            self.bus.emit(
-                ev.PacketDropped, time=now, node=packet.dst, packet=packet,
-                reason="lost",
-            )
+            self.bus.emit(ev.PacketDropped, now, packet.dst, packet, "lost")
             return
         handler = station.handler_for(packet.port)
         if handler is None:
-            self.bus.emit(
-                ev.PacketDropped, time=now, node=packet.dst, packet=packet,
-                reason="no_handler",
-            )
+            self.bus.emit(ev.PacketDropped, now, packet.dst, packet, "no_handler")
             return
-        self.bus.emit(ev.PacketDelivered, time=now, node=packet.dst, packet=packet)
+        self.bus.emit(ev.PacketDelivered, now, packet.dst, packet)
         handler(packet)
 
     # ------------------------------------------------------------------

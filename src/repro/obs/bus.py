@@ -6,13 +6,13 @@ Design constraints, in order:
    debugging design because "RPCs might take twice as long"; the entire
    reproduction follows the same discipline.  ``emit`` for an event type
    with no subscribers is a single dict lookup plus a truthiness check —
-   the event object is *never constructed* (fields are passed as keyword
-   arguments, not as a pre-built event), so the dormant path allocates
-   nothing.  Experiment E11 measures this against the null-RPC cost.
+   the event object is *never constructed* (its cells are passed
+   positionally, not as a pre-built event).  Experiment E11 measures
+   this against the null-RPC cost.
 2. **Deterministic.**  Subscribers run synchronously, in subscription
    order, on the emitter's stack.  No queues, no reordering: the bus adds
    no nondeterminism to the simulation.
-3. **Typed.**  Event types are the dataclasses of
+3. **Typed.**  Event types are the tuple classes of
    :mod:`repro.obs.events`; subscription is per-type (no wildcard
    matching on the hot path).
 
@@ -22,7 +22,7 @@ should fail loudly in a deterministic simulator, not vanish.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Type
+from typing import Any, Callable, Iterable, Optional, Type
 
 from repro.obs.events import Event
 
@@ -95,8 +95,11 @@ class Bus:
     # Emission
     # ------------------------------------------------------------------
 
-    def emit(self, event_type: Type[Event], **fields: Any):
-        """Deliver one event to the subscribers of ``event_type``.
+    def emit(self, event_type: Type[Event], time: int, node: Optional[int], *payload: Any):
+        """Deliver one event, ``(time, node, seq, *payload)``, to the
+        subscribers of ``event_type``; payload cells the call leaves off
+        the end take the type's ``DEFAULTS``, and more cells than it
+        declares raise :class:`TypeError`.
 
         Dormant path: when the type has no subscribers this is one dict
         lookup and a truthiness check; no event object is built.  Returns
@@ -105,8 +108,14 @@ class Bus:
         subs = self._subs.get(event_type)
         if not subs:
             return None
+        defaults = event_type.DEFAULTS
+        if len(payload) < len(defaults):
+            payload += defaults[len(payload):]
+        elif len(payload) > len(defaults):
+            raise TypeError(f"{event_type.__name__} takes {len(defaults)} "
+                            f"payload cells, not {len(payload)}")
         self._seq += 1
-        event = event_type(seq=self._seq, **fields)
+        event = tuple.__new__(event_type, (time, node, self._seq, *payload))
         # Snapshot so a subscriber may (un)subscribe during delivery.
         for fn in tuple(subs):
             fn(event)

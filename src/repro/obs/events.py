@@ -1,6 +1,9 @@
 """Typed instrumentation events.
 
-Every event is a frozen, slotted dataclass sharing a common header:
+Every event is an immutable tuple, header first — ``(time, node, seq,
+*payload)`` — whose class declares its field names once (``FIELDS``)
+and the defaults of its payload fields (``DEFAULTS``); each field reads
+by name through a read-only accessor.  The header:
 
 * ``time`` — virtual microseconds, stamped by the *emitter* with its own
   notion of now (a node's local CPU cursor for in-slice emissions, the
@@ -12,14 +15,13 @@ Every event is a frozen, slotted dataclass sharing a common header:
   least one subscriber exists, so ``seq`` counts *materialized* events.
 
 Field types for cross-layer payloads (packets, processes, exceptions) are
-deliberately ``Any``: the obs layer sits below every other subsystem and
+deliberately untyped: the obs layer sits below every other subsystem and
 imports none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from operator import itemgetter
 
 __all__ = [
     "Event",
@@ -46,14 +48,53 @@ __all__ = [
     "Observation",
 ]
 
+#: The header fields every event starts with.
+HEADER = ("time", "node", "seq")
 
-@dataclass(frozen=True, slots=True, kw_only=True)
-class Event:
-    """Common header shared by every instrumentation event."""
 
-    time: int
-    node: Optional[int] = None
-    seq: int = 0
+class Event(tuple):
+    """Common header shared by every instrumentation event (a subclass
+    gets one read-only accessor per name in its ``FIELDS``).
+
+    The bus builds events positionally; ``Type(time=..., **payload)``
+    builds one by hand (``node`` defaults to ``None``, ``seq`` to 0, a
+    payload field to its declared default).  Equality and hashing
+    include the type.
+    """
+
+    __slots__ = ()
+    FIELDS: tuple = HEADER
+    #: The defaults of ``FIELDS[3:]``, one per payload field.
+    DEFAULTS: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        if len(cls.FIELDS) != len(HEADER) + len(cls.DEFAULTS):
+            raise TypeError(f"{cls.__name__}: one default per payload field")
+        for at, name in enumerate(cls.FIELDS):
+            setattr(cls, name, property(itemgetter(at)))
+
+    def __new__(cls, *, time, node=None, seq=0, **payload):
+        cells = [payload.pop(name, default)
+                 for name, default in zip(cls.FIELDS[3:], cls.DEFAULTS)]
+        if payload:
+            raise TypeError(f"{cls.__name__} has no field {sorted(payload)}")
+        return tuple.__new__(cls, (time, node, seq, *cells))
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), tuple(self)))
+
+    def __repr__(self) -> str:
+        cells = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self))
+        return f"{type(self).__name__}({cells})"
 
 
 # ----------------------------------------------------------------------
@@ -61,25 +102,24 @@ class Event:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class PacketSent(Event):
-    packet: Any = None
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "packet"), (None,)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class PacketDelivered(Event):
-    packet: Any = None
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "packet"), (None,)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class PacketNacked(Event):
     """The transmitting hardware learned the destination interface did not
     accept the packet (the NACK driving §5.2 halt-broadcast retries)."""
 
-    packet: Any = None
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "packet"), (None,)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class PacketDropped(Event):
     """Lost after interface receipt — silent from the sender's viewpoint.
 
@@ -88,8 +128,8 @@ class PacketDropped(Event):
     port handler registered at the destination).
     """
 
-    packet: Any = None
-    reason: str = "lost"
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "packet", "reason"), (None, "lost")
 
 
 # ----------------------------------------------------------------------
@@ -98,40 +138,30 @@ class PacketDropped(Event):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RpcCallStarted(Event):
-    call_id: int = 0
-    service: str = ""
-    proc: str = ""
-    protocol: str = "once"
+    __slots__ = ()
+    FIELDS = (*HEADER, "call_id", "service", "proc", "protocol")
+    DEFAULTS = (0, "", "", "once")
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RpcCallRetried(Event):
-    call_id: int = 0
-    service: str = ""
-    proc: str = ""
-    retries: int = 0
+    __slots__ = ()
+    FIELDS = (*HEADER, "call_id", "service", "proc", "retries")
+    DEFAULTS = (0, "", "", 0)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RpcCallCompleted(Event):
-    call_id: int = 0
-    service: str = ""
-    proc: str = ""
-    protocol: str = "once"
-    #: Round-trip virtual latency as seen by the calling node.
-    latency: int = 0
+    """``latency``: round-trip virtual latency as seen by the calling node."""
+
+    __slots__ = ()
+    FIELDS = (*HEADER, "call_id", "service", "proc", "protocol", "latency")
+    DEFAULTS = (0, "", "", "once", 0)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RpcCallFailed(Event):
-    call_id: int = 0
-    service: str = ""
-    proc: str = ""
-    protocol: str = "once"
-    latency: int = 0
-    reason: str = ""
+    __slots__ = ()
+    FIELDS = (*HEADER, "call_id", "service", "proc", "protocol", "latency", "reason")
+    DEFAULTS = (0, "", "", "once", 0, "")
 
 
 # ----------------------------------------------------------------------
@@ -140,32 +170,26 @@ class RpcCallFailed(Event):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ProcessCreated(Event):
-    pid: int = 0
-    name: str = ""
-    priority: int = 0
-    process: Any = None
+    __slots__ = ()
+    FIELDS = (*HEADER, "pid", "name", "priority", "process")
+    DEFAULTS = (0, "", 0, None)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ProcessDeleted(Event):
-    pid: int = 0
-    name: str = ""
-    process: Any = None
-    failed: bool = False
+    __slots__ = ()
+    FIELDS = (*HEADER, "pid", "name", "process", "failed")
+    DEFAULTS = (0, "", None, False)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ProcessFailed(Event):
     """Emitted after the process is finished, mirroring the legacy
-    ``failure_hook`` ordering (deletion callbacks run first)."""
+    ``failure_hook`` ordering (deletion callbacks run first).  ``error``
+    is the exception object itself, so subscribers can inspect it."""
 
-    pid: int = 0
-    name: str = ""
-    process: Any = None
-    #: The exception object itself, so subscribers can inspect it.
-    error: Any = None
+    __slots__ = ()
+    FIELDS = (*HEADER, "pid", "name", "process", "error")
+    DEFAULTS = (0, "", None, None)
 
 
 # ----------------------------------------------------------------------
@@ -174,37 +198,32 @@ class ProcessFailed(Event):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ProcessHalted(Event):
-    pid: int = 0
-    name: str = ""
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "pid", "name"), (0, "")
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ProcessResumed(Event):
-    pid: int = 0
-    name: str = ""
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "pid", "name"), (0, "")
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class BreakpointHit(Event):
-    pid: int = 0
-    module: str = ""
-    proc: str = ""
-    pc: int = 0
-    line: Optional[int] = None
+    __slots__ = ()
+    FIELDS = (*HEADER, "pid", "module", "proc", "pc", "line")
+    DEFAULTS = (0, "", "", 0, None)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class TimerFrozen(Event):
     """A node's protocol timer set froze (the node halted)."""
 
-    count: int = 0
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "count"), (0,)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class TimerThawed(Event):
-    count: int = 0
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "count"), (0,)
 
 
 # ----------------------------------------------------------------------
@@ -212,41 +231,36 @@ class TimerThawed(Event):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class FaultInjected(Event):
     """A nemesis began a fault.  ``fault`` names the kind (``crash``,
     ``partition``, ``loss``, ``nack``, ``delay``, ``duplicate``,
     ``reorder``); ``node`` is the affected node or ``None`` for
     link-level faults."""
 
-    fault: str = ""
-    fault_id: int = 0
-    detail: str = ""
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "fault", "fault_id", "detail"), ("", 0, "")
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class FaultHealed(Event):
     """A fault window closed (partition healed, lossy window ended)."""
 
-    fault: str = ""
-    fault_id: int = 0
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "fault", "fault_id"), ("", 0)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class NodeRebooted(Event):
     """A crashed node came back with a fresh supervisor and boot epoch."""
 
-    epoch: int = 0
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "epoch"), (0,)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class RpcStaleRejected(Event):
     """A rebooted server refused a pre-reboot retransmit rather than risk
     executing the call a second time (exactly-once dedup across reboot)."""
 
-    call_id: int = 0
-    service: str = ""
-    proc: str = ""
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*HEADER, "call_id", "service", "proc"), (0, "", "")
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +268,6 @@ class RpcStaleRejected(Event):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class Observation(Event):
     """A workload-level fact asserted by instrumented application code.
 
@@ -266,16 +279,17 @@ class Observation(Event):
     recorded observation folds back identically from a loaded trace.
     """
 
-    kind: str = ""
-    op: str = ""
-    key: str = ""
-    value: int = 0
-    pid: int = 0
+    __slots__ = ()
+    FIELDS = (*HEADER, "kind", "op", "key", "value", "pid")
+    DEFAULTS = ("", "", "", 0, 0)
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class ContractViolated(Event):
     """A contract checker's verdict: some invariant just broke.
+
+    ``index`` is the anchoring event's index in the checker's stream
+    numbering; ``evidence`` the rendered lines (bounded window) leading
+    to the verdict.
 
     Deliberately **not** part of ``__all__``: violations are judgments
     *about* the run, not facts *of* the run, so recorders and trace
@@ -284,9 +298,6 @@ class ContractViolated(Event):
     explicitly listens.
     """
 
-    contract: str = ""
-    message: str = ""
-    #: Index of the anchoring event in the checker's stream numbering.
-    index: int = 0
-    #: Rendered evidence lines (bounded window) leading to the verdict.
-    evidence: Any = ()
+    __slots__ = ()
+    FIELDS = (*HEADER, "contract", "message", "index", "evidence")
+    DEFAULTS = ("", "", 0, ())

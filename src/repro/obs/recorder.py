@@ -28,7 +28,6 @@ the bus ``seq``.  Compare recorded runs against recorded runs.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 from typing import Iterable, Type
@@ -47,15 +46,10 @@ def _all_event_types() -> list[Type[ev.Event]]:
     ]
 
 
-@functools.cache
 def payload_field_names(event_type: Type[ev.Event]) -> tuple[str, ...]:
-    """An event type's payload field names in declaration order (base
-    class first, as :func:`dataclasses.fields` lists them), header
-    excluded.  Derived once per type."""
-    return tuple(
-        f.name for f in dataclasses.fields(event_type)
-        if f.name not in HEADER_FIELDS
-    )
+    """An event type's payload field names in declaration order, header
+    excluded."""
+    return event_type.FIELDS[len(HEADER_FIELDS):]
 
 
 #: The payload objects a row flattens: the stable coordinates kept of
@@ -88,14 +82,22 @@ class PayloadNormalizer:
         return rebased
 
 
+@functools.cache
+def _scalar_only(event_type: Type[ev.Event]) -> bool:
+    """Whether ``event_type`` has no packet, process or error field, so
+    its row is its payload cells as they are."""
+    return _SHOWN.keys().isdisjoint(event_type.FIELDS)
+
+
 def encode_row(event: ev.Event, normalizer: PayloadNormalizer) -> tuple:
     """One event's payload as its row: a cell per scalar field, the
     :data:`PARTS` cells of a packet or process (all ``None`` when it is
     absent), in :func:`payload_field_names` order.  The one encoder — a
     trace's rows and a contract's evidence lines both come from here."""
+    if _scalar_only(type(event)):
+        return event[3:]
     row: list = []
-    for name in payload_field_names(type(event)):
-        value = getattr(event, name)
+    for name, value in zip(payload_field_names(type(event)), event[3:]):
         if name == "packet":
             row += (None,) * 6 if value is None else (
                 normalizer.rebase(value.packet_id), value.src, value.dst,

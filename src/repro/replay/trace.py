@@ -336,9 +336,9 @@ class EventStream:
     def _on_event(self, event: ev.Event) -> None:
         events = self.events
         events.types.append(type(event).__name__)
-        events.times.append(event.time)
-        events.nodes.append(event.node)
-        events.seqs.append(event.seq)
+        events.times.append(event[0])
+        events.nodes.append(event[1])
+        events.seqs.append(event[2])
         events.rows.append(encode_row(event, self._normalizer))
         index = len(events.rows) - 1
         for listener in self.listeners:

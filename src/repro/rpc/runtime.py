@@ -337,15 +337,8 @@ class RpcRuntime:
             self.node.supervisor.current_time(),
         )
         self.client_table[call_id] = record
-        self.bus.emit(
-            ev.RpcCallStarted,
-            time=record.started_at,
-            node=self.node.node_id,
-            call_id=call_id,
-            service=service,
-            proc=proc,
-            protocol=protocol,
-        )
+        self.bus.emit(ev.RpcCallStarted, record.started_at, self.node.node_id,
+                      call_id, service, proc, protocol)
 
         supervisor = self.node.supervisor
         if executor is not None:
@@ -426,15 +419,9 @@ class RpcRuntime:
         record.info_block["retries"] += 1
         record.info_block["state"] = STATE_RETRANSMITTING
         payload["retry"] = record.info_block["retries"]
-        self.bus.emit(
-            ev.RpcCallRetried,
-            time=self.node.supervisor.current_time(),
-            node=self.node.node_id,
-            call_id=record.call_id,
-            service=record.service,
-            proc=record.proc,
-            retries=record.info_block["retries"],
-        )
+        self.bus.emit(ev.RpcCallRetried, self.node.supervisor.current_time(),
+                      self.node.node_id, record.call_id, record.service, record.proc,
+                      record.info_block["retries"])
         self.node.station.send(
             target,
             RPC_PORT,
@@ -470,17 +457,13 @@ class RpcRuntime:
         record.outcome = value.reason if failed else "ok"
         record.info_block["state"] = STATE_FAILED if failed else STATE_COMPLETED
         now = self.node.supervisor.current_time()
-        self.bus.emit(
-            ev.RpcCallFailed if failed else ev.RpcCallCompleted,
-            time=now,
-            node=self.node.node_id,
-            call_id=record.call_id,
-            service=record.service,
-            proc=record.proc,
-            protocol=record.protocol,
-            latency=max(0, now - record.started_at),
-            **({"reason": value.reason} if failed else {}),
-        )
+        latency = max(0, now - record.started_at)
+        if failed:
+            self.bus.emit(ev.RpcCallFailed, now, self.node.node_id, record.call_id,
+                          record.service, record.proc, record.protocol, latency, value.reason)
+        else:
+            self.bus.emit(ev.RpcCallCompleted, now, self.node.node_id, record.call_id,
+                          record.service, record.proc, record.protocol, latency)
         self.client_table.pop(record.call_id, None)
         self.client_history.append(record)
         if len(self.client_history) > 64:
@@ -522,14 +505,8 @@ class RpcRuntime:
             # (and lost the dedup table in the crash), so executing it
             # again could double-run the procedure.  Refuse, telling the
             # client explicitly rather than letting it retry to death.
-            self.bus.emit(
-                ev.RpcStaleRejected,
-                time=self.node.supervisor.current_time(),
-                node=self.node.node_id,
-                call_id=call_id,
-                service=payload["service"],
-                proc=payload["proc"],
-            )
+            self.bus.emit(ev.RpcStaleRejected, self.node.supervisor.current_time(),
+                          self.node.node_id, call_id, payload["service"], payload["proc"])
             self.timers.start(
                 self._step_cost(),
                 self._send_reply_wire,

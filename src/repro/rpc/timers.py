@@ -94,7 +94,7 @@ class TimerSet:
                 count += 1
         # A freeze marks the start of a node halt; the debugger's
         # breakpoint log subscribes to this (dormant otherwise).
-        self.world.bus.emit(ev.TimerFrozen, time=now, node=self.node, count=count)
+        self.world.bus.emit(ev.TimerFrozen, now, self.node, count)
         return count
 
     def thaw(self) -> int:
@@ -112,5 +112,5 @@ class TimerSet:
                     now + remaining, self._fire, handle, node=self.node
                 )
                 count += 1
-        self.world.bus.emit(ev.TimerThawed, time=now, node=self.node, count=count)
+        self.world.bus.emit(ev.TimerThawed, now, self.node, count)
         return count

@@ -81,12 +81,8 @@ KV_CONTRACT_SET = ContractSet(
 def _observe(node: "Node", kind: str, op: str = "", key: str = "",
              value: int = 0, pid: int = 0) -> None:
     """Emit one Observation on the node's bus (dormant when unwatched)."""
-    node.world.bus.emit(
-        ev.Observation,
-        time=node.supervisor.current_time(),
-        node=node.node_id,
-        kind=kind, op=op, key=key, value=value, pid=pid,
-    )
+    node.world.bus.emit(ev.Observation, node.supervisor.current_time(), node.node_id,
+                        kind, op, key, value, pid)
 
 
 class KvReplica:

@@ -20,7 +20,6 @@ byte-identical plain text.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import socket
 import threading
@@ -33,7 +32,7 @@ from repro.debugger.errors import (
     ServiceError,
     error_from_wire,
 )
-from repro.service.protocol import wire_decode, wire_encode
+from repro.service.protocol import recv_message, send_message, wire_decode, wire_encode
 
 _client_ids = itertools.count(1)
 
@@ -124,16 +123,14 @@ class ServiceClient:
             payload["session"] = session
         with self._lock:
             try:
-                self._file.write((json.dumps(payload) + "\n").encode("utf-8"))
-                self._file.flush()
-                line = self._file.readline()
+                send_message(self._file, payload)
+                response = recv_message(self._file)
             except socket.timeout:
                 raise RequestTimeoutError(
                     f"no reply to {method!r} within {self.timeout}s"
                 ) from None
-        if not line:
+        if response is None:
             raise ServiceError("daemon closed the connection")
-        response = json.loads(line.decode("utf-8"))
         if not response.get("ok"):
             raise error_from_wire(response.get("error") or {})
         if raw:

@@ -27,7 +27,9 @@ with two tags:
   plain JSON would silently stringify.
 
 Unknown ``__rec__`` tags decode to plain dicts rather than failing, so
-an old client degrades gracefully against a newer daemon.
+an old client degrades gracefully against a newer daemon; a malformed
+body (a record missing a field, a ``__kv__`` that is not a list of
+pairs) raises :class:`~repro.debugger.errors.ServiceError`.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def wire_encode(value: Any) -> Any:
 
 def _decode_record(payload: dict) -> Any:
     tag = payload[_REC]
-    body = {key: wire_decode(item)
+    body = {key: _decode(item)
             for key, item in payload.items() if key != _REC}
     cls = RECORD_TYPES.get(tag)
     if cls is not None:
@@ -123,18 +125,25 @@ def _decode_record(payload: dict) -> Any:
     return body
 
 
-def wire_decode(value: Any) -> Any:
-    """Rebuild the typed Python value a tagged payload describes."""
+def _decode(value: Any) -> Any:
     if isinstance(value, dict):
         if _REC in value:
             return _decode_record(value)
         if _KV in value:
-            return {wire_decode(key): wire_decode(item)
-                    for key, item in value[_KV]}
-        return {key: wire_decode(item) for key, item in value.items()}
+            return {_decode(key): _decode(item) for key, item in value[_KV]}
+        return {key: _decode(item) for key, item in value.items()}
     if isinstance(value, list):
-        return [wire_decode(item) for item in value]
+        return [_decode(item) for item in value]
     return value
+
+
+def wire_decode(value: Any) -> Any:
+    """Rebuild the typed Python value a tagged payload describes; a
+    malformed one raises :class:`~repro.debugger.errors.ServiceError`."""
+    try:
+        return _decode(value)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ServiceError(f"malformed payload: {type(exc).__name__}: {exc}") from None
 
 
 # ----------------------------------------------------------------------

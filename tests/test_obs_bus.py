@@ -1,10 +1,9 @@
 """Tests for the repro.obs instrumentation bus, metrics, and its wiring."""
 
-import dataclasses
 import json
-from dataclasses import dataclass
+import sys
 from types import SimpleNamespace
-from typing import Any, ClassVar, Optional
+from typing import Any, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.debugger import Pilgrim
-from repro.obs import Bus, Metrics, events as ev, install_default_metrics
+from repro.obs import Bus, Metrics, bus as bus_module, events as ev, install_default_metrics
 from repro.obs.recorder import (
     PayloadNormalizer,
     encode_row,
@@ -34,7 +33,7 @@ def test_subscribe_emit_delivers_typed_event():
     bus = Bus()
     seen = []
     bus.subscribe(ev.PacketSent, seen.append)
-    returned = bus.emit(ev.PacketSent, time=7, node=2, packet="pkt")
+    returned = bus.emit(ev.PacketSent, 7, 2, "pkt")
     assert len(seen) == 1
     event = seen[0]
     assert event is returned
@@ -49,7 +48,7 @@ def test_subscribers_run_in_subscription_order():
     bus.subscribe(ev.PacketSent, lambda e: order.append("first"))
     bus.subscribe(ev.PacketSent, lambda e: order.append("second"))
     bus.subscribe(ev.PacketSent, lambda e: order.append("third"))
-    bus.emit(ev.PacketSent, time=0)
+    bus.emit(ev.PacketSent, 0, None)
     assert order == ["first", "second", "third"]
 
 
@@ -60,7 +59,7 @@ def test_unsubscribe_stops_delivery_and_restores_dormancy():
     assert bus.has_subscribers(ev.PacketSent)
     assert bus.unsubscribe(ev.PacketSent, fn)
     assert not bus.has_subscribers(ev.PacketSent)
-    bus.emit(ev.PacketSent, time=0)
+    bus.emit(ev.PacketSent, 0, None)
     assert seen == []
     # A second unsubscribe is a harmless no-op.
     assert not bus.unsubscribe(ev.PacketSent, fn)
@@ -71,9 +70,9 @@ def test_subscription_is_per_type():
     sent, delivered = [], []
     bus.subscribe(ev.PacketSent, sent.append)
     bus.subscribe(ev.PacketDelivered, delivered.append)
-    bus.emit(ev.PacketSent, time=1)
-    bus.emit(ev.PacketDelivered, time=2)
-    bus.emit(ev.PacketDropped, time=3)  # nobody listens
+    bus.emit(ev.PacketSent, 1, None)
+    bus.emit(ev.PacketDelivered, 2, None)
+    bus.emit(ev.PacketDropped, 3, None)  # nobody listens
     assert len(sent) == 1 and len(delivered) == 1
 
 
@@ -86,44 +85,103 @@ def test_subscriber_may_unsubscribe_during_delivery():
         bus.unsubscribe(ev.PacketSent, once)
 
     bus.subscribe(ev.PacketSent, once)
-    bus.emit(ev.PacketSent, time=1)
-    bus.emit(ev.PacketSent, time=2)
+    bus.emit(ev.PacketSent, 1, None)
+    bus.emit(ev.PacketSent, 2, None)
     assert len(seen) == 1
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
 class _Probe(ev.Event):
-    """Test-only event that counts its own constructions."""
+    """Test-only event type: no default subscriber knows it."""
 
-    constructed: ClassVar[list] = []
+    __slots__ = ()
+    FIELDS, DEFAULTS = (*ev.HEADER, "cell"), (0,)
 
-    def __post_init__(self):
-        _Probe.constructed.append(self)
+
+def _builtins_called_by_emit(run) -> list:
+    """The builtins ``Bus.emit`` calls while ``run()`` runs, in order.
+
+    ``emit`` builds an event with ``tuple.__new__``, which calls no
+    Python-level ``__new__`` a probe could count in; a profile hook sees
+    every builtin call made from ``bus.py`` instead.
+    """
+    called = []
+
+    def hook(frame, what, arg):
+        if what == "c_call" and frame.f_code.co_filename == bus_module.__file__:
+            called.append(arg.__qualname__)
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
 
 
 def test_dormant_emit_never_constructs_the_event():
     """The tentpole's cost contract: a zero-subscriber emit is a dict
     lookup plus a truthiness check — the event object is never built."""
-    _Probe.constructed.clear()
     bus = Bus()
-    for _ in range(100):
-        assert bus.emit(_Probe, time=0, node=1) is None
-    assert _Probe.constructed == []
+    returned = []
+    called = _builtins_called_by_emit(
+        lambda: returned.extend(bus.emit(_Probe, 0, 1, 5) for _ in range(100)))
+    assert called == ["dict.get"] * 100
+    assert returned == [None] * 100
     assert bus.events_emitted == 0  # dormant emits are uncounted
 
     # With one subscriber the same call materializes exactly one event.
-    bus.subscribe(_Probe, lambda e: None)
-    bus.emit(_Probe, time=0, node=1)
-    assert len(_Probe.constructed) == 1
+    seen = []
+    bus.subscribe(_Probe, seen.append)
+    called = _builtins_called_by_emit(lambda: bus.emit(_Probe, 0, 1, 5))
+    assert called.count("tuple.__new__") == 1
+    assert seen == [_Probe(time=0, node=1, seq=1, cell=5)]
     assert bus.events_emitted == 1
 
 
 def test_events_are_immutable():
     bus = Bus()
     bus.subscribe(ev.PacketSent, lambda e: None)
-    event = bus.emit(ev.PacketSent, time=1, node=0)
+    event = bus.emit(ev.PacketSent, 1, 0)
     with pytest.raises(Exception):
         event.time = 99
+
+
+def test_emit_arity_takes_defaults_and_refuses_extra_cells():
+    bus, seen = Bus(), []
+    bus.subscribe(ev.PacketDropped, seen.append)
+    short = bus.emit(ev.PacketDropped, 5, 1)
+    assert (short.packet, short.reason) == (None, "lost")
+    assert bus.emit(ev.PacketDropped, 6, 1, None, "down").reason == "down"
+    with pytest.raises(TypeError, match="PacketDropped takes 2 payload cells, not 3"):
+        bus.emit(ev.PacketDropped, 7, 1, None, "down", "extra")
+    assert len(seen) == 2 and bus.events_emitted == 2  # nothing half-delivered
+
+
+_EMITTABLE = [getattr(ev, name) for name in ev.__all__ if name != "Event"] + [ev.ContractViolated]
+
+
+@pytest.mark.parametrize("event_type", _EMITTABLE, ids=lambda t: t.__name__)
+def test_positional_emit_reads_back_by_name(event_type):
+    """Emitting every declared field positionally puts each value under
+    its own name: the emit order is the declaration order."""
+    bus = Bus()
+    bus.subscribe(event_type, lambda e: None)
+    payload = [f"{name}-value" for name in event_type.FIELDS[3:]]
+    event = bus.emit(event_type, 1234, 7, *payload)
+    expected = dict(zip(event_type.FIELDS, (1234, 7, 1, *payload)))
+    assert {name: getattr(event, name) for name in event_type.FIELDS} == expected
+    assert event == event_type(**expected)
+
+
+def test_event_equality_and_hashing_include_the_type():
+    sent = ev.PacketSent(time=1, node=0, seq=1, packet="p")
+    delivered = ev.PacketDelivered(time=1, node=0, seq=1, packet="p")
+    assert tuple(sent) == tuple(delivered)
+    assert sent != delivered and not sent == delivered
+    assert sent != tuple(sent) and tuple(sent) != sent
+    assert len({sent, delivered}) == 2
+    twin = ev.PacketSent(time=1, node=0, seq=1, packet="p")
+    assert sent == twin and not sent != twin and hash(sent) == hash(twin)
 
 
 # ----------------------------------------------------------------------
@@ -135,12 +193,12 @@ def test_default_metrics_aggregate_emitted_events():
     bus, metrics = Bus(), Metrics()
     install_default_metrics(bus, metrics)
 
-    bus.emit(ev.PacketSent, time=1, node=0, packet=None)
-    bus.emit(ev.PacketSent, time=2, node=0, packet=None)
-    bus.emit(ev.PacketSent, time=3, node=1, packet=None)
-    bus.emit(ev.PacketDelivered, time=4, node=1, packet=None)
-    bus.emit(ev.PacketDropped, time=5, node=1, reason="lost")
-    bus.emit(ev.PacketNacked, time=6, node=0)
+    bus.emit(ev.PacketSent, 1, 0, None)
+    bus.emit(ev.PacketSent, 2, 0, None)
+    bus.emit(ev.PacketSent, 3, 1, None)
+    bus.emit(ev.PacketDelivered, 4, 1, None)
+    bus.emit(ev.PacketDropped, 5, 1, None, "lost")
+    bus.emit(ev.PacketNacked, 6, 0)
 
     sent = metrics.labeled("ring.packets_sent")
     assert sent.total == 3
@@ -149,12 +207,12 @@ def test_default_metrics_aggregate_emitted_events():
     assert metrics.counter("ring.packets_dropped").value == 1
     assert metrics.counter("ring.packets_nacked").value == 1
 
-    bus.emit(ev.RpcCallStarted, time=10, node=0, call_id=1)
-    bus.emit(ev.RpcCallStarted, time=11, node=0, call_id=2)
+    bus.emit(ev.RpcCallStarted, 10, 0, 1)
+    bus.emit(ev.RpcCallStarted, 11, 0, 2)
     assert metrics.gauge("rpc.calls_in_flight").value == 2
-    bus.emit(ev.RpcCallCompleted, time=20, node=0, call_id=1, latency=100)
-    bus.emit(ev.RpcCallRetried, time=21, node=0, call_id=2, retries=1)
-    bus.emit(ev.RpcCallFailed, time=30, node=0, call_id=2, latency=300, reason="down")
+    bus.emit(ev.RpcCallCompleted, 20, 0, 1, "svc", "op", "once", 100)
+    bus.emit(ev.RpcCallRetried, 21, 0, 2, "svc", "op", 1)
+    bus.emit(ev.RpcCallFailed, 30, 0, 2, "svc", "op", "once", 300, "down")
     assert metrics.gauge("rpc.calls_in_flight").value == 0
     assert metrics.labeled("rpc.calls_started").get(0) == 2
     assert metrics.labeled("rpc.calls_completed").get(0) == 1
@@ -306,7 +364,7 @@ def test_packet_monitor_detach_stops_observation():
     monitor.detach()
     assert monitor.runtime.monitor is None
     bus = monitor.ring.world.bus
-    bus.emit(ev.PacketSent, time=0, node=0, packet=None)
+    bus.emit(ev.PacketSent, 0, 0, None)
     assert monitor.calls == observed
 
 
@@ -319,10 +377,9 @@ def test_packet_monitor_detach_stops_observation():
 
 
 def _old_payload_fields(event):
-    for slot_owner in type(event).__mro__:
-        for name in getattr(slot_owner, "__slots__", ()):
-            if name not in ("time", "node", "seq"):
-                yield name, getattr(event, name)
+    for name in type(event).FIELDS:
+        if name not in ("time", "node", "seq"):
+            yield name, getattr(event, name)
 
 
 def _old_render(rebase, name, value):
@@ -379,14 +436,14 @@ def _sample_events():
         if event_type is ev.Event:
             continue
         scalars = {
-            field.name: (f"{field.name}'\"x" if field.type == "str"
-                         else True if field.type == "bool" else 41)
-            for field in dataclasses.fields(event_type)
-            if field.name not in ("time", "node", "seq", *_OBJECT_PAYLOADS)
+            name: (f"{name}'\"x" if isinstance(default, str)
+                   else True if isinstance(default, bool) else 41)
+            for name, default in zip(event_type.FIELDS[3:], event_type.DEFAULTS)
+            if name not in _OBJECT_PAYLOADS
         }
         for objects in (_OBJECT_PAYLOADS, dict.fromkeys(_OBJECT_PAYLOADS)):
             present = {key: value for key, value in objects.items()
-                       if key in event_type.__dataclass_fields__}
+                       if key in event_type.FIELDS}
             seq += 1
             yield event_type(time=seq * 10, node=seq % 3 or None, seq=seq,
                              **scalars, **present)
@@ -442,7 +499,7 @@ _OBJECTS = {
 
 def _events_of(event_type):
     payload = {name: st.none() | _OBJECTS[name] if name in _OBJECTS
-               else _SCALARS for name in payload_field_names(event_type)}
+               else _SCALARS for name in event_type.FIELDS[3:]}
     return st.builds(event_type, time=_INTS, seq=st.integers(0, 2 ** 70),
                      node=st.none() | st.integers(0, 9), **payload)
 

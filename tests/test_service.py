@@ -1,12 +1,16 @@
 """Debugger-as-a-service: wire protocol, daemon sessions, remote REPL."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import Corpus, build_grid, get_plan, run_campaign
 from repro.cluster import Cluster
@@ -38,9 +42,10 @@ from repro.replay import (
     record_run,
 )
 from repro.service import ServiceClient, serve, wire_decode, wire_encode
-from repro.service.daemon import COUNTER_PROGRAM
+from repro.service.daemon import COUNTER_PROGRAM, PilgrimService
 from repro.service.dispatch import wire_methods
 from repro.sim.units import MS
+from tests.fuzz import corrupt
 from tests.golden_scenario import GOLDEN_BINARY_PATH
 
 # ----------------------------------------------------------------------
@@ -129,6 +134,78 @@ def test_wire_unknown_record_degrades_to_dict():
 def test_wire_unencodable_object_degrades_to_repr():
     encoded = wire_encode({"handle": object()})
     assert isinstance(encoded["handle"], str)
+
+
+@pytest.mark.parametrize("body", [
+    {"__rec__": "Moment"},
+    {"__kv__": 5},
+    {"__kv__": [[1]]},
+    {"__kv__": [[[1], 2]]},
+    {"__rec__": "ProcessInfo", "pid": 1},
+    {"__rec__": "StateView", "time": 1},
+    {"__rec__": "TraceEvent", "i": 0, "type": "PacketSent"},
+    {"__rec__": ["Frame"]},
+])
+def test_malformed_wire_body_raises_service_error(body):
+    with pytest.raises(ServiceError, match="malformed payload"):
+        wire_decode(body)
+
+
+class _CannedClient(ServiceClient):
+    """A client whose daemon is one canned reply frame (no socket)."""
+
+    def __init__(self, reply: bytes):
+        self._reply = reply
+        super().__init__("canned")
+
+    def _dial(self, retries, delay):
+        self._file = SimpleNamespace(write=len, flush=lambda: None,
+                                     readline=io.BytesIO(self._reply).readline)
+
+
+@pytest.mark.parametrize("reply", [
+    b"not json\n", b"[1, 2]\n", b'{"ok": false, "error": "boom"}\n',
+    b'{"ok": false, "error": {"code": ["x"]}}\n',
+    b'{"ok": true, "result": {"__kv__": 5}}\n',
+])
+def test_malformed_reply_reaches_the_caller_as_service_error(reply):
+    with pytest.raises(ServiceError):
+        _CannedClient(reply).request("status", session="t1")
+
+
+@pytest.fixture(scope="module")
+def real_replies():
+    """The reply frames the daemon writes for a post-mortem session over
+    the golden trace: typed records (``SessionStatus``, ``Moment`` with its
+    ``StateView`` and ``TraceEvent``, ``ProcessInfo``, ``ContractReport``),
+    an int-keyed mapping, and typed errors."""
+    service, replies = PilgrimService(), []
+    for method, args, kwargs in [
+        ("ping", [], {}),
+        ("open", [], {"name": "t1", "kind": "trace",
+                      "spec": {"path": str(GOLDEN_BINARY_PATH)}}),
+        ("connect", [], {}), ("status", [], {}), ("at", [20 * MS], {}),
+        ("processes", [], {}), ("check", [], {}), ("halt", [], {}),
+        ("no_such_method", [], {}),
+    ]:
+        message = {"id": 1, "method": method, "client": "fuzz",
+                   "params": {"args": args, "kwargs": kwargs}}
+        if method not in ("ping", "open"):
+            message["session"] = "t1"
+        replies.append((json.dumps(service.handle(message)) + "\n").encode())
+    return replies
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_replies_raise_nothing_but_debugger_errors(real_replies, data):
+    """Flip, truncate or splice a real reply frame: the client returns a
+    value or raises a :class:`DebuggerError` subclass, nothing else."""
+    reply = corrupt(data, data.draw(st.sampled_from(real_replies)))
+    try:
+        _CannedClient(reply).request("status", session="t1", raw=data.draw(st.booleans()))
+    except DebuggerError:
+        pass
 
 
 def test_errors_roundtrip_losslessly():
