@@ -4,10 +4,11 @@ A :class:`Contract` names one distributed invariant.  Two flavours:
 
 * :class:`EventContract` — compiled from a pure fold over the obs event
   stream.  The *same* checker class runs behind both entry points:
-  online (:class:`~repro.contracts.online.ContractMonitor`, as a run's
-  stream fills) and offline (:func:`~repro.contracts.offline.check_trace`,
-  over a loaded trace), each folding :class:`Fact` views of the same
-  columns, so the two agree by construction.
+  online (:class:`~repro.contracts.online.ContractMonitor`, one event
+  as a run's stream fills) and offline
+  (:func:`~repro.contracts.offline.check_trace`, a loaded trace in one
+  run), each folding the same columns in the same order per checker, so
+  the two agree by construction.
 * :class:`ProbeContract` — an end-of-run predicate over the *probes*
   dict a scenario's builder returned (server-side logs, VM consoles).
   Probe state never enters the event stream, so these only run where a
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
@@ -42,10 +44,10 @@ ALL_EVENTS: tuple = ("*",)
 
 class Fact:
     """Event ``index`` of an :class:`~repro.replay.trace.EventColumns`,
-    as a checker sees it: a run's stream as it fills (online) or a
-    loaded trace (offline).  The header is read directly
-    (``index``/``type``/``time``/``node``), payload cells via :meth:`get`,
-    evidence via :meth:`line`."""
+    as a violation anchors or cites it: checkers fold the columns and
+    build one only when they record a violation.  The header is read
+    directly (``index``/``type``/``time``/``node``), payload cells via
+    :meth:`get`, evidence via :meth:`line`."""
 
     __slots__ = ("index", "type", "time", "node", "_events")
 
@@ -58,12 +60,18 @@ class Fact:
 
     def get(self, name: str):
         """The recorded event's cell of that name."""
-        at = self._events.positions[self.type].get(name)
-        return None if at is None else self._events.rows[self.index][at]
+        return cell(self._events, self.index, name)
 
     def line(self) -> str:
         """The recorded event's line (rendered per call; cite sparingly)."""
         return self._events[self.index].line
+
+
+def cell(events, index: int, name: str):
+    """Event ``index``'s payload cell ``name`` in the columns ``events``
+    (``None`` when its type has none): how a checker reads a row."""
+    at = events.positions[events.types[index]].get(name)
+    return None if at is None else events.rows[index][at]
 
 
 # ----------------------------------------------------------------------
@@ -90,7 +98,7 @@ class EventContract(Contract):
     ``events`` lists the event type names the fold consumes
     (:data:`ALL_EVENTS` for stream-wide checks); ``state`` is a zero-arg
     factory (a module-level checker class) producing a fresh fold with
-    ``on_event(fact)`` / ``finish()`` methods.
+    ``fold(events, positions)`` / ``finish()`` methods.
     """
 
     events: tuple = ()
@@ -182,11 +190,22 @@ class ContractSet:
         )
 
 
+def _occurrences(kinds: list, kind: str, offset: int) -> list:
+    """Where ``kind`` occurs in ``kinds``, plus ``offset``, ascending."""
+    found, at = [], -1
+    try:
+        while True:
+            at = kinds.index(kind, at + 1)
+            found.append(at + offset)
+    except ValueError:
+        return found
+
+
 class CheckerBank:
-    """The one fold core: fresh checker folds, an event-name dispatch
-    table honouring each contract's declared ``events`` filter, and the
-    report assembly.  One bank per checked stream, fed through
-    :meth:`feed` by the online monitor and the offline fold alike.
+    """The one fold core: fresh checker folds, each contract's declared
+    ``events`` filter, and the report assembly.  One bank per checked
+    stream, fed through :meth:`feed` by the online monitor (one event at
+    a time) and the offline fold (runs of events) alike.
 
     ``sink``, when set, receives each violation the moment a fold
     records it (the monitor's hook for emitting ``ContractViolated``
@@ -197,34 +216,42 @@ class CheckerBank:
     def __init__(self, contracts, sink: Optional[Callable] = None):
         self.contracts = tuple(contracts)
         self._checkers = [(c, c.state()) for c in self.contracts]
-        self._dispatch: dict = {}
-        self._broad: list = []
-        #: Per-type fused dispatch (broad + type-specific, declaration
-        #: order), built lazily on first sight of each type — one dict
-        #: hit per event on the hot path.
+        #: Per checker its fold and the types it reads (``None``: all),
+        #: stream-wide checkers first, each group in declaration order.
+        self._folds = sorted(
+            ((state.fold, None if c.events == ALL_EVENTS else frozenset(c.events))
+             for c, state in self._checkers), key=lambda pair: pair[1] is not None)
+        #: Every type some checker reads, to be found in a run.
+        self._kinds = {kind for _, wanted in self._folds if wanted for kind in wanted}
+        #: Per-type folds for a single event, built on first sight of it.
         self._by_type: dict = {}
         self.count = 0
-        for contract, state in self._checkers:
-            if sink is not None:
-                state.sink = sink
-            if contract.events == ALL_EVENTS:
-                self._broad.append(state)
-            else:
-                for event_name in contract.events:
-                    self._dispatch.setdefault(event_name, []).append(state)
+        for _, state in self._checkers:
+            state.sink = sink
 
-    def feed(self, events, index: int) -> None:
-        """Fold event ``index`` of the columns ``events`` into every
-        checker that reads its type; a type none reads builds no fact."""
-        self.count += 1
-        kind = events.types[index]
-        states = self._by_type.get(kind)
-        if states is None:
-            states = self._by_type[kind] = self._broad + self._dispatch.get(kind, [])
-        if states:
-            fact = Fact(events, index)
-            for state in states:
-                state.on_event(fact)
+    def feed(self, events, start: int, stop: Optional[int] = None) -> None:
+        """Fold events ``[start, stop)`` of the columns ``events`` — only
+        event ``start`` when ``stop`` is ``None`` — into each checker,
+        over the indices of the types it reads.  A run calls each fold
+        once; a single event calls the folds reading its type, so a
+        monitor's ``sink`` hears violations in stream order."""
+        if stop is None:
+            self.count += 1
+            kind = events.types[start]
+            folds = self._by_type.get(kind)
+            if folds is None:
+                folds = self._by_type[kind] = [
+                    fold for fold, wanted in self._folds if wanted is None or kind in wanted]
+            one = (start,)
+            for fold in folds:
+                fold(events, one)
+            return
+        self.count += stop - start
+        kinds = events.types[start:stop]
+        at = {kind: _occurrences(kinds, kind, start) for kind in self._kinds}
+        for fold, wanted in self._folds:
+            fold(events, range(start, stop) if wanted is None
+                 else sorted(chain.from_iterable(map(at.__getitem__, wanted))))
 
     def report(self, name: str = "contracts") -> ContractReport:
         """Run the liveness phase and assemble the report (read-only)."""
@@ -248,9 +275,11 @@ class CheckerBank:
 class BaseChecker:
     """Common checker plumbing: a violation list and a no-op finish.
 
-    The rule incremental folds stand on: only :meth:`on_event` mutates
-    a checker, so a bank that was reported can be fed further and
-    reported again, and answers as a fresh one would."""
+    The rule incremental folds stand on: only :meth:`fold` mutates a
+    checker, so a bank that was reported can be fed further and reported
+    again, and answers as a fresh one would.  State keeps event indices,
+    never :class:`Fact`\\ s: a fold builds those only to record a
+    violation."""
 
     NAME = "contract"
 
@@ -261,23 +290,25 @@ class BaseChecker:
     def __init__(self) -> None:
         self.violations: list = []
 
-    def violate(self, fact: Optional[Fact], message: str,
-                evidence: tuple = ()) -> None:
-        """Record one violation anchored at ``fact`` (or end-of-run)."""
+    def violate(self, events, index: int, message: str, cited: tuple = ()) -> None:
+        """Record one violation anchored at event ``index`` of ``events``,
+        the lines of the events ``cited`` as its evidence."""
+        anchor = Fact(events, index)
         violation = ContractViolation(
             contract=self.NAME,
             message=message,
-            index=None if fact is None else fact.index,
-            time=None if fact is None else fact.time,
-            node=None if fact is None else fact.node,
-            evidence=evidence,
+            index=index,
+            time=anchor.time,
+            node=anchor.node,
+            evidence=tuple(Fact(events, at).line() for at in cited),
         )
         self.violations.append(violation)
         if self.sink is not None:
             self.sink(violation)
 
-    def on_event(self, fact: Fact) -> None:
-        """Fold one event (override)."""
+    def fold(self, events, positions) -> None:
+        """Fold the events at ``positions``, ascending indices into the
+        columns ``events`` of the types the contract reads (override)."""
 
     def finish(self) -> list:
         """End-of-run (liveness) violations; default none.  Read-only."""
@@ -293,19 +324,19 @@ class ExactlyOnceChecker(BaseChecker):
         super().__init__()
         self._completed: dict = {}
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Track completions per call id; a repeat is a violation."""
-        call_id = fact.get("call_id")
-        prev = self._completed.get(call_id)
-        if prev is None:
-            self._completed[call_id] = fact
-            return
-        self.violate(
-            fact,
-            f"call {call_id} completed twice "
-            f"(first at event {prev.index}, again at event {fact.index})",
-            evidence=(prev.line(), fact.line()),
-        )
+        completed = self._completed
+        for index in positions:
+            call_id = cell(events, index, "call_id")
+            first = completed.setdefault(call_id, index)
+            if first != index:
+                self.violate(
+                    events, index,
+                    f"call {call_id} completed twice "
+                    f"(first at event {first}, again at event {index})",
+                    cited=(first, index),
+                )
 
 
 class StaleRebootChecker(BaseChecker):
@@ -319,20 +350,22 @@ class StaleRebootChecker(BaseChecker):
         super().__init__()
         self._stale: dict = {}
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Remember stale rejections; completion afterwards violates."""
-        call_id = fact.get("call_id")
-        if fact.type == "RpcStaleRejected":
-            self._stale.setdefault(call_id, fact)
-            return
-        stale = self._stale.get(call_id)
-        if stale is not None:
-            self.violate(
-                fact,
-                f"call {call_id} completed at event {fact.index} after a "
-                f"stale rejection at event {stale.index}",
-                evidence=(stale.line(), fact.line()),
-            )
+        types, stale = events.types, self._stale
+        for index in positions:
+            call_id = cell(events, index, "call_id")
+            if types[index] == "RpcStaleRejected":
+                stale.setdefault(call_id, index)
+                continue
+            rejected = stale.get(call_id)
+            if rejected is not None:
+                self.violate(
+                    events, index,
+                    f"call {call_id} completed at event {index} after a "
+                    f"stale rejection at event {rejected}",
+                    cited=(rejected, index),
+                )
 
 
 class ClockMonotonicityChecker(BaseChecker):
@@ -345,24 +378,24 @@ class ClockMonotonicityChecker(BaseChecker):
         super().__init__()
         self._last: dict = {}
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Fold every event; compare against the node's running max."""
-        node = fact.node
-        if node is None:
-            return
-        if fact.type == "NodeRebooted":
-            self._last[node] = fact.time
-            return
-        prev = self._last.get(node)
-        if prev is not None and fact.time < prev:
-            self.violate(
-                fact,
-                f"node {node} time ran backwards: t={fact.time} after "
-                f"t={prev} at event {fact.index}",
-                evidence=(fact.line(),),
-            )
-        if prev is None or fact.time > prev:
-            self._last[node] = fact.time
+        types, times, nodes, last = events.types, events.times, events.nodes, self._last
+        for index in positions:
+            node, time = nodes[index], times[index]
+            if node is None:
+                continue
+            # A reboot restarts the node's check at its own time.
+            prev = None if types[index] == "NodeRebooted" else last.get(node)
+            if prev is None or time > prev:
+                last[node] = time
+            elif time < prev:
+                self.violate(
+                    events, index,
+                    f"node {node} time ran backwards: t={time} after "
+                    f"t={prev} at event {index}",
+                    cited=(index,),
+                )
 
 
 class HaltTransparencyChecker(BaseChecker):
@@ -376,22 +409,24 @@ class HaltTransparencyChecker(BaseChecker):
         super().__init__()
         self._frozen: dict = {}
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Track freeze windows per node; retries inside one violate."""
-        node = fact.node
-        if fact.type == "TimerFrozen":
-            self._frozen[node] = fact
-        elif fact.type == "TimerThawed":
-            self._frozen.pop(node, None)
-        elif fact.type == "RpcCallRetried":
-            window = self._frozen.get(node)
-            if window is not None:
-                self.violate(
-                    fact,
-                    f"node {node} retransmitted call {fact.get('call_id')} "
-                    f"while halted (frozen since event {window.index})",
-                    evidence=(window.line(), fact.line()),
-                )
+        types, nodes, frozen = events.types, events.nodes, self._frozen
+        for index in positions:
+            kind, node = types[index], nodes[index]
+            if kind == "TimerFrozen":
+                frozen[node] = index
+            elif kind == "TimerThawed":
+                frozen.pop(node, None)
+            elif kind == "RpcCallRetried":
+                window = frozen.get(node)
+                if window is not None:
+                    self.violate(
+                        events, index,
+                        f"node {node} retransmitted call {cell(events, index, 'call_id')} "
+                        f"while halted (frozen since event {window})",
+                        cited=(window, index),
+                    )
 
 
 class NoLostCallsChecker(BaseChecker):
@@ -405,27 +440,32 @@ class NoLostCallsChecker(BaseChecker):
     def __init__(self) -> None:
         super().__init__()
         self._open: dict = {}
+        self._events = None
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Open on start, close on completion."""
-        call_id = fact.get("call_id")
-        if fact.type == "RpcCallStarted":
-            self._open[call_id] = fact
-        elif fact.type == "RpcCallCompleted":
-            self._open.pop(call_id, None)
+        types, opened = events.types, self._open
+        self._events = events
+        for index in positions:
+            call_id = cell(events, index, "call_id")
+            if types[index] == "RpcCallStarted":
+                opened[call_id] = index
+            elif types[index] == "RpcCallCompleted":
+                opened.pop(call_id, None)
 
     def finish(self) -> list:
         """One violation per call that never completed."""
         found = []
-        for call_id, fact in self._open.items():
+        for call_id, index in self._open.items():
+            fact = Fact(self._events, index)
             found.append(ContractViolation(
                 contract=self.NAME,
                 message=(
                     f"call {call_id} "
                     f"({fact.get('service')}.{fact.get('proc')}) started at "
-                    f"event {fact.index} never completed"
+                    f"event {index} never completed"
                 ),
-                index=fact.index,
+                index=index,
                 time=fact.time,
                 node=fact.node,
                 evidence=(fact.line(),),
@@ -443,32 +483,30 @@ class SingleLeaderChecker(BaseChecker):
         super().__init__()
         self._terms: dict = {}
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Fold ``leader`` observations; a second claimant violates."""
-        if fact.get("kind") != "leader":
-            return
-        term = fact.get("key")
-        claim = self._terms.get(term)
-        if claim is None:
-            self._terms[term] = fact
-            return
-        if claim.node != fact.node:
-            self.violate(
-                fact,
-                f"split brain: term {term} claimed by node {fact.node} at "
-                f"event {fact.index} (node {claim.node} already led since "
-                f"event {claim.index})",
-                evidence=(claim.line(), fact.line()),
-            )
+        nodes, terms = events.nodes, self._terms
+        for index in positions:
+            if cell(events, index, "kind") != "leader":
+                continue
+            term = cell(events, index, "key")
+            claim = terms.setdefault(term, index)
+            if nodes[claim] != nodes[index]:
+                self.violate(
+                    events, index,
+                    f"split brain: term {term} claimed by node {nodes[index]} at "
+                    f"event {index} (node {nodes[claim]} already led since "
+                    f"event {claim})",
+                    cited=(claim, index),
+                )
 
 
 class _Op:
     """One client operation reconstructed from invoke/return observations."""
 
-    __slots__ = ("op", "key", "value", "invoked", "returned", "node",
-                 "pid", "invoke_fact", "return_fact")
+    __slots__ = ("op", "key", "value", "invoked", "returned", "node", "pid")
 
-    def __init__(self, op, key, value, invoked, node, pid, invoke_fact=None):
+    def __init__(self, op, key, value, invoked, node, pid):
         self.op = op
         self.key = key
         self.value = value
@@ -476,8 +514,6 @@ class _Op:
         self.returned = None
         self.node = node
         self.pid = pid
-        self.invoke_fact = invoke_fact
-        self.return_fact = None
 
 
 class LinearizabilityChecker(BaseChecker):
@@ -499,23 +535,26 @@ class LinearizabilityChecker(BaseChecker):
         super().__init__()
         self._pending: dict = {}
         self._ops: list = []
+        self._events = None
 
-    def on_event(self, fact: Fact) -> None:
+    def fold(self, events, positions) -> None:
         """Pair invoke/return observations into operations."""
-        kind = fact.get("kind")
-        if kind == "invoke":
-            self._pending[(fact.node, fact.get("pid"))] = _Op(
-                fact.get("op"), fact.get("key"), fact.get("value"),
-                fact.index, fact.node, fact.get("pid"), fact,
-            )
-        elif kind == "return":
-            op = self._pending.pop((fact.node, fact.get("pid")), None)
-            if op is None:
-                return
-            op.returned = fact.index
-            op.value = fact.get("value")
-            op.return_fact = fact
-            self._ops.append(op)
+        nodes, pending = events.nodes, self._pending
+        self._events = events
+        for index in positions:
+            kind = cell(events, index, "kind")
+            if kind == "invoke":
+                pid = cell(events, index, "pid")
+                pending[(nodes[index], pid)] = _Op(
+                    cell(events, index, "op"), cell(events, index, "key"),
+                    cell(events, index, "value"), index, nodes[index], pid)
+            elif kind == "return":
+                op = pending.pop((nodes[index], cell(events, index, "pid")), None)
+                if op is None:
+                    continue
+                op.returned = index
+                op.value = cell(events, index, "value")
+                self._ops.append(op)
 
     def finish(self) -> list:
         """Analyze each key's completed history."""
@@ -569,9 +608,8 @@ class LinearizabilityChecker(BaseChecker):
 
     def _violation(self, read: _Op, message: str) -> ContractViolation:
         """A violation anchored at the read's return observation."""
-        evidence = tuple(fact.line()
-                         for fact in (read.invoke_fact, read.return_fact)
-                         if fact is not None)
+        evidence = tuple(Fact(self._events, index).line()
+                         for index in (read.invoked, read.returned))
         return ContractViolation(
             contract=self.NAME,
             message=message,

@@ -1,8 +1,9 @@
 """The offline entry point: contracts as a fold over a loaded trace.
 
-:func:`check_trace` feeds a trace's columns through the same
+:func:`check_trace` feeds a trace's columns, as one run, to the same
 :class:`~repro.contracts.dsl.CheckerBank` an online monitor feeds the
-columns of a run's stream as they fill, so the two return byte-identical
+columns of a run's stream one event at a time as they fill; each checker
+folds the same events in the same order, so the two return byte-identical
 :class:`ContractReport`\\ s (``report.canonical()``), which the
 equivalence suite and the ``contracts-equivalence`` CI job assert.
 """
@@ -30,17 +31,16 @@ def check_trace(trace: Trace, contracts) -> ContractReport:
         name = "contracts"
         event_contracts = tuple(contracts)
     bank = CheckerBank(event_contracts)
-    events, feed = trace.events, bank.feed
-    for index in range(len(events)):
-        feed(events, index)
+    bank.feed(trace.events, 0, len(trace.events))
     return bank.report(name=name)
 
 
 def fold_prefix(bank: CheckerBank, events, upto_index=None):
     """Feed ``bank`` the events of ``events[:upto_index]`` it has not
-    seen (``bank.count`` onwards) and return the earliest violation by
-    anchor index (or ``None``); a list of ``TraceEvent``\\ s is laid out
-    as the :class:`~repro.replay.trace.EventColumns` a trace holds.
+    seen (``bank.count`` onwards) as one run and return the earliest
+    violation by anchor index (or ``None``); a list of ``TraceEvent``\\ s
+    is laid out as the :class:`~repro.replay.trace.EventColumns` a trace
+    holds.
 
     The incremental fold: a bank kept between calls pays only for the
     events since the last one — sound because reporting never mutates a
@@ -51,9 +51,9 @@ def fold_prefix(bank: CheckerBank, events, upto_index=None):
         raise ValueError(f"bank has folded {bank.count} events, past {upto_index}")
     if not isinstance(events, EventColumns):
         events = EventColumns(events)
-    last, feed = len(events), bank.feed
-    for index in range(*slice(bank.count, upto_index).indices(last)):
-        feed(events, index)
+    last = len(events)
+    start, stop, _ = slice(bank.count, upto_index).indices(last)
+    bank.feed(events, start, stop)
     return min(bank.report().violations, default=None,
                key=lambda v: last if v.index is None else v.index)
 

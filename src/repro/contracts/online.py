@@ -1,10 +1,11 @@
 """The online entry point: contracts folded as a run's stream fills.
 
 :class:`ContractMonitor` feeds each event the run's
-:class:`~repro.replay.trace.EventStream` records to the same
-:class:`~repro.contracts.dsl.CheckerBank` that
-:func:`~repro.contracts.offline.check_trace` feeds a loaded trace: same
-columns, same facts, same folds, so the two agree by construction.
+:class:`~repro.replay.trace.EventStream` records, one at a time, to the
+same :class:`~repro.contracts.dsl.CheckerBank` that
+:func:`~repro.contracts.offline.check_trace` feeds a loaded trace in one
+run: same columns, same folds, each checker's events in the same order,
+so the two agree by construction.
 
 The dormant path stays free: a world with no monitor pays nothing, and
 the ``ContractViolated`` events a monitor emits ride the dormant path

@@ -221,8 +221,8 @@ class TimeTravel:
         backend and returns the minimum-index
         :class:`~repro.contracts.report.ContractViolation`, or ``None``
         when every contract holds this far.  The fold is kept: a later
-        cursor feeds only the events in between, an earlier one (or
-        other contracts) starts it over.
+        cursor feeds only the events in between, as one run, an earlier
+        one (or other contracts) starts it over.
         """
         from repro.contracts.dsl import CheckerBank, universal_contracts
         from repro.contracts.offline import fold_prefix

@@ -142,7 +142,7 @@ def wire_decode(value: Any) -> Any:
     malformed one raises :class:`~repro.debugger.errors.ServiceError`."""
     try:
         return _decode(value)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ServiceError(f"malformed payload: {type(exc).__name__}: {exc}") from None
 
 
@@ -164,7 +164,7 @@ def recv_message(rfile) -> Optional[dict]:
         return None
     try:
         message = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # also a too-deeply nested frame
         raise ServiceError(f"undecodable frame: {exc}") from None
     if not isinstance(message, dict):
         raise ServiceError(f"frame is {type(message).__name__}, not an object")

@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MS, SEC, record_run
 from repro.contracts import (
@@ -29,9 +31,16 @@ from repro.contracts import (
     merge_reports,
     resolve_contracts,
 )
-from repro.contracts.dsl import ProbeContract, SINGLE_LEADER
+from repro.contracts.dsl import (
+    NO_LOST_CALLS,
+    SINGLE_LEADER,
+    CheckerBank,
+    ProbeContract,
+    universal_contracts,
+)
+from repro.contracts.offline import first_violation, fold_prefix
 from repro.contracts.online import ContractMonitor
-from repro.replay.trace import EventColumns
+from repro.replay.trace import EventColumns, Trace
 from tests.golden_scenario import GOLDEN_BINARY_PATH, GOLDEN_NAMES, build, plan
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -287,7 +296,16 @@ def _violating_events():
         ("Observation", 51, 1, {"kind": "leader", "key": 1}),
         ("Observation", 52, 0, {"kind": "invoke", "pid": 1, "op": "get", "key": "k"}),
         ("Observation", 53, 0, {"kind": "return", "pid": 1, "value": 9}),
+        ("NodeRebooted", 5, 1, {}),  # resets node 1's clock from 51
+        ("PacketSent", 6, 1, {}),
+        ("PacketSent", 4, 1, {}),  # backwards after the reset
     ])
+
+
+#: The contracts the fold-rule fences run: every universal one plus the
+#: liveness check, so each checker kind (stream-wide, typed, end-of-run)
+#: is folded.
+FOLD_CONTRACTS = (*universal_contracts(), NO_LOST_CALLS)
 
 
 def _fold_rule_streams():
@@ -304,15 +322,18 @@ def _fold_rule_streams():
     }
 
 
-def test_reporting_never_mutates_a_fold():
+@pytest.fixture(scope="module")
+def fold_streams():
+    return _fold_rule_streams()
+
+
+def test_reporting_never_mutates_a_fold(fold_streams):
     """``report()`` twice answers the same, and a bank that was reported
     part-way answers at the end as one that never was."""
-    from repro.contracts.dsl import NO_LOST_CALLS, CheckerBank, universal_contracts
-
     failed = set()
-    for label, events in _fold_rule_streams().items():
+    for label, events in fold_streams.items():
         indices = range(len(events))
-        for contract in (*universal_contracts(), NO_LOST_CALLS):
+        for contract in FOLD_CONTRACTS:
             fresh = CheckerBank((contract,))
             for index in indices:
                 fresh.feed(events, index)
@@ -329,13 +350,10 @@ def test_reporting_never_mutates_a_fold():
                     bank.feed(events, index)
                 assert bank.report() == whole, (label, contract.name, k)
     # The streams do exercise every contract's violating side.
-    assert failed == {c.name for c in (*universal_contracts(), NO_LOST_CALLS)}
+    assert failed == {c.name for c in FOLD_CONTRACTS}
 
 
 def test_fold_prefix_goes_on_where_the_bank_stopped():
-    from repro.contracts.dsl import CheckerBank, universal_contracts
-    from repro.contracts.offline import first_violation, fold_prefix
-
     events = _violating_events()
     bank = CheckerBank(universal_contracts())
     for upto in (0, 2, 3, 3, 8, len(events), None):
@@ -344,3 +362,84 @@ def test_fold_prefix_goes_on_where_the_bank_stopped():
         assert bank.count == (len(events) if upto is None else upto)
     with pytest.raises(ValueError, match="past 4"):
         fold_prefix(bank, events, 4)
+
+
+# ----------------------------------------------------------------------
+# Runs of events: one fold call per checker answers as one per event
+# ----------------------------------------------------------------------
+
+
+def _assert_runs_agree(events, cuts):
+    """Feeding ``events`` in the runs ``cuts`` bound reports as feeding it
+    one event at a time, and as ``check_trace``; a bank kept across the
+    cuts answers ``fold_prefix`` as a fresh ``first_violation`` does."""
+    bounds = [0, *cuts, len(events)]
+    split, single = CheckerBank(FOLD_CONTRACTS), CheckerBank(FOLD_CONTRACTS)
+    for start, stop in zip(bounds, bounds[1:]):
+        split.feed(events, start, stop)
+    for index in range(len(events)):
+        single.feed(events, index)
+    assert split.count == single.count == len(events)
+    assert split.report() == single.report()
+    assert split.report().canonical() == check_trace(
+        Trace({}, events, [], {}), FOLD_CONTRACTS).canonical()
+    kept = CheckerBank(FOLD_CONTRACTS)
+    for cut in cuts:
+        assert fold_prefix(kept, events, cut) == first_violation(
+            events, FOLD_CONTRACTS, upto_index=cut)
+        assert kept.count == cut
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_split_into_runs_folds_as_one_event_at_a_time(fold_streams, data):
+    events = fold_streams[data.draw(st.sampled_from(sorted(fold_streams)))]
+    cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6).map(sorted))
+    _assert_runs_agree(events, cuts)
+
+
+def test_run_edges_of_the_clock_fold(fold_streams):
+    """A backwards clock inside a run and at a run's first event (its
+    previous time in the run before), a ``NodeRebooted`` reset starting
+    and ending a run, and a backwards clock right after the reset."""
+    events = fold_streams["hand-built"]
+    backwards = [v.index for v in check_trace(Trace({}, events, [], {}), FOLD_CONTRACTS)
+                 .violations if v.contract == "clock_monotonicity"]
+    reboot = events.types.index("NodeRebooted")
+    assert backwards == [5, reboot + 2]
+    for cuts in ([], [5], [6], [reboot], [reboot + 1], [reboot + 2], [5, reboot + 2]):
+        _assert_runs_agree(events, cuts)
+
+
+# ----------------------------------------------------------------------
+# Checkers read columns: a Fact is built only to anchor a violation
+# ----------------------------------------------------------------------
+
+
+def test_a_clean_fold_builds_no_fact(monkeypatch):
+    """A violation-free echo run through the universal set builds no
+    ``Fact``: not online (the monitor riding the writer), not offline
+    (``check_trace``, ``why_halted``'s prefix fold)."""
+    from repro.contracts import dsl
+    from repro.replay import TimeTravel
+
+    built = []
+    init = dsl.Fact.__init__
+
+    def counted(self, events, index):
+        built.append(index)
+        init(self, events, index)
+
+    monkeypatch.setattr(dsl.Fact, "__init__", counted)
+    trace = record_echo(1, "calm", "ring")
+    assert trace.contract_report.ok
+    assert trace.contract_report.events == len(trace.events) > 0
+    assert check_trace(trace, UNIVERSAL_SET).ok
+    travel = TimeTravel(trace)
+    for t in range(0, trace.final_time + 1, trace.final_time // 4):
+        travel.at(t)
+        assert travel.why_halted()["contract"] is None
+    assert built == []
+    # The probe does count: a violation builds its anchor and evidence.
+    check_trace(Trace({}, EventColumns(_violating_events()), [], {}), UNIVERSAL_SET)
+    assert built

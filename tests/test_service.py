@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -44,6 +45,7 @@ from repro.replay import (
 from repro.service import ServiceClient, serve, wire_decode, wire_encode
 from repro.service.daemon import COUNTER_PROGRAM, PilgrimService
 from repro.service.dispatch import wire_methods
+from repro.service.protocol import recv_message, send_message
 from repro.sim.units import MS
 from tests.fuzz import corrupt
 from tests.golden_scenario import GOLDEN_BINARY_PATH
@@ -136,6 +138,14 @@ def test_wire_unencodable_object_degrades_to_repr():
     assert isinstance(encoded["handle"], str)
 
 
+def nested_list(depth):
+    """A payload nested ``depth`` lists deep."""
+    body = []
+    for _ in range(depth):
+        body = [body]
+    return body
+
+
 @pytest.mark.parametrize("body", [
     {"__rec__": "Moment"},
     {"__kv__": 5},
@@ -145,6 +155,7 @@ def test_wire_unencodable_object_degrades_to_repr():
     {"__rec__": "StateView", "time": 1},
     {"__rec__": "TraceEvent", "i": 0, "type": "PacketSent"},
     {"__rec__": ["Frame"]},
+    pytest.param(nested_list(5000), id="nested-past-the-recursion-limit"),
 ])
 def test_malformed_wire_body_raises_service_error(body):
     with pytest.raises(ServiceError, match="malformed payload"):
@@ -167,10 +178,29 @@ class _CannedClient(ServiceClient):
     b"not json\n", b"[1, 2]\n", b'{"ok": false, "error": "boom"}\n',
     b'{"ok": false, "error": {"code": ["x"]}}\n',
     b'{"ok": true, "result": {"__kv__": 5}}\n',
+    pytest.param(b"[" * 100000 + b"\n", id="too-deeply-nested"),
 ])
 def test_malformed_reply_reaches_the_caller_as_service_error(reply):
     with pytest.raises(ServiceError):
         _CannedClient(reply).request("status", session="t1")
+
+
+def test_too_deeply_nested_frame_is_refused_and_the_connection_serves_on(daemon):
+    """A frame nested past the JSON decoder's recursion limit gets one
+    ``service_error`` reply, not a dropped connection: the same
+    connection then answers ``ping``."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(daemon)
+        stream = conn.makefile("rwb")
+        stream.write(b"[" * 100000 + b"\n")
+        stream.flush()
+        refusal = recv_message(stream)
+        assert refusal["ok"] is False
+        assert refusal["error"]["code"] == "service_error"
+        send_message(stream, {"id": 1, "method": "ping"})
+        reply = recv_message(stream)
+        assert reply["ok"] is True and reply["text"] == "pong"
+        stream.close()
 
 
 @pytest.fixture(scope="module")
