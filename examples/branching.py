@@ -75,7 +75,7 @@ def main():
     print(f"forked branch {cut_off.id[:12]} at checkpoint 1 "
           f"(t={cut_off.fork_time}us)")
 
-    # Forking is out of place: the parent recording is untouched, and an
+    # Forking never writes the parent: the recording is untouched, and an
     # identical fork spec hands back the recorded branch instead of
     # re-executing (branch points are content-addressed).
     print(f"parent untouched: {trace.fingerprint() == baseline}")

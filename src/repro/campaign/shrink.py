@@ -15,8 +15,8 @@ re-running the (cheap, deterministic) cell to test candidates:
 3. **Horizon bisection via replay checkpoints** — the minimal failing
    run is recorded once, and the earliest run horizon that still
    reproduces the *exact* violation list is found by bisecting over the
-   trace's checkpoint times (checkpoint-seeded partial re-execution is
-   the replay-side dual, see :func:`repro.replay.replay_prefix`).
+   trace's checkpoint times (a bounded replay is the replay-side dual,
+   see :meth:`repro.replay.ReplayWorld.verify`).
 
 The result is a minimal plan, a replayable golden trace recorded under
 that plan, and the one-line ``python -m repro.campaign repro <trace>``

@@ -553,8 +553,9 @@ class DebuggerSession(Protocol):
              run_until: Optional[int] = None):
         """Fork a loaded trace at a checkpoint into a perturbed branch.
 
-        Out-of-place: the what-if future re-executes in a separate
-        process; the session's own world and trace are never touched.
+        The what-if future re-executes the recording's recipe with the
+        perturbation merged in; the session's own world and trace are
+        never touched.
         Backends with nothing to fork raise the typed ``unsupported``
         error.
         """

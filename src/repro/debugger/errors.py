@@ -119,7 +119,7 @@ class UnsupportedOperationError(DebuggerError):
 
 
 class ForkUnavailableError(UnsupportedOperationError):
-    """No ``fork(2)`` here.  Worker processes must inherit registered
+    """No ``fork(2)`` here.  Campaign fleet workers must inherit registered
     scenarios, builder callables and the compile memo; a re-importing
     start method would silently lose them, so there is none."""
 
@@ -131,8 +131,8 @@ def fork_context():
 
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ForkUnavailableError(
-            "this platform has no fork(2); run in-process instead: workers=1 "
-            "for a campaign, repro.replay.branch.execute_fork for a branch")
+            "this platform has no fork(2); run the campaign in-process "
+            "instead: workers=1")
     return multiprocessing.get_context("fork")
 
 

@@ -13,8 +13,10 @@ Mirrors the simulated :class:`~repro.agent.agent.PilgrimAgent`:
 * a logical clock delta accumulates halted wall-clock time, and
   ``get_debuggee_status`` reports (debugger address, logical time) for
   cooperating servers (§6.1);
-* requests arrive over a TCP socket, one JSON object per line — one
-  network interaction per logical request (§3).
+* requests arrive over a TCP socket, one JSON object per line (the
+  daemon's framing, :mod:`repro.service.protocol`) — one network
+  interaction per logical request (§3); a frame it cannot read gets an
+  error reply and the connection serves on.
 
 CPython note: a trace function can only be installed by the thread it
 traces.  Threads started *after* connect are traced automatically (via
@@ -25,13 +27,15 @@ without interpreter surgery.
 
 from __future__ import annotations
 
-import json
 import socketserver
 import sys
 import threading
 import time
 import traceback
 from typing import Optional
+
+from repro.debugger.errors import ServiceError
+from repro.service.protocol import recv_message, send_message
 
 #: The value meaning "not under control of a debugger" (§6.1).
 NO_DEBUGGER = ""
@@ -219,9 +223,10 @@ class LiveAgent:
     def handle_request(self, request: dict) -> dict:
         op = request.get("op")
         args = request.get("args", {})
-        if op == "connect":
-            return self._op_connect(args)
-        if self.session_id is None or request.get("session") != self.session_id:
+        if not isinstance(args, dict):
+            return {"ok": False, "error": f"args must be an object, not {type(args).__name__}"}
+        if op != "connect" and (self.session_id is None
+                                or request.get("session") != self.session_id):
             return {"ok": False, "error": "bad or stale session identifier"}
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
@@ -384,11 +389,18 @@ class _AgentServer(socketserver.ThreadingTCPServer):
 
 class _RequestHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for raw in self.rfile:
+        while True:
             try:
-                request = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                break
-            response = self.server.agent.handle_request(request)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+                request = recv_message(self.rfile)
+            except ServiceError as exc:
+                response = {"ok": False, "error": str(exc)}
+            except OSError:
+                return
+            else:
+                if request is None:
+                    return
+                response = self.server.agent.handle_request(request)
+            try:
+                send_message(self.wfile, response)
+            except OSError:
+                return

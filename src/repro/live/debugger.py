@@ -12,13 +12,13 @@ run against this backend unchanged.
 from __future__ import annotations
 
 import itertools
-import json
 import socket
 import time
 from typing import Any, Optional
 
 from repro.debugger.api import Frame, ProcessInfo, SessionBase, SessionStatus
-from repro.debugger.errors import DebuggerError, register_error
+from repro.debugger.errors import DebuggerError, ServiceError, register_error
+from repro.service.protocol import recv_message, send_message
 
 _sessions = itertools.count(1)
 
@@ -59,13 +59,13 @@ class LiveDebugger(SessionBase):
     # ------------------------------------------------------------------
 
     def _request(self, op: str, args: Optional[dict] = None) -> Any:
-        payload = {"op": op, "args": args or {}, "session": self.session_id}
-        self._file.write((json.dumps(payload) + "\n").encode("utf-8"))
-        self._file.flush()
-        raw = self._file.readline()
-        if not raw:
+        send_message(self._file, {"op": op, "args": args or {}, "session": self.session_id})
+        try:
+            response = recv_message(self._file)
+        except ServiceError as exc:
+            raise LiveDebuggerError(f"undecodable reply from the agent: {exc}") from None
+        if response is None:
             raise LiveDebuggerError("agent closed the connection")
-        response = json.loads(raw.decode("utf-8"))
         if not response.get("ok"):
             raise LiveDebuggerError(response.get("error", "request failed"))
         return response.get("data")

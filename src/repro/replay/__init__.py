@@ -25,8 +25,8 @@ stream; this package turns that stream into a first-class artifact:
 * :mod:`repro.replay.races` — an offline message-race detector flagging
   receive-order nondeterminism between traces of the same seed family;
 * :mod:`repro.replay.branch` — branching time travel: fork a recording
-  at any checkpoint into a separate process, perturb the copy (fault
-  delta, race flip), and grow a content-addressed :class:`BranchTree`
+  at any checkpoint by re-executing its recipe with one new decision
+  (fault delta, race flip), and grow a content-addressed :class:`BranchTree`
   of divergent futures with :func:`diff_branches` event-graph diffing;
 * :mod:`repro.replay.session` — :class:`TraceSession` wraps a trace in
   the typed :class:`~repro.debugger.api.DebuggerSession` surface so the
@@ -56,7 +56,6 @@ from repro.replay.replay import (
     execute,
     extract_verdict,
     record_run,
-    replay_prefix,
     replay_trace,
 )
 from repro.replay.session import TraceSession
@@ -81,7 +80,6 @@ __all__ = [
     "execute",
     "record_run",
     "replay_trace",
-    "replay_prefix",
     "extract_verdict",
     "Moment",
     "TimeTravel",

@@ -2,14 +2,14 @@
 
 A recorded trace pins a whole execution; this module turns any of its
 checkpoints into a **branch point**.  :func:`fork_trace` re-executes the
-recording's recipe in a separate process (out of place — the parent
-session and its trace are never touched), merges a :class:`Perturbation`
-into the recorded fault plan so the delta fires at or after the fork
-point, runs forward deterministically, and seals the divergent future as
-an ordinary child :class:`~repro.replay.trace.Trace`.  Because the
-simulation is deterministic, the child's event stream is byte-identical
-to the parent's up to the moment the perturbation first fires — forking
-is "replay plus one new decision", not an approximation.
+recording's recipe in-process through the one executor (the parent
+trace is never touched), merges a :class:`Perturbation` into the
+recorded fault plan so the delta fires at or after the fork point, and
+seals the divergent future as an ordinary child
+:class:`~repro.replay.trace.Trace`.  Because the simulation is
+deterministic, the child reproduces the parent's prefix before the
+delta first fires (the running-max rule ``at(t)`` uses) — forking is
+"replay plus one new decision", not an approximation.
 
 Branches are first-class debugger objects held in a navigable
 :class:`BranchTree`.  A branch's identity is **content-addressed** the
@@ -38,19 +38,18 @@ kind (a branch is just another dormant session spec).
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from typing import Callable, Optional, Union
 
 from repro.debugger.api import Record
-from repro.debugger.errors import DebuggerError, fork_context, register_error
+from repro.debugger.errors import DebuggerError, register_error
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.obs.recorder import render_line
 from repro.replay.races import MessageRace, deliveries
-from repro.replay.replay import Recipe, execute, require_same_events
+from repro.replay.replay import Recipe, execute, require_same_events, require_same_prefix
 from repro.replay.trace import Trace
 
 #: Perturbation kinds the REPL's ``fork`` command accepts — exactly the
@@ -65,8 +64,9 @@ FAULT_KINDS = (
 class BranchError(DebuggerError):
     """A fork/branch request that cannot be satisfied.
 
-    Raised for unknown branch ids, perturbations scheduled before their
-    fork point, missing scenario builders, and fork workers that die.
+    Raised for unknown branch ids, out-of-range checkpoints,
+    perturbations scheduled before their fork point and missing
+    scenario builders.
     Part of the :mod:`repro.debugger.errors` hierarchy (stable wire code
     ``branch``) so the session daemon relays it losslessly.
     """
@@ -281,77 +281,6 @@ def _resolve_checkpoint(parent: Trace, checkpoint_index: int):
         raise BranchError(str(exc)) from None
 
 
-def _child(parent: Trace, checkpoint_index: int, perturbation: Perturbation,
-           run_until: Optional[int]) -> tuple:
-    """Validate a fork spec against its parent and return what running
-    it takes: the child's :class:`Recipe` (the
-    parent's, plan merged with the delta, drive optionally overridden),
-    its header meta, and the time before which it must equal the parent.
-    """
-    checkpoint = _resolve_checkpoint(parent, checkpoint_index)
-    perturbation.validate(checkpoint.time)
-    recipe = Recipe.of(parent).running_until(run_until)
-    delta = FaultPlan(actions=list(perturbation.actions))
-    merged = FaultPlan.merge([plan for plan in (recipe.plan, delta) if plan is not None])
-    meta = {
-        "branch_of": parent.fingerprint(),
-        "checkpoint": checkpoint_index,
-        "fork_time": checkpoint.time,
-        "perturbation": perturbation.to_dict(),
-    }
-    cut = perturbation.first_at()
-    return (replace(recipe, plan=merged if merged.actions else None), meta,
-            checkpoint.time if cut is None else cut)
-
-
-def _run_child(parent: Trace, build: Callable, recipe: Recipe, meta: dict,
-               cut: int) -> Trace:
-    """Execute a validated fork and check the guarantee forking rests
-    on: every event that (by running-max prefix semantics, the same rule
-    ``at(t)`` uses) happened strictly before ``cut`` is byte-identical
-    across parent and child."""
-    *_, child = execute(recipe, build, meta=meta)
-    boundary = bisect.bisect_left(list(accumulate(parent.events.times, max)), cut)
-    require_same_events(parent, child, boundary)
-    return child
-
-
-def execute_fork(
-    parent: Trace,
-    build: Callable,
-    checkpoint_index: int,
-    perturbation: Perturbation,
-    run_until: Optional[int] = None,
-) -> Trace:
-    """Re-execute the parent's recipe with the perturbation merged in.
-
-    This is the in-process fork core (:func:`fork_trace` wraps it in a
-    separate process): :func:`~repro.replay.replay.execute` over the
-    parent's :class:`Recipe` with one difference —
-    the fault plan is the recorded plan **merged** with the
-    perturbation's delta actions, all constrained to fire at or after
-    the fork checkpoint.  Determinism makes the child byte-identical to
-    the parent before the delta first fires (checked, raising
-    :class:`~repro.replay.replay.ReplayDivergence` otherwise), so the
-    sealed child trace *is* the divergent future of that branch point.
-    """
-    return _run_child(parent, build,
-                      *_child(parent, checkpoint_index, perturbation, run_until))
-
-
-def _fork_worker(conn, parent: Trace, build: Callable, recipe: Recipe, meta: dict,
-                 cut: int) -> None:
-    """Child-process entry point: run the fork, ship the trace back."""
-    try:
-        child = _run_child(parent, build, recipe, meta, cut)
-        child.profile = None
-        conn.send(("ok", child))
-    except BaseException as exc:  # relay, never hang the parent
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
-
-
 def fork_trace(
     parent: Trace,
     build: Callable,
@@ -361,39 +290,43 @@ def fork_trace(
 ) -> Trace:
     """Fork ``parent`` at a checkpoint and return the divergent child.
 
-    The re-execution runs in a separate forked process — out-of-place in
-    the strictest sense: the parent session's interpreter state,
-    cluster, and trace objects are untouched no matter what the
-    perturbed future does.  Where ``fork(2)`` is missing this raises
-    :class:`~repro.debugger.errors.ForkUnavailableError`;
-    :func:`execute_fork` is the in-process equivalent (same result by
-    determinism; handy under debuggers).
+    A fork is a replay plus one decision: :func:`~repro.replay.replay.execute`
+    over the parent's :class:`Recipe`, its fault plan merged with the
+    perturbation's delta (every action at or after the fork checkpoint)
+    and its drive optionally overridden.  The spec is validated before
+    anything runs: bad checkpoints and pre-fork actions raise
+    :class:`BranchError`, a non-re-executable parent
+    :class:`~repro.replay.replay.ReplayUnsupported`.  The parent trace is
+    never touched.
 
-    The spec is validated here, once — bad checkpoints, pre-fork
-    actions, and non-re-executable parents raise before any process is
-    spawned — and the worker is handed the child's recipe.
+    The child differs from the recording only from the time the delta
+    first fires (or :meth:`Recipe.bound_cut`, if earlier), so it must reproduce the
+    parent's events before :meth:`~repro.replay.trace.Trace.prefix_before`
+    that time — the rule ``at(t)`` and a bounded replay use — or this
+    raises :class:`~repro.replay.replay.ReplayDivergence`.
     """
-    ctx = fork_context()
-    child = _child(parent, checkpoint_index, as_perturbation(perturbation),
-                   run_until)
-    recv_conn, send_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_fork_worker,
-                         args=(send_conn, parent, build, *child))
-    worker.start()
-    send_conn.close()
-    try:
-        status, payload = recv_conn.recv()
-    except EOFError:
-        worker.join()
-        raise BranchError(
-            f"fork worker died without a result (exit {worker.exitcode})"
-        ) from None
-    finally:
-        recv_conn.close()
-    worker.join()
-    if status != "ok":
-        raise BranchError(f"fork failed out of place: {payload}")
-    return payload
+    perturbation = as_perturbation(perturbation)
+    checkpoint = _resolve_checkpoint(parent, checkpoint_index)
+    perturbation.validate(checkpoint.time)
+    recorded = Recipe.of(parent)
+    recipe = recorded.running_until(run_until)
+    delta = FaultPlan(actions=list(perturbation.actions))
+    merged = FaultPlan.merge([plan for plan in (recipe.plan, delta) if plan is not None])
+    meta = {
+        "branch_of": parent.fingerprint(),
+        "checkpoint": checkpoint_index,
+        "fork_time": checkpoint.time,
+        "perturbation": perturbation.to_dict(),
+    }
+    *_, child = execute(replace(recipe, plan=merged if merged.actions else None),
+                        build, meta=meta)
+    cuts = [t for t in (perturbation.first_at(), recorded.bound_cut(run_until))
+            if t is not None]
+    if cuts:
+        require_same_prefix(parent, child, min(cuts))
+    else:
+        require_same_events(parent, child)
+    return child
 
 
 def _find_delivery(trace: Trace, dst: int, key: tuple):

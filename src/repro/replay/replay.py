@@ -4,16 +4,18 @@ A :class:`Recipe` is everything that determines a run except the
 scenario: seed, node names, skews, params, topology, fault plan,
 checkpoint cadence and how far to drive.  :func:`execute` is the one
 function that runs a recipe — recording (:func:`record_run`), replay
-(:class:`ReplayWorld`, :func:`replay_prefix`), a fork
-(:func:`repro.replay.branch.execute_fork`), a campaign cell and a
-shrink trial all go through it, so "the same recipe gives the same
-stream" is a property of one sequence, not of five copies.
+(:class:`ReplayWorld`), a fork (:func:`repro.replay.branch.fork_trace`),
+a campaign cell and a shrink trial all go through it, so "the same
+recipe gives the same stream" is a property of one sequence, not of
+five copies.
 
 :meth:`ReplayWorld.verify` asserts the replayed event stream is
 byte-identical to the recording — divergence is reported with the first
 mismatching event.  Checkpoints are cross-checked too: the replay must
 reproduce every recorded state digest (RNG position included), which
-catches drift the event stream alone would miss.
+catches drift the event stream alone would miss.  A replay bounded at
+another ``T`` than the recording's compares the prefix the one rule
+(:func:`require_same_prefix`) says it reproduces.
 
 The *scenario* (programs, services, workload) is not serializable, so
 both sides take the same ``build(cluster)`` callable; the trace pins
@@ -135,6 +137,15 @@ class Recipe:
             return self
         return replace(self, drive={"mode": "until", "until": until})
 
+    def bound_cut(self, until: Optional[int]) -> Optional[int]:
+        """The virtual time from which :meth:`running_until` ``(until)``
+        differs from this recipe (``None``: it does not) — the earlier of
+        ``until`` and this recipe's own bound, which capped the last
+        cooperative window of a run driven to it."""
+        if self.running_until(until).drive == self.drive:
+            return None
+        return min(until, self.drive.get("until", until))
+
 
 def execute(recipe: Recipe, build: Callable, *, contracts=None,
             meta: Optional[dict] = None, record: bool = True) -> tuple:
@@ -240,9 +251,21 @@ class ReplayWorld:
         return self._replayed
 
     def verify(self) -> ReplayReport:
-        """Run (if needed) and assert byte-identity with the recording."""
+        """Run (if needed) and assert byte-identity with the recording.
+
+        Bounded at a ``run_until`` other than the recording's own, only
+        the events the recording's prefix before :meth:`Recipe.bound_cut`
+        holds are compared: a bound caps the last cooperative window, so
+        checkpoint states near it may differ.
+        """
         recorded = self.trace
         replayed = self.run()
+        cut = Recipe.of(recorded).bound_cut(self.run_until)
+        if cut is not None:
+            events = require_same_prefix(recorded, replayed, cut)
+            return ReplayReport(events=events, checkpoints_verified=0,
+                                final_time=replayed.final_time,
+                                fingerprint=replayed.fingerprint())
         require_same_events(recorded, replayed)
         if recorded.final_time != replayed.final_time:
             raise ReplayDivergence(
@@ -293,6 +316,21 @@ def require_same_events(expected: Trace, actual: Trace,
         raise ReplayDivergence("event", index, *(
             events[index].line if index < len(events) else None
             for events in (expected.events, actual.events)))
+
+
+def require_same_prefix(recorded: Trace, run: Trace, cut: int) -> int:
+    """Raise the ``"event"`` :class:`ReplayDivergence` unless ``run``, whose
+    recipe differs from ``recorded``'s only from virtual time ``cut`` on,
+    reproduces the recording's :meth:`~repro.replay.trace.Trace.prefix_before`
+    ``(cut)`` events — short of the run's own ``prefix_before(cut)`` if it
+    goes on past ``cut``: a node its longer bound does not cap puts its
+    later events ahead of others' earlier ones.  Returns the count compared."""
+    upto = recorded.prefix_before(cut)
+    ahead = run.prefix_before(cut)
+    if ahead < len(run.events):
+        upto = min(upto, ahead)
+    require_same_events(recorded, run, upto)
+    return upto
 
 
 #: Shown for a state key one side of a checkpoint comparison lacks (a
@@ -362,24 +400,3 @@ def extract_verdict(trace: Trace) -> dict:
         "first_failure": first_failure,
     }
 
-
-def replay_prefix(trace: Trace, build: Callable,
-                  checkpoint_index: int) -> ReplayReport:
-    """Checkpoint-seeded partial re-execution.
-
-    Re-executes the recording only up to checkpoint ``checkpoint_index``
-    and verifies the event prefix byte-for-byte — the cheap way to ask
-    "does the run still follow the recording this far?" without paying
-    for the full horizon.  An index outside the trace's checkpoints
-    raises :class:`IndexError` naming the range; a manually driven
-    recording raises :class:`ReplayUnsupported`.
-    """
-    checkpoint = trace.checkpoint(checkpoint_index)
-    replayed = ReplayWorld(trace, build, run_until=checkpoint.time + 1).run()
-    require_same_events(trace, replayed, checkpoint.index)
-    return ReplayReport(
-        events=checkpoint.index,
-        checkpoints_verified=checkpoint_index + 1,
-        final_time=checkpoint.time,
-        fingerprint=replayed.fingerprint(),
-    )

@@ -196,7 +196,7 @@ class TraceSession(SessionBase):
              run_until: Optional[int] = None) -> BranchInfo:
         """Fork the recording at a checkpoint into a perturbed branch.
 
-        Out-of-place: the child execution runs in a separate process and
+        Re-runs the recipe with the delta merged in (``fork_trace``);
         this session's trace is never modified.  ``perturbation`` is a
         :class:`~repro.replay.branch.Perturbation` or its dict form;
         ``parent`` forks from an existing branch instead of the root.

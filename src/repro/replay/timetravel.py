@@ -12,9 +12,10 @@ come off columns built once (``docs/time-travel.md`` prices each query).
 ``at(t)`` uses prefix semantics: the cursor lands after the longest
 event prefix whose times are all <= t.  Event times are stamped by the
 emitting node's local cursor and can be *locally* non-monotonic across
-nodes; the prefix rule (implemented over the running maximum of event
-times, which is monotone) keeps the answer deterministic and makes
-checkpoint-assisted seeks equal to full folds by construction.
+nodes; the prefix rule (:func:`~repro.replay.trace.prefix_before`, over
+the running maximum of event times, which is monotone) keeps the answer
+deterministic, makes checkpoint-assisted seeks equal to full folds by
+construction, and is the same cut a fork and a bounded replay make.
 
 Causality is the classic Lamport happens-before over the trace: program
 order per node, plus a cross-node edge from each ``PacketSent`` to the
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from typing import Optional
 
 from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView,
                                      apply_event, empty_view)
-from repro.replay.trace import Trace, TraceEvent
+from repro.replay.trace import Trace, TraceEvent, prefix_before
 
 #: Events the halt-cause scan recognizes as "why" candidates.
 _CAUSE_TYPES = ("BreakpointHit", "ProcessFailed")
@@ -85,7 +86,7 @@ class TimeTravel:
         #: trace's own columns.  Per cursor: the running maximum of event
         #: times (monotone, so a prefix cutoff is a bisect).  Per event:
         #: kind code, "is a table event".
-        self._max_times = list(accumulate(self.events.times, max, initial=self._base.time))
+        self._max_times = trace.max_times()
         self._kinds = bytes(map(_CODES.get, self.events.types, repeat(0)))
         self._tabled = self._kinds.translate(_TABLE_MASK)
         self.cursor = len(self.events)
@@ -172,8 +173,8 @@ class TimeTravel:
 
     def at(self, t: int) -> Moment:
         """Seek to virtual time ``t``: the longest prefix of events whose
-        times are all <= t."""
-        self.cursor = max(0, bisect.bisect_right(self._max_times, t) - 1)
+        times are all <= t (virtual time is whole microseconds)."""
+        self.cursor = prefix_before(self._max_times, t + 1)
         self._view = None
         return self._moment()
 

@@ -29,6 +29,7 @@ emits its process events while the node is half-rebuilt).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import accumulate, count, islice
@@ -248,6 +249,20 @@ class Trace:
         """Virtual time when the recording was sealed."""
         return self.footer["final_time"]
 
+    def max_times(self) -> list[int]:
+        """The clock a fold reads at each cursor ``0 .. n``: the base
+        view's time, then the running maximum of the event times.  Event
+        times are not monotone across nodes (a node runs ahead inside its
+        window); their running maximum is."""
+        start = self.checkpoints[0].view.time if self.checkpoints else 0
+        return list(accumulate(self.events.times, max, initial=start))
+
+    def prefix_before(self, time: int) -> int:
+        """How many leading events a run whose recipe differs from this
+        recording only from virtual time ``time`` on reproduces
+        (:func:`prefix_before` over :meth:`max_times`)."""
+        return prefix_before(self.max_times(), time)
+
     def checkpoint(self, index: int) -> Checkpoint:
         """Checkpoint ``index``, counted from the first; any other index
         (negative included) raises :class:`IndexError` naming the range."""
@@ -307,6 +322,16 @@ class Trace:
             f"<Trace seed={self.header.get('seed')} events={len(self.events)} "
             f"checkpoints={len(self.checkpoints)}>"
         )
+
+
+def prefix_before(highs: list[int], time: int) -> int:
+    """The one prefix rule: the number ``k`` of events whose running
+    maximum time (``highs``, as :meth:`Trace.max_times` builds it) is
+    below ``time``.  A run that differs from a recording only from
+    ``time`` on reproduces its events ``[0, k)``, up to where its own
+    ``k`` falls short; a fork, a bounded replay and ``at(time - 1)`` all
+    cut there."""
+    return max(0, bisect_left(highs, time) - 1)
 
 
 class EventStream:
@@ -434,18 +459,19 @@ class TraceWriter(EventStream):
             raise RuntimeError("TraceWriter.finish() called twice")
         self._finished = True
         self.detach()
-        # A checkpoint's view is what a fold reads at its index: its clock
-        # is the running maximum of the event times before it, not its own.
-        highs = list(accumulate(self.events.times, max, initial=self.checkpoints[0].view.time))
-        for checkpoint in self.checkpoints:
-            checkpoint.view.time = highs[checkpoint.index]
         footer = {
             "final_time": self.cluster.world.now,
             "events": len(self.events),
             "fingerprint": stream_fingerprint(self.events.lines()),
             "drive": drive or {"mode": "manual"},
         }
-        return Trace(self.header, self.events, self.checkpoints, footer)
+        trace = Trace(self.header, self.events, self.checkpoints, footer)
+        # A checkpoint's view is what a fold reads at its index: its clock
+        # is the running maximum of the event times before it, not its own.
+        highs = trace.max_times()
+        for checkpoint in self.checkpoints:
+            checkpoint.view.time = highs[checkpoint.index]
+        return trace
 
     def __repr__(self) -> str:
         return (

@@ -110,28 +110,23 @@ def build_backend(kind: str, spec: dict) -> Any:
         return TraceSession(spec["path"], builder=spec.get("builder"))
     if kind == "branch":
         # A branch is just another dormant session spec: fork the parent
-        # trace out of place when first touched, then serve the child
-        # trace post-mortem (grandchild forks work — the child session
-        # keeps the builder).
-        import json as _json
+        # trace session when first touched and serve the child trace
+        # (grandchild forks work — the child session keeps the builder).
+        import json
 
-        from repro.replay.branch import BranchTree, as_perturbation
         from repro.replay.session import TraceSession
-        from repro.replay.trace import Trace
 
         perturbation = spec["perturbation"]
         if isinstance(perturbation, str):
-            perturbation = _json.loads(perturbation)
-        builder = spec["builder"]
-        tree = BranchTree(Trace.load(spec["path"]), builder)
-        branch = tree.fork(
-            as_perturbation(perturbation),
+            perturbation = json.loads(perturbation)
+        parent = TraceSession(spec["path"], builder=spec["builder"])
+        info = parent.fork(
+            perturbation,
             checkpoint=int(spec.get("checkpoint", 0)),
             run_until=(int(spec["run_until"])
                        if spec.get("run_until") is not None else None),
         )
-        return TraceSession(branch.trace, name=f"branch:{branch.id[:12]}",
-                            builder=builder)
+        return parent.branch_session(info.id)
     if kind == "corpus":
         from repro.campaign.corpus import Corpus
 

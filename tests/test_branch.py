@@ -17,7 +17,6 @@ from repro.replay import (
 )
 from repro.replay.branch import (
     branch_key,
-    execute_fork,
     parse_perturbation,
     resolve_builder,
 )
@@ -64,7 +63,7 @@ def crash_pert(at=300 * MS, node="server"):
 
 
 # ----------------------------------------------------------------------
-# Out-of-place forking (the acceptance bar)
+# Forking (the acceptance bar)
 # ----------------------------------------------------------------------
 
 
@@ -118,15 +117,10 @@ def test_fork_dedupes_identical_specs(parent):
     assert len(tree) == 2  # root + one branch
 
 
-def test_fork_inline_matches_process_mode(parent):
-    pert = crash_pert()
-    via_process = fork_trace(parent, build_two_clients, 0, pert)
-    via_inline = execute_fork(parent, build_two_clients, 0, pert)
-    assert via_process.fingerprint() == via_inline.fingerprint()
-
-
 def test_without_fork_both_pools_refuse_before_doing_anything(
         parent, monkeypatch, tmp_path):
+    """Without fork(2) a pooled campaign refuses before touching its
+    journal; a branch needs no process at all and still forks."""
     import multiprocessing
 
     from repro.campaign import build_grid, get_plan, run_campaign
@@ -145,15 +139,13 @@ def test_without_fork_both_pools_refuse_before_doing_anything(
     with pytest.raises(ForkUnavailableError, match="workers=1"):
         run_campaign(cells, workers=2, shrink=False, journal_path=journal)
     assert journal.read_text() == "an earlier campaign's progress"
-    with pytest.raises(ForkUnavailableError, match="execute_fork"):
-        fork_trace(parent, build_two_clients, 0, crash_pert())
-    tree = BranchTree(parent, build_two_clients)
-    with pytest.raises(ForkUnavailableError):
-        tree.fork(crash_pert())
-    assert len(tree) == 1  # the root alone
-    # The alternatives the message names still work.
+    # The alternative the message names still works.
     assert run_campaign(cells, workers=1, shrink=False).passed
-    assert execute_fork(parent, build_two_clients, 0, crash_pert()).events
+    tree = BranchTree(parent, build_two_clients)
+    branch = tree.fork(crash_pert())
+    assert len(tree) == 2
+    assert branch.trace.fingerprint() == fork_trace(
+        parent, build_two_clients, 0, crash_pert()).fingerprint()
 
 
 def test_fork_from_branch_builds_a_lineage(parent):
@@ -208,8 +200,6 @@ def test_fork_checkpoint_counts_from_the_first(parent, where):
     assert len(tree) == 1
     with pytest.raises(BranchError, match="out of range"):
         fork_trace(parent, build_two_clients, index, Perturbation(kind="none"))
-    with pytest.raises(BranchError, match="out of range"):
-        execute_fork(parent, build_two_clients, index, Perturbation(kind="none"))
 
 
 def test_parse_perturbation_builds_fault_actions():
@@ -335,17 +325,17 @@ def test_manual_traces_are_not_forkable():
 
 
 def test_manual_traces_refuse_every_re_execution():
-    """One rule for every path that re-executes: a prefix replay and a
-    bounded replay refuse exactly as a fork does, with the typed error
-    the wire carries as ``unsupported``."""
+    """One rule for every path that re-executes: a replay and a bounded
+    replay refuse exactly as a fork does, with the typed error the wire
+    carries as ``unsupported``."""
     from repro.debugger.errors import UnsupportedOperationError
-    from repro.replay import ReplayWorld, replay_prefix
+    from repro.replay import ReplayWorld
 
     trace = record_manual_trace()
     assert issubclass(ReplayUnsupported, UnsupportedOperationError)
     assert ReplayUnsupported.code == "unsupported"
     with pytest.raises(ReplayUnsupported, match="manually driven"):
-        replay_prefix(trace, build_two_clients, 0)
+        ReplayWorld(trace, build_two_clients).verify()
     with pytest.raises(ReplayUnsupported, match="manually driven"):
         ReplayWorld(trace, build_two_clients, run_until=SEC).verify()
 

@@ -350,27 +350,30 @@ def test_extract_verdict_counts_failures():
     assert verdict["first_failure"]["type"] == "RpcCallFailed"
 
 
-def test_replay_prefix_verifies_partial_run():
+def test_bounded_replay_verifies_a_checkpoint_prefix():
     from repro.campaign.scenarios import _echo_build
-    from repro.replay import record_run, replay_prefix
+    from repro.replay import ReplayWorld, record_run
 
     trace = record_run(_echo_build, ["client", "server"], seed=0,
                        checkpoint_every=100 * MS, run_until=1 * SEC)
     assert len(trace.checkpoints) >= 2
-    report = replay_prefix(trace, _echo_build, 1)
-    assert report.events == trace.checkpoints[1].index
-    assert report.final_time == trace.checkpoints[1].time
+    checkpoint = trace.checkpoint(1)
+    report = ReplayWorld(trace, _echo_build,
+                         run_until=checkpoint.view.time + 1).verify()
+    assert report.events >= checkpoint.index
+    assert report.events == trace.prefix_before(checkpoint.view.time + 1)
+    assert report.checkpoints_verified == 0
 
 
-def test_replay_prefix_counts_checkpoints_from_the_first():
+def test_trace_checkpoints_count_from_the_first():
     """Nothing wraps from the end: a negative index or one past the last
-    checkpoint is an IndexError naming the range, not another prefix."""
+    checkpoint is an IndexError naming the range, not another checkpoint."""
     from repro.campaign.scenarios import _echo_build
-    from repro.replay import record_run, replay_prefix
+    from repro.replay import record_run
 
     trace = record_run(_echo_build, ["client", "server"], seed=0,
                        checkpoint_every=100 * MS, run_until=300 * MS)
     last = trace.n_checkpoints - 1
     for index in (-1, -trace.n_checkpoints, last + 1):
         with pytest.raises(IndexError, match=f"checkpoint {index} out of range .*0..{last}"):
-            replay_prefix(trace, _echo_build, index)
+            trace.checkpoint(index)

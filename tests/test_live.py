@@ -226,3 +226,54 @@ def test_stale_session_rejected(target):
     dbg.session_id = agent.session_id
     dbg.disconnect()
     dbg.close()
+
+
+@pytest.mark.parametrize("frame", [
+    b"[1]",
+    b'{"op": "connect", "args": []}',
+    b"[" * 100_000,
+    b"\xff",
+    b'"x"',
+], ids=["list", "list_args", "deep", "not_utf8", "string"])
+def test_a_malformed_frame_gets_one_error_reply_and_the_connection_serves_on(
+        target, frame):
+    import json
+    import socket
+
+    agent, program = target
+    with socket.create_connection(agent.address, timeout=10) as conn:
+        stream = conn.makefile("rwb")
+
+        def ask(raw: bytes) -> dict:
+            stream.write(raw + b"\n")
+            stream.flush()
+            return json.loads(stream.readline())
+
+        assert ask(json.dumps({"op": "connect", "args": {"session": 7}}).encode())["ok"]
+        reply = ask(frame)
+        assert reply["ok"] is False and reply["error"]
+        status = ask(json.dumps({"op": "status", "args": {}, "session": 7}).encode())
+        assert status["ok"] and status["data"]["debugger"] == "remote"
+        assert ask(json.dumps({"op": "disconnect", "session": 7}).encode())["ok"]
+
+
+def test_an_undecodable_reply_is_a_typed_error():
+    import socket
+    import threading
+
+    server = socket.create_server(("127.0.0.1", 0))
+
+    def answer_garbage():
+        conn, _ = server.accept()
+        with conn:
+            conn.makefile("rb").readline()
+            conn.sendall(b"\xff\n")
+
+    thread = threading.Thread(target=answer_garbage)
+    thread.start()
+    dbg = LiveDebugger(server.getsockname())
+    with pytest.raises(LiveDebuggerError, match="undecodable"):
+        dbg.status()
+    dbg.close()
+    thread.join(timeout=5)
+    server.close()
