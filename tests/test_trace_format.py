@@ -9,10 +9,13 @@ say *where* it broke, not die in ``struct.unpack``.
 import collections
 import copy
 import gc
+import itertools
 import json
+import math
 import struct
 import tracemalloc
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +34,14 @@ from repro.replay.format import (
     KIND_EVENTS,
     KIND_HEADER,
     MAGIC,
+    _BLOCK_JSON,
     _FRAME,
     _FRAME_RAW_SIZE,
     _PREAMBLE,
     _RECORD,
     _faults,
     _iter_records,
+    _stored,
     export_jsonl,
     write_binary,
 )
@@ -86,16 +91,107 @@ def test_binary_round_trip_is_lossless(trace, tmp_path, compress):
         [c.to_dict() for c in trace.checkpoints]
 
 
-def test_long_event_runs_split_into_capped_blocks(trace, tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_format, "_BLOCK_EVENTS", 4)
+def file_records(path):
+    """``(kind, payload)`` of every record of the raw container at ``path``."""
+    return [(kind, bytes(payload)) for kind, payload, _ in
+            _iter_records(path.read_bytes()[_PREAMBLE.size:], _faults(path))]
+
+
+#: The header columns of a block, then its cells: the order packed
+#: columns take their bytes in.
+HEADER_COLUMNS = ("type", "t", "node", "seq")
+
+
+def stored_block(payload: bytes) -> tuple[dict, bytes]:
+    """A block record's JSON object as stored, and the bytes after it."""
+    (length,) = struct.unpack_from("<I", payload)
+    return json.loads(payload[4:4 + length]), payload[4 + length:]
+
+
+def decode_block(payload: bytes) -> dict:
+    """A block record as one JSON object with every column a list: the
+    format read independently of the reader (u32 JSON length, JSON, then
+    each packed column's little-endian int64 cells in column order)."""
+    block, packed = stored_block(payload)
+
+    def unpack(stored):
+        nonlocal packed
+        if type(stored) is not int:
+            return stored
+        cells = list(struct.unpack(f"<{stored // 8}q", packed[:stored]))
+        packed = packed[stored:]
+        return cells
+    for name in HEADER_COLUMNS:
+        block[name] = unpack(block[name])
+    block["cells"] = [[unpack(column) for column in own] for own in block["cells"]]
+    assert not packed
+    return block
+
+
+def encode_block(block: dict) -> bytes:
+    """The inverse of :func:`decode_block` under the writer's packing rule
+    (a column that is not a list is stored as it is)."""
+    packed = []
+
+    def store(column):
+        stored = _stored(column, packed) if type(column) is list else None
+        return column if stored is None else stored
+    block = dict(block, **{name: store(block[name]) for name in HEADER_COLUMNS
+                           if name in block})
+    block["cells"] = [[store(column) for column in own] if type(own) is list else own
+                      for own in block.get("cells", [])]
+    text = json.dumps(block, sort_keys=True).encode("utf-8")
+    return _BLOCK_JSON.pack(len(text)) + text + b"".join(packed)
+
+
+def test_long_event_runs_split_into_capped_blocks(tmp_path, monkeypatch):
+    """Blocks are cut every ``_BLOCK_EVENTS`` events and nowhere else:
+    their number is fixed by the event count, with the golden's six
+    checkpoints as with its first one only, and each block lists where
+    the checkpoints after it sit."""
+    golden = Trace.load(GOLDEN_BINARY_PATH)
+    total = len(golden.events)
+    assert len(golden.checkpoints) == 6
+    for cap, checkpoints in itertools.product(
+            [1, 16, 64], [golden.checkpoints, golden.checkpoints[:1]]):
+        monkeypatch.setattr(trace_format, "_BLOCK_EVENTS", cap)
+        trace = Trace(golden.header, golden.events, checkpoints, golden.footer)
+        path = tmp_path / f"{cap}-{len(checkpoints)}.trace.bin"
+        write_binary(trace, path, compress=False)
+        blocks = [decode_block(payload) for kind, payload in file_records(path)
+                  if kind == KIND_EVENTS]
+        assert len(blocks) == math.ceil(total / cap)
+        assert [(block["first"], len(block["t"])) for block in blocks] == \
+            [(first, min(cap, total - first)) for first in range(0, total, cap)]
+        placed = [block["first"] + offset for block in blocks
+                  for offset in block["checkpoints"]]
+        assert [0, *placed] == [checkpoint.index for checkpoint in checkpoints]
+        assert Trace.load(path).events == trace.events
+
+
+def test_int_columns_are_packed_and_others_stay_json(tmp_path):
+    """One packing rule for header columns and cells: all-``int`` columns
+    are int64 bytes named by length, anything else (the golden's
+    ``node`` column holds ``None``s) a JSON list."""
     path = tmp_path / "t.trace.bin"
-    write_binary(trace, path, compress=False)
-    sizes = [len(json.loads(payload)["t"]) for kind, payload, _ in
-             _iter_records(path.read_bytes()[_PREAMBLE.size:], _faults(path))
-             if kind == KIND_EVENTS]
-    assert max(sizes) == 4 and sum(sizes) == len(trace.events)
-    assert len(sizes) > len(trace.checkpoints)
-    assert Trace.load(path).events == trace.events
+    write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
+    for kind, payload in file_records(path):
+        if kind != KIND_EVENTS:
+            continue
+        stored, packed = stored_block(payload)
+        decoded = decode_block(payload)
+        columns = [(stored[name], decoded[name]) for name in HEADER_COLUMNS]
+        for own, cells in zip(stored["cells"], decoded["cells"]):
+            columns += zip(own, cells)
+        total = 0
+        for raw, cells in columns:
+            if set(map(type, cells)) == {int}:
+                assert raw == 8 * len(cells)
+                total += raw
+            else:
+                assert raw == cells
+        assert len(packed) == total
+        assert [type(stored[name]) for name in HEADER_COLUMNS] == [int, int, list, int]
 
 
 #: Text that has broken line- or byte-oriented decoders before: line
@@ -103,50 +199,67 @@ def test_long_event_runs_split_into_capped_blocks(trace, tmp_path, monkeypatch):
 #: ``%`` because lines are rendered through a format string.
 _NASTY = st.text(alphabet=st.sampled_from('a %\n\r\0"\\\u00e9\u2028\U0001f600'))
 _TEXT = st.one_of(st.text(), _NASTY)
-_CELL = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT)
+#: Where the int64 packing ends: in range (packed) and one past (JSON).
+_EDGES = [(1 << 63) - 1, -(1 << 63) + 1, -(1 << 63), 1 << 63, -(1 << 63) - 1]
+_INT = st.one_of(st.integers(), st.sampled_from(_EDGES))
+_CELL = st.one_of(st.none(), st.booleans(), _INT, _TEXT)
+#: What one field's cells are across a trace: all ints (a packed column
+#: unless one is past int64), ints mixed with bools or ``None`` (never
+#: packed: ``True`` must not come back as ``1``), all strings, anything.
+_COLUMN_KINDS = st.sampled_from([
+    _INT, st.one_of(_INT, st.booleans()), st.one_of(_INT, st.none()), _TEXT, _CELL])
 _TYPES = ["PacketSent", "ProcessCreated", "\u00e9v\u00e9nement"]
 
 
-def _partial(field):
+def _partial(field, cell):
     """A flattened object as a hand-built dict: any subset of its parts."""
     return st.one_of(st.none(), st.dictionaries(
-        st.sampled_from(PARTS[field]), _CELL))
+        st.sampled_from(PARTS[field]), cell))
 
 
 @st.composite
 def _hand_built_events(draw):
     """Events of three types, each type with one drawn field list (a
-    type's field names are fixed for a whole trace)."""
+    type's field names are fixed for a whole trace) and each field with
+    one drawn kind of cell."""
     fields = {kind: draw(st.lists(
         st.one_of(_TEXT, st.sampled_from(["packet", "process", "error"])),
         unique=True, max_size=4)) for kind in _TYPES}
+    cells = {(kind, name): draw(_COLUMN_KINDS)
+             for kind, names in fields.items() for name in names}
     events = []
-    for index in range(draw(st.integers(0, 12))):
+    for index in range(draw(st.integers(0, 20))):
         kind = draw(st.sampled_from(_TYPES))
         events.append(TraceEvent.of(
-            index, kind, draw(st.integers()),
-            draw(st.one_of(st.none(), st.integers(0, 9))), draw(st.integers()),
-            {name: draw(_partial(name) if name in PARTS else _CELL)
+            index, kind, draw(_INT),
+            draw(st.one_of(st.none(), st.integers(0, 9))), draw(_INT),
+            {name: draw(_partial(name, cells[kind, name]) if name in PARTS
+                        else cells[kind, name])
              for name in fields[kind]}))
     return events
 
 
-@given(events=_hand_built_events(), data=st.data(), compress=st.booleans())
-@settings(max_examples=150, deadline=None)
+@given(events=_hand_built_events(), data=st.data(), compress=st.booleans(),
+       cap=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
 def test_hand_built_events_round_trip_equal(tmp_path_factory, events, data,
-                                            compress):
+                                            compress, cap):
     """Save -> load is the identity on every cell of every event (its
-    exact type included: ``True`` does not come back as ``1``), whatever
-    the names and the strings contain and wherever the checkpoints cut
-    the stream into blocks — so the derived fields and lines are equal
-    too.  A part a hand-built packet dict lacks is ``None``."""
-    cuts = data.draw(st.sets(st.integers(0, len(events)), max_size=4))
+    exact type included: ``True`` does not come back as ``1``, nor an
+    int past int64 as anything but itself), whatever the names and the
+    strings contain, however the blocks cut the stream and wherever the
+    checkpoints fall in them (at 0, at a block's end, after the last
+    event, several in one block, in a trace of no events) — so the
+    derived fields and lines are equal too.  A part a hand-built packet
+    dict lacks is ``None``."""
+    cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
     checkpoints = [Checkpoint(index=i, time=0, state={}, view=empty_view([0]))
-                   for i in sorted(cuts | {0})]
+                   for i in sorted([0, *cuts])]
     built = Trace({"version": TRACE_VERSION}, events, checkpoints,
                   {"events": len(events)})
     path = tmp_path_factory.mktemp("rt") / "t.trace.bin"
-    write_binary(built, path, compress=compress)
+    with mock.patch.object(trace_format, "_BLOCK_EVENTS", cap):
+        write_binary(built, path, compress=compress)
     loaded = Trace.load(path)
     assert loaded.events == events
     assert [[type(cell) for cell in (e.type, e.time, e.node, e.seq, *e.row)]
@@ -299,10 +412,11 @@ def test_bad_magic_raises_at_offset_zero(trace, tmp_path):
     assert "magic" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [1, 2, 999], ids=["v1", "v2", "v999"])
+@pytest.mark.parametrize("version", [1, 2, 3, 999], ids=["v1", "v2", "v3", "v999"])
 def test_unknown_format_version_raises(trace, tmp_path, version):
-    # Versions 1 (per-event records) and 2 (fields and lines stored per
-    # event) have no read path: same refusal, and nothing else.
+    # Versions 1 (per-event records), 2 (fields and lines stored per
+    # event) and 3 (every column JSON, a block cut at every checkpoint)
+    # have no read path: same refusal, and nothing else.
     path, blob = binary_bytes(trace, tmp_path)
     bad = MAGIC + struct.pack("<HH", version, 0) + blob[_PREAMBLE.size:]
     path.write_bytes(bad)
@@ -348,6 +462,23 @@ def test_corrupt_zlib_frame_raises_with_offset(trace, tmp_path):
         Trace.load(path)
 
 
+def test_bytes_after_a_frames_deflate_stream_raise_at_the_frame(tmp_path):
+    """A frame whose declared compressed length runs past the end of its
+    deflate stream hides bytes nothing reads: refused, not skipped."""
+    path = tmp_path / "g.trace.bin"
+    write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=True)
+    blob = path.read_bytes()
+    frame_at = _PREAMBLE.size
+    raw_len, comp_len = _FRAME.unpack_from(blob, frame_at)
+    data_at = frame_at + _FRAME.size
+    path.write_bytes(blob[:frame_at] + _FRAME.pack(raw_len, comp_len + 8)
+                     + blob[data_at:data_at + comp_len] + bytes(8)
+                     + blob[data_at + comp_len:])
+    with pytest.raises(TraceFormatError, match="after the zlib frame") as err:
+        Trace.load(path)
+    assert err.value.offset == frame_at and not err.value.in_frames
+
+
 @pytest.mark.parametrize("declared", [64 << 20, _FRAME_RAW_SIZE],
                          ids=["declares-64MiB", "declares-one-frame"])
 def test_zlib_bomb_is_refused_without_being_inflated(tmp_path, declared):
@@ -373,13 +504,18 @@ def test_zlib_bomb_is_refused_without_being_inflated(tmp_path, declared):
 # -- record-level mutations of the committed golden trace --------------
 
 
+#: Events per block in the mutated golden: its 143 events in blocks of
+#: 64, 64 and 15; checkpoint #0 before the first, the first placing
+#: 39 and 49, the second 75, 92 and 127.
+GOLDEN_CAP = 64
+
+
 def golden_records(tmp_path):
     """The golden trace as mutable ``[kind, payload]`` records."""
     path = tmp_path / "golden.trace.bin"
-    write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
-    body = path.read_bytes()[_PREAMBLE.size:]
-    return [[kind, payload] for kind, payload, _ in
-            _iter_records(body, _faults(path))]
+    with mock.patch.object(trace_format, "_BLOCK_EVENTS", GOLDEN_CAP):
+        write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
+    return [list(record) for record in file_records(path)]
 
 
 def write_records(records, path, compress):
@@ -399,10 +535,39 @@ def nth_of(records, kind, n=0):
 
 
 def edit_json(records, at, edit):
-    """Apply ``edit`` to the decoded JSON object of record ``at``."""
-    data = json.loads(records[at][1])
-    edit(data)
-    records[at][1] = json.dumps(data, sort_keys=True).encode("utf-8")
+    """Apply ``edit`` to the decoded JSON object of record ``at`` — a
+    block's with every column a list, packed again by the writer's rule
+    afterwards."""
+    kind, payload = records[at]
+    if kind == KIND_EVENTS:
+        block = decode_block(payload)
+        edit(block)
+        records[at][1] = encode_block(block)
+    else:
+        data = json.loads(payload)
+        edit(data)
+        records[at][1] = json.dumps(data, sort_keys=True).encode("utf-8")
+    return at
+
+
+def edit_stored(records, at, edit):
+    """Apply ``edit(stored, packed)`` to block ``at``'s JSON object as
+    stored (packed columns as byte lengths) and keep its bytes as they
+    are, or as ``edit`` returns them."""
+    stored, packed = stored_block(records[at][1])
+    packed = edit(stored, packed) or packed
+    text = json.dumps(stored, sort_keys=True).encode("utf-8")
+    records[at][1] = _BLOCK_JSON.pack(len(text)) + text + packed
+    return at
+
+
+def edit_block_text(records, at, old, new):
+    """Replace ``old`` by ``new`` in block ``at``'s JSON bytes."""
+    stored, packed = stored_block(records[at][1])
+    text = json.dumps(stored, sort_keys=True).encode("utf-8")
+    assert old in text
+    text = text.replace(old, new, 1)
+    records[at][1] = _BLOCK_JSON.pack(len(text)) + text + packed
     return at
 
 
@@ -413,10 +578,6 @@ def block_edit(edit):
         return edit_json(records, nth_of(records, KIND_EVENTS, 1), edit)
     mutate.__name__ = edit.__name__
     return mutate
-
-
-#: A block's header columns: one cell per event, in event order.
-HEADER_COLUMNS = ("type", "t", "node", "seq")
 
 
 def set_cell(column, value):
@@ -476,6 +637,14 @@ def empty_block(block):
 
 
 @block_edit
+def a_type_with_a_row_to_spare(block):
+    # Every column of one type one cell longer: equal lengths, but one
+    # row more than the block's events of that type.
+    for column in block["cells"][0]:
+        column.append(column[0])
+
+
+@block_edit
 def fewer_columns_than_the_fields_have_cells(block):
     block["cells"][0].pop()
 
@@ -490,14 +659,33 @@ def cells_not_one_entry_per_type(block):
     block["cells"].pop()
 
 
-@block_edit
+def packed_type_id(new_id):
+    """A mutation setting the second block's first type id to
+    ``new_id(block)``; the ids stay a packed column."""
+    def mutate(records):
+        def edit(block):
+            block["type"][0] = new_id(block)
+        at = edit_json(records, nth_of(records, KIND_EVENTS, 1), edit)
+        assert type(stored_block(records[at][1])[0]["type"]) is int
+        return at
+    mutate.__name__ = new_id.__name__
+    return mutate
+
+
+@packed_type_id
 def type_id_out_of_range(block):
-    block["type"][0] = len(block["types"])
+    return len(block["types"])
 
 
-@block_edit
+@packed_type_id
 def type_id_negative(block):
-    block["type"][0] = -1
+    return -1
+
+
+@packed_type_id
+def type_id_of_another_type(block):
+    # In range: one event more of another type than it has rows.
+    return (block["type"][0] + 1) % len(block["types"])
 
 
 @block_edit
@@ -517,7 +705,7 @@ def type_entry_is_a_bare_name(block):
 
 def field_names_change_between_blocks(records):
     """The second block renames a field of a type the first one declared."""
-    declared = dict(json.loads(records[nth_of(records, KIND_EVENTS)][1])["types"])
+    declared = dict(decode_block(records[nth_of(records, KIND_EVENTS)][1])["types"])
 
     def edit(block):
         entry = next(e for e in block["types"] if e[0] in declared)
@@ -537,18 +725,105 @@ def first_is_a_float(block):
 
 
 def bad_utf8_in_block(records):
-    at = nth_of(records, KIND_EVENTS, 1)
-    assert b'"types": [["' in records[at][1]
-    records[at][1] = records[at][1].replace(b'"types": [["', b'"types": [["\xff', 1)
-    return at
+    return edit_block_text(records, nth_of(records, KIND_EVENTS, 1),
+                           b'"types": [["', b'"types": [["\xff')
 
 
 def block_nested_past_the_recursion_limit(records):
+    return edit_block_text(records, nth_of(records, KIND_EVENTS, 1),
+                           b'"cells": [', b'"cells": [' + b"[" * 100_000)
+
+
+def packed_run_short(records):
+    """The last packed column's bytes end early."""
     at = nth_of(records, KIND_EVENTS, 1)
-    assert b'"cells": [' in records[at][1]
-    records[at][1] = records[at][1].replace(
-        b'"cells": [', b'"cells": [' + b"[" * 100_000, 1)
+    records[at][1] = records[at][1][:-8]
     return at
+
+
+def packed_length_past_the_record(records):
+    def edit(stored, packed):
+        stored["t"] = len(packed) + 8
+    return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
+
+
+def packed_length_not_whole_cells(records):
+    def edit(stored, packed):
+        stored["t"] -= 1
+    return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
+
+
+def packed_length_is_a_bool(records):
+    def edit(stored, packed):
+        stored["type"] = True
+    return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
+
+
+def packed_bytes_no_column_names(records):
+    def edit(stored, packed):
+        return packed + bytes(8)
+    return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
+
+
+def json_length_overruns_the_block(records):
+    at = nth_of(records, KIND_EVENTS, 1)
+    payload = records[at][1]
+    records[at][1] = _BLOCK_JSON.pack(len(payload)) + payload[_BLOCK_JSON.size:]
+    return at
+
+
+def block_shorter_than_its_json_length(records):
+    at = nth_of(records, KIND_EVENTS, 1)
+    records[at][1] = records[at][1][:2]
+    return at
+
+
+def place_edit(n):
+    """A mutation of block ``n``'s list of checkpoint offsets."""
+    def decorate(edit):
+        def mutate(records):
+            def edit_block(block):
+                edit(block["checkpoints"])
+            return edit_json(records, nth_of(records, KIND_EVENTS, n), edit_block)
+        mutate.__name__ = edit.__name__
+        return mutate
+    return decorate
+
+
+@place_edit(0)
+def checkpoint_offsets_descend(offsets):
+    assert offsets == [39, 49]
+    offsets.reverse()
+
+
+@place_edit(1)
+def checkpoint_offset_zero(offsets):
+    assert offsets == [11, 28, 63]
+    offsets[0] = 0
+
+
+@place_edit(1)
+def checkpoint_offset_past_the_block(offsets):
+    offsets[-1] = GOLDEN_CAP + 1
+
+
+@place_edit(1)
+def checkpoint_offset_is_a_bool(offsets):
+    offsets[0] = True
+
+
+def block_places_a_checkpoint_that_is_not_there(records):
+    def edit(block):
+        assert block["checkpoints"] == []
+        block["checkpoints"] = [len(block["t"])]
+    edit_json(records, nth_of(records, KIND_EVENTS, 2), edit)
+    return len(records) - 1  # the footer: the file ends without it
+
+
+def a_checkpoint_no_block_places(records):
+    last = nth_of(records, KIND_CHECKPOINT, -1)
+    records.insert(last + 1, list(records[last]))
+    return last + 1
 
 
 def empty_checkpoint(records):
@@ -557,19 +832,68 @@ def empty_checkpoint(records):
     return at
 
 
-def misplaced_checkpoint(records):
-    # The golden's third checkpoint sits after 49 events; claiming 34
-    # used to load and seed seeks into [34, 49) from the wrong state.
-    def edit(checkpoint):
-        assert checkpoint["index"] == 49
-        checkpoint["index"] = 34
-    return edit_json(records, nth_of(records, KIND_CHECKPOINT, 2), edit)
+def checkpoint_edit(edit):
+    """A mutation applying ``edit`` to the golden's third checkpoint."""
+    def mutate(records):
+        return edit_json(records, nth_of(records, KIND_CHECKPOINT, 2), edit)
+    mutate.__name__ = edit.__name__
+    return mutate
 
 
-def checkpoint_index_is_a_float(records):
-    def edit(checkpoint):
-        checkpoint["index"] = float(checkpoint["index"])
-    return edit_json(records, nth_of(records, KIND_CHECKPOINT, 2), edit)
+@checkpoint_edit
+def misplaced_checkpoint(checkpoint):
+    # The golden's third checkpoint sits after 49 events, where the
+    # first block places it; claiming 34 used to load and seed seeks
+    # into [34, 49) from the wrong state.
+    assert checkpoint["index"] == 49
+    checkpoint["index"] = 34
+
+
+@checkpoint_edit
+def checkpoint_index_is_a_float(checkpoint):
+    checkpoint["index"] = float(checkpoint["index"])
+
+
+@checkpoint_edit
+def checkpoint_processes_is_a_number(checkpoint):
+    checkpoint["view"]["processes"] = 5
+
+
+@checkpoint_edit
+def checkpoint_time_is_a_string(checkpoint):
+    checkpoint["time"] = "x"
+
+
+@checkpoint_edit
+def checkpoint_view_time_is_null(checkpoint):
+    checkpoint["view"]["time"] = None
+
+
+@checkpoint_edit
+def checkpoint_counts_is_a_list(checkpoint):
+    checkpoint["view"]["counts"] = []
+
+
+@checkpoint_edit
+def checkpoint_state_is_a_number(checkpoint):
+    checkpoint["state"] = 7
+
+
+@checkpoint_edit
+def checkpoint_process_is_a_name(checkpoint):
+    table = checkpoint["view"]["processes"]["0"]
+    table["1"] = table["1"]["name"]
+
+
+@checkpoint_edit
+def checkpoint_process_lacks_its_priority(checkpoint):
+    del checkpoint["view"]["processes"]["0"]["1"]["priority"]
+
+
+@checkpoint_edit
+def checkpoint_in_flight_call_is_a_string(checkpoint):
+    assert checkpoint["view"]["in_flight"]["0"] == [4]
+    checkpoint["view"]["in_flight"]["0"] = ["4"]
 
 
 def header_is_a_list(records):
@@ -592,7 +916,13 @@ def last_five_events_dropped(records):
 
 
 def every_checkpoint_dropped(records):
+    # The first block places two, and the second block follows it.
     records[:] = [r for r in records if r[0] != KIND_CHECKPOINT]
+    return nth_of(records, KIND_EVENTS, 1)
+
+
+def checkpoint_zero_dropped(records):
+    del records[nth_of(records, KIND_CHECKPOINT)]
     return len(records) - 1
 
 
@@ -603,15 +933,28 @@ def every_checkpoint_dropped(records):
     payload_column_is_an_object, empty_block, set_cell("t", "7"),
     set_cell("t", 7.0), set_cell("seq", True), set_cell("node", "1"),
     set_cell("type", True), set_payload_cell([]), set_payload_cell({}),
-    set_payload_cell(1.5), fewer_columns_than_the_fields_have_cells,
+    set_payload_cell(1.5), a_type_with_a_row_to_spare,
+    fewer_columns_than_the_fields_have_cells,
     more_columns_than_the_fields_have_cells, cells_not_one_entry_per_type,
-    type_id_out_of_range, type_id_negative, type_name_is_a_number,
+    type_id_out_of_range, type_id_negative, type_id_of_another_type,
+    type_name_is_a_number,
     field_name_is_a_number, type_entry_is_a_bare_name,
     field_names_change_between_blocks, first_is_not_the_events_so_far,
     first_is_a_float, bad_utf8_in_block,
-    block_nested_past_the_recursion_limit, empty_checkpoint,
-    misplaced_checkpoint, checkpoint_index_is_a_float, header_is_a_list,
-    last_five_events_dropped, every_checkpoint_dropped,
+    block_nested_past_the_recursion_limit, packed_run_short,
+    packed_length_past_the_record, packed_length_not_whole_cells,
+    packed_length_is_a_bool, packed_bytes_no_column_names,
+    json_length_overruns_the_block, block_shorter_than_its_json_length,
+    checkpoint_offsets_descend, checkpoint_offset_zero,
+    checkpoint_offset_past_the_block, checkpoint_offset_is_a_bool,
+    block_places_a_checkpoint_that_is_not_there, a_checkpoint_no_block_places,
+    empty_checkpoint, misplaced_checkpoint, checkpoint_index_is_a_float,
+    checkpoint_processes_is_a_number, checkpoint_time_is_a_string,
+    checkpoint_view_time_is_null, checkpoint_counts_is_a_list,
+    checkpoint_state_is_a_number, checkpoint_process_is_a_name,
+    checkpoint_process_lacks_its_priority,
+    checkpoint_in_flight_call_is_a_string, header_is_a_list,
+    last_five_events_dropped, every_checkpoint_dropped, checkpoint_zero_dropped,
 ], ids=lambda fn: fn.__name__)
 def test_mutated_record_raises_typed_error_at_its_offset(
         tmp_path, mutate, compress):
