@@ -60,7 +60,6 @@ from repro.campaign.runner import (
     run_campaign,
     run_cell,
     run_grid,
-    shard_cells,
 )
 from repro.campaign.scenarios import (
     PLANS,
@@ -86,7 +85,6 @@ __all__ = [
     "corpus_key",
     "error_result",
     "execute_cell",
-    "shard_cells",
     "run_cell",
     "run_campaign",
     "run_fleet",

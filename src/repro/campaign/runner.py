@@ -101,9 +101,9 @@ def build_grid(
     ordered cells.
 
     The order — scenario-major, then seed, then plan, then topology —
-    fixes each cell's index, and the index alone determines shard
-    assignment, so the same grid arguments always produce the same
-    campaign regardless of how the work is later distributed.
+    fixes each cell's index, and results are keyed by that index, so
+    the same grid arguments always produce the same campaign regardless
+    of how the work is later distributed.
     """
     from repro.net import TOPOLOGIES
 
@@ -126,16 +126,6 @@ def build_grid(
                         topology=topology,
                     ))
     return cells
-
-
-def shard_cells(cells: Sequence[CellSpec], shards: int) -> list[list[CellSpec]]:
-    """Deterministic round-robin assignment: cell ``i`` -> shard ``i % shards``."""
-    if shards < 1:
-        raise ValueError(f"need at least one shard (got {shards})")
-    buckets: list[list[CellSpec]] = [[] for _ in range(shards)]
-    for cell in cells:
-        buckets[cell.index % shards].append(cell)
-    return buckets
 
 
 def run_cell(cell: CellSpec) -> dict:

@@ -6,10 +6,10 @@ named :class:`~repro.contracts.dsl.ContractSet` — the declarative
 verdict oracle that replaced the old per-scenario check closures.  A
 scenario's verdict is the union of its probe contracts (end-of-run
 predicates over the builder's probes) and its event contracts (stream
-folds checked online by a :class:`~repro.contracts.online.ContractMonitor`
-during the cell, or offline by
-:func:`~repro.contracts.offline.check_trace` over a recording —
-provably the same verdict either way).  Builders, contract predicates,
+folds checked by a :class:`~repro.contracts.online.ContractMonitor`
+over the cell's stream, or by
+:func:`~repro.contracts.offline.check_trace` over a recording — one
+fold, so the same verdict either way).  Builders, contract predicates,
 and derivations are module-level functions so a cell is fully described
 by small picklable data and any worker process can run it.
 

@@ -136,23 +136,20 @@ class Cluster:
         """Reboot hook (installed on every node): rebuild the RPC runtime
         and agent on the fresh supervisor.
 
-        The old layers are silenced first — the dead runtime's recent-call
-        buffer and the dead agent's failure watcher must not keep reacting
-        to bus events against the new boot.  Exported services carry over
-        (same implementations, re-registered exactly as before), matching
-        a real boot sequence that re-runs the export calls; the agent's
-        own debug service is skipped because the fresh agent re-exports
-        it.  Program images stay linked but nothing is respawned.
+        The old agent is silenced first — the dead agent's failure watcher
+        must not keep reacting to bus events against the new boot.  The
+        new runtime keeps the old one's ``debug_support``, and exported
+        services carry over (same implementations, re-registered exactly
+        as before), matching a real boot sequence that re-runs the export
+        calls; the agent's own debug service is skipped because the fresh
+        agent re-exports it.  Program images stay linked but nothing is
+        respawned.
         """
-        had_debug_support = True
-        if old_rpc is not None:
-            had_debug_support = old_rpc._debug_support
-            old_rpc.debug_support = False
         if old_agent is not None:
             old_agent.detach()
         runtime = RpcRuntime(node, self.registry)
         if old_rpc is not None:
-            runtime.debug_support = had_debug_support
+            runtime.debug_support = old_rpc.debug_support
             for name, impl in old_rpc._services.items():
                 if name != DEBUG_SERVICE:
                     runtime.reinstall(impl)

@@ -3,12 +3,11 @@
 A :class:`Contract` names one distributed invariant.  Two flavours:
 
 * :class:`EventContract` — compiled from a pure fold over the obs event
-  stream.  The *same* checker class runs behind both entry points:
-  online (:class:`~repro.contracts.online.ContractMonitor`, one event
-  as a run's stream fills) and offline
-  (:func:`~repro.contracts.offline.check_trace`, a loaded trace in one
-  run), each folding the same columns in the same order per checker, so
-  the two agree by construction.
+  stream.  Both entry points fold it once over a run of columns:
+  online (:class:`~repro.contracts.online.ContractMonitor`, the run's
+  stream at ``report()``) and offline
+  (:func:`~repro.contracts.offline.check_trace`, a loaded trace), so the
+  two agree by construction.
 * :class:`ProbeContract` — an end-of-run predicate over the *probes*
   dict a scenario's builder returned (server-side logs, VM consoles).
   Probe state never enters the event stream, so these only run where a
@@ -204,16 +203,9 @@ def _occurrences(kinds: list, kind: str, offset: int) -> list:
 class CheckerBank:
     """The one fold core: fresh checker folds, each contract's declared
     ``events`` filter, and the report assembly.  One bank per checked
-    stream, fed through :meth:`feed` by the online monitor (one event at
-    a time) and the offline fold (runs of events) alike.
+    stream, fed runs of events through :meth:`feed`."""
 
-    ``sink``, when set, receives each violation the moment a fold
-    records it (the monitor's hook for emitting ``ContractViolated``
-    events mid-run); end-of-run liveness violations surface only in the
-    report.
-    """
-
-    def __init__(self, contracts, sink: Optional[Callable] = None):
+    def __init__(self, contracts):
         self.contracts = tuple(contracts)
         self._checkers = [(c, c.state()) for c in self.contracts]
         #: Per checker its fold and the types it reads (``None``: all),
@@ -223,29 +215,11 @@ class CheckerBank:
              for c, state in self._checkers), key=lambda pair: pair[1] is not None)
         #: Every type some checker reads, to be found in a run.
         self._kinds = {kind for _, wanted in self._folds if wanted for kind in wanted}
-        #: Per-type folds for a single event, built on first sight of it.
-        self._by_type: dict = {}
         self.count = 0
-        for _, state in self._checkers:
-            state.sink = sink
 
-    def feed(self, events, start: int, stop: Optional[int] = None) -> None:
-        """Fold events ``[start, stop)`` of the columns ``events`` — only
-        event ``start`` when ``stop`` is ``None`` — into each checker,
-        over the indices of the types it reads.  A run calls each fold
-        once; a single event calls the folds reading its type, so a
-        monitor's ``sink`` hears violations in stream order."""
-        if stop is None:
-            self.count += 1
-            kind = events.types[start]
-            folds = self._by_type.get(kind)
-            if folds is None:
-                folds = self._by_type[kind] = [
-                    fold for fold, wanted in self._folds if wanted is None or kind in wanted]
-            one = (start,)
-            for fold in folds:
-                fold(events, one)
-            return
+    def feed(self, events, start: int, stop: int) -> None:
+        """Fold events ``[start, stop)`` of the columns ``events`` into
+        each checker, once, over the indices of the types it reads."""
         self.count += stop - start
         kinds = events.types[start:stop]
         at = {kind: _occurrences(kinds, kind, start) for kind in self._kinds}
@@ -283,10 +257,6 @@ class BaseChecker:
 
     NAME = "contract"
 
-    #: Optional callable receiving each violation as it is recorded
-    #: (the online monitor's emission hook); set by the bank.
-    sink: Optional[Callable] = None
-
     def __init__(self) -> None:
         self.violations: list = []
 
@@ -294,17 +264,14 @@ class BaseChecker:
         """Record one violation anchored at event ``index`` of ``events``,
         the lines of the events ``cited`` as its evidence."""
         anchor = Fact(events, index)
-        violation = ContractViolation(
+        self.violations.append(ContractViolation(
             contract=self.NAME,
             message=message,
             index=index,
             time=anchor.time,
             node=anchor.node,
             evidence=tuple(Fact(events, at).line() for at in cited),
-        )
-        self.violations.append(violation)
-        if self.sink is not None:
-            self.sink(violation)
+        ))
 
     def fold(self, events, positions) -> None:
         """Fold the events at ``positions``, ascending indices into the

@@ -1,11 +1,10 @@
 """The offline entry point: contracts as a fold over a loaded trace.
 
-:func:`check_trace` feeds a trace's columns, as one run, to the same
-:class:`~repro.contracts.dsl.CheckerBank` an online monitor feeds the
-columns of a run's stream one event at a time as they fill; each checker
-folds the same events in the same order, so the two return byte-identical
-:class:`ContractReport`\\ s (``report.canonical()``), which the
-equivalence suite and the ``contracts-equivalence`` CI job assert.
+:func:`check_trace` folds a trace's columns through :func:`fold_run`,
+the one fold an online :class:`~repro.contracts.online.ContractMonitor`
+also runs over its stream at ``report()``: one run, each checker once,
+so the two return byte-identical :class:`ContractReport`\\ s
+(``report.canonical()``) by construction.
 """
 
 from __future__ import annotations
@@ -13,6 +12,24 @@ from __future__ import annotations
 from repro.contracts.dsl import CheckerBank, ContractSet
 from repro.contracts.report import ContractReport
 from repro.replay.trace import EventColumns, Trace
+
+
+def split_contracts(contracts) -> tuple:
+    """``(name, event contracts)`` of a
+    :class:`~repro.contracts.dsl.ContractSet` (its event-backed subset:
+    probe contracts need a finished cluster) or of an iterable of
+    contracts (named ``"contracts"``)."""
+    if isinstance(contracts, ContractSet):
+        return contracts.name, contracts.event_contracts()
+    return "contracts", tuple(contracts)
+
+
+def fold_run(events, name: str, contracts: tuple, start: int = 0) -> ContractReport:
+    """Fold ``contracts`` over events ``[start, len(events))`` of the
+    columns ``events`` as one run and return the report ``name``d so."""
+    bank = CheckerBank(contracts)
+    bank.feed(events, start, len(events))
+    return bank.report(name=name)
 
 
 def check_trace(trace: Trace, contracts) -> ContractReport:
@@ -24,15 +41,7 @@ def check_trace(trace: Trace, contracts) -> ContractReport:
     whole recording — to check a prefix, fold a sliced trace or use the
     time-travel layer's first-violation scan.
     """
-    if isinstance(contracts, ContractSet):
-        name = contracts.name
-        event_contracts = contracts.event_contracts()
-    else:
-        name = "contracts"
-        event_contracts = tuple(contracts)
-    bank = CheckerBank(event_contracts)
-    bank.feed(trace.events, 0, len(trace.events))
-    return bank.report(name=name)
+    return fold_run(trace.events, *split_contracts(contracts))
 
 
 def fold_prefix(bank: CheckerBank, events, upto_index=None):

@@ -264,7 +264,7 @@ class RpcStaleRejected(Event):
 
 
 # ----------------------------------------------------------------------
-# Workload observations and contract verdicts (repro.contracts)
+# Workload observations (folded by repro.contracts)
 # ----------------------------------------------------------------------
 
 
@@ -282,22 +282,3 @@ class Observation(Event):
     __slots__ = ()
     FIELDS = (*HEADER, "kind", "op", "key", "value", "pid")
     DEFAULTS = ("", "", "", 0, 0)
-
-
-class ContractViolated(Event):
-    """A contract checker's verdict: some invariant just broke.
-
-    ``index`` is the anchoring event's index in the checker's stream
-    numbering; ``evidence`` the rendered lines (bounded window) leading
-    to the verdict.
-
-    Deliberately **not** part of ``__all__``: violations are judgments
-    *about* the run, not facts *of* the run, so recorders and trace
-    writers never subscribe to them — emitting one neither consumes a
-    bus ``seq`` nor perturbs replay byte-identity unless somebody
-    explicitly listens.
-    """
-
-    __slots__ = ()
-    FIELDS = (*HEADER, "contract", "message", "index", "evidence")
-    DEFAULTS = ("", "", 0, ())

@@ -156,8 +156,8 @@ def execute(recipe: Recipe, build: Callable, *, contracts=None,
     carries ``meta``), attach a
     :class:`~repro.contracts.online.ContractMonitor` when the
     :class:`~repro.contracts.dsl.ContractSet` ``contracts`` has event
-    contracts (riding the writer's stream, or the bus's own without
-    one), ``probes = build(cluster)``, apply the plan when it has
+    contracts (over the writer's stream, or the bus's own without one;
+    it folds only when asked for its report), ``probes = build(cluster)``, apply the plan when it has
     actions, drive under :class:`~repro.kernel.profile.ProfileHook`,
     seal the trace.  Returns ``(cluster, probes, monitor, trace)``;
     ``monitor`` and ``trace`` are ``None`` when not attached.
@@ -211,11 +211,11 @@ def record_run(
     same :func:`execute`.  ``run_until=None`` drains the run.
 
     ``contracts`` (a :class:`~repro.contracts.dsl.ContractSet`) with
-    event contracts additionally attaches an online
-    :class:`~repro.contracts.online.ContractMonitor` beside the writer;
-    its finished report lands on the returned trace as
-    ``trace.contract_report`` — byte-identical, by construction, to
-    ``check_trace(trace, contracts)`` over the same recording.
+    event contracts additionally attaches a
+    :class:`~repro.contracts.online.ContractMonitor` to the writer; its
+    report, folded once the run is sealed, lands on the returned trace
+    as ``trace.contract_report`` — the fold
+    ``check_trace(trace, contracts)`` runs, over the same columns.
     """
     recipe = Recipe(names=tuple(names), seed=seed, params=params,
                     clock_skews=clock_skews, topology=topology, plan=plan,

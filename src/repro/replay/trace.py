@@ -339,9 +339,7 @@ class EventStream:
     it is emitted: four header cells and one
     :func:`~repro.obs.recorder.encode_row` through the stream's one
     :class:`~repro.obs.recorder.PayloadNormalizer` (packet ids rebased in
-    first-seen order), then ``listener(events, index)`` for each of
-    :attr:`listeners` in the order they were added.  No live event
-    outlives its delivery.
+    first-seen order).  No live event outlives its delivery.
 
     One stream per run: a :class:`TraceWriter` is one, and a
     :class:`~repro.contracts.online.ContractMonitor` folds the writer's
@@ -351,7 +349,6 @@ class EventStream:
     def __init__(self, bus):
         self.bus = bus
         self.events = EventColumns()
-        self.listeners: list = []
         self._normalizer = PayloadNormalizer()
         self._types = _all_event_types()
         for event_type in self._types:
@@ -365,9 +362,6 @@ class EventStream:
         events.nodes.append(event[1])
         events.seqs.append(event[2])
         events.rows.append(encode_row(event, self._normalizer))
-        index = len(events.rows) - 1
-        for listener in self.listeners:
-            listener(events, index)
 
     def detach(self) -> None:
         """Stop observing the bus."""
@@ -380,9 +374,7 @@ class TraceWriter(EventStream):
 
     Attach *before* driving the run; recording is itself observable
     (subscribing materializes otherwise-dormant event types), so a
-    replayer attaches its own writer to reproduce the same stream.  The
-    checkpoint listener is the stream's first, so a state is captured
-    before any monitor riding the writer folds the event it follows.
+    replayer attaches its own writer to reproduce the same stream.
     """
 
     def __init__(
@@ -415,11 +407,10 @@ class TraceWriter(EventStream):
         #: so fold-derived counts (which only see post-attach events)
         #: line up with live captures.
         self._base_counts = metric_counts(cluster.world.metrics)
+        self._checkpoint_every = checkpoint_every
         if checkpoint_every is not None:
-            self._checkpoint_every = checkpoint_every
             self._next_checkpoint_at = cluster.world.now + checkpoint_every
             self._checkpoint_pending = False
-            self.listeners.append(self._checkpoint_on)
         # Checkpoint #0: the state at attach.  Pre-attach history (the
         # agents' ProcessCreated, boot-time setup) rode the dormant path
         # and is not in the stream; every fold starts from this base.
@@ -435,11 +426,14 @@ class TraceWriter(EventStream):
             view=capture_view(self.cluster, self._base_counts, time),
         ))
 
-    def _checkpoint_on(self, events: EventColumns, index: int) -> None:
-        time = events.times[index]
+    def _on_event(self, event: ev.Event) -> None:
+        super()._on_event(event)
+        if self._checkpoint_every is None:
+            return
+        time = event[0]
         if time >= self._next_checkpoint_at:
             self._checkpoint_pending = True
-        if self._checkpoint_pending and events.types[index] in SAFE_CHECKPOINT_EVENTS:
+        if self._checkpoint_pending and type(event).__name__ in SAFE_CHECKPOINT_EVENTS:
             self._checkpoint_pending = False
             while self._next_checkpoint_at <= time:
                 self._next_checkpoint_at += self._checkpoint_every

@@ -108,9 +108,8 @@ class RpcRuntime:
         self._failed = metrics.labeled("rpc.calls_failed")
         #: Paper §4.3 instrumentation: on by default (it ships in the
         #: normal build); experiment E1 turns it off to measure the cost.
-        #: Toggling it subscribes/unsubscribes the recent-call buffer on
-        #: the bus (see the ``debug_support`` property below).
-        self._debug_support = False
+        #: While on, each call adds its cost and feeds :attr:`recent_calls`.
+        self.debug_support = True
         #: The rejected §4.2 packet-monitor design; experiment E2 enables
         #: it to show the ~2x slow-down.
         self.monitor = None
@@ -143,7 +142,6 @@ class RpcRuntime:
         self._stale = metrics.counter("rpc.stale_rejected")
         node.rpc = self
         node.station.register_port(RPC_PORT, self._on_packet)
-        self.debug_support = True
 
     # ------------------------------------------------------------------
     # Counters (properties over the obs metric series)
@@ -166,34 +164,6 @@ class RpcRuntime:
         """World-wide count of pre-reboot retransmits refused (the
         series is a plain counter shared by all runtimes)."""
         return self._stale.value
-
-    # ------------------------------------------------------------------
-    # Debug support toggle (paper §4.3)
-    # ------------------------------------------------------------------
-
-    @property
-    def debug_support(self) -> bool:
-        return self._debug_support
-
-    @debug_support.setter
-    def debug_support(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._debug_support:
-            return
-        self._debug_support = enabled
-        if enabled:
-            self.bus.subscribe(ev.RpcCallCompleted, self._record_outcome)
-            self.bus.subscribe(ev.RpcCallFailed, self._record_outcome)
-        else:
-            self.bus.unsubscribe(ev.RpcCallCompleted, self._record_outcome)
-            self.bus.unsubscribe(ev.RpcCallFailed, self._record_outcome)
-
-    def _record_outcome(self, event) -> None:
-        """Feed the cyclic recent-call buffer from the bus (paper §4.3)."""
-        if event.node == self.node.node_id:
-            self.recent_calls.record(
-                event.call_id, not isinstance(event, ev.RpcCallFailed)
-            )
 
     # ------------------------------------------------------------------
     # Cost model helpers
@@ -456,6 +426,8 @@ class RpcRuntime:
         failed = isinstance(value, RpcFailure)
         record.outcome = value.reason if failed else "ok"
         record.info_block["state"] = STATE_FAILED if failed else STATE_COMPLETED
+        if self.debug_support:
+            self.recent_calls.record(record.call_id, not failed)
         now = self.node.supervisor.current_time()
         latency = max(0, now - record.started_at)
         if failed:
@@ -667,7 +639,7 @@ class RpcRuntime:
         if record.protocol == "once":
             record.reply_wire = reply  # cached for dedup resends
         # Server send-side processing, then transmission.
-        timers = self.exempt_timers if getattr(record, "exempt", False) else self.timers
+        timers = self.exempt_timers if record.exempt else self.timers
         timers.start(
             self._step_cost(), self._send_reply_wire, record.client_node, reply
         )

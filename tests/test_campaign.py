@@ -12,7 +12,6 @@ from repro.campaign import (
     get_scenario,
     run_campaign,
     run_cell,
-    shard_cells,
     shrink_cell,
 )
 from repro.campaign.cli import main as campaign_main
@@ -149,17 +148,6 @@ def test_build_grid_ordering_and_unknown_scenario():
     ]
     with pytest.raises(KeyError):
         build_grid(["nope"], [0], plans)
-
-
-def test_shard_assignment_is_deterministic():
-    plans = [("calm", get_plan("calm"))]
-    cells = build_grid(["echo"], list(range(6)), plans)
-    shards = shard_cells(cells, 4)
-    assert [[cell.index for cell in shard] for shard in shards] == [
-        [0, 4], [1, 5], [2], [3],
-    ]
-    with pytest.raises(ValueError):
-        shard_cells(cells, 0)
 
 
 # ----------------------------------------------------------------------

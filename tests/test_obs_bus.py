@@ -157,7 +157,7 @@ def test_emit_arity_takes_defaults_and_refuses_extra_cells():
     assert len(seen) == 2 and bus.events_emitted == 2  # nothing half-delivered
 
 
-_EMITTABLE = [getattr(ev, name) for name in ev.__all__ if name != "Event"] + [ev.ContractViolated]
+_EMITTABLE = [getattr(ev, name) for name in ev.__all__ if name != "Event"]
 
 
 @pytest.mark.parametrize("event_type", _EMITTABLE, ids=lambda t: t.__name__)

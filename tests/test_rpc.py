@@ -596,6 +596,39 @@ def test_debug_support_off_removes_overhead_and_buffer():
     assert abs(overhead - Params().rpc_debug_overhead) < 100
 
 
+def test_recent_call_buffer_adds_no_subscriber_per_node():
+    """The runtime feeds its recent-call buffer directly (paper §4.3):
+    a completion's subscribers do not grow with the cluster."""
+    from repro.obs import events as ev
+
+    counts = set()
+    for size in (2, 16):
+        bus = Cluster(names=[f"n{i}" for i in range(size)]).world.bus
+        counts.add((bus.subscriber_count(ev.RpcCallCompleted),
+                    bus.subscriber_count(ev.RpcCallFailed)))
+    assert len(counts) == 1
+
+
+def test_recent_call_buffer_follows_debug_support_across_reboot():
+    cluster = Cluster(names=["client", "server"])
+    cluster.rpc("server").export_native("svc", {"ping": lambda ctx: None})
+
+    def caller(node):
+        yield from remote_call(node.rpc, "svc", "ping")
+
+    cluster.rpc("client").debug_support = False
+    cluster.reboot("client")
+    node = cluster.node("client")
+    node.spawn(caller(node), name="caller")
+    cluster.run()
+    assert cluster.rpc("client").debug_support is False
+    assert cluster.rpc("client").recent_outcomes() == []
+    cluster.rpc("client").debug_support = True
+    node.spawn(caller(node), name="caller")
+    cluster.run()
+    assert [ok for _, ok in cluster.rpc("client").recent_outcomes()] == [True]
+
+
 def test_packet_monitor_reconstructs_state_and_doubles_latency():
     """E2's mechanism: the §4.2 design roughly doubles call time."""
     baseline = Cluster(names=["client", "server"])
