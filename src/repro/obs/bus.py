@@ -35,10 +35,10 @@ class Bus:
     __slots__ = ("_subs", "_seq")
 
     def __init__(self) -> None:
-        #: event type -> subscriber list.  Types with no subscribers are
-        #: absent entirely, so the dormant emit path is ``dict.get`` +
-        #: falsy check.
-        self._subs: dict[Type[Event], list[Subscriber]] = {}
+        #: event type -> subscriber tuple, replaced on (un)subscribe.
+        #: Types with no subscribers are absent entirely, so the dormant
+        #: emit path is ``dict.get`` + falsy check.
+        self._subs: dict[Type[Event], tuple[Subscriber, ...]] = {}
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -48,7 +48,7 @@ class Bus:
     def subscribe(self, event_type: Type[Event], fn: Subscriber) -> Subscriber:
         """Register ``fn`` for ``event_type``; returns ``fn`` for symmetry
         with :meth:`unsubscribe`."""
-        self._subs.setdefault(event_type, []).append(fn)
+        self._subs[event_type] = (*self._subs.get(event_type, ()), fn)
         return fn
 
     def subscribe_many(
@@ -60,11 +60,13 @@ class Bus:
 
     def unsubscribe(self, event_type: Type[Event], fn: Subscriber) -> bool:
         """Remove one registration of ``fn``.  Returns False if absent."""
-        subs = self._subs.get(event_type)
-        if subs is None or fn not in subs:
+        subs = list(self._subs.get(event_type, ()))
+        if fn not in subs:
             return False
         subs.remove(fn)
-        if not subs:
+        if subs:
+            self._subs[event_type] = tuple(subs)
+        else:
             # Restore the dormant fast path for this type.
             del self._subs[event_type]
         return True
@@ -116,8 +118,8 @@ class Bus:
                             f"payload cells, not {len(payload)}")
         self._seq += 1
         event = tuple.__new__(event_type, (time, node, self._seq, *payload))
-        # Snapshot so a subscriber may (un)subscribe during delivery.
-        for fn in tuple(subs):
+        # A stored tuple: a subscriber may (un)subscribe during delivery.
+        for fn in subs:
             fn(event)
         return event
 

@@ -60,6 +60,10 @@ class LabeledCounter:
     def by_label(self) -> dict:
         return dict(self._by_label)
 
+    @property
+    def value(self) -> int:
+        return self.total
+
     def __repr__(self) -> str:
         return f"<LabeledCounter {self.name} total={self.total}>"
 
@@ -157,17 +161,15 @@ class Metrics:
         histograms), convenient for assertions and reports."""
         out: dict[str, object] = {}
         for name, series in sorted(self._series.items()):
-            if isinstance(series, (Counter, Gauge)):
-                out[name] = series.value
-            elif isinstance(series, LabeledCounter):
-                out[name] = series.total
-            else:
+            if isinstance(series, Histogram):
                 out[name] = {
                     "count": series.count,
                     "mean": series.mean,
                     "min": series.min,
                     "max": series.max,
                 }
+            else:
+                out[name] = series.value
         return out
 
     def __repr__(self) -> str:

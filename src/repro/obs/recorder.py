@@ -17,8 +17,9 @@ structured dict.  Both are pure functions of header + field names + row
 and every cell survives a JSON round trip unchanged, which is why a
 trace stores rows and neither derivation.  :func:`stream_fingerprint`
 digests a stream of lines.  A run's one
-:class:`~repro.replay.trace.EventStream` encodes each event as emitted;
-identically seeded runs compare by :meth:`Trace.lines
+:class:`~repro.replay.trace.EventStream` encodes each event as emitted
+and renders nothing (a sealed trace digests its lines on the footer's
+first read); identically seeded runs compare by :meth:`Trace.lines
 <repro.replay.trace.Trace.lines>` or the footer fingerprint.
 
 Note that *recording is itself observable*: subscribing materializes

@@ -35,10 +35,12 @@ crash.
 from __future__ import annotations
 
 import hashlib
-import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.mayflower.process import ProcessState
 from repro.obs.recorder import row_layout
 
 if TYPE_CHECKING:
@@ -85,9 +87,10 @@ METRIC_SOURCES = {
 
 def metric_counts(metrics) -> dict[str, int]:
     """The live values of every count the view tracks (absolute, since
-    world birth; callers subtract a base snapshot)."""
-    snapshot = metrics.snapshot()
-    return {key: int(snapshot.get(name, 0)) for key, name in METRIC_SOURCES.items()}
+    world birth, 0 for a series never created; callers subtract a base)."""
+    series = metrics.series()
+    return {key: series[name].value if name in series else 0
+            for key, name in METRIC_SOURCES.items()}
 
 
 @dataclass
@@ -161,7 +164,7 @@ def capture_view(cluster: "Cluster", base_counts: dict[str, int],
             table[str(process.pid)] = {
                 "name": process.name, "priority": process.priority,
             }
-            if process.state.name == "HALTED":
+            if process.state is ProcessState.HALTED:
                 halted.append(process.pid)
         view.processes[key] = table
         view.halted[key] = sorted(halted)
@@ -285,9 +288,12 @@ def rng_digest(rng) -> str:
     version, the packed Mersenne words (position included) and the
     cached gauss tail.  Nothing restores an RNG from a checkpoint —
     replay re-derives it from the seed — so pinning the position takes
-    64 characters, not 625 words."""
+    64 characters, not 625 words (as little-endian ``uint32``)."""
     version, words, gauss = rng.getstate()
-    digest = hashlib.sha256(struct.pack(f"<{len(words)}I", *words))
+    packed = array("I", words)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    digest = hashlib.sha256(packed)
     digest.update(f"{version}:{gauss!r}".encode())
     return digest.hexdigest()
 

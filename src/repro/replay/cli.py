@@ -59,7 +59,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     trace = _load(source)
     if trace is None:
         return 1
-    drive = trace.footer.get("drive") or {}
     fingerprint = trace.fingerprint()
     print(f"trace:        {source}")
     print(f"seed:         {trace.seed}  topology: {trace.topology}")
@@ -72,7 +71,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"checkpoints:  {len(trace.checkpoints)}  "
           f"(one per {events / len(trace.checkpoints):.1f} events)")
     print(f"final time:   {trace.final_time} us  "
-          f"(drive: {drive.get('mode', 'manual')})")
+          f"(drive: {trace.drive.get('mode', 'manual')})")
     print(f"fingerprint:  {fingerprint}")
     if fingerprint != trace.footer.get("fingerprint"):
         print(f"error: {source}: stream fingerprint {fingerprint} does not "

@@ -112,7 +112,7 @@ class Recipe:
         its debugger interference is not in the trace, so no fresh
         execution reproduces it — however far it is asked to run.
         """
-        drive = trace.footer.get("drive") or {"mode": "manual"}
+        drive = trace.drive
         if drive.get("mode") not in ("until", "drain"):
             raise ReplayUnsupported(
                 "trace was recorded from a manually driven session and cannot "

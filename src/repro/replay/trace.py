@@ -16,7 +16,7 @@ container of :mod:`repro.replay.format` (:meth:`Trace.save` /
 * interleaved **checkpoint** lines (see :mod:`repro.replay.checkpoint`);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
-  what tells a replayer how far to run.
+  what tells a replayer how far to run; the fingerprint is taken when first read.
 
 Checkpoints are captured *inside the bus subscriber* when an event
 crosses the cadence boundary — never via self-rescheduled world events,
@@ -225,7 +225,8 @@ class Trace:
         #: An :class:`EventColumns`; a list of ``TraceEvent`` is laid out as one.
         self.events = events if isinstance(events, EventColumns) else EventColumns(events)
         self.checkpoints = checkpoints
-        self.footer = footer
+        self._footer = footer
+        self._digest_pending = False
         #: A :class:`repro.kernel.profile.ProfileHook` when the run was
         #: recorded under ``REPRO_PROFILE=1``; :meth:`save` drops its
         #: stats next to the trace file.
@@ -245,9 +246,24 @@ class Trace:
         return self.header.get("topology", "ring")
 
     @property
+    def footer(self) -> dict:
+        """Final time, event count, fingerprint and drive.  A trace sealed by
+        :meth:`TraceWriter.finish` (its columns not mutated since) takes its
+        fingerprint on this first read; any other's is as given."""
+        if self._digest_pending:
+            self._digest_pending = False
+            self._footer["fingerprint"] = self.fingerprint()
+        return self._footer
+
+    @property
     def final_time(self) -> int:
         """Virtual time when the recording was sealed."""
-        return self.footer["final_time"]
+        return self._footer["final_time"]
+
+    @property
+    def drive(self) -> dict:
+        """How the recorded run was driven (``manual`` when unrecorded)."""
+        return self._footer.get("drive") or {"mode": "manual"}
 
     def max_times(self) -> list[int]:
         """The clock a fold reads at each cursor ``0 .. n``: the base
@@ -350,6 +366,7 @@ class EventStream:
         self.bus = bus
         self.events = EventColumns()
         self._normalizer = PayloadNormalizer()
+        self._watch = float("inf")  # a writer's: events from this time go to ``_crossed``
         self._types = _all_event_types()
         for event_type in self._types:
             self.events.declare(event_type.__name__, payload_field_names(event_type))
@@ -362,6 +379,8 @@ class EventStream:
         events.nodes.append(event[1])
         events.seqs.append(event[2])
         events.rows.append(encode_row(event, self._normalizer))
+        if event[0] >= self._watch:
+            self._crossed(event)
 
     def detach(self) -> None:
         """Stop observing the bus."""
@@ -409,8 +428,7 @@ class TraceWriter(EventStream):
         self._base_counts = metric_counts(cluster.world.metrics)
         self._checkpoint_every = checkpoint_every
         if checkpoint_every is not None:
-            self._next_checkpoint_at = cluster.world.now + checkpoint_every
-            self._checkpoint_pending = False
+            self._next_checkpoint_at = self._watch = cluster.world.now + checkpoint_every
         # Checkpoint #0: the state at attach.  Pre-attach history (the
         # agents' ProcessCreated, boot-time setup) rode the dormant path
         # and is not in the stream; every fold starts from this base.
@@ -426,18 +444,17 @@ class TraceWriter(EventStream):
             view=capture_view(self.cluster, self._base_counts, time),
         ))
 
-    def _on_event(self, event: ev.Event) -> None:
-        super()._on_event(event)
-        if self._checkpoint_every is None:
+    def _crossed(self, event: ev.Event) -> None:
+        """An event at or past the watched time: once one has crossed the
+        cadence boundary, the next safe event (of any time) captures."""
+        if type(event).__name__ not in SAFE_CHECKPOINT_EVENTS:
+            self._watch = 0  # pending: every later event is handed on
             return
         time = event[0]
-        if time >= self._next_checkpoint_at:
-            self._checkpoint_pending = True
-        if self._checkpoint_pending and type(event).__name__ in SAFE_CHECKPOINT_EVENTS:
-            self._checkpoint_pending = False
-            while self._next_checkpoint_at <= time:
-                self._next_checkpoint_at += self._checkpoint_every
-            self._capture_checkpoint(time)
+        while self._next_checkpoint_at <= time:
+            self._next_checkpoint_at += self._checkpoint_every
+        self._watch = self._next_checkpoint_at
+        self._capture_checkpoint(time)
 
     # ------------------------------------------------------------------
 
@@ -447,7 +464,9 @@ class TraceWriter(EventStream):
         ``drive`` records how the run was driven so a replayer can drive
         identically: ``{"mode": "until", "until": T}``, ``{"mode":
         "drain"}``, or ``{"mode": "manual"}`` (interactive sessions,
-        which support time travel but not re-execution).
+        which support time travel but not re-execution).  Sealing renders
+        nothing (:attr:`Trace.footer` digests the columns on its first
+        read), so the trace's columns are not to be mutated.
         """
         if self._finished:
             raise RuntimeError("TraceWriter.finish() called twice")
@@ -456,10 +475,10 @@ class TraceWriter(EventStream):
         footer = {
             "final_time": self.cluster.world.now,
             "events": len(self.events),
-            "fingerprint": stream_fingerprint(self.events.lines()),
             "drive": drive or {"mode": "manual"},
         }
         trace = Trace(self.header, self.events, self.checkpoints, footer)
+        trace._digest_pending = True
         # A checkpoint's view is what a fold reads at its index: its clock
         # is the running maximum of the event times before it, not its own.
         highs = trace.max_times()

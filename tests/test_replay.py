@@ -1,6 +1,12 @@
 """Record/replay: byte-identity, checkpoints, time travel, races."""
 
+import hashlib
+import random
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MS, SEC, Cluster, FaultPlan, Pilgrim, Trace, record_run, replay_trace
 from repro.mayflower.process import Process
@@ -14,7 +20,10 @@ from repro.replay import (
     TraceFormatError,
     detect_races,
 )
-from repro.replay.checkpoint import capture_view
+from repro.replay import checkpoint as checkpoint_module
+from repro.replay import trace as trace_module
+from repro.replay.checkpoint import capture_view, metric_counts, rng_digest
+from repro.replay.replay import Recipe, execute
 from repro.rpc.runtime import remote_call
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
@@ -114,6 +123,85 @@ def test_manual_trace_refuses_re_execution():
     assert trace.footer["drive"] == {"mode": "manual"}
     with pytest.raises(ReplayUnsupported):
         ReplayWorld(trace, lambda cluster: None).run()
+
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Wrap each function ``names`` of ``module`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sealing_renders_nothing_until_the_footer_is_read(monkeypatch, tmp_path):
+    """``finish()`` renders no line: the footer's digest is taken the
+    first time the footer is read (or the trace is saved), once, and
+    kept; ``final_time`` and ``drive`` do not take it."""
+    calls = _count_calls(monkeypatch, trace_module, ("render_line", "stream_fingerprint"))
+    none = {"render_line": 0, "stream_fingerprint": 0}
+    trace = record_run(build_chaos, CHAOS_NAMES, seed=1, plan=chaos_plan(),
+                       checkpoint_every=100 * MS, run_until=2 * SEC)
+    assert calls == none
+    assert (trace.final_time, trace.drive) == (2 * SEC, {"mode": "until", "until": 2 * SEC})
+    assert calls == none
+    first, second = trace.footer["fingerprint"], trace.footer["fingerprint"]
+    assert calls == {"render_line": len(trace.events), "stream_fingerprint": 1}
+    assert first == second == trace.fingerprint()
+
+    saved = record_run(build_chaos, CHAOS_NAMES, seed=1, plan=chaos_plan(),
+                       checkpoint_every=100 * MS, run_until=2 * SEC)
+    calls.update(none)
+    saved.save(tmp_path / "run.trace.bin")
+    assert calls["stream_fingerprint"] == 1
+    assert Trace.load(tmp_path / "run.trace.bin").footer == saved.footer == trace.footer
+
+    # A hand-built trace keeps its footer dict exactly as given.
+    hand = Trace(trace.header, trace.events, trace.checkpoints, {"final_time": 0})
+    assert (hand.footer, hand.final_time, hand.drive) == ({"final_time": 0}, 0, {"mode": "manual"})
+    assert "fingerprint" not in hand.footer
+
+
+def _struct_rng_digest(rng) -> str:
+    """The reference :func:`rng_digest`: the words packed by ``struct``."""
+    version, words, gauss = rng.getstate()
+    digest = hashlib.sha256(struct.pack(f"<{len(words)}I", *words))
+    digest.update(f"{version}:{gauss!r}".encode())
+    return digest.hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), draws=st.integers(0, 1300), gauss=st.booleans())
+def test_rng_digest_hashes_the_struct_packed_words(seed, draws, gauss):
+    """The ``array`` digest is the bytes of ``struct.pack("<625I")``, at
+    any position (past a twist or not) and with or without a cached
+    ``gauss`` value."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    if gauss:
+        rng.gauss(0.0, 1.0)
+    assert (rng.getstate()[2] is not None) == gauss
+    assert rng_digest(rng) == _struct_rng_digest(rng)
+
+
+def test_metric_counts_read_the_series_the_snapshot_reads(monkeypatch):
+    """Read off each series directly, the counts equal the old
+    ``snapshot()``-based form on a chaos run's world; a source series
+    never created reads 0."""
+    monkeypatch.setitem(checkpoint_module.METRIC_SOURCES, "never", "no.such.series")
+    recipe = Recipe(names=tuple(CHAOS_NAMES), seed=2, plan=chaos_plan(),
+                    checkpoint_every=100 * MS).running_until(4 * SEC)
+    cluster, _, _, _ = execute(recipe, build_chaos)
+    metrics = cluster.world.metrics
+    snapshot = metrics.snapshot()
+    expected = {key: int(snapshot.get(name, 0))
+                for key, name in checkpoint_module.METRIC_SOURCES.items()}
+    assert metric_counts(metrics) == expected
+    assert expected["never"] == 0 and expected["rpc_failed"] > 0
+    cluster.close()
 
 
 # ----------------------------------------------------------------------
