@@ -13,6 +13,7 @@ outcomes.
 """
 
 from repro import SEC, Cluster, Pilgrim
+from repro.faults.shaper import LOSS, FaultRule, LinkShaper
 from repro.rpc.runtime import remote_call
 from benchmarks.common import print_table
 
@@ -21,10 +22,11 @@ def run_trial(drop: str, seed: int = 0) -> dict:
     """drop in {'none', 'call', 'reply'}; returns diagnosis info."""
     cluster = Cluster(names=["client", "server", "debugger"], seed=seed)
     cluster.rpc("server").export_native("svc", {"op": lambda ctx: 42})
-    if drop == "call":
-        cluster.net.drop_filters.append(lambda p: p.kind == "rpc_call")
-    elif drop == "reply":
-        cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
+    if drop != "none":
+        kind = f"rpc_{drop}"
+        LinkShaper(cluster.net).add_rule(
+            FaultRule(LOSS, match=lambda p: p.kind == kind)
+        )
     out = {}
 
     def caller(node):
@@ -50,10 +52,10 @@ def buffer_experiment() -> dict:
     failures_at = {7, 18}
     drop_next = {"armed": False}
 
-    def drop_filter(packet):
+    def armed_call(packet):
         return packet.kind == "rpc_call" and drop_next["armed"]
 
-    cluster.net.drop_filters.append(drop_filter)
+    LinkShaper(cluster.net).add_rule(FaultRule(LOSS, match=armed_call))
     outcomes = []
 
     def caller(node):

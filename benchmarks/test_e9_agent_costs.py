@@ -11,8 +11,10 @@ measured latencies sit just above that floor.
 """
 
 from repro import Cluster, Pilgrim
-from repro.net import PacketTracer
+from repro.obs import events as ev
 from benchmarks.common import print_table
+
+AGENT_KINDS = ("agent_request", "agent_reply")
 
 PROGRAM = """record point
   x: int
@@ -42,7 +44,11 @@ def run_experiment() -> list[list]:
     image = cluster.load_program(PROGRAM, "app")
     cluster.spawn_vm("app", image, "main")
     dbg = Pilgrim(cluster, home="debugger")
-    tracer = PacketTracer(cluster.net)
+    agent_packets = []
+    cluster.world.bus.subscribe(
+        ev.PacketSent,
+        lambda e: e.packet.kind in AGENT_KINDS and agent_packets.append(e.packet),
+    )
     dbg.connect("app")
     bp = dbg.set_breakpoint("app", "app", line=11)  # inside work
     hit = dbg.wait_for_breakpoint()
@@ -50,20 +56,11 @@ def run_experiment() -> list[list]:
     world = cluster.world
 
     def timed(label, fn):
-        before_packets = len(
-            [r for r in tracer.records
-             if r.event == "sent" and r.packet.kind in
-             ("agent_request", "agent_reply")]
-        )
+        before_packets = len(agent_packets)
         start = world.now
         fn()
         latency = world.now - start
-        after_packets = len(
-            [r for r in tracer.records
-             if r.event == "sent" and r.packet.kind in
-             ("agent_request", "agent_reply")]
-        )
-        return [label, f"{latency / 1000:.2f}ms", after_packets - before_packets]
+        return [label, f"{latency / 1000:.2f}ms", len(agent_packets) - before_packets]
 
     rows = [
         timed("list_processes", lambda: dbg.processes("app")),

@@ -86,7 +86,7 @@ def main() -> None:
     n = dbg.read_var(hit["thread"], "n")
     print(f"producer local n = {n}")
     frames = dbg.backtrace(hit["thread"])
-    print("backtrace:", " <- ".join(f["func"] for f in frames))
+    print("backtrace:", " <- ".join(f["proc"] for f in frames))
 
     stepped = dbg.step()
     print(f"single step -> line {stepped['line']}")

@@ -14,6 +14,7 @@ Run:  python examples/maybe_rpc_postmortem.py
 """
 
 from repro import SEC, Cluster, Pilgrim
+from repro.faults.shaper import LOSS, FaultRule, LinkShaper
 from repro.rpc.runtime import remote_call
 
 
@@ -21,15 +22,16 @@ def main() -> None:
     cluster = Cluster(names=["client", "server", "debugger"])
     cluster.rpc("server").export_native("store", {"put": lambda ctx, k: k})
 
-    # Fault injection: drop the call packet of request 2 and the reply
-    # packet of request 4.
+    # Fault injection: two silent-loss rules drop the call packet of
+    # request 2 and the reply packet of request 4.
     state = {"i": 0}
-    cluster.net.drop_filters.append(
-        lambda p: p.kind == "rpc_call" and state["i"] == 2
-    )
-    cluster.net.drop_filters.append(
-        lambda p: p.kind == "rpc_reply" and state["i"] == 4
-    )
+    shaper = LinkShaper(cluster.net)
+    shaper.add_rule(FaultRule(
+        LOSS, match=lambda p: p.kind == "rpc_call" and state["i"] == 2
+    ))
+    shaper.add_rule(FaultRule(
+        LOSS, match=lambda p: p.kind == "rpc_reply" and state["i"] == 4
+    ))
 
     results = []
 

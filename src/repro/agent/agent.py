@@ -649,8 +649,3 @@ class PilgrimAgent:
             "debuggee_status",
             {"debugger": debugger, "logical_time": self.node.clock.logical_now()},
         )
-
-    def get_debuggee_status_local(self) -> tuple[int, int]:
-        """In-process variant for code already on this node."""
-        debugger = self.debugger_addr if self.debugger_addr is not None else rq.NO_DEBUGGER
-        return debugger, self.node.clock.logical_now()

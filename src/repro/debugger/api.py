@@ -7,8 +7,7 @@ is written down, once:
   :class:`Frame`, :class:`SessionStatus`, :class:`TraceSummary`) —
   small frozen dataclasses that double as the wire schema
   (``to_dict`` / ``from_dict``) and support read-only mapping access
-  (``frame["line"]``, including the live backend's historical key
-  spellings such as ``frame["func"]``);
+  by field name (``frame["line"]``);
 * the **plain-text renderers** of those records (``format_*``), shared
   by the REPL and the session daemon so both print the same bytes;
 * :data:`OPS`, the **session-operation registry** — one :class:`Op` row
@@ -40,7 +39,6 @@ from functools import partial
 from typing import (
     Any,
     Callable,
-    ClassVar,
     Iterator,
     Optional,
     Protocol,
@@ -59,13 +57,8 @@ class Record:
     """Mixin for the frozen wire records: dict round-trip + mapping reads.
 
     ``to_dict``/``from_dict`` are the JSON wire schema; ``__getitem__``
-    and ``get`` provide read-only mapping access so the dict-shaped
-    call sites of earlier releases keep working unchanged.  Subclasses
-    may declare ``_aliases`` mapping historical key spellings onto
-    field names (the live backend called a frame's procedure ``func``).
+    and ``get`` provide read-only mapping access by field name.
     """
-
-    _aliases: ClassVar[dict] = {}
 
     def to_dict(self) -> dict:
         """Serialize to the plain-JSON wire shape."""
@@ -79,7 +72,7 @@ class Record:
 
     def __getitem__(self, key: str):
         try:
-            return getattr(self, self._aliases.get(key, key))
+            return getattr(self, key)
         except AttributeError:
             raise KeyError(key) from None
 
@@ -110,9 +103,6 @@ class ProcessInfo(Record):
     registers: Optional[dict] = None
     #: (module, func, pc) if stopped at a trap.
     trapped_at: Optional[tuple] = None
-
-    #: The live backend's historical spellings.
-    _aliases: ClassVar[dict] = {"ident": "pid", "thread": "pid"}
 
     @property
     def alive(self) -> bool:
@@ -162,9 +152,6 @@ class Frame(Record):
     unreachable: bool = False
     error: Optional[str] = None
     well_formed: bool = True
-
-    #: The live backend's historical spellings.
-    _aliases: ClassVar[dict] = {"func": "proc", "file": "module", "thread": "pid"}
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 Three pieces, layered on the existing simulation machinery:
 
-* :class:`~repro.faults.shaper.LinkShaper` — a ring-level packet shaper
-  implementing the fault kinds beyond simple loss: partitions (hardware
-  NACK, the sender's interface learns of non-receipt), lossy windows
-  (silent software loss, invisible to the sender), forced-NACK windows,
-  delay with seeded jitter, duplication, and reordering.  The shaper
-  preserves the paper's taxonomy: a fault is either *hardware-visible*
-  (NACK, drives §5.2-style retransmission) or *silent* (what makes the
-  maybe protocol interesting to debug, §4.1).
+* :class:`~repro.faults.shaper.LinkShaper` — the transport's one fault
+  mechanism, on every fabric: partitions (hardware NACK, the sender's
+  interface learns of non-receipt), loss rules (silent software loss,
+  invisible to the sender), NACK rules, delay with seeded jitter,
+  duplication, and reordering.  A :class:`~repro.faults.shaper.FaultRule`
+  scopes by ``src``/``dst`` and an optional ``match`` packet predicate,
+  so a targeted fault ("lose every ``rpc_reply``") is a rule too.  The
+  shaper preserves the paper's taxonomy: a fault is either
+  *hardware-visible* (NACK, drives §5.2-style retransmission) or
+  *silent* (what makes the maybe protocol interesting to debug, §4.1).
 * :class:`~repro.faults.plan.FaultPlan` — a declarative, seeded schedule
   of fault actions at absolute virtual times.
 * :class:`~repro.faults.plan.Nemesis` — the driver that applies a plan

@@ -21,14 +21,22 @@ plan means the same thing on every topology: a partition cuts the same
 node groups, a NACK window fires at the same probability, a delay rule
 shifts deliveries by the same offsets.
 
-Rules match by optional ``src``/``dst`` node and are toggled by the
-nemesis; with no active rules every method is a cheap no-op, and a
-transport with ``shaper is None`` never calls in at all.
+The shaper is the transport's only fault mechanism besides the seeded
+``Params.packet_loss_probability``.  Rules match by optional
+``src``/``dst`` node and an optional ``match`` packet predicate; the
+nemesis toggles them for a plan's windows, and a test or example adds
+its own for targeted faults::
+
+    shaper = LinkShaper(cluster.net)
+    shaper.add_rule(FaultRule(LOSS, match=lambda p: p.kind == "rpc_reply"))
+
+With no active rules every method is a cheap no-op, and a transport
+with ``shaper is None`` never calls in at all.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
     from repro.net.base import Transport
@@ -43,9 +51,15 @@ REORDER = "reorder"    # hold a packet back past its successors
 
 
 class FaultRule:
-    """One active shaping rule; removed when its window closes."""
+    """One active shaping rule; removed when its window closes.
 
-    __slots__ = ("kind", "probability", "src", "dst", "extra", "jitter")
+    ``match`` (optional) narrows the ``src``/``dst`` scope to the
+    packets a predicate picks, e.g. ``lambda p: p.kind == "rpc_call"``.
+    The predicate runs before the probability draw, so a packet it
+    rejects consumes no randomness.
+    """
+
+    __slots__ = ("kind", "probability", "src", "dst", "extra", "jitter", "match")
 
     def __init__(
         self,
@@ -55,6 +69,7 @@ class FaultRule:
         dst: Optional[int] = None,
         extra: int = 0,
         jitter: int = 0,
+        match: Optional[Callable[["BasicBlock"], bool]] = None,
     ):
         self.kind = kind
         self.probability = probability
@@ -62,14 +77,15 @@ class FaultRule:
         self.dst = dst
         self.extra = extra
         self.jitter = jitter
+        self.match = match
 
     def matches(self, packet: "BasicBlock") -> bool:
-        """Does this rule's src/dst scope cover ``packet``?"""
+        """Does this rule's src/dst scope and ``match`` cover ``packet``?"""
         if self.src is not None and packet.src != self.src:
             return False
         if self.dst is not None and packet.dst != self.dst:
             return False
-        return True
+        return self.match is None or self.match(packet)
 
     def __repr__(self) -> str:
         scope = f"{self.src if self.src is not None else '*'}->" \
@@ -116,7 +132,7 @@ class LinkShaper:
         return self._group_of(packet.src) != self._group_of(packet.dst)
 
     # ------------------------------------------------------------------
-    # Rule management (used by the nemesis)
+    # Rule management (the nemesis, or a test's targeted fault)
     # ------------------------------------------------------------------
 
     def add_rule(self, rule: FaultRule) -> FaultRule:
@@ -137,11 +153,11 @@ class LinkShaper:
         return self.rng.random() < rule.probability
 
     # ------------------------------------------------------------------
-    # Ring integration points
+    # Transport decision points
     # ------------------------------------------------------------------
 
     def forces_nack(self, packet: "BasicBlock") -> bool:
-        """Hardware-visible non-receipt: partition cut or NACK window."""
+        """Hardware-visible non-receipt: partition cut or NACK rule."""
         if self._partitioned(packet):
             return True
         for rule in self.rules:

@@ -216,13 +216,6 @@ class Now(Syscall):
         return supervisor.node.clock.logical_now()
 
 
-class RealNow(Syscall):
-    """Read the node's real-time clock (supervisor/agent use only)."""
-
-    def perform(self, supervisor: "Supervisor", process: Process) -> int:
-        return supervisor.node.clock.real_now()
-
-
 class Self(Syscall):
     """Return the calling process (for its pid etc.; paper §5.4 notes the
     original pid lookup "was extremely slow and had to be re-implemented" —

@@ -8,7 +8,9 @@ methodology can be measured against others:
 
 * :class:`~repro.net.base.Transport` — the contract: station
   attach/detach, the send path with the shared hardware-NACK and
-  silent-loss decision points, shaper-driven delivery scheduling;
+  silent-loss decision points, shaper-driven delivery scheduling.  The
+  one way to inject a fault is a :class:`repro.faults.LinkShaper` rule,
+  and the one packet record is the ``Packet*`` events on the obs bus;
 * :class:`~repro.net.ring.RingTransport` — the Cambridge Ring
   (``topology="ring"``): one transmitter per station, serial sends;
 * :class:`~repro.net.mesh.MeshTransport` — a switched point-to-point
@@ -24,17 +26,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.net.base import PacketTracer, Station, Transport
+from repro.net.base import Station, Transport
 from repro.net.mesh import MeshTransport
-from repro.net.packets import (
-    TRACE_DELIVERED,
-    TRACE_DROPPED,
-    TRACE_NACKED,
-    TRACE_NO_HANDLER,
-    TRACE_SENT,
-    BasicBlock,
-    TraceRecord,
-)
+from repro.net.packets import BasicBlock
 from repro.net.ring import RingTransport
 
 if TYPE_CHECKING:
@@ -62,16 +56,9 @@ def make_transport(
 __all__ = [
     "Transport",
     "Station",
-    "PacketTracer",
     "RingTransport",
     "MeshTransport",
     "TOPOLOGIES",
     "make_transport",
     "BasicBlock",
-    "TraceRecord",
-    "TRACE_SENT",
-    "TRACE_DELIVERED",
-    "TRACE_DROPPED",
-    "TRACE_NACKED",
-    "TRACE_NO_HANDLER",
 ]

@@ -12,15 +12,20 @@ injection hooks behave identically on every backend:
 * **the send path** — :meth:`Transport.transmit` emits ``PacketSent``,
   asks the fabric when the transmitter frees up and how long delivery
   takes, and runs the shared **NACK decision point** (crashed
-  destination interface, :class:`~repro.faults.shaper.LinkShaper`
-  partitions/NACK windows, targeted ``nack_filters``, seeded interface
-  loss) — hardware-visible non-receipt, reported to the sender by end of
+  destination interface, or the
+  :class:`~repro.faults.shaper.LinkShaper`'s partitions and NACK rules)
+  — hardware-visible non-receipt, reported to the sender by end of
   transmission;
 * **delivery** — :meth:`Transport._deliver` runs the shared **silent
-  loss decision point** (``drop_filters``, shaper loss windows, seeded
-  software loss) and dispatches to the destination port handler;
+  loss decision point** (the shaper's LOSS rules, then the seeded
+  ``Params.packet_loss_probability``) and dispatches to the destination
+  port handler;
 * **shaper scheduling** — delay/jitter, duplication, and hold-back
   reordering are applied as per-copy delivery offsets, fabric-agnostic.
+
+Targeted faults are shaper rules: ``FaultRule(LOSS, match=...)`` drops
+the packets its predicate picks, ``FaultRule(NACK, match=...)`` NACKs
+them.  A record of packets is the ``Packet*`` events on the obs bus.
 
 Concrete fabrics only answer four timing questions (transmitter
 availability, transmitter occupancy, delivery latency, and how to record
@@ -31,15 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.packets import (
-    TRACE_DELIVERED,
-    TRACE_DROPPED,
-    TRACE_NACKED,
-    TRACE_NO_HANDLER,
-    TRACE_SENT,
-    BasicBlock,
-    TraceRecord,
-)
+from repro.net.packets import BasicBlock
 from repro.obs import events as ev
 from repro.params import Params
 
@@ -49,7 +46,6 @@ if TYPE_CHECKING:
 
 PortHandler = Callable[[BasicBlock], None]
 NackHandler = Callable[[BasicBlock], None]
-DropFilter = Callable[[BasicBlock], bool]
 
 
 class Station:
@@ -76,18 +72,9 @@ class Station:
         """Packets this station transmitted (from the metric series)."""
         return self.transport._sent.get(self.address)
 
-    @property
-    def packets_received(self) -> int:
-        """Packets delivered to this station (from the metric series)."""
-        return self.transport._delivered.get(self.address)
-
     def register_port(self, port: str, handler: PortHandler) -> None:
         """Attach a software handler for packets addressed to ``port``."""
         self._ports[port] = handler
-
-    def unregister_port(self, port: str) -> None:
-        """Detach the handler for ``port`` (missing ports are ignored)."""
-        self._ports.pop(port, None)
 
     def clear_ports(self) -> None:
         """Drop every software port handler (node crash/reboot cleanup)."""
@@ -150,16 +137,8 @@ class Transport:
         self.params = params or Params()
         self.bus = world.bus
         self.stations: dict[int, Station] = {}
-        #: Optional per-packet drop predicates for targeted fault injection.
-        #: Returning True drops the packet silently (software-level loss).
-        self.drop_filters: list[DropFilter] = []
-        #: Probability of hardware-detectable (NACKed) non-receipt.
-        self.interface_nack_probability = 0.0
-        #: Targeted fault injection: predicates that force a hardware NACK
-        #: for matching packets (complements drop_filters' silent loss).
-        self.nack_filters: list[DropFilter] = []
-        #: Optional :class:`repro.faults.LinkShaper` implementing the
-        #: richer fault kinds (partition, delay/jitter, duplication,
+        #: Optional :class:`repro.faults.LinkShaper`: every injected
+        #: fault (partition, NACK, loss, delay/jitter, duplication,
         #: reordering).  ``None`` keeps the fault-free fast path.
         self.shaper = None
         metrics = world.metrics
@@ -246,9 +225,9 @@ class Transport:
         """Send ``packet`` from ``station``; the fabric sets the timing.
 
         Runs the transport-agnostic NACK decision point (crashed or
-        detached destination, shaper partitions/NACK windows, targeted
-        filters, seeded interface loss) and schedules delivery — one
-        copy, or several when the shaper delays/duplicates/reorders.
+        detached destination, shaper partitions and NACK rules) and
+        schedules delivery — one copy, or several when the shaper
+        delays/duplicates/reorders.
         """
         # Sends may originate from a process running ahead on its node's
         # local CPU cursor; stamp transmission with the sender's time.
@@ -261,15 +240,9 @@ class Transport:
 
         dst_station = self.stations.get(packet.dst)
         dst_down = dst_station is None or dst_station.node.crashed
-        hardware_nack = dst_down or (
+        if dst_down or (
             self.shaper is not None and self.shaper.forces_nack(packet)
-        ) or any(
-            nack_filter(packet) for nack_filter in self.nack_filters
-        ) or (
-            self.interface_nack_probability > 0
-            and self.world.rng.random() < self.interface_nack_probability
-        )
-        if hardware_nack:
+        ):
             # The transmitting hardware learns of non-receipt when the
             # minipacket returns — i.e. by the end of transmission.
             self.bus.emit(ev.PacketNacked, now, packet.src, packet)
@@ -326,9 +299,6 @@ class Transport:
 
     def _should_drop(self, packet: BasicBlock) -> bool:
         """Silent software loss after interface receipt (paper §4.1)."""
-        for drop_filter in self.drop_filters:
-            if drop_filter(packet):
-                return True
         if self.shaper is not None and self.shaper.drops(packet):
             return True
         probability = self.params.packet_loss_probability
@@ -340,47 +310,3 @@ class Transport:
             f"sent={self.total_sent}>"
         )
 
-
-class PacketTracer:
-    """Trace collector: subscribes to the packet events and renders them
-    as the legacy :class:`TraceRecord` stream.  Fabric-independent."""
-
-    _DROP_EVENTS = {"no_handler": TRACE_NO_HANDLER}
-
-    def __init__(self, transport: Transport):
-        self.transport = transport
-        self.records: list[TraceRecord] = []
-        bus = transport.bus
-        bus.subscribe(ev.PacketSent, self._on_sent)
-        bus.subscribe(ev.PacketDelivered, self._on_delivered)
-        bus.subscribe(ev.PacketNacked, self._on_nacked)
-        bus.subscribe(ev.PacketDropped, self._on_dropped)
-
-    def detach(self) -> None:
-        """Stop observing the bus."""
-        bus = self.transport.bus
-        bus.unsubscribe(ev.PacketSent, self._on_sent)
-        bus.unsubscribe(ev.PacketDelivered, self._on_delivered)
-        bus.unsubscribe(ev.PacketNacked, self._on_nacked)
-        bus.unsubscribe(ev.PacketDropped, self._on_dropped)
-
-    def _on_sent(self, event: ev.PacketSent) -> None:
-        self.records.append(TraceRecord(event.time, TRACE_SENT, event.packet))
-
-    def _on_delivered(self, event: ev.PacketDelivered) -> None:
-        self.records.append(TraceRecord(event.time, TRACE_DELIVERED, event.packet))
-
-    def _on_nacked(self, event: ev.PacketNacked) -> None:
-        self.records.append(TraceRecord(event.time, TRACE_NACKED, event.packet))
-
-    def _on_dropped(self, event: ev.PacketDropped) -> None:
-        trace_event = self._DROP_EVENTS.get(event.reason, TRACE_DROPPED)
-        self.records.append(TraceRecord(event.time, trace_event, event.packet))
-
-    def events_for(self, packet_id: int) -> list[str]:
-        """Trace event names recorded for one packet id, in order."""
-        return [r.event for r in self.records if r.packet.packet_id == packet_id]
-
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        """All records whose packet carries ``kind`` metadata."""
-        return [r for r in self.records if r.packet.kind == kind]

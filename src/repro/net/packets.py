@@ -20,8 +20,9 @@ _packet_ids = itertools.count(1)
 class BasicBlock:
     """One Basic Block message on the network.
 
-    ``kind`` is free-form metadata used by tracing (and by the rejected
-    packet-monitor RPC debugging design of paper §4.2): e.g. ``rpc_call``,
+    ``kind`` is free-form metadata read by fault rules' ``match``
+    predicates and the obs stream (and by the rejected packet-monitor
+    RPC debugging design of paper §4.2): e.g. ``rpc_call``,
     ``rpc_reply``, ``rpc_ack``, ``agent_request``, ``halt``.
     """
 
@@ -39,19 +40,3 @@ class BasicBlock:
             f"{self.size_bytes}B>"
         )
 
-
-#: Trace event kinds emitted by the transport for every packet.
-TRACE_SENT = "sent"
-TRACE_DELIVERED = "delivered"
-TRACE_DROPPED = "dropped"  # silent software-level loss
-TRACE_NACKED = "nacked"  # hardware-detected non-receipt (paper §5.2)
-TRACE_NO_HANDLER = "no_handler"
-
-
-@dataclass
-class TraceRecord:
-    """One entry in a packet trace (used by tests and by E8's post-mortem)."""
-
-    time: int
-    event: str
-    packet: BasicBlock

@@ -333,18 +333,6 @@ class TimeTravel:
                     stack.append(pred)
         return [self.events[i] for i in sorted(seen)]
 
-    # ------------------------------------------------------------------
-    # Lookup helpers
-    # ------------------------------------------------------------------
-
-    def find_packet(self, pkt: int) -> list[TraceEvent]:
-        """Events carrying rebased packet id ``pkt``, in trace order."""
-        return self.events.where("packet", pkt)
-
-    def find_rpc(self, call_id: int) -> list[TraceEvent]:
-        """Events of RPC call ``call_id``, in trace order."""
-        return self.events.where("call_id", call_id)
-
     def __repr__(self) -> str:
         return (
             f"<TimeTravel cursor={self.cursor}/{len(self.events)} "

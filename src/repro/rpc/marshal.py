@@ -101,8 +101,5 @@ class Signature:
         for value, type_str in zip(args, self.arg_types):
             check_type(value, type_str)
 
-    def check_result(self, value: Any) -> None:
-        check_type(value, self.return_type)
-
     def __repr__(self) -> str:
         return f"Signature({self.arg_types} -> {self.return_type})"

@@ -158,10 +158,3 @@ class ResourceManager:
             return self.cluster.node(node_id).agent
         except (KeyError, IndexError):
             return None
-
-    def holdings_of(self, client_node: int) -> list[str]:
-        return [
-            machine
-            for machine, (client, _lease) in self.allocations.items()
-            if client == client_node
-        ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MS, SEC, AgentError, Cluster, DebuggerError, Pilgrim
+from repro.faults.shaper import NACK, FaultRule, LinkShaper
 from repro.params import Params
 
 SPIN = "proc main()\n  while true do\n    sleep(5000)\n  end\nend"
@@ -63,11 +64,13 @@ def test_halt_broadcast_retransmits_through_interface_nacks():
     # Node b's interface rejects everything at first; the hardware NACK
     # drives the agent's retransmissions (paper §5.2) until it recovers.
     b_id = cluster.node("b").node_id
-    nack_b = lambda packet: packet.dst == b_id
-    cluster.net.nack_filters.append(nack_b)
+    shaper = LinkShaper(cluster.net)
+    nack_b = shaper.add_rule(
+        FaultRule(NACK, match=lambda packet: packet.dst == b_id)
+    )
     dbg.halt("a")
     assert not cluster.node("b").agent.halted  # peer unreachable so far
-    cluster.net.nack_filters.remove(nack_b)
+    shaper.remove_rule(nack_b)
     cluster.run_for(100 * MS)
     assert cluster.node("b").agent.halted
     assert cluster.node("a").agent.halt_messages_sent > 1

@@ -124,7 +124,7 @@ def test_backtrace_and_read_var(target):
     dbg.set_breakpoint("test_live.py", _break_line())
     hit = dbg.wait_for_breakpoint(timeout=10)
     frames = dbg.backtrace(hit["thread"])
-    funcs = [f["func"] for f in frames]
+    funcs = [f["proc"] for f in frames]
     assert "loop" in funcs
     loop_frame = funcs.index("loop")
     count = dbg.read_var(hit["thread"], "count", frame=loop_frame)

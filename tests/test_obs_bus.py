@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.debugger import Pilgrim
+from repro.faults.shaper import LOSS, FaultRule, LinkShaper
 from repro.obs import Bus, Metrics, bus as bus_module, events as ev, install_default_metrics
 from repro.obs.recorder import (
     PayloadNormalizer,
@@ -325,7 +326,7 @@ def _run_monitored_workload(record: Optional[list] = None) -> PacketMonitor:
             return True
         return False
 
-    cluster.net.drop_filters.append(drop_first_call)
+    LinkShaper(cluster.net).add_rule(FaultRule(LOSS, match=drop_first_call))
 
     def caller(node):
         yield from remote_call(node.rpc, "svc", "ping")  # retransmitted

@@ -1,16 +1,14 @@
 """Unit tests for the Cambridge Ring model."""
 
+from repro.faults.shaper import LOSS, NACK, FaultRule, LinkShaper
 from repro.mayflower import Node
-from repro.net import (
-    TRACE_DELIVERED,
-    TRACE_DROPPED,
-    TRACE_NACKED,
-    TRACE_NO_HANDLER,
-    PacketTracer,
-    RingTransport,
-)
+from repro.net import RingTransport
+from repro.obs import events as ev
 from repro.params import Params
 from repro.sim import MS, World
+
+PACKET_EVENTS = (ev.PacketSent, ev.PacketDelivered, ev.PacketNacked,
+                 ev.PacketDropped)
 
 
 def make_ring(n_nodes=3, seed=0, **params):
@@ -21,6 +19,18 @@ def make_ring(n_nodes=3, seed=0, **params):
     for node in nodes:
         ring.attach(node)
     return world, ring, nodes
+
+
+def packet_log(ring):
+    """Every ``Packet*`` event the ring emits from now on, in order."""
+    log = []
+    ring.bus.subscribe_many(PACKET_EVENTS, log.append)
+    return log
+
+
+def events_for(log, packet):
+    """Event type names recorded for one packet, in order."""
+    return [type(e).__name__ for e in log if e.packet is packet]
 
 
 def test_basic_delivery_latency():
@@ -93,7 +103,7 @@ def test_probabilistic_interface_nack_retransmission():
     """The halt broadcast's negative-acknowledgement scheme: retransmit on
     hardware NACK until the destination interface accepts."""
     world, ring, nodes = make_ring(seed=3)
-    ring.interface_nack_probability = 0.5
+    LinkShaper(ring).add_rule(FaultRule(NACK, probability=0.5))
     delivered = []
     nodes[1].station.register_port("p", lambda pkt: delivered.append(world.now))
 
@@ -105,12 +115,14 @@ def test_probabilistic_interface_nack_retransmission():
     assert len(delivered) == 1
 
 
-def test_silent_drop_filter():
+def test_silent_loss_rule():
     world, ring, nodes = make_ring()
     delivered = []
     nacks = []
     nodes[1].station.register_port("p", lambda pkt: delivered.append(pkt))
-    ring.drop_filters.append(lambda pkt: pkt.kind == "rpc_call")
+    LinkShaper(ring).add_rule(
+        FaultRule(LOSS, match=lambda pkt: pkt.kind == "rpc_call")
+    )
     nodes[0].station.send(
         1, "p", None, kind="rpc_call", on_nack=lambda pkt: nacks.append(pkt)
     )
@@ -131,39 +143,41 @@ def test_probabilistic_silent_loss():
 
 def test_no_handler_is_silent_drop():
     world, ring, nodes = make_ring()
-    tracer = PacketTracer(ring)
+    log = packet_log(ring)
     nodes[0].station.send(1, "nobody-home", None)
     world.run()
-    assert [r.event for r in tracer.records][-1] == TRACE_NO_HANDLER
+    assert isinstance(log[-1], ev.PacketDropped)
+    assert log[-1].reason == "no_handler"
 
 
-def test_tracer_records_lifecycle():
+def test_packet_events_record_lifecycle():
     world, ring, nodes = make_ring()
-    tracer = PacketTracer(ring)
+    log = packet_log(ring)
     nodes[1].station.register_port("p", lambda pkt: None)
     pkt = nodes[0].station.send(1, "p", None, kind="rpc_call")
     world.run()
-    assert tracer.events_for(pkt.packet_id) == ["sent", TRACE_DELIVERED]
-    assert len(tracer.of_kind("rpc_call")) == 2
+    assert events_for(log, pkt) == ["PacketSent", "PacketDelivered"]
+    assert len([e for e in log if e.packet.kind == "rpc_call"]) == 2
 
 
-def test_tracer_records_nack():
+def test_packet_events_record_nack():
     world, ring, nodes = make_ring()
-    tracer = PacketTracer(ring)
+    log = packet_log(ring)
     nodes[2].crash()
     pkt = nodes[0].station.send(2, "p", None)
     world.run()
-    assert tracer.events_for(pkt.packet_id) == ["sent", TRACE_NACKED]
+    assert events_for(log, pkt) == ["PacketSent", "PacketNacked"]
 
 
 def test_crash_in_flight_drops_silently():
     world, ring, nodes = make_ring()
-    tracer = PacketTracer(ring)
+    log = packet_log(ring)
     pkt = nodes[0].station.send(1, "p", None)
     world.run(until=1 * MS)
     nodes[1].crash()
     world.run()
-    assert tracer.events_for(pkt.packet_id) == ["sent", TRACE_DROPPED]
+    assert events_for(log, pkt) == ["PacketSent", "PacketDropped"]
+    assert log[-1].reason == "down"
 
 
 def test_counters():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.cvm import CluArray, CluRecord, RpcFailure
 from repro.debugger.pilgrim import Pilgrim
+from repro.faults.shaper import LOSS, FaultRule, LinkShaper
 from repro.mayflower.syscalls import Sleep
 from repro.params import Params
 from repro.rpc import (
@@ -36,6 +37,11 @@ proc boom() returns int
   return 1 / 0
 end
 """
+
+
+def lose(cluster, match):
+    """Silently lose the packets ``match`` picks (a shaper LOSS rule)."""
+    LinkShaper(cluster.net).add_rule(FaultRule(LOSS, match=match))
 
 
 def make_pair(seed=0, **params):
@@ -245,7 +251,7 @@ def test_exactly_once_survives_lost_call_packet():
             return True
         return False
 
-    cluster.net.drop_filters.append(drop_first_call)
+    lose(cluster, drop_first_call)
     client_image = cluster.load_program(
         """
 proc main()
@@ -271,7 +277,7 @@ def test_exactly_once_survives_lost_reply_packet():
             return True
         return False
 
-    cluster.net.drop_filters.append(drop_first_reply)
+    lose(cluster, drop_first_reply)
     client_image = cluster.load_program(
         """
 proc main()
@@ -327,7 +333,7 @@ end
 
 def test_maybe_call_fails_on_lost_call_packet():
     cluster = make_pair()
-    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_call")
+    lose(cluster, lambda p: p.kind == "rpc_call")
     client_image = cluster.load_program(
         """
 proc main()
@@ -346,7 +352,7 @@ end
 
 def test_maybe_call_fails_on_lost_reply_packet():
     cluster = make_pair()
-    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
+    lose(cluster, lambda p: p.kind == "rpc_reply")
     client_image = cluster.load_program(
         """
 proc main()
@@ -394,7 +400,7 @@ def _diagnose_maybe_call(drop=None, serve_for=0, unregister=False,
 
     cluster.rpc("server").export_native("svc", {"op": op})
     if drop is not None:
-        cluster.net.drop_filters.append(lambda p: p.kind == drop)
+        lose(cluster, lambda p: p.kind == drop)
     node = cluster.node("client")
     node.spawn(remote_call(node.rpc, "svc", "op", protocol="maybe"),
                name="caller")
@@ -678,7 +684,7 @@ end
 """,
         "client",
     )
-    cluster.net.drop_filters.append(lambda p: p.kind == "rpc_reply")
+    lose(cluster, lambda p: p.kind == "rpc_reply")
     cluster.spawn_vm("client", client_image, "main")
     cluster.run(until=10 * MS)
     cluster.rpc("client").freeze()

@@ -12,19 +12,21 @@ import pytest
 
 from repro import MS, Cluster, FaultPlan, record_run, replay_trace
 from repro.faults.plan import Nemesis
-from repro.faults.shaper import DELAY, FaultRule, LinkShaper
+from repro.faults.shaper import DELAY, LOSS, NACK, FaultRule, LinkShaper
 from repro.mayflower import Node
 from repro.net import (
     TOPOLOGIES,
     MeshTransport,
-    PacketTracer,
     RingTransport,
     make_transport,
 )
+from repro.obs import events as ev
 from repro.params import Params
 from repro.sim import World
 
 TOPOLOGY_NAMES = sorted(TOPOLOGIES)
+PACKET_EVENTS = (ev.PacketSent, ev.PacketDelivered, ev.PacketNacked,
+                 ev.PacketDropped)
 
 
 def make_net(topology, n_nodes=3, seed=0, **params):
@@ -36,6 +38,19 @@ def make_net(topology, n_nodes=3, seed=0, **params):
     for node in nodes:
         net.attach(node)
     return world, net, nodes
+
+
+def packet_log(net):
+    """Every ``Packet*`` event the transport emits from now on, in order."""
+    log = []
+    net.bus.subscribe_many(PACKET_EVENTS, log.append)
+    return log
+
+
+def events_for(log, packet):
+    """(event type name, drop reason) for one packet, in order."""
+    return [(type(e).__name__, getattr(e, "reason", None))
+            for e in log if e.packet is packet]
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +112,11 @@ def test_crashed_destination_is_a_hardware_nack(topology):
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
-def test_nack_filters_force_hardware_nack(topology):
+def test_nack_rule_forces_hardware_nack(topology):
     world, net, nodes = make_net(topology)
-    net.nack_filters.append(lambda pkt: pkt.port == "unlucky")
+    LinkShaper(net).add_rule(
+        FaultRule(NACK, match=lambda pkt: pkt.port == "unlucky")
+    )
     nacks, arrivals = [], []
     nodes[1].station.register_port("ok", lambda pkt: arrivals.append(pkt))
     nodes[0].station.send(1, "unlucky", None, on_nack=lambda pkt: nacks.append(pkt))
@@ -110,19 +127,71 @@ def test_nack_filters_force_hardware_nack(topology):
 
 @pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
 def test_silent_loss_is_invisible_to_the_sender(topology):
-    """drop_filters model software loss *after* interface receipt: the
-    tracer sees sent+dropped, and on_nack must never fire (paper §4.1)."""
+    """A LOSS rule models software loss *after* interface receipt: the
+    obs stream shows sent+dropped, and on_nack must never fire (paper
+    §4.1)."""
     world, net, nodes = make_net(topology)
-    tracer = PacketTracer(net)
-    net.drop_filters.append(lambda pkt: True)
+    log = packet_log(net)
+    LinkShaper(net).add_rule(FaultRule(LOSS))
     nacks = []
     packet = nodes[0].station.send(
         1, "p", None, on_nack=lambda pkt: nacks.append(pkt)
     )
     world.run()
     assert nacks == []
-    assert tracer.events_for(packet.packet_id) == ["sent", "dropped"]
+    assert events_for(log, packet) == [
+        ("PacketSent", None), ("PacketDropped", "lost"),
+    ]
     assert net.total_dropped == 1 and net.total_nacked == 0
+
+
+@pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
+def test_match_rules_are_the_targeted_fault_path(topology):
+    """A targeted fault is a shaper rule with a ``match`` predicate.  A
+    LOSS rule is silent (sent, then dropped as "lost"; on_nack never
+    fires), a NACK rule reaches the sender by the end of transmission,
+    and a probability-1 rule draws nothing from the world's RNG, so
+    moving a targeted fault onto a rule cannot shift a seeded run."""
+
+    def run(*rules, shaped=True):
+        world, net, nodes = make_net(topology, seed=11)
+        log = packet_log(net)
+        if shaped:
+            shaper = LinkShaper(net)
+            for rule in rules:
+                shaper.add_rule(rule)
+        nacks = []
+        for port in ("p", "lost"):
+            nodes[1].station.register_port(port, lambda pkt: None)
+        sent = {
+            port: nodes[0].station.send(
+                1, port, None,
+                on_nack=lambda pkt: nacks.append((world.now, pkt.port)),
+            )
+            for port in ("nacked", "lost", "p")
+        }
+        world.run()
+        return world, log, nacks, sent
+
+    world, log, nacks, sent = run(
+        FaultRule(LOSS, match=lambda pkt: pkt.port == "lost"),
+        FaultRule(NACK, match=lambda pkt: pkt.port == "nacked"),
+    )
+    assert events_for(log, sent["lost"]) == [
+        ("PacketSent", None), ("PacketDropped", "lost"),
+    ]
+    assert events_for(log, sent["nacked"]) == [
+        ("PacketSent", None), ("PacketNacked", None),
+    ]
+    assert events_for(log, sent["p"]) == [
+        ("PacketSent", None), ("PacketDelivered", None),
+    ]
+    # Only the NACK rule's packet reached on_nack, when its one-block
+    # transmission ended; the lost packet never did.
+    assert nacks == [(3_500, "nacked")]
+
+    bare_world = run(shaped=False)[0]
+    assert world.rng.getstate() == bare_world.rng.getstate()
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
@@ -164,11 +233,13 @@ def test_in_flight_delivery_survives_destination_crash(topology):
     """A packet on the wire is not retracted by the destination crashing
     (survives_crash); it resolves as a silent interface-level drop."""
     world, net, nodes = make_net(topology)
-    tracer = PacketTracer(net)
+    log = packet_log(net)
     packet = nodes[0].station.send(1, "p", None)
     world.schedule(1 * MS, nodes[1].crash)
     world.run()
-    assert tracer.events_for(packet.packet_id) == ["sent", "dropped"]
+    assert events_for(log, packet) == [
+        ("PacketSent", None), ("PacketDropped", "down"),
+    ]
     assert net.total_nacked == 0  # the sender saw a clean transmission
 
 
