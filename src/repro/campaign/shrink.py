@@ -197,8 +197,9 @@ def _bisect_horizon(oracle: _CellOracle, plan: FaultPlan,
     "client never finished", which does not count as a reproduction).
     """
     scenario = oracle.scenario
-    *_, trace = execute(oracle.recipe(plan, checkpoint_every=checkpoint_every),
-                        scenario.build)
+    cluster, *_, trace = execute(
+        oracle.recipe(plan, checkpoint_every=checkpoint_every), scenario.build)
+    cluster.close()
     times = {cp.time for cp in trace.checkpoints if cp.time > 0}
     if trace.events:
         # The instant just after the last recorded event: checkpoints
@@ -252,7 +253,7 @@ def shrink_cell(
         oracle, minimal, target, checkpoint_every
     )
     # The golden artifact: the minimal plan over the minimal horizon.
-    *_, trace = execute(
+    cluster, *_, trace = execute(
         oracle.recipe(minimal, horizon, checkpoint_every),
         oracle.scenario.build,
         meta={
@@ -267,6 +268,7 @@ def shrink_cell(
             "contract": oracle.contract,
         },
     )
+    cluster.close()
     result = ShrinkResult(
         index=cell.index,
         scenario=cell.scenario,

@@ -165,15 +165,20 @@ class Cluster:
     def close(self) -> None:
         """Release the cluster (see :meth:`repro.sim.world.World.close`).
 
-        Drops the event queue, bus subscriptions, node list, and program
-        table so a worker that builds thousands of short-lived clusters
-        (the campaign runner) frees each one promptly.  The cluster and
-        its world are unusable afterwards.
+        Drops the event queue, bus subscriptions, process table, RPC call
+        tables, node list and program table, so every path that keeps only
+        a run's results (a recording, fork, campaign cell or shrink run)
+        leaves the collector only the cluster's fixed skeleton of nodes,
+        queues and code.  The cluster is unusable afterwards.
         """
         self.world.close()
         for node in self.nodes:
             node.reboot_hooks.clear()
             node.images.clear()
+            node.supervisor.processes.clear()
+            node.rpc.server_table.clear()
+            node.rpc.client_table.clear()
+            node.rpc.client_history.clear()
         self.nodes.clear()
         self.programs.clear()
 

@@ -130,6 +130,14 @@ class VmExecutor(Executor):
             self.after_step = None
             hook()
 
+    def retire(self) -> None:
+        """Drop the resume and after-step hooks, ``output``, the process
+        back-reference and an emptied frame list; a failed process's
+        frames and a worker's ``server_info_block`` stay for ``backtrace``."""
+        self._awaiting = self.after_step = self.output = self.process = None
+        if not self.frames:
+            self.frames = ()
+
     def registers(self) -> dict:
         if not self.frames:
             return {"kind": "vm", "pc": None}

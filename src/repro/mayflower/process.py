@@ -38,6 +38,11 @@ class ProcessState(enum.Enum):
 class Process:
     """A Mayflower light-weight process."""
 
+    __slots__ = ("pid", "name", "executor", "priority", "halt_exempt", "state", "waiting_on",
+                 "timeout_event", "timeout_callback", "frozen_timeout_remaining", "halted_from",
+                 "pending_value", "pending_error", "no_halt_depth", "halt_deferred", "result",
+                 "failure", "supervisor", "on_exit")
+
     def __init__(
         self,
         pid: int,
@@ -136,6 +141,9 @@ class Executor:
     def backtrace(self) -> list:
         return []
 
+    def retire(self) -> None:
+        """Drop the run state once the process has exited."""
+
 
 class Syscall:
     """Base class for requests yielded by native processes.
@@ -225,6 +233,11 @@ class NativeExecutor(Executor):
             self._finished = True
             self.process.result = stop.value
             return False
+
+    def retire(self) -> None:
+        """Drop the generator, pending syscall and process back-reference:
+        ``registers`` and ``backtrace`` read only the label."""
+        self._gen = self._pending = self.process = None
 
     def registers(self) -> dict:
         return {"kind": "native", "label": self._label}

@@ -99,6 +99,10 @@ class Supervisor:
         return process
 
     def _finish(self, process: Process, failure: Optional[BaseException] = None) -> None:
+        """End ``process``, run its ``on_exit`` callbacks, then retire it:
+        drop the callbacks, timeout callback, pending value and error and
+        (``Executor.retire``) the executor's run state, keeping what the
+        agent reads, so a finished call is freed by refcounting alone."""
         if failure is None:
             process.state = ProcessState.DONE
         else:
@@ -111,6 +115,9 @@ class Supervisor:
                       process.pid, process.name, process, failure is not None)
         for callback in process.on_exit:
             callback(process)
+        process.on_exit = ()
+        process.timeout_callback = process.pending_value = process.pending_error = None
+        process.executor.retire()
 
     def terminate(self, process: Process) -> None:
         """Forcibly end a process (used by debugger session cleanup)."""

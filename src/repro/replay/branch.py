@@ -318,8 +318,9 @@ def fork_trace(
         "fork_time": checkpoint.time,
         "perturbation": perturbation.to_dict(),
     }
-    *_, child = execute(replace(recipe, plan=merged if merged.actions else None),
-                        build, meta=meta)
+    cluster, *_, child = execute(
+        replace(recipe, plan=merged if merged.actions else None), build, meta=meta)
+    cluster.close()
     cuts = [t for t in (perturbation.first_at(), recorded.bound_cut(run_until))
             if t is not None]
     if cuts:

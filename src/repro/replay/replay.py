@@ -208,7 +208,8 @@ def record_run(
     ``build(cluster)`` installs programs/services/workload; the rest of
     the recipe (seed, names, skews, params, plan) lands in the trace
     header so :class:`ReplayWorld` can repeat it exactly through the
-    same :func:`execute`.  ``run_until=None`` drains the run.
+    same :func:`execute`.  ``run_until=None`` drains the run.  Only the
+    trace outlives the call: the cluster is closed (``Cluster.close``).
 
     ``contracts`` (a :class:`~repro.contracts.dsl.ContractSet`) with
     event contracts additionally attaches a
@@ -220,9 +221,10 @@ def record_run(
     recipe = Recipe(names=tuple(names), seed=seed, params=params,
                     clock_skews=clock_skews, topology=topology, plan=plan,
                     checkpoint_every=checkpoint_every).running_until(run_until)
-    _, _, monitor, trace = execute(recipe, build, contracts=contracts, meta=meta)
+    cluster, _, monitor, trace = execute(recipe, build, contracts=contracts, meta=meta)
     if monitor is not None:
         trace.contract_report = monitor.report()
+    cluster.close()
     return trace
 
 

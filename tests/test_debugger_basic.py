@@ -3,7 +3,9 @@
 import pytest
 
 from repro import MS, SEC, AgentError, Cluster, Pilgrim
+from repro.agent import requests as rq
 from repro.cvm import CluRecord
+from repro.mayflower.syscalls import Cpu
 
 COUNTER = """record point
   x: int
@@ -83,6 +85,92 @@ def test_list_processes_still_shows_finished_processes():
     supervisor = cluster.node("app").supervisor
     assert {p.name for p in supervisor.live_processes()}.isdisjoint(
         {"main", "bad"})
+
+
+def _row(pid, name, state, priority=0, exempt=False, waiting=None):
+    return {"pid": pid, "name": name, "state": state, "priority": priority,
+            "halt_exempt": exempt, "waiting_on": waiting}
+
+
+def _native_frames(label):
+    return [{"proc": label, "line": None, "kind": "native", "locals": {}}]
+
+
+def _vm_frame(proc, pc, line, local_values):
+    return {"proc": proc, "module": "client", "pc": pc, "line": line,
+            "locals": local_values, "synthetic": False, "well_formed": True,
+            "info_block": None}
+
+
+def test_retired_processes_answer_inspection_as_before():
+    """Retiring an exited process keeps every inspection reply: a
+    finished native process, a finished VM RPC worker (its info block
+    still at the bottom of its stack) and a FAILED VM process (its
+    frames) list, report state and backtrace exactly as they did before
+    retirement existed.  The replies are pinned, for every pid."""
+    server_src = "proc echo(x: int) returns int\n  var y: int := x + 1\n  return y\nend"
+    client_src = (
+        "proc main()\n  var r: int := remote svc.echo(41)\n  print r\nend\n"
+        "proc divide(n: int) returns int\n  var d: int := n - n\n  return n / d\nend\n"
+        "proc bad()\n  var k: int := 6\n  print divide(k)\nend\n")
+
+    def native_body():
+        yield Cpu(10)
+        return 7
+
+    cluster = Cluster(names=["client", "server", "debugger"], seed=0)
+    server = cluster.load_program(server_src, "server")
+    cluster.rpc("server").export_vm("svc", server, {"echo": "echo"})
+    client = cluster.load_program(client_src, "client")
+    cluster.spawn_vm("client", client, "main")
+    cluster.spawn_vm("client", client, "bad")
+    cluster.node("server").spawn(native_body(), name="native.done")
+    cluster.run_for(50 * MS)
+    assert client.console == ["42"]
+
+    agent_rows = [_row(1, "pilgrim.agent", "running", 100, True),
+                  _row(2, "rpc.dispatcher.exempt", "waiting", 100, True,
+                       "semaphore:rpc.dispatch.exempt.avail")]
+    listings = {
+        "client": agent_rows + [_row(3, "main", "done"), _row(4, "bad", "failed")],
+        "server": agent_rows + [
+            _row(3, "rpc.dispatcher", "waiting", waiting="semaphore:rpc.dispatch.avail"),
+            _row(4, "native.done", "done"), _row(5, "rpcw.echo", "done")],
+    }
+    done_vm = {"kind": "vm", "pc": None}
+    registers = {
+        "client": {3: done_vm, 4: {"kind": "vm", "proc": "divide", "pc": 6,
+                                   "line": 7, "depth": 2}},
+        "server": {5: done_vm},
+    }
+    info_block = {"call_id": 1, "remote_proc": "svc.echo", "client_node": 0,
+                  "client_pid": 3, "state": "serving"}
+    backtraces = {
+        "client": {3: [], 4: [_vm_frame("divide", 6, 7, {"n": 6, "d": 0}),
+                              _vm_frame("bad", 4, 11, {"k": 6})]},
+        "server": {5: [{"proc": "__rpc_runtime", "module": "__runtime", "pc": 0,
+                        "line": 0, "locals": {}, "synthetic": True,
+                        "well_formed": True, "info_block": info_block}]},
+    }
+
+    dbg = Pilgrim(cluster, home="debugger")
+    for node, rows in listings.items():
+        dbg.connect(node)
+        assert dbg._request(node, rq.LIST_PROCESSES) == rows
+        for row in rows:
+            pid = row["pid"]
+            native = {"kind": "native", "label": row["name"]}
+            expected_registers = {**registers[node].get(pid, native),
+                                  "state": row["state"], "priority": row["priority"]}
+            if row["waiting_on"] is not None:
+                expected_registers["waiting_on"] = row["waiting_on"]
+            assert dbg._request(node, rq.PROCESS_STATE, {"pid": pid}) == {
+                **row, "registers": expected_registers, "trapped_at": None}
+            assert dbg._request(node, rq.BACKTRACE, {"pid": pid}) == (
+                backtraces[node].get(pid, _native_frames(row["name"])))
+        finished = [process for process in cluster.node(node).supervisor.processes.values()
+                    if not process.is_live()]
+        assert finished and all(p.executor.process is None for p in finished)
 
 
 def test_breakpoint_by_source_line_hits_and_resumes():

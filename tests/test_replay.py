@@ -1,5 +1,6 @@
 """Record/replay: byte-identity, checkpoints, time travel, races."""
 
+import gc
 import hashlib
 import random
 import struct
@@ -335,6 +336,27 @@ def _null_rpc_build(calls, extra_draws=0):
         node = cluster.node("client")
         node.spawn(caller(node), name="caller")
     return build
+
+
+def test_a_recording_frees_its_finished_calls_by_refcount():
+    """Census fence: with the collector off, null-RPC recordings of N and
+    2N calls leave the same count for ``gc.collect()`` once the trace is
+    dropped.  Exited processes are retired and ``record_run`` closes its
+    cluster, so a finished call holds no cycle; what the collector still
+    finds is the closed cluster's fixed skeleton (nodes, semaphores,
+    queues, VM code)."""
+    def unreachable(calls):
+        gc.collect()
+        gc.disable()
+        try:
+            trace = record_run(_null_rpc_build(calls), ["client", "server"],
+                               seed=3, checkpoint_every=100 * MS)
+            del trace
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert unreachable(200) == unreachable(400)
 
 
 def test_silent_rng_drift_is_caught_at_the_first_checkpoint():

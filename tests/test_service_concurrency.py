@@ -98,11 +98,9 @@ def test_takeover_evicts_holder_mid_wait(daemon):
     held = alice.session("w1")
     held.connect("app")
 
-    started = threading.Event()
     outcome: dict = {}
 
     def long_wait():
-        started.set()
         try:
             # No breakpoints are set, so this drives the simulated world
             # for a long stretch of virtual time.
@@ -110,12 +108,17 @@ def test_takeover_evicts_holder_mid_wait(daemon):
         except DebuggerError as exc:
             outcome["error"] = exc
 
+    bob = ServiceClient(daemon, client="bob", timeout=120)
+    counted = bob.metrics()["sessions"]["w1"]
     waiter = threading.Thread(target=long_wait, daemon=True)
     waiter.start()
-    started.wait(5)
-    time.sleep(0.2)  # let the wait reach the daemon and start running
+    # The daemon counts a session request under the session's lock just
+    # before running it, so once w1's count moves alice's wait is running.
+    deadline = time.monotonic() + 60
+    while bob.metrics()["sessions"]["w1"] == counted:
+        assert time.monotonic() < deadline, "the wait never reached the daemon"
+        time.sleep(0.01)
 
-    bob = ServiceClient(daemon, client="bob", timeout=120)
     bob.session("w1").connect("app", force=True)
 
     waiter.join(120)
