@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
@@ -52,7 +51,7 @@ class Fact:
 
     def __init__(self, events, index: int):
         self.index = index
-        self.type = events.types[index]
+        self.type = events.names[events.kinds[index]]
         self.time = events.times[index]
         self.node = events.nodes[index]
         self._events = events
@@ -69,8 +68,9 @@ class Fact:
 def cell(events, index: int, name: str):
     """Event ``index``'s payload cell ``name`` in the columns ``events``
     (``None`` when its type has none): how a checker reads a row."""
-    at = events.positions[events.types[index]].get(name)
-    return None if at is None else events.rows[index][at]
+    kind = events.kinds[index]
+    at = events.places[kind].get(name)
+    return None if at is None else events.cells[kind][at][events.slots[index]]
 
 
 # ----------------------------------------------------------------------
@@ -189,17 +189,6 @@ class ContractSet:
         )
 
 
-def _occurrences(kinds: list, kind: str, offset: int) -> list:
-    """Where ``kind`` occurs in ``kinds``, plus ``offset``, ascending."""
-    found, at = [], -1
-    try:
-        while True:
-            at = kinds.index(kind, at + 1)
-            found.append(at + offset)
-    except ValueError:
-        return found
-
-
 class CheckerBank:
     """The one fold core: fresh checker folds, each contract's declared
     ``events`` filter, and the report assembly.  One bank per checked
@@ -213,19 +202,16 @@ class CheckerBank:
         self._folds = sorted(
             ((state.fold, None if c.events == ALL_EVENTS else frozenset(c.events))
              for c, state in self._checkers), key=lambda pair: pair[1] is not None)
-        #: Every type some checker reads, to be found in a run.
-        self._kinds = {kind for _, wanted in self._folds if wanted for kind in wanted}
         self.count = 0
 
     def feed(self, events, start: int, stop: int) -> None:
         """Fold events ``[start, stop)`` of the columns ``events`` into
         each checker, once, over the indices of the types it reads."""
         self.count += stop - start
-        kinds = events.types[start:stop]
-        at = {kind: _occurrences(kinds, kind, start) for kind in self._kinds}
+        events.settle()
         for fold, wanted in self._folds:
             fold(events, range(start, stop) if wanted is None
-                 else sorted(chain.from_iterable(map(at.__getitem__, wanted))))
+                 else events.indices(wanted, start, stop))
 
     def report(self, name: str = "contracts") -> ContractReport:
         """Run the liveness phase and assemble the report (read-only)."""
@@ -275,7 +261,8 @@ class BaseChecker:
 
     def fold(self, events, positions) -> None:
         """Fold the events at ``positions``, ascending indices into the
-        columns ``events`` of the types the contract reads (override)."""
+        columns ``events`` of the types the contract reads; for a
+        stream-wide contract, a ``range`` (override)."""
 
     def finish(self) -> list:
         """End-of-run (liveness) violations; default none.  Read-only."""
@@ -319,10 +306,10 @@ class StaleRebootChecker(BaseChecker):
 
     def fold(self, events, positions) -> None:
         """Remember stale rejections; completion afterwards violates."""
-        types, stale = events.types, self._stale
+        kinds, stale, rejection = events.kinds, self._stale, events.ids.get("RpcStaleRejected")
         for index in positions:
             call_id = cell(events, index, "call_id")
-            if types[index] == "RpcStaleRejected":
+            if kinds[index] == rejection:
                 stale.setdefault(call_id, index)
                 continue
             rejected = stale.get(call_id)
@@ -346,14 +333,17 @@ class ClockMonotonicityChecker(BaseChecker):
         self._last: dict = {}
 
     def fold(self, events, positions) -> None:
-        """Fold every event; compare against the node's running max."""
-        types, times, nodes, last = events.types, events.times, events.nodes, self._last
-        for index in positions:
-            node, time = nodes[index], times[index]
+        """Fold every event of the run ``positions`` (a ``range``, as
+        for every stream-wide checker), off slices of its columns;
+        compare against the node's running max."""
+        last, reboot = self._last, events.ids.get("NodeRebooted")
+        run = slice(positions.start, positions.stop)
+        for index, kind, time, node in zip(positions, events.kinds[run],
+                                           events.times[run], events.nodes[run]):
             if node is None:
                 continue
             # A reboot restarts the node's check at its own time.
-            prev = None if types[index] == "NodeRebooted" else last.get(node)
+            prev = None if kind == reboot else last.get(node)
             if prev is None or time > prev:
                 last[node] = time
             elif time < prev:
@@ -378,14 +368,16 @@ class HaltTransparencyChecker(BaseChecker):
 
     def fold(self, events, positions) -> None:
         """Track freeze windows per node; retries inside one violate."""
-        types, nodes, frozen = events.types, events.nodes, self._frozen
+        kinds, nodes, frozen = events.kinds, events.nodes, self._frozen
+        freeze, thaw, retry = map(events.ids.get, ("TimerFrozen", "TimerThawed",
+                                                   "RpcCallRetried"))
         for index in positions:
-            kind, node = types[index], nodes[index]
-            if kind == "TimerFrozen":
+            kind, node = kinds[index], nodes[index]
+            if kind == freeze:
                 frozen[node] = index
-            elif kind == "TimerThawed":
+            elif kind == thaw:
                 frozen.pop(node, None)
-            elif kind == "RpcCallRetried":
+            elif kind == retry:
                 window = frozen.get(node)
                 if window is not None:
                     self.violate(
@@ -411,13 +403,14 @@ class NoLostCallsChecker(BaseChecker):
 
     def fold(self, events, positions) -> None:
         """Open on start, close on completion."""
-        types, opened = events.types, self._open
+        kinds, opened = events.kinds, self._open
+        start, completion = events.ids.get("RpcCallStarted"), events.ids.get("RpcCallCompleted")
         self._events = events
         for index in positions:
             call_id = cell(events, index, "call_id")
-            if types[index] == "RpcCallStarted":
+            if kinds[index] == start:
                 opened[call_id] = index
-            elif types[index] == "RpcCallCompleted":
+            elif kinds[index] == completion:
                 opened.pop(call_id, None)
 
     def finish(self) -> list:

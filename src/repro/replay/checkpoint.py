@@ -120,11 +120,11 @@ class StateView:
         one when the process is created and only ever drops it whole."""
         return StateView(
             time=self.time,
-            processes={n: dict(t) for n, t in self.processes.items()},
-            halted={n: list(pids) for n, pids in self.halted.items()},
-            in_flight={n: list(ids) for n, ids in self.in_flight.items()},
-            epochs=dict(self.epochs),
-            counts=dict(self.counts),
+            processes={n: t.copy() for n, t in self.processes.items()},
+            halted={n: pids.copy() for n, pids in self.halted.items()},
+            in_flight={n: ids.copy() for n, ids in self.in_flight.items()},
+            epochs=self.epochs.copy(),
+            counts=self.counts.copy(),
         )
 
     def to_dict(self) -> dict:
@@ -194,54 +194,59 @@ def empty_view(node_ids, time: int = 0) -> StateView:
     return view
 
 
-def _process_created(view: StateView, node: str, row, at: dict) -> None:
-    view.processes.setdefault(node, {})[str(row[at["pid"]])] = {
-        "name": row[at["name"]], "priority": row[at["priority"]],
+def _process_created(view: StateView, node: str, cells, slot: int, at: dict) -> None:
+    view.processes.setdefault(node, {})[str(cells[at["pid"]][slot])] = {
+        "name": cells[at["name"]][slot], "priority": cells[at["priority"]][slot],
     }
 
 
-def _process_deleted(view: StateView, node: str, row, at: dict) -> None:
-    view.processes.get(node, {}).pop(str(row[at["pid"]]), None)
-    _unhalt(view, node, row, at)
+def _process_deleted(view: StateView, node: str, cells, slot: int, at: dict) -> None:
+    view.processes.get(node, {}).pop(str(cells[at["pid"]][slot]), None)
+    _unhalt(view, node, cells, slot, at)
 
 
-def _process_halted(view: StateView, node: str, row, at: dict) -> None:
+def _process_halted(view: StateView, node: str, cells, slot: int, at: dict) -> None:
     halted = view.halted.setdefault(node, [])
-    if row[at["pid"]] not in halted:
-        halted.append(row[at["pid"]])
+    pid = cells[at["pid"]][slot]
+    if pid not in halted:
+        halted.append(pid)
         halted.sort()
 
 
-def _unhalt(view: StateView, node: str, row, at: dict) -> None:
+def _unhalt(view: StateView, node: str, cells, slot: int, at: dict) -> None:
     halted = view.halted.get(node)
-    if halted and row[at["pid"]] in halted:
-        halted.remove(row[at["pid"]])
+    pid = cells[at["pid"]][slot]
+    if halted and pid in halted:
+        halted.remove(pid)
 
 
-def _call_started(view: StateView, node: str, row, at: dict) -> None:
+def _call_started(view: StateView, node: str, cells, slot: int, at: dict) -> None:
     calls = view.in_flight.setdefault(node, [])
-    if row[at["call_id"]] not in calls:
-        calls.append(row[at["call_id"]])
+    call_id = cells[at["call_id"]][slot]
+    if call_id not in calls:
+        calls.append(call_id)
         calls.sort()
 
 
-def _call_ended(view: StateView, node: str, row, at: dict) -> None:
+def _call_ended(view: StateView, node: str, cells, slot: int, at: dict) -> None:
     calls = view.in_flight.get(node)
-    if calls and row[at["call_id"]] in calls:
-        calls.remove(row[at["call_id"]])
+    call_id = cells[at["call_id"]][slot]
+    if calls and call_id in calls:
+        calls.remove(call_id)
 
 
-def _node_rebooted(view: StateView, node: str, row, at: dict) -> None:
-    view.epochs[node] = row[at["epoch"]]
+def _node_rebooted(view: StateView, node: str, cells, slot: int, at: dict) -> None:
+    view.epochs[node] = cells[at["epoch"]][slot]
     # The fresh boot starts with an empty client table; the crashed
     # boot's un-completed calls die with it here, not at the crash
     # (the dead table keeps them until the runtime is swapped).
     view.in_flight[node] = []
 
 
-#: Event type -> how it changes the tables, given the event's row and
-#: ``at``, where each payload field sits in it (types absent here,
-#: packets above all, only move the clock and a count).
+#: Event type -> how it changes the tables, given the columns of the
+#: event's type, the event's ``slot`` in them and ``at``, where each
+#: payload field sits in a row (types absent here, packets above all,
+#: only move the clock and a count).
 _TABLE_FOLDS = {
     "ProcessCreated": _process_created,
     "ProcessDeleted": _process_deleted,
@@ -258,17 +263,27 @@ def apply_event(view: StateView, event) -> None:
     """Fold one trace event into ``view`` (the derive side).
 
     ``event`` is anything with ``type`` / ``node`` / ``time`` / ``names``
-    / ``row`` attributes (a :class:`~repro.replay.trace.TraceEvent`).
+    / ``row`` attributes (a :class:`~repro.replay.trace.TraceEvent`); its
+    row is read as one-cell columns, at slot 0.
     """
-    kind = event.type
-    if event.time > view.time:
-        view.time = event.time
+    apply_cells(view, event.type, event.node, event.time, tuple(zip(event.row)), 0,
+                row_layout(event.names)[0])
+
+
+def apply_cells(view: StateView, kind: str, node, time: int, cells, slot: int,
+                at: dict) -> None:
+    """Fold into ``view`` the ``kind`` event at ``node`` and ``time``
+    whose row sits at ``slot`` of its type's columns ``cells`` (``at``:
+    where each payload field sits in a row) — the one definition of what
+    an event does to a view."""
+    if time > view.time:
+        view.time = time
     count_key = COUNT_KEYS.get(kind)
     if count_key is not None:
         view.counts[count_key] = view.counts.get(count_key, 0) + 1
     fold = _TABLE_FOLDS.get(kind)
     if fold is not None:
-        fold(view, str(event.node), event.row, row_layout(event.names)[0])
+        fold(view, str(node), cells, slot, at)
 
 
 def fold_view(events, upto_index: int, start: StateView) -> StateView:

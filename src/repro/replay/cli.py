@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 from repro.replay.format import TraceFormatError, export_jsonl
@@ -65,7 +64,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"nodes:        {', '.join(trace.header.get('names', []))}")
     events, size = len(trace.events), source.stat().st_size
     print(f"events:       {events}")
-    for kind, seen in sorted(Counter(trace.events.types).items()):
+    for kind, seen in sorted(trace.events.tally().items()):
         print(f"  {kind:<18}{seen}")
     print(f"container:    {size} bytes  ({size / max(events, 1):.1f} per event)")
     print(f"checkpoints:  {len(trace.checkpoints)}  "

@@ -7,7 +7,10 @@ A trace is stored in one format, a length-prefixed binary container:
 * a record stream: ``kind`` byte + u32 payload length + payload.
   Header, checkpoint, and footer payloads are one UTF-8 JSON object
   each, carried as is.  Events are stored **columnar**, as memory holds
-  them (:class:`~repro.replay.trace.EventColumns`): every run of
+  them (:class:`~repro.replay.trace.EventColumns`: per type, one column
+  per row cell; the writer slices each block's cells off them and the
+  reader appends a block's columns to them, packed ones as the
+  ``array('q')`` their bytes decode to): every run of
   ``_BLOCK_EVENTS`` events (the last run shorter) is one ``KIND_EVENTS``
   block.  Its payload is a u32 length, a JSON object of that length,
   and the packed bytes the object names.  The object holds ``first``
@@ -38,14 +41,17 @@ A trace is stored in one format, a length-prefixed binary container:
   (u32 raw length, u32 compressed length, deflate bytes), so a reader
   can bound every frame, and what it inflates to, before touching it.
 
-Every malformed input raises :class:`TraceFormatError` — and nothing
-else — from :func:`read_binary` itself (nothing is deferred to first
-access; a checkpoint's view has the shapes a fold starts from),
+The reader parses the record stream as it inflates it, a frame at a
+time, so a load holds the file, one frame and one record, never the
+whole stream.  Every malformed input raises :class:`TraceFormatError`
+— and nothing else — from :func:`read_binary` itself (nothing is
+deferred to first access; a checkpoint's view has the shapes a fold
+starts from),
 carrying the byte offset of the faulty record: file-relative for the
 preamble and frames, record-stream-relative once inside a compressed
 body.  The writer refuses (``ValueError``) a trace whose checkpoint
-indices do not ascend within its events, or whose rows hold anything
-but those scalars.
+indices do not ascend within its events, or whose columns hold
+anything but those scalars, one per cell of a row.
 
 :func:`export_jsonl` renders the same records as one JSON object per
 line (one line per event, each checkpoint after exactly ``index`` of
@@ -60,12 +66,13 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from itertools import chain, repeat
+from itertools import chain
+from operator import itemgetter
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.recorder import row_layout
 from repro.replay.checkpoint import Checkpoint
-from repro.replay.trace import TRACE_VERSION, EventColumns, Trace
+from repro.replay.trace import TRACE_VERSION, EventColumns, Trace, grow_column, pack_column
 
 __all__ = [
     "BINARY_VERSION",
@@ -116,6 +123,7 @@ _BLOCK_KEYS = {"first", "types", "cells", "checkpoints", *_COLUMNS}
 _CHECKPOINT_KEYS = {"index", "time", "state", "view"}
 _VIEW_KEYS = {"time", "processes", "halted", "in_flight", "epochs", "counts"}
 _PROCESS_KEYS = frozenset({"name", "priority"})
+_PROCESS_RECORD = itemgetter("name", "priority")
 
 
 class TraceFormatError(ValueError):
@@ -155,54 +163,65 @@ def _is_column(column, admitted: set) -> bool:
 
 
 def _stored(column, packed: list[bytes]):
-    """``column`` as a block stores it: when every cell is an ``int`` in
-    the int64 range, its packed byte length (the bytes appended to
-    ``packed``); else the cells themselves, for the JSON object, when
-    every one is a scalar; else ``None``."""
-    kinds = set(map(type, column))
-    if kinds == {int}:
-        try:
-            cells = array(_PACKED, column)
-        except OverflowError:
-            return column
-        if _SWAP:
-            cells.byteswap()
-        packed.append(cells.tobytes())
-        return len(packed[-1])
-    return column if kinds <= _SCALARS else None
+    """``column`` as a block stores it: when :func:`pack_column` packs it,
+    its packed byte length (the bytes appended to ``packed``); else the
+    cells themselves, for the JSON object, when every one is a scalar;
+    else ``None``.  An empty column is stored as no cells."""
+    column = pack_column(column) if column else []
+    if type(column) is not array:
+        return column if set(map(type, column)) <= _SCALARS else None
+    if _SWAP:
+        column = array(_PACKED, column)
+        column.byteswap()
+    packed.append(column.tobytes())
+    return len(packed[-1])
 
 
-def _block(events: EventColumns, run: range, offsets: list[int]) -> list[bytes]:
+def _block(events: EventColumns, run: range, offsets: list[int],
+           done: list[int]) -> list[bytes]:
     """The payload, in pieces, storing events ``run`` and placing
-    checkpoints after its ``offsets``: the header columns sliced, the
-    rows dealt by type and transposed into one column per cell, every
-    column stored by :func:`_stored`."""
+    checkpoints after its ``offsets``: the header columns and, per type,
+    the slice of each column holding its events in ``run`` (the first
+    ``done[type id]`` are in earlier blocks), every column stored by
+    :func:`_stored`."""
     span = slice(run.start, run.stop)
-    types = events.types[span]
-    names = sorted(set(types))
-    by_type: dict[str, list] = {name: [] for name in names}
-    for kind, row in zip(types, events.rows[span]):
-        by_type[kind].append(row)
+    kinds = events.kinds[span]
+    codes = sorted(set(kinds), key=events.names.__getitem__)
+    names = [events.names[code] for code in codes]
+    local = bytearray(256)
+    for at, code in enumerate(codes):
+        local[code] = at
     packed: list[bytes] = []
     block = {"first": run.start, "checkpoints": offsets,
-             "types": [[name, list(events.schema[name])] for name in names]}
-    type_id = dict(zip(names, range(len(names))))
-    for name, column in zip(_COLUMNS, (list(map(type_id.__getitem__, types)),
-                                       events.times[span], events.nodes[span],
-                                       events.seqs[span])):
+             "types": [[name, list(events.schema[code])] for name, code in zip(names, codes)]}
+    for name, column in zip(_COLUMNS, (list(kinds.translate(local)), events.times[span],
+                                       events.nodes[span], events.seqs[span])):
         block[name] = _stored(column, packed)
         if block[name] is None:
             raise ValueError(f"a {name!r} cell in events [{run.start}, {run.stop}) "
                              f"is not an int, str, bool or None")
     block["cells"] = []
-    for name, rows in by_type.items():
-        own = [_stored(column, packed) for column in zip(*rows)]
-        if set(map(len, rows)) != {row_layout(events.schema[name])[1]} or None in own:
+    for code, name in zip(codes, names):
+        first, seen = done[code], kinds.count(code)
+        done[code] += seen
+        own = [_stored(column[first:first + seen], packed) for column in events.cells[code]]
+        if None in own:
             raise ValueError(f"a {name} row in events [{run.start}, {run.stop}) is not "
                              f"one int, str, bool or None per cell of its fields")
         block["cells"].append(own)
     text = json.dumps(block, sort_keys=True).encode("utf-8")
     return [_BLOCK_JSON.pack(len(text)), text, *packed]
+
+
+def _check_columns(events: EventColumns) -> None:
+    """Refuse (``ValueError``) a type whose columns are not one per cell
+    of its rows, each holding one cell per event of that type."""
+    for name, names, columns, rows in zip(events.names, events.schema, events.cells,
+                                          events.sizes):
+        if (len(columns) != row_layout(names)[1]
+                or set(map(len, columns)) - {rows}):
+            raise ValueError(f"{name} rows are not one int, str, bool or None "
+                             f"per cell of its fields")
 
 
 def write_binary(trace: Trace, path, compress: bool = True) -> None:
@@ -234,7 +253,10 @@ def write_binary(trace: Trace, path, compress: bool = True) -> None:
             del pending[:_FRAME_RAW_SIZE]
 
     indices = _checkpoint_indices(trace)
-    total = len(trace.events)
+    events = trace.events
+    events.settle()
+    _check_columns(events)
+    total, done = len(events), [0] * len(events.names)
     record(KIND_HEADER, _json(trace.header))
     # The empty run stands before the first block: it places index 0.
     placed = 0
@@ -242,8 +264,8 @@ def write_binary(trace: Trace, path, compress: bool = True) -> None:
                             for first in range(0, total, _BLOCK_EVENTS))]:
         upto = bisect_right(indices, run.stop)
         if run:
-            record(KIND_EVENTS, *_block(trace.events, run, [
-                index - run.start for index in indices[placed:upto]]))
+            record(KIND_EVENTS, *_block(events, run, [
+                index - run.start for index in indices[placed:upto]], done))
         for checkpoint in trace.checkpoints[placed:upto]:
             record(KIND_CHECKPOINT, _json(checkpoint.to_dict()))
         placed = upto
@@ -302,9 +324,9 @@ def _read_preamble(blob: bytes, fault) -> int:
     return flags
 
 
-def _deframe(blob: bytes, fault) -> bytes:
-    """Reassemble the record stream from zlib frames (bounded inflate)."""
-    chunks: list[bytes] = []
+def _frames(blob: bytes, fault):
+    """Yield the record stream's pieces one zlib frame at a time, each
+    inflated (bounded) and checked before it is yielded."""
     offset = _PREAMBLE.size
     while offset < len(blob):
         data_at = offset + _FRAME.size
@@ -327,25 +349,45 @@ def _deframe(blob: bytes, fault) -> bytes:
         if inflater.unused_data:
             raise fault(f"{len(inflater.unused_data)} bytes after the zlib "
                         f"frame's deflate stream", offset)
-        chunks.append(chunk)
+        yield chunk
         offset = data_at + comp_len
-    return b"".join(chunks)
 
 
-def _iter_records(body: bytes, fault):
-    """Yield ``(kind, payload, offset)`` triples, bound-checking every
-    length prefix before slicing; a payload is a view into ``body``."""
-    pos = 0
-    view = memoryview(body)
-    while pos < len(body):
-        payload_at = pos + _RECORD.size
-        if payload_at > len(body):
+def _iter_records(pieces, fault):
+    """Yield ``(kind, payload, offset)`` triples from the record stream
+    ``pieces`` carry in order, bound-checking every length prefix before
+    slicing.  A payload is a view into the piece holding it (pieces are
+    joined only under a record that spans them), so what is held at a
+    time is a record and a piece, never the whole stream."""
+    pieces = iter(pieces)
+    data, at, pos = b"", 0, 0
+
+    def holds(size: int) -> bool:
+        """Whether ``data[at:]`` holds ``size`` bytes, once pieces are
+        joined to it until it does or the stream ends."""
+        nonlocal data, at
+        if len(data) - at >= size:
+            return True
+        parts = [data[at:]] if at < len(data) else []
+        have = len(data) - at
+        for piece in pieces:
+            parts.append(piece)
+            have += len(piece)
+            if have >= size:
+                break
+        data, at = b"".join(parts), 0
+        return have >= size
+
+    while holds(1):
+        if not holds(_RECORD.size):
             raise fault("truncated record header", pos)
-        kind, length = _RECORD.unpack_from(body, pos)
-        if payload_at + length > len(body):
+        kind, length = _RECORD.unpack_from(data, at)
+        end = _RECORD.size + length
+        if not holds(end):
             raise fault(f"record length {length} overruns", pos)
-        yield kind, view[payload_at:payload_at + length], pos
-        pos = payload_at + length
+        yield kind, memoryview(data)[at + _RECORD.size:at + end], pos
+        at += end
+        pos += end
 
 
 def _split_block(payload: memoryview) -> tuple[memoryview, memoryview]:
@@ -370,10 +412,10 @@ class _Packed:
         self.data, self.pos = data, 0
 
     def column(self, stored):
-        """``stored`` as a list: for a byte length, the next that many
-        packed bytes decoded (``ValueError`` unless they are within what
-        is left, and, from ``frombytes``, whole cells); anything else as
-        is, for the caller to check as a JSON column."""
+        """For a byte length, the next that many packed bytes decoded as
+        an ``array('q')`` (``ValueError`` unless they are within what is
+        left, and, from ``frombytes``, whole cells); anything else as is,
+        for the caller to check as a JSON column."""
         if type(stored) is not int:
             return stored
         left = len(self.data) - self.pos
@@ -384,7 +426,7 @@ class _Packed:
         if _SWAP:
             cells.byteswap()
         self.pos += stored
-        return cells.tolist()
+        return cells
 
     def finish(self) -> None:
         """Refuse packed bytes that no column named."""
@@ -393,10 +435,10 @@ class _Packed:
 
 
 def _json_cells(column: list) -> tuple[set, list]:
-    """A JSON cell column's cell types, and the column as rows take it:
-    an all-``str`` one interned (one pass, as ``sys.intern`` refuses
-    anything but a ``str``), so the parsed copies are freed before the
-    rows are built and a block's peak holds one set of strings."""
+    """A JSON cell column's cell types, and the column as the trace keeps
+    it: an all-``str`` one interned (one pass, as ``sys.intern`` refuses
+    anything but a ``str``), so a name or kind repeated over a trace is
+    held once and the parsed copies are freed with the block."""
     try:
         return {str}, list(map(sys.intern, column))
     except TypeError:
@@ -414,8 +456,8 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
     header = []
     for name, admitted in _COLUMNS.items():
         column = unpack.column(block[name])
-        if type(column) is not list or (column is block[name]
-                                        and not set(map(type, column)) <= admitted):
+        if type(column) not in (list, array) or (column is block[name]
+                                                 and not set(map(type, column)) <= admitted):
             kinds = "/".join(sorted(cell.__name__ for cell in admitted))
             raise ValueError(f"{name!r} is neither a packed length nor a list of {kinds}")
         header.append(column)
@@ -435,55 +477,67 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
             and (not offsets or 0 < offsets[0] and offsets[-1] <= len(ids))):
         raise ValueError(f"'checkpoints' {offsets!r} are not ascending offsets "
                          f"in 1..{len(ids)}")
-    kinds, feeds, rows = [], [], 0
+    codes, feeds, grown, rows = [], [], [], 0
     for k, (entry, own) in enumerate(zip(table, cells)):
         if not (len(entry) == 2 and type(entry[0]) is str and _is_column(entry[1], {str})):
             raise ValueError(f"'types' entry {k} is not [name, [field names]]")
         kind = sys.intern(entry[0])
-        names = events.declare(kind, tuple(map(sys.intern, entry[1])))
-        if len(own) != row_layout(names)[1]:
-            raise ValueError(f"{kind} rows are not stored as {row_layout(names)[1]} columns")
+        code = events.declare(kind, tuple(map(sys.intern, entry[1])))
+        if code in codes:
+            raise ValueError(f"'types' names {kind} twice")
+        width = len(events.cells[code])
+        if len(own) != width:
+            raise ValueError(f"{kind} rows are not stored as {width} columns")
         # A type's rows: as many as its first column holds (a type with
         # no cells has one empty row per event of it).
         count = None if own else ids.count(k)
         for at, stored in enumerate(own):
             column = unpack.column(stored)
-            if count is None and type(column) is list:
+            if count is None and type(column) in (list, array):
                 count = len(column)
-            if not (type(column) is list and len(column) == count):
+            if not (type(column) in (list, array) and len(column) == count):
                 raise ValueError(f"{kind} column {at} is not one cell per {kind} event")
             if column is stored:
-                cell_types, own[at] = _json_cells(column)
+                cell_types, column = _json_cells(column)
                 if not cell_types <= _SCALARS:
                     raise ValueError(f"{kind} column {at} holds a cell that is "
                                      f"not an int, str, bool or None")
-            else:
-                own[at] = column
-        kinds.append(kind)
-        feeds.append(zip(*own) if own else repeat(()))
+            own[at] = column
+        codes.append(code)
+        # This block's rows of the type follow the ones already held.
+        feeds.append(iter(range(events.sizes[code], events.sizes[code] + count)))
+        grown.append((code, own, count))
         rows += count
     unpack.finish()
     if rows != len(ids):
         raise ValueError(f"the columns hold {rows} rows for {len(ids)} events")
-    events.types += map(kinds.__getitem__, ids)
-    events.times += times
-    events.nodes += nodes
-    events.seqs += seqs
-    # As many rows as events, so a type whose ids outnumber its rows
+    # As many slots as events, so a type whose ids outnumber its rows
     # runs dry here (ending the deal early) and one with rows to spare
     # means another ran dry: one length check makes every count exact.
-    events.rows += map(next, map(feeds.__getitem__, ids))
-    if len(events.rows) != len(events.types):
+    slots = array("I", map(next, map(feeds.__getitem__, ids)))
+    if len(slots) != len(ids):
         raise ValueError("a type's events outnumber its rows")
+    events.kinds += bytes(map(codes.__getitem__, ids))
+    events.slots += slots
+    events.times = grow_column(events.times, times)
+    events.nodes += nodes
+    events.seqs = grow_column(events.seqs, seqs)
+    for code, own, count in grown:
+        events.cells[code][:] = map(grow_column, events.cells[code], own)
+        events.sizes[code] += count
     return [first + offset for offset in offsets]
 
 
-def _read_checkpoint(data: dict) -> Checkpoint:
+def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
     """Rebuild one checkpoint record, refusing (``ValueError``) any shape
     a :class:`~repro.replay.checkpoint.StateView` fold cannot start
     from: node -> pid -> ``{name, priority}`` processes, node -> int
     lists of halted pids and in-flight calls, int epochs and counts.
-    A few C-level passes per table, no Python per entry."""
+    A ``{name, priority}`` record (a str or int each, so a ``bool`` is
+    not taken for an ``int``) equal to one in ``shared`` (the
+    trace's earlier checkpoints) is replaced by it: folds never mutate
+    one (see :meth:`~repro.replay.checkpoint.StateView.copy`).  A few
+    C-level passes per table, no Python per entry."""
     view = data.get("view")
     if not (data.keys() == _CHECKPOINT_KEYS and type(data["index"]) is int
             and type(data["time"]) is int and type(data["state"]) is dict
@@ -500,9 +554,13 @@ def _read_checkpoint(data: dict) -> Checkpoint:
     ints = chain(epochs.values(), counts.values(), *halted.values(), *in_flight.values())
     if not (set(map(type, entries)) <= {dict}
             and set(map(frozenset, entries)) <= {_PROCESS_KEYS}
-            and set(map(type, ints)) <= {int}):
+            and set(map(type, chain.from_iterable(map(_PROCESS_RECORD, entries))))
+            <= {str, int} and set(map(type, ints)) <= {int}):
         raise ValueError("view processes are not {name, priority}, or an epoch, "
                          "count, pid or call id is not an int")
+    for table in processes.values():
+        table.update(list(zip(table, map(shared.setdefault, map(
+            _PROCESS_RECORD, table.values()), table.values()))))
     return Checkpoint.from_dict(data)
 
 
@@ -511,7 +569,12 @@ def read_binary(path) -> Trace:
     with open(path, "rb") as fh:
         blob = fh.read()
     in_frames = bool(_read_preamble(blob, _faults(path)) & FLAG_ZLIB)
-    body = _deframe(blob, _faults(path)) if in_frames else blob[_PREAMBLE.size:]
+    # The record stream is parsed as it is inflated, a frame at a time
+    # (an uncompressed body is cut into frame-sized pieces alike).
+    view = memoryview(blob)
+    pieces = (_frames(blob, _faults(path)) if in_frames else
+              (view[at:at + _FRAME_RAW_SIZE]
+               for at in range(_PREAMBLE.size, len(blob), _FRAME_RAW_SIZE)))
     fault = _faults(path, 0 if in_frames else _PREAMBLE.size, in_frames)
     # Decoding allocates a few containers per event and no cycles, yet
     # the cyclic collector's passes over that growing tree cost as much
@@ -520,23 +583,26 @@ def read_binary(path) -> Trace:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _decode_records(body, fault)
+        return _decode_records(_iter_records(pieces, fault), fault)
     finally:
         if collecting:
             gc.enable()
             gc.collect(1)
 
 
-def _decode_records(body: bytes, fault) -> Trace:
-    """Rebuild the trace from its record stream, checking every record."""
+def _decode_records(records, fault) -> Trace:
+    """Rebuild the trace from its records, checking every one."""
     header = footer = None
-    footer_at = 0
+    footer_at = end = 0
     events = EventColumns()
     checkpoints: list[Checkpoint] = []
+    #: ``(name, priority) -> {name, priority}`` over every checkpoint.
+    shared: dict = {}
     #: Where the last block places the checkpoints that follow it, last
     #: first; before any block, checkpoints sit at index 0.
     placed: list[int] = []
-    for kind, payload, at in _iter_records(body, fault):
+    for kind, payload, at in records:
+        end = at + _RECORD.size + len(payload)
         if not KIND_HEADER <= kind <= KIND_FOOTER:
             raise fault(f"unknown record kind {kind}", at)
         if kind == KIND_EVENTS:
@@ -560,7 +626,7 @@ def _decode_records(body: bytes, fault) -> Trace:
                 raise fault(f"malformed event block ({exc})", at) from None
         elif kind == KIND_CHECKPOINT:
             try:
-                checkpoint = _read_checkpoint(data)
+                checkpoint = _read_checkpoint(data, shared)
             except ValueError as exc:
                 raise fault(f"malformed checkpoint ({exc})", at) from None
             # Seeks (a bisect over the indices) rely on every checkpoint
@@ -579,7 +645,7 @@ def _decode_records(body: bytes, fault) -> Trace:
         else:
             footer, footer_at = data, at
     if header is None or footer is None:
-        raise fault("truncated trace: missing header/footer", len(body))
+        raise fault("truncated trace: missing header/footer", end)
     if placed:
         raise fault(f"{len(placed)} checkpoint(s) the last block places are "
                     f"missing", footer_at)

@@ -383,11 +383,11 @@ def extract_verdict(trace: Trace) -> dict:
     human should start reading).
     """
     events = trace.events
-    counts = {key: events.types.count(kind) for kind, key in (
+    tally = events.tally()
+    counts = {key: tally.get(kind, 0) for kind, key in (
         ("RpcCallFailed", "rpc_failed"), ("ProcessFailed", "proc_failed"),
         ("RpcStaleRejected", "rpc_stale_rejected"), ("FaultInjected", "faults_injected"))}
-    failures = [events[index] for index, kind in enumerate(events.types)
-                if kind in ("RpcCallFailed", "ProcessFailed")]
+    failures = [events[index] for index in events.indices(("RpcCallFailed", "ProcessFailed"))]
     call_ids = (event.fields.get("call_id") for event in failures
                 if event.type == "RpcCallFailed")
     failed_calls = list(dict.fromkeys(c for c in call_ids if c is not None))

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional
 
-from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView,
-                                     apply_event, empty_view)
+from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView, apply_cells,
+                                     empty_view)
 from repro.replay.trace import Trace, TraceEvent, prefix_before
 
 #: Events the halt-cause scan recognizes as "why" candidates.
@@ -85,10 +85,15 @@ class TimeTravel:
         #: What queries read instead of walking events, built off the
         #: trace's own columns.  Per cursor: the running maximum of event
         #: times (monotone, so a prefix cutoff is a bisect).  Per event:
-        #: kind code, "is a table event".
+        #: kind code (one translate of the type ids), "is a table event".
+        #: Per type id: its table fold, if any.
+        self.events.settle()
+        names = self.events.names
         self._max_times = trace.max_times()
-        self._kinds = bytes(map(_CODES.get, self.events.types, repeat(0)))
+        self._kinds = bytes(self.events.kinds.translate(
+            bytes(map(_CODES.get, names, repeat(0))).ljust(256, b"\0")))
         self._tabled = self._kinds.translate(_TABLE_MASK)
+        self._folds = list(map(_TABLE_FOLDS.get, names))
         self.cursor = len(self.events)
         #: The view at the cursor once folded.  Every ``Moment`` handed
         #: out shares it, so it is replaced, never mutated.
@@ -116,12 +121,13 @@ class TimeTravel:
 
     def _fold_tables(self, view: StateView, start: int, index: int) -> None:
         """Run the table events in ``[start, index)`` over ``view``, off the columns."""
-        events = self.events
-        types, nodes, rows, places = events.types, events.nodes, events.rows, events.positions
+        events, folds = self.events, self._folds
+        kinds, nodes, slots, cells, places = (events.kinds, events.nodes, events.slots,
+                                              events.cells, events.places)
         tabled = self._tabled[start:index]
         for position in compress(range(start, index), tabled):
-            kind = types[position]
-            _TABLE_FOLDS[kind](view, str(nodes[position]), rows[position], places[kind])
+            kind = kinds[position]
+            folds[kind](view, str(nodes[position]), cells[kind], slots[position], places[kind])
         self._stats["table_events_folded"] += tabled.count(1)
 
     def _snapshot(self, start: int, seed: StateView, index: int) -> tuple:
@@ -191,7 +197,11 @@ class TimeTravel:
                 # Fold onto a copy: a Moment must stay frozen at its
                 # instant, and one already holds the current view.
                 self._view = self._view.copy()
-                apply_event(self._view, self.events[self.cursor])
+                events, index = self.events, self.cursor
+                kind = events.kinds[index]
+                apply_cells(self._view, events.names[kind], events.nodes[index],
+                            events.times[index], events.cells[kind], events.slots[index],
+                            events.places[kind])
             self.cursor += 1
         return self._moment()
 
@@ -293,19 +303,22 @@ class TimeTravel:
             last_on_node: dict = {}
             sent_at: dict[int, int] = {}
             events = self.events
-            pkt_at = {kind: events.positions.get(kind, {}).get("packet")
-                      for kind in ("PacketSent", "PacketDelivered")}
-            for index, (kind, node, row) in enumerate(zip(
-                    events.types, events.nodes, events.rows)):
+            sent = events.ids.get("PacketSent")
+            # Per type id: its packet id column, for the two packet types.
+            packets = [cells[places["packet"]] if kind in ("PacketSent", "PacketDelivered")
+                       and "packet" in places else None
+                       for kind, places, cells in zip(events.names, events.places, events.cells)]
+            for index, (kind, node, slot) in enumerate(zip(
+                    events.kinds, events.nodes, events.slots)):
                 previous.append(last_on_node.get(node, -1))
                 last_on_node[node] = index
                 origin.append(-1)
-                at = pkt_at.get(kind)
-                if at is not None and row[at] is not None:
-                    if kind == "PacketSent":
-                        sent_at[row[at]] = index
+                column = packets[kind]
+                if column is not None and column[slot] is not None:
+                    if kind == sent:
+                        sent_at[column[slot]] = index
                     else:
-                        origin[-1] = sent_at.get(row[at], -1)
+                        origin[-1] = sent_at.get(column[slot], -1)
             self._preds = (previous, origin)
         return self._preds
 

@@ -9,10 +9,12 @@ container of :mod:`repro.replay.format` (:meth:`Trace.save` /
   the checkpoint cadence, and caller metadata.  Everything a replayer needs
   to rebuild an identical cluster;
 * the **events**, one per materialized obs event, held in memory as on
-  disk: a column store (:class:`EventColumns`) of header columns plus
-  one row of scalars per event (:func:`~repro.obs.recorder.encode_row`:
-  packet ids rebased to first-seen order, processes reduced to pid/name);
-  the ``fields`` dict and the text ``line`` are derived on access;
+  disk: a column store (:class:`EventColumns`) of header columns plus,
+  per event type, one column per cell of its rows of scalars
+  (:func:`~repro.obs.recorder.encode_row`: packet ids rebased to
+  first-seen order, processes reduced to pid/name), int columns packed
+  as ``array('q')``; a row, the ``fields`` dict and the text ``line``
+  are built on access;
 * interleaved **checkpoint** lines (see :mod:`repro.replay.checkpoint`);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
@@ -29,10 +31,14 @@ emits its process events while the node is half-rebuilt).
 
 from __future__ import annotations
 
+import gc
+import re
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import accumulate, count, islice
+from itertools import compress, count, islice, repeat
+from operator import eq
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs import events as ev
@@ -63,6 +69,10 @@ if TYPE_CHECKING:
 #: event times before it (what a fold reads there), not its own ``time``.
 TRACE_VERSION = 3
 
+#: How :meth:`EventColumns.indices` finds the events it marks.
+_MARK = re.compile(b"\x01")
+_MATCH_START = re.Match.start
+
 #: Event types a checkpoint may be captured on (see module docstring).
 SAFE_CHECKPOINT_EVENTS = frozenset({
     "PacketSent",
@@ -74,6 +84,33 @@ SAFE_CHECKPOINT_EVENTS = frozenset({
     "RpcCallFailed",
     "RpcCallRetried",
 })
+
+
+def pack_column(cells) -> "array | list":
+    """``cells`` as a column holds them: an ``array('q')`` when every one
+    is an ``int`` (not a ``bool``) in the int64 range, else a list.  An
+    array is returned as it is; the first cell rules most other columns
+    out before anything is built."""
+    if type(cells) is array:
+        return cells
+    if cells and type(cells[0]) is not int:
+        return list(cells)
+    try:
+        packed = array("q", cells)
+    except (TypeError, OverflowError):
+        return list(cells)
+    return packed if set(map(type, cells)) <= {int} else list(cells)
+
+
+def grow_column(column, more):
+    """``column`` extended by ``more`` (``more`` itself when ``column`` is
+    empty): an array while both are arrays, else a list."""
+    if not column:
+        return more
+    if type(column) is array and type(more) is not array:
+        column = column.tolist()
+    column.extend(more)
+    return column
 
 
 @dataclass(slots=True)
@@ -130,53 +167,149 @@ class TraceEvent:
 
 
 class EventColumns(Sequence):
-    """A trace's events as parallel columns: ``types`` / ``times`` /
-    ``nodes`` / ``seqs``, one ``rows`` tuple of scalars per event, and per
-    type (fixed for the whole trace) the payload field names its rows
-    encode (``schema``) and each name's first cell (``positions``).
+    """A trace's events as the file stores them, column by column.
 
-    Indexing, slicing and iterating hand out :class:`TraceEvent` views
+    Per event: its type id (``kinds``, one byte; ``names`` / ``ids``
+    translate), ``times`` / ``nodes`` / ``seqs``, and ``slots``, its
+    index within its type's columns.  Per type id, fixed for the whole
+    trace: its payload field names (``schema``) and each name's first
+    cell in a row (``places``); and ``cells``, one column per row cell,
+    ``sizes[id]`` cells long.  A column whose every cell is an ``int``
+    in the int64 range is an ``array('q')``, as the file packs it
+    (``times`` and ``seqs`` too); any other is a list (``()`` until the
+    type has an event).
+
+    A run's :class:`EventStream` appends to lists (an int to an array
+    costs twice as much) and stages each type's rows in ``staged``;
+    :meth:`settle` packs ``times`` / ``seqs`` and transposes the rows
+    into the columns, once, before anything reads them.  Indexing,
+    slicing and iterating hand out :class:`TraceEvent` views, their rows
     built on the spot; code that walks a whole trace reads the columns.
     """
 
-    __slots__ = ("types", "times", "nodes", "seqs", "rows", "schema", "positions")
+    __slots__ = ("names", "ids", "schema", "places", "kinds", "slots", "times",
+                 "nodes", "seqs", "cells", "sizes", "staged")
 
     def __init__(self, events=()):
         events = list(events)
-        self.schema: dict[str, tuple] = {}
-        self.positions: dict[str, dict[str, int]] = {}
+        self.names: list[str] = []
+        self.ids: dict[str, int] = {}
+        self.schema: list[tuple] = []
+        self.places: list[dict[str, int]] = []
+        self.cells: list[list] = []
+        self.sizes: list[int] = []
+        self.staged: list[list[tuple]] = []
         for position, event in enumerate(events):
             if event.index != position:
                 raise ValueError(f"event index {event.index} at position "
                                  f"{position}: not its position in the trace")
-            self.declare(event.type, event.names)
-        self.types, self.times, self.nodes, self.seqs, self.rows = (
-            [getattr(event, cell) for event in events]
-            for cell in ("type", "time", "node", "seq", "row"))
+            self.staged[self.declare(event.type, event.names)].append(event.row)
+        self.kinds = bytearray(self.ids[event.type] for event in events)
+        self.slots = array("I")
+        self.times, self.nodes, self.seqs = ([getattr(event, cell) for event in events]
+                                             for cell in ("time", "node", "seq"))
+        self.settle()
 
-    def declare(self, kind: str, names: tuple) -> tuple:
-        """Record (or re-check) the payload field names of ``kind`` rows."""
-        known = self.schema.setdefault(kind, names)
-        if known != names:
-            raise ValueError(f"{kind} rows are {list(known)} in this trace, not {list(names)}")
-        self.positions[kind] = row_layout(names)[0]
-        return known
+    def declare(self, kind: str, names: tuple) -> int:
+        """Record (or re-check) the payload field names of ``kind`` rows;
+        return its type id."""
+        code = self.ids.get(kind)
+        if code is not None:
+            if self.schema[code] != names:
+                raise ValueError(f"{kind} rows are {list(self.schema[code])} in "
+                                 f"this trace, not {list(names)}")
+            return code
+        if len(self.names) == 256:
+            raise ValueError(f"{kind} would be a trace's 257th event type")
+        code = self.ids[kind] = len(self.names)
+        places, width = row_layout(names)
+        self.names.append(kind)
+        self.schema.append(names)
+        self.places.append(places)
+        self.cells.append([()] * width)
+        self.sizes.append(0)
+        self.staged.append([])
+        return code
+
+    def settle(self) -> None:
+        """Pack ``times`` / ``seqs``, transpose the rows staged since the
+        last call into the columns and number their events within their
+        types (a no-op when none are staged)."""
+        if len(self.slots) == len(self.kinds):
+            return
+        # Transposing allocates a few containers per column and no
+        # cycles, yet a collection it set off would walk the whole live
+        # run (a recording settles before its cluster is closed): pause
+        # the collector, as ``read_binary`` does for a load.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.times = pack_column(self.times)
+            self.seqs = pack_column(self.seqs)
+            feeds = []
+            for code, rows in enumerate(self.staged):
+                feeds.append(count(self.sizes[code]))
+                if not rows:
+                    continue
+                columns = self.cells[code]
+                if set(map(len, rows)) != {len(columns)}:
+                    raise ValueError(f"a {self.names[code]} row is not one cell per "
+                                     f"cell of its fields")
+                chunks = map(pack_column, zip(*rows))
+                columns[:] = map(grow_column, columns, chunks) if self.sizes[code] else chunks
+                self.sizes[code] += len(rows)
+                rows.clear()
+            self.slots += array("I", map(next, map(feeds.__getitem__,
+                                                   self.kinds[len(self.slots):])))
+        finally:
+            if collecting:
+                gc.enable()
+
+    def rows(self):
+        """Every event's row in trace order, built as iterated: each
+        type's columns zipped, dealt out by the events' type ids."""
+        self.settle()
+        feeds = [zip(*columns) if columns else repeat(()) for columns in self.cells]
+        return map(next, map(feeds.__getitem__, self.kinds))
 
     def columns(self) -> tuple:
         """What ``render_line`` takes per event, as parallel iterables."""
-        return (self.types, self.times, self.nodes, self.seqs,
-                map(self.schema.__getitem__, self.types), self.rows)
+        return (map(self.names.__getitem__, self.kinds), self.times, self.nodes,
+                self.seqs, map(self.schema.__getitem__, self.kinds), self.rows())
+
+    def indices(self, kinds, start: int = 0, stop: Optional[int] = None) -> list[int]:
+        """The indices in ``[start, stop)`` of the events whose type is
+        named in ``kinds``, ascending: one translate marks them, one
+        search finds each mark, so the cost is per event found (the
+        contract filters read types of density 0 to 1/8, where a
+        ``compress`` over every index costs 2 to 30 times more)."""
+        stop = len(self.kinds) if stop is None else stop
+        mask = bytearray(256)
+        for kind in kinds:
+            if kind in self.ids:
+                mask[self.ids[kind]] = 1
+        return list(map(_MATCH_START, _MARK.finditer(self.kinds.translate(mask), start, stop)))
+
+    def tally(self) -> dict[str, int]:
+        """Events per type, for every type the trace holds."""
+        seen = map(self.kinds.count, range(len(self.names)))
+        return {kind: count for kind, count in zip(self.names, seen) if count}
 
     def __len__(self) -> int:
-        return len(self.types)
+        return len(self.kinds)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[at] for at in range(*index.indices(len(self.types)))]
-        kind = self.types[index]
-        at = index if index >= 0 else index + len(self.types)
-        return TraceEvent(at, kind, self.times[at], self.nodes[at],
-                          self.seqs[at], self.schema[kind], self.rows[at])
+        if type(index) is slice:
+            return [self[at] for at in range(*index.indices(len(self.kinds)))]
+        code = self.kinds[index]
+        at = index if index >= 0 else index + len(self.kinds)
+        try:
+            slot = self.slots[at]
+        except IndexError:  # staged, not yet settled
+            self.settle()
+            slot = self.slots[at]
+        return TraceEvent(at, self.names[code], self.times[at], self.nodes[at], self.seqs[at],
+                          self.schema[code], tuple([column[slot] for column in self.cells[code]]))
 
     def __iter__(self):
         return map(TraceEvent, count(), *self.columns())
@@ -189,9 +322,13 @@ class EventColumns(Sequence):
     def where(self, name: str, value) -> list[TraceEvent]:
         """The events whose field ``name`` (a flattened object's first
         cell: a packet's id) is ``value``, in trace order."""
-        at = {kind: places[name] for kind, places in self.positions.items() if name in places}
-        return [self[index] for index, kind in enumerate(self.types)
-                if kind in at and self.rows[index][at[kind]] == value]
+        self.settle()
+        found = []
+        for kind, places, columns in zip(self.names, self.places, self.cells):
+            if name in places:
+                hits = compress(count(), map(eq, columns[places[name]], repeat(value)))
+                found += map(self.indices([kind]).__getitem__, hits)
+        return [self[index] for index in sorted(found)]
 
     def lines(self):
         """Every event's normalized line, rendered as iterated."""
@@ -265,13 +402,21 @@ class Trace:
         """How the recorded run was driven (``manual`` when unrecorded)."""
         return self._footer.get("drive") or {"mode": "manual"}
 
-    def max_times(self) -> list[int]:
+    def max_times(self) -> "array | list":
         """The clock a fold reads at each cursor ``0 .. n``: the base
-        view's time, then the running maximum of the event times.  Event
-        times are not monotone across nodes (a node runs ahead inside its
-        window); their running maximum is."""
-        start = self.checkpoints[0].view.time if self.checkpoints else 0
-        return list(accumulate(self.events.times, max, initial=start))
+        view's time, then the running maximum of the event times, packed
+        by :func:`pack_column`.  Event times are not monotone across nodes
+        (a node runs ahead inside its window); their running maximum is."""
+        high = self.checkpoints[0].view.time if self.checkpoints else 0
+        # A loop, not ``accumulate(times, max)``: a call of ``max`` per
+        # event costs twice the loop.
+        highs = [high]
+        append = highs.append
+        for time in self.events.times:
+            if time > high:
+                high = time
+            append(high)
+        return pack_column(highs)
 
     def prefix_before(self, time: int) -> int:
         """How many leading events a run whose recipe differs from this
@@ -355,7 +500,8 @@ class EventStream:
     it is emitted: four header cells and one
     :func:`~repro.obs.recorder.encode_row` through the stream's one
     :class:`~repro.obs.recorder.PayloadNormalizer` (packet ids rebased in
-    first-seen order).  No live event outlives its delivery.
+    first-seen order), staged with its type's rows until a reader
+    settles the columns.  No live event outlives its delivery.
 
     One stream per run: a :class:`TraceWriter` is one, and a
     :class:`~repro.contracts.online.ContractMonitor` folds the writer's
@@ -368,17 +514,20 @@ class EventStream:
         self._normalizer = PayloadNormalizer()
         self._watch = float("inf")  # a writer's: events from this time go to ``_crossed``
         self._types = _all_event_types()
+        self._codes = {}
         for event_type in self._types:
-            self.events.declare(event_type.__name__, payload_field_names(event_type))
+            self._codes[event_type] = self.events.declare(
+                event_type.__name__, payload_field_names(event_type))
             bus.subscribe(event_type, self._on_event)
 
     def _on_event(self, event: ev.Event) -> None:
         events = self.events
-        events.types.append(type(event).__name__)
+        code = self._codes[type(event)]
+        events.kinds.append(code)
         events.times.append(event[0])
         events.nodes.append(event[1])
         events.seqs.append(event[2])
-        events.rows.append(encode_row(event, self._normalizer))
+        events.staged[code].append(encode_row(event, self._normalizer))
         if event[0] >= self._watch:
             self._crossed(event)
 
@@ -472,6 +621,7 @@ class TraceWriter(EventStream):
             raise RuntimeError("TraceWriter.finish() called twice")
         self._finished = True
         self.detach()
+        self.events.settle()
         footer = {
             "final_time": self.cluster.world.now,
             "events": len(self.events),

@@ -483,7 +483,7 @@ def test_run_edges_of_the_clock_fold(fold_streams):
     events = fold_streams["hand-built"]
     backwards = [v.index for v in check_trace(Trace({}, events, [], {}), FOLD_CONTRACTS)
                  .violations if v.contract == "clock_monotonicity"]
-    reboot = events.types.index("NodeRebooted")
+    reboot = events.kinds.index(events.ids["NodeRebooted"])
     assert backwards == [5, reboot + 2]
     for cuts in ([], [5], [6], [reboot], [reboot + 1], [reboot + 2], [5, reboot + 2]):
         _assert_runs_agree(events, cuts)

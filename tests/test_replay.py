@@ -101,9 +101,12 @@ def test_divergence_reports_first_mismatching_event():
     trace = record_run(build_chaos, CHAOS_NAMES, seed=1, run_until=2 * SEC)
     assert len(trace.events) > 11
     recorded = trace.events[10].line
-    # Lines are derived, so tamper with what they derive from: a row.
-    *cells, last = trace.events.rows[10]
-    trace.events.rows[10] = (*cells, f"{last} TAMPERED")
+    # Lines are derived, so tamper with what they derive from: the last
+    # cell of event 10's row, in its type's last column.
+    events = trace.events
+    columns = events.cells[events.kinds[10]]
+    columns[-1] = list(columns[-1])
+    columns[-1][events.slots[10]] = f"{events[10].row[-1]} TAMPERED"
     with pytest.raises(ReplayDivergence) as excinfo:
         replay_trace(trace, build_chaos)
     exc = excinfo.value

@@ -21,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MS, record_run
-from repro.obs.recorder import PARTS
-from repro.replay import TRACE_VERSION, Trace, TraceFormatError
+from repro import MS, FaultPlan, record_run
+from repro.contracts import UNIVERSAL_SET
+from repro.contracts.offline import check_trace
+from repro.obs.recorder import PARTS, row_layout
+from repro.replay import TRACE_VERSION, TimeTravel, Trace, TraceFormatError
 from repro.replay import format as trace_format
 from repro.replay.checkpoint import Checkpoint, empty_view
 from repro.replay.cli import main as replay_cli
@@ -94,7 +96,7 @@ def test_binary_round_trip_is_lossless(trace, tmp_path, compress):
 def file_records(path):
     """``(kind, payload)`` of every record of the raw container at ``path``."""
     return [(kind, bytes(payload)) for kind, payload, _ in
-            _iter_records(path.read_bytes()[_PREAMBLE.size:], _faults(path))]
+            _iter_records([path.read_bytes()[_PREAMBLE.size:]], _faults(path))]
 
 
 #: The header columns of a block, then its cells: the order packed
@@ -289,6 +291,15 @@ def test_a_partial_packet_reads_back_with_its_absent_parts_as_none():
         TraceEvent.of(0, "PacketSent", 5, 1, 9, {"packet": {"ttl": 1}})
 
 
+def set_row_cell(events, index, at, value):
+    """Set cell ``at`` of event ``index``'s row, where the columns hold
+    it (a packed column becomes a list, to take any value)."""
+    columns = events.cells[events.kinds[index]]
+    column = list(columns[at])
+    column[events.slots[index]] = value
+    columns[at] = column
+
+
 def test_writer_refuses_what_the_reader_would(trace, tmp_path):
     """Event indices are implied by position, checkpoints by their place
     in the stream and a type's field names hold for the whole trace, so a
@@ -311,11 +322,12 @@ def test_writer_refuses_what_the_reader_would(trace, tmp_path):
         misplaced.save(path)
     for bad in (1.5, [1], {"a": 1}):
         unstorable = copy.deepcopy(trace)
-        unstorable.events.rows[3] = (bad, *unstorable.events.rows[3][1:])
+        set_row_cell(unstorable.events, 3, 0, bad)
         with pytest.raises(ValueError, match="not one int, str, bool or None"):
             unstorable.save(path)
+    # Event 3's row one cell longer: a column of its type holding that cell only.
     ragged = copy.deepcopy(trace)
-    ragged.events.rows[3] += (0,)
+    ragged.events.cells[ragged.events.kinds[3]].append([0])
     with pytest.raises(ValueError, match="per cell of its fields"):
         ragged.save(path)
     assert list(tmp_path.iterdir()) == []
@@ -367,15 +379,14 @@ def test_info_cli_checks_the_footer_fingerprint(trace, tmp_path, capsys):
     # bytes per event, checkpoints and their mean interval.
     size = path.stat().st_size
     assert f"events:       {len(trace.events)}\n" in out
-    for kind, seen in collections.Counter(trace.events.types).items():
+    for kind, seen in collections.Counter(event.type for event in trace.events).items():
         assert f"  {kind:<18}{seen}\n" in out
     assert (f"container:    {size} bytes  "
             f"({size / len(trace.events):.1f} per event)\n") in out
     assert (f"checkpoints:  {len(trace.checkpoints)}  (one per "
             f"{len(trace.events) / len(trace.checkpoints):.1f} events)\n") in out
     tampered = Trace.load(path)
-    *cells, last = tampered.events.rows[3]
-    tampered.events.rows[3] = (*cells, f"{last} TAMPERED")
+    set_row_cell(tampered.events, 3, -1, f"{tampered.events[3].row[-1]} TAMPERED")
     tampered.save(path)
     assert replay_cli(["info", str(path)]) == 1
     err = capsys.readouterr().err
@@ -1039,6 +1050,78 @@ def test_save_replaces_existing_trace_in_one_step(trace, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Two layouts, one trace: as recorded and as loaded
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """Per source, ``(trace, trace saved and loaded, its file)``: the
+    golden as loaded, and a fresh recording (crash, reboot and a delay
+    window) as its writer sealed it."""
+    directory = tmp_path_factory.mktemp("layouts")
+    plan = (FaultPlan().crash(at=300 * MS, node="b").reboot(at=350 * MS, node="b")
+            .delay(at=380 * MS, duration=50 * MS, extra=3 * MS))
+    sources = {"golden": Trace.load(GOLDEN_BINARY_PATH),
+               "recording": record_run(build_echo_loop, ["a", "b"], seed=11, plan=plan,
+                                       checkpoint_every=20 * MS, run_until=600 * MS)}
+    pairs = {}
+    for name, trace in sources.items():
+        path = directory / f"{name}.trace.bin"
+        trace.save(path)
+        pairs[name] = (trace, Trace.load(path), path)
+    return pairs
+
+
+def build_echo_loop(cluster):
+    image = cluster.load_program(ECHO, "b")
+    cluster.rpc("b").export_vm("svc", image, {"echo": "echo"})
+    cluster.spawn_vm("a", cluster.load_program(LOOP, "a"), "main")
+
+
+@pytest.mark.parametrize("source", ["golden", "recording"])
+def test_a_trace_reads_alike_as_recorded_and_as_loaded(layouts, source):
+    """Lines, every event, every ``where`` over the values a packet, call
+    or pid field holds and the canonical contract report are the same
+    from either layout, and saving what was loaded writes the file it
+    was loaded from."""
+    held, loaded, path = layouts[source]
+    assert len(held.events) > 100
+    assert loaded.lines() == held.lines()
+    assert [loaded.events[i] for i in range(len(held.events))] == \
+        [held.events[i] for i in range(len(held.events))]
+    assert loaded.events[-1] == held.events[-1]
+    for name in ("packet", "call_id", "pid", "epoch"):
+        values = {event.row[row_layout(event.names)[0][name]] for event in held.events
+                  if name in event.names}
+        assert values, name
+        for value in sorted(values, key=repr)[:40]:
+            assert loaded.events.where(name, value) == held.events.where(name, value)
+    assert check_trace(loaded, UNIVERSAL_SET).canonical() == \
+        check_trace(held, UNIVERSAL_SET).canonical()
+    again = path.with_name(f"{source}.again.trace.bin")
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["golden", "recording"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_a_trace_travels_alike_as_recorded_and_as_loaded(layouts, source, data):
+    """``at``, ``step`` and ``reverse_step`` at drawn cursors hand out
+    equal moments (index, time, folded view, event) from either layout."""
+    held, loaded = layouts[source][:2]
+    travels = TimeTravel(held), TimeTravel(loaded)
+    for _ in range(3):
+        t = data.draw(st.integers(-1, held.final_time + 1), label="at")
+        assert travels[0].at(t) == travels[1].at(t)
+        for _ in range(data.draw(st.integers(0, 6), label="steps")):
+            assert travels[0].step() == travels[1].step()
+        for _ in range(data.draw(st.integers(0, 6), label="reverse steps")):
+            assert travels[0].reverse_step() == travels[1].reverse_step()
+
+
+# ----------------------------------------------------------------------
 # Resident size, as a count: bytes per event, not a timing
 # ----------------------------------------------------------------------
 
@@ -1080,10 +1163,12 @@ def traced(call):
 
 
 def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
-    """The fence that keeps a "convenience" dict (or a stored line) per
-    event from coming back: a loaded trace, checkpoints included, is
-    under 400 bytes an event (a payload dict plus its line was ~940),
-    and loading it peaks at no more than 1.5x what it leaves behind."""
+    """The fence that keeps a "convenience" dict (or a stored line, or a
+    row tuple) per event from coming back: a loaded trace, checkpoints
+    included, is under 150 bytes an event (a payload dict plus its line
+    was ~940, a row tuple per event ~280; its columns measure ~126), and
+    loading it peaks at no more than 402 bytes an event (what loading
+    rows peaked at; the columns and a streamed body measure ~301)."""
     path = tmp_path / "echo.trace.bin"
     recorded = echo_recording()
     recorded.save(path)
@@ -1092,12 +1177,13 @@ def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
     del recorded
     loaded, held, peak = traced(lambda: Trace.load(path))
     assert len(loaded.events) == events
-    assert held / events <= 400
-    assert peak <= 1.5 * held
+    assert held / events <= 150
+    assert peak / events <= 402
 
 
 def test_finish_returns_a_trace_under_400_bytes_an_event():
     # Traced around the whole recording: what is still held afterwards is
-    # the trace (the cluster it came from is garbage by then).
+    # the trace (the cluster it came from is garbage by then).  Its
+    # columns and checkpoints measure ~143 bytes an event.
     trace, held, _ = traced(echo_recording)
-    assert held / len(trace.events) <= 400
+    assert held / len(trace.events) <= 171
