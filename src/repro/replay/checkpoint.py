@@ -38,7 +38,7 @@ import hashlib
 import sys
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.mayflower.process import ProcessState
 from repro.obs.recorder import row_layout
@@ -152,18 +152,20 @@ class StateView:
 
 
 def capture_view(cluster: "Cluster", base_counts: dict[str, int],
-                 time: int) -> StateView:
+                 time: int, shared: Optional[dict] = None) -> StateView:
     """Digest the live cluster (the capture side of the equivalence),
-    visiting live processes only."""
+    visiting live processes only; equal ``{name, priority}`` records are
+    one, kept in ``shared`` (a writer's across its checkpoints)."""
     view = StateView(time=time)
+    shared = {} if shared is None else shared
     for node in cluster.nodes:
         key = str(node.node_id)
         table = {}
         halted = []
         for process in node.supervisor.live_processes():
-            table[str(process.pid)] = {
-                "name": process.name, "priority": process.priority,
-            }
+            table[str(process.pid)] = shared.setdefault(
+                (process.name, process.priority),
+                {"name": process.name, "priority": process.priority})
             if process.state is ProcessState.HALTED:
                 halted.append(process.pid)
         view.processes[key] = table

@@ -72,7 +72,8 @@ from operator import itemgetter
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.recorder import row_layout
 from repro.replay.checkpoint import Checkpoint
-from repro.replay.trace import TRACE_VERSION, EventColumns, Trace, grow_column, pack_column
+from repro.replay.trace import (_BLOCK_EVENTS, TRACE_VERSION, EventColumns, Trace,
+                                grow_column, pack_column)
 
 __all__ = [
     "BINARY_VERSION",
@@ -105,8 +106,6 @@ KIND_FOOTER = 4
 #: Writer chunking for the zlib-framed body; the reader refuses a frame
 #: that declares, or inflates to, more.
 _FRAME_RAW_SIZE = 1 << 18
-#: Events per block (a trace's last block holds what is left).
-_BLOCK_EVENTS = 4096
 #: A packed column's cells: int64, little-endian on disk.
 _PACKED = "q"
 _SWAP = sys.byteorder == "big"

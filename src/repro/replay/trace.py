@@ -69,6 +69,10 @@ if TYPE_CHECKING:
 #: event times before it (what a fold reads there), not its own ``time``.
 TRACE_VERSION = 3
 
+#: Events per block: a file's (the last one shorter), and the most a
+#: recording stages before it settles them into its columns.
+_BLOCK_EVENTS = 4096
+
 #: How :meth:`EventColumns.indices` finds the events it marks.
 _MARK = re.compile(b"\x01")
 _MATCH_START = re.Match.start
@@ -179,16 +183,17 @@ class EventColumns(Sequence):
     (``times`` and ``seqs`` too); any other is a list (``()`` until the
     type has an event).
 
-    A run's :class:`EventStream` appends to lists (an int to an array
-    costs twice as much) and stages each type's rows in ``staged``;
-    :meth:`settle` packs ``times`` / ``seqs`` and transposes the rows
-    into the columns, once, before anything reads them.  Indexing,
+    A run's :class:`EventStream` stages at most one block: times and
+    seqs in lists (an int appended to an array costs 7 times as much),
+    rows per type in ``staged``; :meth:`settle` packs them onto the
+    columns every ``_BLOCK_EVENTS`` events and before any read.  Indexing,
     slicing and iterating hand out :class:`TraceEvent` views, their rows
     built on the spot; code that walks a whole trace reads the columns.
     """
 
     __slots__ = ("names", "ids", "schema", "places", "kinds", "slots", "times",
-                 "nodes", "seqs", "cells", "sizes", "staged")
+                 "nodes", "seqs", "cells", "sizes", "staged", "staged_times",
+                 "staged_seqs")
 
     def __init__(self, events=()):
         events = list(events)
@@ -206,8 +211,9 @@ class EventColumns(Sequence):
             self.staged[self.declare(event.type, event.names)].append(event.row)
         self.kinds = bytearray(self.ids[event.type] for event in events)
         self.slots = array("I")
-        self.times, self.nodes, self.seqs = ([getattr(event, cell) for event in events]
-                                             for cell in ("time", "node", "seq"))
+        self.times, self.seqs = [], []
+        self.staged_times, self.nodes, self.staged_seqs = (
+            [getattr(event, cell) for event in events] for cell in ("time", "node", "seq"))
         self.settle()
 
     def declare(self, kind: str, names: tuple) -> int:
@@ -232,20 +238,21 @@ class EventColumns(Sequence):
         return code
 
     def settle(self) -> None:
-        """Pack ``times`` / ``seqs``, transpose the rows staged since the
-        last call into the columns and number their events within their
-        types (a no-op when none are staged)."""
+        """Pack the staged times and seqs onto ``times`` / ``seqs``,
+        transpose the staged rows onto the columns and number their
+        events within their types (a no-op when none are staged)."""
         if len(self.slots) == len(self.kinds):
             return
         # Transposing allocates a few containers per column and no
         # cycles, yet a collection it set off would walk the whole live
-        # run (a recording settles before its cluster is closed): pause
-        # the collector, as ``read_binary`` does for a load.
+        # run (a recording settles while its cluster runs): pause the
+        # collector, as ``read_binary`` does for a load.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            self.times = pack_column(self.times)
-            self.seqs = pack_column(self.seqs)
+            self.times = grow_column(self.times, pack_column(self.staged_times))
+            self.seqs = grow_column(self.seqs, pack_column(self.staged_seqs))
+            self.staged_times, self.staged_seqs = [], []
             feeds = []
             for code, rows in enumerate(self.staged):
                 feeds.append(count(self.sizes[code]))
@@ -274,6 +281,7 @@ class EventColumns(Sequence):
 
     def columns(self) -> tuple:
         """What ``render_line`` takes per event, as parallel iterables."""
+        self.settle()
         return (map(self.names.__getitem__, self.kinds), self.times, self.nodes,
                 self.seqs, map(self.schema.__getitem__, self.kinds), self.rows())
 
@@ -408,15 +416,17 @@ class Trace:
         by :func:`pack_column`.  Event times are not monotone across nodes
         (a node runs ahead inside its window); their running maximum is."""
         high = self.checkpoints[0].view.time if self.checkpoints else 0
-        # A loop, not ``accumulate(times, max)``: a call of ``max`` per
-        # event costs twice the loop.
-        highs = [high]
-        append = highs.append
-        for time in self.events.times:
-            if time > high:
-                high = time
-            append(high)
-        return pack_column(highs)
+        highs, times = pack_column([high]), self.events.times
+        # Packed a block at a time, and by a loop, not ``accumulate(times,
+        # max)``: a call of ``max`` per event costs twice the loop.
+        for start in range(0, len(times), _BLOCK_EVENTS):
+            block = []
+            for time in times[start:start + _BLOCK_EVENTS]:
+                if time > high:
+                    high = time
+                block.append(high)
+            highs = grow_column(highs, pack_column(block))
+        return highs
 
     def prefix_before(self, time: int) -> int:
         """How many leading events a run whose recipe differs from this
@@ -500,8 +510,10 @@ class EventStream:
     it is emitted: four header cells and one
     :func:`~repro.obs.recorder.encode_row` through the stream's one
     :class:`~repro.obs.recorder.PayloadNormalizer` (packet ids rebased in
-    first-seen order), staged with its type's rows until a reader
-    settles the columns.  No live event outlives its delivery.
+    first-seen order), with at most one block staged: the stream settles
+    its columns every ``_BLOCK_EVENTS`` events, so a bare-bus stream and
+    a recording without checkpoints are bounded alike.  No live event
+    outlives its delivery.
 
     One stream per run: a :class:`TraceWriter` is one, and a
     :class:`~repro.contracts.online.ContractMonitor` folds the writer's
@@ -523,11 +535,14 @@ class EventStream:
     def _on_event(self, event: ev.Event) -> None:
         events = self.events
         code = self._codes[type(event)]
+        times = events.staged_times
         events.kinds.append(code)
-        events.times.append(event[0])
+        times.append(event[0])
         events.nodes.append(event[1])
-        events.seqs.append(event[2])
+        events.staged_seqs.append(event[2])
         events.staged[code].append(encode_row(event, self._normalizer))
+        if len(times) >= _BLOCK_EVENTS:
+            events.settle()
         if event[0] >= self._watch:
             self._crossed(event)
 
@@ -571,6 +586,8 @@ class TraceWriter(EventStream):
         }
         self.checkpoints: list[Checkpoint] = []
         self._finished = False
+        #: ``(name, priority) -> {name, priority}`` over every checkpoint.
+        self._shared: dict = {}
         #: Metric values at attach; view counts are deltas against this,
         #: so fold-derived counts (which only see post-attach events)
         #: line up with live captures.
@@ -590,7 +607,7 @@ class TraceWriter(EventStream):
             index=len(self.events),
             time=time,
             state=capture_state(self.cluster),
-            view=capture_view(self.cluster, self._base_counts, time),
+            view=capture_view(self.cluster, self._base_counts, time, self._shared),
         ))
 
     def _crossed(self, event: ev.Event) -> None:

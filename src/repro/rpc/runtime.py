@@ -228,6 +228,10 @@ class RpcRuntime:
         halt_exempt: bool = False,
     ) -> None:
         self._services[service] = impl
+        # proc -> (its workers' process name, ``service.proc``), built once:
+        # finished workers and a trace's name cells share them.
+        impl.names = {proc: (f"rpcw.{proc}", f"{service}.{proc}")
+                      for proc in (*impl.vm_procs, *impl.native_procs)}
         impl.registered = register
         impl.halt_exempt = halt_exempt
         if register:
@@ -571,15 +575,16 @@ class RpcRuntime:
                 return
             from repro.cvm.interp import VmExecutor
 
+            worker_name, remote_proc = service.names[proc]
             executor = VmExecutor(service.vm_image, func_name, args)
             executor.server_info_block = {
                 "call_id": record.call_id,
-                "remote_proc": f"{record.service}.{proc}",
+                "remote_proc": remote_proc,
                 "client_node": record.client_node,
                 "client_pid": record.client_pid,
                 "state": "serving",
             }
-            worker = self.node.spawn(executor, name=f"rpcw.{proc}")
+            worker = self.node.spawn(executor, name=worker_name)
         else:
             handler = service.native_procs.get(proc)
             if handler is None:
@@ -587,7 +592,7 @@ class RpcRuntime:
                 return
             worker = self.node.spawn(
                 self._native_worker_body(handler, ctx, args),
-                name=f"rpcw.{proc}",
+                name=service.names[proc][0],
                 priority=self.params.agent_priority if exempt else 0,
                 halt_exempt=exempt,
             )

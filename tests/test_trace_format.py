@@ -12,22 +12,27 @@ import gc
 import itertools
 import json
 import math
+import random
 import struct
 import tracemalloc
 import zlib
+from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import MS, FaultPlan, record_run
 from repro.contracts import UNIVERSAL_SET
 from repro.contracts.offline import check_trace
+from repro.obs import events as ev
+from repro.obs.bus import Bus
 from repro.obs.recorder import PARTS, row_layout
 from repro.replay import TRACE_VERSION, TimeTravel, Trace, TraceFormatError
 from repro.replay import format as trace_format
-from repro.replay.checkpoint import Checkpoint, empty_view
+from repro.replay import trace as trace_module
+from repro.replay.checkpoint import Checkpoint, StateView, empty_view
 from repro.replay.cli import main as replay_cli
 from repro.replay.format import (
     BINARY_VERSION,
@@ -47,7 +52,7 @@ from repro.replay.format import (
     export_jsonl,
     write_binary,
 )
-from repro.replay.trace import TraceEvent
+from repro.replay.trace import EventStream, TraceEvent
 from tests.fuzz import corrupt
 from tests.golden_scenario import GOLDEN_BINARY_PATH
 
@@ -1057,14 +1062,17 @@ def test_save_replaces_existing_trace_in_one_step(trace, tmp_path):
 @pytest.fixture(scope="module")
 def layouts(tmp_path_factory):
     """Per source, ``(trace, trace saved and loaded, its file)``: the
-    golden as loaded, and a fresh recording (crash, reboot and a delay
-    window) as its writer sealed it."""
+    golden as loaded, and as their writers sealed them a fresh recording
+    (crash, reboot and a delay window) and one over three blocks long,
+    settled block by block as it ran."""
     directory = tmp_path_factory.mktemp("layouts")
     plan = (FaultPlan().crash(at=300 * MS, node="b").reboot(at=350 * MS, node="b")
             .delay(at=380 * MS, duration=50 * MS, extra=3 * MS))
     sources = {"golden": Trace.load(GOLDEN_BINARY_PATH),
                "recording": record_run(build_echo_loop, ["a", "b"], seed=11, plan=plan,
-                                       checkpoint_every=20 * MS, run_until=600 * MS)}
+                                       checkpoint_every=20 * MS, run_until=600 * MS),
+               "blocks": echo_recording(LONG_CALLS, FaultPlan().crash(
+                   at=300 * MS, node="server").reboot(at=350 * MS, node="server"))}
     pairs = {}
     for name, trace in sources.items():
         path = directory / f"{name}.trace.bin"
@@ -1076,10 +1084,10 @@ def layouts(tmp_path_factory):
 def build_echo_loop(cluster):
     image = cluster.load_program(ECHO, "b")
     cluster.rpc("b").export_vm("svc", image, {"echo": "echo"})
-    cluster.spawn_vm("a", cluster.load_program(LOOP, "a"), "main")
+    cluster.spawn_vm("a", cluster.load_program(echo_loop(125), "a"), "main")
 
 
-@pytest.mark.parametrize("source", ["golden", "recording"])
+@pytest.mark.parametrize("source", ["golden", "recording", "blocks"])
 def test_a_trace_reads_alike_as_recorded_and_as_loaded(layouts, source):
     """Lines, every event, every ``where`` over the values a packet, call
     or pid field holds and the canonical contract report are the same
@@ -1104,7 +1112,7 @@ def test_a_trace_reads_alike_as_recorded_and_as_loaded(layouts, source):
     assert again.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("source", ["golden", "recording"])
+@pytest.mark.parametrize("source", ["golden", "recording", "blocks"])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_a_trace_travels_alike_as_recorded_and_as_loaded(layouts, source, data):
@@ -1125,26 +1133,37 @@ def test_a_trace_travels_alike_as_recorded_and_as_loaded(layouts, source, data):
 # Resident size, as a count: bytes per event, not a timing
 # ----------------------------------------------------------------------
 
-LOOP = """
+def echo_loop(calls: int) -> str:
+    """A client summing ``calls`` echo calls (a failed one counts -100)."""
+    return f"""
 proc main()
   var total: int := 0
-  for i := 1 to 125 do
-    total := total + remote svc.echo(i)
+  for i := 1 to {calls} do
+    var r: int := remote svc.echo(i)
+    if failed(r) then
+      total := total - 100
+    else
+      total := total + r
+    end
   end
   print total
 end
 """
 
 
-def echo_recording():
-    """Three clients x 125 echo calls, a checkpoint every 100 ms: ~3 000
-    events, deterministic for one interpreter."""
+#: Echo calls per client of a recording over three blocks long.
+LONG_CALLS = 600
+
+
+def echo_recording(calls: int = 125, plan=None):
+    """Three clients x ``calls`` echo calls, a checkpoint every 100 ms:
+    ~8 events a call (~3 000 for 125), deterministic for one interpreter."""
     def build(cluster):
         image = cluster.load_program(ECHO, "server")
         cluster.rpc("server").export_vm("svc", image, {"echo": "echo"})
         for name in ("c0", "c1", "c2"):
-            cluster.spawn_vm(name, cluster.load_program(LOOP, name), "main")
-    return record_run(build, ["c0", "c1", "c2", "server"], seed=5,
+            cluster.spawn_vm(name, cluster.load_program(echo_loop(calls), name), "main")
+    return record_run(build, ["c0", "c1", "c2", "server"], seed=5, plan=plan,
                       checkpoint_every=100 * MS)
 
 
@@ -1184,6 +1203,126 @@ def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
 def test_finish_returns_a_trace_under_400_bytes_an_event():
     # Traced around the whole recording: what is still held afterwards is
     # the trace (the cluster it came from is garbage by then).  Its
-    # columns and checkpoints measure ~143 bytes an event.
+    # columns and checkpoints measure ~124 bytes an event.
     trace, held, _ = traced(echo_recording)
-    assert held / len(trace.events) <= 171
+    assert held / len(trace.events) <= 149
+
+
+# ----------------------------------------------------------------------
+# Bounded staging: a recording settles its columns a block at a time
+# ----------------------------------------------------------------------
+
+
+def test_a_recording_stages_at_most_one_block():
+    """A recording over three blocks long stages no more than one block
+    of rows at any event (its columns are settled every
+    ``_BLOCK_EVENTS`` events, not once at ``finish()``), and peaks at
+    most 205 bytes an event above the trace it returns (staging the
+    whole run measured ~255; a block ~171)."""
+    most = 0
+    on_event = EventStream._on_event
+
+    def counted(self, event):
+        nonlocal most
+        on_event(self, event)
+        most = max(most, sum(map(len, self.events.staged)))
+
+    with mock.patch.object(EventStream, "_on_event", counted):
+        trace, held, peak = traced(lambda: echo_recording(LONG_CALLS))
+    events = len(trace.events)
+    assert events > 3 * trace_format._BLOCK_EVENTS
+    assert 0 < most <= trace_format._BLOCK_EVENTS
+    assert (peak - held) / events <= 205
+
+
+#: Event types whose rows are their cells as emitted.
+_SCALAR_TYPES = [ev.Observation, ev.RpcStaleRejected, ev.NodeRebooted]
+
+
+@st.composite
+def _emissions(draw):
+    """``(type, time, node, cells)`` bus emissions of three scalar-only
+    types, each field with one drawn kind of cell.  An ``Observation``'s
+    ``value`` is an int before a drawn event, so a column can be all
+    ints in its first blocks and take a ``None`` or a str later."""
+    kinds = {(event_type, name): draw(_COLUMN_KINDS)
+             for event_type in _SCALAR_TYPES for name in event_type.FIELDS[3:]}
+    switch = draw(st.integers(0, 30))
+    emitted = []
+    for at in range(draw(st.integers(0, 40))):
+        event_type = draw(st.sampled_from(_SCALAR_TYPES))
+        cells = [draw(kinds[event_type, name]) for name in event_type.FIELDS[3:]]
+        if event_type is ev.Observation and at < switch:
+            cells[3] = draw(st.integers(-9, 9))
+        emitted.append((event_type, draw(_INT), draw(st.one_of(st.none(), st.integers(0, 9))),
+                        cells))
+    return emitted
+
+
+def streamed(emissions, block: int):
+    """The columns a stream over a bare bus holds after ``emissions``,
+    settled every ``block`` events and once at the end."""
+    bus = Bus()
+    stream = EventStream(bus)
+    with mock.patch.object(trace_module, "_BLOCK_EVENTS", block):
+        for event_type, time, node, cells in emissions:
+            bus.emit(event_type, time, node, *cells)
+    stream.detach()
+    stream.events.settle()
+    return stream.events
+
+
+def exactly(column) -> tuple:
+    """A column's type and its cells with theirs (``True`` is not ``1``)."""
+    return type(column), [(type(cell), cell) for cell in column]
+
+
+def file_bytes(events, path) -> bytes:
+    """The container a trace of ``events`` (and a checkpoint 0) saves to."""
+    base = Checkpoint(index=0, time=0, state={}, view=empty_view([0]))
+    write_binary(Trace({"version": TRACE_VERSION}, events, [base], {"events": len(events)}),
+                 path, compress=False)
+    return path.read_bytes()
+
+
+def assert_settled_alike(blocks, once, tmp_path) -> None:
+    """The same cells in the same column types, and the same file."""
+    for name in ("names", "schema", "kinds", "slots", "times", "nodes", "seqs", "sizes"):
+        assert exactly(getattr(blocks, name)) == exactly(getattr(once, name)), name
+    for mine, theirs in zip(blocks.cells, once.cells, strict=True):
+        assert list(map(exactly, mine)) == list(map(exactly, theirs))
+    assert not any(map(len, blocks.staged)) and not blocks.staged_times
+    assert file_bytes(blocks, tmp_path / "blocks.bin") == file_bytes(once, tmp_path / "once.bin")
+
+
+@given(emissions=_emissions(), block=st.integers(1, 6))
+@example(emissions=[(ev.Observation, t, 0, ["k", "op", "key", v, t])
+                    for t, v in enumerate([1, 2, 3, None, "x", 4])], block=3)
+@settings(max_examples=150, deadline=None)
+def test_settling_block_by_block_equals_settling_once(tmp_path_factory, emissions, block):
+    """A stream settled every ``block`` events holds what one settled at
+    the end holds: equal cells of equal types in columns of equal types
+    (``array('q')`` only when every cell is an int64 ``int``: the
+    example's ``value`` column is packed in its first block and a list
+    once its second brings a ``None`` and a str), and it saves to the
+    same bytes."""
+    assert_settled_alike(streamed(emissions, block), streamed(emissions, 1 << 30),
+                         tmp_path_factory.mktemp("settle"))
+
+
+@given(length=st.one_of(st.sampled_from([0, 1, 4096, 4097]), st.integers(2 * 4096, 4 * 4096)),
+       seed=st.integers(0, 1 << 32), base=st.one_of(st.none(), st.integers(-5, 1 << 40)))
+@settings(max_examples=30, deadline=None)
+def test_max_times_is_the_running_maximum(length, seed, base):
+    """:meth:`Trace.max_times`, packed a block at a time, is the plain
+    running maximum of the event times from the base view's clock (0
+    without checkpoints), one entry per cursor ``0 .. n``."""
+    rng = random.Random(seed)
+    times = [rng.randrange(-10, 1 << 40) for _ in range(length)]
+    events = [TraceEvent.of(index, "Tick", time, None, index, {})
+              for index, time in enumerate(times)]
+    checkpoints = [] if base is None else [
+        Checkpoint(index=0, time=0, state={}, view=StateView(time=base))]
+    highs = Trace({}, events, checkpoints, {}).max_times()
+    assert type(highs) is array
+    assert list(highs) == list(itertools.accumulate(times, max, initial=base or 0))
