@@ -244,8 +244,6 @@ class PilgrimAgent:
     def _do_halt(self, broadcast: bool) -> None:
         if not self.halted:
             self.halted = True
-            self.node.clock.begin_halt()
-            self.node.rpc.freeze()
             self.node.supervisor.halt_all()
         if broadcast:
             self._broadcast({"kind": "halt", "session": self.session_id})
@@ -253,8 +251,6 @@ class PilgrimAgent:
     def _do_resume(self, broadcast: bool) -> None:
         if self.halted:
             self.halted = False
-            self.node.clock.end_halt()
-            self.node.rpc.thaw()
             self.node.supervisor.resume_all()
         if broadcast:
             self._broadcast({"kind": "resume", "session": self.session_id})

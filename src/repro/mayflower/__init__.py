@@ -1,10 +1,11 @@
 """Mayflower supervisor analog: light-weight processes, scheduling,
-synchronization primitives, freezable timeouts, and node clocks.
+synchronization primitives, freezable timers, and node clocks.
 
 This is the operating-system substrate of the reproduction (paper §2): each
 node of a Concurrent CLU program runs under a small supervisor supporting
 multiple light-weight processes that share memory, mediated by monitors,
-critical regions and semaphores.
+critical regions and semaphores.  A node halt freezes its clock, its RPC
+protocol timers (:class:`TimerSet`) and its waiting processes' timeouts.
 """
 
 from repro.mayflower.clock import NodeClock
@@ -18,6 +19,7 @@ from repro.mayflower.process import (
 )
 from repro.mayflower.scheduler import ProcessExit, Supervisor
 from repro.mayflower.sync import CriticalRegion, MessageQueue, Monitor, Semaphore
+from repro.mayflower.timers import Timer, TimerSet
 
 __all__ = [
     "NodeClock",
@@ -33,4 +35,6 @@ __all__ = [
     "MessageQueue",
     "Monitor",
     "Semaphore",
+    "Timer",
+    "TimerSet",
 ]

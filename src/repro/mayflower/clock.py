@@ -20,17 +20,12 @@ from typing import Callable, Optional
 class NodeClock:
     """Real-time clock plus the debugger-maintained logical delta.
 
-    ``time_source`` is either a callable returning the node's current time
-    (normally ``supervisor.current_time``, which tracks the node's local
-    CPU cursor) or a World, whose global clock is used directly.
+    ``time_source`` returns the node's current time (normally
+    ``supervisor.current_time``, which tracks the node's local CPU cursor).
     """
 
-    def __init__(self, time_source, skew: int = 0, epoch: int = 0):
-        if callable(time_source):
-            self._time_source: Callable[[], int] = time_source
-        else:
-            world = time_source
-            self._time_source = lambda: world.now
+    def __init__(self, time_source: Callable[[], int], skew: int = 0, epoch: int = 0):
+        self._time_source = time_source
         #: Fixed offset modelling imperfect clock synchronization between
         #: nodes ("assumed to be synchronized correctly", paper §5.2 — skew
         #: defaults to zero but is injectable for robustness tests).

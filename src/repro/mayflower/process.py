@@ -39,7 +39,7 @@ class Process:
     """A Mayflower light-weight process."""
 
     __slots__ = ("pid", "name", "executor", "priority", "halt_exempt", "state", "waiting_on",
-                 "timeout_event", "timeout_callback", "frozen_timeout_remaining", "halted_from",
+                 "timeout", "timeout_callback", "halted_from",
                  "pending_value", "pending_error", "no_halt_depth", "halt_deferred", "result",
                  "failure", "supervisor", "on_exit")
 
@@ -62,12 +62,11 @@ class Process:
         self.state = ProcessState.READY
         #: Human-readable description of what the process waits on.
         self.waiting_on: Optional[object] = None
-        #: Timeout event for the current wait (frozen while halted).
-        self.timeout_event = None
-        #: Callback re-armed when a frozen timeout is thawed on resume.
+        #: The current wait's timeout, a ``Timer`` the supervisor freezes
+        #: while the process is halted.
+        self.timeout = None
+        #: What the wait does on a timeout (or a debugger-forced wake).
         self.timeout_callback: Optional[Callable[["Process"], None]] = None
-        #: Remaining timeout captured when the wait was frozen by a halt.
-        self.frozen_timeout_remaining: Optional[int] = None
         #: State to restore when a halted process is resumed.
         self.halted_from: Optional[ProcessState] = None
         #: Value delivered to the executor on next resume (wait results).

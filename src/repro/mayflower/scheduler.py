@@ -8,8 +8,9 @@ is due, so cross-node interleavings are microsecond-accurate.
 
 Debugging support added for Pilgrim (paper §5.2, §5.4):
 
-* ``halt_all`` / ``resume_all`` — place all non-exempt processes on a halted
-  set, freezing the timeouts of waiting processes;
+* ``halt_all`` / ``resume_all`` — the whole node halt: freeze the logical
+  clock, the protocol timers (:attr:`Supervisor.timers`) and the timeouts
+  of waiting processes, and place all non-exempt processes on a halted set;
 * the halt-exempt bit on processes (agent, runtime library);
 * deferred halting for processes inside a ``no_halt`` critical region;
 * a supervisor primitive returning register-level process state;
@@ -29,6 +30,7 @@ from repro.mayflower.process import (
     Process,
     ProcessState,
 )
+from repro.mayflower.timers import Timer, TimerSet
 from repro.obs import events as ev
 from repro.params import Params
 
@@ -63,6 +65,9 @@ class Supervisor:
         self.local_now = 0
         self._tick_event = None
         self.halt_active = False
+        #: The node's protocol timers (the RPC runtime's processing steps,
+        #: retransmissions and maybe-timeouts), frozen with its processes.
+        self.timers = TimerSet(self)
         #: Total CPU microseconds consumed, per process and overall.
         self.cpu_consumed = 0
 
@@ -194,12 +199,10 @@ class Supervisor:
         process.state = ProcessState.WAITING
         process.waiting_on = waiting_on
         process.timeout_callback = timeout_callback
+        process.timeout = None
         if timeout is not None:
-            process.timeout_event = self.schedule_local(
-                timeout, self._timeout_fire, process, timeout_callback
-            )
-        else:
-            process.timeout_event = None
+            process.timeout = Timer(self, timeout_callback, (process,))
+            process.timeout.arm(timeout)
 
     def unblock(self, process: Process, value: Any) -> None:
         """Deliver ``value`` to a waiting (possibly halted-waiting) process."""
@@ -211,32 +214,28 @@ class Supervisor:
         elif process.state == ProcessState.HALTED:
             # Woken while halted: it becomes ready-when-resumed.
             process.halted_from = ProcessState.READY
-            process.frozen_timeout_remaining = None
-
-    def _timeout_fire(
-        self, process: Process, timeout_callback: Callable[[Process], None]
-    ) -> None:
-        process.timeout_event = None
-        timeout_callback(process)
 
     def _cancel_timeout(self, process: Process) -> None:
-        if process.timeout_event is not None:
-            process.timeout_event.cancel()
-            process.timeout_event = None
-        process.frozen_timeout_remaining = None
+        if process.timeout is not None:
+            process.timeout.cancel()
+            process.timeout = None
 
     # ------------------------------------------------------------------
     # Halting (paper §5.2)
     # ------------------------------------------------------------------
 
     def halt_all(self) -> int:
-        """Halt every non-exempt process on this node.  Returns the count.
+        """Halt this node: freeze its logical clock, then its protocol
+        timers (``TimerFrozen``), then every non-exempt process
+        (``ProcessHalted``).  Returns the count of processes halted.
 
         Waiting processes keep waiting but their timeouts are frozen;
         processes inside a no-halt critical region are halted when they
         exit it.  Idempotent.
         """
         self.halt_active = True
+        self.node.clock.begin_halt()
+        self.timers.freeze()
         halted = 0
         for process in self.live_processes():
             if self.halt_process(process):
@@ -264,12 +263,8 @@ class Supervisor:
             self._emit_halted(process)
             return True
         if process.state == ProcessState.WAITING:
-            if process.timeout_event is not None:
-                process.frozen_timeout_remaining = process.timeout_event.remaining(
-                    self.current_time()
-                )
-                process.timeout_event.cancel()
-                process.timeout_event = None
+            if process.timeout is not None:
+                process.timeout.freeze(self.current_time())
             process.state = ProcessState.HALTED
             process.halted_from = ProcessState.WAITING
             self._emit_halted(process)
@@ -281,30 +276,19 @@ class Supervisor:
                       process.pid, process.name)
 
     def resume_all(self) -> int:
-        """Undo :meth:`halt_all`: restore states, re-arm frozen timeouts."""
+        """Undo :meth:`halt_all` in the same order: clock, protocol timers
+        (``TimerThawed``), then each halted process (``ProcessResumed``)
+        through :meth:`unhalt_process`.  Returns the count resumed."""
         self.halt_active = False
+        self.node.clock.end_halt()
+        self.timers.thaw()
         resumed = 0
         for process in self.live_processes():
             process.halt_deferred = False
-            if process.state != ProcessState.HALTED:
-                continue
-            resumed += 1
-            if process.halted_from == ProcessState.WAITING:
-                process.state = ProcessState.WAITING
-                if process.frozen_timeout_remaining is not None:
-                    remaining = process.frozen_timeout_remaining
-                    process.frozen_timeout_remaining = None
-                    process.timeout_event = self.schedule_local(
-                        remaining,
-                        self._timeout_fire,
-                        process,
-                        process.timeout_callback,
-                    )
-            else:
-                self.make_ready(process)
-            process.halted_from = None
-            self.bus.emit(ev.ProcessResumed, self.current_time(), self.node.node_id,
-                          process.pid, process.name)
+            if self.unhalt_process(process):
+                resumed += 1
+                self.bus.emit(ev.ProcessResumed, self.current_time(),
+                              self.node.node_id, process.pid, process.name)
         return resumed
 
     def unhalt_process(self, process: Process) -> bool:
@@ -319,12 +303,8 @@ class Supervisor:
             return False
         if process.halted_from == ProcessState.WAITING:
             process.state = ProcessState.WAITING
-            if process.frozen_timeout_remaining is not None:
-                remaining = process.frozen_timeout_remaining
-                process.frozen_timeout_remaining = None
-                process.timeout_event = self.schedule_local(
-                    remaining, self._timeout_fire, process, process.timeout_callback
-                )
+            if process.timeout is not None:
+                process.timeout.thaw()
         else:
             self.make_ready(process)
         process.halted_from = None

@@ -410,13 +410,13 @@ class Trace:
         """How the recorded run was driven (``manual`` when unrecorded)."""
         return self._footer.get("drive") or {"mode": "manual"}
 
-    def max_times(self) -> "array | list":
+    def max_times(self) -> array:
         """The clock a fold reads at each cursor ``0 .. n``: the base
-        view's time, then the running maximum of the event times, packed
-        by :func:`pack_column`.  Event times are not monotone across nodes
-        (a node runs ahead inside its window); their running maximum is."""
+        view's time, then the running maximum of the event times, as an
+        ``array('q')``.  Event times are not monotone across nodes (a node
+        runs ahead inside its window); their running maximum is."""
         high = self.checkpoints[0].view.time if self.checkpoints else 0
-        highs, times = pack_column([high]), self.events.times
+        highs, times = array("q", [high]), self.events.times
         # Packed a block at a time, and by a loop, not ``accumulate(times,
         # max)``: a call of ``max`` per event costs twice the loop.
         for start in range(0, len(times), _BLOCK_EVENTS):
@@ -425,7 +425,7 @@ class Trace:
                 if time > high:
                     high = time
                 block.append(high)
-            highs = grow_column(highs, pack_column(block))
+            highs.fromlist(block)
         return highs
 
     def prefix_before(self, time: int) -> int:

@@ -1,6 +1,10 @@
 """Mayflower RPC: exactly-once and maybe protocols with integral debugging
 support (info blocks, call tables, recent-call buffer), plus the rejected
 packet-monitor design for the paper's §4.2 ablation.
+
+The runtime's retransmission and maybe-timeouts run on its node's
+``Supervisor.timers`` (:class:`repro.mayflower.TimerSet`), which a node
+halt freezes.
 """
 
 from repro.rpc.debug import (
@@ -20,7 +24,6 @@ from repro.rpc.marshal import (
 from repro.rpc.monitor import PacketMonitor
 from repro.rpc.registry import ServiceRegistry
 from repro.rpc.runtime import RPC_PORT, RpcRuntime, ServerCallContext, remote_call
-from repro.rpc.timers import TimerSet
 
 __all__ = [
     "ClientCallRecord",
@@ -39,5 +42,4 @@ __all__ = [
     "RpcRuntime",
     "ServerCallContext",
     "remote_call",
-    "TimerSet",
 ]

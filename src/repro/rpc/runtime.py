@@ -47,7 +47,6 @@ from repro.rpc.debug import (
 )
 from repro.rpc.marshal import MarshalError, Signature, marshal, unmarshal, wire_size
 from repro.rpc.registry import ServiceRegistry
-from repro.rpc.timers import TimerSet
 
 if TYPE_CHECKING:
     from repro.cvm.image import NodeImage
@@ -113,15 +112,9 @@ class RpcRuntime:
         #: The rejected §4.2 packet-monitor design; experiment E2 enables
         #: it to show the ~2x slow-down.
         self.monitor = None
-        self.timers = TimerSet(
-            self.world, node.supervisor.current_time, node.node_id
-        )
-        #: Timers for halt-exempt services (the agent's debug procedures
-        #: must stay servable while the node is halted, paper §6.1); these
-        #: are never frozen.
-        self.exempt_timers = TimerSet(
-            self.world, node.supervisor.current_time, node.node_id
-        )
+        #: Protocol timers: the supervisor freezes them while the node
+        #: is halted (paper §5.2).
+        self.timers = node.supervisor.timers
         #: Services whose dispatch and workers keep running during a halt.
         self.exempt_services: set[str] = set()
         self.client_table: dict[int, ClientCallRecord] = {}
@@ -643,11 +636,11 @@ class RpcRuntime:
                 }
         if record.protocol == "once":
             record.reply_wire = reply  # cached for dedup resends
-        # Server send-side processing, then transmission.
-        timers = self.exempt_timers if record.exempt else self.timers
-        timers.start(
-            self._step_cost(), self._send_reply_wire, record.client_node, reply
-        )
+        # Server send-side processing, then transmission.  A halt-exempt
+        # service's reply is never frozen (the agent's debug procedures
+        # must stay servable while the node is halted, paper §6.1).
+        start = self.node.supervisor.schedule_local if record.exempt else self.timers.start
+        start(self._step_cost(), self._send_reply_wire, record.client_node, reply)
 
     def _send_reply_wire(self, client_node: int, reply: dict) -> None:
         self.node.station.send(
@@ -692,13 +685,6 @@ class RpcRuntime:
 
     def server_record(self, call_id: int) -> Optional[ServerCallRecord]:
         return self.server_table.get(call_id)
-
-    def freeze(self) -> None:
-        """Suspend protocol timers while the node is halted (paper §5.2)."""
-        self.timers.freeze()
-
-    def thaw(self) -> None:
-        self.timers.thaw()
 
 
 def remote_call(

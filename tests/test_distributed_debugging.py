@@ -2,6 +2,8 @@
 time consistency, cross-node backtraces, and the Figure 2 race."""
 
 from repro import MS, SEC, Cluster, Pilgrim
+from repro.faults.shaper import LOSS, FaultRule, LinkShaper
+from repro.mayflower.syscalls import Cpu, Wait
 from repro.params import Params
 from repro.sim.units import US
 
@@ -250,3 +252,117 @@ def test_halt_broadcast_is_serial_and_timed():
     rpc_min = 8 * MS
     reachable = sum(1 for offset in offsets if offset <= rpc_min)
     assert reachable == 2
+
+
+# ----------------------------------------------------------------------
+# A halted session's recording (cross-commit fence)
+# ----------------------------------------------------------------------
+
+HALTED_SERVER = """
+proc add(a: int, b: int) returns int
+  var s: int := a + b
+  return s
+end
+"""
+
+HALTED_CLIENT = """
+proc main()
+  var total: int := 0
+  for i := 1 to 40 do
+    var a: int := remote calc.add(i, 1)
+    var b: int := remote maybe calc.add(i, 2)
+    if failed(a) then
+      total := total - 100
+    else
+      total := total + a
+    end
+    if failed(b) then
+      total := total - 1
+    else
+      total := total + b
+    end
+    sleep(3000)
+  end
+  print total
+end
+"""
+
+#: The footer fingerprint of :func:`record_halted_session`: a change to
+#: what a halt records, or to when a frozen timeout fires, moves it.
+HALTED_SESSION_FINGERPRINT = (
+    "6bd95d9c5ce694d10585406a16b3b2954dcd645eafe0b8cbe2285be1b16446a9"
+)
+
+
+def _timed_waiter(node):
+    idle = node.semaphore(name="idle")
+    while True:
+        yield Wait(idle, timeout=25 * MS)
+        yield Cpu(50)
+
+
+def record_halted_session():
+    """A recorded session that halts: a server breakpoint hit three times
+    with once and maybe calls in flight, then a debugger halt and resume
+    of the client while a retransmission (its call packet lost) is part
+    way through its interval; a native process on each node sits in a
+    timed semaphore wait throughout."""
+    cluster = Cluster(names=["client", "server", "debugger"], seed=3)
+    server = cluster.load_program(HALTED_SERVER, "server")
+    cluster.rpc("server").export_vm("calc", server, {"add": "add"})
+    client = cluster.load_program(HALTED_CLIENT, "client")
+    for name in ("client", "server"):
+        node = cluster.node(name)
+        node.spawn(_timed_waiter(node), name="timed_waiter")
+    lose_next = []
+
+    def lose_next_call(packet):
+        if lose_next and packet.kind == "rpc_call" and packet.payload["retry"] == 0:
+            lose_next.clear()
+            return True
+        return False
+
+    LinkShaper(cluster.net).add_rule(FaultRule(LOSS, match=lose_next_call))
+    cluster.spawn_vm("client", client, "main")
+    dbg = Pilgrim(cluster, home="debugger")
+    dbg.connect("client", "server")
+    dbg.start_recording()
+    bp = dbg.set_breakpoint("server", "server", line=3)
+    for _ in range(3):
+        dbg.wait_for_breakpoint()
+        dbg.run_for(7 * MS)
+        dbg.resume("server")
+    dbg.clear_breakpoint(bp)
+    dbg.run_for(20 * MS)
+    lose_next.append(True)
+    dbg.run_for(30 * MS)
+    dbg.halt("client")
+    dbg.run_for(120 * MS)
+    dbg.resume("client")
+    dbg.run_for(300 * MS)
+    return dbg.stop_recording()
+
+
+def test_a_halted_session_records_byte_identically():
+    """No golden trace halts, so this session pins what a halt records:
+    clock, protocol timers (``TimerFrozen``) and processes
+    (``ProcessHalted``) in that order, and every frozen timeout resumed
+    with the time it had left."""
+    trace = record_halted_session()
+    tally = trace.events.tally()
+    assert tally["BreakpointHit"] == 3
+    assert tally["TimerFrozen"] == tally["TimerThawed"] == 8
+    assert tally["ProcessHalted"] == 22
+    assert "RpcCallFailed" not in tally
+    client = {name: [event for event in trace.events
+                     if event.type == name and event.node == 0]
+              for name in ("TimerFrozen", "TimerThawed", "RpcCallRetried")}
+    assert [event.fields["count"] for event in client["TimerFrozen"]] == [1] * 4
+    # The lost call's retransmission was frozen part way through its
+    # interval and sent less than an interval after the resume.
+    (dropped,) = [event for event in trace.events if event.type == "PacketDropped"]
+    (retried,) = client["RpcCallRetried"]
+    froze, thawed = client["TimerFrozen"][-1].time, client["TimerThawed"][-1].time
+    assert dropped.time < froze < thawed < retried.time
+    assert retried.time - thawed < Params().rpc_retransmit_interval
+    assert trace.footer["fingerprint"] == HALTED_SESSION_FINGERPRINT

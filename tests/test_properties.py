@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.cvm.values import CluArray, CluRecord
 from repro.debugger.timelog import BreakpointLog
+from repro.mayflower import Node
 from repro.mayflower.clock import NodeClock
 from repro.rpc.debug import RecentCallBuffer
 from repro.rpc.marshal import marshal, unmarshal, wire_size
-from repro.rpc.timers import TimerSet
 from repro.sim import World
 
 # ----------------------------------------------------------------------
@@ -240,35 +240,55 @@ def test_marshal_produces_fresh_objects(value):
 # ----------------------------------------------------------------------
 
 
+def _timer_set():
+    world = World()
+    return world, Node(0, "n", world).supervisor.timers
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=1_000), min_size=1, max_size=20),
     st.integers(min_value=0, max_value=2_000),
+    st.integers(min_value=1, max_value=1_000),
 )
-def test_timerset_freeze_shifts_all_fires_by_frozen_time(delays, frozen_for):
-    world = World()
-    timers = TimerSet(world)
+def test_timerset_freeze_shifts_all_fires_by_frozen_time(delays, frozen_for, late):
+    """Frozen at 0 for ``frozen_for``: each timer fires at ``delay +
+    frozen_for``, and one started while frozen ``late`` after the thaw."""
+    world, timers = _timer_set()
     fired = {}
-    for index, delay in enumerate(delays):
-        timers.start(delay, fired.__setitem__, index, None)
 
-    freeze_at = 0  # freeze immediately
-    timers.freeze()
-    world.run_for(frozen_for)
-    timers.thaw()
-
-    def record_time(index, _):
+    def record_time(index):
         fired[index] = world.now
 
-    # (re-wire callbacks is not possible; instead check firing times)
+    for index, delay in enumerate(delays):
+        timers.start(delay, record_time, index)
+    timers.freeze()
+    timers.start(late, record_time, "late")
+    world.run_for(frozen_for)
+    timers.thaw()
     world.run()
-    # All timers fired, each at original delay + frozen_for.
-    assert set(fired) == set(range(len(delays)))
+    expected = {index: delay + frozen_for for index, delay in enumerate(delays)}
+    assert fired == {**expected, "late": frozen_for + late}
+
+
+def test_a_thaw_rearms_timers_in_start_order():
+    """Timers due at one instant fire in start order after a freeze and a
+    thaw, wherever they were allocated: a thaw that walked its timers in
+    hash (address) order fired them in several orders over these runs."""
+    for shift in range(64):
+        world, timers = _timer_set()
+        fired, padding = [], []
+        for index in range(6):
+            padding.append([object() for _ in range(shift * (index + 3) % 17)])
+            timers.start(100, fired.append, index)
+        timers.freeze()
+        timers.thaw()
+        world.run()
+        assert fired == list(range(6)), f"allocation shift {shift}"
 
 
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=10))
 def test_timerset_cancel_prevents_fire(delays):
-    world = World()
-    timers = TimerSet(world)
+    world, timers = _timer_set()
     fired = []
     handles = [timers.start(d, fired.append, i) for i, d in enumerate(delays)]
     handles[0].cancel()

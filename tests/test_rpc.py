@@ -687,9 +687,10 @@ end
     lose(cluster, lambda p: p.kind == "rpc_reply")
     cluster.spawn_vm("client", client_image, "main")
     cluster.run(until=10 * MS)
-    cluster.rpc("client").freeze()
+    timers = cluster.node("client").supervisor.timers
+    timers.freeze()
     cluster.run(until=200 * MS)  # far past the maybe timeout
     assert client_image.console == []  # timer frozen: no failure yet
-    cluster.rpc("client").thaw()
+    timers.thaw()
     cluster.run()
     assert client_image.console == ["true"]
