@@ -231,8 +231,7 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
     print("fault plans:")
     for name in sorted(PLANS):
         plan = get_plan(name)
-        doc = (PLANS[name].__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<12} {len(plan)} actions - {doc}")
+        print(f"  {name:<12} {len(plan)} actions - {PLANS[name].summary}")
     return 0
 
 

@@ -304,42 +304,46 @@ SCENARIOS: dict = {
 SCENARIOS["kv"] = _kv_scenario()
 
 
+def _preset(summary: str) -> Callable:
+    """Give a plan factory the line ``scenarios`` lists (not a docstring: ``-OO`` strips those)."""
+    return lambda factory: setattr(factory, "summary", summary) or factory
+
+
+@_preset("No faults: the baseline cell of every grid.")
 def _plan_calm() -> FaultPlan:
-    """No faults: the baseline cell of every grid."""
     return FaultPlan()
 
 
+@_preset("Fail-stop the server mid-run and never bring it back.")
 def _plan_crash() -> FaultPlan:
-    """Fail-stop the server mid-run and never bring it back."""
     return FaultPlan().crash(at=150 * MS, node="server")
 
 
+@_preset("Crash the server, reboot it inside the retransmission budget.")
 def _plan_crash_reboot() -> FaultPlan:
-    """Crash the server, reboot it inside the retransmission budget."""
     return (FaultPlan()
             .crash(at=100 * MS, node="server")
             .reboot(at=300 * MS, node="server"))
 
 
+@_preset("A healed partition: cut client from server for 150 ms.")
 def _plan_partition() -> FaultPlan:
-    """A healed partition: cut client from server for 150 ms."""
     return FaultPlan().partition(
         at=80 * MS, groups=((0,), (1,)), duration=150 * MS
     )
 
 
+@_preset("Delay + duplication + reordering windows; nothing is lost.")
 def _plan_jitter() -> FaultPlan:
-    """Delay + duplication + reordering windows; nothing is lost."""
     return (FaultPlan()
             .delay(at=50 * MS, duration=1 * SEC, extra=4 * MS, jitter=2 * MS)
             .duplicate(at=50 * MS, duration=1500 * MS, probability=0.5)
             .reorder(at=300 * MS, duration=500 * MS, probability=0.3))
 
 
+@_preset("Everything at once — the shrinker's favourite haystack.")
 def _plan_storm() -> FaultPlan:
-    """Everything at once — the shrinker's favourite haystack.
-
-    Only the unrebooted crash is actually fatal to the strict echo
+    """Only the unrebooted crash is actually fatal to the strict echo
     scenario; the delay/duplicate/reorder windows and the healed
     partition are noise the shrinker should strip away.
     """
@@ -351,24 +355,24 @@ def _plan_storm() -> FaultPlan:
             .crash(at=150 * MS, node="server"))
 
 
+@_preset("Crash the initial KV leader; staggered takeover keeps one leader.")
 def _plan_leader_crash() -> FaultPlan:
-    """Crash the initial KV leader; staggered takeover keeps one leader."""
     from repro.servers.replicated_kv import leader_crash_plan
 
     return leader_crash_plan()
 
 
+@_preset("Isolate every KV replica from every other: the split-brain seed.")
 def _plan_leader_partition() -> FaultPlan:
-    """Isolate every KV replica from every other: both followers time
-    out blind and claim the same term — the split-brain seed, which the
-    shrinker should reduce to this single partition action."""
+    """Both followers time out blind and claim the same term; the
+    shrinker should reduce the plan to this single partition action."""
     from repro.servers.replicated_kv import leader_partition_plan
 
     return leader_partition_plan()
 
 
 #: Named fault-plan presets; each entry is a zero-argument factory so a
-#: grid gets a fresh plan object per cell.
+#: grid gets a fresh plan object per cell, with its ``summary`` line.
 PLANS: dict = {
     "calm": _plan_calm,
     "crash": _plan_crash,

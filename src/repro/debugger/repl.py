@@ -74,23 +74,23 @@ class Command:
 COMMANDS: dict[str, Command] = {}
 
 
-def _command(usage: str, op: Optional[str] = None) -> Callable:
+def _command(usage: str, op: Optional[str] = None, summary: str = "") -> Callable:
     """Register a ``cmd_*`` method as a REPL command.
 
     ``usage`` is the example invocation shown by ``help``.  ``op`` is
     the session operation the command fronts; it must be a row of
     :data:`~repro.debugger.api.OPS` (checked here, at import time), and
     the row's summary is the command's.  A client-side command has no
-    op and is summarized by the first line of its handler's docstring.
+    op and gives its ``summary`` (not a docstring: ``python -OO`` strips
+    those).
     """
     if op is not None and op not in OPS:
         raise LookupError(f"REPL command fronts unregistered op {op!r}")
 
     def register(method: Callable) -> Callable:
         name = method.__name__.removeprefix("cmd_")
-        summary = (OPS[op].summary if op is not None
-                   else (method.__doc__ or "").strip().splitlines()[0])
-        COMMANDS[name] = Command(name=name, usage=usage, summary=summary, op=op)
+        COMMANDS[name] = Command(name=name, usage=usage, op=op,
+                                 summary=OPS[op].summary if op is not None else summary)
         return method
     return register
 
@@ -422,12 +422,12 @@ class PilgrimRepl:
         """session summary"""
         self._show("status")
 
-    @_command("help")
+    @_command("help", summary="this text")
     def cmd_help(self, args, force=False):
         """this text"""
         self.emit(help_text())
 
-    @_command("quit")
+    @_command("quit", summary="leave the REPL")
     def cmd_quit(self, args, force=False):
         """leave the REPL"""
         self.done = True

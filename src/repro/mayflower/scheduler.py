@@ -22,6 +22,7 @@ Debugging support added for Pilgrim (paper §5.2, §5.4):
 from __future__ import annotations
 
 import inspect
+from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.mayflower.process import (
@@ -39,6 +40,11 @@ if TYPE_CHECKING:
     from repro.sim.world import World
 
 
+#: How many clean exits a node's process table keeps, oldest first out:
+#: sized like the agent's ten-slot buffer of recent calls (paper §4.3).
+RECENT_EXITS = 10
+
+
 class Supervisor:
     """Scheduler, process table, and halt machinery for one node."""
 
@@ -47,9 +53,12 @@ class Supervisor:
         self.world = world
         self.params = params
         self.bus = world.bus
-        #: Every process ever spawned here, done and failed ones
-        #: included (what the agent's process listing shows).
+        #: What the agent's process listing shows, in pid order: the live
+        #: processes, every failed one (post-mortem backtraces read its
+        #: frames) and the last :data:`RECENT_EXITS` clean exits.
         self.processes: dict[int, Process] = {}
+        #: The pids of those clean exits, oldest first.
+        self._exits: deque[int] = deque()
         #: The live subset, in pid order: entered in :meth:`spawn`, left
         #: in :meth:`_finish`, the only two places liveness changes.
         #: Halting and checkpoint capture walk this, so they cost what
@@ -107,9 +116,14 @@ class Supervisor:
         """End ``process``, run its ``on_exit`` callbacks, then retire it:
         drop the callbacks, timeout callback, pending value and error and
         (``Executor.retire``) the executor's run state, keeping what the
-        agent reads, so a finished call is freed by refcounting alone."""
+        agent reads, so a finished call is freed by refcounting alone.  A
+        clean exit pushes the oldest of :data:`RECENT_EXITS` out of the
+        table."""
         if failure is None:
             process.state = ProcessState.DONE
+            self._exits.append(process.pid)
+            if len(self._exits) > RECENT_EXITS:
+                self.processes.pop(self._exits.popleft(), None)
         else:
             process.state = ProcessState.FAILED
             process.failure = failure

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import weakref
 from typing import Iterable, Type
 
 from repro.obs import events as ev
@@ -60,27 +61,46 @@ PARTS = {"packet": ("pkt", "src", "dst", "port", "kind", "size"), "process": ("p
 _SHOWN = {"packet": "pkt#%s[%s->%s:%s/%s/%sB]", "process": "proc[%s:%s]", "error": "%s"}
 
 
+class _Rebased(weakref.ref):
+    """A packet's rebased id, kept as long as the packet is alive."""
+
+    __slots__ = ("packet_id", "rebased")
+
+
 class PayloadNormalizer:
     """Rebases process-global packet ids to first-seen order.
 
     One normalizer per recorded stream: the rebasing is first-seen order
     *within that stream*, so two streams of the same seeded run
     normalize identically even though the process-global ``packet_id``
-    counter kept climbing between them.
+    counter kept climbing between them.  Ids are numbered by a counter;
+    one is forgotten when its packet dies, not at its last event (a
+    delivered packet may be delivered again), so the map holds what is
+    in flight, not the run's history.
     """
 
-    __slots__ = ("_packet_ids",)
+    __slots__ = ("_packet_ids", "_count", "_forget")
 
     def __init__(self) -> None:
-        #: packet_id -> rebased id, assigned in first-seen order.
-        self._packet_ids: dict[int, int] = {}
+        #: packet_id -> its rebased id, assigned in first-seen order.
+        self._packet_ids: dict[int, _Rebased] = {}
+        self._count = 0
+        # Closes over the map, not the normalizer: no cycle through it.
+        pop = self._packet_ids.pop
+        self._forget = lambda entry: pop(entry.packet_id, None)
 
-    def rebase(self, packet_id: int) -> int:
-        rebased = self._packet_ids.get(packet_id)
-        if rebased is None:
-            rebased = len(self._packet_ids) + 1
-            self._packet_ids[packet_id] = rebased
-        return rebased
+    def rebase(self, packet_id: int, packet=None) -> int:
+        """``packet_id``'s rebased id, kept until ``packet`` dies."""
+        entry = self._packet_ids.get(packet_id)
+        if entry is None:
+            try:
+                entry = _Rebased(packet, self._forget)
+            except TypeError:  # kept for good: it refers to the normalizer's own hook
+                entry = _Rebased(self._forget)
+            self._count += 1
+            entry.packet_id, entry.rebased = packet_id, self._count
+            self._packet_ids[packet_id] = entry
+        return entry.rebased
 
 
 @functools.cache
@@ -101,7 +121,7 @@ def encode_row(event: ev.Event, normalizer: PayloadNormalizer) -> tuple:
     for name, value in zip(payload_field_names(type(event)), event[3:]):
         if name == "packet":
             row += (None,) * 6 if value is None else (
-                normalizer.rebase(value.packet_id), value.src, value.dst,
+                normalizer.rebase(value.packet_id, value), value.src, value.dst,
                 value.port, value.kind, value.size_bytes)
         elif name == "process":
             row += (None, None) if value is None else (value.pid, value.name)

@@ -151,6 +151,25 @@ class StateView:
         )
 
 
+def share_unchanged(view: StateView, checkpoints: list) -> StateView:
+    """Give ``view`` the last of ``checkpoints``' object for each per-node
+    process, halted and in-flight table, and for the epochs, that it
+    equals.  A checkpoint's tables are never mutated (:meth:`StateView.copy`
+    copies each before a fold), so one that repeats the one before it
+    holds nothing new."""
+    if checkpoints:
+        previous = checkpoints[-1].view
+        for tables, before in ((view.processes, previous.processes),
+                               (view.halted, previous.halted),
+                               (view.in_flight, previous.in_flight)):
+            for node, table in tables.items():
+                if before.get(node) == table:
+                    tables[node] = before[node]
+        if view.epochs == previous.epochs:
+            view.epochs = previous.epochs
+    return view
+
+
 def capture_view(cluster: "Cluster", base_counts: dict[str, int],
                  time: int, shared: Optional[dict] = None) -> StateView:
     """Digest the live cluster (the capture side of the equivalence),

@@ -71,7 +71,7 @@ from operator import itemgetter
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.recorder import row_layout
-from repro.replay.checkpoint import Checkpoint
+from repro.replay.checkpoint import Checkpoint, share_unchanged
 from repro.replay.trace import (_BLOCK_EVENTS, TRACE_VERSION, EventColumns, Trace,
                                 grow_column, pack_column)
 
@@ -635,6 +635,7 @@ def _decode_records(records, fault) -> Trace:
                 placement = "none" if where is None else f"one at {where}"
                 raise fault(f"checkpoint with index {checkpoint.index} where "
                             f"the file places {placement}", at)
+            share_unchanged(checkpoint.view, checkpoints)
             checkpoints.append(checkpoint)
         elif kind == KIND_HEADER:
             header = data

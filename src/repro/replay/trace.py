@@ -59,6 +59,7 @@ from repro.replay.checkpoint import (
     capture_state,
     capture_view,
     metric_counts,
+    share_unchanged,
 )
 
 if TYPE_CHECKING:
@@ -603,11 +604,12 @@ class TraceWriter(EventStream):
     # ------------------------------------------------------------------
 
     def _capture_checkpoint(self, time: int) -> None:
+        view = capture_view(self.cluster, self._base_counts, time, self._shared)
         self.checkpoints.append(Checkpoint(
             index=len(self.events),
             time=time,
             state=capture_state(self.cluster),
-            view=capture_view(self.cluster, self._base_counts, time, self._shared),
+            view=share_unchanged(view, self.checkpoints),
         ))
 
     def _crossed(self, event: ev.Event) -> None:

@@ -1,6 +1,10 @@
 """Campaign runner, shrinker, report determinism, and CLI smoke tests."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as campaign_main
 from repro.campaign.scenarios import ECHO_FULL_MASK
+from repro.debugger.repl import help_text
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import merge_snapshots
 from repro.replay import ReplayWorld, Trace
@@ -281,6 +286,26 @@ def test_cli_scenarios_lists_catalogue(capsys):
     assert campaign_main(["scenarios"]) == 0
     out = capsys.readouterr().out
     assert "echo" in out and "storm" in out
+
+
+def test_summaries_survive_stripped_docstrings(capsys):
+    """Under ``python -OO`` (no docstrings) the daemon and the REPL
+    import, and the REPL's ``help`` and ``scenarios`` print what they
+    print with docstrings: no summary is read from one."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def stripped(*args):
+        result = subprocess.run([sys.executable, "-OO", *args], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    assert stripped("-c", "import repro.service\nfrom repro.debugger.repl import help_text\n"
+                          "print(help_text())") == help_text() + "\n"
+    assert campaign_main(["scenarios"]) == 0
+    assert stripped("-m", "repro.campaign", "scenarios") == capsys.readouterr().out
 
 
 def test_cli_run_and_repro_round_trip(tmp_path, capsys):

@@ -4,14 +4,17 @@ import gc
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MS, SEC, Cluster, FaultPlan, Pilgrim, Trace, record_run, replay_trace
-from repro.mayflower.process import Process
+from repro.mayflower.process import Process, ProcessState
+from repro.mayflower.scheduler import RECENT_EXITS
 from repro.mayflower.syscalls import Sleep
+from repro.net.packets import BasicBlock
 from repro.replay import (
     TRACE_VERSION,
     ReplayDivergence,
@@ -25,6 +28,7 @@ from repro.replay import checkpoint as checkpoint_module
 from repro.replay import trace as trace_module
 from repro.replay.checkpoint import capture_view, metric_counts, rng_digest
 from repro.replay.replay import Recipe, execute
+from repro.replay.trace import TraceWriter
 from repro.rpc.runtime import remote_call
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
@@ -283,14 +287,16 @@ def test_checkpoint_seek_equals_full_fold():
 
 
 def test_capture_view_visits_live_processes_only(monkeypatch):
-    """A checkpoint costs what is live: with 2 000 finished processes in
-    the table, capture asks none of them whether it is live, and still
-    returns what filtering the whole table would."""
+    """A checkpoint costs what is live: with 2 000 failed processes in
+    the table (the supervisor keeps every failed one, and only the last
+    few clean exits), capture asks none of them whether it is live, and
+    still returns what filtering the whole table would."""
     cluster = Cluster(names=["app", "other"], seed=0)
     node = cluster.node("app")
 
     def short():
         yield Sleep(1)
+        raise RuntimeError("short")
 
     def sleeper():
         yield Sleep(1000 * SEC)
@@ -360,6 +366,71 @@ def test_a_recording_frees_its_finished_calls_by_refcount():
             gc.enable()
 
     assert unreachable(200) == unreachable(400)
+
+
+def test_a_live_cluster_holds_what_is_live_not_its_history():
+    """Census fence before ``close()``: a live, unrecorded null-RPC
+    cluster that made N calls holds what one that made 2N holds, within
+    a fixed slack (the RPC tables are bounded: 256 server records, 64
+    client ones; N is past both).  Each supervisor's table holds its
+    live processes, its failed ones and at most ``RECENT_EXITS`` clean
+    exits; keeping every exit held ~0.4 KB a call."""
+    def held(calls):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cluster = Cluster(names=["client", "server"], seed=3)
+            _null_rpc_build(calls)(cluster)
+            cluster.run()
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        for node in cluster.nodes:
+            table = node.supervisor.processes.values()
+            done = [p for p in table if p.state is ProcessState.DONE]
+            assert len(done) <= RECENT_EXITS
+            assert len(table) - len(done) == len(node.supervisor.live_processes()) + sum(
+                p.state is ProcessState.FAILED for p in table)
+        assert cluster.node("server").supervisor._next_pid > calls
+        cluster.close()
+        return size
+
+    assert abs(held(500) - held(1000)) <= 4096
+
+
+def test_a_recording_forgets_a_packet_id_with_its_packet(monkeypatch):
+    """Packet-id lifetime fence: under a duplicate window (a packet is
+    delivered again after its first delivery) and a NACK window (calls
+    retransmit), the stream is the one pinned before ids were forgotten,
+    and at every checkpoint and at ``finish()`` the normalizer holds no
+    more ids than there are live packets.  Forgetting an id at its
+    packet's first Delivered, Dropped or NACKed event instead renumbers
+    the second delivery and changes the fingerprint."""
+    census = []
+
+    def count(writer):
+        gc.collect()
+        census.append((len(writer._normalizer._packet_ids),
+                       sum(type(o) is BasicBlock for o in gc.get_objects())))
+
+    capture, finish = TraceWriter._capture_checkpoint, TraceWriter.finish
+    monkeypatch.setattr(TraceWriter, "_capture_checkpoint",
+                        lambda self, time: (capture(self, time), count(self)))
+    monkeypatch.setattr(TraceWriter, "finish",
+                        lambda self, drive=None: (count(self), finish(self, drive))[1])
+    plan = (FaultPlan().duplicate(at=0, duration=300 * MS, probability=0.5)
+            .nack(at=120 * MS, duration=60 * MS, probability=0.5))
+    trace = record_run(build_chaos, CHAOS_NAMES, seed=4, plan=plan,
+                       checkpoint_every=50 * MS)
+    assert trace.fingerprint() == (
+        "e161af1974064b8b31477d43de4ca56020b0051576cdf50d20e6656c7ab37c91")
+    tally = trace.events.tally()
+    assert tally["PacketDelivered"] > tally["PacketSent"]
+    assert tally["PacketNacked"] and tally["RpcCallRetried"]
+    assert len(census) == len(trace.checkpoints) + 1
+    assert all(ids <= live for ids, live in census), census
 
 
 def test_silent_rng_drift_is_caught_at_the_first_checkpoint():

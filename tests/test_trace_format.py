@@ -1129,6 +1129,67 @@ def test_a_trace_travels_alike_as_recorded_and_as_loaded(layouts, source, data):
             assert travels[0].reverse_step() == travels[1].reverse_step()
 
 
+def build_halting_echo(cluster):
+    """Two echo clients; the server node is halted from 100 to 180 ms."""
+    image = cluster.load_program(ECHO, "server")
+    cluster.rpc("server").export_vm("svc", image, {"echo": "echo"})
+    for name in ("c0", "c1"):
+        cluster.spawn_vm(name, cluster.load_program(echo_loop(40), name), "main")
+    server = cluster.node("server").supervisor
+    cluster.world.schedule_at(100 * MS, server.halt_all)
+    cluster.world.schedule_at(180 * MS, server.resume_all)
+
+
+def test_checkpoints_share_unchanged_tables_and_travel_leaves_them(tmp_path, monkeypatch):
+    """Shared-table fence: a checkpoint holds its predecessor's process,
+    halted and in-flight table, and epochs, where they are equal, as
+    recorded and as loaded.  After ``at``, ``step``, ``reverse_step`` and
+    ``why_halted`` over either, every checkpoint's view is still what a
+    capture without sharing reads, and saving writes that capture's bytes."""
+    def record(path):
+        plan = FaultPlan().crash(at=250 * MS, node="c1").reboot(at=300 * MS, node="c1")
+        trace = record_run(build_halting_echo, ["c0", "c1", "server"], seed=5,
+                           plan=plan, checkpoint_every=20 * MS)
+        trace.save(path)
+        return trace, Trace.load(path)
+
+    def shared(trace):
+        """Per table, how many of a checkpoint's are its predecessor's."""
+        pairs = list(zip(trace.checkpoints, trace.checkpoints[1:]))
+        counts = {name: sum(getattr(b.view, name)[node] is getattr(a.view, name)[node]
+                            for a, b in pairs for node in getattr(b.view, name))
+                  for name in ("processes", "halted", "in_flight")}
+        counts["epochs"] = sum(b.view.epochs is a.view.epochs for a, b in pairs)
+        return counts
+
+    with monkeypatch.context() as patch:
+        for module in (trace_module, trace_format):
+            patch.setattr(module, "share_unchanged", lambda view, checkpoints: view)
+        unshared, unshared_loaded = record(tmp_path / "unshared.trace.bin")
+    assert set(shared(unshared).values()) == set(shared(unshared_loaded).values()) == {0}
+    recorded, loaded = record(tmp_path / "shared.trace.bin")
+    expected = [checkpoint.view.to_dict() for checkpoint in unshared.checkpoints]
+    blob = (tmp_path / "unshared.trace.bin").read_bytes()
+    assert (tmp_path / "shared.trace.bin").read_bytes() == blob
+    for trace in (recorded, loaded):
+        assert all(shared(trace).values())
+        assert any(checkpoint.view.halted["2"] for checkpoint in trace.checkpoints)
+        travel = TimeTravel(trace)
+        halts = 0
+        for checkpoint in trace.checkpoints:
+            travel.seek(checkpoint.index)
+            for _ in range(3):
+                travel.step()
+            for _ in range(6):
+                travel.reverse_step()
+            travel.at(checkpoint.time + 7 * MS)
+            halts += travel.why_halted()["halted"]
+        assert halts
+        assert [checkpoint.view.to_dict() for checkpoint in trace.checkpoints] == expected
+        trace.save(tmp_path / "again.trace.bin")
+        assert (tmp_path / "again.trace.bin").read_bytes() == blob
+
+
 # ----------------------------------------------------------------------
 # Resident size, as a count: bytes per event, not a timing
 # ----------------------------------------------------------------------
@@ -1184,8 +1245,9 @@ def traced(call):
 def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
     """The fence that keeps a "convenience" dict (or a stored line, or a
     row tuple) per event from coming back: a loaded trace, checkpoints
-    included, is under 150 bytes an event (a payload dict plus its line
-    was ~940, a row tuple per event ~280; its columns measure ~126), and
+    included, is under 142 bytes an event (a payload dict plus its line
+    was ~940, a row tuple per event ~280; its columns, with checkpoints
+    sharing the tables that repeat, measure ~118), and
     loading it peaks at no more than 402 bytes an event (what loading
     rows peaked at; the columns and a streamed body measure ~301)."""
     path = tmp_path / "echo.trace.bin"
@@ -1196,16 +1258,16 @@ def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
     del recorded
     loaded, held, peak = traced(lambda: Trace.load(path))
     assert len(loaded.events) == events
-    assert held / events <= 150
+    assert held / events <= 142
     assert peak / events <= 402
 
 
 def test_finish_returns_a_trace_under_400_bytes_an_event():
     # Traced around the whole recording: what is still held afterwards is
     # the trace (the cluster it came from is garbage by then).  Its
-    # columns and checkpoints measure ~124 bytes an event.
+    # columns and checkpoints measure ~106 bytes an event.
     trace, held, _ = traced(echo_recording)
-    assert held / len(trace.events) <= 149
+    assert held / len(trace.events) <= 128
 
 
 # ----------------------------------------------------------------------
@@ -1217,8 +1279,9 @@ def test_a_recording_stages_at_most_one_block():
     """A recording over three blocks long stages no more than one block
     of rows at any event (its columns are settled every
     ``_BLOCK_EVENTS`` events, not once at ``finish()``), and peaks at
-    most 205 bytes an event above the trace it returns (staging the
-    whole run measured ~255; a block ~171)."""
+    most 91 bytes an event above the trace it returns (staging the
+    whole run measured ~255; a block ~171, and ~76 once exited processes
+    leave their node's table and packet ids die with their packets)."""
     most = 0
     on_event = EventStream._on_event
 
@@ -1232,7 +1295,7 @@ def test_a_recording_stages_at_most_one_block():
     events = len(trace.events)
     assert events > 3 * trace_format._BLOCK_EVENTS
     assert 0 < most <= trace_format._BLOCK_EVENTS
-    assert (peak - held) / events <= 205
+    assert (peak - held) / events <= 91
 
 
 #: Event types whose rows are their cells as emitted.
