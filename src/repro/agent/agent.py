@@ -20,21 +20,28 @@ paper assigns to it:
 * ``get_debuggee_status`` exported as a halt-exempt RPC service for shared
   servers (paper §6.1).
 
-Each logical debugger request is one network interaction.
+Each logical debugger request is one network interaction, answered with
+one envelope written in ``_handle``: ``{"ok": True, "data": ...}`` with
+what the ``_op_*`` method returned, ``{"ok": False, "error": reason}``
+when it refused by raising :class:`~repro.debugger.errors.AgentError`
+(``no process 7``), or ``{"ok": False, "error": "agent error: ..."}``
+when it failed unexpectedly (the agent itself survives).
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.agent import requests as rq
 from repro.cvm import instructions as ops
 from repro.cvm.image import NodeImage
 from repro.cvm.instructions import Instr
-from repro.cvm.interp import VmExecutor
+from repro.cvm.interp import BreakpointWait, VmExecutor
 from repro.cvm.values import CluRecord, default_print, printed_text, printop_for
+from repro.debugger.errors import AgentError
 from repro.mayflower.process import Process, ProcessState
-from repro.mayflower.syscalls import Cpu, Receive, Wait
+from repro.mayflower.syscalls import Cpu, Wait, receive
 from repro.obs import events as obs_ev
 from repro.rpc.marshal import MarshalError, marshal, unmarshal
 
@@ -130,13 +137,9 @@ class PilgrimAgent:
 
     def _body(self):
         while True:
-            got = yield Receive(self._queue)
-            if got is True:
-                request = self._queue.pop()
-            elif got is None or got is False:
+            request = yield from receive(self._queue)
+            if request is None:
                 continue
-            else:
-                request = got
             yield Cpu(self.params.agent_request_cost)
             response = yield from self._handle(request)
             self.requests_handled += 1
@@ -153,60 +156,55 @@ class PilgrimAgent:
             )
 
     def _handle(self, request: dict):
-        op = request["op"]
-        args = request.get("args", {})
-        if op == rq.CONNECT:
-            return self._op_connect(args)
-            yield  # pragma: no cover - generator shape
-        if request.get("session") != self.session_id or self.session_id is None:
-            return {"ok": False, "error": "bad or stale session identifier"}
-            yield  # pragma: no cover
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            return {"ok": False, "error": f"unknown request {op!r}"}
-            yield  # pragma: no cover
-        import inspect as _inspect
+        """Run one request and write its envelope (module docstring).
 
+        An ``_op_*`` returns its data, or a generator (an op that waits)
+        whose return value is its data.
+        """
+        op = request.get("op")
         try:
-            if _inspect.isgeneratorfunction(handler):
-                result = yield from handler(args)
-            else:
-                result = handler(args)
-        except Exception as exc:  # defensive: agent must not die
+            if op != rq.CONNECT and (
+                self.session_id is None or request.get("session") != self.session_id
+            ):
+                raise AgentError("bad or stale session identifier")
+            handler = getattr(self, f"_op_{op}", None)
+            if handler is None:
+                raise AgentError(f"unknown request {op!r}")
+            data = handler(request.get("args", {}))
+            if isinstance(data, GeneratorType):
+                data = yield from data
+        except AgentError as exc:
+            return {"ok": False, "error": str(exc)}
+        except Exception as exc:  # the agent must not die of a request
             return {"ok": False, "error": f"agent error: {exc}"}
-        return result
+        return {"ok": True, "data": data}
 
     # ------------------------------------------------------------------
     # Session management
     # ------------------------------------------------------------------
 
     def _op_connect(self, args: dict) -> dict:
-        force = args.get("force", False)
-        if self.session_id is not None and not force:
-            return {
-                "ok": False,
-                "error": "a debugging session is already active",
-            }
+        session = args.get("session")
+        if session is None:
+            raise AgentError("connect needs a session identifier")
         if self.session_id is not None:
+            if not args.get("force", False):
+                raise AgentError("a debugging session is already active")
             # Forcible connect: abandon the original session, clear all
             # breakpoints etc. (paper §3).
             self._teardown_session(resume=True)
-        self.session_id = args["session"]
-        self.debugger_addr = args["debugger"]
+        self.session_id = session
+        self.debugger_addr = args.get("debugger")
         return {
-            "ok": True,
-            "data": {
-                "node": self.node.node_id,
-                "name": self.node.name,
-                "modules": sorted(self.images),
-                "failures": list(self.failure_log),
-                "epoch": self.node.epoch,
-            },
+            "node": self.node.node_id,
+            "name": self.node.name,
+            "modules": sorted(self.images),
+            "failures": list(self.failure_log),
+            "epoch": self.node.epoch,
         }
 
-    def _op_disconnect(self, args: dict) -> dict:
+    def _op_disconnect(self, args: dict) -> None:
         self._teardown_session(resume=True)
-        return {"ok": True, "data": None}
 
     def _teardown_session(self, resume: bool) -> None:
         for key, original in list(self.breakpoints.items()):
@@ -227,9 +225,8 @@ class PilgrimAgent:
         self.debugger_addr = None
         self.peers = []
 
-    def _op_set_peers(self, args: dict) -> dict:
+    def _op_set_peers(self, args: dict) -> None:
         self.peers = [n for n in args["nodes"] if n != self.node.node_id]
-        return {"ok": True, "data": None}
 
     def detach(self) -> None:
         """Silence this agent permanently (used when its node reboots:
@@ -291,7 +288,7 @@ class PilgrimAgent:
 
     def _op_halt(self, args: dict) -> dict:
         self._do_halt(broadcast=True)
-        return {"ok": True, "data": {"halted": True}}
+        return {"halted": True}
 
     # ------------------------------------------------------------------
     # Traps and failures
@@ -363,28 +360,27 @@ class PilgrimAgent:
     def _code_at(self, module: str, func: str):
         image = self.images.get(module)
         if image is None:
-            raise ValueError(f"no image for module {module!r}")
+            raise AgentError(f"no image for module {module!r}")
         return image.function(func).code
 
     def _op_set_breakpoint(self, args: dict) -> dict:
         key = (args["module"], args["func"], args["pc"])
         if key in self.breakpoints:
-            return {"ok": True, "data": {"already": True}}
+            return {"already": True}
         code = self._code_at(key[0], key[1])
         if not (0 <= key[2] < len(code)):
-            return {"ok": False, "error": f"pc {key[2]} out of range"}
+            raise AgentError(f"pc {key[2]} out of range")
         original = code[key[2]]
         self.breakpoints[key] = original
         code[key[2]] = Instr(ops.TRAP, line=original.line)
-        return {"ok": True, "data": {"line": original.line}}
+        return {"line": original.line}
 
-    def _op_clear_breakpoint(self, args: dict) -> dict:
+    def _op_clear_breakpoint(self, args: dict) -> None:
         key = (args["module"], args["func"], args["pc"])
         original = self.breakpoints.pop(key, None)
         if original is None:
-            return {"ok": False, "error": "no such breakpoint"}
+            raise AgentError("no such breakpoint")
         self._restore_instruction(key, original)
-        return {"ok": True, "data": None}
 
     def _restore_instruction(self, key: tuple, original: Instr) -> None:
         module, func, pc = key
@@ -430,8 +426,6 @@ class PilgrimAgent:
                 supervisor = self.node.supervisor
                 if executor.frames:
                     frame = executor.frames[-1]
-                    from repro.cvm.interp import BreakpointWait
-
                     wait = BreakpointWait(frame.func, frame.pc, kind="stepped")
                     self.trapped[process.pid] = (
                         frame.func.module,
@@ -451,11 +445,10 @@ class PilgrimAgent:
         process = self.node.supervisor.processes.get(pid)
         location = self.trapped.pop(pid, None)
         if process is None or location is None:
-            return {"ok": False, "error": f"process {pid} is not stopped at a trap"}
+            raise AgentError(f"process {pid} is not stopped at a trap")
         self._step_over(process, process.executor, location, rehalt=True)
         yield Wait(self._step_done)
-        registers = process.registers()
-        return {"ok": True, "data": {"registers": registers}}
+        return {"registers": process.registers()}
 
     def _op_continue(self, args: dict):
         # First walk every trapped process over its breakpoint while the
@@ -471,94 +464,89 @@ class PilgrimAgent:
         for _ in range(pending):
             yield Wait(self._step_done)
         self._do_resume(broadcast=True)
-        return {"ok": True, "data": {"resumed": pending}}
+        return {"resumed": pending}
 
     # ------------------------------------------------------------------
     # Process inspection (paper §5.4)
     # ------------------------------------------------------------------
 
-    def _op_list_processes(self, args: dict) -> dict:
-        data = [p.describe() for p in self.node.supervisor.processes.values()]
-        return {"ok": True, "data": data}
+    def _process(self, pid: int) -> Process:
+        process = self.node.supervisor.processes.get(pid)
+        if process is None:
+            raise AgentError(f"no process {pid}")
+        return process
+
+    def _op_list_processes(self, args: dict) -> list:
+        return [p.describe() for p in self.node.supervisor.processes.values()]
 
     def _op_process_state(self, args: dict) -> dict:
-        process = self.node.supervisor.processes.get(args["pid"])
-        if process is None:
-            return {"ok": False, "error": f"no process {args['pid']}"}
+        process = self._process(args["pid"])
         info = process.describe()
         info["registers"] = {
             k: v for k, v in process.registers().items() if not callable(v)
         }
         info["trapped_at"] = self.trapped.get(process.pid)
-        return {"ok": True, "data": info}
+        return info
 
-    def _op_backtrace(self, args: dict) -> dict:
-        process = self.node.supervisor.processes.get(args["pid"])
-        if process is None:
-            return {"ok": False, "error": f"no process {args['pid']}"}
+    def _op_backtrace(self, args: dict) -> list:
         frames = []
-        executor = process.executor
-        raw = executor.backtrace()
-        for snapshot in raw:
+        for snapshot in self._process(args["pid"]).executor.backtrace():
             entry = dict(snapshot)
             entry["locals"] = {
                 name: sanitize(value)
                 for name, value in snapshot.get("locals", {}).items()
             }
             frames.append(entry)
-        return {"ok": True, "data": frames}
+        return frames
 
     def _op_wake_process(self, args: dict) -> dict:
-        process = self.node.supervisor.processes.get(args["pid"])
-        if process is None:
-            return {"ok": False, "error": f"no process {args['pid']}"}
+        process = self._process(args["pid"])
         woken = self.node.supervisor.debugger_wake(process, args.get("value", False))
-        return {"ok": woken, "data": {"woken": woken}}
+        return {"woken": woken}
 
     # ------------------------------------------------------------------
     # Memory access
     # ------------------------------------------------------------------
 
     def _find_frame(self, args: dict):
-        process = self.node.supervisor.processes.get(args["pid"])
-        if process is None:
-            raise ValueError(f"no process {args['pid']}")
-        executor = process.executor
-        frames = getattr(executor, "frames", None)
+        frames = getattr(self._process(args["pid"]).executor, "frames", None)
         if frames is None:
-            raise ValueError("process has no VM frames")
+            raise AgentError("process has no VM frames")
         index = args.get("frame", 0)
         # Frame 0 is innermost well-formed, matching backtrace order.
         visible = [f for f in reversed(frames) if not f.under_construction]
         if not (0 <= index < len(visible)):
-            raise ValueError(f"no frame {index}")
+            raise AgentError(f"no frame {index}")
         return visible[index]
 
-    def _op_read_var(self, args: dict) -> dict:
+    def _local(self, args: dict) -> tuple:
+        """(frame, value) of the local ``args["name"]`` in the asked frame."""
         frame = self._find_frame(args)
         name = args["name"]
         if name not in frame.locals:
-            return {"ok": False, "error": f"no variable {name!r} in frame"}
-        return {"ok": True, "data": sanitize(frame.locals[name])}
+            raise AgentError(f"no variable {name!r} in frame")
+        return frame, frame.locals[name]
 
-    def _op_write_var(self, args: dict) -> dict:
-        frame = self._find_frame(args)
-        name = args["name"]
-        frame.locals[name] = unmarshal(args["value"])
-        return {"ok": True, "data": None}
+    def _image(self, module: str) -> NodeImage:
+        image = self.images.get(module)
+        if image is None:
+            raise AgentError(f"no module {module!r}")
+        return image
 
-    def _op_read_global(self, args: dict) -> dict:
+    def _op_read_var(self, args: dict) -> Any:
+        return sanitize(self._local(args)[1])
+
+    def _op_write_var(self, args: dict) -> None:
+        self._find_frame(args).locals[args["name"]] = unmarshal(args["value"])
+
+    def _op_read_global(self, args: dict) -> Any:
         image = self.images.get(args["module"])
         if image is None or args["name"] not in image.globals:
-            return {"ok": False, "error": f"no global {args['name']!r}"}
-        return {"ok": True, "data": sanitize(image.globals[args["name"]])}
+            raise AgentError(f"no global {args['name']!r}")
+        return sanitize(image.globals[args["name"]])
 
-    def _op_write_global(self, args: dict) -> dict:
-        image = self.images.get(args["module"])
-        if image is None:
-            return {"ok": False, "error": f"no module {args['module']!r}"}
-        image.globals[args["name"]] = unmarshal(args["value"])
-        return {"ok": True, "data": None}
+    def _op_write_global(self, args: dict) -> None:
+        self._image(args["module"]).globals[args["name"]] = unmarshal(args["value"])
 
     # ------------------------------------------------------------------
     # Procedure invocation and display (paper §3)
@@ -578,34 +566,27 @@ class PilgrimAgent:
         got = yield Wait(self._invoke_done, 10_000_000)
         if not got:
             self.node.supervisor.terminate(worker)
-            raise ValueError(f"invocation of {func} timed out")
+            raise AgentError(f"invocation of {func} timed out")
         if worker.failure is not None:
-            raise ValueError(f"invocation failed: {worker.failure}")
+            raise AgentError(f"invocation failed: {worker.failure}")
         return worker.result, output
 
     def _op_invoke(self, args: dict):
-        image = self.images.get(args["module"])
-        if image is None:
-            return {"ok": False, "error": f"no module {args['module']!r}"}
+        image = self._image(args["module"])
         call_args = [unmarshal(a) for a in args.get("args", [])]
         result, output = yield from self._invoke(image, args["func"], call_args)
-        return {"ok": True, "data": {"result": sanitize(result), "output": output}}
+        return {"result": sanitize(result), "output": output}
 
     def _op_display(self, args: dict):
         """Display a variable using its type's print operation, invoked in
         the user program (paper §3)."""
-        frame = self._find_frame(args)
-        name = args["name"]
-        if name not in frame.locals:
-            return {"ok": False, "error": f"no variable {name!r} in frame"}
-        value = frame.locals[name]
-        module = frame.func.module
-        image = self.images.get(module) or next(iter(self.images.values()), None)
+        frame, value = self._local(args)
+        image = self.images.get(frame.func.module) or next(iter(self.images.values()), None)
         printop = printop_for(value, image.printops) if image is not None else None
         if printop is None:
-            return {"ok": True, "data": {"text": default_print(value)}}
+            return {"text": default_print(value)}
         result, _output = yield from self._invoke(image, printop, [value])
-        return {"ok": True, "data": {"text": printed_text(result)}}
+        return {"text": printed_text(result)}
 
     # ------------------------------------------------------------------
     # RPC debugging (paper §4)
@@ -614,25 +595,17 @@ class PilgrimAgent:
     def _op_rpc_info(self, args: dict) -> dict:
         runtime = self.node.rpc
         return {
-            "ok": True,
-            "data": {
-                "in_progress": runtime.inprogress_calls(),
-                "serving": runtime.serving_calls(),
-                "recent": runtime.recent_outcomes(),
-            },
+            "in_progress": runtime.inprogress_calls(),
+            "serving": runtime.serving_calls(),
+            "recent": runtime.recent_outcomes(),
         }
 
-    def _op_rpc_client_history(self, args: dict) -> dict:
-        return {
-            "ok": True,
-            "data": [r.describe() for r in self.node.rpc.client_history],
-        }
+    def _op_rpc_client_history(self, args: dict) -> list:
+        return [r.describe() for r in self.node.rpc.client_history]
 
-    def _op_rpc_server_record(self, args: dict) -> dict:
+    def _op_rpc_server_record(self, args: dict) -> Optional[dict]:
         record = self.node.rpc.server_record(args["call_id"])
-        if record is None:
-            return {"ok": True, "data": None}
-        return {"ok": True, "data": record.describe()}
+        return None if record is None else record.describe()
 
     # ------------------------------------------------------------------
     # Shared-server support (paper §6.1)

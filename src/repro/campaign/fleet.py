@@ -22,7 +22,7 @@ This module replaces that with production fuzzing-fleet semantics:
   aborted campaign.  A cell whose own code raises is *not* retried —
   cells are deterministic, so the exception is the result — it becomes
   an ``error`` verdict carrying the captured traceback.
-* **Quarantine** — a cell that kills ``quarantine_after`` workers is
+* **Quarantine** — a cell that kills :data:`QUARANTINE_AFTER` workers is
   quarantined (an ``error`` verdict with ``kind="quarantined"``) so one
   poison cell cannot wedge the fleet in a kill/respawn loop.
 
@@ -83,8 +83,13 @@ DEFAULT_BACKOFF = 0.05
 #: Ceiling on the per-retry backoff delay, in seconds.
 MAX_BACKOFF = 2.0
 
-#: Worker deaths attributed to one cell before it is quarantined.
-DEFAULT_QUARANTINE_AFTER = 2
+#: Worker deaths attributed to one cell before it is quarantined: the
+#: first death may be the environment's, a second is the cell's.
+QUARANTINE_AFTER = 2
+
+#: Seconds the coordinator waits on the worker pipes before it checks
+#: deadlines and due retries again.
+POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -101,8 +106,6 @@ class FleetOptions:
     cell_timeout: float = DEFAULT_CELL_TIMEOUT
     retries: int = DEFAULT_RETRIES
     backoff: float = DEFAULT_BACKOFF
-    quarantine_after: int = DEFAULT_QUARANTINE_AFTER
-    poll_interval: float = 0.02
     chaos_kill_cells: frozenset = field(default_factory=frozenset)
 
 
@@ -352,7 +355,7 @@ class Fleet:
 
     def _poll(self) -> None:
         """Wait briefly for messages; one ``recv`` per readable pipe."""
-        for key, _ in self._selector.select(self.options.poll_interval):
+        for key, _ in self._selector.select(POLL_INTERVAL):
             self._receive(key.data)
 
     def _receive(self, worker: _Worker) -> None:
@@ -432,11 +435,11 @@ class Fleet:
                                count_death: bool) -> None:
         """Retry, quarantine, or give up on a cell the environment lost."""
         index = cell.index
-        if count_death and self._deaths.get(index, 0) >= self.options.quarantine_after:
+        if count_death and self._deaths.get(index, 0) >= QUARANTINE_AFTER:
             self.metrics.counter("fleet.quarantined").inc()
             self._resolve(cell, error_result(
                 cell, "quarantined",
-                f"cell killed {self.options.quarantine_after} workers "
+                f"cell killed {QUARANTINE_AFTER} workers "
                 f"and was quarantined",
             ))
             return

@@ -44,7 +44,6 @@ from repro.campaign.corpus import Corpus
 from repro.campaign.fleet import (
     DEFAULT_BACKOFF,
     DEFAULT_CELL_TIMEOUT,
-    DEFAULT_QUARANTINE_AFTER,
     DEFAULT_RETRIES,
     FleetOptions,
     execute_cell,
@@ -177,7 +176,6 @@ def run_campaign(
     cell_timeout: float = DEFAULT_CELL_TIMEOUT,
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
-    quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
     chaos_kill_cells: Sequence[int] = (),
 ) -> CampaignReport:
     """Run a grid, aggregate the verdicts, and shrink the failures.
@@ -185,8 +183,9 @@ def run_campaign(
     ``workers=1`` runs inline (no processes — handy under debuggers and
     in tests, with the same exception containment); ``workers>1`` feeds
     the cells to a fault-tolerant work-stealing fleet with per-cell
-    ``cell_timeout`` / ``retries`` / ``backoff`` / ``quarantine_after``
-    containment.  ``journal_path`` checkpoints progress after every cell
+    ``cell_timeout`` / ``retries`` / ``backoff`` containment and
+    quarantine after :data:`~repro.campaign.fleet.QUARANTINE_AFTER`
+    worker deaths.  ``journal_path`` checkpoints progress after every cell
     and shrink; with ``resume=True`` previously-journaled results whose
     content-addressed keys still match are reused instead of re-executed.
     Shrinking always happens in the parent, sequentially in cell order,
@@ -246,7 +245,6 @@ def run_campaign(
                     cell_timeout=cell_timeout,
                     retries=retries,
                     backoff=backoff,
-                    quarantine_after=quarantine_after,
                     chaos_kill_cells=frozenset(chaos_kill_cells),
                 ),
                 metrics=metrics,

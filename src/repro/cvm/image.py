@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.cvm.instructions import FuncCode
-from repro.cvm.values import CluRuntimeError, default_print
+from repro.cvm.values import CluRuntimeError, default_print, printed_text, printop_for
 
 if TYPE_CHECKING:
     from repro.mayflower.node import Node
@@ -88,12 +88,12 @@ class NodeImage:
     def render(self, value: Any, max_instructions: int = 20_000) -> str:
         """Apply the value's print operation (paper §3).
 
-        User-defined print ops are CCLU procedures; they run here in a
-        bounded, non-blocking sub-interpretation.  The agent's remote
-        display path uses full procedure invocation instead.
+        User-defined print ops are CCLU procedures; they run here on the
+        VM's own executor, outside any process (:func:`run_pure`): bounded,
+        taking no virtual time, and refusing effectful opcodes and node
+        builtins.  Their type errors are the VM's.  The agent's remote
+        display path spawns a process to invoke the print op instead.
         """
-        from repro.cvm.values import printed_text, printop_for
-
         printop = printop_for(value, self.printops)
         if printop is None:
             return default_print(value)

@@ -16,13 +16,15 @@ Debugging features (paper §5.5):
 * **backtraces** report the highest well-formed frames and include the RPC
   runtime's synthetic frames with their info blocks (paper Figure 1).
 
-``run_pure`` is a bounded, effect-free sub-interpreter used to evaluate
-print operations (paper §3) without disturbing the process structure.
+``run_pure`` evaluates print operations (paper §3) on the same executor,
+outside any process: a bounded loop over :meth:`VmExecutor.commit` that
+refuses effectful opcodes and node builtins before they run, so it never
+disturbs the process structure.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.cvm import instructions as ops
 from repro.cvm.frames import RPC_RUNTIME_FUNC, Frame
@@ -35,9 +37,6 @@ from repro.cvm.values import (
     RpcFailure,
 )
 from repro.mayflower.process import Executor, Process
-
-if TYPE_CHECKING:
-    pass
 
 
 class BreakpointWait:
@@ -68,6 +67,8 @@ class VmExecutor(Executor):
         self.frames: list[Frame] = []
         self.process: Optional[Process] = None
         self._finished = False
+        #: The outermost frame's return value, once it has returned.
+        self.result: Any = None
         #: Resume handler applied when the process wakes from a block.
         self._awaiting: Optional[Callable[[Any], None]] = None
         #: One-shot hook run after the next committed instruction (the
@@ -357,6 +358,7 @@ class VmExecutor(Executor):
         self.frames.pop()
         if not self.frames:
             self._finished = True
+            self.result = value
             if self.process is not None:
                 self.process.result = value
             return
@@ -540,7 +542,7 @@ def apply_binary(op: str, left: Any, right: Any) -> Any:
 
 
 def pure_builtin(name: str, args: list) -> Any:
-    """Builtins with no node-side effects (shared with run_pure)."""
+    """Builtins with no node-side effects."""
     if name == "len":
         value = args[0]
         if isinstance(value, (CluArray, str)):
@@ -570,124 +572,42 @@ def pure_builtin(name: str, args: list) -> Any:
     raise CluRuntimeError(f"unknown builtin {name!r}")
 
 
+#: Opcodes a print operation may not execute: each writes node state,
+#: blocks, talks to another node, writes output or ends the process.
+_EFFECTS = frozenset({
+    ops.STOREG, ops.SEMWAIT, ops.SEMSIGNAL, ops.REGENTER, ops.REGEXIT,
+    ops.CONDWAIT, ops.CONDSIG, ops.SLEEPI, ops.SPAWNP, ops.RCALL,
+    ops.PRINTI, ops.TRAP, ops.HALTP,
+})
+
+#: Builtins that make node objects or read node state.
+_NODE_BUILTINS = frozenset({"semaphore", "region", "monitor", "now", "self"})
+
+
 def run_pure(
     image: NodeImage, func_name: str, args: list, max_instructions: int = 20_000
 ) -> Any:
     """Run a procedure with *no* effects allowed (print operations).
 
-    Blocking or effectful opcodes raise; execution is bounded so a buggy
-    print op cannot wedge the agent.
+    The procedure runs on a :class:`VmExecutor` that belongs to no
+    process, one ``commit()`` per instruction, so it takes no virtual
+    time and fails with the VM's own errors.  Before each instruction an
+    opcode in ``_EFFECTS`` or a builtin in ``_NODE_BUILTINS`` is refused,
+    and execution is bounded so a buggy print op cannot wedge the agent.
     """
-    func = image.function(func_name)
-    if len(args) != len(func.params):
-        raise CluRuntimeError(
-            f"{func_name} expects {len(func.params)} args, got {len(args)}"
-        )
-    frames: list[Frame] = []
-    frame = Frame(func)
-    frame.locals.update(zip(func.params, args))
-    frames.append(frame)
-    executed = 0
-    while frames:
-        executed += 1
-        if executed > max_instructions:
-            raise CluRuntimeError(f"{func_name}: print operation ran too long")
+    executor = VmExecutor(image, func_name, args)
+    frames = executor.frames
+    for _ in range(max_instructions):
         frame = frames[-1]
-        frame.under_construction = False
-        if frame.pc >= len(frame.func.code):
-            instr = Instr(ops.RET)
-        else:
+        if frame.pc < len(frame.func.code):
             instr = frame.func.code[frame.pc]
-        op = instr.op
-        stack = frame.stack
-        if op == ops.CONST:
-            stack.append(instr.arg)
-        elif op == ops.LOADL:
-            if instr.arg not in frame.locals:
-                raise CluRuntimeError(f"variable {instr.arg!r} used before assignment")
-            stack.append(frame.locals[instr.arg])
-        elif op == ops.STOREL:
-            frame.locals[instr.arg] = stack.pop()
-        elif op == ops.LOADG:
-            if instr.arg not in image.globals:
-                raise CluRuntimeError(f"global {instr.arg!r} used before assignment")
-            stack.append(image.globals[instr.arg])
-        elif op in _BINARY_OPS:
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(apply_binary(op, left, right))
-        elif op == ops.NEG:
-            stack.append(-_expect_int(stack.pop(), "-"))
-        elif op == ops.NOT:
-            stack.append(not _expect_bool(stack.pop(), "not"))
-        elif op == ops.JUMP:
-            frame.pc = instr.arg
-            continue
-        elif op == ops.JF:
-            if not _expect_bool(stack.pop(), "condition"):
-                frame.pc = instr.arg
-                continue
-        elif op == ops.CALL:
-            callee_func = image.function(instr.arg)
-            call_args = [stack.pop() for _ in range(instr.arg2)][::-1]
-            if len(call_args) != len(callee_func.params):
+            if instr.op in _EFFECTS:
                 raise CluRuntimeError(
-                    f"{instr.arg} expects {len(callee_func.params)} args"
-                )
-            frame.pc += 1
-            callee = Frame(callee_func)
-            callee.locals.update(zip(callee_func.params, call_args))
-            frames.append(callee)
-            continue
-        elif op == ops.CALLB:
-            call_args = [stack.pop() for _ in range(instr.arg2)][::-1]
-            if instr.arg == "str":
-                stack.append(image.render(call_args[0]))
-            else:
-                stack.append(pure_builtin(instr.arg, call_args))
-        elif op == ops.RET:
-            value = stack.pop() if stack else None
-            frames.pop()
-            if not frames:
-                return value
-            frames[-1].stack.append(value)
-            continue
-        elif op == ops.NEWREC:
-            fields = list(instr.arg2)
-            values = [stack.pop() for _ in range(len(fields))][::-1]
-            stack.append(CluRecord(instr.arg, dict(zip(fields, values))))
-        elif op == ops.GETF:
-            record = stack.pop()
-            if not isinstance(record, CluRecord):
-                raise CluRuntimeError(f"field access on non-record {record!r}")
-            stack.append(record.get(instr.arg))
-        elif op == ops.SETF:
-            value = stack.pop()
-            record = stack.pop()
-            record.set(instr.arg, value)
-        elif op == ops.NEWARR:
-            values = [stack.pop() for _ in range(instr.arg2)][::-1]
-            stack.append(CluArray(values))
-        elif op == ops.GETIDX:
-            index = stack.pop()
-            array = stack.pop()
-            stack.append(array.get(index))
-        elif op == ops.SETIDX:
-            value = stack.pop()
-            index = stack.pop()
-            array = stack.pop()
-            array.set(index, value)
-        elif op == ops.DUP:
-            stack.append(stack[-1])
-        elif op == ops.SWAP:
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif op == ops.POP:
-            stack.pop()
-        elif op == ops.NOP:
-            pass
-        else:
-            raise CluRuntimeError(
-                f"opcode {op} not allowed in a print operation"
-            )
-        frame.pc += 1
-    return None
+                    f"opcode {instr.op} not allowed in a print operation")
+            if instr.op == ops.CALLB and instr.arg in _NODE_BUILTINS:
+                raise CluRuntimeError(
+                    f"builtin {instr.arg!r} not allowed in a print operation")
+        executor.commit()
+        if not frames:
+            return executor.result
+    raise CluRuntimeError(f"{func_name}: print operation ran too long")

@@ -16,7 +16,11 @@ Mirrors the simulated :class:`~repro.agent.agent.PilgrimAgent`:
 * requests arrive over a TCP socket, one JSON object per line (the
   daemon's framing, :mod:`repro.service.protocol`) — one network
   interaction per logical request (§3); a frame it cannot read gets an
-  error reply and the connection serves on.
+  error reply and the connection serves on.  The answer envelope is the
+  simulated agent's: ``{"ok": True, "data": ...}``, a refusal's reason
+  (an ``_op_*`` raised :class:`~repro.debugger.errors.AgentError`), or
+  ``agent error: ...`` with a ``detail`` traceback for an unexpected
+  exception.
 
 CPython note: a trace function can only be installed by the thread it
 traces.  Threads started *after* connect are traced automatically (via
@@ -34,7 +38,7 @@ import time
 import traceback
 from typing import Optional
 
-from repro.debugger.errors import ServiceError
+from repro.debugger.errors import AgentError, ServiceError
 from repro.service.protocol import recv_message, send_message
 
 #: The value meaning "not under control of a debugger" (§6.1).
@@ -221,32 +225,35 @@ class LiveAgent:
     # ------------------------------------------------------------------
 
     def handle_request(self, request: dict) -> dict:
+        """Run one request and write its envelope (module docstring)."""
         op = request.get("op")
         args = request.get("args", {})
-        if not isinstance(args, dict):
-            return {"ok": False, "error": f"args must be an object, not {type(args).__name__}"}
-        if op != "connect" and (self.session_id is None
-                                or request.get("session") != self.session_id):
-            return {"ok": False, "error": "bad or stale session identifier"}
-        handler = getattr(self, f"_op_{op}", None)
-        if handler is None:
-            return {"ok": False, "error": f"unknown request {op!r}"}
         try:
-            return handler(args)
+            if not isinstance(args, dict):
+                raise AgentError(f"args must be an object, not {type(args).__name__}")
+            if op != "connect" and (self.session_id is None
+                                    or request.get("session") != self.session_id):
+                raise AgentError("bad or stale session identifier")
+            handler = getattr(self, f"_op_{op}", None)
+            if handler is None:
+                raise AgentError(f"unknown request {op!r}")
+            data = handler(args)
+        except AgentError as exc:
+            return {"ok": False, "error": str(exc)}
         except Exception as exc:  # the agent must not die
             return {
                 "ok": False,
                 "error": f"agent error: {exc}",
                 "detail": traceback.format_exc(),
             }
+        return {"ok": True, "data": data}
 
     def _op_connect(self, args: dict) -> dict:
+        if args.get("session") is None:
+            raise AgentError("connect needs a session identifier")
         with self._lock:
             if self.session_id is not None and not args.get("force"):
-                return {
-                    "ok": False,
-                    "error": "a debugging session is already active",
-                }
+                raise AgentError("a debugging session is already active")
             if self.session_id is not None:
                 self._teardown_session()
             self.session_id = args["session"]
@@ -255,11 +262,10 @@ class LiveAgent:
             # Threads started from now on are traced from birth; running
             # threads pick it up at their next checkpoint().
             threading.settrace(self._trace)
-        return {"ok": True, "data": {"threads": self._thread_list()}}
+        return {"threads": self._thread_list()}
 
-    def _op_disconnect(self, args: dict) -> dict:
+    def _op_disconnect(self, args: dict) -> None:
         self._teardown_session()
-        return {"ok": True, "data": None}
 
     def _teardown_session(self) -> None:
         with self._lock:
@@ -278,63 +284,57 @@ class LiveAgent:
             for ident, thread in list(self.threads.items())
         ]
 
-    def _op_list_threads(self, args: dict) -> dict:
-        return {"ok": True, "data": self._thread_list()}
+    def _op_list_threads(self, args: dict) -> list:
+        return self._thread_list()
 
-    def _op_set_breakpoint(self, args: dict) -> dict:
+    def _op_set_breakpoint(self, args: dict) -> None:
         self.breakpoints.add((args["file"], int(args["line"])))
-        return {"ok": True, "data": None}
 
-    def _op_clear_breakpoint(self, args: dict) -> dict:
+    def _op_clear_breakpoint(self, args: dict) -> None:
         self.breakpoints.discard((args["file"], int(args["line"])))
-        return {"ok": True, "data": None}
 
-    def _op_poll_events(self, args: dict) -> dict:
+    def _op_poll_events(self, args: dict) -> list:
         with self._lock:
             events, self.events = self.events, []
-        return {"ok": True, "data": events}
+        return events
 
-    def _op_halt(self, args: dict) -> dict:
+    def _op_halt(self, args: dict) -> None:
         with self._lock:
             if not self.halted:
                 self._begin_halt()
-        return {"ok": True, "data": None}
 
-    def _op_continue(self, args: dict) -> dict:
+    def _op_continue(self, args: dict) -> None:
         with self._lock:
             self._end_halt()
-        return {"ok": True, "data": None}
 
     def _op_step(self, args: dict) -> dict:
         """Let the trapped thread run exactly one more line (§5.5)."""
         if not self.halted or self._trapped_ident is None:
-            return {"ok": False, "error": "no thread is stopped at a trap"}
+            raise AgentError("no thread is stopped at a trap")
         self._step_done.clear()
         with self._cond:
             self._step_budget = 1
             self._cond.notify_all()  # only the trapped thread may leave
         if not self._step_done.wait(timeout=5.0):
-            return {"ok": False, "error": "step did not complete"}
-        return {"ok": True, "data": dict(self.trapped or {})}
+            raise AgentError("step did not complete")
+        return dict(self.trapped or {})
 
     def _visible_frames(self, ident: int) -> list:
         """The thread's frames minus the agent's own machinery, innermost
         first — the live analog of 'highest well-formed frame' (§5.5)."""
         frame = sys._current_frames().get(ident)
         frames = []
-        import threading as _threading
-
-        hidden = (__file__, _threading.__file__)
+        hidden = (__file__, threading.__file__)
         while frame is not None:
             if frame.f_code.co_filename not in hidden:
                 frames.append(frame)
             frame = frame.f_back
         return frames
 
-    def _op_backtrace(self, args: dict) -> dict:
+    def _op_backtrace(self, args: dict) -> list:
         ident = int(args["thread"])
         if sys._current_frames().get(ident) is None:
-            return {"ok": False, "error": f"no such thread {ident}"}
+            raise AgentError(f"no such thread {ident}")
         frames = []
         for frame in self._visible_frames(ident):
             frames.append(
@@ -349,35 +349,31 @@ class LiveAgent:
                     },
                 }
             )
-        return {"ok": True, "data": frames}
+        return frames
 
-    def _op_read_var(self, args: dict) -> dict:
+    def _op_read_var(self, args: dict):
         ident = int(args["thread"])
         depth = int(args.get("frame", 0))
         frames = self._visible_frames(ident)
         if not (0 <= depth < len(frames)):
-            return {"ok": False, "error": "no such frame"}
+            raise AgentError("no such frame")
         frame = frames[depth]
         name = args["name"]
         if name not in frame.f_locals:
-            return {"ok": False, "error": f"no variable {name!r}"}
+            raise AgentError(f"no variable {name!r}")
         value = frame.f_locals[name]
         if isinstance(value, (int, float, str, bool)) or value is None:
-            return {"ok": True, "data": value}
-        return {"ok": True, "data": repr(value)}
+            return value
+        return repr(value)
 
     def _op_status(self, args: dict) -> dict:
         debugger, logical = self.get_debuggee_status()
-        pending = self._pending_halt_time()
         return {
-            "ok": True,
-            "data": {
-                "debugger": debugger,
-                "logical_time": logical,
-                "real_time": time.time(),
-                "delta": self.delta + pending,
-                "halted": self.halted,
-            },
+            "debugger": debugger,
+            "logical_time": logical,
+            "real_time": time.time(),
+            "delta": self.delta + self._pending_halt_time(),
+            "halted": self.halted,
         }
 
 

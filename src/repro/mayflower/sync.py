@@ -209,8 +209,9 @@ class Monitor:
 class MessageQueue:
     """An unbounded FIFO usable from both process and event context.
 
-    Packet-delivery handlers (event context) push; server processes block
-    on :meth:`Semaphore.wait` via the ``Receive`` syscall and then pop.
+    Packet-delivery handlers (event context) push; server processes take
+    with ``yield from receive(queue)`` (:mod:`repro.mayflower.syscalls`),
+    which waits on ``available`` and pops.
     """
 
     def __init__(self, supervisor: "Supervisor", name: str = "queue"):

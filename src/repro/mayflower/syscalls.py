@@ -162,8 +162,13 @@ def monitor_wait(
 
 
 class Receive(Syscall):
-    """Block until a message is available on a queue; resumes with the
-    message, or ``None`` on timeout."""
+    """Take a message from a queue, blocking until one is available.
+
+    Resumes with the message when one is waiting.  When the wait blocks,
+    the process resumes with the semaphore's verdict instead (``True``
+    when signalled, ``False`` on timeout) and the pop is left to the
+    caller: use :func:`receive`, which does it.
+    """
 
     def __init__(self, queue: "MessageQueue", timeout: Optional[int] = None):
         self.queue = queue
@@ -173,17 +178,17 @@ class Receive(Syscall):
         got = self.queue.available.wait(process, self.timeout)
         if got is True:
             return self.queue.pop()
-        return None  # blocked: ReceiveResult fixes up delivery on wake
+        return None  # blocked: the wake delivers the verdict
 
 
 def receive(
     queue: "MessageQueue", timeout: Optional[int] = None
 ) -> Generator[Syscall, Any, Any]:
-    """Helper that completes a blocking receive after the semaphore wait.
+    """The one blocking receive: ``msg = yield from receive(queue)``.
 
-    The ``Receive`` syscall may block on the queue's semaphore; when the
-    process resumes, the pending value is the semaphore verdict, and the
-    actual pop happens here.
+    Yields one :class:`Receive`.  Returns the message, popping it here
+    when the wait blocked and was signalled, or ``None`` when the wait
+    timed out (or was woken with ``False``).
     """
     verdict = yield Receive(queue, timeout)
     if verdict is None or verdict is False:

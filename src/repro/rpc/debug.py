@@ -101,7 +101,9 @@ class ServerCallRecord:
         self.proc = proc
         self.protocol = protocol
         self.received_at = received_at
-        self.worker = None  # the server process handling the call
+        #: Pid of the server process handling the call (not the process:
+        #: the record outlives it in the at-most-once reply cache).
+        self.worker_pid: Optional[int] = None
         self.reply_wire: Optional[Any] = None  # cached for dedup resend
         self.completed = False
         self.outcome: Optional[str] = None
@@ -116,7 +118,7 @@ class ServerCallRecord:
             "service": self.service,
             "proc": self.proc,
             "protocol": self.protocol,
-            "worker_pid": self.worker.pid if self.worker else None,
+            "worker_pid": self.worker_pid,
             "completed": self.completed,
             "outcome": self.outcome,
         }

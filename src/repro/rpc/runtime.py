@@ -32,7 +32,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.cvm.values import RpcFailure
-from repro.mayflower.syscalls import Call, Cpu, Receive
+from repro.mayflower.syscalls import Call, Cpu, receive
 from repro.obs import events as ev
 from repro.rpc.debug import (
     STATE_CALL_SENT,
@@ -528,13 +528,9 @@ class RpcRuntime:
 
     def _dispatcher_body(self, queue, exempt: bool) -> Generator:
         while True:
-            got = yield Receive(queue)
-            if got is True:
-                item = queue.pop()
-            elif got is None or got is False:
+            item = yield from receive(queue)
+            if item is None:
                 continue
-            else:
-                item = got
             payload, record = item
             # Server receive-side processing.
             yield Cpu(self._step_cost())
@@ -589,7 +585,7 @@ class RpcRuntime:
                 priority=self.params.agent_priority if exempt else 0,
                 halt_exempt=exempt,
             )
-        record.worker = worker
+        record.worker_pid = worker.pid
         worker.on_exit.append(lambda process: self._worker_done(record, process))
 
     @staticmethod

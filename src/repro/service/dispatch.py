@@ -5,10 +5,11 @@ The wire protocol's per-session methods are the rows of
 (:data:`~repro.debugger.repl.COMMANDS`) is accepted as an alias of the
 op it fronts, so ``bt`` and ``backtrace`` are the same wire method.
 
-:func:`render_text` is the daemon's plain-text rendering of a result:
-the row's renderer — the one the REPL command prints with — so ``call``
-output from a shell, the REPL over a socket, and the in-process REPL all
-print the same bytes.
+:func:`render_text` is the daemon's plain-text rendering of a result.
+For an op whose row has a renderer it is the one the REPL command prints
+with, so ``call`` output from a shell, the REPL over a socket and the
+in-process REPL print the same bytes.  For an op without one the daemon
+prints ``ok`` or JSON, while the REPL command formats the result itself.
 """
 
 from __future__ import annotations

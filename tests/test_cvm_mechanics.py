@@ -7,8 +7,10 @@ from repro.cclu import compile_program
 from repro.cvm import (
     CluRecord,
     CluRuntimeError,
+    FuncCode,
     Instr,
     VmExecutor,
+    interp,
     run_pure,
 )
 from repro.cvm import instructions as ops
@@ -204,6 +206,90 @@ end
     value = CluRecord("thing", {"n": 1})
     with pytest.raises(CluRuntimeError):
         image.render(value)
+
+
+def test_printop_type_errors_are_the_vms():
+    """A print op fails with the VM's own error, not a Python one."""
+    world, node = make_node()
+    source = """
+record thing
+  n: int
+end
+printop thing show
+proc show(t: thing) returns string
+  var a: int := t.n
+  return itoa(a[0])
+end
+proc poke(t: thing) returns string
+  var a: int := t.n
+  a.n := 5
+  return "no"
+end
+proc main()
+end
+"""
+    image = compile_program(source).link(node)
+    value = CluRecord("thing", {"n": 1})
+    with pytest.raises(CluRuntimeError, match="indexing non-array 1"):
+        image.render(value)
+    image.printops["thing"] = "poke"
+    with pytest.raises(CluRuntimeError, match="field update on non-record 1"):
+        image.render(value)
+
+
+#: For each effect a print op may not have, code that would have it: the
+#: operands the instruction pops, then the instruction (hand-assembled:
+#: no CLU syntax emits TRAP or HALTP).
+_EFFECTFUL_CODE = {
+    ops.STOREG: [Instr(ops.CONST, 2), Instr(ops.STOREG, "g")],
+    ops.SEMWAIT: [Instr(ops.LOADG, "s"), Instr(ops.CONST, 0), Instr(ops.SEMWAIT)],
+    ops.SEMSIGNAL: [Instr(ops.LOADG, "s"), Instr(ops.SEMSIGNAL)],
+    ops.REGENTER: [Instr(ops.LOADG, "r"), Instr(ops.REGENTER)],
+    ops.REGEXIT: [Instr(ops.LOADG, "r"), Instr(ops.REGEXIT)],
+    ops.CONDWAIT: [Instr(ops.LOADG, "m"), Instr(ops.CONST, "c"), Instr(ops.CONDWAIT)],
+    ops.CONDSIG: [Instr(ops.LOADG, "m"), Instr(ops.CONST, "c"), Instr(ops.CONDSIG)],
+    ops.SLEEPI: [Instr(ops.CONST, 10), Instr(ops.SLEEPI)],
+    ops.SPAWNP: [Instr(ops.SPAWNP, "main", 0)],
+    ops.RCALL: [Instr(ops.RCALL, ("svc", "p", "maybe"), 0)],
+    ops.PRINTI: [Instr(ops.CONST, "x"), Instr(ops.PRINTI)],
+    ops.TRAP: [Instr(ops.TRAP)],
+    ops.HALTP: [Instr(ops.HALTP)],
+    "semaphore": [Instr(ops.CONST, 0), Instr(ops.CALLB, "semaphore", 1)],
+    "region": [Instr(ops.CALLB, "region", 0)],
+    "monitor": [Instr(ops.CALLB, "monitor", 0)],
+    "now": [Instr(ops.CALLB, "now", 0)],
+    "self": [Instr(ops.CALLB, "self", 0)],
+}
+
+
+def test_every_effect_is_refused():
+    assert set(_EFFECTFUL_CODE) == interp._EFFECTS | interp._NODE_BUILTINS
+
+
+@pytest.mark.parametrize("effect", sorted(_EFFECTFUL_CODE))
+def test_a_print_op_effect_is_refused_and_leaves_the_node_untouched(effect):
+    world, node = make_node()
+    image = compile_program(SOURCE).link(node)
+    image.globals.update(g=1, s=node.semaphore(count=1), r=node.region(),
+                         m=node.monitor())
+    calls = []
+    image.trap_handler = image.rpc_hook = lambda *args: calls.append(args)
+    image.functions["bad"] = FuncCode(
+        "bad", ["v"], [Instr(ops.NOP), *_EFFECTFUL_CODE[effect],
+                       Instr(ops.CONST, "ok"), Instr(ops.RET)])
+    image.printops["thing"] = "bad"
+
+    def state():
+        s, r, m = image.globals["s"], image.globals["r"], image.globals["m"]
+        return (dict(image.globals), list(image.console),
+                list(node.supervisor.processes), s.count, r.holder,
+                m.mutex.holder, dict(m.conditions), world.pending_count(),
+                list(calls))
+
+    before = state()
+    with pytest.raises(CluRuntimeError, match="not allowed in a print operation"):
+        image.render(CluRecord("thing", {}))
+    assert state() == before
 
 
 def test_line_table_round_trip():

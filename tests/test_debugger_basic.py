@@ -376,3 +376,47 @@ def test_bad_session_rejected():
     dbg.session_id = 9999  # simulate a stale/guessed session id
     with pytest.raises(AgentError, match="session"):
         dbg.processes("app")
+
+
+SPIN = """
+proc main()
+  var i: int := 0
+  while true do
+    i := i + 1
+  end
+end
+"""
+
+
+def test_wake_process_on_a_running_process_returns_false():
+    cluster, image, proc, dbg = make_session(source=SPIN)
+    dbg.connect("app")
+    cluster.run_for(5 * MS)
+    assert dbg.process_state("app", proc.pid).state != "waiting"
+    assert dbg.wake_process("app", proc.pid) is False
+
+
+def test_a_missing_pid_gets_one_refusal_from_every_op():
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    ops = {
+        "backtrace": lambda: dbg.backtrace("app", 99),
+        "process_state": lambda: dbg.process_state("app", 99),
+        "read_var": lambda: dbg.read_var("app", 99, "total"),
+        "display": lambda: dbg.display("app", 99, "total"),
+        "wake_process": lambda: dbg.wake_process("app", 99),
+    }
+    for name, op in ops.items():
+        with pytest.raises(AgentError) as refused:
+            op()
+        assert str(refused.value) == "no process 99", name
+
+
+def test_a_connect_without_a_session_is_answered_and_the_agent_survives():
+    cluster, image, proc, dbg = make_session()
+    agent = cluster.node("app").agent
+    with pytest.raises(AgentError, match="session"):
+        dbg._request("app", rq.CONNECT, {"debugger": dbg.home.node_id})
+    assert agent.process.is_live()
+    assert dbg.connect("app")[0]["name"] == "app"
+    assert dbg.processes("app")

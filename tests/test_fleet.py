@@ -196,8 +196,7 @@ def test_die_once_cell_passes_on_retry(tmp_path, monkeypatch):
 
 
 def test_poison_cell_is_quarantined():
-    report = run_campaign(_grid("die", "echo"), workers=2,
-                          quarantine_after=2, **_FAST)
+    report = run_campaign(_grid("die", "echo"), workers=2, **_FAST)
     assert report.cells[0]["verdict"] == "error"
     assert report.cells[0]["error"]["kind"] == "quarantined"
     assert report.cells[1]["verdict"] == "pass"
@@ -324,7 +323,7 @@ def test_chaos_kill_is_attributed_to_its_cell_wherever_it_was_queued(victim):
 
 def test_poison_cells_are_quarantined_after_exactly_the_budget():
     cells = _grid("die", "echo", seeds=(0, 1))  # die, die, echo, echo
-    fleet = _run_watched(cells, workers=2, quarantine_after=2)
+    fleet = _run_watched(cells, workers=2)
     assert fleet._deaths == {0: 2, 1: 2}
     assert all(loss[0] in (0, 1) for loss in fleet.losses)
     snapshot = fleet.metrics.snapshot()

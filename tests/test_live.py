@@ -228,6 +228,21 @@ def test_stale_session_rejected(target):
     dbg.close()
 
 
+def test_a_refusal_is_its_reason_and_a_fault_is_an_agent_error(target):
+    agent, program = target
+    assert agent.handle_request({"op": "connect", "args": {}}) == {
+        "ok": False, "error": "connect needs a session identifier"}
+    assert agent.handle_request({"op": "connect", "args": {"session": 7}})["ok"]
+    assert agent.handle_request(
+        {"op": "backtrace", "args": {"thread": 1}, "session": 7}) == {
+        "ok": False, "error": "no such thread 1"}
+    fault = agent.handle_request(
+        {"op": "set_breakpoint", "args": {"file": "x.py", "line": "x"}, "session": 7})
+    assert fault["error"].startswith("agent error: ") and "detail" in fault
+    assert agent.handle_request({"op": "disconnect", "session": 7}) == {
+        "ok": True, "data": None}
+
+
 @pytest.mark.parametrize("frame", [
     b"[1]",
     b'{"op": "connect", "args": []}',

@@ -374,9 +374,16 @@ def test_a_live_cluster_holds_what_is_live_not_its_history():
     a fixed slack (the RPC tables are bounded: 256 server records, 64
     client ones; N is past both).  Each supervisor's table holds its
     live processes, its failed ones and at most ``RECENT_EXITS`` clean
-    exits; keeping every exit held ~0.4 KB a call."""
+    exits; keeping every exit held ~0.4 KB a call.  No more ``Process``
+    objects than that survive anywhere: a server record keeps its
+    worker's pid, not the worker, so the 256 records hold no exited
+    process."""
+    def processes():
+        return sum(type(o) is Process for o in gc.get_objects())
+
     def held(calls):
         gc.collect()
+        existing = processes()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -387,12 +394,16 @@ def test_a_live_cluster_holds_what_is_live_not_its_history():
             size = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        bound = 0
         for node in cluster.nodes:
             table = node.supervisor.processes.values()
             done = [p for p in table if p.state is ProcessState.DONE]
+            failed = sum(p.state is ProcessState.FAILED for p in table)
+            live = len(node.supervisor.live_processes())
             assert len(done) <= RECENT_EXITS
-            assert len(table) - len(done) == len(node.supervisor.live_processes()) + sum(
-                p.state is ProcessState.FAILED for p in table)
+            assert len(table) - len(done) == live + failed
+            bound += live + failed + RECENT_EXITS
+        assert processes() - existing <= bound
         assert cluster.node("server").supervisor._next_pid > calls
         cluster.close()
         return size
