@@ -8,7 +8,9 @@ The debugger-as-a-service claim is twofold:
   while paying for none of their worlds.  Measured: wall time and
   resident-table cost to open ``E18_SESSIONS`` sessions (default 1000,
   the CI smoke runs a reduced scale), then the latency of an attached
-  session's commands with all of them parked alongside, versus alone.
+  session's commands with all of them parked alongside, versus alone:
+  ``ROUNDS`` rounds park and close the fleet around the attached
+  session's loops, and each side's rate is the median of its loops.
 * **Sustained command throughput.**  Round trips per second of a tight
   ``status`` loop and a mixed inspect loop (``processes`` +
   ``backtrace``) over the Unix socket, client and daemon in one
@@ -21,6 +23,7 @@ fleet inflates attached-command latency by < 50%.
 from __future__ import annotations
 
 import os
+import statistics
 import threading
 import time
 
@@ -33,6 +36,13 @@ N_SESSIONS = int(os.environ.get("E18_SESSIONS", "1000"))
 #: Command round trips per throughput loop.
 N_COMMANDS = int(os.environ.get("E18_COMMANDS", "300"))
 PARKED_OVERHEAD_CEILING = 0.50
+#: Rounds of the experiment: each measures the attached session alone,
+#: parks the fleet, measures it crowded and closes the fleet again, so
+#: the two sides' loops alternate in time and a stretch the host runs
+#: slow falls on both.  A side's rate is the median of its loops: on a
+#: shared host one loop can read twice another's rate in either
+#: direction, and a best-of-N rate follows those outliers.
+ROUNDS = 5
 
 
 def _boot(tmp_path) -> tuple[str, threading.Thread, PilgrimService]:
@@ -46,60 +56,63 @@ def _boot(tmp_path) -> tuple[str, threading.Thread, PilgrimService]:
     return path, thread, service
 
 
-def _command_rates(client: ServiceClient, session_name: str) -> dict:
-    """Round trips/second for a status loop and a mixed inspect loop."""
-    session = client.session(session_name)
-    # force: the second measurement round reconnects to its own agent
-    # session (the paper's forcible connect, not a daemon takeover).
-    session.connect("app", force=True)
-    session.set_breakpoint("app", "app", line=4)
-    hit = session.wait_for_breakpoint()
+def _command_rates(session, pid: int) -> dict:
+    """Round trips/second of one status loop and one mixed inspect loop."""
+    def rate(commands, round_trips: int) -> float:
+        started = time.perf_counter()
+        for _ in range(N_COMMANDS):
+            commands()
+        return round_trips * N_COMMANDS / (time.perf_counter() - started)
 
-    started = time.perf_counter()
-    for _ in range(N_COMMANDS):
-        session.status()
-    status_rate = N_COMMANDS / (time.perf_counter() - started)
-
-    started = time.perf_counter()
-    for _ in range(N_COMMANDS):
+    def inspect():
         session.processes("app")
-        session.backtrace("app", hit["pid"])
-    mixed_rate = (2 * N_COMMANDS) / (time.perf_counter() - started)
+        session.backtrace("app", pid)
 
-    started = time.perf_counter()
-    for _ in range(N_COMMANDS):
-        session.status()
-    status_again = N_COMMANDS / (time.perf_counter() - started)
-    return {"status": max(status_rate, status_again), "mixed": mixed_rate}
+    return {"status": rate(session.status, 1), "mixed": rate(inspect, 2)}
+
+
+def _median(rounds: list[dict]) -> dict:
+    """Each loop's median rate over the rounds."""
+    return {loop: statistics.median(rates[loop] for rates in rounds) for loop in rounds[0]}
 
 
 def run_experiment(tmp_path) -> dict:
-    """One daemon: throughput alone, park a fleet, throughput again."""
+    """One daemon, ``ROUNDS`` times: throughput alone, park a fleet,
+    throughput again, close the fleet (kept open after the last round)."""
     path, thread, service = _boot(tmp_path)
     client = ServiceClient(path, timeout=120)
 
     client.open("active", "world", scenario="counter", seed=3)
-    alone = _command_rates(client, "active")
+    session = client.session("active")
+    session.connect("app")
+    session.set_breakpoint("app", "app", line=4)
+    hit = session.wait_for_breakpoint()
 
-    started = time.perf_counter()
-    for index in range(N_SESSIONS):
-        client.open(f"parked-{index}", "world", scenario="counter",
-                    seed=index)
-    park_seconds = time.perf_counter() - started
+    alone, crowded, park_seconds = [], [], []
+    for round_ in range(ROUNDS):
+        if round_:
+            for index in range(N_SESSIONS):
+                client.close_session(f"parked-{index}")
+        alone.append(_command_rates(session, hit["pid"]))
+        started = time.perf_counter()
+        for index in range(N_SESSIONS):
+            client.open(f"parked-{index}", "world", scenario="counter",
+                        seed=index)
+        park_seconds.append(time.perf_counter() - started)
+        crowded.append(_command_rates(session, hit["pid"]))
     table = client.sessions()
     parked_states = [row["state"] for row in table
                      if row["name"].startswith("parked-")]
 
-    crowded = _command_rates(client, "active")
     metrics = client.metrics()["snapshot"]
     client.shutdown()
     client.close()
     thread.join(10)
 
     return {
-        "alone": alone,
-        "crowded": crowded,
-        "park_seconds": park_seconds,
+        "alone": _median(alone),
+        "crowded": _median(crowded),
+        "park_seconds": min(park_seconds),
         "parked": len(parked_states),
         "dormant": sum(1 for state in parked_states if state == "dormant"),
         "materialized": metrics["service.sessions_materialized"],
@@ -133,7 +146,7 @@ def test_e18_service_load(benchmark, tmp_path):
 
     assert result["parked"] == N_SESSIONS
     assert result["dormant"] == N_SESSIONS  # parked fleet built no worlds
-    # Only the active session (and its reconnects) materialized a world.
+    # Only the active session materialized a world.
     assert result["materialized"] <= 2
     assert result["crowded"]["status"] > 0
     assert overhead < PARKED_OVERHEAD_CEILING, (

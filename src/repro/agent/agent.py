@@ -38,7 +38,8 @@ from repro.cvm import instructions as ops
 from repro.cvm.image import NodeImage
 from repro.cvm.instructions import Instr
 from repro.cvm.interp import BreakpointWait, VmExecutor
-from repro.cvm.values import CluRecord, default_print, printed_text, printop_for
+from repro.cvm.values import (CluRecord, CluRuntimeError, default_print, printed_text,
+                              printop_for)
 from repro.debugger.errors import AgentError
 from repro.mayflower.process import Process, ProcessState
 from repro.mayflower.syscalls import Cpu, Wait, receive
@@ -138,8 +139,8 @@ class PilgrimAgent:
     def _body(self):
         while True:
             request = yield from receive(self._queue)
-            if request is None:
-                continue
+            if request is None or "reply_to" not in request or "seq" not in request:
+                continue  # nowhere to answer: dropped, the agent serves on
             yield Cpu(self.params.agent_request_cost)
             response = yield from self._handle(request)
             self.requests_handled += 1
@@ -361,7 +362,10 @@ class PilgrimAgent:
         image = self.images.get(module)
         if image is None:
             raise AgentError(f"no image for module {module!r}")
-        return image.function(func).code
+        try:
+            return image.function(func).code
+        except CluRuntimeError as exc:  # an unknown procedure
+            raise AgentError(str(exc)) from None
 
     def _op_set_breakpoint(self, args: dict) -> dict:
         key = (args["module"], args["func"], args["pc"])

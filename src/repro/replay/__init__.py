@@ -7,8 +7,10 @@ stream; this package turns that stream into a first-class artifact:
   and persists a run (seed, params, fault plan, normalized events) as a
   versioned trace; :class:`Trace` loads one back;
 * :mod:`repro.replay.format` — the one on-disk format, a length-prefixed
-  binary container (events in columnar blocks of 4 096, int columns as
-  packed int64 and the rest as JSON, optional zlib framing) whose
+  binary container (version 5: events in columnar blocks of 4 096, int
+  columns packed at 1, 2, 4 or 8 bytes a cell and the rest as JSON,
+  checkpoint counts and node state as positional lists, optional zlib
+  framing) whose
   reader fails only with :class:`TraceFormatError`,
   plus the one-way JSONL export (``python -m repro.replay convert --to
   jsonl``);

@@ -85,6 +85,12 @@ METRIC_SOURCES = {
 }
 
 
+#: A node's entry in a checkpoint's raw ``state["nodes"]``: its fields,
+#: in the order a trace file stores its cells, and each cell's type.
+NODE_STATE = {"clock_delta": int, "clock_skew": int, "cpu_consumed": int,
+              "crashed": bool, "epoch": int, "name": str}
+
+
 def metric_counts(metrics) -> dict[str, int]:
     """The live values of every count the view tracks (absolute, since
     world birth, 0 for a series never created; callers subtract a base)."""

@@ -5,33 +5,45 @@ A trace is stored in one format, a length-prefixed binary container:
 * a 12-byte preamble: magic ``b"PILTRACE"``, format version (u16),
   flags (u16, bit 0 = zlib-framed body; any other bit is refused);
 * a record stream: ``kind`` byte + u32 payload length + payload.
-  Header, checkpoint, and footer payloads are one UTF-8 JSON object
-  each, carried as is.  Events are stored **columnar**, as memory holds
-  them (:class:`~repro.replay.trace.EventColumns`: per type, one column
-  per row cell; the writer slices each block's cells off them and the
-  reader appends a block's columns to them, packed ones as the
-  ``array('q')`` their bytes decode to): every run of
-  ``_BLOCK_EVENTS`` events (the last run shorter) is one ``KIND_EVENTS``
-  block.  Its payload is a u32 length, a JSON object of that length,
-  and the packed bytes the object names.  The object holds ``first``
-  (index of its first event; the rest are implied), ``types`` (its
-  table of ``[type name, [payload field names]]``), the equal-length
+  Header and footer payloads are one UTF-8 JSON object each, carried
+  as is.  Events are stored **columnar**, as memory holds them
+  (:class:`~repro.replay.trace.EventColumns`: per type, one column per
+  row cell; the writer slices each block's cells off them and the
+  reader appends a block's columns to them, packed ones as the array
+  their bytes decode to): every run of ``_BLOCK_EVENTS`` events (the
+  last run shorter) is one ``KIND_EVENTS`` block.  Its payload is a u32
+  length, a JSON object of that length, and the packed bytes the object
+  names.  The object holds ``first`` (index of its first event; the
+  rest are implied), ``events`` (how many it holds), ``types`` (its
+  table of ``[type name, [payload field names]]``), the ``events``-long
   header columns ``type`` (ids into that table) / ``t`` / ``node`` /
   ``seq`` in event order, ``cells`` (per table entry, one column per
-  row cell over that type's events) and ``checkpoints`` (below);
+  row cell over that type's events, as many cells as ``type`` holds
+  its id) and ``checkpoints`` (below);
 * one packing rule covers every column: a column whose every cell is an
   ``int`` (not a ``bool``) in the int64 range is stored as little-endian
-  int64 bytes, and the object holds its byte length in its place; any
-  other column is a JSON list.  The packed bytes follow the object in
-  the order it names them (``type``, ``t``, ``node``, ``seq``, then
+  signed ints at the narrowest of 1, 2, 4 or 8 bytes a cell that holds
+  every one of them (the block's own cells: a later block may be
+  wider), and the object holds its byte length in its place, so the
+  width is that length over the column's known cell count; any other
+  column is a JSON list.  The packed bytes follow the object in the
+  order it names them (``type``, ``t``, ``node``, ``seq``, then
   ``cells`` in table order), so the reader pays one ``json.loads`` over
-  names and strings and a few C-level passes per block, not a parse per
+  names and strings and a ``frombytes`` straight into ``array('b' | 'h'
+  | 'i' | 'q')`` per packed column, not a parse or a conversion per
   event or per integer.  Neither the normalized line nor the ``fields``
   dict is stored, and the law that licenses it is: a row survives the
   round trip unchanged (every cell is ``int | str | bool | None``, and
   only an all-``int`` column is packed), and the line, whose
   byte-identity is the replay contract, is a pure function of header,
   field names and row (:func:`repro.obs.recorder.render_line`);
+* a checkpoint record is one JSON object, ``index``, ``time``, ``state``
+  and ``view`` as :meth:`~repro.replay.checkpoint.Checkpoint.to_dict`
+  holds them, except that each node's ``state["nodes"]`` entry is a
+  list in :data:`~repro.replay.checkpoint.NODE_STATE` order and the
+  view's ``counts`` a list in ``METRIC_SOURCES`` order: the reader keys
+  the dicts it rebuilds with those constants, so a loaded trace holds
+  each field name once, not once per checkpoint;
 * a checkpoint sits after exactly ``index`` events.  One at index 0
   precedes the first block; any other follows the block holding event
   ``index - 1``, whose ``checkpoints`` lists ``index - first`` (each in
@@ -50,8 +62,9 @@ starts from),
 carrying the byte offset of the faulty record: file-relative for the
 preamble and frames, record-stream-relative once inside a compressed
 body.  The writer refuses (``ValueError``) a trace whose checkpoint
-indices do not ascend within its events, or whose columns hold
-anything but those scalars, one per cell of a row.
+indices do not ascend within its events, whose columns hold anything
+but those scalars, one per cell of a row, or whose checkpoints' counts
+or node states are not those fields, of those types.
 
 :func:`export_jsonl` renders the same records as one JSON object per
 line (one line per event, each checkpoint after exactly ``index`` of
@@ -71,9 +84,9 @@ from operator import itemgetter
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.recorder import row_layout
-from repro.replay.checkpoint import Checkpoint, share_unchanged
-from repro.replay.trace import (_BLOCK_EVENTS, TRACE_VERSION, EventColumns, Trace,
-                                grow_column, pack_column)
+from repro.replay.checkpoint import METRIC_SOURCES, NODE_STATE, Checkpoint, share_unchanged
+from repro.replay.trace import (_BLOCK_EVENTS, INT_WIDTHS, TRACE_VERSION, EventColumns,
+                                Trace, grow_column, pack_column)
 
 __all__ = [
     "BINARY_VERSION",
@@ -85,7 +98,7 @@ __all__ = [
 ]
 
 MAGIC = b"PILTRACE"
-BINARY_VERSION = 4
+BINARY_VERSION = 5
 
 #: Preamble: magic + version (u16) + flags (u16).
 _PREAMBLE = struct.Struct("<8sHH")
@@ -106,8 +119,8 @@ KIND_FOOTER = 4
 #: Writer chunking for the zlib-framed body; the reader refuses a frame
 #: that declares, or inflates to, more.
 _FRAME_RAW_SIZE = 1 << 18
-#: A packed column's cells: int64, little-endian on disk.
-_PACKED = "q"
+#: A packed column's typecode by its bytes per cell (little-endian on disk).
+_TYPECODES = {array(code).itemsize: code for code, _ in INT_WIDTHS}
 _SWAP = sys.byteorder == "big"
 
 #: A block's header columns and the exact cell types each admits:
@@ -116,13 +129,16 @@ _COLUMNS = {"type": {int}, "t": {int}, "node": {int, type(None)},
             "seq": {int}}
 #: What a row cell may be.
 _SCALARS = {int, str, bool, type(None)}
-_BLOCK_KEYS = {"first", "types", "cells", "checkpoints", *_COLUMNS}
+_BLOCK_KEYS = {"first", "events", "types", "cells", "checkpoints", *_COLUMNS}
 #: What a checkpoint record and its view hold (see
 #: :class:`~repro.replay.checkpoint.StateView`).
 _CHECKPOINT_KEYS = {"index", "time", "state", "view"}
 _VIEW_KEYS = {"time", "processes", "halted", "in_flight", "epochs", "counts"}
 _PROCESS_KEYS = frozenset({"name", "priority"})
 _PROCESS_RECORD = itemgetter("name", "priority")
+#: A node's raw state as a file stores it: its cells in field order.
+_NODE_RECORD = itemgetter(*NODE_STATE)
+_NODE_TYPES = tuple(NODE_STATE.values())
 
 
 class TraceFormatError(ValueError):
@@ -170,7 +186,7 @@ def _stored(column, packed: list[bytes]):
     if type(column) is not array:
         return column if set(map(type, column)) <= _SCALARS else None
     if _SWAP:
-        column = array(_PACKED, column)
+        column = array(column.typecode, column)
         column.byteswap()
     packed.append(column.tobytes())
     return len(packed[-1])
@@ -191,7 +207,7 @@ def _block(events: EventColumns, run: range, offsets: list[int],
     for at, code in enumerate(codes):
         local[code] = at
     packed: list[bytes] = []
-    block = {"first": run.start, "checkpoints": offsets,
+    block = {"first": run.start, "events": len(run), "checkpoints": offsets,
              "types": [[name, list(events.schema[code])] for name, code in zip(names, codes)]}
     for name, column in zip(_COLUMNS, (list(kinds.translate(local)), events.times[span],
                                        events.nodes[span], events.seqs[span])):
@@ -266,7 +282,7 @@ def write_binary(trace: Trace, path, compress: bool = True) -> None:
             record(KIND_EVENTS, *_block(events, run, [
                 index - run.start for index in indices[placed:upto]], done))
         for checkpoint in trace.checkpoints[placed:upto]:
-            record(KIND_CHECKPOINT, _json(checkpoint.to_dict()))
+            record(KIND_CHECKPOINT, _json(_checkpoint_record(checkpoint)))
         placed = upto
     record(KIND_FOOTER, _json(trace.footer))
     if pending:
@@ -410,22 +426,28 @@ class _Packed:
     def __init__(self, data: memoryview):
         self.data, self.pos = data, 0
 
-    def column(self, stored):
+    def column(self, stored, cells: int):
         """For a byte length, the next that many packed bytes decoded as
-        an ``array('q')`` (``ValueError`` unless they are within what is
-        left, and, from ``frombytes``, whole cells); anything else as is,
-        for the caller to check as a JSON column."""
+        ``cells`` little-endian ints of the width they divide into
+        (``ValueError`` unless they are within what is left and 1, 2, 4
+        or 8 bytes a cell); anything else as is, for the caller to check
+        as a JSON column."""
         if type(stored) is not int:
             return stored
         left = len(self.data) - self.pos
         if not 0 <= stored <= left:
             raise ValueError(f"a packed column of {stored} bytes with {left} left")
-        cells = array(_PACKED)
-        cells.frombytes(self.data[self.pos:self.pos + stored])
+        # No cells take no bytes (a type listed with no events here).
+        width, spare = divmod(stored, cells) if cells else (1, stored)
+        if spare or width not in _TYPECODES:
+            raise ValueError(f"a packed column of {stored} bytes is not {cells} "
+                             f"cells of 1, 2, 4 or 8 bytes")
+        column = array(_TYPECODES[width])
+        column.frombytes(self.data[self.pos:self.pos + stored])
         if _SWAP:
-            cells.byteswap()
+            column.byteswap()
         self.pos += stored
-        return cells
+        return column
 
     def finish(self) -> None:
         """Refuse packed bytes that no column named."""
@@ -451,32 +473,38 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
     C-level pass over a whole column; nothing runs Python per event."""
     if block.keys() != _BLOCK_KEYS:
         raise ValueError(f"keys {sorted(block)} are not the block's columns")
+    size = block["events"]
+    if type(size) is not int or size < 1:
+        raise ValueError(f"'events' is {size!r}, not a count of events")
     unpack = _Packed(packed)
     header = []
     for name, admitted in _COLUMNS.items():
-        column = unpack.column(block[name])
+        column = unpack.column(block[name], size)
         if type(column) not in (list, array) or (column is block[name]
                                                  and not set(map(type, column)) <= admitted):
             kinds = "/".join(sorted(cell.__name__ for cell in admitted))
             raise ValueError(f"{name!r} is neither a packed length nor a list of {kinds}")
         header.append(column)
     ids, times, nodes, seqs = header
-    if not ids or {len(times), len(nodes), len(seqs)} != {len(ids)}:
-        raise ValueError("columns are empty or of unequal lengths")
+    if {len(ids), len(times), len(nodes), len(seqs)} != {size}:
+        raise ValueError(f"header columns are not {size} cells long")
     table, cells = block["types"], block["cells"]
     if not (_is_column(table, {list}) and _is_column(cells, {list})
             and len(table) == len(cells)):
         raise ValueError("'types' and 'cells' are not lists of lists, one entry per type")
     if not 0 <= min(ids) <= max(ids) < len(table):
         raise ValueError("type id outside the block's 'types' table")
+    # One byte an id (iterated: a packed column's buffer is its raw
+    # cells), so counting and translating them are C-level scans.
+    ids = bytes(iter(ids))
     first, offsets = block["first"], block["checkpoints"]
     if type(first) is not int or first != len(events):
         raise ValueError(f"'first' is {first!r} after {len(events)} events")
     if not (_is_column(offsets, {int}) and offsets == sorted(offsets)
-            and (not offsets or 0 < offsets[0] and offsets[-1] <= len(ids))):
+            and (not offsets or 0 < offsets[0] and offsets[-1] <= size)):
         raise ValueError(f"'checkpoints' {offsets!r} are not ascending offsets "
-                         f"in 1..{len(ids)}")
-    codes, feeds, grown, rows = [], [], [], 0
+                         f"in 1..{size}")
+    codes, feeds, grown = [], [], []
     for k, (entry, own) in enumerate(zip(table, cells)):
         if not (len(entry) == 2 and type(entry[0]) is str and _is_column(entry[1], {str})):
             raise ValueError(f"'types' entry {k} is not [name, [field names]]")
@@ -487,13 +515,11 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
         width = len(events.cells[code])
         if len(own) != width:
             raise ValueError(f"{kind} rows are not stored as {width} columns")
-        # A type's rows: as many as its first column holds (a type with
-        # no cells has one empty row per event of it).
-        count = None if own else ids.count(k)
+        # A type's rows: one per event of it (so each column's width
+        # follows from its byte length).
+        count = ids.count(k)
         for at, stored in enumerate(own):
-            column = unpack.column(stored)
-            if count is None and type(column) in (list, array):
-                count = len(column)
+            column = unpack.column(stored, count)
             if not (type(column) in (list, array) and len(column) == count):
                 raise ValueError(f"{kind} column {at} is not one cell per {kind} event")
             if column is stored:
@@ -506,18 +532,9 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
         # This block's rows of the type follow the ones already held.
         feeds.append(iter(range(events.sizes[code], events.sizes[code] + count)))
         grown.append((code, own, count))
-        rows += count
     unpack.finish()
-    if rows != len(ids):
-        raise ValueError(f"the columns hold {rows} rows for {len(ids)} events")
-    # As many slots as events, so a type whose ids outnumber its rows
-    # runs dry here (ending the deal early) and one with rows to spare
-    # means another ran dry: one length check makes every count exact.
-    slots = array("I", map(next, map(feeds.__getitem__, ids)))
-    if len(slots) != len(ids):
-        raise ValueError("a type's events outnumber its rows")
-    events.kinds += bytes(map(codes.__getitem__, ids))
-    events.slots += slots
+    events.kinds += ids.translate(bytes(codes).ljust(256, b"\0"))
+    events.slots += array("I", map(next, map(feeds.__getitem__, ids)))
     events.times = grow_column(events.times, times)
     events.nodes += nodes
     events.seqs = grow_column(events.seqs, seqs)
@@ -527,36 +544,89 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
     return [first + offset for offset in offsets]
 
 
+def _node_cells_fit(cells) -> bool:
+    """Whether a node's raw state cells are :data:`NODE_STATE`'s, in order."""
+    return tuple(map(type, cells)) == _NODE_TYPES
+
+
+def _node_state(cells: list) -> dict:
+    """A node's raw state from its stored cells, its name interned (one
+    string per node, not per checkpoint)."""
+    state = dict(zip(NODE_STATE, cells))
+    state["name"] = sys.intern(state["name"])
+    return state
+
+
+def _checkpoint_record(checkpoint: Checkpoint) -> dict:
+    """``checkpoint`` as its record stores it: each node's raw state as
+    a list in :data:`~repro.replay.checkpoint.NODE_STATE` order and the
+    view's counts as a list in ``METRIC_SOURCES`` order, refused
+    (``ValueError``) unless they hold exactly those fields, of those
+    types."""
+    data = checkpoint.to_dict()
+    state, view = data["state"], data["view"]
+    counts = view["counts"]
+    if counts.keys() != METRIC_SOURCES.keys() or set(map(type, counts.values())) - {int}:
+        raise ValueError(f"checkpoint {checkpoint.index}'s counts are not an int "
+                         f"for each of {list(METRIC_SOURCES)}")
+    data["view"] = dict(view, counts=[counts[key] for key in METRIC_SOURCES])
+    if "nodes" in state:
+        entries = state["nodes"].values()
+        if not all(type(entry) is dict and entry.keys() == NODE_STATE.keys()
+                   and _node_cells_fit(_NODE_RECORD(entry)) for entry in entries):
+            raise ValueError(f"checkpoint {checkpoint.index}'s node state is not "
+                             f"{list(NODE_STATE)} of {[t.__name__ for t in _NODE_TYPES]}")
+        data["state"] = dict(state, nodes={node: list(_NODE_RECORD(entry))
+                                           for node, entry in state["nodes"].items()})
+    return data
+
+
 def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
     """Rebuild one checkpoint record, refusing (``ValueError``) any shape
     a :class:`~repro.replay.checkpoint.StateView` fold cannot start
     from: node -> pid -> ``{name, priority}`` processes, node -> int
-    lists of halted pids and in-flight calls, int epochs and counts.
-    A ``{name, priority}`` record (a str or int each, so a ``bool`` is
-    not taken for an ``int``) equal to one in ``shared`` (the
-    trace's earlier checkpoints) is replaced by it: folds never mutate
-    one (see :meth:`~repro.replay.checkpoint.StateView.copy`).  A few
-    C-level passes per table, no Python per entry."""
-    view = data.get("view")
+    lists of halted pids and in-flight calls, int epochs, and counts and
+    each node's raw state as the lists :func:`_checkpoint_record` writes.
+    Those lists come back as dicts keyed by the module's own field names
+    (state keys and node ids interned), so a loaded trace holds each key
+    once, not once per checkpoint.  A ``{name, priority}`` record (a str
+    or int each, so a ``bool`` is not taken for an ``int``) equal to one
+    in ``shared`` (the trace's earlier checkpoints) is replaced by it:
+    folds never mutate one (see
+    :meth:`~repro.replay.checkpoint.StateView.copy`).  A few C-level
+    passes per table, no Python per entry but a call per node's state."""
+    view, state = data.get("view"), data.get("state")
     if not (data.keys() == _CHECKPOINT_KEYS and type(data["index"]) is int
-            and type(data["time"]) is int and type(data["state"]) is dict
+            and type(data["time"]) is int and type(state) is dict
             and type(view) is dict and view.keys() == _VIEW_KEYS
             and type(view["time"]) is int):
         raise ValueError("not {index: int, time: int, state: {}, view: {time: int, ...}}")
-    tables = processes, halted, in_flight, epochs, counts = (
-        view["processes"], view["halted"], view["in_flight"], view["epochs"], view["counts"])
+    tables = processes, halted, in_flight, epochs = (
+        view["processes"], view["halted"], view["in_flight"], view["epochs"])
     if not (set(map(type, tables)) == {dict}
             and set(map(type, processes.values())) <= {dict}
             and set(map(type, chain(halted.values(), in_flight.values()))) <= {list}):
         raise ValueError("view tables are not node -> object / list")
     entries = [*chain.from_iterable(map(dict.values, processes.values()))]
-    ints = chain(epochs.values(), counts.values(), *halted.values(), *in_flight.values())
+    ints = chain(epochs.values(), *halted.values(), *in_flight.values())
     if not (set(map(type, entries)) <= {dict}
             and set(map(frozenset, entries)) <= {_PROCESS_KEYS}
             and set(map(type, chain.from_iterable(map(_PROCESS_RECORD, entries))))
             <= {str, int} and set(map(type, ints)) <= {int}):
         raise ValueError("view processes are not {name, priority}, or an epoch, "
-                         "count, pid or call id is not an int")
+                         "pid or call id is not an int")
+    counts = view["counts"]
+    if not (type(counts) is list and len(counts) == len(METRIC_SOURCES)
+            and set(map(type, counts)) <= {int}):
+        raise ValueError(f"view counts are not {len(METRIC_SOURCES)} ints")
+    view["counts"] = dict(zip(METRIC_SOURCES, counts))
+    if "nodes" in state:
+        nodes = state["nodes"]
+        if not (type(nodes) is dict and set(map(type, nodes.values())) <= {list}
+                and all(map(_node_cells_fit, nodes.values()))):
+            raise ValueError(f"node state is not node -> {[t.__name__ for t in _NODE_TYPES]}")
+        state["nodes"] = dict(zip(map(sys.intern, nodes), map(_node_state, nodes.values())))
+    data["state"] = dict(zip(map(sys.intern, state), state.values()))
     for table in processes.values():
         table.update(list(zip(table, map(shared.setdefault, map(
             _PROCESS_RECORD, table.values()), table.values()))))

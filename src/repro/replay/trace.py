@@ -13,8 +13,8 @@ container of :mod:`repro.replay.format` (:meth:`Trace.save` /
   per event type, one column per cell of its rows of scalars
   (:func:`~repro.obs.recorder.encode_row`: packet ids rebased to
   first-seen order, processes reduced to pid/name), int columns packed
-  as ``array('q')``; a row, the ``fields`` dict and the text ``line``
-  are built on access;
+  as arrays of the narrowest of 1, 2, 4 or 8 bytes a cell; a row, the
+  ``fields`` dict and the text ``line`` are built on access;
 * interleaved **checkpoint** lines (see :mod:`repro.replay.checkpoint`);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
@@ -91,29 +91,54 @@ SAFE_CHECKPOINT_EVENTS = frozenset({
 })
 
 
+#: The typecodes an all-``int`` column is held in, narrowest first, each
+#: with the bound its cells stay within: ``-bound <= cell < bound``.
+INT_WIDTHS = (("b", 1 << 7), ("h", 1 << 15), ("i", 1 << 31), ("q", 1 << 63))
+
+
 def pack_column(cells) -> "array | list":
-    """``cells`` as a column holds them: an ``array('q')`` when every one
-    is an ``int`` (not a ``bool``) in the int64 range, else a list.  An
-    array is returned as it is; the first cell rules most other columns
-    out before anything is built."""
+    """``cells`` as a column holds them: when every one is an ``int`` (not
+    a ``bool``) in the int64 range, an array of the narrowest typecode of
+    :data:`INT_WIDTHS` that holds them all, else a list.  An array comes
+    back as it is unless a narrower typecode holds it (the writer packs a
+    block's slice of a held column); the first cell rules most other
+    columns out before anything is built."""
     if type(cells) is array:
-        return cells
+        if cells.itemsize == 1 or not cells:
+            return cells
+        low, high = min(cells), max(cells)
+        code = next(code for code, bound in INT_WIDTHS if -bound <= low and high < bound)
+        return cells if code == cells.typecode else array(code, cells)
     if cells and type(cells[0]) is not int:
         return list(cells)
-    try:
-        packed = array("q", cells)
-    except (TypeError, OverflowError):
-        return list(cells)
-    return packed if set(map(type, cells)) <= {int} else list(cells)
+    # Widths are tried narrowest first: one too narrow fails at its first
+    # cell out of range, so most columns cost a pass or two.
+    for code, _ in INT_WIDTHS:
+        try:
+            packed = array(code, cells)
+        except OverflowError:
+            continue
+        except TypeError:  # an int beside a None or a str
+            break
+        if set(map(type, cells)) <= {int}:
+            return packed
+        break
+    return list(cells)
 
 
 def grow_column(column, more):
     """``column`` extended by ``more`` (``more`` itself when ``column`` is
-    empty): an array while both are arrays, else a list."""
+    empty): an array while both are arrays, as wide as the wider of the
+    two, else a list."""
     if not column:
         return more
-    if type(column) is array and type(more) is not array:
-        column = column.tolist()
+    if type(column) is array:
+        if type(more) is not array:
+            column = column.tolist()
+        elif more.itemsize > column.itemsize:
+            column = array(more.typecode, column)
+        elif more.itemsize < column.itemsize:
+            more = array(column.typecode, more)
     column.extend(more)
     return column
 
@@ -180,9 +205,12 @@ class EventColumns(Sequence):
     trace: its payload field names (``schema``) and each name's first
     cell in a row (``places``); and ``cells``, one column per row cell,
     ``sizes[id]`` cells long.  A column whose every cell is an ``int``
-    in the int64 range is an ``array('q')``, as the file packs it
-    (``times`` and ``seqs`` too); any other is a list (``()`` until the
-    type has an event).
+    in the int64 range is an array of the narrowest of ``'b'``, ``'h'``,
+    ``'i'`` and ``'q'`` that holds them all, as the file packs it
+    (``times`` and ``seqs`` too; :func:`pack_column` picks the width as
+    a block settles, a loaded block's comes from the file, and
+    :func:`grow_column` widens what is held when a later block needs
+    more); any other is a list (``()`` until the type has an event).
 
     A run's :class:`EventStream` stages at most one block: times and
     seqs in lists (an int appended to an array costs 7 times as much),

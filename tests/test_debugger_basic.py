@@ -420,3 +420,37 @@ def test_a_connect_without_a_session_is_answered_and_the_agent_survives():
     assert agent.process.is_live()
     assert dbg.connect("app")[0]["name"] == "app"
     assert dbg.processes("app")
+
+
+@pytest.mark.parametrize("missing", ["reply_to", "seq"])
+def test_a_request_with_nowhere_to_answer_is_dropped_and_the_agent_serves_on(missing):
+    """A request packet without ``reply_to`` or ``seq`` cannot be answered:
+    the agent drops it (handling nothing) and answers the next one."""
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    agent = cluster.node("app").agent
+    handled = agent.requests_handled
+    request = {"kind": "request", "session": dbg.session_id, "seq": 999,
+               "op": rq.LIST_PROCESSES, "args": {}, "reply_to": dbg.home.node_id}
+    del request[missing]
+    dbg.home.station.send(cluster.node("app").node_id, rq.AGENT_PORT, request,
+                          kind="agent_request")
+    cluster.world.run(until=cluster.world.now + 100 * MS)
+    assert agent.process.is_live()
+    assert agent.requests_handled == handled
+    assert [p["pid"] for p in dbg.processes("app")]
+    assert agent.requests_handled == handled + 1
+
+
+def test_a_breakpoint_in_an_unknown_procedure_is_refused():
+    """An unknown procedure is a refusal, answered as a pc out of range
+    is, not an agent fault."""
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    with pytest.raises(AgentError) as refused:
+        dbg.set_breakpoint("app", "app", func="nope")
+    assert str(refused.value) == "unknown procedure 'nope'"
+    with pytest.raises(AgentError) as refused:
+        dbg.set_breakpoint("app", "app", func="main", pc=10 ** 6)
+    assert str(refused.value) == f"pc {10 ** 6} out of range"
+    assert dbg.processes("app")

@@ -12,6 +12,7 @@ import gc
 import itertools
 import json
 import math
+import operator
 import random
 import struct
 import tracemalloc
@@ -32,7 +33,8 @@ from repro.obs.recorder import PARTS, row_layout
 from repro.replay import TRACE_VERSION, TimeTravel, Trace, TraceFormatError
 from repro.replay import format as trace_format
 from repro.replay import trace as trace_module
-from repro.replay.checkpoint import Checkpoint, StateView, empty_view
+from repro.replay.checkpoint import (METRIC_SOURCES, NODE_STATE, Checkpoint, StateView,
+                                     empty_view)
 from repro.replay.cli import main as replay_cli
 from repro.replay.format import (
     BINARY_VERSION,
@@ -98,6 +100,25 @@ def test_binary_round_trip_is_lossless(trace, tmp_path, compress):
         [c.to_dict() for c in trace.checkpoints]
 
 
+def test_a_loaded_trace_holds_each_checkpoint_key_once(tmp_path):
+    """Checkpoint records store counts and node state as lists, and the
+    reader keys the dicts it builds from them with the module's own field
+    names: every state, node-state and count key of a loaded trace is one
+    object however many checkpoints hold it (a JSON parse makes a copy
+    of each per record)."""
+    loaded = Trace.load(GOLDEN_BINARY_PATH)
+    again = Trace.load(GOLDEN_BINARY_PATH)
+    assert len(loaded.checkpoints) > 5
+    keys = [key for trace in (loaded, again) for checkpoint in trace.checkpoints
+            for key in itertools.chain(checkpoint.state, checkpoint.state["nodes"],
+                             *checkpoint.state["nodes"].values(), checkpoint.view.counts)]
+    assert len(set(map(id, keys))) == len(set(keys))
+    for checkpoint in loaded.checkpoints:
+        assert all(map(operator.is_, checkpoint.view.counts, METRIC_SOURCES))
+        for state in checkpoint.state["nodes"].values():
+            assert all(map(operator.is_, state, NODE_STATE))
+
+
 def file_records(path):
     """``(kind, payload)`` of every record of the raw container at ``path``."""
     return [(kind, bytes(payload)) for kind, payload, _ in
@@ -115,22 +136,31 @@ def stored_block(payload: bytes) -> tuple[dict, bytes]:
     return json.loads(payload[4:4 + length]), payload[4 + length:]
 
 
+#: A packed cell's ``struct`` code by its width in bytes.
+STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
 def decode_block(payload: bytes) -> dict:
     """A block record as one JSON object with every column a list: the
     format read independently of the reader (u32 JSON length, JSON, then
-    each packed column's little-endian int64 cells in column order)."""
+    each packed column's little-endian cells in column order, as many
+    bytes a cell as its byte length over its cells: ``events`` for a
+    header column, its type's events for a row cell)."""
     block, packed = stored_block(payload)
 
-    def unpack(stored):
+    def unpack(stored, cells):
         nonlocal packed
         if type(stored) is not int:
             return stored
-        cells = list(struct.unpack(f"<{stored // 8}q", packed[:stored]))
+        code = STRUCT_CODES[stored // cells]
+        assert stored == cells * struct.calcsize(f"<{code}")
+        column = list(struct.unpack(f"<{cells}{code}", packed[:stored]))
         packed = packed[stored:]
-        return cells
+        return column
     for name in HEADER_COLUMNS:
-        block[name] = unpack(block[name])
-    block["cells"] = [[unpack(column) for column in own] for own in block["cells"]]
+        block[name] = unpack(block[name], block["events"])
+    block["cells"] = [[unpack(column, block["type"].count(k)) for column in own]
+                      for k, own in enumerate(block["cells"])]
     assert not packed
     return block
 
@@ -176,10 +206,17 @@ def test_long_event_runs_split_into_capped_blocks(tmp_path, monkeypatch):
         assert Trace.load(path).events == trace.events
 
 
+def narrowest(cells) -> int:
+    """The fewest of 1, 2, 4 or 8 bytes a cell that hold every int in ``cells``."""
+    return next(width for width in STRUCT_CODES
+                if -(1 << 8 * width - 1) <= min(cells) and max(cells) < 1 << 8 * width - 1)
+
+
 def test_int_columns_are_packed_and_others_stay_json(tmp_path):
     """One packing rule for header columns and cells: all-``int`` columns
-    are int64 bytes named by length, anything else (the golden's
-    ``node`` column holds ``None``s) a JSON list."""
+    are stored at the narrowest of 1, 2, 4 or 8 bytes a cell that holds
+    them, named by byte length, anything else (the golden's ``node``
+    column holds ``None``s) a JSON list."""
     path = tmp_path / "t.trace.bin"
     write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
     for kind, payload in file_records(path):
@@ -193,12 +230,57 @@ def test_int_columns_are_packed_and_others_stay_json(tmp_path):
         total = 0
         for raw, cells in columns:
             if set(map(type, cells)) == {int}:
-                assert raw == 8 * len(cells)
+                assert raw == narrowest(cells) * len(cells)
                 total += raw
             else:
                 assert raw == cells
         assert len(packed) == total
         assert [type(stored[name]) for name in HEADER_COLUMNS] == [int, int, list, int]
+
+
+#: Where each packed width ends: the last int it holds and the first it
+#: does not, on either side, and the ends of int64.
+_WIDTH_EDGES = sorted({edge for bound in (1 << 7, 1 << 15, 1 << 31)
+                       for edge in (bound - 1, bound, -bound, -bound - 1)}
+                      | {0, -(1 << 63), (1 << 63) - 1})
+
+
+@given(values=st.lists(st.sampled_from(_WIDTH_EDGES), min_size=1, max_size=24),
+       cap=st.integers(1, 8), compress=st.booleans())
+@example(values=[0, 127, 128, -32769, (1 << 31) - 1, -(1 << 63)], cap=1, compress=False)
+@settings(max_examples=150, deadline=None)
+def test_int_columns_load_at_the_narrowest_width_that_holds_them(
+        tmp_path_factory, values, cap, compress):
+    """Every int column round-trips at each width's edges, each block
+    stores it at the narrowest width its own cells need, and the loaded
+    column is an array of the narrowest typecode holding every cell, so
+    a column that a later block widens is held at the wider width.  The
+    example widens ``value`` (rising edges, a block each) at every block."""
+    rising = sorted(values, key=abs)
+    events = [TraceEvent.of(i, "Tick", value, None, rising[-1 - i],
+                            {"value": rising[i], "spread": value})
+              for i, value in enumerate(values)]
+    path = tmp_path_factory.mktemp("widths") / "t.trace.bin"
+    with mock.patch.object(trace_format, "_BLOCK_EVENTS", cap):
+        write_binary(Trace({"version": TRACE_VERSION}, events,
+                           [Checkpoint(index=0, time=0, state={}, view=empty_view([0]))],
+                           {"events": len(events)}), path, compress=compress)
+    loaded = Trace.load(path)
+    assert loaded.events == events
+    columns = {"t": values, "seq": rising[::-1], "value": rising, "spread": values}
+    held = dict(zip(columns, [loaded.events.times, loaded.events.seqs,
+                              *loaded.events.cells[loaded.events.ids["Tick"]]]))
+    for name, cells in columns.items():
+        assert type(held[name]) is array, name
+        assert held[name].itemsize == narrowest(cells), name
+    if not compress:
+        for kind, payload in file_records(path):
+            if kind == KIND_EVENTS:
+                stored, decoded = stored_block(payload)[0], decode_block(payload)
+                for name, column in (("t", "t"), ("seq", "seq")):
+                    assert stored[name] == narrowest(decoded[column]) * len(decoded[column])
+                for raw, cells in zip(stored["cells"][0], decoded["cells"][0]):
+                    assert raw == narrowest(cells) * len(cells)
 
 
 #: Text that has broken line- or byte-oriented decoders before: line
@@ -330,6 +412,16 @@ def test_writer_refuses_what_the_reader_would(trace, tmp_path):
         set_row_cell(unstorable.events, 3, 0, bad)
         with pytest.raises(ValueError, match="not one int, str, bool or None"):
             unstorable.save(path)
+    # Checkpoints store counts and node state by position: a field more
+    # or less, or a cell of another type, has no place in the record.
+    for edit in (lambda c: c.view.counts.pop("rpc_failed"),
+                 lambda c: c.view.counts.update(extra=1),
+                 lambda c: c.state["nodes"]["0"].pop("cpu_consumed"),
+                 lambda c: c.state["nodes"]["0"].update(crashed=0)):
+        unpositioned = copy.deepcopy(trace)
+        edit(unpositioned.checkpoints[-1])
+        with pytest.raises(ValueError, match="counts are not|node state is not"):
+            unpositioned.save(path)
     # Event 3's row one cell longer: a column of its type holding that cell only.
     ragged = copy.deepcopy(trace)
     ragged.events.cells[ragged.events.kinds[3]].append([0])
@@ -428,11 +520,12 @@ def test_bad_magic_raises_at_offset_zero(trace, tmp_path):
     assert "magic" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 999], ids=["v1", "v2", "v3", "v999"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 999], ids=["v1", "v2", "v3", "v4", "v999"])
 def test_unknown_format_version_raises(trace, tmp_path, version):
     # Versions 1 (per-event records), 2 (fields and lines stored per
-    # event) and 3 (every column JSON, a block cut at every checkpoint)
-    # have no read path: same refusal, and nothing else.
+    # event), 3 (every column JSON, a block cut at every checkpoint) and
+    # 4 (int columns as int64, checkpoint counts and node state as
+    # objects) have no read path: same refusal, and nothing else.
     path, blob = binary_bytes(trace, tmp_path)
     bad = MAGIC + struct.pack("<HH", version, 0) + blob[_PREAMBLE.size:]
     path.write_bytes(bad)
@@ -769,6 +862,19 @@ def packed_length_not_whole_cells(records):
     return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
 
 
+def packed_width(width):
+    """A mutation storing the second block's ``t`` column at ``width``
+    bytes a cell, its byte length saying so and the bytes after it kept."""
+    def mutate(records):
+        def edit(stored, packed):
+            start, end = stored["type"], stored["type"] + stored["t"]
+            stored["t"] = width * stored["events"]
+            return packed[:start] + bytes(stored["t"]) + packed[end:]
+        return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
+    mutate.__name__ = f"packed_width_{width}"
+    return mutate
+
+
 def packed_length_is_a_bool(records):
     def edit(stored, packed):
         stored["type"] = True
@@ -912,6 +1018,40 @@ def checkpoint_in_flight_call_is_a_string(checkpoint):
     checkpoint["view"]["in_flight"]["0"] = ["4"]
 
 
+@checkpoint_edit
+def checkpoint_counts_one_short(checkpoint):
+    assert len(checkpoint["view"]["counts"]) == len(METRIC_SOURCES)
+    checkpoint["view"]["counts"].pop()
+
+
+@checkpoint_edit
+def checkpoint_count_is_a_bool(checkpoint):
+    checkpoint["view"]["counts"][0] = True
+
+
+@checkpoint_edit
+def checkpoint_counts_as_an_object(checkpoint):
+    checkpoint["view"]["counts"] = dict(zip(METRIC_SOURCES, checkpoint["view"]["counts"]))
+
+
+@checkpoint_edit
+def checkpoint_node_state_one_short(checkpoint):
+    checkpoint["state"]["nodes"]["0"].pop()
+
+
+@checkpoint_edit
+def checkpoint_node_crashed_is_an_int(checkpoint):
+    cells = checkpoint["state"]["nodes"]["0"]
+    assert cells[list(NODE_STATE).index("crashed")] is False
+    cells[list(NODE_STATE).index("crashed")] = 0
+
+
+@checkpoint_edit
+def checkpoint_node_state_as_an_object(checkpoint):
+    nodes = checkpoint["state"]["nodes"]
+    nodes["0"] = dict(zip(NODE_STATE, nodes["0"]))
+
+
 def header_is_a_list(records):
     at = nth_of(records, KIND_HEADER)
     records[at][1] = b"[1]"
@@ -926,6 +1066,7 @@ def last_five_events_dropped(records):
                 column.pop()
         for column in HEADER_COLUMNS:
             del block[column][-5:]
+        block["events"] -= 5
     assert records[-2][0] == KIND_EVENTS  # no checkpoint after it
     edit_json(records, len(records) - 2, edit)
     return len(records) - 1  # the footer, whose count no longer holds
@@ -959,7 +1100,8 @@ def checkpoint_zero_dropped(records):
     first_is_a_float, bad_utf8_in_block,
     block_nested_past_the_recursion_limit, packed_run_short,
     packed_length_past_the_record, packed_length_not_whole_cells,
-    packed_length_is_a_bool, packed_bytes_no_column_names,
+    packed_length_is_a_bool, packed_width(3), packed_width(16),
+    packed_bytes_no_column_names,
     json_length_overruns_the_block, block_shorter_than_its_json_length,
     checkpoint_offsets_descend, checkpoint_offset_zero,
     checkpoint_offset_past_the_block, checkpoint_offset_is_a_bool,
@@ -969,7 +1111,10 @@ def checkpoint_zero_dropped(records):
     checkpoint_view_time_is_null, checkpoint_counts_is_a_list,
     checkpoint_state_is_a_number, checkpoint_process_is_a_name,
     checkpoint_process_lacks_its_priority,
-    checkpoint_in_flight_call_is_a_string, header_is_a_list,
+    checkpoint_in_flight_call_is_a_string, checkpoint_counts_one_short,
+    checkpoint_count_is_a_bool, checkpoint_counts_as_an_object,
+    checkpoint_node_state_one_short, checkpoint_node_crashed_is_an_int,
+    checkpoint_node_state_as_an_object, header_is_a_list,
     last_five_events_dropped, every_checkpoint_dropped, checkpoint_zero_dropped,
 ], ids=lambda fn: fn.__name__)
 def test_mutated_record_raises_typed_error_at_its_offset(
@@ -1245,11 +1390,12 @@ def traced(call):
 def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
     """The fence that keeps a "convenience" dict (or a stored line, or a
     row tuple) per event from coming back: a loaded trace, checkpoints
-    included, is under 142 bytes an event (a payload dict plus its line
-    was ~940, a row tuple per event ~280; its columns, with checkpoints
-    sharing the tables that repeat, measure ~118), and
+    included, is under 90 bytes an event (a payload dict plus its line
+    was ~940, a row tuple per event ~280, int64 columns and checkpoints
+    keyed per record ~118; narrow columns and positional checkpoint
+    records measure ~75), and
     loading it peaks at no more than 402 bytes an event (what loading
-    rows peaked at; the columns and a streamed body measure ~301)."""
+    rows peaked at; the columns and a streamed body measure ~239)."""
     path = tmp_path / "echo.trace.bin"
     recorded = echo_recording()
     recorded.save(path)
@@ -1258,16 +1404,17 @@ def test_a_loaded_trace_holds_a_row_per_event_not_a_dict(tmp_path):
     del recorded
     loaded, held, peak = traced(lambda: Trace.load(path))
     assert len(loaded.events) == events
-    assert held / events <= 142
+    assert held / events <= 90
     assert peak / events <= 402
 
 
 def test_finish_returns_a_trace_under_400_bytes_an_event():
     # Traced around the whole recording: what is still held afterwards is
     # the trace (the cluster it came from is garbage by then).  Its
-    # columns and checkpoints measure ~106 bytes an event.
+    # columns and checkpoints measure ~77 bytes an event (~106 with
+    # int64 columns).
     trace, held, _ = traced(echo_recording)
-    assert held / len(trace.events) <= 128
+    assert held / len(trace.events) <= 92
 
 
 # ----------------------------------------------------------------------
@@ -1336,8 +1483,10 @@ def streamed(emissions, block: int):
 
 
 def exactly(column) -> tuple:
-    """A column's type and its cells with theirs (``True`` is not ``1``)."""
-    return type(column), [(type(cell), cell) for cell in column]
+    """A column's type (an array's typecode too) and its cells with
+    theirs (``True`` is not ``1``)."""
+    return (type(column), getattr(column, "typecode", None),
+            [(type(cell), cell) for cell in column])
 
 
 def file_bytes(events, path) -> bytes:
@@ -1365,7 +1514,8 @@ def assert_settled_alike(blocks, once, tmp_path) -> None:
 def test_settling_block_by_block_equals_settling_once(tmp_path_factory, emissions, block):
     """A stream settled every ``block`` events holds what one settled at
     the end holds: equal cells of equal types in columns of equal types
-    (``array('q')`` only when every cell is an int64 ``int``: the
+    (an array only when every cell is an int64 ``int``, of the narrowest
+    typecode holding them all, however many blocks widened it: the
     example's ``value`` column is packed in its first block and a list
     once its second brings a ``None`` and a str), and it saves to the
     same bytes."""
