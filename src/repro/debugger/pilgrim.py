@@ -128,10 +128,13 @@ class Pilgrim(SessionBase):
 
     def _on_packet(self, packet) -> None:
         payload = packet.payload
-        if payload.get("kind") == "response":
+        kind = payload.get("kind") if type(payload) is dict else None
+        if kind == "response" and type(payload.get("seq")) is int:
             self._responses[payload["seq"]] = payload
-        elif payload.get("kind") == "event":
+        elif kind == "event" and payload.keys() >= {"event", "node", "data"}:
             self.events.append(payload)
+        else:
+            return  # neither a response nor an event envelope: dropped
         if self._awaiting:
             self.world.stop()
 

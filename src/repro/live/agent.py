@@ -39,7 +39,7 @@ import traceback
 from typing import Optional
 
 from repro.debugger.errors import AgentError, ServiceError
-from repro.service.protocol import recv_message, send_message
+from repro.service.protocol import FrameTooLong, recv_message, send_message
 
 #: The value meaning "not under control of a debugger" (§6.1).
 NO_DEBUGGER = ""
@@ -385,11 +385,14 @@ class _AgentServer(socketserver.ThreadingTCPServer):
 
 class _RequestHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        while True:
+        closing = False
+        while not closing:
             try:
                 request = recv_message(self.rfile)
             except ServiceError as exc:
                 response = {"ok": False, "error": str(exc)}
+                # Answered once; the rest of an overlong line cannot be skipped.
+                closing = isinstance(exc, FrameTooLong)
             except OSError:
                 return
             else:

@@ -67,11 +67,6 @@ class Station:
         #: Per-destination transmitter availability (mesh fabrics).
         self.link_free_at: dict[int, int] = {}
 
-    @property
-    def packets_sent(self) -> int:
-        """Packets this station transmitted (from the metric series)."""
-        return self.transport._sent.get(self.address)
-
     def register_port(self, port: str, handler: PortHandler) -> None:
         """Attach a software handler for packets addressed to ``port``."""
         self._ports[port] = handler

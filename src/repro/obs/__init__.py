@@ -5,14 +5,14 @@ agent, and debugger.  The design mirrors the paper's central trade-off —
 *what instrumentation costs when nobody is watching* (the dormant agent,
 the +400 µs/RPC info blocks, the rejected packet monitor):
 
-* :mod:`repro.obs.events` — frozen dataclass event types with a common
-  header (virtual time, node, bus sequence number);
+* :mod:`repro.obs.events` — immutable tuple event types, a common
+  header (virtual time, node, bus sequence number) first;
 * :mod:`repro.obs.bus` — a per-:class:`~repro.sim.world.World` pub/sub bus
   whose dormant fast path (no subscribers for an event type) is a single
   dict lookup plus a truthiness check, and allocates no event object;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms built as bus
-  subscribers, backing the public ``ring.total_sent`` /
-  ``rpc.calls_started``-style counters;
+  subscribers, the counted event types named once in ``COUNTED``
+  (which a recording's checkpoint counts read too);
 * :mod:`repro.obs.report` — the per-run summary table the benchmarks
   print instead of reaching into private attributes.
 

@@ -1,11 +1,10 @@
 """Metric primitives built as bus subscribers.
 
-The hand-rolled ``packets_sent`` / ``calls_started``-style counters that
-used to live in each layer are now series in a per-World
-:class:`Metrics` registry, incremented by subscribers installed at world
-creation (:func:`install_default_metrics`).  The layers keep their public
-counter attributes as properties over the same series, so existing code
-and tests read identical values from one source of truth.
+Each layer's counts are series in a per-World :class:`Metrics`
+registry, incremented by subscribers installed at world creation
+(:func:`install_default_metrics`) from one table, :data:`COUNTED`, which
+also names the count a recording's checkpoints keep of each type: the
+live series and a trace's counts are two folds of one definition.
 
 Only *shipped* instrumentation subscribes by default — the analogue of
 the paper's always-on §4.3 RPC debug support.  Debug-session events
@@ -16,7 +15,7 @@ debugger attaches.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.obs import events as ev
 from repro.obs.bus import Bus
@@ -76,9 +75,6 @@ class Gauge:
     def __init__(self, name: str):
         self.name = name
         self.value = 0
-
-    def set(self, value: int) -> None:
-        self.value = value
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
@@ -217,61 +213,66 @@ def merge_snapshots(snapshots) -> dict[str, object]:
     return merged
 
 
+class Counted(NamedTuple):
+    """A counted event type, its series (``per_node`` or not) and view count key."""
+
+    type: type
+    series: str
+    per_node: bool
+    key: str
+
+
+#: Every counted event type, once, in the order a trace file stores a
+#: checkpoint's counts (positionally: reordering rows changes the format).
+COUNTED = (
+    Counted(ev.PacketSent, "ring.packets_sent", True, "packets_sent"),
+    Counted(ev.PacketDelivered, "ring.packets_delivered", True, "packets_delivered"),
+    Counted(ev.PacketDropped, "ring.packets_dropped", False, "packets_dropped"),
+    Counted(ev.PacketNacked, "ring.packets_nacked", False, "packets_nacked"),
+    Counted(ev.RpcCallStarted, "rpc.calls_started", True, "rpc_started"),
+    Counted(ev.RpcCallCompleted, "rpc.calls_completed", True, "rpc_completed"),
+    Counted(ev.RpcCallFailed, "rpc.calls_failed", True, "rpc_failed"),
+    Counted(ev.RpcCallRetried, "rpc.retransmits", False, "rpc_retried"),
+    Counted(ev.ProcessCreated, "proc.created", True, "proc_created"),
+    Counted(ev.ProcessDeleted, "proc.deleted", True, "proc_deleted"),
+    Counted(ev.ProcessFailed, "proc.failed", True, "proc_failed"),
+    Counted(ev.FaultInjected, "faults.injected", False, "faults_injected"),
+    Counted(ev.FaultHealed, "faults.healed", False, "faults_healed"),
+    Counted(ev.NodeRebooted, "node.reboots", True, "node_reboots"),
+    Counted(ev.RpcStaleRejected, "rpc.stale_rejected", False, "rpc_stale_rejected"),
+)
+
+
 def install_default_metrics(bus: Bus, metrics: Metrics) -> None:
-    """Subscribe the shipped counters/gauges/histograms to ``bus``.
-
-    Called once per world.  These replace the per-layer hand-rolled
-    counters; the layers expose them back through properties.
-    """
-    sent = metrics.labeled("ring.packets_sent")
-    delivered = metrics.labeled("ring.packets_delivered")
-    dropped = metrics.counter("ring.packets_dropped")
-    nacked = metrics.counter("ring.packets_nacked")
-    bus.subscribe(ev.PacketSent, lambda e: sent.inc(e.node))
-    bus.subscribe(ev.PacketDelivered, lambda e: delivered.inc(e.node))
-    bus.subscribe(ev.PacketDropped, lambda e: dropped.inc())
-    bus.subscribe(ev.PacketNacked, lambda e: nacked.inc())
-
-    started = metrics.labeled("rpc.calls_started")
-    completed = metrics.labeled("rpc.calls_completed")
-    failed = metrics.labeled("rpc.calls_failed")
-    retransmits = metrics.counter("rpc.retransmits")
+    """Subscribe one counter per :data:`COUNTED` row to ``bus`` (the RPC
+    call events' also feed the in-flight gauge and latency histogram).
+    Called once per world."""
+    series = {row.type: (metrics.labeled if row.per_node else metrics.counter)(row.series)
+              for row in COUNTED}
+    started, completed, failed = (series[kind].inc for kind in (
+        ev.RpcCallStarted, ev.RpcCallCompleted, ev.RpcCallFailed))
     in_flight = metrics.gauge("rpc.calls_in_flight")
     latency = metrics.histogram("rpc.latency_us")
 
     def _on_started(e: ev.RpcCallStarted) -> None:
-        started.inc(e.node)
+        started(e.node)
         in_flight.inc()
 
     def _on_completed(e: ev.RpcCallCompleted) -> None:
-        completed.inc(e.node)
+        completed(e.node)
         in_flight.dec()
         latency.observe(e.latency)
 
     def _on_failed(e: ev.RpcCallFailed) -> None:
-        failed.inc(e.node)
+        failed(e.node)
         in_flight.dec()
 
-    bus.subscribe(ev.RpcCallStarted, _on_started)
-    bus.subscribe(ev.RpcCallCompleted, _on_completed)
-    bus.subscribe(ev.RpcCallFailed, _on_failed)
-    bus.subscribe(ev.RpcCallRetried, lambda e: retransmits.inc())
-
-    created = metrics.labeled("proc.created")
-    deleted = metrics.labeled("proc.deleted")
-    proc_failed = metrics.labeled("proc.failed")
-    bus.subscribe(ev.ProcessCreated, lambda e: created.inc(e.node))
-    bus.subscribe(ev.ProcessDeleted, lambda e: deleted.inc(e.node))
-    bus.subscribe(ev.ProcessFailed, lambda e: proc_failed.inc(e.node))
-
-    injected = metrics.counter("faults.injected")
-    healed = metrics.counter("faults.healed")
-    reboots = metrics.labeled("node.reboots")
-    stale = metrics.counter("rpc.stale_rejected")
-    bus.subscribe(ev.FaultInjected, lambda e: injected.inc())
-    bus.subscribe(ev.FaultHealed, lambda e: healed.inc())
-    bus.subscribe(ev.NodeRebooted, lambda e: reboots.inc(e.node))
-    bus.subscribe(ev.RpcStaleRejected, lambda e: stale.inc())
+    calls = {ev.RpcCallStarted: _on_started, ev.RpcCallCompleted: _on_completed,
+             ev.RpcCallFailed: _on_failed}
+    for row in COUNTED:
+        inc = series[row.type].inc
+        bus.subscribe(row.type, calls.get(row.type) or (
+            (lambda e, inc=inc: inc(e.node)) if row.per_node else (lambda e, inc=inc: inc())))
     # Deliberately NOT subscribed: BreakpointHit, ProcessHalted/Resumed,
     # TimerFrozen/Thawed — dormant until a debugger attaches.
 

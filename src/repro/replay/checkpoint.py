@@ -19,7 +19,9 @@ live cluster and resume it.  Instead a checkpoint stores two things:
 Capturing one costs what is live at that instant, not what the run has
 done so far: :func:`capture_view` walks each supervisor's live
 processes and each runtime's open client calls, never the tables of
-finished ones.
+finished ones.  Counts are not read off the metric series, which count
+the same bus events: a recording's are the previous checkpoint's plus
+its own tally since (:func:`add_counts`, as time travel's are).
 
 The fold and the live capture agree *at checkpoint events* by
 construction: every layer mutates its tables before emitting the
@@ -41,48 +43,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.mayflower.process import ProcessState
+from repro.obs.metrics import COUNTED
 from repro.obs.recorder import row_layout
 
 if TYPE_CHECKING:
     from repro.cluster import Cluster
 
-#: Event type -> the StateView count it increments.
-COUNT_KEYS = {
-    "PacketSent": "packets_sent",
-    "PacketDelivered": "packets_delivered",
-    "PacketDropped": "packets_dropped",
-    "PacketNacked": "packets_nacked",
-    "RpcCallStarted": "rpc_started",
-    "RpcCallCompleted": "rpc_completed",
-    "RpcCallFailed": "rpc_failed",
-    "RpcCallRetried": "rpc_retried",
-    "ProcessCreated": "proc_created",
-    "ProcessDeleted": "proc_deleted",
-    "ProcessFailed": "proc_failed",
-    "FaultInjected": "faults_injected",
-    "FaultHealed": "faults_healed",
-    "NodeRebooted": "node_reboots",
-    "RpcStaleRejected": "rpc_stale_rejected",
-}
-
-#: StateView count key -> the metric series backing the live capture.
-METRIC_SOURCES = {
-    "packets_sent": "ring.packets_sent",
-    "packets_delivered": "ring.packets_delivered",
-    "packets_dropped": "ring.packets_dropped",
-    "packets_nacked": "ring.packets_nacked",
-    "rpc_started": "rpc.calls_started",
-    "rpc_completed": "rpc.calls_completed",
-    "rpc_failed": "rpc.calls_failed",
-    "rpc_retried": "rpc.retransmits",
-    "proc_created": "proc.created",
-    "proc_deleted": "proc.deleted",
-    "proc_failed": "proc.failed",
-    "faults_injected": "faults.injected",
-    "faults_healed": "faults.healed",
-    "node_reboots": "node.reboots",
-    "rpc_stale_rejected": "rpc.stale_rejected",
-}
+#: Counted event type name -> its view count key, in ``COUNTED`` order.
+_COUNT_KEYS = {row.type.__name__: row.key for row in COUNTED}
 
 
 #: A node's entry in a checkpoint's raw ``state["nodes"]``: its fields,
@@ -91,12 +59,15 @@ NODE_STATE = {"clock_delta": int, "clock_skew": int, "cpu_consumed": int,
               "crashed": bool, "epoch": int, "name": str}
 
 
-def metric_counts(metrics) -> dict[str, int]:
-    """The live values of every count the view tracks (absolute, since
-    world birth, 0 for a series never created; callers subtract a base)."""
-    series = metrics.series()
-    return {key: series[name].value if name in series else 0
-            for key, name in METRIC_SOURCES.items()}
+def add_counts(counts: dict, kinds, codes: tuple, start: int, stop: int) -> None:
+    """Add to ``counts`` the events of each counted type in
+    ``kinds[start:stop]``, where ``codes`` are the types' bytes in
+    ``kinds``, in :data:`_COUNT_KEYS` order: one C-level count each."""
+    kinds = kinds[start:stop]
+    for code, key in zip(codes, _COUNT_KEYS.values()):
+        seen = kinds.count(code)
+        if seen:
+            counts[key] = counts.get(key, 0) + seen
 
 
 @dataclass
@@ -117,8 +88,9 @@ class StateView:
     in_flight: dict = field(default_factory=dict)
     #: node -> boot epoch.
     epochs: dict = field(default_factory=dict)
-    #: Event counts since the trace writer attached (see COUNT_KEYS).
-    counts: dict = field(default_factory=dict)
+    #: Events per counted type since the trace writer attached, keyed
+    #: as :data:`repro.obs.metrics.COUNTED` names them.
+    counts: dict = field(default_factory=lambda: dict.fromkeys(_COUNT_KEYS.values(), 0))
 
     def copy(self) -> "StateView":
         """Deep-enough copy so folds never alias a cached view.  The
@@ -134,27 +106,15 @@ class StateView:
         )
 
     def to_dict(self) -> dict:
-        """Serialize for a checkpoint trace line."""
-        return {
-            "time": self.time,
-            "processes": self.processes,
-            "halted": self.halted,
-            "in_flight": self.in_flight,
-            "epochs": self.epochs,
-            "counts": self.counts,
-        }
+        """Serialize for a checkpoint trace line: its fields in order (the
+        tables themselves, not copies)."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateView":
-        """Rebuild from a checkpoint trace line."""
-        return cls(
-            time=data["time"],
-            processes=data["processes"],
-            halted=data["halted"],
-            in_flight=data["in_flight"],
-            epochs=data["epochs"],
-            counts=data["counts"],
-        )
+        """Rebuild from a checkpoint trace line (every field required)."""
+        return cls(data["time"], data["processes"], data["halted"], data["in_flight"],
+                   data["epochs"], data["counts"])
 
 
 def share_unchanged(view: StateView, checkpoints: list) -> StateView:
@@ -176,11 +136,13 @@ def share_unchanged(view: StateView, checkpoints: list) -> StateView:
     return view
 
 
-def capture_view(cluster: "Cluster", base_counts: dict[str, int],
-                 time: int, shared: Optional[dict] = None) -> StateView:
-    """Digest the live cluster (the capture side of the equivalence),
-    visiting live processes only; equal ``{name, priority}`` records are
-    one, kept in ``shared`` (a writer's across its checkpoints)."""
+def capture_view(cluster: "Cluster", time: int,
+                 shared: Optional[dict] = None) -> StateView:
+    """Digest the live cluster's tables (the capture side of the
+    equivalence), visiting live processes only; equal ``{name,
+    priority}`` records are one, kept in ``shared`` (a writer's across
+    its checkpoints).  Its counts are 0: a recording adds its own tally
+    (:func:`add_counts`)."""
     view = StateView(time=time)
     shared = {} if shared is None else shared
     for node in cluster.nodes:
@@ -202,8 +164,6 @@ def capture_view(cluster: "Cluster", base_counts: dict[str, int],
                      if not rec.completed]
         view.in_flight[key] = sorted(calls)
         view.epochs[key] = node.epoch
-    current = metric_counts(cluster.world.metrics)
-    view.counts = {key: current[key] - base_counts.get(key, 0) for key in current}
     return view
 
 
@@ -217,7 +177,6 @@ def empty_view(node_ids, time: int = 0) -> StateView:
         view.halted[key] = []
         view.in_flight[key] = []
         view.epochs[key] = 0
-    view.counts = {key: 0 for key in METRIC_SOURCES}
     return view
 
 
@@ -305,7 +264,7 @@ def apply_cells(view: StateView, kind: str, node, time: int, cells, slot: int,
     an event does to a view."""
     if time > view.time:
         view.time = time
-    count_key = COUNT_KEYS.get(kind)
+    count_key = _COUNT_KEYS.get(kind)
     if count_key is not None:
         view.counts[count_key] = view.counts.get(count_key, 0) + 1
     fold = _TABLE_FOLDS.get(kind)
@@ -372,22 +331,12 @@ class Checkpoint:
 
     def to_dict(self) -> dict:
         """Serialize for one checkpoint record (binary or JSONL)."""
-        return {
-            "index": self.index,
-            "time": self.time,
-            "state": self.state,
-            "view": self.view.to_dict(),
-        }
+        return dict(vars(self), view=self.view.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Checkpoint":
         """Rebuild from a checkpoint record (binary or JSONL)."""
-        return cls(
-            index=data["index"],
-            time=data["time"],
-            state=data["state"],
-            view=StateView.from_dict(data["view"]),
-        )
+        return cls(data["index"], data["time"], data["state"], StateView.from_dict(data["view"]))
 
     def __repr__(self) -> str:
         return f"<Checkpoint index={self.index} t={self.time}>"

@@ -41,9 +41,10 @@ A trace is stored in one format, a length-prefixed binary container:
   and ``view`` as :meth:`~repro.replay.checkpoint.Checkpoint.to_dict`
   holds them, except that each node's ``state["nodes"]`` entry is a
   list in :data:`~repro.replay.checkpoint.NODE_STATE` order and the
-  view's ``counts`` a list in ``METRIC_SOURCES`` order: the reader keys
-  the dicts it rebuilds with those constants, so a loaded trace holds
-  each field name once, not once per checkpoint;
+  view's ``counts`` a list in :data:`~repro.obs.metrics.COUNTED` row
+  order: the reader keys the dicts it rebuilds with the field names and
+  count keys those tables hold, so a loaded trace holds each name once,
+  not once per checkpoint;
 * a checkpoint sits after exactly ``index`` events.  One at index 0
   precedes the first block; any other follows the block holding event
   ``index - 1``, whose ``checkpoints`` lists ``index - first`` (each in
@@ -83,10 +84,11 @@ from itertools import chain
 from operator import itemgetter
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
+from repro.obs.metrics import COUNTED
 from repro.obs.recorder import row_layout
-from repro.replay.checkpoint import METRIC_SOURCES, NODE_STATE, Checkpoint, share_unchanged
+from repro.replay.checkpoint import NODE_STATE, Checkpoint, share_unchanged
 from repro.replay.trace import (_BLOCK_EVENTS, INT_WIDTHS, TRACE_VERSION, EventColumns,
-                                Trace, grow_column, pack_column)
+                                Trace, grow_column, pack_column, slot_typecode)
 
 __all__ = [
     "BINARY_VERSION",
@@ -139,6 +141,8 @@ _PROCESS_RECORD = itemgetter("name", "priority")
 #: A node's raw state as a file stores it: its cells in field order.
 _NODE_RECORD = itemgetter(*NODE_STATE)
 _NODE_TYPES = tuple(NODE_STATE.values())
+#: A view's count keys, in the order a checkpoint record lists the counts.
+_COUNT_KEYS = dict.fromkeys(row.key for row in COUNTED)
 
 
 class TraceFormatError(ValueError):
@@ -534,13 +538,14 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
         grown.append((code, own, count))
     unpack.finish()
     events.kinds += ids.translate(bytes(codes).ljust(256, b"\0"))
-    events.slots += array("I", map(next, map(feeds.__getitem__, ids)))
     events.times = grow_column(events.times, times)
     events.nodes += nodes
     events.seqs = grow_column(events.seqs, seqs)
     for code, own, count in grown:
         events.cells[code][:] = map(grow_column, events.cells[code], own)
         events.sizes[code] += count
+    slots = map(next, map(feeds.__getitem__, ids))
+    events.slots = grow_column(events.slots, array(slot_typecode(events.sizes), slots))
     return [first + offset for offset in offsets]
 
 
@@ -560,16 +565,16 @@ def _node_state(cells: list) -> dict:
 def _checkpoint_record(checkpoint: Checkpoint) -> dict:
     """``checkpoint`` as its record stores it: each node's raw state as
     a list in :data:`~repro.replay.checkpoint.NODE_STATE` order and the
-    view's counts as a list in ``METRIC_SOURCES`` order, refused
+    view's counts as a list in :data:`~repro.obs.metrics.COUNTED` order, refused
     (``ValueError``) unless they hold exactly those fields, of those
     types."""
     data = checkpoint.to_dict()
     state, view = data["state"], data["view"]
     counts = view["counts"]
-    if counts.keys() != METRIC_SOURCES.keys() or set(map(type, counts.values())) - {int}:
+    if counts.keys() != _COUNT_KEYS.keys() or set(map(type, counts.values())) - {int}:
         raise ValueError(f"checkpoint {checkpoint.index}'s counts are not an int "
-                         f"for each of {list(METRIC_SOURCES)}")
-    data["view"] = dict(view, counts=[counts[key] for key in METRIC_SOURCES])
+                         f"for each of {list(_COUNT_KEYS)}")
+    data["view"] = dict(view, counts=[counts[key] for key in _COUNT_KEYS])
     if "nodes" in state:
         entries = state["nodes"].values()
         if not all(type(entry) is dict and entry.keys() == NODE_STATE.keys()
@@ -616,10 +621,10 @@ def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
         raise ValueError("view processes are not {name, priority}, or an epoch, "
                          "pid or call id is not an int")
     counts = view["counts"]
-    if not (type(counts) is list and len(counts) == len(METRIC_SOURCES)
+    if not (type(counts) is list and len(counts) == len(_COUNT_KEYS)
             and set(map(type, counts)) <= {int}):
-        raise ValueError(f"view counts are not {len(METRIC_SOURCES)} ints")
-    view["counts"] = dict(zip(METRIC_SOURCES, counts))
+        raise ValueError(f"view counts are not {len(_COUNT_KEYS)} ints")
+    view["counts"] = dict(zip(_COUNT_KEYS, counts))
     if "nodes" in state:
         nodes = state["nodes"]
         if not (type(nodes) is dict and set(map(type, nodes.values())) <= {list}

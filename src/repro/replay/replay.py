@@ -38,6 +38,7 @@ from repro.debugger.errors import (
 from repro.cluster import Cluster
 from repro.faults.plan import FaultPlan, Nemesis
 from repro.params import Params
+from repro.replay.checkpoint import _COUNT_KEYS
 from repro.replay.trace import Trace, TraceWriter
 
 
@@ -384,9 +385,8 @@ def extract_verdict(trace: Trace) -> dict:
     """
     events = trace.events
     tally = events.tally()
-    counts = {key: tally.get(kind, 0) for kind, key in (
-        ("RpcCallFailed", "rpc_failed"), ("ProcessFailed", "proc_failed"),
-        ("RpcStaleRejected", "rpc_stale_rejected"), ("FaultInjected", "faults_injected"))}
+    counts = {_COUNT_KEYS[kind]: tally.get(kind, 0) for kind in (
+        "RpcCallFailed", "ProcessFailed", "RpcStaleRejected", "FaultInjected")}
     failures = [events[index] for index in events.indices(("RpcCallFailed", "ProcessFailed"))]
     call_ids = (event.fields.get("call_id") for event in failures
                 if event.type == "RpcCallFailed")

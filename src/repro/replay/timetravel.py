@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional
 
-from repro.replay.checkpoint import (_TABLE_FOLDS, COUNT_KEYS, StateView, apply_cells,
-                                     empty_view)
+from repro.replay.checkpoint import (_COUNT_KEYS, _TABLE_FOLDS, StateView, add_counts,
+                                     apply_cells, empty_view)
 from repro.replay.trace import Trace, TraceEvent, prefix_before
 
 #: Events the halt-cause scan recognizes as "why" candidates.
@@ -40,8 +40,8 @@ _CAUSE_TYPES = ("BreakpointHit", "ProcessFailed")
 #: The byte ``TimeTravel._kinds`` holds per event: a code for each type
 #: a query counts or searches for, 0 for the rest.
 _CODES = {kind: code for code, kind in enumerate(
-    sorted({*COUNT_KEYS, *_TABLE_FOLDS, *_CAUSE_TYPES}), start=1)}
-_COUNTED = tuple((_CODES[kind], key) for kind, key in COUNT_KEYS.items())
+    sorted({*_COUNT_KEYS, *_TABLE_FOLDS, *_CAUSE_TYPES}), start=1)}
+_COUNT_CODES = tuple(map(_CODES.__getitem__, _COUNT_KEYS))
 #: ``bytes.translate`` table: 1 for the kind codes of table events.
 _TABLE_MASK = bytes(code in {_CODES[kind] for kind in _TABLE_FOLDS}
                     for code in range(256))
@@ -160,12 +160,8 @@ class TimeTravel:
             begin, seed = self._snapshot(start, seed, index)
         view = seed.copy()
         self._fold_tables(view, begin, index)
-        # Counts are still the checkpoint's.
-        kinds = self._kinds[start:index]
-        for code, key in _COUNTED:
-            seen = kinds.count(code)
-            if seen:
-                view.counts[key] = view.counts.get(key, 0) + seen
+        # The checkpoint's counts plus the events since.
+        add_counts(view.counts, self._kinds, _COUNT_CODES, start, index)
         view.time = self._max_times[index]
         self._stats["folds"] += 1
         return view

@@ -54,11 +54,12 @@ from repro.obs.recorder import (
     stream_fingerprint,
 )
 from repro.replay.checkpoint import (
+    _COUNT_KEYS,
     Checkpoint,
     StateView,
+    add_counts,
     capture_state,
     capture_view,
-    metric_counts,
     share_unchanged,
 )
 
@@ -94,6 +95,11 @@ SAFE_CHECKPOINT_EVENTS = frozenset({
 #: The typecodes an all-``int`` column is held in, narrowest first, each
 #: with the bound its cells stay within: ``-bound <= cell < bound``.
 INT_WIDTHS = (("b", 1 << 7), ("h", 1 << 15), ("i", 1 << 31), ("q", 1 << 63))
+
+
+def slot_typecode(sizes: list) -> str:
+    """The narrowest typecode holding every slot of types ``sizes`` events long."""
+    return next(code for code, bound in INT_WIDTHS if max(sizes) <= bound)
 
 
 def pack_column(cells) -> "array | list":
@@ -201,7 +207,8 @@ class EventColumns(Sequence):
 
     Per event: its type id (``kinds``, one byte; ``names`` / ``ids``
     translate), ``times`` / ``nodes`` / ``seqs``, and ``slots``, its
-    index within its type's columns.  Per type id, fixed for the whole
+    index within its type's columns (an array as wide as the largest
+    ``sizes`` needs, :func:`slot_typecode`).  Per type id, fixed for the whole
     trace: its payload field names (``schema``) and each name's first
     cell in a row (``places``); and ``cells``, one column per row cell,
     ``sizes[id]`` cells long.  A column whose every cell is an ``int``
@@ -239,7 +246,7 @@ class EventColumns(Sequence):
                                  f"{position}: not its position in the trace")
             self.staged[self.declare(event.type, event.names)].append(event.row)
         self.kinds = bytearray(self.ids[event.type] for event in events)
-        self.slots = array("I")
+        self.slots = array("b")
         self.times, self.seqs = [], []
         self.staged_times, self.nodes, self.staged_seqs = (
             [getattr(event, cell) for event in events] for cell in ("time", "node", "seq"))
@@ -295,8 +302,8 @@ class EventColumns(Sequence):
                 columns[:] = map(grow_column, columns, chunks) if self.sizes[code] else chunks
                 self.sizes[code] += len(rows)
                 rows.clear()
-            self.slots += array("I", map(next, map(feeds.__getitem__,
-                                                   self.kinds[len(self.slots):])))
+            slots = map(next, map(feeds.__getitem__, self.kinds[len(self.slots):]))
+            self.slots = grow_column(self.slots, array(slot_typecode(self.sizes), slots))
         finally:
             if collecting:
                 gc.enable()
@@ -617,10 +624,7 @@ class TraceWriter(EventStream):
         self._finished = False
         #: ``(name, priority) -> {name, priority}`` over every checkpoint.
         self._shared: dict = {}
-        #: Metric values at attach; view counts are deltas against this,
-        #: so fold-derived counts (which only see post-attach events)
-        #: line up with live captures.
-        self._base_counts = metric_counts(cluster.world.metrics)
+        self._count_codes = tuple(map(self.events.ids.__getitem__, _COUNT_KEYS))
         self._checkpoint_every = checkpoint_every
         if checkpoint_every is not None:
             self._next_checkpoint_at = self._watch = cluster.world.now + checkpoint_every
@@ -632,7 +636,12 @@ class TraceWriter(EventStream):
     # ------------------------------------------------------------------
 
     def _capture_checkpoint(self, time: int) -> None:
-        view = capture_view(self.cluster, self._base_counts, time, self._shared)
+        view = capture_view(self.cluster, time, self._shared)
+        if self.checkpoints:  # the last one's counts plus what was recorded since
+            last = self.checkpoints[-1]
+            view.counts = last.view.counts.copy()
+            add_counts(view.counts, self.events.kinds, self._count_codes, last.index,
+                       len(self.events))
         self.checkpoints.append(Checkpoint(
             index=len(self.events),
             time=time,

@@ -101,10 +101,6 @@ class RpcRuntime:
         self.params = node.params
         self.registry = registry
         self.bus = node.world.bus
-        metrics = node.world.metrics
-        self._started = metrics.labeled("rpc.calls_started")
-        self._completed = metrics.labeled("rpc.calls_completed")
-        self._failed = metrics.labeled("rpc.calls_failed")
         #: Paper §4.3 instrumentation: on by default (it ships in the
         #: normal build); experiment E1 turns it off to measure the cost.
         #: While on, each call adds its cost and feeds :attr:`recent_calls`.
@@ -132,31 +128,8 @@ class RpcRuntime:
         #: runtime may already have executed them, so re-executing here
         #: would break exactly-once.  They are rejected instead.
         self.boot_time = node.supervisor.current_time()
-        self._stale = metrics.counter("rpc.stale_rejected")
         node.rpc = self
         node.station.register_port(RPC_PORT, self._on_packet)
-
-    # ------------------------------------------------------------------
-    # Counters (properties over the obs metric series)
-    # ------------------------------------------------------------------
-
-    @property
-    def calls_started(self) -> int:
-        return self._started.get(self.node.node_id)
-
-    @property
-    def calls_completed(self) -> int:
-        return self._completed.get(self.node.node_id)
-
-    @property
-    def calls_failed(self) -> int:
-        return self._failed.get(self.node.node_id)
-
-    @property
-    def stale_rejected(self) -> int:
-        """World-wide count of pre-reboot retransmits refused (the
-        series is a plain counter shared by all runtimes)."""
-        return self._stale.value
 
     # ------------------------------------------------------------------
     # Cost model helpers

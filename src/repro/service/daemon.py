@@ -50,6 +50,7 @@ from repro.obs.metrics import Metrics
 from repro.service.dispatch import apply_op, decode_params, render_text, resolve_op, wire_methods
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    FrameTooLong,
     recv_message,
     send_message,
     wire_decode,
@@ -426,6 +427,8 @@ class _Handler(socketserver.StreamRequestHandler):
             except ServiceError as exc:
                 send_message(self.wfile, {"id": None, "ok": False,
                                           "error": exc.to_wire()})
+                if isinstance(exc, FrameTooLong):
+                    return  # answered once; the line's rest cannot be skipped
                 continue
             except OSError:
                 return

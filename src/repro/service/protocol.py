@@ -157,9 +157,22 @@ def send_message(wfile, payload: dict) -> None:
     wfile.flush()
 
 
+#: The longest frame, newline included, a reader takes: 160 times the
+#: largest the tests and the perf ledger exchange (a 100 KB nesting
+#: probe; the largest reply is 11 KB), and what one peer line may hold.
+MAX_FRAME_BYTES = 1 << 24
+
+
+class FrameTooLong(ServiceError):
+    """A line past :data:`MAX_FRAME_BYTES`: its rest is unread, so no later frame can be found."""
+
+
 def recv_message(rfile) -> Optional[dict]:
-    """Read one newline-framed JSON message; ``None`` at EOF."""
-    raw = rfile.readline()
+    """Read one newline-framed JSON message; ``None`` at EOF.  A longer
+    line than :data:`MAX_FRAME_BYTES` raises :class:`FrameTooLong`."""
+    raw = rfile.readline(MAX_FRAME_BYTES + 1)
+    if len(raw) > MAX_FRAME_BYTES:
+        raise FrameTooLong(f"frame longer than {MAX_FRAME_BYTES} bytes")
     if not raw:
         return None
     try:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MS, SEC, AgentError, Cluster, Pilgrim
+from repro import MS, SEC, AgentError, Cluster, DebuggerError, Pilgrim
 from repro.agent import requests as rq
 from repro.cvm import CluRecord
 from repro.mayflower.syscalls import Cpu
@@ -440,6 +440,27 @@ def test_a_request_with_nowhere_to_answer_is_dropped_and_the_agent_serves_on(mis
     assert agent.requests_handled == handled
     assert [p["pid"] for p in dbg.processes("app")]
     assert agent.requests_handled == handled + 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "response", "node": 0, "ok": True, "data": []},
+    ["kind", "response"],
+    {"kind": "event", "node": 0, "data": {}},
+], ids=["response_without_seq", "not_a_dict", "event_without_a_name"])
+def test_a_malformed_packet_on_the_debuggers_port_is_dropped(payload):
+    """A debuggee node's packet to the debugger's port that is neither a
+    response with a ``seq`` nor an event envelope is dropped: the run
+    goes on, no event is queued, and the session answers as before."""
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    before = [p["pid"] for p in dbg.processes("app")]
+    cluster.node("app").station.send(dbg.home.node_id, rq.DEBUGGER_PORT, payload,
+                                     kind="agent_event")
+    cluster.world.run(until=cluster.world.now + 100 * MS)
+    assert dbg.events == []
+    with pytest.raises(DebuggerError, match="no breakpoint event"):
+        dbg.wait_for_event(rq.EVENT_BREAKPOINT, timeout=10 * MS)
+    assert [p["pid"] for p in dbg.processes("app")] == before
 
 
 def test_a_breakpoint_in_an_unknown_procedure_is_refused():

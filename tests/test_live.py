@@ -272,6 +272,30 @@ def test_a_malformed_frame_gets_one_error_reply_and_the_connection_serves_on(
         assert ask(json.dumps({"op": "disconnect", "session": 7}).encode())["ok"]
 
 
+def test_an_oversized_frame_is_answered_once_and_its_connection_closed(target, monkeypatch):
+    """The agent reads a line no further than ``MAX_FRAME_BYTES`` (here
+    4 096): a longer line gets one error reply and its connection is
+    closed, as the line's rest cannot be skipped; a new debugger connects."""
+    import socket
+
+    from repro.service import protocol
+
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+    agent, program = target
+    with socket.create_connection(agent.address, timeout=10) as conn:
+        stream = conn.makefile("rwb")
+        stream.write(b"x" * 4097)
+        stream.flush()
+        reply = protocol.recv_message(stream)
+        assert reply == {"ok": False, "error": "frame longer than 4096 bytes"}
+        assert stream.readline() == b""
+        stream.close()
+    dbg = LiveDebugger(agent.address)
+    assert {"counter-a", "counter-b"} <= {t["name"] for t in dbg.connect()}
+    dbg.disconnect()
+    dbg.close()
+
+
 def test_an_undecodable_reply_is_a_typed_error():
     import socket
     import threading

@@ -1,5 +1,6 @@
 """Record/replay: byte-identity, checkpoints, time travel, races."""
 
+import collections
 import gc
 import hashlib
 import random
@@ -15,6 +16,7 @@ from repro.mayflower.process import Process, ProcessState
 from repro.mayflower.scheduler import RECENT_EXITS
 from repro.mayflower.syscalls import Sleep
 from repro.net.packets import BasicBlock
+from repro.obs.metrics import COUNTED
 from repro.replay import (
     TRACE_VERSION,
     ReplayDivergence,
@@ -24,9 +26,8 @@ from repro.replay import (
     TraceFormatError,
     detect_races,
 )
-from repro.replay import checkpoint as checkpoint_module
 from repro.replay import trace as trace_module
-from repro.replay.checkpoint import capture_view, metric_counts, rng_digest
+from repro.replay.checkpoint import capture_view, rng_digest
 from repro.replay.replay import Recipe, execute
 from repro.replay.trace import TraceWriter
 from repro.rpc.runtime import remote_call
@@ -195,20 +196,72 @@ def test_rng_digest_hashes_the_struct_packed_words(seed, draws, gauss):
     assert rng_digest(rng) == _struct_rng_digest(rng)
 
 
-def test_metric_counts_read_the_series_the_snapshot_reads(monkeypatch):
-    """Read off each series directly, the counts equal the old
-    ``snapshot()``-based form on a chaos run's world; a source series
-    never created reads 0."""
-    monkeypatch.setitem(checkpoint_module.METRIC_SOURCES, "never", "no.such.series")
+def _assert_counts_tally_the_events_before(trace) -> None:
+    """Every checkpoint's counts are the per-type tally of the events
+    before its index, counted off the events' own type names."""
+    keys = {row.type.__name__: row.key for row in COUNTED}
+    counts, position = dict.fromkeys(keys.values(), 0), 0
+    for checkpoint in trace.checkpoints:
+        for event in trace.events[position:checkpoint.index]:
+            if event.type in keys:
+                counts[keys[event.type]] += 1
+        position = checkpoint.index
+        assert checkpoint.view.counts == counts, checkpoint
+
+
+def test_checkpoint_counts_are_the_tally_of_the_events_before_them():
+    """A recording's checkpoint counts equal the tally of the events it
+    recorded before each one: for a chaos run at a 20 ms cadence and for
+    a recording started mid-run, after the series had counted events
+    the trace never holds."""
+    trace = record_run(build_chaos, CHAOS_NAMES, seed=2, plan=chaos_plan(),
+                       checkpoint_every=20 * MS, run_until=4 * SEC)
+    assert len(trace.checkpoints) > 20
+    assert trace.checkpoints[-1].view.counts["rpc_failed"] > 0
+    _assert_counts_tally_the_events_before(trace)
+
+    cluster = Cluster(names=CHAOS_NAMES, seed=2)
+    build_chaos(cluster)
+    dbg = Pilgrim(cluster, home="debugger")
+    cluster.run_for(10 * MS)
+    assert cluster.world.metrics.labeled("ring.packets_sent").total > 0
+    dbg.start_recording(checkpoint_every=20 * MS)
+    cluster.run_for(SEC)
+    trace = dbg.stop_recording()
+    assert len(trace.checkpoints) > 2 and trace.checkpoints[-1].view.counts["rpc_completed"]
+    _assert_counts_tally_the_events_before(trace)
+    cluster.close()
+
+
+def test_the_series_count_what_a_recording_from_world_birth_tallies():
+    """With the writer attached before the run's first event, each
+    :data:`COUNTED` series ends at its value at attach plus the trace's
+    tally of its type: in total, and per node for a per-node series."""
+    at_attach = {}
+
+    def counted(cluster) -> dict:
+        """Each table series' total and per-node counts."""
+        series = cluster.world.metrics.series()
+        return {row: (series[row.series].value,
+                      collections.Counter(series[row.series].by_label() if row.per_node else {}))
+                for row in COUNTED}
+
+    def build(cluster):
+        at_attach.update(counted(cluster))
+        build_chaos(cluster)
+
     recipe = Recipe(names=tuple(CHAOS_NAMES), seed=2, plan=chaos_plan(),
                     checkpoint_every=100 * MS).running_until(4 * SEC)
-    cluster, _, _, _ = execute(recipe, build_chaos)
-    metrics = cluster.world.metrics
-    snapshot = metrics.snapshot()
-    expected = {key: int(snapshot.get(name, 0))
-                for key, name in checkpoint_module.METRIC_SOURCES.items()}
-    assert metric_counts(metrics) == expected
-    assert expected["never"] == 0 and expected["rpc_failed"] > 0
+    cluster, _, _, trace = execute(recipe, build)
+    events, tally = trace.events, trace.events.tally()
+    for row, (total, nodes) in counted(cluster).items():
+        before, nodes_before = at_attach[row]
+        kind = row.type.__name__
+        assert total - before == tally.get(kind, 0), row
+        if row.per_node:
+            recorded = collections.Counter(map(events.nodes.__getitem__, events.indices([kind])))
+            assert nodes - nodes_before == recorded, row
+    assert {"RpcCallFailed", "FaultInjected", "NodeRebooted", "RpcCallRetried"} <= set(tally)
     cluster.close()
 
 
@@ -323,7 +376,7 @@ def test_capture_view_visits_live_processes_only(monkeypatch):
     monkeypatch.setattr(
         Process, "is_live",
         lambda self: asked.append(id(self)) or is_live(self))
-    view = capture_view(cluster, {}, cluster.world.now)
+    view = capture_view(cluster, cluster.world.now)
     assert not dead.intersection(asked)
     assert view.processes == expected
     assert list(view.processes["0"]) == sorted(view.processes["0"], key=int)

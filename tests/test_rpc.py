@@ -545,7 +545,8 @@ def test_server_table_keeps_the_newest_completed_calls():
     assert len(table) == rpc_runtime.SERVER_TABLE_LIMIT
     arrivals = [record.received_at for record in table.values()]
     assert arrivals == sorted(arrivals)
-    assert cluster.rpc("client").calls_completed == calls
+    completed = cluster.world.metrics.labeled("rpc.calls_completed")
+    assert completed.get(cluster.node("client").node_id) == calls
 
 
 def test_concurrent_calls_from_two_processes():

@@ -45,6 +45,7 @@ from repro.replay import (
 from repro.service import ServiceClient, serve, wire_decode, wire_encode
 from repro.service.daemon import COUNTER_PROGRAM, PilgrimService
 from repro.service.dispatch import wire_methods
+from repro.service import protocol
 from repro.service.protocol import recv_message, send_message
 from repro.sim.units import MS
 from tests.fuzz import corrupt
@@ -200,6 +201,36 @@ def test_too_deeply_nested_frame_is_refused_and_the_connection_serves_on(daemon)
         send_message(stream, {"id": 1, "method": "ping"})
         reply = recv_message(stream)
         assert reply["ok"] is True and reply["text"] == "pong"
+        stream.close()
+
+
+def test_an_oversized_frame_is_answered_once_and_its_connection_closed(daemon, monkeypatch):
+    """The daemon reads a line no further than ``MAX_FRAME_BYTES`` (here
+    4 096): a frame of exactly that length is served, a longer line gets
+    one ``service_error`` reply and its connection is closed, as the
+    line's rest cannot be skipped; a new connection is served as before."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.settimeout(10)
+        conn.connect(daemon)
+        stream = conn.makefile("rwb")
+        frame = json.dumps({"id": 1, "method": "ping"}).encode()
+        stream.write(frame.ljust(4095) + b"\n")
+        stream.flush()
+        assert recv_message(stream)["text"] == "pong"
+        stream.write(b"x" * 4097)
+        stream.flush()
+        refusal = recv_message(stream)
+        assert refusal["ok"] is False
+        assert refusal["error"]["code"] == "service_error"
+        assert "longer than 4096 bytes" in refusal["error"]["message"]
+        assert stream.readline() == b""
+        stream.close()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(daemon)
+        stream = conn.makefile("rwb")
+        send_message(stream, {"id": 2, "method": "ping"})
+        assert recv_message(stream)["text"] == "pong"
         stream.close()
 
 

@@ -29,12 +29,12 @@ from repro.contracts import UNIVERSAL_SET
 from repro.contracts.offline import check_trace
 from repro.obs import events as ev
 from repro.obs.bus import Bus
+from repro.obs.metrics import COUNTED
 from repro.obs.recorder import PARTS, row_layout
 from repro.replay import TRACE_VERSION, TimeTravel, Trace, TraceFormatError
 from repro.replay import format as trace_format
 from repro.replay import trace as trace_module
-from repro.replay.checkpoint import (METRIC_SOURCES, NODE_STATE, Checkpoint, StateView,
-                                     empty_view)
+from repro.replay.checkpoint import NODE_STATE, Checkpoint, StateView, empty_view
 from repro.replay.cli import main as replay_cli
 from repro.replay.format import (
     BINARY_VERSION,
@@ -57,6 +57,9 @@ from repro.replay.format import (
 from repro.replay.trace import EventStream, TraceEvent
 from tests.fuzz import corrupt
 from tests.golden_scenario import GOLDEN_BINARY_PATH
+
+#: A checkpoint's count keys, in the order its record lists the counts.
+COUNT_KEYS = [row.key for row in COUNTED]
 
 PING = """
 proc main()
@@ -114,7 +117,7 @@ def test_a_loaded_trace_holds_each_checkpoint_key_once(tmp_path):
                              *checkpoint.state["nodes"].values(), checkpoint.view.counts)]
     assert len(set(map(id, keys))) == len(set(keys))
     for checkpoint in loaded.checkpoints:
-        assert all(map(operator.is_, checkpoint.view.counts, METRIC_SOURCES))
+        assert all(map(operator.is_, checkpoint.view.counts, COUNT_KEYS))
         for state in checkpoint.state["nodes"].values():
             assert all(map(operator.is_, state, NODE_STATE))
 
@@ -236,6 +239,26 @@ def test_int_columns_are_packed_and_others_stay_json(tmp_path):
                 assert raw == cells
         assert len(packed) == total
         assert [type(stored[name]) for name in HEADER_COLUMNS] == [int, int, list, int]
+
+
+def test_slots_are_held_at_the_narrowest_width_the_largest_type_count_needs(tmp_path):
+    """``slots`` (each event's index among its type's) is an array of the
+    narrowest typecode holding the largest type count less one, recorded
+    or loaded: the golden's (32 events of its most frequent type) one
+    byte an event; 200 events of one type two bytes, widened at the
+    second block of a load."""
+    golden = Trace.load(GOLDEN_BINARY_PATH)
+    assert max(golden.events.sizes) == 32 and golden.events.slots.typecode == "b"
+    events = [TraceEvent.of(i, "Tick", i, None, i, {"value": i}) for i in range(200)]
+    trace = Trace({"version": TRACE_VERSION}, events,
+                  [Checkpoint(index=0, time=0, state={}, view=empty_view([0]))],
+                  {"events": len(events)})
+    path = tmp_path / "t.trace.bin"
+    with mock.patch.object(trace_format, "_BLOCK_EVENTS", 100):
+        write_binary(trace, path, compress=False)
+    loaded = Trace.load(path).events
+    assert loaded.slots.typecode == trace.events.slots.typecode == "h"
+    assert list(loaded.slots) == list(range(200))
 
 
 #: Where each packed width ends: the last int it holds and the first it
@@ -1020,7 +1043,7 @@ def checkpoint_in_flight_call_is_a_string(checkpoint):
 
 @checkpoint_edit
 def checkpoint_counts_one_short(checkpoint):
-    assert len(checkpoint["view"]["counts"]) == len(METRIC_SOURCES)
+    assert len(checkpoint["view"]["counts"]) == len(COUNT_KEYS)
     checkpoint["view"]["counts"].pop()
 
 
@@ -1031,7 +1054,7 @@ def checkpoint_count_is_a_bool(checkpoint):
 
 @checkpoint_edit
 def checkpoint_counts_as_an_object(checkpoint):
-    checkpoint["view"]["counts"] = dict(zip(METRIC_SOURCES, checkpoint["view"]["counts"]))
+    checkpoint["view"]["counts"] = dict(zip(COUNT_KEYS, checkpoint["view"]["counts"]))
 
 
 @checkpoint_edit
@@ -1510,15 +1533,18 @@ def assert_settled_alike(blocks, once, tmp_path) -> None:
 @given(emissions=_emissions(), block=st.integers(1, 6))
 @example(emissions=[(ev.Observation, t, 0, ["k", "op", "key", v, t])
                     for t, v in enumerate([1, 2, 3, None, "x", 4])], block=3)
+@example(emissions=[(ev.Observation, t, 0, ["k", "op", "key", t, t]) for t in range(200)],
+         block=100)
 @settings(max_examples=150, deadline=None)
 def test_settling_block_by_block_equals_settling_once(tmp_path_factory, emissions, block):
     """A stream settled every ``block`` events holds what one settled at
     the end holds: equal cells of equal types in columns of equal types
     (an array only when every cell is an int64 ``int``, of the narrowest
-    typecode holding them all, however many blocks widened it: the
+    typecode holding them all, however many blocks widened it: the first
     example's ``value`` column is packed in its first block and a list
-    once its second brings a ``None`` and a str), and it saves to the
-    same bytes."""
+    once its second brings a ``None`` and a str; the second's ``slots``
+    are bytes after its first block and widen to two bytes an event at
+    its second, as settled once), and it saves to the same bytes."""
     assert_settled_alike(streamed(emissions, block), streamed(emissions, 1 << 30),
                          tmp_path_factory.mktemp("settle"))
 
