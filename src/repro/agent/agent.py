@@ -120,7 +120,7 @@ class PilgrimAgent:
 
     def _on_packet(self, packet) -> None:
         payload = packet.payload
-        kind = payload.get("kind")
+        kind = payload.get("kind") if type(payload) is dict else None
         if kind == "request":
             self._queue.push(payload)
         elif kind == "halt":
@@ -162,16 +162,9 @@ class PilgrimAgent:
         An ``_op_*`` returns its data, or a generator (an op that waits)
         whose return value is its data.
         """
-        op = request.get("op")
         try:
-            if op != rq.CONNECT and (
-                self.session_id is None or request.get("session") != self.session_id
-            ):
-                raise AgentError("bad or stale session identifier")
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise AgentError(f"unknown request {op!r}")
-            data = handler(request.get("args", {}))
+            handler, args = rq.check_request(self, request)
+            data = handler(args)
             if isinstance(data, GeneratorType):
                 data = yield from data
         except AgentError as exc:

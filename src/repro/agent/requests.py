@@ -4,8 +4,11 @@ Every logical debugger request is a single network interaction (paper §3:
 "Expressing each logical request from the debugger as a single network
 interaction improves the overall performance").  Requests and responses
 are plain dicts on the wire; this module names the request kinds and the
-special values.
+special values, and makes the refusals every agent makes before it runs
+a request (:func:`check_request`).
 """
+
+from repro.debugger.errors import AgentError
 
 # Session management
 CONNECT = "connect"
@@ -56,3 +59,23 @@ DEBUGGER_PORT = "pilgrim"
 #: The halt-exempt RPC service every agent exports for shared servers
 #: (get_debuggee_status lives here, paper §6.1).
 DEBUG_SERVICE = "_debug"
+
+
+def check_request(agent, request: dict):
+    """Return ``(handler, args)`` for a request ``agent`` will run.
+
+    Refuses (:class:`AgentError`) a session other than the agent's (a
+    ``connect`` carries none yet), an op it has no ``_op_*`` for, and
+    ``args`` that is not an object.
+    """
+    op = request.get("op")
+    if op != CONNECT and (agent.session_id is None
+                          or request.get("session") != agent.session_id):
+        raise AgentError("bad or stale session identifier")
+    handler = getattr(agent, f"_op_{op}", None)
+    if handler is None:
+        raise AgentError(f"unknown request {op!r}")
+    args = request.get("args", {})
+    if not isinstance(args, dict):
+        raise AgentError(f"args must be an object, not {type(args).__name__}")
+    return handler, args

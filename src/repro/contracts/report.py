@@ -5,8 +5,8 @@ asked "was this run correct?": the campaign runner's per-cell verdicts,
 the REPL's ``check`` command, the service wire protocol, and the
 offline :func:`~repro.contracts.offline.check_trace` fold all return
 it.  The online and offline backends are held to *byte-identical*
-reports (compare with :meth:`ContractReport.canonical`), which is what
-the ``contracts-equivalence`` CI job asserts over the golden traces.
+reports (compare with :meth:`ContractReport.canonical`), which tier-1's
+``tests/test_contracts.py`` asserts over the golden traces.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ import time
 import traceback
 from typing import Optional
 
+from repro.agent.requests import check_request
 from repro.debugger.errors import AgentError, ServiceError
 from repro.service.protocol import FrameTooLong, recv_message, send_message
 
@@ -226,17 +227,8 @@ class LiveAgent:
 
     def handle_request(self, request: dict) -> dict:
         """Run one request and write its envelope (module docstring)."""
-        op = request.get("op")
-        args = request.get("args", {})
         try:
-            if not isinstance(args, dict):
-                raise AgentError(f"args must be an object, not {type(args).__name__}")
-            if op != "connect" and (self.session_id is None
-                                    or request.get("session") != self.session_id):
-                raise AgentError("bad or stale session identifier")
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise AgentError(f"unknown request {op!r}")
+            handler, args = check_request(self, request)
             data = handler(args)
         except AgentError as exc:
             return {"ok": False, "error": str(exc)}

@@ -5,6 +5,7 @@ import pytest
 from repro import MS, SEC, AgentError, Cluster, DebuggerError, Pilgrim
 from repro.agent import requests as rq
 from repro.cvm import CluRecord
+from repro.live import LiveAgent
 from repro.mayflower.syscalls import Cpu
 
 COUNTER = """record point
@@ -461,6 +462,45 @@ def test_a_malformed_packet_on_the_debuggers_port_is_dropped(payload):
     with pytest.raises(DebuggerError, match="no breakpoint event"):
         dbg.wait_for_event(rq.EVENT_BREAKPOINT, timeout=10 * MS)
     assert [p["pid"] for p in dbg.processes("app")] == before
+
+
+@pytest.mark.parametrize("payload", [["kind", "request"], "request", 7, None],
+                         ids=["list", "str", "int", "none"])
+def test_a_payload_on_the_agents_port_that_is_not_a_dict_is_dropped(payload):
+    """A packet to the agent's port whose payload is not a dict is
+    dropped: the run goes on and the agent answers the next request."""
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    agent = cluster.node("app").agent
+    handled = agent.requests_handled
+    dbg.home.station.send(cluster.node("app").node_id, rq.AGENT_PORT, payload,
+                          kind="agent_request")
+    cluster.world.run(until=cluster.world.now + 100 * MS)
+    assert agent.process.is_live()
+    assert agent.requests_handled == handled
+    assert [p["pid"] for p in dbg.processes("app")]
+
+
+@pytest.mark.parametrize("args", [[1], "x", 7], ids=["list", "str", "int"])
+def test_args_that_is_not_an_object_gets_one_refusal_from_both_agents(args):
+    """The simulated and the live agent refuse non-object ``args`` with
+    one reason, before any op reads them."""
+    cluster, image, proc, dbg = make_session()
+    dbg.connect("app")
+    with pytest.raises(AgentError) as simulated:
+        dbg._request("app", rq.LIST_PROCESSES, args)
+    assert cluster.node("app").agent.process.is_live()
+
+    agent = LiveAgent()
+    try:
+        assert agent.handle_request({"op": "connect", "args": {"session": 7}})["ok"]
+        live = agent.handle_request({"op": "list_threads", "args": args, "session": 7})
+        assert agent.handle_request({"op": "disconnect", "session": 7})["ok"]
+    finally:
+        agent.shutdown()
+    reason = f"args must be an object, not {type(args).__name__}"
+    assert str(simulated.value) == reason
+    assert live == {"ok": False, "error": reason}
 
 
 def test_a_breakpoint_in_an_unknown_procedure_is_refused():

@@ -14,10 +14,10 @@ The campaign below is deterministic — fixed grid, fixed seeds, inline
 execution — so rebuilding on an unchanged tree is a no-op apart from
 file timestamps.
 
-``--check`` (CI's ``corpus-replay`` job) rebuilds into a scratch
-directory instead and exits 1 if any file differs from, is missing
-from, or is extra in ``tests/corpus/``: a committed corpus container is
-always what the current writer writes.
+``--check`` (run after tier-1 on every CI hash-seed leg) rebuilds into
+a scratch directory instead and exits 1 if any file differs from, is
+missing from, or is extra in ``tests/corpus/``: a committed corpus
+container is always what the current writer writes.
 """
 
 import argparse

@@ -12,9 +12,10 @@ loads back to the same fingerprint before reporting it.  The fingerprint it
 prints is what ``tests/test_golden_trace.py::GOLDEN_FINGERPRINT`` must
 be updated to.
 
-``--check`` (CI's ``golden-replay`` job) regenerates into a scratch
-directory instead and exits 1 if any committed file differs: the
-committed container is always what the current writer writes.
+``--check`` (run after tier-1 on every CI hash-seed leg) regenerates
+into a scratch directory instead and exits 1 if any committed file
+differs: the committed container is always what the current writer
+writes.
 """
 
 import sys
