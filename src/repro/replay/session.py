@@ -109,7 +109,7 @@ class TraceSession(SessionBase):
         return rows
 
     def status(self) -> SessionStatus:
-        """Cursor position and trace dimensions."""
+        """Cursor position, trace dimensions and time-travel work counters."""
         moment = self._travel.current()
         return SessionStatus(
             mode="replay",
@@ -122,6 +122,7 @@ class TraceSession(SessionBase):
                 "events": self.trace.n_events,
                 "checkpoints": self.trace.n_checkpoints,
                 "seed": self.trace.header.get("seed"),
+                **self._travel.stats(),
             },
         )
 

@@ -2,12 +2,12 @@
 
 The cursor model: a :class:`TimeTravel` session sits *between* events of
 the trace; position ``k`` means events ``[0, k)`` have happened.  Every
-query answers with a :class:`Moment` — the folded
-:class:`~repro.replay.checkpoint.StateView` at the cursor plus the last
-applied event.  Seeking uses the trace's checkpoints: ``at(t)`` folds
-from the nearest checkpoint at or before the target instead of from the
-beginning, and only the events that change a table: counts and time
-come off columns built once (``docs/time-travel.md`` prices each query).
+query moves the cursor (at most a bisect) and answers with a
+:class:`Moment`: the last applied event plus the
+:class:`~repro.replay.checkpoint.StateView` at the cursor, built when
+first read.  A view folds from the nearest checkpoint at or before its
+cursor, and only the events that change a table: counts and time come
+off columns built once (``docs/time-travel.md`` prices each query).
 
 ``at(t)`` uses prefix semantics: the cursor lands after the longest
 event prefix whose times are all <= t.  Event times are stamped by the
@@ -26,7 +26,6 @@ information crosses nodes in this system.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Optional
 
@@ -46,21 +45,44 @@ _COUNT_CODES = tuple(map(_CODES.__getitem__, _COUNT_KEYS))
 _TABLE_MASK = bytes(code in {_CODES[kind] for kind in _TABLE_FOLDS}
                     for code in range(256))
 
-#: Table events between two reverse-step snapshots.  A step back folds
+#: Table events between two snapshots, kept for reads off the forward
+#: path (after a step back, or of a moment read once the cursor moved
+#: on).  A step back folds
 #: half a stride on average: at 16 about the cost of the one view copy it
 #: makes anyway, with ~4 views kept per 100 ms checkpoint interval.
 _STRIDE = 16
 
 
-@dataclass
 class Moment:
-    """The state of the run at one cursor position."""
+    """The state of the run at one cursor position.
 
-    index: int
-    time: int
-    view: StateView
-    #: The event that brought the run here (None at the very start).
-    event: Optional[TraceEvent]
+    Handed out by a :class:`TimeTravel` whose view at the cursor is not
+    folded yet, it folds ``view`` the first time it is read, at ``index``
+    however far the cursor has moved since, and then drops the session.
+    Read it on its session's thread, or copy it there first: a copy or a
+    pickle builds ``view`` and carries the four fields only."""
+
+    __slots__ = ("index", "time", "event", "_view", "_travel")
+
+    def __init__(self, index: int, time: int, view: Optional[StateView],
+                 event: Optional[TraceEvent]):
+        self.index, self.time, self._view = index, time, view
+        #: The event that brought the run here (None at the very start).
+        self.event = event
+        self._travel: Optional[TimeTravel] = None
+
+    @property
+    def view(self) -> StateView:
+        """The folded state of the run at ``index``."""
+        if self._travel is not None:
+            self._view, self._travel = self._travel._view_for(self.index), None
+        return self._view
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Moment) and self.__reduce__() == other.__reduce__()
+
+    def __reduce__(self):
+        return Moment, (self.index, self.time, self.view, self.event)
 
     def __repr__(self) -> str:
         what = self.event.type if self.event else "start"
@@ -95,11 +117,13 @@ class TimeTravel:
         self._tabled = self._kinds.translate(_TABLE_MASK)
         self._folds = list(map(_TABLE_FOLDS.get, names))
         self.cursor = len(self.events)
-        #: The view at the cursor once folded.  Every ``Moment`` handed
-        #: out shares it, so it is replaced, never mutated.
+        #: The view at the cursor once a ``Moment`` there was read.  Every
+        #: such ``Moment`` shares it, so it is replaced, never mutated.
         self._view: Optional[StateView] = None
-        #: Reverse-step snapshots of the one checkpoint interval last
-        #: stepped back in: (its start, cursors, views copied before use).
+        #: Set when the cursor last moved back: a read folds from snapshots.
+        self._backwards = False
+        #: Snapshots of the one checkpoint interval a read off the forward
+        #: path last landed in: (its start, cursors, views copied before use).
         self._snapshots: tuple = (None, [], [])
         #: The bank ``first_contract_violation`` last fed, kept to go on.
         self._prefix = None
@@ -110,9 +134,9 @@ class TimeTravel:
              "prefix_events_fed", "prefix_restarts", "edge_builds"), 0)
 
     def stats(self) -> dict:
-        """Exact work counters: views folded, table events run for them,
-        reverse steps seeded by a snapshot, the contract fold's events
-        and restarts, predecessor-graph builds."""
+        """Exact work counters: views folded (each on a ``Moment``'s first
+        read), table events run for them, reads seeded by a snapshot, the
+        contract fold's events and restarts, predecessor-graph builds."""
         return dict(self._stats)
 
     # ------------------------------------------------------------------
@@ -166,24 +190,33 @@ class TimeTravel:
         self._stats["folds"] += 1
         return view
 
-    def _moment(self) -> Moment:
+    def _view_for(self, index: int) -> StateView:
+        """A ``Moment``'s view, on first read: kept at the cursor for
+        ``step()``; elsewhere, seeded from the snapshots as stepping back is."""
+        if index != self.cursor:
+            return self._view_at(index, backwards=True)
         if self._view is None:
-            self._view = self._view_at(self.cursor)
-        event = self.events[self.cursor - 1] if self.cursor > 0 else None
-        return Moment(index=self.cursor, time=self._max_times[self.cursor],
-                      view=self._view, event=event)
+            self._view = self._view_at(index, self._backwards)
+        return self._view
+
+    def _moment(self) -> Moment:
+        event = self.events[self.cursor - 1] if self.cursor else None
+        moment = Moment(self.cursor, self._max_times[self.cursor], self._view, event)
+        if self._view is None:
+            moment._travel = self
+        return moment
 
     def at(self, t: int) -> Moment:
         """Seek to virtual time ``t``: the longest prefix of events whose
         times are all <= t (virtual time is whole microseconds)."""
         self.cursor = prefix_before(self._max_times, t + 1)
-        self._view = None
+        self._view, self._backwards = None, False
         return self._moment()
 
     def seek(self, index: int) -> Moment:
         """Seek to an explicit cursor position (0..len(trace))."""
         self.cursor = max(0, min(index, len(self.events)))
-        self._view = None
+        self._view, self._backwards = None, False
         return self._moment()
 
     def step(self) -> Moment:
@@ -204,12 +237,12 @@ class TimeTravel:
     def reverse_step(self) -> Moment:
         """Un-apply the last event (no-op at the start of the trace).
 
-        Events are not invertible, so the view is re-folded — from the
-        nearest snapshot kept while stepping back through an interval.
+        Events are not invertible, so a view read here is re-folded, from
+        the nearest snapshot kept while stepping back through an interval.
         """
         if self.cursor > 0:
             self.cursor -= 1
-            self._view = self._view_at(self.cursor, backwards=True)
+            self._view, self._backwards = None, True
         return self._moment()
 
     def current(self) -> Moment:

@@ -14,13 +14,14 @@ prints ``ok`` or JSON, while the REPL command formats the result itself.
 
 from __future__ import annotations
 
+import copy
 import json
 from typing import Any, Optional
 
 from repro.debugger.api import OPS, TraceSummary
 from repro.debugger.errors import ServiceError
 from repro.debugger.repl import COMMANDS
-from repro.replay.trace import Trace
+from repro.replay import Moment, Trace
 from repro.service.protocol import wire_encode
 
 
@@ -60,6 +61,9 @@ def apply_op(backend: Any, op: str, args: list, kwargs: dict) -> Any:
     if isinstance(result, Trace):
         return TraceSummary(n_events=result.n_events,
                             n_checkpoints=result.n_checkpoints)
+    if isinstance(result, Moment):
+        # A copy folds its view now, under the session's lock.
+        return copy.copy(result)
     return result
 
 

@@ -1,7 +1,10 @@
-"""Concurrent attach/detach: races, forcible takeover, socket hygiene."""
+"""Concurrent attach/detach: races, forcible takeover, socket hygiene,
+and concurrent requests on one held session."""
 
 import os
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -14,9 +17,12 @@ from repro.debugger.errors import (
     SessionHeldError,
     SessionTakenError,
 )
+from repro.replay import TimeTravel
 from repro.service import ServiceClient, serve
-from repro.service.daemon import _clear_stale_socket
+from repro.service.daemon import PilgrimService, _clear_stale_socket
+from repro.service.protocol import wire_decode
 from repro.sim.units import SEC
+from tests.test_timetravel import postmortem_trace
 
 
 @pytest.fixture()
@@ -226,3 +232,47 @@ def test_client_fails_cleanly_with_no_daemon(tmp_path):
     with pytest.raises(ServiceError, match="cannot reach"):
         ServiceClient(str(tmp_path / "void.sock"), connect_retries=2,
                       retry_delay=0.01)
+
+
+# ----------------------------------------------------------------------
+# Concurrent requests on one session
+# ----------------------------------------------------------------------
+
+
+def test_concurrent_cursor_moves_each_reply_with_their_own_instant(tmp_path):
+    """Six threads move one trace session's cursor at once.  A reply's
+    ``Moment`` folds its view on the session, so the daemon builds it
+    under the session's lock: built while it encodes, another request's
+    move would hand it the view of a different cursor."""
+    trace = postmortem_trace(14)
+    path = tmp_path / "postmortem.trace.bin"
+    trace.save(path)
+    service = PilgrimService()
+    service.handle({"id": 1, "method": "open", "params": {"args": [], "kwargs": {
+        "name": "t1", "kind": "trace", "spec": {"path": str(path)}}}})
+    wrong, finished = [], []
+
+    def move(seed):
+        rng, oracle = random.Random(seed), TimeTravel(trace)
+        for _ in range(40):
+            method = rng.choice(("at", "reverse_step", "forward_step"))
+            args = [rng.randrange(trace.final_time)] if method == "at" else []
+            reply = service.handle({"id": 2, "method": method, "session": "t1",
+                                    "client": "mover", "params": {"args": args}})
+            moment = wire_decode(reply["result"])
+            if moment.view != oracle.seek(moment.index).view:
+                wrong.append((method, moment.index))
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=move, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == 6 and wrong == []

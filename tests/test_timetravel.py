@@ -6,7 +6,8 @@ op sequences over three traces and after every op the session must
 agree with oracles that share nothing with it — ``fold_view`` from
 index 0, a one-shot ``first_violation``, a backwards walk for the halt
 episode — while every ``Moment`` handed out earlier keeps the view it
-was returned with.  *Complexity fences*: ``TimeTravel.stats()`` counts
+was returned with, and one first read after later ops reads its own
+instant.  *Complexity fences*: ``TimeTravel.stats()`` counts
 work exactly, so the bounds below are asserted on counts, never on wall
 time.
 """
@@ -14,6 +15,7 @@ time.
 import bisect
 import copy
 import functools
+import pickle
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from benchmarks.ledger.workloads.trace_postmortem import record as record_postmo
 from repro import Cluster, Pilgrim
 from repro.contracts.dsl import universal_contracts
 from repro.contracts.offline import first_violation
-from repro.replay import TimeTravel, Trace, fold_view
+from repro.replay import TimeTravel, Trace, TraceSession, fold_view
 from repro.replay.checkpoint import _TABLE_FOLDS, apply_event, empty_view
 from repro.replay.timetravel import _CAUSE_TYPES, _STRIDE
 from tests.test_contracts import events_from_rows
@@ -164,10 +166,13 @@ def check_sequence(trace, ops):
     events = trace.events
     base = base_view(trace)
     travel = TimeTravel(trace)
-    handed_out = []
+    handed_out, unread = [], []
 
     def check(moment):
         assert moment.index == travel.cursor
+        if len(unread) < len(handed_out) // 2:
+            unread.append(moment)
+            return
         oracle = fold_view(events, moment.index, base)
         assert moment.view.to_dict() == oracle.to_dict()
         assert moment.time == oracle.time
@@ -195,6 +200,12 @@ def check_sequence(trace, ops):
     # Moment that was already returned.
     for moment, frozen in handed_out:
         assert moment.view.to_dict() == frozen
+    # The late-read fence: a Moment first read after the cursor moved on
+    # folds at its own index.
+    for moment in unread:
+        oracle = fold_view(events, moment.index, base)
+        assert moment.view.to_dict() == oracle.to_dict()
+        assert moment.event == (events[moment.index - 1] if moment.index else None)
 
 
 @pytest.mark.parametrize("make_trace",
@@ -312,8 +323,8 @@ def test_reverse_steps_cost_a_stride_not_an_interval():
     assert after["snapshot_hits"] > 375
     # Stepping forth and back again reuses the same snapshots.
     for _ in range(100):
-        travel.step()
-        travel.reverse_step()
+        assert travel.step().view is not None
+        assert travel.reverse_step().view is not None
     assert (travel.stats()["table_events_folded"]
             - after["table_events_folded"]) <= 100 * _STRIDE
 
@@ -360,7 +371,9 @@ def test_seeks_fold_no_count_only_event():
     travel = TimeTravel(trace)
     looked_at = table_events = 0
     for _ in range(1500):
-        index = travel.at(rng.randrange(trace.final_time)).index
+        moment = travel.at(rng.randrange(trace.final_time))
+        index = moment.index
+        assert moment.view is not None
         start = starts[bisect.bisect_right(starts, index) - 1]
         looked_at += index - start
         table_events += table_before[index] - table_before[start]
@@ -368,3 +381,64 @@ def test_seeks_fold_no_count_only_event():
     assert stats["folds"] == 1500
     assert stats["table_events_folded"] == table_events < looked_at
     assert stats["snapshot_hits"] == 0
+
+
+def test_a_cursor_move_folds_nothing_until_its_view_is_read():
+    trace = postmortem_trace(14)
+    session = TraceSession(trace)
+    rng = random.Random(14)
+    for _ in range(1500):
+        session.at(rng.randrange(trace.final_time))
+    session.at(trace.final_time // 2)
+    for _ in range(750):
+        session.reverse_step()
+    for _ in range(750):
+        moment = session.forward_step()
+    assert session.status()["folds"] == 0
+    assert moment.view == TimeTravel(trace).seek(moment.index).view
+    assert session.status()["folds"] == 1
+
+
+def test_moments_read_late_cost_a_stride_each():
+    """Moments handed out unread and read after the cursor moved on are
+    seeded from the snapshots, as a step back is, not from their
+    checkpoint; once the view at the cursor is read, each step hands
+    out a moment that holds its own."""
+    trace = postmortem_trace(14)
+    table_before = [0]
+    for event in trace.events:
+        table_before.append(table_before[-1] + (event.type in _TABLE_FOLDS))
+    starts = [checkpoint.index for checkpoint in trace.checkpoints]
+    travel, reference = TimeTravel(trace), TimeTravel(trace)
+    high = travel.at(trace.final_time // 2).index
+    backs = [travel.reverse_step() for _ in range(750)]
+    forths = [travel.step() for _ in range(750)]
+    travel.seek(0)
+    low = starts[bisect.bisect_right(starts, high - 750) - 1]
+    for moments in (backs, forths):
+        before = travel.stats()["table_events_folded"]
+        for moment in moments:
+            assert moment.view == reference.seek(moment.index).view
+        folded = travel.stats()["table_events_folded"] - before
+        assert folded <= 750 * _STRIDE + table_before[high] - table_before[low]
+    assert travel.at(trace.final_time // 2).view is not None
+    folds = travel.stats()["folds"]
+    forths = [travel.step() for _ in range(750)]
+    assert all(moment._travel is None for moment in forths)
+    assert [moment.view for moment in forths][-1] == reference.seek(high + 750).view
+    assert travel.stats()["folds"] == folds
+
+
+def test_an_unread_moment_copies_and_pickles_its_four_fields_only():
+    trace = postmortem_trace(14)
+    travel = TimeTravel(trace)
+    for make in (copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        moment = travel.at(trace.final_time // 3)
+        travel.seek(0)
+        clone = make(moment)
+        assert clone._travel is None
+        assert clone == moment == travel.seek(moment.index)
+        assert moment._travel is None
+    data = pickle.dumps(travel.at(trace.final_time // 2))
+    assert len(data) < 16 * 1024
+    assert b"TimeTravel" not in data and b"EventColumns" not in data
