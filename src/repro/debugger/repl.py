@@ -147,6 +147,10 @@ class PilgrimRepl:
         if entry is None:
             self.emit(f"?unknown command {command!r} (try 'help')")
             return
+        # The arguments its usage names before an optional ``[...]`` part.
+        if len(args) < len(entry.usage.split("[")[0].split()) - 1:
+            self.emit(f"?usage: {entry.usage}")
+            return
         handler = getattr(self, f"cmd_{entry.name}")
         try:
             handler(args, force=command.endswith("!"))
@@ -168,7 +172,7 @@ class PilgrimRepl:
     # Commands
     # ------------------------------------------------------------------
 
-    @_command("connect app server", op="connect")
+    @_command("connect app [server ...]", op="connect")
     def cmd_connect(self, args, force=False):
         """attach to nodes (force with 'connect! ...')"""
         infos = self.dbg.connect(*args, force=force)
@@ -212,7 +216,7 @@ class PilgrimRepl:
         self.dbg.clear_breakpoint(bp)
         self.emit(f"cleared breakpoint #{number}")
 
-    @_command("run 100ms", op="run_for")
+    @_command("run [100ms]", op="run_for")
     def cmd_run(self, args, force=False):
         """let the program run for a while"""
         duration = parse_duration(args[0]) if args else 100 * MS
@@ -383,7 +387,7 @@ class PilgrimRepl:
         for event in self.dbg.causal_predecessors(int(args[0])):
             self.emit(f"  #{event.index:<4} {event.line}")
 
-    @_command("fork 1 crash node=server at=300ms", op="fork")
+    @_command("fork 1 crash [node=server at=300ms]", op="fork")
     def cmd_fork(self, args, force=False):
         """fork the trace at checkpoint #1 into a what-if branch"""
         from repro.replay.branch import parse_perturbation

@@ -7,9 +7,10 @@ Subcommands:
   the input path with ``.trace.bin`` swapped for ``.trace.jsonl``.  The
   export is one-way: nothing loads JSONL back;
 * ``info <trace>`` — one-paragraph summary (seed, topology, events per
-  type, container bytes per event, checkpoints and their mean interval,
-  fingerprint) for quick triage; exits 1 when the recomputed stream
-  fingerprint differs from the footer's.
+  type, container bytes per event, raw record-stream bytes by kind of
+  record, checkpoints and their mean interval, fingerprint) for quick
+  triage; exits 1 when the recomputed stream fingerprint differs from
+  the footer's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.replay.format import TraceFormatError, export_jsonl
+from repro.replay.format import TraceFormatError, export_jsonl, record_bytes
 from repro.replay.trace import Trace
 
 
@@ -67,6 +68,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     for kind, seen in sorted(trace.events.tally().items()):
         print(f"  {kind:<18}{seen}")
     print(f"container:    {size} bytes  ({size / max(events, 1):.1f} per event)")
+    stream = record_bytes(source)
+    print(f"stream:       {sum(stream.values())} raw bytes")
+    for kind, raw in stream.items():
+        print(f"  {kind:<22}{raw}")
     print(f"checkpoints:  {len(trace.checkpoints)}  "
           f"(one per {events / len(trace.checkpoints):.1f} events)")
     print(f"final time:   {trace.final_time} us  "

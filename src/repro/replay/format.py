@@ -25,18 +25,22 @@ A trace is stored in one format, a length-prefixed binary container:
   signed ints at the narrowest of 1, 2, 4 or 8 bytes a cell that holds
   every one of them (the block's own cells: a later block may be
   wider), and the object holds its byte length in its place, so the
-  width is that length over the column's known cell count; any other
-  column is a JSON list.  The packed bytes follow the object in the
-  order it names them (``type``, ``t``, ``node``, ``seq``, then
+  width is that length over the column's known cell count.  A column
+  whose every cell is a ``str`` is ``{"strings": [its distinct cells,
+  first seen first], "codes": <byte length>}``: its cells' indices into
+  that table, packed so, at the width the table's size needs.  Any
+  other column is a JSON list.  The packed bytes follow the object in
+  the order it names them (``type``, ``t``, ``node``, ``seq``, then
   ``cells`` in table order), so the reader pays one ``json.loads`` over
-  names and strings and a ``frombytes`` straight into ``array('b' | 'h'
-  | 'i' | 'q')`` per packed column, not a parse or a conversion per
-  event or per integer.  Neither the normalized line nor the ``fields``
-  dict is stored, and the law that licenses it is: a row survives the
-  round trip unchanged (every cell is ``int | str | bool | None``, and
-  only an all-``int`` column is packed), and the line, whose
-  byte-identity is the replay contract, is a pure function of header,
-  field names and row (:func:`repro.obs.recorder.render_line`);
+  names and distinct strings, a ``frombytes`` straight into
+  ``array('b' | 'h' | 'i' | 'q')`` per packed column and an intern per
+  distinct string, not a parse or a conversion per event or per cell.
+  Neither the normalized line nor the ``fields`` dict is stored, and
+  the law that licenses it is: a row survives the round trip unchanged
+  (every cell is ``int | str | bool | None``, and only an all-``int``
+  or all-``str`` column is packed), and the line, whose byte-identity
+  is the replay contract, is a pure function of header, field names and
+  row (:func:`repro.obs.recorder.render_line`);
 * a checkpoint record is one JSON object, ``index``, ``time``, ``state``
   and ``view`` as :meth:`~repro.replay.checkpoint.Checkpoint.to_dict`
   holds them, except that each node's ``state["nodes"]`` entry is a
@@ -44,7 +48,10 @@ A trace is stored in one format, a length-prefixed binary container:
   view's ``counts`` a list in :data:`~repro.obs.metrics.COUNTED` row
   order: the reader keys the dicts it rebuilds with the field names and
   count keys those tables hold, so a loaded trace holds each name once,
-  not once per checkpoint;
+  not once per checkpoint.  A node's ``processes`` / ``halted`` /
+  ``in_flight`` table, or the epochs, equal (``==``) to the previous
+  checkpoint's is ``null``, for the reader to take that one's object
+  (a fault in the first record or where it has none);
 * a checkpoint sits after exactly ``index`` events.  One at index 0
   precedes the first block; any other follows the block holding event
   ``index - 1``, whose ``checkpoints`` lists ``index - first`` (each in
@@ -82,11 +89,12 @@ from array import array
 from bisect import bisect_right
 from itertools import chain
 from operator import itemgetter
+from typing import Optional
 
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.obs.metrics import COUNTED
 from repro.obs.recorder import row_layout
-from repro.replay.checkpoint import NODE_STATE, Checkpoint, share_unchanged
+from repro.replay.checkpoint import NODE_STATE, Checkpoint, StateView
 from repro.replay.trace import (_BLOCK_EVENTS, INT_WIDTHS, TRACE_VERSION, EventColumns,
                                 Trace, grow_column, pack_column, slot_typecode)
 
@@ -96,11 +104,12 @@ __all__ = [
     "TraceFormatError",
     "export_jsonl",
     "read_binary",
+    "record_bytes",
     "write_binary",
 ]
 
 MAGIC = b"PILTRACE"
-BINARY_VERSION = 5
+BINARY_VERSION = 6
 
 #: Preamble: magic + version (u16) + flags (u16).
 _PREAMBLE = struct.Struct("<8sHH")
@@ -124,6 +133,7 @@ _FRAME_RAW_SIZE = 1 << 18
 #: A packed column's typecode by its bytes per cell (little-endian on disk).
 _TYPECODES = {array(code).itemsize: code for code, _ in INT_WIDTHS}
 _SWAP = sys.byteorder == "big"
+_BYTES = bytes(range(128))
 
 #: A block's header columns and the exact cell types each admits:
 #: ``bool`` is not ``int``, so ``true`` in ``seq`` is a fault.
@@ -136,6 +146,8 @@ _BLOCK_KEYS = {"first", "events", "types", "cells", "checkpoints", *_COLUMNS}
 #: :class:`~repro.replay.checkpoint.StateView`).
 _CHECKPOINT_KEYS = {"index", "time", "state", "view"}
 _VIEW_KEYS = {"time", "processes", "halted", "in_flight", "epochs", "counts"}
+#: A view's per-node tables (``null`` where a checkpoint repeats the last's).
+_NODE_TABLES = ("processes", "halted", "in_flight")
 _PROCESS_KEYS = frozenset({"name", "priority"})
 _PROCESS_RECORD = itemgetter("name", "priority")
 #: A node's raw state as a file stores it: its cells in field order.
@@ -181,14 +193,29 @@ def _is_column(column, admitted: set) -> bool:
     return type(column) is list and set(map(type, column)) <= admitted
 
 
+def _within(codes, bound: int) -> bool:
+    """Whether every int of ``codes`` is in ``range(bound)``: for a
+    one-byte array, one C-level pass (a negative code's byte is 128 up)."""
+    if getattr(codes, "itemsize", 0) == 1:
+        return not codes.tobytes().translate(None, _BYTES[:bound])
+    return not codes or 0 <= min(codes) and max(codes) < bound
+
+
 def _stored(column, packed: list[bytes]):
     """``column`` as a block stores it: when :func:`pack_column` packs it,
-    its packed byte length (the bytes appended to ``packed``); else the
-    cells themselves, for the JSON object, when every one is a scalar;
-    else ``None``.  An empty column is stored as no cells."""
+    its packed byte length (the bytes appended to ``packed``); when every
+    cell is a ``str``, its distinct cells in first-seen order and its
+    cells' indices among them, stored by this rule; else the cells
+    themselves, for the JSON object, when every one is a scalar; else
+    ``None``.  An empty column is stored as no cells."""
     column = pack_column(column) if column else []
     if type(column) is not array:
-        return column if set(map(type, column)) <= _SCALARS else None
+        cells = set(map(type, column))
+        if cells != {str}:
+            return column if cells <= _SCALARS else None
+        index = {cell: code for code, cell in enumerate(dict.fromkeys(column))}
+        codes = array(slot_typecode([len(index)]), map(index.__getitem__, column))
+        return {"strings": list(index), "codes": _stored(codes, packed)}
     if _SWAP:
         column = array(column.typecode, column)
         column.byteswap()
@@ -285,8 +312,9 @@ def write_binary(trace: Trace, path, compress: bool = True) -> None:
         if run:
             record(KIND_EVENTS, *_block(events, run, [
                 index - run.start for index in indices[placed:upto]], done))
-        for checkpoint in trace.checkpoints[placed:upto]:
-            record(KIND_CHECKPOINT, _json(_checkpoint_record(checkpoint)))
+        for at in range(placed, upto):
+            record(KIND_CHECKPOINT, _json(_checkpoint_record(
+                trace.checkpoints[at], trace.checkpoints[at - 1] if at else None)))
         placed = upto
     record(KIND_FOOTER, _json(trace.footer))
     if pending:
@@ -434,8 +462,11 @@ class _Packed:
         """For a byte length, the next that many packed bytes decoded as
         ``cells`` little-endian ints of the width they divide into
         (``ValueError`` unless they are within what is left and 1, 2, 4
-        or 8 bytes a cell); anything else as is, for the caller to check
+        or 8 bytes a cell); for a string column, its cells
+        (:meth:`strings`); anything else as is, for the caller to check
         as a JSON column."""
+        if type(stored) is dict:
+            return self.strings(stored, cells)
         if type(stored) is not int:
             return stored
         left = len(self.data) - self.pos
@@ -453,21 +484,25 @@ class _Packed:
         self.pos += stored
         return column
 
+    def strings(self, stored: dict, cells: int) -> list:
+        """A string column's ``cells``: its table's interned strings at its
+        packed codes (``ValueError`` unless the table is distinct strings
+        and the codes indices into it, as wide as its size needs)."""
+        table, codes = stored.get("strings"), stored.get("codes")
+        if not (stored.keys() == {"strings", "codes"} and type(codes) is int
+                and _is_column(table, {str}) and len(set(table)) == len(table)):
+            raise ValueError("a string column is not {strings: [distinct str], codes: length}")
+        table = list(map(sys.intern, table))
+        codes = self.column(codes, cells)
+        if codes.typecode != slot_typecode([len(table)]) or not _within(codes, len(table)):
+            raise ValueError(f"a string column's codes are not indices into its "
+                             f"{len(table)} strings, as wide as they need")
+        return [table[code] for code in codes]
+
     def finish(self) -> None:
         """Refuse packed bytes that no column named."""
         if self.pos != len(self.data):
             raise ValueError(f"{len(self.data) - self.pos} packed bytes no column names")
-
-
-def _json_cells(column: list) -> tuple[set, list]:
-    """A JSON cell column's cell types, and the column as the trace keeps
-    it: an all-``str`` one interned (one pass, as ``sys.intern`` refuses
-    anything but a ``str``), so a name or kind repeated over a trace is
-    held once and the parsed copies are freed with the block."""
-    try:
-        return {str}, list(map(sys.intern, column))
-    except TypeError:
-        return set(map(type, column)), column
 
 
 def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list[int]:
@@ -484,8 +519,8 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
     header = []
     for name, admitted in _COLUMNS.items():
         column = unpack.column(block[name], size)
-        if type(column) not in (list, array) or (column is block[name]
-                                                 and not set(map(type, column)) <= admitted):
+        if not (type(column) is array
+                or type(column) is list and set(map(type, column)) <= admitted):
             kinds = "/".join(sorted(cell.__name__ for cell in admitted))
             raise ValueError(f"{name!r} is neither a packed length nor a list of {kinds}")
         header.append(column)
@@ -496,11 +531,11 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
     if not (_is_column(table, {list}) and _is_column(cells, {list})
             and len(table) == len(cells)):
         raise ValueError("'types' and 'cells' are not lists of lists, one entry per type")
-    if not 0 <= min(ids) <= max(ids) < len(table):
+    if not _within(ids, len(table)):
         raise ValueError("type id outside the block's 'types' table")
-    # One byte an id (iterated: a packed column's buffer is its raw
-    # cells), so counting and translating them are C-level scans.
-    ids = bytes(iter(ids))
+    # One byte an id (a wider packed column's buffer is not its ids, so
+    # it is iterated), so counting and translating them are C-level scans.
+    ids = bytes(ids) if getattr(ids, "itemsize", 1) == 1 else bytes(iter(ids))
     first, offsets = block["first"], block["checkpoints"]
     if type(first) is not int or first != len(events):
         raise ValueError(f"'first' is {first!r} after {len(events)} events")
@@ -526,11 +561,9 @@ def _append_block(events: EventColumns, block: dict, packed: memoryview) -> list
             column = unpack.column(stored, count)
             if not (type(column) in (list, array) and len(column) == count):
                 raise ValueError(f"{kind} column {at} is not one cell per {kind} event")
-            if column is stored:
-                cell_types, column = _json_cells(column)
-                if not cell_types <= _SCALARS:
-                    raise ValueError(f"{kind} column {at} holds a cell that is "
-                                     f"not an int, str, bool or None")
+            if column is stored and not set(map(type, column)) <= _SCALARS:
+                raise ValueError(f"{kind} column {at} holds a cell that is "
+                                 f"not an int, str, bool or None")
             own[at] = column
         codes.append(code)
         # This block's rows of the type follow the ones already held.
@@ -562,19 +595,27 @@ def _node_state(cells: list) -> dict:
     return state
 
 
-def _checkpoint_record(checkpoint: Checkpoint) -> dict:
+def _checkpoint_record(checkpoint: Checkpoint, previous: Optional[Checkpoint]) -> dict:
     """``checkpoint`` as its record stores it: each node's raw state as
-    a list in :data:`~repro.replay.checkpoint.NODE_STATE` order and the
-    view's counts as a list in :data:`~repro.obs.metrics.COUNTED` order, refused
-    (``ValueError``) unless they hold exactly those fields, of those
-    types."""
+    a list in :data:`~repro.replay.checkpoint.NODE_STATE` order, the
+    view's counts as a list in :data:`~repro.obs.metrics.COUNTED` order,
+    and ``null`` for each per-node table, and the epochs, equal to
+    ``previous``'s; refused (``ValueError``) unless the state and counts
+    hold exactly those fields, of those types."""
     data = checkpoint.to_dict()
     state, view = data["state"], data["view"]
     counts = view["counts"]
     if counts.keys() != _COUNT_KEYS.keys() or set(map(type, counts.values())) - {int}:
         raise ValueError(f"checkpoint {checkpoint.index}'s counts are not an int "
                          f"for each of {list(_COUNT_KEYS)}")
-    data["view"] = dict(view, counts=[counts[key] for key in _COUNT_KEYS])
+    view = data["view"] = dict(view, counts=[counts[key] for key in _COUNT_KEYS])
+    if previous is not None:
+        for name in _NODE_TABLES:
+            before = getattr(previous.view, name)
+            view[name] = {node: None if node in before and before[node] == table else table
+                          for node, table in view[name].items()}
+        if view["epochs"] == previous.view.epochs:
+            view["epochs"] = None
     if "nodes" in state:
         entries = state["nodes"].values()
         if not all(type(entry) is dict and entry.keys() == NODE_STATE.keys()
@@ -586,7 +627,7 @@ def _checkpoint_record(checkpoint: Checkpoint) -> dict:
     return data
 
 
-def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
+def _read_checkpoint(data: dict, shared: dict, previous: Optional[StateView]) -> Checkpoint:
     """Rebuild one checkpoint record, refusing (``ValueError``) any shape
     a :class:`~repro.replay.checkpoint.StateView` fold cannot start
     from: node -> pid -> ``{name, priority}`` processes, node -> int
@@ -594,26 +635,39 @@ def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
     each node's raw state as the lists :func:`_checkpoint_record` writes.
     Those lists come back as dicts keyed by the module's own field names
     (state keys and node ids interned), so a loaded trace holds each key
-    once, not once per checkpoint.  A ``{name, priority}`` record (a str
-    or int each, so a ``bool`` is not taken for an ``int``) equal to one
-    in ``shared`` (the trace's earlier checkpoints) is replaced by it:
-    folds never mutate one (see
-    :meth:`~repro.replay.checkpoint.StateView.copy`).  A few C-level
-    passes per table, no Python per entry but a call per node's state."""
+    once, not once per checkpoint.  A ``null`` table (or epochs) is the
+    ``previous`` view's, and only the tables the record holds are
+    checked.  A ``{name, priority}`` record (a str or int each, so a
+    ``bool`` is not taken for an ``int``) equal to one in ``shared`` (the
+    trace's earlier checkpoints) is replaced by it: folds never mutate
+    one (see :meth:`~repro.replay.checkpoint.StateView.copy`).  A few
+    C-level passes per table, no Python per entry but a call per node."""
     view, state = data.get("view"), data.get("state")
     if not (data.keys() == _CHECKPOINT_KEYS and type(data["index"]) is int
             and type(data["time"]) is int and type(state) is dict
             and type(view) is dict and view.keys() == _VIEW_KEYS
             and type(view["time"]) is int):
         raise ValueError("not {index: int, time: int, state: {}, view: {time: int, ...}}")
-    tables = processes, halted, in_flight, epochs = (
-        view["processes"], view["halted"], view["in_flight"], view["epochs"])
-    if not (set(map(type, tables)) == {dict}
-            and set(map(type, processes.values())) <= {dict}
-            and set(map(type, chain(halted.values(), in_flight.values()))) <= {list}):
-        raise ValueError("view tables are not node -> object / list")
-    entries = [*chain.from_iterable(map(dict.values, processes.values()))]
-    ints = chain(epochs.values(), *halted.values(), *in_flight.values())
+    fresh = {"epochs": view["epochs"]}
+    if view["epochs"] is None:
+        view["epochs"], fresh["epochs"] = getattr(previous, "epochs", None), {}
+    for name in _NODE_TABLES:
+        table = view[name]
+        if type(table) is not dict:
+            raise ValueError(f"view {name} is not node -> table")
+        fresh[name] = [entry for entry in table.values() if entry is not None]
+        kept = [node for node, entry in table.items() if entry is None]
+        before = getattr(previous, name, {})
+        if not before.keys() >= set(kept):
+            raise ValueError(f"a null {name} table where the checkpoint before has none")
+        table.update(zip(kept, map(before.__getitem__, kept)))
+    if not (type(fresh["epochs"]) is dict and view["epochs"] is not None
+            and set(map(type, fresh["processes"])) <= {dict}
+            and set(map(type, chain(fresh["halted"], fresh["in_flight"]))) <= {list}):
+        raise ValueError("view tables are not node -> object / list, nor null "
+                         "after a checkpoint")
+    entries = [*chain.from_iterable(map(dict.values, fresh["processes"]))]
+    ints = chain(fresh["epochs"].values(), *fresh["halted"], *fresh["in_flight"])
     if not (set(map(type, entries)) <= {dict}
             and set(map(frozenset, entries)) <= {_PROCESS_KEYS}
             and set(map(type, chain.from_iterable(map(_PROCESS_RECORD, entries))))
@@ -632,14 +686,15 @@ def _read_checkpoint(data: dict, shared: dict) -> Checkpoint:
             raise ValueError(f"node state is not node -> {[t.__name__ for t in _NODE_TYPES]}")
         state["nodes"] = dict(zip(map(sys.intern, nodes), map(_node_state, nodes.values())))
     data["state"] = dict(zip(map(sys.intern, state), state.values()))
-    for table in processes.values():
+    for table in fresh["processes"]:
         table.update(list(zip(table, map(shared.setdefault, map(
             _PROCESS_RECORD, table.values()), table.values()))))
     return Checkpoint.from_dict(data)
 
 
-def read_binary(path) -> Trace:
-    """Load and fully validate a trace written by :func:`write_binary`."""
+def _records(path):
+    """The ``(kind, payload, offset)`` records of the file at ``path``
+    (:func:`_iter_records`), with their fault builder."""
     with open(path, "rb") as fh:
         blob = fh.read()
     in_frames = bool(_read_preamble(blob, _faults(path)) & FLAG_ZLIB)
@@ -650,6 +705,12 @@ def read_binary(path) -> Trace:
               (view[at:at + _FRAME_RAW_SIZE]
                for at in range(_PREAMBLE.size, len(blob), _FRAME_RAW_SIZE)))
     fault = _faults(path, 0 if in_frames else _PREAMBLE.size, in_frames)
+    return _iter_records(pieces, fault), fault
+
+
+def read_binary(path) -> Trace:
+    """Load and fully validate a trace written by :func:`write_binary`."""
+    records, fault = _records(path)
     # Decoding allocates a few containers per event and no cycles, yet
     # the cyclic collector's passes over that growing tree cost as much
     # as the parse itself: pause it for the loop, then age the new
@@ -657,11 +718,28 @@ def read_binary(path) -> Trace:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _decode_records(_iter_records(pieces, fault), fault)
+        return _decode_records(records, fault)
     finally:
         if collecting:
             gc.enable()
             gc.collect(1)
+
+
+def record_bytes(path) -> dict:
+    """The raw record stream's bytes by kind of record, prefixes included
+    (an event block's packed bytes apart from its JSON), read off the
+    record headers of a file :func:`read_binary` loads."""
+    sizes = dict.fromkeys(("event blocks, JSON", "event blocks, packed", "checkpoints",
+                           "header + footer"), 0)
+    for kind, payload, _ in _records(path)[0]:
+        size = _RECORD.size + len(payload)
+        if kind == KIND_EVENTS:
+            packed = len(_split_block(payload)[1])
+            sizes["event blocks, packed"] += packed
+            sizes["event blocks, JSON"] += size - packed
+        else:
+            sizes["checkpoints" if kind == KIND_CHECKPOINT else "header + footer"] += size
+    return sizes
 
 
 def _decode_records(records, fault) -> Trace:
@@ -700,7 +778,8 @@ def _decode_records(records, fault) -> Trace:
                 raise fault(f"malformed event block ({exc})", at) from None
         elif kind == KIND_CHECKPOINT:
             try:
-                checkpoint = _read_checkpoint(data, shared)
+                checkpoint = _read_checkpoint(
+                    data, shared, checkpoints[-1].view if checkpoints else None)
             except ValueError as exc:
                 raise fault(f"malformed checkpoint ({exc})", at) from None
             # Seeks (a bisect over the indices) rely on every checkpoint
@@ -710,7 +789,6 @@ def _decode_records(records, fault) -> Trace:
                 placement = "none" if where is None else f"one at {where}"
                 raise fault(f"checkpoint with index {checkpoint.index} where "
                             f"the file places {placement}", at)
-            share_unchanged(checkpoint.view, checkpoints)
             checkpoints.append(checkpoint)
         elif kind == KIND_HEADER:
             header = data

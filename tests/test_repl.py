@@ -105,15 +105,17 @@ def test_error_reported_not_raised():
 
 def test_bad_arguments_reported():
     _cluster, repl = make_repl()
-    repl.execute("break app")  # missing args
-    assert any(line.startswith("?bad arguments") for line in repl.lines)
+    repl.execute("break app")  # missing args: the command's usage
+    repl.execute("break app app seventeen")  # an argument that does not parse
+    assert repl.lines[0] == "?usage: break app app 17"
+    assert repl.lines[1].startswith("?bad arguments")
 
 
 def test_help_and_quit():
     _cluster, repl = make_repl()
     repl.run_script(["help", "quit", "ps app"])  # ps never runs after quit
     text = "\n".join(repl.lines)
-    assert "connect app server" in text
+    assert "connect app [server ...]" in text
     assert repl.done
     assert "pilgrim.agent" not in text  # ps output never appeared
 

@@ -685,6 +685,35 @@ def test_repl_renders_byte_identical_locally_and_remotely(daemon):
     assert local_trace[-1].startswith("!display is not available")
 
 
+def named_arguments(command) -> list:
+    """The arguments ``command``'s usage names before any optional ``[...]``."""
+    return command.usage.split("[")[0].split()[1:]
+
+
+#: Every command given each shorter run of the arguments its usage names.
+SHORT_REPL_SCRIPT = [" ".join([command.name, *named_arguments(command)[:kept]])
+                     for command in COMMANDS.values()
+                     for kept in range(len(named_arguments(command)))]
+
+
+def test_a_missing_argument_gets_the_usage_locally_and_remotely(daemon):
+    """Every command given fewer arguments than its usage names answers
+    ``?usage: <its usage>`` (not the text of an ``IndexError``), on a
+    trace session and through the daemon, byte for byte; the commands
+    whose usage names none take no argument they cannot do without."""
+    local = PilgrimRepl(TraceSession(GOLDEN_BINARY_PATH)).run_script(SHORT_REPL_SCRIPT)
+    with ServiceClient(daemon) as client:
+        client.open("t1", "trace", path=str(GOLDEN_BINARY_PATH))
+        remote = PilgrimRepl(client.session("t1")).run_script(SHORT_REPL_SCRIPT)
+    assert local == remote == [
+        line for short in SHORT_REPL_SCRIPT for line in (
+            f"(pilgrim) {short}", f"?usage: {COMMANDS[short.split()[0]].usage}")]
+    assert {"step", "step app", "at", "print app 3"} <= set(SHORT_REPL_SCRIPT)
+    assert {name for name, command in COMMANDS.items() if not named_arguments(command)} == {
+        "disconnect", "run", "wait", "time", "record", "rstep", "fstep", "why", "check",
+        "contracts", "branches", "status", "help", "quit"}
+
+
 # ----------------------------------------------------------------------
 # The CLI end to end (a real daemon process, two invocations)
 # ----------------------------------------------------------------------

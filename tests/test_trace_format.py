@@ -148,11 +148,16 @@ def decode_block(payload: bytes) -> dict:
     format read independently of the reader (u32 JSON length, JSON, then
     each packed column's little-endian cells in column order, as many
     bytes a cell as its byte length over its cells: ``events`` for a
-    header column, its type's events for a row cell)."""
+    header column, its type's events for a row cell; a string column's
+    cells are its ``strings`` at its packed ``codes``)."""
     block, packed = stored_block(payload)
 
     def unpack(stored, cells):
         nonlocal packed
+        if type(stored) is dict:
+            codes = unpack(stored["codes"], cells)
+            assert min(codes, default=0) >= 0
+            return [stored["strings"][code] for code in codes]
         if type(stored) is not int:
             return stored
         code = STRUCT_CODES[stored // cells]
@@ -218,8 +223,10 @@ def narrowest(cells) -> int:
 def test_int_columns_are_packed_and_others_stay_json(tmp_path):
     """One packing rule for header columns and cells: all-``int`` columns
     are stored at the narrowest of 1, 2, 4 or 8 bytes a cell that holds
-    them, named by byte length, anything else (the golden's ``node``
-    column holds ``None``s) a JSON list."""
+    them, named by byte length; all-``str`` ones as their distinct cells
+    in first-seen order and each cell's index among them, packed by the
+    same rule; anything else (the golden's ``node`` column holds
+    ``None``s) a JSON list."""
     path = tmp_path / "t.trace.bin"
     write_binary(Trace.load(GOLDEN_BINARY_PATH), path, compress=False)
     for kind, payload in file_records(path):
@@ -230,14 +237,20 @@ def test_int_columns_are_packed_and_others_stay_json(tmp_path):
         columns = [(stored[name], decoded[name]) for name in HEADER_COLUMNS]
         for own, cells in zip(stored["cells"], decoded["cells"]):
             columns += zip(own, cells)
-        total = 0
+        total, strings = 0, 0
         for raw, cells in columns:
-            if set(map(type, cells)) == {int}:
+            if set(map(type, cells)) == {str}:
+                table = list(dict.fromkeys(cells))
+                codes = list(map(table.index, cells))
+                assert raw == {"strings": table, "codes": narrowest(codes) * len(cells)}
+                total += raw["codes"]
+                strings += 1
+            elif set(map(type, cells)) == {int}:
                 assert raw == narrowest(cells) * len(cells)
                 total += raw
             else:
                 assert raw == cells
-        assert len(packed) == total
+        assert len(packed) == total and strings
         assert [type(stored[name]) for name in HEADER_COLUMNS] == [int, int, list, int]
 
 
@@ -304,6 +317,59 @@ def test_int_columns_load_at_the_narrowest_width_that_holds_them(
                     assert stored[name] == narrowest(decoded[column]) * len(decoded[column])
                 for raw, cells in zip(stored["cells"][0], decoded["cells"][0]):
                     assert raw == narrowest(cells) * len(cells)
+
+
+#: Strings a column's table must keep apart and give back as they were:
+#: empty, ones that look like ints or JSON literals, non-ASCII, non-BMP.
+_TABLE_TEXT = st.one_of(st.sampled_from(
+    ["", "0", "1", "-7", "1.5", "true", "null", "\u00e9", "\U0001f600"]), st.text())
+
+
+@given(pool=st.lists(_TABLE_TEXT, unique=True, min_size=1, max_size=300),
+       picks=st.lists(st.integers(0, 299), min_size=1, max_size=400),
+       mixed_from=st.integers(0, 400), cap=st.sampled_from([1, 7, 64, 150, 4096]),
+       compress=st.booleans())
+@example(pool=[str(i) for i in range(300)],
+         picks=[i % 50 for i in range(150)] + list(range(150, 300)),
+         mixed_from=150, cap=150, compress=False)
+@settings(max_examples=60, deadline=None)
+def test_string_columns_round_trip_through_their_tables(
+        tmp_path_factory, pool, picks, mixed_from, cap, compress):
+    """An all-``str`` column is stored per block as its distinct strings
+    in first-seen order and each cell's index among them, at the width
+    the table's size needs (the example's first block needs 1 byte and
+    its second 2); ``other``, all strings in the blocks before
+    ``mixed_from`` and then a ``None`` every third event, is a JSON list
+    from that block on.  Every cell loads back equal and of its type,
+    and equal strings of ``name`` are one object."""
+    names = [pool[pick % len(pool)] for pick in picks]
+    others = [None if i >= mixed_from and i % 3 == 0 else name[::-1]
+              for i, name in enumerate(names)]
+    events = [TraceEvent.of(i, "Tick", i, None, i, {"name": name, "other": other})
+              for i, (name, other) in enumerate(zip(names, others))]
+    path = tmp_path_factory.mktemp("strings") / "t.trace.bin"
+    with mock.patch.object(trace_format, "_BLOCK_EVENTS", cap):
+        write_binary(Trace({"version": TRACE_VERSION}, events,
+                           [Checkpoint(index=0, time=0, state={}, view=empty_view([0]))],
+                           {"events": len(events)}), path, compress=compress)
+    loaded = Trace.load(path)
+    assert loaded.events == events
+    held = loaded.events.cells[loaded.events.ids["Tick"]]
+    assert [list(map(type, column)) for column in held] == \
+        [list(map(type, names)), list(map(type, others))]
+    assert len(set(map(id, held[0]))) == len(set(names))
+    if compress:
+        return
+    blocks = [(stored_block(payload)[0], decode_block(payload))
+              for kind, payload in file_records(path) if kind == KIND_EVENTS]
+    for first, (stored, decoded) in zip(range(0, len(events), cap), blocks):
+        for raw, cells in zip(stored["cells"][0], decoded["cells"][0]):
+            if set(map(type, cells)) == {str}:
+                table = list(dict.fromkeys(cells))
+                assert raw == {"strings": table,
+                               "codes": narrowest([len(table) - 1]) * len(cells)}
+            else:
+                assert raw == cells and None in cells and first + cap > mixed_from
 
 
 #: Text that has broken line- or byte-oriented decoders before: line
@@ -513,6 +579,31 @@ def test_info_cli_checks_the_footer_fingerprint(trace, tmp_path, capsys):
     assert "does not match the footer's" in err and err.count("\n") == 1
 
 
+def test_info_cli_prints_the_record_stream_by_kind(trace, tmp_path, capsys):
+    """``info`` sums each kind of record's raw bytes, prefixes included
+    and an event block's JSON apart from its packed bytes: the same for a
+    compressed file and for an uncompressed copy, whose body they make up."""
+    raw, framed = tmp_path / "raw.trace.bin", tmp_path / "framed.trace.bin"
+    write_binary(trace, raw, compress=False)
+    write_binary(trace, framed)
+    sizes = collections.Counter()
+    for kind, payload in file_records(raw):
+        if kind == KIND_EVENTS:
+            text = _BLOCK_JSON.size + _BLOCK_JSON.unpack_from(payload)[0]
+            sizes["event blocks, JSON"] += _RECORD.size + text
+            sizes["event blocks, packed"] += len(payload) - text
+        else:
+            sizes["checkpoints" if kind == KIND_CHECKPOINT else "header + footer"] += (
+                _RECORD.size + len(payload))
+    assert sizes["event blocks, packed"] and sizes["checkpoints"]
+    expected = (f"stream:       {raw.stat().st_size - _PREAMBLE.size} raw bytes\n" + "".join(
+        f"  {kind:<22}{sizes[kind]}\n" for kind in (
+            "event blocks, JSON", "event blocks, packed", "checkpoints", "header + footer")))
+    for path in (raw, framed):
+        assert replay_cli(["info", str(path)]) == 0
+        assert expected in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # Corruption: every fault is a typed error with a byte offset
 # ----------------------------------------------------------------------
@@ -543,12 +634,14 @@ def test_bad_magic_raises_at_offset_zero(trace, tmp_path):
     assert "magic" in str(err.value)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 999], ids=["v1", "v2", "v3", "v4", "v999"])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 999],
+                         ids=["v1", "v2", "v3", "v4", "v5", "v999"])
 def test_unknown_format_version_raises(trace, tmp_path, version):
     # Versions 1 (per-event records), 2 (fields and lines stored per
-    # event), 3 (every column JSON, a block cut at every checkpoint) and
+    # event), 3 (every column JSON, a block cut at every checkpoint),
     # 4 (int columns as int64, checkpoint counts and node state as
-    # objects) have no read path: same refusal, and nothing else.
+    # objects) and 5 (string columns as JSON lists, every checkpoint
+    # table in full) have no read path: same refusal, and nothing else.
     path, blob = binary_bytes(trace, tmp_path)
     bad = MAGIC + struct.pack("<HH", version, 0) + blob[_PREAMBLE.size:]
     path.write_bytes(bad)
@@ -910,6 +1003,62 @@ def packed_bytes_no_column_names(records):
     return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit)
 
 
+def string_column_edit(edit):
+    """A mutation applying ``edit(column, codes)`` to the second block's
+    first string column as stored: ``column`` its ``{strings, codes}``
+    object, ``codes`` its packed bytes (returned edited, or kept)."""
+    def mutate(records):
+        def edit_block(stored, packed):
+            at = sum(stored[name] for name in HEADER_COLUMNS if type(stored[name]) is int)
+            for column in itertools.chain.from_iterable(stored["cells"]):
+                if type(column) is dict:
+                    codes = packed[at:at + column["codes"]]
+                    edited = edit(column, codes) or codes
+                    column["codes"] = len(edited)
+                    return packed[:at] + edited + packed[at + len(codes):]
+                at += column if type(column) is int else 0
+            raise AssertionError("no string column")
+        return edit_stored(records, nth_of(records, KIND_EVENTS, 1), edit_block)
+    mutate.__name__ = edit.__name__
+    return mutate
+
+
+@string_column_edit
+def string_code_past_its_table(column, codes):
+    assert len(codes) == 1 and column["strings"] == ["partition"]
+    return bytes([len(column["strings"])])
+
+
+@string_column_edit
+def string_code_negative(column, codes):
+    return b"\xff" + codes[1:]
+
+
+@string_column_edit
+def string_table_holds_a_string_twice(column, codes):
+    column["strings"].append(column["strings"][0])
+
+
+@string_column_edit
+def string_table_entry_is_a_number(column, codes):
+    column["strings"][0] = 7
+
+
+@string_column_edit
+def string_table_is_a_string(column, codes):
+    column["strings"] = column["strings"][0]
+
+
+@string_column_edit
+def string_codes_wider_than_their_table_needs(column, codes):
+    return b"".join(struct.pack("<h", code) for code in codes)
+
+
+@string_column_edit
+def string_column_with_a_spare_key(column, codes):
+    column["extra"] = 1
+
+
 def json_length_overruns_the_block(records):
     at = nth_of(records, KIND_EVENTS, 1)
     payload = records[at][1]
@@ -1026,19 +1175,43 @@ def checkpoint_state_is_a_number(checkpoint):
 
 @checkpoint_edit
 def checkpoint_process_is_a_name(checkpoint):
-    table = checkpoint["view"]["processes"]["0"]
+    table = checkpoint["view"]["processes"]["1"]
     table["1"] = table["1"]["name"]
 
 
 @checkpoint_edit
 def checkpoint_process_lacks_its_priority(checkpoint):
-    del checkpoint["view"]["processes"]["0"]["1"]["priority"]
+    del checkpoint["view"]["processes"]["1"]["1"]["priority"]
 
 
 @checkpoint_edit
 def checkpoint_in_flight_call_is_a_string(checkpoint):
-    assert checkpoint["view"]["in_flight"]["0"] == [4]
+    # Node 0's calls are the second checkpoint's [4], so stored as null.
+    assert checkpoint["view"]["in_flight"]["0"] is None
     checkpoint["view"]["in_flight"]["0"] = ["4"]
+
+
+@checkpoint_edit
+def checkpoint_null_for_a_node_the_one_before_lacks(checkpoint):
+    checkpoint["view"]["halted"]["9"] = None
+
+
+def checkpoint_zero_edit(edit):
+    """A mutation applying ``edit`` to the golden's checkpoint #0."""
+    def mutate(records):
+        return edit_json(records, nth_of(records, KIND_CHECKPOINT), edit)
+    mutate.__name__ = edit.__name__
+    return mutate
+
+
+@checkpoint_zero_edit
+def null_table_in_checkpoint_zero(checkpoint):
+    checkpoint["view"]["processes"]["0"] = None
+
+
+@checkpoint_zero_edit
+def null_epochs_in_checkpoint_zero(checkpoint):
+    checkpoint["view"]["epochs"] = None
 
 
 @checkpoint_edit
@@ -1102,8 +1275,25 @@ def every_checkpoint_dropped(records):
 
 
 def checkpoint_zero_dropped(records):
-    del records[nth_of(records, KIND_CHECKPOINT)]
+    """Its successor's tables written out in full, so no ``null`` points
+    back at it: only the footer finds the file without a start state."""
+    first = nth_of(records, KIND_CHECKPOINT)
+    zero = json.loads(records[first][1])["view"]
+
+    def edit(checkpoint):
+        view = checkpoint["view"]
+        for name in ("processes", "halted", "in_flight"):
+            view[name] = {node: zero[name][node] if table is None else table
+                          for node, table in view[name].items()}
+        view["epochs"] = view["epochs"] or zero["epochs"]
+    edit_json(records, nth_of(records, KIND_CHECKPOINT, 1), edit)
+    del records[first]
     return len(records) - 1
+
+
+def checkpoint_zero_dropped_under_nulls(records):
+    del records[nth_of(records, KIND_CHECKPOINT)]
+    return nth_of(records, KIND_CHECKPOINT)
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["raw", "zlib"])
@@ -1139,6 +1329,11 @@ def checkpoint_zero_dropped(records):
     checkpoint_node_state_one_short, checkpoint_node_crashed_is_an_int,
     checkpoint_node_state_as_an_object, header_is_a_list,
     last_five_events_dropped, every_checkpoint_dropped, checkpoint_zero_dropped,
+    checkpoint_zero_dropped_under_nulls, checkpoint_null_for_a_node_the_one_before_lacks,
+    null_table_in_checkpoint_zero, null_epochs_in_checkpoint_zero,
+    string_code_past_its_table, string_code_negative, string_table_holds_a_string_twice,
+    string_table_entry_is_a_number, string_table_is_a_string,
+    string_codes_wider_than_their_table_needs, string_column_with_a_spare_key,
 ], ids=lambda fn: fn.__name__)
 def test_mutated_record_raises_typed_error_at_its_offset(
         tmp_path, mutate, compress):
@@ -1311,9 +1506,12 @@ def build_halting_echo(cluster):
 def test_checkpoints_share_unchanged_tables_and_travel_leaves_them(tmp_path, monkeypatch):
     """Shared-table fence: a checkpoint holds its predecessor's process,
     halted and in-flight table, and epochs, where they are equal, as
-    recorded and as loaded.  After ``at``, ``step``, ``reverse_step`` and
-    ``why_halted`` over either, every checkpoint's view is still what a
-    capture without sharing reads, and saving writes that capture's bytes."""
+    recorded and as loaded — loaded from the ``null`` the writer stores
+    for each, by equality, so a recording made without sharing writes
+    the same file and loads shared too.  After ``at``, ``step``,
+    ``reverse_step`` and ``why_halted`` over either, every checkpoint's
+    view is still what a capture without sharing reads, and saving
+    writes that capture's bytes."""
     def record(path):
         plan = FaultPlan().crash(at=250 * MS, node="c1").reboot(at=300 * MS, node="c1")
         trace = record_run(build_halting_echo, ["c0", "c1", "server"], seed=5,
@@ -1331,11 +1529,11 @@ def test_checkpoints_share_unchanged_tables_and_travel_leaves_them(tmp_path, mon
         return counts
 
     with monkeypatch.context() as patch:
-        for module in (trace_module, trace_format):
-            patch.setattr(module, "share_unchanged", lambda view, checkpoints: view)
+        patch.setattr(trace_module, "share_unchanged", lambda view, checkpoints: view)
         unshared, unshared_loaded = record(tmp_path / "unshared.trace.bin")
-    assert set(shared(unshared).values()) == set(shared(unshared_loaded).values()) == {0}
     recorded, loaded = record(tmp_path / "shared.trace.bin")
+    assert set(shared(unshared).values()) == {0}
+    assert shared(unshared_loaded) == shared(recorded) == shared(loaded)
     expected = [checkpoint.view.to_dict() for checkpoint in unshared.checkpoints]
     blob = (tmp_path / "unshared.trace.bin").read_bytes()
     assert (tmp_path / "shared.trace.bin").read_bytes() == blob
@@ -1356,6 +1554,48 @@ def test_checkpoints_share_unchanged_tables_and_travel_leaves_them(tmp_path, mon
         assert [checkpoint.view.to_dict() for checkpoint in trace.checkpoints] == expected
         trace.save(tmp_path / "again.trace.bin")
         assert (tmp_path / "again.trace.bin").read_bytes() == blob
+
+
+def delta_view(variant: int) -> StateView:
+    """A two-node view whose every table (and epochs) is ``variant``'s own."""
+    return StateView(
+        time=variant,
+        processes={node: {"1": {"name": f"p{variant}", "priority": variant}} for node in "01"},
+        halted={"0": [variant], "1": [variant + 1]},
+        in_flight={"0": [variant + 10], "1": [variant + 20]},
+        epochs={"0": variant, "1": 0})
+
+
+def test_checkpoint_tables_equal_to_the_ones_before_are_stored_as_null(tmp_path):
+    """A per-node table, or the epochs, equal (``==``, so fresh copies
+    too) to the previous checkpoint's is stored as ``null`` and loads as
+    that checkpoint's object; one equal only to an earlier checkpoint's
+    (A -> B -> A) is stored whole.  Either way the loaded views equal
+    the saved ones and saving them again writes the same bytes, as it
+    does for a trace of one checkpoint (no ``null`` at all)."""
+    views = [delta_view(1), delta_view(2), delta_view(1), copy.deepcopy(delta_view(1))]
+    stored = {}
+    for kept in (views, views[:1]):
+        checkpoints = [Checkpoint(index=0, time=0, state={}, view=view) for view in kept]
+        path, again = tmp_path / f"{len(kept)}.trace.bin", tmp_path / "again.trace.bin"
+        write_binary(Trace({"version": TRACE_VERSION}, [], checkpoints, {"events": 0}),
+                     path, compress=False)
+        stored[len(kept)] = [json.loads(payload)["view"] for kind, payload in file_records(path)
+                             if kind == KIND_CHECKPOINT]
+        loaded = Trace.load(path)
+        assert [c.view for c in loaded.checkpoints] == kept
+        write_binary(loaded, again, compress=False)
+        assert again.read_bytes() == path.read_bytes()
+    tables = ("processes", "halted", "in_flight")
+    nulls = [[None in record[name].values() for name in tables] + [record["epochs"] is None]
+             for record in stored[4] + stored[1]]
+    assert nulls == [[False] * 4] * 3 + [[True] * 4] + [[False] * 4]
+    assert stored[4][3] == {**stored[4][3], **{name: {"0": None, "1": None} for name in tables}}
+    views = [checkpoint.view for checkpoint in Trace.load(tmp_path / "4.trace.bin").checkpoints]
+    assert views[3].epochs is views[2].epochs is not views[0].epochs
+    for name in tables:
+        assert getattr(views[3], name)["0"] is getattr(views[2], name)["0"]
+        assert getattr(views[2], name)["0"] is not getattr(views[0], name)["0"]
 
 
 # ----------------------------------------------------------------------
