@@ -246,30 +246,22 @@ _TABLE_FOLDS = {
 
 
 def apply_event(view: StateView, event) -> None:
-    """Fold one trace event into ``view`` (the derive side).
+    """Fold one trace event into ``view`` — the one definition of what an
+    event does to a view, and the reference the column folds of time
+    travel are tested against.
 
     ``event`` is anything with ``type`` / ``node`` / ``time`` / ``names``
     / ``row`` attributes (a :class:`~repro.replay.trace.TraceEvent`); its
     row is read as one-cell columns, at slot 0.
     """
-    apply_cells(view, event.type, event.node, event.time, tuple(zip(event.row)), 0,
-                row_layout(event.names)[0])
-
-
-def apply_cells(view: StateView, kind: str, node, time: int, cells, slot: int,
-                at: dict) -> None:
-    """Fold into ``view`` the ``kind`` event at ``node`` and ``time``
-    whose row sits at ``slot`` of its type's columns ``cells`` (``at``:
-    where each payload field sits in a row) — the one definition of what
-    an event does to a view."""
-    if time > view.time:
-        view.time = time
-    count_key = _COUNT_KEYS.get(kind)
+    if event.time > view.time:
+        view.time = event.time
+    count_key = _COUNT_KEYS.get(event.type)
     if count_key is not None:
         view.counts[count_key] = view.counts.get(count_key, 0) + 1
-    fold = _TABLE_FOLDS.get(kind)
+    fold = _TABLE_FOLDS.get(event.type)
     if fold is not None:
-        fold(view, str(node), cells, slot, at)
+        fold(view, str(event.node), tuple(zip(event.row)), 0, row_layout(event.names)[0])
 
 
 def fold_view(events, upto_index: int, start: StateView) -> StateView:

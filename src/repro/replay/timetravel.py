@@ -5,9 +5,10 @@ the trace; position ``k`` means events ``[0, k)`` have happened.  Every
 query moves the cursor (at most a bisect) and answers with a
 :class:`Moment`: the last applied event plus the
 :class:`~repro.replay.checkpoint.StateView` at the cursor, built when
-first read.  A view folds from the nearest checkpoint at or before its
-cursor, and only the events that change a table: counts and time come
-off columns built once (``docs/time-travel.md`` prices each query).
+first read.  A view is folded one way, whichever query handed it out:
+a copy of the nearest checkpoint at or before its cursor, then only the
+events since that change a table; counts and time come off columns
+built once (``docs/time-travel.md`` prices each query).
 
 ``at(t)`` uses prefix semantics: the cursor lands after the longest
 event prefix whose times are all <= t.  Event times are stamped by the
@@ -29,8 +30,8 @@ import bisect
 from itertools import compress, repeat
 from typing import Optional
 
-from repro.replay.checkpoint import (_COUNT_KEYS, _TABLE_FOLDS, StateView, add_counts,
-                                     apply_cells, empty_view)
+from repro.debugger.errors import DebuggerError
+from repro.replay.checkpoint import _COUNT_KEYS, _TABLE_FOLDS, StateView, add_counts, empty_view
 from repro.replay.trace import Trace, TraceEvent, prefix_before
 
 #: Events the halt-cause scan recognizes as "why" candidates.
@@ -45,20 +46,13 @@ _COUNT_CODES = tuple(map(_CODES.__getitem__, _COUNT_KEYS))
 _TABLE_MASK = bytes(code in {_CODES[kind] for kind in _TABLE_FOLDS}
                     for code in range(256))
 
-#: Table events between two snapshots, kept for reads off the forward
-#: path (after a step back, or of a moment read once the cursor moved
-#: on).  A step back folds
-#: half a stride on average: at 16 about the cost of the one view copy it
-#: makes anyway, with ~4 views kept per 100 ms checkpoint interval.
-_STRIDE = 16
-
 
 class Moment:
     """The state of the run at one cursor position.
 
-    Handed out by a :class:`TimeTravel` whose view at the cursor is not
-    folded yet, it folds ``view`` the first time it is read, at ``index``
-    however far the cursor has moved since, and then drops the session.
+    Handed out by a :class:`TimeTravel`, it folds ``view`` the first time
+    it is read, at ``index`` however far the cursor has moved since, and
+    then drops the session.
     Read it on its session's thread, or copy it there first: a copy or a
     pickle builds ``view`` and carries the four fields only."""
 
@@ -75,7 +69,7 @@ class Moment:
     def view(self) -> StateView:
         """The folded state of the run at ``index``."""
         if self._travel is not None:
-            self._view, self._travel = self._travel._view_for(self.index), None
+            self._view, self._travel = self._travel._view_at(self.index), None
         return self._view
 
     def __eq__(self, other) -> bool:
@@ -117,34 +111,33 @@ class TimeTravel:
         self._tabled = self._kinds.translate(_TABLE_MASK)
         self._folds = list(map(_TABLE_FOLDS.get, names))
         self.cursor = len(self.events)
-        #: The view at the cursor once a ``Moment`` there was read.  Every
-        #: such ``Moment`` shares it, so it is replaced, never mutated.
-        self._view: Optional[StateView] = None
-        #: Set when the cursor last moved back: a read folds from snapshots.
-        self._backwards = False
-        #: Snapshots of the one checkpoint interval a read off the forward
-        #: path last landed in: (its start, cursors, views copied before use).
-        self._snapshots: tuple = (None, [], [])
         #: The bank ``first_contract_violation`` last fed, kept to go on.
         self._prefix = None
         #: (previous event on the node, matching PacketSent) per event.
         self._preds: Optional[tuple] = None
         self._stats = dict.fromkeys(
-            ("folds", "table_events_folded", "snapshot_hits",
-             "prefix_events_fed", "prefix_restarts", "edge_builds"), 0)
+            ("folds", "table_events_folded", "prefix_events_fed",
+             "prefix_restarts", "edge_builds"), 0)
 
     def stats(self) -> dict:
         """Exact work counters: views folded (each on a ``Moment``'s first
-        read), table events run for them, reads seeded by a snapshot, the
-        contract fold's events and restarts, predecessor-graph builds."""
+        read), table events run for them, the contract fold's events and
+        restarts, predecessor-graph builds."""
         return dict(self._stats)
 
     # ------------------------------------------------------------------
     # Seeking
     # ------------------------------------------------------------------
 
-    def _fold_tables(self, view: StateView, start: int, index: int) -> None:
-        """Run the table events in ``[start, index)`` over ``view``, off the columns."""
+    def _view_at(self, index: int) -> StateView:
+        """Fold the view at cursor ``index`` onto a copy of the latest
+        checkpoint at or before it.  Only table events are run, off the
+        columns; counts and time come off the columns too."""
+        start, seed = 0, self._base
+        nearest = bisect.bisect_right(self._starts, index) - 1
+        if nearest >= 0:
+            start, seed = self._starts[nearest], self.trace.checkpoints[nearest].view
+        view = seed.copy()
         events, folds = self.events, self._folds
         kinds, nodes, slots, cells, places = (events.kinds, events.nodes, events.slots,
                                               events.cells, events.places)
@@ -152,97 +145,38 @@ class TimeTravel:
         for position in compress(range(start, index), tabled):
             kind = kinds[position]
             folds[kind](view, str(nodes[position]), cells[kind], slots[position], places[kind])
-        self._stats["table_events_folded"] += tabled.count(1)
-
-    def _snapshot(self, start: int, seed: StateView, index: int) -> tuple:
-        """The latest snapshot at or before cursor ``index``, as (cursor,
-        view): one per ``_STRIDE`` table events of the interval at ``start``."""
-        if self._snapshots[0] != start:
-            self._snapshots = (start, [start], [seed])
-        _, cursors, views = self._snapshots
-        last = cursors[-1]
-        ahead = list(compress(range(last, index), self._tabled[last:index]))
-        for position in ahead[_STRIDE::_STRIDE]:
-            view = views[-1].copy()
-            self._fold_tables(view, cursors[-1], position)
-            cursors.append(position)
-            views.append(view)
-        nearest = bisect.bisect_right(cursors, index) - 1
-        self._stats["snapshot_hits"] += nearest > 0
-        return cursors[nearest], views[nearest]
-
-    def _view_at(self, index: int, backwards: bool = False) -> StateView:
-        """Fold the view at cursor ``index`` from the latest checkpoint at
-        or before it (stepping ``backwards``: from the latest snapshot past
-        it).  Table events are folded; counts and time come off the columns."""
-        start, seed = 0, self._base
-        nearest = bisect.bisect_right(self._starts, index) - 1
-        if nearest >= 0:
-            start, seed = self._starts[nearest], self.trace.checkpoints[nearest].view
-        begin = start
-        if backwards:
-            begin, seed = self._snapshot(start, seed, index)
-        view = seed.copy()
-        self._fold_tables(view, begin, index)
         # The checkpoint's counts plus the events since.
         add_counts(view.counts, self._kinds, _COUNT_CODES, start, index)
         view.time = self._max_times[index]
         self._stats["folds"] += 1
+        self._stats["table_events_folded"] += tabled.count(1)
         return view
-
-    def _view_for(self, index: int) -> StateView:
-        """A ``Moment``'s view, on first read: kept at the cursor for
-        ``step()``; elsewhere, seeded from the snapshots as stepping back is."""
-        if index != self.cursor:
-            return self._view_at(index, backwards=True)
-        if self._view is None:
-            self._view = self._view_at(index, self._backwards)
-        return self._view
 
     def _moment(self) -> Moment:
         event = self.events[self.cursor - 1] if self.cursor else None
-        moment = Moment(self.cursor, self._max_times[self.cursor], self._view, event)
-        if self._view is None:
-            moment._travel = self
+        moment = Moment(self.cursor, self._max_times[self.cursor], None, event)
+        moment._travel = self
         return moment
 
     def at(self, t: int) -> Moment:
         """Seek to virtual time ``t``: the longest prefix of events whose
         times are all <= t (virtual time is whole microseconds)."""
         self.cursor = prefix_before(self._max_times, t + 1)
-        self._view, self._backwards = None, False
         return self._moment()
 
     def seek(self, index: int) -> Moment:
         """Seek to an explicit cursor position (0..len(trace))."""
         self.cursor = max(0, min(index, len(self.events)))
-        self._view, self._backwards = None, False
         return self._moment()
 
     def step(self) -> Moment:
         """Apply the next event (no-op at the end of the trace)."""
-        if self.cursor < len(self.events):
-            if self._view is not None:
-                # Fold onto a copy: a Moment must stay frozen at its
-                # instant, and one already holds the current view.
-                self._view = self._view.copy()
-                events, index = self.events, self.cursor
-                kind = events.kinds[index]
-                apply_cells(self._view, events.names[kind], events.nodes[index],
-                            events.times[index], events.cells[kind], events.slots[index],
-                            events.places[kind])
-            self.cursor += 1
+        self.cursor = min(self.cursor + 1, len(self.events))
         return self._moment()
 
     def reverse_step(self) -> Moment:
-        """Un-apply the last event (no-op at the start of the trace).
-
-        Events are not invertible, so a view read here is re-folded, from
-        the nearest snapshot kept while stepping back through an interval.
-        """
-        if self.cursor > 0:
-            self.cursor -= 1
-            self._view, self._backwards = None, True
+        """Un-apply the last event (no-op at the start of the trace)."""
+        self.cursor = max(self.cursor - 1, 0)
         return self._moment()
 
     def current(self) -> Moment:
@@ -319,7 +253,7 @@ class TimeTravel:
         }
 
     # ------------------------------------------------------------------
-    # Causality (Lamport ordering over the trace)
+    # Causality (happens-before over the trace)
     # ------------------------------------------------------------------
 
     def _predecessors(self) -> tuple:
@@ -351,18 +285,14 @@ class TimeTravel:
             self._preds = (previous, origin)
         return self._preds
 
-    def lamport_clocks(self) -> list[int]:
-        """One Lamport timestamp per event (trace order is a
-        linearization of happens-before, so a single forward pass works)."""
-        # One spare slot at the end: a missing predecessor (-1) reads 0.
-        clocks = [0] * (len(self.events) + 1)
-        for index, (previous, origin) in enumerate(zip(*self._predecessors())):
-            clocks[index] = 1 + max(clocks[previous], clocks[origin])
-        return clocks[:-1]
-
     def causal_predecessors(self, index: int) -> list[TraceEvent]:
         """Every event that happens-before ``events[index]``, in trace
-        order — the causal history of a packet/RPC/halt."""
+        order — the causal history of a packet/RPC/halt.  Any ``index``
+        outside ``0..n-1`` (negative included) raises :class:`DebuggerError`
+        naming the range."""
+        if not 0 <= index < len(self.events):
+            raise DebuggerError(f"event {index} out of range (trace has "
+                                f"{len(self.events)} events: 0..{len(self.events) - 1})")
         columns = self._predecessors()
         seen = set()
         stack = [index]

@@ -142,7 +142,14 @@ def grow_column(column, more):
         if type(more) is not array:
             column = column.tolist()
         elif more.itemsize > column.itemsize:
-            column = array(more.typecode, column)
+            # A thousand cells at a time through a list: ``array(code,
+            # column)`` reads them one by one through the generic iterator
+            # (about 1.5x slower), and one list of them all would hold
+            # ~36 B a cell at once, which raises a recording's peak.
+            wide = array(more.typecode)
+            for start in range(0, len(column), 1024):
+                wide.fromlist(column[start:start + 1024].tolist())
+            column = wide
         elif more.itemsize < column.itemsize:
             more = array(column.typecode, more)
     column.extend(more)

@@ -569,12 +569,10 @@ def test_step_and_reverse_step_are_symmetric():
     assert stepped.view.to_dict() == tt.seek(stepped.index).view.to_dict()
 
 
-def test_lamport_clocks_and_causal_predecessors():
+def test_causal_predecessors_of_a_delivery():
     trace = _chaos_trace()
     tt = TimeTravel(trace)
-    clocks = tt.lamport_clocks()
-    assert len(clocks) == len(trace.events)
-    # Every delivery is causally after its send: strictly larger clock.
+    # Every delivery is causally after its send.
     delivered = [e for e in trace.events if e.type == "PacketDelivered"]
     assert delivered
     target = delivered[0]
@@ -584,7 +582,6 @@ def test_lamport_clocks_and_causal_predecessors():
     sends = [e for e in history if e.type == "PacketSent"
              and e.fields["packet"]["pkt"] == target.fields["packet"]["pkt"]]
     assert len(sends) >= 1
-    assert all(clocks[e.index] < clocks[target.index] for e in history)
 
 
 def test_why_halted_points_at_breakpoint():

@@ -714,6 +714,34 @@ def test_a_missing_argument_gets_the_usage_locally_and_remotely(daemon):
         "contracts", "branches", "status", "help", "quit"}
 
 
+def test_an_event_index_out_of_range_is_refused_locally_and_remotely(daemon):
+    """``causes`` takes an event index in ``0..n-1``: -1 is not the last
+    event, and one past the end is not an ``IndexError``; both are a
+    ``debugger_error`` naming the range, in the REPL and on the wire."""
+    local_session = TraceSession(GOLDEN_BINARY_PATH)
+    events = local_session.trace.n_events
+    script = ["causes -1", f"causes {events}", f"causes {events - 1}"]
+    local = PilgrimRepl(local_session).run_script(script)
+    with ServiceClient(daemon) as client:
+        client.open("t1", "trace", path=str(GOLDEN_BINARY_PATH))
+        session = client.session("t1")
+        remote = PilgrimRepl(session).run_script(script)
+        for index in (-1, events):
+            with pytest.raises(DebuggerError) as excinfo:
+                session.causal_predecessors(index)
+            assert excinfo.value.code == "debugger_error"
+            assert str(excinfo.value) == (
+                f"event {index} out of range (trace has {events} events: 0..{events - 1})")
+    assert local == remote
+    assert local[:4] == [
+        "(pilgrim) causes -1",
+        f"!event -1 out of range (trace has {events} events: 0..{events - 1})",
+        f"(pilgrim) causes {events}",
+        f"!event {events} out of range (trace has {events} events: 0..{events - 1})"]
+    # The last event, in range, is answered with its causal history.
+    assert local[4] == f"(pilgrim) causes {events - 1}" and len(local) > 5
+
+
 # ----------------------------------------------------------------------
 # The CLI end to end (a real daemon process, two invocations)
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.contracts.dsl import universal_contracts
 from repro.contracts.offline import first_violation
 from repro.replay import TimeTravel, Trace, TraceSession, fold_view
 from repro.replay.checkpoint import _TABLE_FOLDS, apply_event, empty_view
-from repro.replay.timetravel import _CAUSE_TYPES, _STRIDE
+from repro.replay.timetravel import _CAUSE_TYPES
 from tests.test_contracts import events_from_rows
 from tests.test_replay import _chaos_trace
 
@@ -267,11 +267,7 @@ def test_causality_equals_the_naive_graph(make_trace, seed):
     trace = make_trace() if seed is None else make_trace(seed)
     events = trace.events
     preds = naive_predecessors(events)
-    clocks = [0] * len(events)
-    for index in range(len(events)):
-        clocks[index] = 1 + max((clocks[p] for p in preds[index]), default=0)
     travel = TimeTravel(trace)
-    assert travel.lamport_clocks() == clocks
     rng = random.Random(seed)
     for index in [0, len(events) - 1,
                   *(rng.randrange(len(events)) for _ in range(6))]:
@@ -283,7 +279,6 @@ def test_causality_equals_the_naive_graph(make_trace, seed):
                 stack.extend(preds[current])
         assert travel.causal_predecessors(index) == [events[i] for i in sorted(seen)]
     # One graph build per session, however many queries.
-    assert travel.lamport_clocks() == clocks
     assert travel.stats()["edge_builds"] == 1
 
 
@@ -299,34 +294,41 @@ def test_repr_folds_nothing():
     size, latest = len(trace.events), max(e.time for e in trace.events)
     assert repr(travel) == f"<TimeTravel cursor={size}/{size} t={latest}>"
     assert travel.stats() == idle == dict.fromkeys(idle, 0)
-    assert travel._view is None
 
 
-def test_reverse_steps_cost_a_stride_not_an_interval():
-    trace = postmortem_trace(14)
+def read_cost(trace):
+    """The table events a first read at cursor ``index`` folds: those
+    from the latest checkpoint at or before it up to ``index``."""
+    table_before = [0]
+    for event in trace.events:
+        table_before.append(table_before[-1] + (event.type in _TABLE_FOLDS))
     starts = [checkpoint.index for checkpoint in trace.checkpoints]
-    interval = max(
-        sum(event.type in _TABLE_FOLDS for event in trace.events[low:high])
-        for low, high in zip(starts, starts[1:]))
+
+    def cost(index):
+        return table_before[index] - table_before[starts[bisect.bisect_right(starts, index) - 1]]
+    return cost
+
+
+def test_reverse_steps_fold_from_their_checkpoint():
+    """A view read after a step, either way, is folded as any other read:
+    from its checkpoint, once."""
+    trace = postmortem_trace(14)
+    cost = read_cost(trace)
     travel, reference = TimeTravel(trace), TimeTravel(trace)
     travel.at(trace.final_time // 2)
     before = travel.stats()
+    expected = 0
     for _ in range(750):
         moment = travel.reverse_step()
         assert moment.view == reference.seek(moment.index).view
-    after = travel.stats()
-    assert after["folds"] - before["folds"] == 750
-    folded = after["table_events_folded"] - before["table_events_folded"]
-    assert folded <= 750 * _STRIDE + interval
-    # Every checkpoint interval is longer than a stride here, so most
-    # steps start from a snapshot, not from the checkpoint.
-    assert after["snapshot_hits"] > 375
-    # Stepping forth and back again reuses the same snapshots.
+        expected += cost(moment.index)
     for _ in range(100):
-        assert travel.step().view is not None
-        assert travel.reverse_step().view is not None
-    assert (travel.stats()["table_events_folded"]
-            - after["table_events_folded"]) <= 100 * _STRIDE
+        for moment in (travel.step(), travel.reverse_step()):
+            assert moment.view is not None
+            expected += cost(moment.index)
+    after = travel.stats()
+    assert after["folds"] - before["folds"] == 950
+    assert after["table_events_folded"] - before["table_events_folded"] == expected
 
 
 def test_ascending_whys_feed_each_event_once():
@@ -380,7 +382,6 @@ def test_seeks_fold_no_count_only_event():
     stats = travel.stats()
     assert stats["folds"] == 1500
     assert stats["table_events_folded"] == table_events < looked_at
-    assert stats["snapshot_hits"] == 0
 
 
 def test_a_cursor_move_folds_nothing_until_its_view_is_read():
@@ -399,34 +400,32 @@ def test_a_cursor_move_folds_nothing_until_its_view_is_read():
     assert session.status()["folds"] == 1
 
 
-def test_moments_read_late_cost_a_stride_each():
-    """Moments handed out unread and read after the cursor moved on are
-    seeded from the snapshots, as a step back is, not from their
-    checkpoint; once the view at the cursor is read, each step hands
-    out a moment that holds its own."""
+def test_moments_read_late_fold_from_their_checkpoint():
+    """Moments handed out unread and read after the cursor moved on fold
+    at their own index, from their own checkpoint, as any read does; a
+    step after a read hands out an unread moment too."""
     trace = postmortem_trace(14)
-    table_before = [0]
-    for event in trace.events:
-        table_before.append(table_before[-1] + (event.type in _TABLE_FOLDS))
-    starts = [checkpoint.index for checkpoint in trace.checkpoints]
+    cost = read_cost(trace)
     travel, reference = TimeTravel(trace), TimeTravel(trace)
-    high = travel.at(trace.final_time // 2).index
+    travel.at(trace.final_time // 2)
     backs = [travel.reverse_step() for _ in range(750)]
     forths = [travel.step() for _ in range(750)]
     travel.seek(0)
-    low = starts[bisect.bisect_right(starts, high - 750) - 1]
     for moments in (backs, forths):
-        before = travel.stats()["table_events_folded"]
+        before = travel.stats()
         for moment in moments:
             assert moment.view == reference.seek(moment.index).view
-        folded = travel.stats()["table_events_folded"] - before
-        assert folded <= 750 * _STRIDE + table_before[high] - table_before[low]
-    assert travel.at(trace.final_time // 2).view is not None
+        after = travel.stats()
+        assert after["folds"] - before["folds"] == 750
+        assert (after["table_events_folded"] - before["table_events_folded"]
+                == sum(cost(moment.index) for moment in moments))
+    high = travel.at(trace.final_time // 2)
+    assert high.view is not None
     folds = travel.stats()["folds"]
     forths = [travel.step() for _ in range(750)]
-    assert all(moment._travel is None for moment in forths)
-    assert [moment.view for moment in forths][-1] == reference.seek(high + 750).view
-    assert travel.stats()["folds"] == folds
+    assert all(moment._travel is travel for moment in forths)
+    assert forths[-1].view == reference.seek(high.index + 750).view
+    assert travel.stats()["folds"] == folds + 1
 
 
 def test_an_unread_moment_copies_and_pickles_its_four_fields_only():

@@ -274,6 +274,16 @@ def test_slots_are_held_at_the_narrowest_width_the_largest_type_count_needs(tmp_
     assert list(loaded.slots) == list(range(200))
 
 
+def test_a_widened_column_keeps_every_cell_and_its_order():
+    """``grow_column`` widens a held column a slice at a time: every
+    cell, across slice boundaries and at the narrow width's edges, comes
+    through in order ahead of the wider cells."""
+    held = array("h", [*range(-2500, 2500), -(1 << 15), (1 << 15) - 1])
+    grown = trace_module.grow_column(held, array("i", [1 << 15, -(1 << 31)]))
+    assert grown.typecode == "i"
+    assert list(grown) == [*range(-2500, 2500), -(1 << 15), (1 << 15) - 1, 1 << 15, -(1 << 31)]
+
+
 #: Where each packed width ends: the last int it holds and the first it
 #: does not, on either side, and the ends of int64.
 _WIDTH_EDGES = sorted({edge for bound in (1 << 7, 1 << 15, 1 << 31)
