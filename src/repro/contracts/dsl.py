@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
@@ -197,6 +198,9 @@ class CheckerBank:
     def __init__(self, contracts):
         self.contracts = tuple(contracts)
         self._checkers = [(c, c.state()) for c in self.contracts]
+        for contract, state in self._checkers:
+            # A renamed contract's violations carry its verdict's name.
+            state.NAME = contract.name
         #: Per checker its fold and the types it reads (``None``: all),
         #: stream-wide checkers first, each group in declaration order.
         self._folds = sorted(
@@ -204,27 +208,37 @@ class CheckerBank:
              for c, state in self._checkers), key=lambda pair: pair[1] is not None)
         self.count = 0
 
-    def feed(self, events, start: int, stop: int) -> None:
+    def feed(self, events, start: int, stop: int) -> int:
         """Fold events ``[start, stop)`` of the columns ``events`` into
-        each checker, once, over the indices of the types it reads."""
+        each checker, once, over the indices of the types it reads, and
+        return how many events the checkers read (one per checker)."""
         self.count += stop - start
         events.settle()
+        read = 0
         for fold, wanted in self._folds:
-            fold(events, range(start, stop) if wanted is None
-                 else events.indices(wanted, start, stop))
+            positions = (range(start, stop) if wanted is None
+                         else events.indices(wanted, start, stop))
+            fold(events, positions)
+            read += len(positions)
+        return read
+
+    def results(self) -> list:
+        """Per contract, in declaration order, the violations its checker
+        recorded in ``fold()`` and then those ``finish()`` adds (read-only)."""
+        return [tuple(state.violations) + tuple(state.finish())
+                for _, state in self._checkers]
 
     def report(self, name: str = "contracts") -> ContractReport:
         """Run the liveness phase and assemble the report (read-only)."""
-        verdicts: dict = {}
-        violations: list = []
-        for contract, state in self._checkers:
-            found = list(state.violations) + list(state.finish())
-            verdicts[contract.name] = "fail" if found else "pass"
-            violations.extend(found)
-        return ContractReport(
-            name=name, verdicts=verdicts, violations=tuple(violations),
-            events=self.count,
-        )
+        return assemble(name, self.contracts, self.results(), self.count)
+
+
+def assemble(name: str, contracts: tuple, results: list, events: int) -> ContractReport:
+    """The report ``name``d so of ``contracts`` whose folds over
+    ``events`` events gave ``results`` (as :meth:`CheckerBank.results`)."""
+    return ContractReport(
+        name=name, violations=tuple(chain.from_iterable(results)), events=events,
+        verdicts={c.name: "fail" if found else "pass" for c, found in zip(contracts, results)})
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +253,14 @@ class BaseChecker:
     checker, so a bank that was reported can be fed further and reported
     again, and answers as a fresh one would.  State keeps event indices,
     never :class:`Fact`\\ s: a fold builds those only to record a
-    violation."""
+    violation.
+
+    The rule prefix queries stand on: a checker that does not override
+    :meth:`finish` records each violation at the event it is folding.
+    So its violations over a prefix ``[0, k)`` are those of a full fold
+    with ``index < k``, and time travel answers from one full fold a
+    trace keeps; a checker with end-of-run verdicts is folded over the
+    prefix itself."""
 
     NAME = "contract"
 

@@ -69,8 +69,9 @@ class ContractReport(Record):
         return not any(v == "fail" for v in self.verdicts.values())
 
     def first_violation(self) -> Optional[ContractViolation]:
-        """The earliest violation, or ``None`` on a clean report."""
-        return self.violations[0] if self.violations else None
+        """The earliest violation (:func:`earliest`), or ``None`` on a
+        clean report."""
+        return earliest(self.violations)
 
     def to_plain(self) -> dict:
         """A purely-JSON dict for canonical comparison and cell results."""
@@ -90,6 +91,14 @@ class ContractReport(Record):
     def messages(self) -> list:
         """The violation messages, in discovery order."""
         return [v.message for v in self.violations]
+
+
+def earliest(violations) -> Optional[ContractViolation]:
+    """The violation with the lowest anchor index (``None`` last), the
+    first in order among ties, or ``None`` for none: the one meaning of
+    "first violation" for a report, a prefix fold and time travel."""
+    return min(violations, default=None,
+               key=lambda v: (v.index is None, v.index or 0))
 
 
 def merge_reports(first: ContractReport, second: ContractReport,

@@ -27,7 +27,7 @@ information crosses nodes in this system.
 from __future__ import annotations
 
 import bisect
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Optional
 
 from repro.debugger.errors import DebuggerError
@@ -50,25 +50,31 @@ _TABLE_MASK = bytes(code in {_CODES[kind] for kind in _TABLE_FOLDS}
 class Moment:
     """The state of the run at one cursor position.
 
-    Handed out by a :class:`TimeTravel`, it folds ``view`` the first time
-    it is read, at ``index`` however far the cursor has moved since, and
-    then drops the session.
+    Handed out by a :class:`TimeTravel`, it builds ``event`` and folds
+    ``view`` each the first time it is read, at ``index`` however far the
+    cursor has moved since, and drops the session with the fold.
     Read it on its session's thread, or copy it there first: a copy or a
-    pickle builds ``view`` and carries the four fields only."""
+    pickle builds both and carries the four fields only."""
 
-    __slots__ = ("index", "time", "event", "_view", "_travel")
+    __slots__ = ("index", "time", "_event", "_view", "_travel")
 
     def __init__(self, index: int, time: int, view: Optional[StateView],
                  event: Optional[TraceEvent]):
-        self.index, self.time, self._view = index, time, view
-        #: The event that brought the run here (None at the very start).
-        self.event = event
+        self.index, self.time, self._view, self._event = index, time, view, event
         self._travel: Optional[TimeTravel] = None
+
+    @property
+    def event(self) -> Optional[TraceEvent]:
+        """The event that brought the run here (None at the very start)."""
+        if self._event is None and self.index and self._travel is not None:
+            self._event = self._travel.events[self.index - 1]
+        return self._event
 
     @property
     def view(self) -> StateView:
         """The folded state of the run at ``index``."""
         if self._travel is not None:
+            self.event  # built now: the session is dropped with the fold
             self._view, self._travel = self._travel._view_at(self.index), None
         return self._view
 
@@ -111,7 +117,7 @@ class TimeTravel:
         self._tabled = self._kinds.translate(_TABLE_MASK)
         self._folds = list(map(_TABLE_FOLDS.get, names))
         self.cursor = len(self.events)
-        #: The bank ``first_contract_violation`` last fed, kept to go on.
+        #: The end-of-run contracts' prefix fold, kept to go on.
         self._prefix = None
         #: (previous event on the node, matching PacketSent) per event.
         self._preds: Optional[tuple] = None
@@ -153,8 +159,7 @@ class TimeTravel:
         return view
 
     def _moment(self) -> Moment:
-        event = self.events[self.cursor - 1] if self.cursor else None
-        moment = Moment(self.cursor, self._max_times[self.cursor], None, event)
+        moment = Moment(self.cursor, self._max_times[self.cursor], None, None)
         moment._travel = self
         return moment
 
@@ -190,28 +195,37 @@ class TimeTravel:
     def first_contract_violation(self, contracts=None):
         """The earliest invariant violation at or before the cursor.
 
-        Folds ``contracts`` (default: the universal safety catalogue)
-        over the event prefix ``[0, cursor)`` through the offline
-        backend and returns the minimum-index
-        :class:`~repro.contracts.report.ContractViolation`, or ``None``
-        when every contract holds this far.  The fold is kept: a later
-        cursor feeds only the events in between, as one run, an earlier
-        one (or other contracts) starts it over.
+        The earliest violation of ``contracts`` (default: the universal
+        safety catalogue) in the event prefix ``[0, cursor)``, or ``None``.
+        A contract whose checker has no ``finish()`` of its own answers by
+        a bisect in the full fold the trace keeps, which ``check_trace``
+        reads (the :class:`~repro.contracts.dsl.BaseChecker` rule); the
+        others fold the prefix, kept: a later cursor feeds only the events
+        in between, an earlier one (or other contracts) starts it over.
         """
-        from repro.contracts.dsl import CheckerBank, universal_contracts
-        from repro.contracts.offline import fold_prefix
+        from repro.contracts.dsl import BaseChecker, CheckerBank, universal_contracts
+        from repro.contracts.offline import earliest, trace_folds
 
         if contracts is None:
             contracts = universal_contracts()
         elif hasattr(contracts, "event_contracts"):
             contracts = contracts.event_contracts()
-        bank = self._prefix
-        if (bank is None or bank.count > self.cursor
-                or bank.contracts != tuple(contracts)):
-            self._stats["prefix_restarts"] += bank is not None
-            bank = self._prefix = CheckerBank(contracts)
-        self._stats["prefix_events_fed"] += self.cursor - bank.count
-        return fold_prefix(bank, self.events, self.cursor)
+        contracts = tuple(contracts)
+        ended = tuple(c for c in contracts if c.state.finish is not BaseChecker.finish)
+        found: dict = {}
+        if ended:
+            bank = self._prefix
+            if bank is None or bank.count > self.cursor or bank.contracts != ended:
+                self._stats["prefix_restarts"] += bank is not None
+                bank = self._prefix = CheckerBank(ended)
+            self._stats["prefix_events_fed"] += bank.feed(self.events, bank.count,
+                                                          self.cursor)
+            found.update(zip(ended, bank.results()))
+        rest = tuple(c for c in contracts if c not in found)
+        for contract, folded in zip(rest, trace_folds(self.trace, rest)):
+            found[contract] = folded[:bisect.bisect_left(
+                folded, self.cursor, key=lambda v: v.index)]
+        return earliest(chain.from_iterable(map(found.__getitem__, contracts)))
 
     def why_halted(self, node: Optional[int] = None) -> dict:
         """Explain the halt state at the cursor.

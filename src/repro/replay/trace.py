@@ -415,6 +415,9 @@ class Trace:
         self.checkpoints = checkpoints
         self._footer = footer
         self._digest_pending = False
+        #: Per event contract, the violations its full fold recorded
+        #: (:func:`repro.contracts.offline.trace_folds`).
+        self.folded: dict = {}
         #: A :class:`repro.kernel.profile.ProfileHook` when the run was
         #: recorded under ``REPRO_PROFILE=1``; :meth:`save` drops its
         #: stats next to the trace file.

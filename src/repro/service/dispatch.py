@@ -62,7 +62,7 @@ def apply_op(backend: Any, op: str, args: list, kwargs: dict) -> Any:
         return TraceSummary(n_events=result.n_events,
                             n_checkpoints=result.n_checkpoints)
     if isinstance(result, Moment):
-        # A copy folds its view now, under the session's lock.
+        # A copy builds its event and view now, under the session's lock.
         return copy.copy(result)
     return result
 

@@ -34,10 +34,12 @@ from repro.contracts import (
     resolve_contracts,
 )
 from repro.contracts.dsl import (
+    ALL_EVENTS,
     CLOCK_MONOTONICITY,
     EXACTLY_ONCE_DELIVERY,
     NO_LOST_CALLS,
     SINGLE_LEADER,
+    BaseChecker,
     CheckerBank,
     ProbeContract,
     universal_contracts,
@@ -440,6 +442,61 @@ def test_fold_prefix_goes_on_where_the_bank_stopped():
         assert bank.count == (len(events) if upto is None else upto)
     with pytest.raises(ValueError, match="past 4"):
         fold_prefix(bank, events, 4)
+
+
+def test_a_checker_without_finish_records_at_the_event_it_folds(fold_streams):
+    """The rule time travel answers prefixes by (``BaseChecker``): fed
+    one event at a time, a checker without a ``finish()`` of its own
+    records every violation at that event."""
+    plain = [c for c in CONTRACTS.values() if c.state.finish is BaseChecker.finish]
+    assert {c.name for c in plain} == {
+        "exactly_once_delivery", "at_most_once_after_reboot", "clock_monotonicity",
+        "halt_transparency", "single_leader"}
+    streams = {**fold_streams, "golden": Trace.load(GOLDEN_BINARY_PATH).events}
+    failed = set()
+    for label, events in streams.items():
+        for contract in plain:
+            checker = contract.state()
+            every = range(len(events)) if contract.events == ALL_EVENTS else None
+            for index in every or events.indices(contract.events):
+                before = len(checker.violations)
+                checker.fold(events, range(index, index + 1))
+                assert all(v.index == index for v in checker.violations[before:]), (
+                    label, contract.name, index)
+            if checker.violations:
+                failed.add(contract.name)
+    assert failed == {c.name for c in plain}
+
+
+def test_a_renamed_contract_s_violations_carry_its_name():
+    events = EventColumns(_violating_events())
+    renamed = ContractSet("s", (CLOCK_MONOTONICITY.named("my_clock"),
+                                NO_LOST_CALLS.named("my_calls")))
+    report = check_trace(Trace({}, events, [], {}), renamed)
+    assert report.verdicts == {"my_clock": "fail", "my_calls": "fail"}
+    assert {v.contract for v in report.violations} == {"my_clock", "my_calls"}
+    assert first_violation(events, renamed.contracts).contract == "my_clock"
+
+
+def test_the_first_violation_is_the_earliest_anchor_none_last_ties_in_order():
+    def violation(contract, index):
+        return ContractViolation(contract=contract, message=contract, index=index)
+
+    report = ContractReport(violations=(
+        violation("late", 9), violation("probe", None), violation("early", 3),
+        violation("tie", 3)))
+    assert report.first_violation().contract == "early"
+    assert ContractReport(violations=(
+        violation("probe", None), violation("other", None))).first_violation().contract == "probe"
+    assert ContractReport().first_violation() is None
+    # A set whose later contract breaks first answers that one, as the
+    # prefix fold does.
+    events = EventColumns(_violating_events())
+    ordered = (NO_LOST_CALLS, EXACTLY_ONCE_DELIVERY)
+    report = check_trace(Trace({}, events, [], {}), ordered)
+    assert report.violations[0].contract == "no_lost_calls"
+    assert report.first_violation() == first_violation(events, ordered)
+    assert report.first_violation().contract == "exactly_once_delivery"
 
 
 # ----------------------------------------------------------------------

@@ -87,3 +87,10 @@ def test_time_travel():
     assert "causal history of first delivery" in out
     assert "races between seeds 1 and 5: 1" in out
     assert "races between seed 1 and itself: 0" in out
+
+
+def test_every_example_is_run():
+    """Each ``examples/*.py`` has its test above, named after it."""
+    tested = {name.removeprefix("test_") + ".py" for name in globals()
+              if name.startswith("test_") and name != "test_every_example_is_run"}
+    assert tested == {path.name for path in EXAMPLES.glob("*.py")}

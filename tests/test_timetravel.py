@@ -23,13 +23,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.ledger.workloads.trace_postmortem import record as record_postmortem
-from repro import Cluster, Pilgrim
-from repro.contracts.dsl import universal_contracts
-from repro.contracts.offline import first_violation
+from repro import Cluster, Pilgrim, record_run
+from repro.contracts import offline
+from repro.contracts.dsl import (
+    CLOCK_MONOTONICITY,
+    NO_LOST_CALLS,
+    SINGLE_LEADER,
+    UNIVERSAL_SET,
+    universal_contracts,
+)
+from repro.contracts.offline import check_trace, first_violation
 from repro.replay import TimeTravel, Trace, TraceSession, fold_view
 from repro.replay.checkpoint import _TABLE_FOLDS, apply_event, empty_view
 from repro.replay.timetravel import _CAUSE_TYPES
-from tests.test_contracts import events_from_rows
+from tests.golden_scenario import GOLDEN_BINARY_PATH
+from tests.test_contracts import _violating_events, events_from_rows
 from tests.test_replay import _chaos_trace
 
 # ----------------------------------------------------------------------
@@ -283,6 +291,104 @@ def test_causality_equals_the_naive_graph(make_trace, seed):
 
 
 # ----------------------------------------------------------------------
+# The first violation: the trace's one fold, a prefix fold where needed
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def golden_trace():
+    return Trace.load(GOLDEN_BINARY_PATH)
+
+
+@functools.lru_cache(maxsize=None)
+def kv_split_brain_trace():
+    from repro.campaign.scenarios import get_plan, get_scenario
+
+    kv = get_scenario("kv")
+    return record_run(kv.build, list(kv.names), seed=0, run_until=kv.run_until,
+                      plan=get_plan("leader_partition"))
+
+
+@functools.lru_cache(maxsize=None)
+def violating_trace():
+    """``test_contracts``' hand-built stream that breaks every contract."""
+    return Trace({"names": ["a", "b"]}, _violating_events(), [], {"final_time": 53})
+
+
+#: The universal set plus the liveness check: two contracts with
+#: end-of-run verdicts, whose first violation needs a prefix fold.
+LOSSY = (*universal_contracts(), NO_LOST_CALLS)
+
+
+#: The sets drawn: the universal one, one with both end-of-run contracts,
+#: and renamed contracts of both kinds.
+CONTRACT_SETS = {
+    "universal": universal_contracts(),
+    "lossy": LOSSY,
+    "renamed": (CLOCK_MONOTONICITY.named("my_clock"), SINGLE_LEADER,
+                NO_LOST_CALLS.named("my_calls")),
+}
+
+
+@pytest.mark.parametrize("make_trace", [golden_trace, kv_split_brain_trace,
+                                        chaos_trace, violating_trace])
+def test_first_contract_violation_equals_a_fresh_prefix_fold(make_trace):
+    """At every checkpoint index and every drawn cursor, in any order and
+    under any set, one session answers as a fresh fold of the prefix."""
+    trace = make_trace()
+    events = trace.events
+    travel = TimeTravel(trace)
+    found = set()
+
+    def agrees(cursor, name):
+        contracts = CONTRACT_SETS[name]
+        travel.seek(cursor)
+        answer = travel.first_contract_violation(contracts)
+        assert answer == first_violation(events, contracts, upto_index=cursor)
+        if answer is not None:
+            found.add((name, answer.contract))
+
+    for name in CONTRACT_SETS:
+        for checkpoint in [*trace.checkpoints, None]:
+            agrees(len(events) if checkpoint is None else checkpoint.index, name)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(draws=st.lists(st.tuples(st.integers(0, len(events)),
+                                    st.sampled_from(sorted(CONTRACT_SETS))),
+                          min_size=1, max_size=8))
+    def run(draws):
+        for cursor, name in draws:
+            agrees(cursor, name)
+
+    run()
+    # Every trace meets an end-of-run violation, under its new name too.
+    assert {("lossy", "no_lost_calls"), ("renamed", "my_calls")} <= found
+
+
+def test_check_trace_then_whys_run_one_full_fold(monkeypatch):
+    """The ledger's session: ``check_trace``, then four whys at sorted
+    times, fold each contract over the whole trace once, together."""
+    full = []
+
+    class Counted(offline.CheckerBank):
+        def __init__(self, contracts):
+            full.append(tuple(contracts))
+            super().__init__(contracts)
+
+    monkeypatch.setattr(offline, "CheckerBank", Counted)
+    trace = Trace.load(GOLDEN_BINARY_PATH)
+    report = check_trace(trace, UNIVERSAL_SET)
+    travel = TimeTravel(trace)
+    rng = random.Random(14)
+    for t in sorted(rng.randrange(trace.final_time) for _ in range(4)):
+        travel.at(t)
+        travel.why_halted()
+    assert check_trace(trace, UNIVERSAL_SET) == report
+    assert full == [universal_contracts()]
+    assert set(trace.folded) == set(universal_contracts())
+
+
+# ----------------------------------------------------------------------
 # Complexity fences, on counts
 # ----------------------------------------------------------------------
 
@@ -331,7 +437,23 @@ def test_reverse_steps_fold_from_their_checkpoint():
     assert after["table_events_folded"] - before["table_events_folded"] == expected
 
 
+def read_before(trace, cursor, kinds):
+    """How many of the events before ``cursor`` are of a type in ``kinds``."""
+    names = trace.events.names
+    return sum(names[kind] in kinds for kind in trace.events.kinds[:cursor])
+
+
+def calls_before(trace, cursor):
+    """The events ``LOSSY``'s prefix fold reads before ``cursor``: the
+    liveness check's starts and completions (the echo trace records no
+    ``Observation``, which ``register_linearizability`` reads)."""
+    return read_before(trace, cursor, {"RpcCallStarted", "RpcCallCompleted"})
+
+
 def test_ascending_whys_feed_each_event_once():
+    """A why folds no prefix for a contract without an end-of-run
+    verdict, and over ascending cursors the prefix fold of those with one
+    reads each event of their types once."""
     trace = postmortem_trace(14)
     rng = random.Random(14)
     times = sorted(rng.randrange(trace.final_time) for _ in range(4))
@@ -340,26 +462,37 @@ def test_ascending_whys_feed_each_event_once():
         travel.at(t)
         travel.why_halted()
     stats = travel.stats()
-    assert stats["prefix_events_fed"] == travel.cursor
+    assert read_before(trace, travel.cursor, {"Observation"}) == 0
+    assert stats["prefix_events_fed"] == 0
+    assert stats["prefix_restarts"] == 0
+    lossy = TimeTravel(trace)
+    for t in times:
+        lossy.at(t)
+        lossy.first_contract_violation(LOSSY)
+    stats = lossy.stats()
+    assert stats["prefix_events_fed"] == calls_before(trace, lossy.cursor) > 0
     assert stats["prefix_restarts"] == 0
     # The same cursor again feeds nothing; other contracts start over.
-    travel.why_halted()
-    assert travel.stats()["prefix_events_fed"] == travel.cursor
-    travel.first_contract_violation(universal_contracts()[:2])
-    assert travel.stats()["prefix_restarts"] == 1
+    lossy.first_contract_violation(LOSSY)
+    assert lossy.stats()["prefix_events_fed"] == calls_before(trace, lossy.cursor)
+    lossy.why_halted()
+    assert lossy.stats()["prefix_restarts"] == 1
+    assert lossy.stats()["prefix_events_fed"] == calls_before(trace, lossy.cursor)
 
 
 def test_a_descending_why_restarts_the_fold_once():
     trace = postmortem_trace(14)
     travel = TimeTravel(trace)
     high = travel.at(trace.final_time // 2).index
-    travel.why_halted()
+    travel.first_contract_violation(LOSSY)
     low = travel.at(trace.final_time // 4).index
-    answer = travel.why_halted()
+    answer = travel.first_contract_violation(LOSSY)
     stats = travel.stats()
     assert stats["prefix_restarts"] == 1
-    assert stats["prefix_events_fed"] == high + low
-    assert answer["contract"] == first_violation(
+    assert stats["prefix_events_fed"] == calls_before(trace, high) + calls_before(trace, low)
+    assert answer == first_violation(trace.events, LOSSY, upto_index=low)
+    assert answer is not None
+    assert travel.why_halted()["contract"] == first_violation(
         trace.events, universal_contracts(), upto_index=low)
 
 
